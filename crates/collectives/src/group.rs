@@ -256,67 +256,18 @@ impl Communicator {
         self.shared.barrier.wait();
     }
 
-    /// Sums `buf` element-wise across all ranks; every rank ends with the
-    /// total. Accumulation is in rank order (bit-wise deterministic).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CollectiveError`] if a rank deposited a payload of the
-    /// wrong type or a slot was empty at read time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if ranks disagree on the operation or buffer length.
-    pub fn all_reduce(&mut self, buf: &mut [f32]) -> Result<(), CollectiveError> {
-        self.note_bytes("all_reduce", (buf.len() * 4) as u64);
-        let deposits = self.exchange("all_reduce", buf.to_vec(), |slots| {
-            let mut acc = vec![0.0f32; buf.len()];
-            for slot in slots {
-                let contrib = payload_ref::<Vec<f32>>(slot, "all_reduce")?;
-                assert_eq!(contrib.len(), acc.len(), "all_reduce length mismatch");
-                for (a, b) in acc.iter_mut().zip(contrib) {
-                    *a += b;
-                }
-            }
-            Ok(acc)
-        })?;
-        buf.copy_from_slice(&deposits);
-        Ok(())
-    }
-
-    /// Averages `buf` across ranks (AllReduce then scale by `1/world`).
+    /// Averages `buf` across ranks: [`Communicator::all_reduce_shared`]'s
+    /// rank-ordered sum, scaled by `1/world`.
     ///
     /// # Errors
     ///
     /// Propagates any [`CollectiveError`] from the underlying AllReduce.
     pub fn all_reduce_mean(&mut self, buf: &mut [f32]) -> Result<(), CollectiveError> {
-        self.all_reduce(buf)?;
+        let sum = self.all_reduce_shared(Arc::new(buf.to_vec()))?;
         let inv = 1.0 / self.world() as f32;
-        for v in buf.iter_mut() {
-            *v *= inv;
+        for (v, s) in buf.iter_mut().zip(sum.iter()) {
+            *v = s * inv;
         }
-        Ok(())
-    }
-
-    /// Element-wise maximum across ranks.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CollectiveError`] if a rank deposited a payload of the
-    /// wrong type or a slot was empty at read time.
-    pub fn all_reduce_max(&mut self, buf: &mut [f32]) -> Result<(), CollectiveError> {
-        self.note_bytes("all_reduce_max", (buf.len() * 4) as u64);
-        let out = self.exchange("all_reduce_max", buf.to_vec(), |slots| {
-            let mut acc = vec![f32::NEG_INFINITY; buf.len()];
-            for slot in slots {
-                let contrib = payload_ref::<Vec<f32>>(slot, "all_reduce_max")?;
-                for (a, b) in acc.iter_mut().zip(contrib) {
-                    *a = a.max(*b);
-                }
-            }
-            Ok(acc)
-        })?;
-        buf.copy_from_slice(&out);
         Ok(())
     }
 
@@ -376,110 +327,21 @@ impl Communicator {
         })
     }
 
-    /// Copies `buf` from `root` to every rank.
+    /// Personalized exchange: `sends[j]` goes to rank `j`; returns `recvs`
+    /// where `recvs[i]` came from rank `i`. This is the collective on the
+    /// critical path of DLRM training (index and pooled-embedding
+    /// exchange, §3).
     ///
-    /// # Errors
+    /// Zero-copy: the send lists are handed over as [`Arc`]s, so the
+    /// deposit moves `world` pointers instead of copying buffers, and
+    /// `recvs[i]` aliases what rank `i` sent — a receiver that needs to
+    /// mutate takes the copy-on-write branch via [`Arc::make_mut`], which
+    /// clones only while the buffer is still shared.
     ///
-    /// Returns [`CollectiveError`] if a rank deposited a payload of the
-    /// wrong type or a slot was empty at read time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `root >= world` or buffer lengths mismatch.
-    pub fn broadcast(&mut self, buf: &mut [f32], root: usize) -> Result<(), CollectiveError> {
-        assert!(root < self.world(), "broadcast root {root} out of range");
-        if self.rank == root {
-            self.note_bytes("broadcast", (buf.len() * 4) as u64);
-        }
-        let out = self.exchange("broadcast", buf.to_vec(), |slots| {
-            let src = payload_ref::<Vec<f32>>(&slots[root], "broadcast")?;
-            assert_eq!(src.len(), buf.len(), "broadcast length mismatch");
-            Ok(src.clone())
-        })?;
-        buf.copy_from_slice(&out);
-        Ok(())
-    }
-
-    /// Personalized exchange: `sends[j]` goes to rank `j`; returns
-    /// `recvs` where `recvs[i]` came from rank `i`. This is the collective
-    /// on the critical path of DLRM training (pooled embeddings, §3).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CollectiveError`] if a rank deposited a payload of the
-    /// wrong type or a slot was empty at read time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sends.len() != world` or ranks disagree on the operation.
-    pub fn all_to_all_v<T: Clone + Send + 'static>(
-        &mut self,
-        sends: Vec<Vec<T>>,
-    ) -> Result<Vec<Vec<T>>, CollectiveError> {
-        assert_eq!(
-            sends.len(),
-            self.world(),
-            "all_to_all_v needs world send lists"
-        );
-        let total: usize = sends.iter().map(Vec::len).sum();
-        self.note_bytes("all_to_all_v", (total * std::mem::size_of::<T>()) as u64);
-        let my = self.rank;
-        self.exchange("all_to_all_v", sends, |slots| {
-            let mut out = Vec::with_capacity(slots.len());
-            for slot in slots {
-                let matrix = payload_ref::<Vec<Vec<T>>>(slot, "all_to_all_v")?;
-                out.push(matrix[my].clone());
-            }
-            Ok(out)
-        })
-    }
-
-    /// Quantized f32 AlltoAllv (§5.3.2): payloads are converted to
-    /// [`QuantMode`] precision on the wire and dequantized at the receiver,
-    /// exercising real precision loss and halving [`CommStats::bytes_sent`]
-    /// for the 16-bit modes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CollectiveError`] if a rank deposited a payload of the
-    /// wrong type, a slot was empty, or the wire conversion fails.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sends.len() != world`.
-    pub fn all_to_all_v_quant(
-        &mut self,
-        sends: Vec<Vec<f32>>,
-        mode: QuantMode,
-    ) -> Result<Vec<Vec<f32>>, CollectiveError> {
-        match mode {
-            QuantMode::Fp32 => self.all_to_all_v(sends),
-            QuantMode::Fp16 | QuantMode::Bf16 => {
-                let wire: Vec<Vec<u16>> = sends
-                    .iter()
-                    .map(|v| mode.quantize(v))
-                    .collect::<Result<_, _>>()?;
-                let recv = self.all_to_all_v(wire)?;
-                recv.into_iter()
-                    .map(|v| mode.dequantize(&v).map_err(CollectiveError::from))
-                    .collect()
-            }
-        }
-    }
-
-    /// Zero-copy personalized exchange: like
-    /// [`Communicator::all_to_all_v`], but the send lists are handed over
-    /// as [`Arc`]s, so the deposit moves `world` pointers instead of
-    /// copying buffers, and each receiver gets a reference-counted alias
-    /// of the sender's buffer (`recvs[i]` aliases what rank `i` sent — a
-    /// receiver that needs to mutate takes the copy-on-write branch via
-    /// [`Arc::make_mut`], which clones only while the buffer is still
-    /// shared).
-    ///
-    /// Accounting is identical to the by-value variant: the *logical*
-    /// payload size (summed element bytes, not pointer bytes) feeds
-    /// [`CommStats::bytes_sent`] and the `comm.all_to_all_v.bytes`
-    /// counter, so telemetry reports what a real wire would carry.
+    /// Accounting is of the *logical* payload size (summed element bytes,
+    /// not pointer bytes): that is what feeds [`CommStats::bytes_sent`]
+    /// and the `comm.all_to_all_v.bytes` counter, so telemetry reports
+    /// what a real wire would carry.
     ///
     /// # Errors
     ///
@@ -511,12 +373,12 @@ impl Communicator {
         })
     }
 
-    /// Zero-copy quantized AlltoAllv: [`QuantMode::Fp32`] short-circuits
+    /// Quantized f32 AlltoAllv (§5.3.2): [`QuantMode::Fp32`] short-circuits
     /// to [`Communicator::all_to_all_shared`] (no wire conversion, no
     /// copies at all); the 16-bit modes quantize into fresh wire buffers
-    /// whose *pointers* are exchanged, then dequantize at the receiver —
-    /// exactly the precision loss and halved byte accounting of
-    /// [`Communicator::all_to_all_v_quant`].
+    /// whose *pointers* are exchanged, then dequantize at the receiver,
+    /// exercising real precision loss and halving
+    /// [`CommStats::bytes_sent`].
     ///
     /// # Errors
     ///
@@ -550,14 +412,14 @@ impl Communicator {
         }
     }
 
-    /// Zero-copy AllReduce: ranks exchange [`Arc`] pointers to their
-    /// contributions (the deposit moves one pointer, not the buffer) and
-    /// each rank materializes the sum by accumulating every contribution
-    /// in rank order — the exact per-element expression of
-    /// [`Communicator::all_reduce`] (zero-initialized accumulator, every
-    /// rank added in order), so the two entry points are bitwise
-    /// interchangeable and serial/overlapped schedules may mix them
-    /// freely.
+    /// Sums `input` element-wise across all ranks; every rank ends with
+    /// the total. Ranks exchange [`Arc`] pointers to their contributions
+    /// (the deposit moves one pointer, not the buffer) and each rank
+    /// materializes the sum by accumulating every contribution in rank
+    /// order from a zero accumulator, so the result is bit-wise
+    /// deterministic, element-wise (reducing a buffer whole or in
+    /// disjoint pieces gives the same bits), and the same expression
+    /// [`Communicator::reduce_scatter`] evaluates per chunk.
     ///
     /// The accumulator itself takes the copy-on-write branch only when
     /// the reference count demands it: at `world == 1` with no retained
@@ -594,9 +456,9 @@ impl Communicator {
         let mut acc_arc = first;
         let acc = Arc::make_mut(&mut acc_arc);
         // `x + 0.0` is bitwise-equal to `0.0 + x` for every f32, so this
-        // pass turns the recycled rank-0 buffer into exactly the
-        // `all_reduce` accumulator after its first addition — including
-        // the negative-zero lanes it normalizes to +0.0.
+        // pass turns the recycled rank-0 buffer into exactly a
+        // zero-initialized accumulator after its first addition —
+        // including the negative-zero lanes it normalizes to +0.0.
         for a in acc.iter_mut() {
             *a += 0.0;
         }
@@ -705,15 +567,24 @@ mod tests {
             .collect()
     }
 
+    /// Arc-wraps per-destination send lists for the zero-copy exchange.
+    fn arcs<T>(sends: Vec<Vec<T>>) -> Vec<Arc<Vec<T>>> {
+        sends.into_iter().map(Arc::new).collect()
+    }
+
+    /// Unwraps received buffers back to plain vectors for comparison.
+    fn plain<T: Clone>(recv: Vec<Arc<Vec<T>>>) -> Vec<Vec<T>> {
+        recv.iter().map(|v| v.as_ref().clone()).collect()
+    }
+
     #[test]
     fn all_reduce_sums() {
         let out = run(4, |rank, c| {
-            let mut v = vec![rank as f32, 1.0];
-            c.all_reduce(&mut v).unwrap();
-            v
+            c.all_reduce_shared(Arc::new(vec![rank as f32, 1.0]))
+                .unwrap()
         });
         for v in out {
-            assert_eq!(v, vec![6.0, 4.0]);
+            assert_eq!(*v, vec![6.0, 4.0]);
         }
     }
 
@@ -726,18 +597,6 @@ mod tests {
         });
         for v in out {
             assert_eq!(v, 1.5);
-        }
-    }
-
-    #[test]
-    fn all_reduce_max_takes_max() {
-        let out = run(3, |rank, c| {
-            let mut v = vec![-(rank as f32), rank as f32];
-            c.all_reduce_max(&mut v).unwrap();
-            v
-        });
-        for v in out {
-            assert_eq!(v, vec![0.0, 2.0]);
         }
     }
 
@@ -769,53 +628,40 @@ mod tests {
     fn reduce_scatter_then_all_gather_equals_all_reduce() {
         let out = run(4, |rank, c| {
             let input: Vec<f32> = (0..8).map(|i| (rank * 8 + i) as f32).collect();
-            let mut ar = input.clone();
-            c.all_reduce(&mut ar).unwrap();
+            let ar = c.all_reduce_shared(Arc::new(input.clone())).unwrap();
             let rs = c.reduce_scatter(&input).unwrap();
             let ag = c.all_gather(&rs).unwrap();
             (ar, ag)
         });
         for (ar, ag) in out {
-            assert_eq!(ar, ag);
+            assert_eq!(*ar, ag);
         }
     }
 
     #[test]
-    fn broadcast_copies_from_root() {
-        let out = run(3, |rank, c| {
-            let mut v = vec![rank as f32 + 100.0];
-            c.broadcast(&mut v, 1).unwrap();
-            v[0]
-        });
-        for v in out {
-            assert_eq!(v, 101.0);
-        }
-    }
-
-    #[test]
-    fn all_to_all_v_routes_and_transposes() {
+    fn all_to_all_routes_and_transposes() {
         let out = run(3, |rank, c| {
             // rank r sends vec![r*10 + j] to rank j
             let sends: Vec<Vec<u64>> = (0..3).map(|j| vec![(rank * 10 + j) as u64]).collect();
-            c.all_to_all_v(sends).unwrap()
+            c.all_to_all_shared(arcs(sends)).unwrap()
         });
         // rank j receives from rank i: i*10 + j
         for (j, recvs) in out.iter().enumerate() {
             for (i, msg) in recvs.iter().enumerate() {
-                assert_eq!(msg, &vec![(i * 10 + j) as u64]);
+                assert_eq!(**msg, vec![(i * 10 + j) as u64]);
             }
         }
     }
 
     #[test]
-    fn all_to_all_v_with_ragged_sizes() {
+    fn all_to_all_with_ragged_sizes() {
         let out = run(2, |rank, c| {
             let sends: Vec<Vec<f32>> = if rank == 0 {
                 vec![vec![], vec![1.0, 2.0, 3.0]]
             } else {
                 vec![vec![9.0], vec![]]
             };
-            c.all_to_all_v(sends).unwrap()
+            plain(c.all_to_all_shared(arcs(sends)).unwrap())
         });
         assert_eq!(out[0], vec![vec![], vec![9.0]]);
         assert_eq!(out[1], vec![vec![1.0, 2.0, 3.0], vec![]]);
@@ -825,8 +671,8 @@ mod tests {
     fn quantized_alltoall_halves_bytes_and_approximates() {
         let out = run(2, |_rank, c| {
             let payload: Vec<f32> = (0..256).map(|i| (i as f32) * 0.37 - 40.0).collect();
-            let sends = vec![payload.clone(), payload.clone()];
-            let recv = c.all_to_all_v_quant(sends, QuantMode::Fp16).unwrap();
+            let sends = arcs(vec![payload.clone(), payload.clone()]);
+            let recv = c.all_to_all_shared_quant(sends, QuantMode::Fp16).unwrap();
             (recv, c.stats().bytes_sent, payload)
         });
         for (recv, bytes, original) in out {
@@ -842,8 +688,8 @@ mod tests {
     #[test]
     fn fp32_mode_is_exact() {
         let out = run(2, |rank, c| {
-            let sends = vec![vec![0.1f32, 0.2], vec![rank as f32 + 0.5]];
-            c.all_to_all_v_quant(sends, QuantMode::Fp32).unwrap()
+            let sends = arcs(vec![vec![0.1f32, 0.2], vec![rank as f32 + 0.5]]);
+            plain(c.all_to_all_shared_quant(sends, QuantMode::Fp32).unwrap())
         });
         // rank 0 receives sends[0] from both ranks; rank 1 receives sends[1]
         assert_eq!(out[0], vec![vec![0.1, 0.2], vec![0.1, 0.2]]);
@@ -855,8 +701,9 @@ mod tests {
         let out = run(3, |rank, c| {
             let mut acc = 0.0;
             for step in 0..10 {
-                let mut v = vec![(rank + step) as f32];
-                c.all_reduce(&mut v).unwrap();
+                let v = c
+                    .all_reduce_shared(Arc::new(vec![(rank + step) as f32]))
+                    .unwrap();
                 acc += v[0];
             }
             acc
@@ -872,8 +719,7 @@ mod tests {
     fn stats_count_ops() {
         let out = run(2, |_r, c| {
             c.barrier();
-            let mut v = vec![1.0f32; 8];
-            c.all_reduce(&mut v).unwrap();
+            c.all_reduce_shared(Arc::new(vec![1.0f32; 8])).unwrap();
             c.stats()
         });
         for s in out {
@@ -885,8 +731,7 @@ mod tests {
     #[test]
     fn world_one_is_trivial() {
         let out = run(1, |_r, c| {
-            let mut v = vec![5.0f32];
-            c.all_reduce(&mut v).unwrap();
+            let v = c.all_reduce_shared(Arc::new(vec![5.0f32])).unwrap();
             let ag = c.all_gather(&[7.0]).unwrap();
             (v[0], ag)
         });
@@ -905,11 +750,10 @@ mod tests {
         // thread scheduling, because accumulation is in rank order
         let run_once = || {
             run(4, |rank, c| {
-                let mut v: Vec<f32> = (0..64)
+                let v: Vec<f32> = (0..64)
                     .map(|i| ((rank * 64 + i) as f32 * 0.1).sin() * 1e-3)
                     .collect();
-                c.all_reduce(&mut v).unwrap();
-                v
+                c.all_reduce_shared(Arc::new(v)).unwrap()
             })
         };
         let a = run_once();

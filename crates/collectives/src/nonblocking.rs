@@ -179,13 +179,21 @@ impl Communicator {
     /// Ship `run` to the comm lane, returning the handle its result will
     /// arrive through. The lane brackets the exchange in a span named
     /// `span_name` attributed to `iter` on telemetry lane [`COMM_LANE`].
+    ///
+    /// `bytes` is the op's logical wire payload: caller-side accounting
+    /// mirrors the blocking path so [`CommStats`](crate::CommStats) are
+    /// identical whichever path a schedule takes; telemetry counters and
+    /// the injected delay are the lane's (single) copy.
     fn post<R: Send + 'static>(
         &mut self,
         op: &'static str,
         span_name: &'static str,
         iter: u64,
+        bytes: usize,
         run: impl FnOnce(&mut Communicator) -> Result<R, CollectiveError> + Send + 'static,
     ) -> CommHandle<R> {
+        self.stats.ops += 1;
+        self.stats.bytes_sent += bytes as u64;
         let (tx, rx) = bounded(1);
         let handle = CommHandle {
             rx,
@@ -233,63 +241,19 @@ impl Communicator {
         handle
     }
 
-    /// Nonblocking [`Communicator::all_to_all_v`]: posts the exchange to
-    /// the comm lane and returns immediately. `span_name` / `iter` label
-    /// the lane-side telemetry span (use the relevant [`phase`] constant).
+    /// Nonblocking [`Communicator::all_to_all_shared`]: posts `world`
+    /// [`Arc`] pointers to the comm lane and returns immediately — the
+    /// payload buffers are never copied onto the lane, only their
+    /// refcounts move. `span_name` / `iter` label the lane-side telemetry
+    /// span (use the relevant [`phase`] constant).
     ///
     /// All ranks must post the same lane collectives in the same order.
-    ///
-    /// [`phase`]: neo_telemetry::phase
     ///
     /// A contract violation (e.g. `sends.len() != world`) panics the
     /// exchange *on the lane thread*; the panic is captured and surfaces
     /// as [`CollectiveError::LaneFailed`] at [`CommHandle::wait`].
-    pub fn post_all_to_all_v<T: Clone + Send + 'static>(
-        &mut self,
-        sends: Vec<Vec<T>>,
-        span_name: &'static str,
-        iter: u64,
-    ) -> CommHandle<Vec<Vec<T>>> {
-        let total: usize = sends.iter().map(Vec::len).sum();
-        // Caller-side accounting mirrors the blocking path so CommStats
-        // are identical whichever path a schedule takes; telemetry
-        // counters and the injected delay are the lane's (single) copy.
-        self.stats.ops += 1;
-        self.stats.bytes_sent += (total * std::mem::size_of::<T>()) as u64;
-        self.post("all_to_all_v", span_name, iter, move |c| {
-            c.all_to_all_v(sends)
-        })
-    }
-
-    /// Nonblocking [`Communicator::all_to_all_v_quant`]: quantization,
-    /// exchange, and dequantization all run on the comm lane.
     ///
-    /// All ranks must post the same lane collectives in the same order.
-    pub fn post_all_to_all_v_quant(
-        &mut self,
-        sends: Vec<Vec<f32>>,
-        mode: QuantMode,
-        span_name: &'static str,
-        iter: u64,
-    ) -> CommHandle<Vec<Vec<f32>>> {
-        let total: usize = sends.iter().map(Vec::len).sum();
-        let wire = match mode {
-            QuantMode::Fp32 => std::mem::size_of::<f32>(),
-            QuantMode::Fp16 | QuantMode::Bf16 => std::mem::size_of::<u16>(),
-        };
-        self.stats.ops += 1;
-        self.stats.bytes_sent += (total * wire) as u64;
-        self.post("all_to_all_v", span_name, iter, move |c| {
-            c.all_to_all_v_quant(sends, mode)
-        })
-    }
-
-    /// Nonblocking [`Communicator::all_to_all_shared`]: the zero-copy
-    /// exchange posts `world` [`Arc`] pointers to the comm lane and
-    /// returns immediately — the payload buffers are never copied onto
-    /// the lane, only their refcounts move.
-    ///
-    /// All ranks must post the same lane collectives in the same order.
+    /// [`phase`]: neo_telemetry::phase
     pub fn post_all_to_all_shared<T: Send + Sync + 'static>(
         &mut self,
         sends: Vec<Arc<Vec<T>>>,
@@ -297,9 +261,8 @@ impl Communicator {
         iter: u64,
     ) -> CommHandle<Vec<Arc<Vec<T>>>> {
         let total: usize = sends.iter().map(|v| v.len()).sum();
-        self.stats.ops += 1;
-        self.stats.bytes_sent += (total * std::mem::size_of::<T>()) as u64;
-        self.post("all_to_all_v", span_name, iter, move |c| {
+        let bytes = total * std::mem::size_of::<T>();
+        self.post("all_to_all_v", span_name, iter, bytes, move |c| {
             c.all_to_all_shared(sends)
         })
     }
@@ -317,22 +280,17 @@ impl Communicator {
         iter: u64,
     ) -> CommHandle<Vec<Arc<Vec<f32>>>> {
         let total: usize = sends.iter().map(|v| v.len()).sum();
-        let wire = match mode {
-            QuantMode::Fp32 => std::mem::size_of::<f32>(),
-            QuantMode::Fp16 | QuantMode::Bf16 => std::mem::size_of::<u16>(),
-        };
-        self.stats.ops += 1;
-        self.stats.bytes_sent += (total * wire) as u64;
-        self.post("all_to_all_v", span_name, iter, move |c| {
+        let bytes = total * mode.wire_bytes();
+        self.post("all_to_all_v", span_name, iter, bytes, move |c| {
             c.all_to_all_shared_quant(sends, mode)
         })
     }
 
     /// Nonblocking [`Communicator::all_reduce_shared`]: the posted
     /// deposit moves one [`Arc`] pointer instead of copying the buffer.
-    /// Accumulation is bitwise-identical to [`Communicator::all_reduce`],
-    /// so posting shared and blocking by-value reductions of the same
-    /// data yields identical bits.
+    /// Accumulation stays in rank order and is element-wise, so posting
+    /// disjoint pieces of a buffer separately is bitwise-identical to one
+    /// blocking AllReduce of their concatenation.
     ///
     /// All ranks must post the same lane collectives in the same order.
     pub fn post_all_reduce_shared(
@@ -341,31 +299,9 @@ impl Communicator {
         span_name: &'static str,
         iter: u64,
     ) -> CommHandle<Arc<Vec<f32>>> {
-        self.stats.ops += 1;
-        self.stats.bytes_sent += (input.len() * 4) as u64;
-        self.post("all_reduce", span_name, iter, move |c| {
+        let bytes = input.len() * 4;
+        self.post("all_reduce", span_name, iter, bytes, move |c| {
             c.all_reduce_shared(input)
-        })
-    }
-
-    /// Nonblocking [`Communicator::all_reduce`] over an owned buffer;
-    /// the reduced buffer comes back through the handle. Accumulation
-    /// stays in rank order, so posting two disjoint halves separately is
-    /// bitwise-identical to one blocking AllReduce of their concatenation.
-    ///
-    /// All ranks must post the same lane collectives in the same order.
-    pub fn post_all_reduce(
-        &mut self,
-        buf: Vec<f32>,
-        span_name: &'static str,
-        iter: u64,
-    ) -> CommHandle<Vec<f32>> {
-        self.stats.ops += 1;
-        self.stats.bytes_sent += (buf.len() * 4) as u64;
-        self.post("all_reduce", span_name, iter, move |c| {
-            let mut buf = buf;
-            c.all_reduce(&mut buf)?;
-            Ok(buf)
         })
     }
 }
@@ -395,17 +331,28 @@ mod tests {
             .collect()
     }
 
+    /// `world` single-element send lists, `Arc`-wrapped.
+    fn sends_of<T: Copy>(v: T, world: usize) -> Vec<Arc<Vec<T>>> {
+        (0..world).map(|_| Arc::new(vec![v])).collect()
+    }
+
     #[test]
     fn posted_alltoall_matches_blocking() {
         let out = run(3, |rank, c| {
-            let sends: Vec<Vec<u64>> = (0..3).map(|j| vec![(rank * 10 + j) as u64]).collect();
-            let handle = c.post_all_to_all_v(sends.clone(), phase::INPUT_A2A, 0);
+            let sends: Vec<Arc<Vec<u64>>> = (0..3)
+                .map(|j| Arc::new(vec![(rank * 10 + j) as u64]))
+                .collect();
+            let handle = c.post_all_to_all_shared(sends.clone(), phase::INPUT_A2A, 0);
             let posted = handle.wait().unwrap();
-            let blocking = c.all_to_all_v(sends).unwrap();
+            let blocking = c.all_to_all_shared(sends).unwrap();
             (posted, blocking)
         });
-        for (posted, blocking) in out {
+        for (j, (posted, blocking)) in out.into_iter().enumerate() {
             assert_eq!(posted, blocking);
+            // and both are the transpose: rank j holds i*10 + j from rank i
+            for (i, msg) in posted.iter().enumerate() {
+                assert_eq!(**msg, vec![(i * 10 + j) as u64]);
+            }
         }
     }
 
@@ -415,16 +362,17 @@ mod tests {
             let full: Vec<f32> = (0..32)
                 .map(|i| ((rank * 32 + i) as f32 * 0.3).cos())
                 .collect();
-            let mut whole = full.clone();
-            c.all_reduce(&mut whole).unwrap();
-            let bot = c.post_all_reduce(full[..20].to_vec(), phase::ALLREDUCE_BOT, 0);
-            let top = c.post_all_reduce(full[20..].to_vec(), phase::ALLREDUCE_TOP, 0);
-            let mut halves = bot.wait().unwrap();
-            halves.extend(top.wait().unwrap());
+            let whole = c.all_reduce_shared(Arc::new(full.clone())).unwrap();
+            let bot =
+                c.post_all_reduce_shared(Arc::new(full[..20].to_vec()), phase::ALLREDUCE_BOT, 0);
+            let top =
+                c.post_all_reduce_shared(Arc::new(full[20..].to_vec()), phase::ALLREDUCE_TOP, 0);
+            let mut halves = bot.wait().unwrap().as_ref().clone();
+            halves.extend(top.wait().unwrap().iter());
             (whole, halves)
         });
         for (whole, halves) in out {
-            assert_eq!(whole, halves, "split halves must be bitwise identical");
+            assert_eq!(*whole, halves, "split halves must be bitwise identical");
         }
     }
 
@@ -435,15 +383,16 @@ mod tests {
         // this would cross-match ops and panic; with the second lane it
         // must complete cleanly.
         let out = run(2, |rank, c| {
-            let h = c.post_all_to_all_v(vec![vec![rank as u32]; 2], phase::INPUT_A2A, 0);
-            let mut v = vec![rank as f32 + 1.0];
-            c.all_reduce(&mut v).unwrap();
+            let h = c.post_all_to_all_shared(sends_of(rank as u32, 2), phase::INPUT_A2A, 0);
+            let v = c
+                .all_reduce_shared(Arc::new(vec![rank as f32 + 1.0]))
+                .unwrap();
             let recv = h.wait().unwrap();
             (v[0], recv)
         });
         for (sum, recv) in out {
             assert_eq!(sum, 3.0);
-            assert_eq!(recv, vec![vec![0], vec![1]]);
+            assert_eq!(recv, vec![Arc::new(vec![0]), Arc::new(vec![1])]);
         }
     }
 
@@ -451,14 +400,19 @@ mod tests {
     fn quantized_post_matches_blocking_quant() {
         let out = run(2, |rank, c| {
             let payload: Vec<f32> = (0..64).map(|i| (i as f32 + rank as f32) * 0.17).collect();
-            let sends = vec![payload.clone(), payload];
-            let h =
-                c.post_all_to_all_v_quant(sends.clone(), QuantMode::Bf16, phase::ALLTOALL_FWD, 1);
+            let sends = vec![Arc::new(payload.clone()), Arc::new(payload)];
+            let h = c.post_all_to_all_shared_quant(
+                sends.clone(),
+                QuantMode::Bf16,
+                phase::ALLTOALL_FWD,
+                1,
+            );
             let posted = h.wait().unwrap();
-            let blocking = c.all_to_all_v_quant(sends, QuantMode::Bf16).unwrap();
+            let blocking = c.all_to_all_shared_quant(sends, QuantMode::Bf16).unwrap();
             (posted, blocking, c.stats())
         });
         let bytes0 = out[0].2.bytes_sent;
+        assert_eq!(bytes0, 2 * (2 * 64 * 2), "two bf16 exchanges of 2x64 elems");
         for (posted, blocking, stats) in out {
             assert_eq!(posted, blocking, "lane quantization must match main-lane");
             assert_eq!(stats.bytes_sent, bytes0);
@@ -472,7 +426,7 @@ mod tests {
         let per_rank_sink = sink.clone();
         let out = run(2, move |_rank, c| {
             c.set_telemetry(per_rank_sink.clone());
-            let h = c.post_all_to_all_v(vec![vec![1u8]; 2], phase::INPUT_A2A, 4);
+            let h = c.post_all_to_all_shared(sends_of(1u8, 2), phase::INPUT_A2A, 4);
             h.wait().unwrap()
         });
         assert_eq!(out.len(), 2);
@@ -499,11 +453,11 @@ mod tests {
         // rendezvous deposit — each rank must get the captured panic back
         // as LaneFailed rather than hanging or unwinding the caller.
         let out = run(2, |rank, c| {
-            let bad = c.post_all_to_all_v(vec![vec![rank as u32]; 3], phase::INPUT_A2A, 0);
+            let bad = c.post_all_to_all_shared(sends_of(rank as u32, 3), phase::INPUT_A2A, 0);
             let err = bad.wait().expect_err("malformed exchange must fail");
             // The lane is now out of service: later posts observe a
             // closed lane at wait, not a hang.
-            let after = c.post_all_to_all_v(vec![vec![rank as u32]; 2], phase::INPUT_A2A, 1);
+            let after = c.post_all_to_all_shared(sends_of(rank as u32, 2), phase::INPUT_A2A, 1);
             (err, after.wait().expect_err("lane must be closed"))
         });
         for (err, after) in out {
@@ -528,15 +482,15 @@ mod tests {
     #[test]
     fn delay_injection_is_wall_clock_only() {
         let baseline = run(2, |rank, c| {
-            let mut v = vec![rank as f32 * 0.25; 16];
-            c.all_reduce(&mut v).unwrap();
-            v
+            c.all_reduce_shared(Arc::new(vec![rank as f32 * 0.25; 16]))
+                .unwrap()
         });
         let delayed = run(2, |rank, c| {
             c.set_comm_delay(Some(CommDelay::new(1e9, 1e-3)));
             let t0 = std::time::Instant::now();
-            let mut v = vec![rank as f32 * 0.25; 16];
-            c.all_reduce(&mut v).unwrap();
+            let v = c
+                .all_reduce_shared(Arc::new(vec![rank as f32 * 0.25; 16]))
+                .unwrap();
             assert!(
                 t0.elapsed() >= std::time::Duration::from_millis(1),
                 "delay must be injected on the wall clock"
@@ -551,7 +505,7 @@ mod tests {
         let out = run(2, |rank, c| {
             c.set_comm_delay(Some(CommDelay::new(1e9, 20e-3)));
             let t0 = std::time::Instant::now();
-            let h = c.post_all_to_all_v(vec![vec![rank as u32]; 2], phase::INPUT_A2A, 0);
+            let h = c.post_all_to_all_shared(sends_of(rank as u32, 2), phase::INPUT_A2A, 0);
             let post_cost = t0.elapsed();
             let recv = h.wait().unwrap();
             (post_cost, recv)
@@ -561,7 +515,7 @@ mod tests {
                 post_cost < std::time::Duration::from_millis(15),
                 "post must return before the injected 20ms delay elapses ({post_cost:?})"
             );
-            assert_eq!(recv, vec![vec![0], vec![1]]);
+            assert_eq!(recv, vec![Arc::new(vec![0]), Arc::new(vec![1])]);
         }
     }
 }

@@ -27,108 +27,107 @@ fn run_group<R: Send + 'static>(
         .collect()
 }
 
+/// Rank `rank`'s deterministic pseudo-random input of length `n`.
+fn input(seed: u64, rank: usize, n: usize) -> Vec<f32> {
+    (0..n)
+        .map(|i| (((seed + rank as u64 * 29 + i as u64 * 3) % 19) as f32) * 0.125 - 1.0)
+        .collect()
+}
+
+/// Test-local AllReduce oracle: per element, a zero accumulator with every
+/// rank's contribution added in rank order.
+fn oracle_sum(inputs: &[Vec<f32>]) -> Vec<f32> {
+    (0..inputs[0].len())
+        .map(|i| inputs.iter().fold(0.0f32, |acc, v| acc + v[i]))
+        .collect()
+}
+
+fn arcs<T>(sends: Vec<Vec<T>>) -> Vec<Arc<Vec<T>>> {
+    sends.into_iter().map(Arc::new).collect()
+}
+
+fn plain<T: Clone>(recv: &[Arc<Vec<T>>]) -> Vec<Vec<T>> {
+    recv.iter().map(|v| v.as_ref().clone()).collect()
+}
+
 proptest! {
     // thread-spawning cases are expensive; keep the count tight
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// AlltoAll applied twice (send back what you received) restores every
-    /// rank's original sends — the collective is its own inverse under
-    /// transposition.
+    /// AlltoAll is a matrix transpose (rank `j` receives from rank `i`
+    /// exactly what `i` addressed to `j`, ragged sizes included), so
+    /// applied twice (send back what you received) it restores every
+    /// rank's original sends.
     #[test]
-    fn alltoall_is_self_inverse(
+    fn alltoall_transposes_and_is_self_inverse(
         world in 1usize..5,
         payload_len in 0usize..6,
     ) {
+        // src -> dest payload; its length varies per pair (ragged)
+        let msg = move |src: usize, dest: usize| -> Vec<u64> {
+            (0..(payload_len + src + dest) % 6)
+                .map(|k| (src * 1000 + dest * 10 + k) as u64)
+                .collect()
+        };
         let out = run_group(world, move |rank, comm| {
-            let sends: Vec<Vec<u64>> = (0..world)
-                .map(|dest| {
-                    (0..payload_len).map(|k| (rank * 1000 + dest * 10 + k) as u64).collect()
-                })
-                .collect();
-            let recv = comm.all_to_all_v(sends.clone()).expect("alltoall");
-            let back = comm.all_to_all_v(recv).expect("alltoall back");
-            (sends, back)
+            let sends = arcs((0..world).map(|dest| msg(rank, dest)).collect());
+            let recv = comm.all_to_all_shared(sends.clone()).expect("alltoall");
+            let back = comm.all_to_all_shared(recv.clone()).expect("alltoall back");
+            (sends, recv, back)
         });
-        for (sends, back) in out {
+        for (rank, (sends, recv, back)) in out.into_iter().enumerate() {
+            let want: Vec<Vec<u64>> = (0..world).map(|src| msg(src, rank)).collect();
+            prop_assert_eq!(plain(&recv), want);
             prop_assert_eq!(sends, back);
         }
     }
 
-    /// ReduceScatter then AllGather equals AllReduce for arbitrary inputs.
+    /// AllReduce equals the rank-ordered scalar sum bit for bit, and
+    /// ReduceScatter then AllGather equals AllReduce, for arbitrary
+    /// inputs.
     #[test]
-    fn rs_ag_equals_allreduce(
+    fn allreduce_is_rank_ordered_sum_and_rs_ag_agrees(
         world in 1usize..5,
         chunk in 1usize..5,
         seed in 0u64..1000,
     ) {
+        let n = world * chunk;
         let out = run_group(world, move |rank, comm| {
-            let n = world * chunk;
-            let input: Vec<f32> = (0..n)
-                .map(|i| (((seed + rank as u64 * 31 + i as u64 * 7) % 17) as f32) - 8.0)
-                .collect();
-            let mut ar = input.clone();
-            comm.all_reduce(&mut ar).expect("all_reduce");
+            let input = input(seed, rank, n);
+            let ar = comm.all_reduce_shared(Arc::new(input.clone())).expect("all_reduce_shared");
             let rs = comm.reduce_scatter(&input).expect("reduce_scatter");
             let ag = comm.all_gather(&rs).expect("all_gather");
             (ar, ag)
         });
+        let inputs: Vec<Vec<f32>> = (0..world).map(|rank| input(seed, rank, n)).collect();
+        let want = oracle_sum(&inputs);
         for (ar, ag) in out {
-            prop_assert_eq!(ar, ag);
+            prop_assert_eq!(ar.as_ref(), &want);
+            prop_assert_eq!(ag, want.clone());
         }
     }
 
-    /// AllReduce-mean equals AllReduce divided by the world size, and the
-    /// element-wise max collective returns the true maximum — whichever
-    /// rank holds it.
+    /// AllReduce-mean equals the rank-ordered sum scaled by `1/world`.
     #[test]
-    fn mean_and_max_agree_with_scalar_math(
+    fn mean_agrees_with_scalar_math(
         world in 1usize..5,
         n in 1usize..5,
         seed in 0u64..1000,
     ) {
         let out = run_group(world, move |rank, comm| {
-            let input: Vec<f32> = (0..n)
-                .map(|i| (((seed + rank as u64 * 13 + i as u64 * 5) % 23) as f32) - 11.0)
-                .collect();
-            let mut mean = input.clone();
+            let mut mean = input(seed, rank, n);
             comm.all_reduce_mean(&mut mean).expect("all_reduce_mean");
-            let mut max = input.clone();
-            comm.all_reduce_max(&mut max).expect("all_reduce_max");
-            let mut sum = input.clone();
-            comm.all_reduce(&mut sum).expect("all_reduce");
-            (mean, max, sum)
+            mean
         });
-        // recompute per-element expectations from every rank's input
-        let inputs: Vec<Vec<f32>> = (0..world)
-            .map(|rank| {
-                (0..n)
-                    .map(|i| (((seed + rank as u64 * 13 + i as u64 * 5) % 23) as f32) - 11.0)
-                    .collect()
-            })
+        let inputs: Vec<Vec<f32>> = (0..world).map(|rank| input(seed, rank, n)).collect();
+        // the collective scales by 1/world; mirror that exactly
+        // (f32 `* (1/w)` and `/ w` round differently)
+        let want: Vec<f32> = oracle_sum(&inputs)
+            .iter()
+            .map(|s| s * (1.0 / world as f32))
             .collect();
-        for (mean, max, sum) in out {
-            for i in 0..n {
-                let want_max = inputs.iter().map(|v| v[i]).fold(f32::NEG_INFINITY, f32::max);
-                prop_assert_eq!(max[i], want_max);
-                // the collective scales by 1/world; mirror that exactly
-                // (f32 `* (1/w)` and `/ w` round differently)
-                prop_assert_eq!(mean[i], sum[i] * (1.0 / world as f32));
-            }
-        }
-    }
-
-    /// Broadcast makes every rank equal to the root, whatever they held.
-    #[test]
-    fn broadcast_equalizes(world in 1usize..5, root_pick in 0usize..16, n in 1usize..6) {
-        let root = root_pick % world;
-        let out = run_group(world, move |rank, comm| {
-            let mut buf: Vec<f32> = (0..n).map(|i| (rank * 100 + i) as f32).collect();
-            comm.broadcast(&mut buf, root).expect("broadcast");
-            buf
-        });
-        let want: Vec<f32> = (0..n).map(|i| (root * 100 + i) as f32).collect();
-        for got in out {
-            prop_assert_eq!(got, want.clone());
+        for mean in out {
+            prop_assert_eq!(mean, want.clone());
         }
     }
 
@@ -146,12 +145,12 @@ proptest! {
         let payload: Vec<f32> = ints.iter().map(|&i| i as f32 * 0.5).collect();
         let expect = payload.clone();
         let out = run_group(world, move |_rank, comm| {
-            let sends = vec![payload.clone(); world];
-            comm.all_to_all_v_quant(sends, mode).expect("quantized alltoall")
+            let sends = arcs(vec![payload.clone(); world]);
+            comm.all_to_all_shared_quant(sends, mode).expect("quantized alltoall")
         });
         for recvs in out {
             for r in recvs {
-                prop_assert_eq!(r, expect.clone());
+                prop_assert_eq!(r.as_ref(), &expect);
             }
         }
     }
@@ -172,8 +171,7 @@ proptest! {
         }
         let out = run_group(world, move |_rank, comm| {
             comm.barrier();
-            let mut v = vec![1.0f32; n];
-            comm.all_reduce(&mut v).expect("all_reduce");
+            comm.all_reduce_shared(Arc::new(vec![1.0f32; n])).expect("all_reduce_shared");
             comm.barrier();
             comm.stats()
         });
@@ -195,8 +193,9 @@ proptest! {
         let worker_sink = sink.clone();
         let out = run_group(world, move |rank, comm| {
             comm.set_telemetry(worker_sink.clone());
-            let mut v = vec![rank as f32; n];
-            comm.all_reduce(&mut v).expect("all_reduce");
+            let v = comm
+                .all_reduce_shared(Arc::new(vec![rank as f32; n]))
+                .expect("all_reduce_shared");
             let _ = comm.all_gather(&v).expect("all_gather");
             comm.stats()
         });
@@ -225,12 +224,14 @@ proptest! {
         }
     }
 
-    /// Nonblocking collectives agree with their blocking forms for
-    /// arbitrary payloads and world sizes, with or without an attached
-    /// `set_comm_delay` injector: a posted AlltoAll waits into the same
-    /// routing, and a split posted AllReduce (`post_all_reduce` /
-    /// `post_all_to_all_v` / `post_all_to_all_v_quant` + `wait`) is
-    /// bitwise-identical to one blocking AllReduce of the whole buffer.
+    /// Nonblocking collectives (`post_all_to_all_shared`,
+    /// `post_all_to_all_shared_quant`, `post_all_reduce_shared` + `wait`)
+    /// agree with their blocking forms for arbitrary payloads, world
+    /// sizes and wire modes, with or without an attached `set_comm_delay`
+    /// injector, and account the same *logical* byte volume: a posted
+    /// AlltoAll waits into the same routing, and a split posted AllReduce
+    /// is bitwise-identical to one blocking AllReduce of the whole buffer
+    /// — which is itself the rank-ordered scalar sum.
     #[test]
     fn posted_collectives_match_blocking(
         world in 1usize..5,
@@ -238,125 +239,53 @@ proptest! {
         split_pick in 0usize..8,
         seed in 0u64..1000,
         delayed in any::<bool>(),
+        bf16 in any::<bool>(),
     ) {
         let split = split_pick % (n + 1);
+        let mode = if bf16 { QuantMode::Bf16 } else { QuantMode::Fp32 };
         let out = run_group(world, move |rank, comm| {
             if delayed {
                 comm.set_comm_delay(Some(CommDelay::new(64e9, 20e-6)));
             }
-            let buf: Vec<f32> = (0..n)
-                .map(|i| (((seed + rank as u64 * 29 + i as u64 * 3) % 19) as f32) * 0.125 - 1.0)
-                .collect();
-            let mut whole = buf.clone();
-            comm.all_reduce(&mut whole).expect("all_reduce");
-            let bot = comm.post_all_reduce(buf[..split].to_vec(), "allreduce_bot", 0);
-            let top = comm.post_all_reduce(buf[split..].to_vec(), "allreduce_top", 0);
-            let mut halves = bot.wait().expect("bot wait");
-            halves.extend(top.wait().expect("top wait"));
-
-            let sends: Vec<Vec<f32>> = vec![buf.clone(); world];
-            let blocking_quant = comm
-                .all_to_all_v_quant(sends.clone(), QuantMode::Fp16)
-                .expect("blocking quant a2a");
-            let blocking_plain = comm
-                .all_to_all_v(sends.clone())
-                .expect("blocking plain a2a");
-            let posted_plain = comm
-                .post_all_to_all_v(sends.clone(), "input_a2a", 0)
-                .wait()
-                .expect("posted plain a2a");
-            let posted_quant = comm
-                .post_all_to_all_v_quant(sends, QuantMode::Fp16, "alltoall_fwd", 0)
-                .wait()
-                .expect("posted quant a2a");
-            (whole, halves, blocking_quant, posted_quant, blocking_plain, posted_plain)
-        });
-        for (whole, halves, blocking_quant, posted_quant, blocking_plain, posted_plain) in out {
-            prop_assert_eq!(whole, halves);
-            prop_assert_eq!(blocking_quant, posted_quant);
-            prop_assert_eq!(blocking_plain, posted_plain);
-        }
-    }
-
-    /// The zero-copy `Arc` hand-off collectives — `all_to_all_shared`,
-    /// `all_to_all_shared_quant`, `all_reduce_shared` and their posted
-    /// forms (`post_all_to_all_shared`, `post_all_to_all_shared_quant`,
-    /// `post_all_reduce_shared`) — are bitwise-identical to their
-    /// by-value counterparts and account the same *logical* byte volume,
-    /// so the zero-copy change is invisible to values and telemetry.
-    #[test]
-    fn shared_collectives_match_by_value(
-        world in 1usize..5,
-        n in 1usize..6,
-        seed in 0u64..1000,
-        bf16 in any::<bool>(),
-    ) {
-        let mode = if bf16 { QuantMode::Bf16 } else { QuantMode::Fp32 };
-        let out = run_group(world, move |rank, comm| {
-            let buf: Vec<f32> = (0..n)
-                .map(|i| (((seed + rank as u64 * 23 + i as u64 * 11) % 29) as f32) * 0.25 - 3.0)
-                .collect();
-            // by-value baselines
-            let mut reduced = buf.clone();
-            comm.all_reduce(&mut reduced).expect("all_reduce");
-            let sends: Vec<Vec<f32>> = (0..world)
-                .map(|dest| buf.iter().map(|v| v + dest as f32).collect())
-                .collect();
-            let plain = comm.all_to_all_v(sends.clone()).expect("a2a");
-            let quant = comm.all_to_all_v_quant(sends.clone(), mode).expect("a2a quant");
-            let bytes_by_value = comm.stats().bytes_sent;
-
-            // zero-copy counterparts of the same three exchanges
-            let arc_sends: Vec<Arc<Vec<f32>>> = sends.iter().cloned().map(Arc::new).collect();
-            let shared_reduced = comm
-                .all_reduce_shared(Arc::new(buf.clone()))
-                .expect("all_reduce_shared");
-            let shared_plain = comm
-                .all_to_all_shared(arc_sends.clone())
-                .expect("all_to_all_shared");
-            let shared_quant = comm
-                .all_to_all_shared_quant(arc_sends.clone(), mode)
+            let buf = input(seed, rank, n);
+            let sends = arcs(
+                (0..world)
+                    .map(|dest| buf.iter().map(|v| v + dest as f32).collect())
+                    .collect(),
+            );
+            let whole = comm.all_reduce_shared(Arc::new(buf.clone())).expect("all_reduce_shared");
+            let plain = comm.all_to_all_shared(sends.clone()).expect("all_to_all_shared");
+            let quant = comm
+                .all_to_all_shared_quant(sends.clone(), mode)
                 .expect("all_to_all_shared_quant");
-            let bytes_shared = comm.stats().bytes_sent - bytes_by_value;
+            let bytes_blocking = comm.stats().bytes_sent;
 
-            // posted forms run the same exchanges on the comm lane
-            let posted_reduced = comm
-                .post_all_reduce_shared(Arc::new(buf.clone()), "allreduce", 0)
-                .wait()
-                .expect("post_all_reduce_shared");
+            // posted forms run the same three exchanges on the comm lane
+            let bot = comm.post_all_reduce_shared(Arc::new(buf[..split].to_vec()), "allreduce_bot", 0);
+            let top = comm.post_all_reduce_shared(Arc::new(buf[split..].to_vec()), "allreduce_top", 0);
+            let mut halves = bot.wait().expect("bot wait").as_ref().clone();
+            halves.extend(top.wait().expect("top wait").iter());
             let posted_plain = comm
-                .post_all_to_all_shared(arc_sends.clone(), "input_a2a", 0)
+                .post_all_to_all_shared(sends.clone(), "input_a2a", 0)
                 .wait()
                 .expect("post_all_to_all_shared");
             let posted_quant = comm
-                .post_all_to_all_shared_quant(arc_sends, mode, "alltoall_fwd", 0)
+                .post_all_to_all_shared_quant(sends, mode, "alltoall_fwd", 0)
                 .wait()
                 .expect("post_all_to_all_shared_quant");
-            (
-                (reduced, plain, quant, bytes_by_value),
-                (shared_reduced, shared_plain, shared_quant, bytes_shared),
-                (posted_reduced, posted_plain, posted_quant),
-            )
+            let bytes_posted = comm.stats().bytes_sent - bytes_blocking;
+            (whole, halves, plain, posted_plain, quant, posted_quant, bytes_blocking, bytes_posted)
         });
-        for (by_value, shared, posted) in out {
-            let (reduced, plain, quant, bytes_by_value) = by_value;
-            let (sh_red, sh_plain, sh_quant, bytes_shared) = shared;
-            let (p_red, p_plain, p_quant) = posted;
-            prop_assert_eq!(&reduced, sh_red.as_ref());
-            prop_assert_eq!(&reduced, p_red.as_ref());
-            for (want, (got, posted)) in plain.iter().zip(sh_plain.iter().zip(&p_plain)) {
-                prop_assert_eq!(want, got.as_ref());
-                prop_assert_eq!(want, posted.as_ref());
-            }
-            for (want, (got, posted)) in quant.iter().zip(sh_quant.iter().zip(&p_quant)) {
-                prop_assert_eq!(want, got.as_ref());
-                prop_assert_eq!(want, posted.as_ref());
-            }
-            prop_assert_eq!(
-                bytes_shared,
-                bytes_by_value,
-                "shared variants must account identical logical bytes"
-            );
+        let inputs: Vec<Vec<f32>> = (0..world).map(|rank| input(seed, rank, n)).collect();
+        let want = oracle_sum(&inputs);
+        let logical = (n * 4 + world * n * 4 + world * n * mode.wire_bytes()) as u64;
+        for (whole, halves, plain, posted_plain, quant, posted_quant, blocking, posted) in out {
+            prop_assert_eq!(whole.as_ref(), &want);
+            prop_assert_eq!(halves, want.clone());
+            prop_assert_eq!(plain, posted_plain);
+            prop_assert_eq!(quant, posted_quant);
+            prop_assert_eq!(blocking, logical, "logical payload bytes, not pointer bytes");
+            prop_assert_eq!(posted, blocking, "posted forms must account identical bytes");
         }
     }
 }

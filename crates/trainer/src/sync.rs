@@ -1428,7 +1428,6 @@ impl Worker {
     /// trained model there — the "publish for inference" path. All ranks
     /// must call this (it is a collective); only rank 0 returns `Some`.
     fn gather_model(&mut self) -> Result<Option<neo_dlrm_model::DlrmModel>, SyncError> {
-        #[derive(Clone)]
         struct GatherMsg {
             table: usize,
             col_off: usize,
@@ -1469,9 +1468,11 @@ impl Worker {
                 pack(dp.table, 0, 0, &mut dp.store);
             }
         }
-        let mut sends: Vec<Vec<GatherMsg>> = vec![Vec::new(); self.world];
+        let mut sends: Vec<Vec<GatherMsg>> = (0..self.world).map(|_| Vec::new()).collect();
         sends[0] = to_root;
-        let received = self.comm.all_to_all_v(sends)?;
+        let received = self
+            .comm
+            .all_to_all_shared(sends.into_iter().map(Arc::new).collect())?;
         if self.rank != 0 {
             return Ok(None);
         }
@@ -1479,8 +1480,8 @@ impl Worker {
             .map_err(|e| err(e.to_string()))?;
         model.bottom = self.bottom.clone();
         model.top = self.top.clone();
-        for src in received {
-            for msg in src {
+        for src in &received {
+            for msg in src.iter() {
                 let table = &mut model.tables[msg.table];
                 let dim = table.dim();
                 let mut full = vec![0.0f32; dim];

@@ -190,15 +190,15 @@ fn all_reduce_equals_explicit_sum() {
         let handles: Vec<_> = ProcessGroup::new(world)
             .into_iter()
             .zip(inputs)
-            .map(|(mut c, mut buf)| {
+            .map(|(mut c, buf)| {
                 std::thread::spawn(move || {
-                    c.all_reduce(&mut buf).expect("all_reduce");
-                    buf
+                    c.all_reduce_shared(std::sync::Arc::new(buf))
+                        .expect("all_reduce_shared")
                 })
             })
             .collect();
         for h in handles {
-            assert_eq!(h.join().unwrap(), want);
+            assert_eq!(*h.join().unwrap(), want);
         }
     }
 }
