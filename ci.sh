@@ -12,13 +12,15 @@
 #                         so new findings fail even when hidden behind
 #                         waivers; the lint run itself must finish in <10s)
 #   4. tier-1 tests      (root-package build + tests, the ROADMAP gate)
-#   5. workspace tests   (all crates)
+#   5. workspace tests   (all crates, then the standalone benchmark/
+#                         package, so an API removal that breaks it
+#                         fails here)
 #   6. sanitizer tests   (numeric sanitizer + lock-order runtime validator
 #                         armed via --features sanitize)
 #   7. telemetry check   (quickstart --telemetry artifacts parse, carry the
 #                         span taxonomy, and label process/rank threads)
 #   8. bench gate        (pinned benchmark suite vs the committed baseline;
-#                         fails on >10% throughput regression or >2% live-
+#                         fails on >10% throughput regression or >3% live-
 #                         monitor / workload-profiler overhead; also runs
 #                         the kernel micro-suite to results/BENCH_micro.json
 #                         and prints the baseline-vs-current perf diff with
@@ -63,8 +65,9 @@ echo "==> [4/11] tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
-echo "==> [5/11] cargo test -q --workspace"
+echo "==> [5/11] cargo test -q --workspace (+ the benchmark package)"
 cargo test -q --workspace
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> [6/11] sanitize: numeric + lock-order validators armed"
 cargo test -q -p neo-tensor -p neo-embeddings -p neo-sync -p neo-collectives \

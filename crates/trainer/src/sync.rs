@@ -4,47 +4,60 @@
 //!
 //! * a full replica of the bottom/top MLPs (data parallelism),
 //! * its shards of the embedding tables per the
-//!   [`ShardingPlan`] (model parallelism),
+//!   [`ShardingPlan`](neo_sharding::ShardingPlan) (model parallelism),
 //! * replicas of the data-parallel tables,
-//! * a [`Communicator`] into the group.
+//! * a [`Communicator`](neo_collectives::Communicator) into the group.
 //!
-//! One training iteration follows the paper's dependency graph (Fig. 9):
+//! # One schedule, movable waits (§4.3, Fig. 9)
 //!
-//! 1. split the global batch; run the bottom MLP on the local sub-batch;
-//! 2. redistribute embedding inputs: table-wise inputs go to the owner,
-//!    column-wise inputs are replicated to each column shard, row-wise
-//!    inputs are bucketized (one AlltoAll of `IndexMsg`s — the
-//!    lengths+indices exchange of §4.4);
-//! 3. owners run the fused pooled lookup over the *global* batch for their
-//!    local shards; pooled outputs return via a (quantizable) AlltoAll,
-//!    row-wise partials via ReduceScatter (Fig. 8);
-//! 4. dot interaction + top MLP + BCE loss on the local sub-batch;
-//! 5. backward mirrors forward: grad AlltoAll (quantizable) back to owners,
-//!    AllGather for row-wise tables, sparse-grad AllGather for
+//! The paper's pipelining is one dependency graph whose AlltoAll /
+//! AllReduce *waits* are placed differently, so the iteration is written
+//! once, in the overlapped order:
+//!
+//! 1. wait this batch's index AlltoAll (table-wise inputs go to the
+//!    owner, column-wise inputs are replicated to each column shard,
+//!    row-wise inputs are bucketized — one exchange of `IndexMsg`s, the
+//!    lengths+indices format of §4.4);
+//! 2. owners run the fused pooled lookup over the *global* batch for
+//!    their local shards and **start** the (quantizable) pooled AlltoAll;
+//! 3. bottom MLP on the local sub-batch; **wait** the pooled AlltoAll;
+//! 4. row-wise partials via ReduceScatter (Fig. 8), data-parallel lookups;
+//! 5. **start** the next batch's index AlltoAll (when the driver
+//!    prefetched one), then dot interaction + top MLP + BCE loss;
+//! 6. backward mirrors forward: grad AlltoAll (quantizable) back to
+//!    owners, AllGather for row-wise tables, sparse-grad exchange for
 //!    data-parallel tables; owners apply *exact* sparse updates;
-//! 6. MLP gradients AllReduce, then an SGD step on every replica.
+//! 7. MLP gradients AllReduce, then the dense optimizer on every replica.
 //!
-//! Both sides derive the wire manifest from the shared plan, so no shape
-//! metadata is exchanged at runtime.
+//! Each started collective is a private `Pending`: either already
+//! finished on this thread or in flight on the communicator's comm lane,
+//! redeemed with `.wait()`. The serial schedule is the same code with
+//! every start completing inline. [`SyncConfig::overlap`] is read in
+//! exactly three places:
 //!
-//! # Overlapped schedule (Fig. 9)
+//! * **where a started collective runs** — on the lane iff `overlap` and
+//!   the forward is a training one (eval and probe forwards stay on the
+//!   caller thread, silent in telemetry);
+//! * **gradient bucketing** — overlap posts one AllReduce bucket per MLP
+//!   the moment its backward finishes (`allreduce_top`, `allreduce_bot`),
+//!   so both ride behind the sparse paths; serial reduces one
+//!   `[bottom|top]` bucket afterwards (`allreduce`);
+//! * **the driver's `make(i + 1)` prefetch**, which is what gives step 5
+//!   a next batch to start.
 //!
-//! With [`SyncConfig::overlap`] set, the same iteration is re-ordered so
-//! that every AlltoAll/AllReduce the dependency graph permits runs on the
-//! communicator's nonblocking comm lane *behind* compute:
-//!
-//! * batch `i+1`'s index AlltoAll is posted before batch `i`'s
-//!   interaction + top MLP (double-buffered batches);
-//! * the pooled-output AlltoAll is posted before the bottom MLP runs;
-//! * the MLP-gradient AllReduce is split in two, each half posted the
-//!   moment its backward segment finishes (`allreduce_top` right after
-//!   the top-MLP backward, `allreduce_bot` after the bottom-MLP
-//!   backward).
+//! The serial starts do not hop through the lane thread, and serial keeps
+//! its single AllReduce: on the 2-rank quickstart a lane round trip costs
+//! ~88 µs against ~50 µs for the rendezvous itself, so routing the five
+//! serial collectives through it would add ~0.19 ms to a 0.96 ms step,
+//! and a second rendezvous another ~5%.
 //!
 //! Every reordered pairing is between operations with no data dependency
-//! and reductions keep their rank-order accumulation, so the overlapped
-//! schedule is **bitwise identical** to the serial one — only the
-//! wall-clock placement of communication changes.
+//! and reductions keep their rank-order, element-wise accumulation, so
+//! the two schedules are **bitwise identical** — only the wall-clock
+//! placement of communication changes.
+//!
+//! Both sides of every exchange derive the wire manifest from the shared
+//! plan, so no shape metadata is exchanged at runtime.
 
 use std::fmt;
 use std::sync::Arc;
@@ -65,7 +78,7 @@ use neo_tensor::Tensor2;
 use neo_workload::{ShardCollector, ShardKind, ShardSample, TableMeta, TierSample, WorkloadReport};
 use rand::SeedableRng;
 
-use crate::init::{det_row, det_row_slice};
+use crate::init::det_row_slice;
 
 /// Error type for distributed training.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,7 +101,7 @@ impl SyncError {
     }
 }
 
-fn err(msg: impl Into<String>) -> SyncError {
+pub(super) fn err(msg: impl Into<String>) -> SyncError {
     SyncError::msg(msg)
 }
 
@@ -209,7 +222,7 @@ pub struct SyncConfig {
     /// streams telemetry frames and a watchdog raises
     /// [`HealthEvent`] alerts onto [`TrainOutput::health_events`]. The
     /// monitor reads heartbeats through [`SyncConfig::telemetry`], so
-    /// [`SyncTrainer::new`] arms a disabled sink automatically when this
+    /// [`SyncTrainer::new`](super::SyncTrainer::new) arms a disabled sink automatically when this
     /// is set. `None` — the default — spawns nothing and changes nothing.
     pub monitor: Option<MonitorConfig>,
     /// Collect per-shard workload statistics (lookup counts, pooling
@@ -301,11 +314,11 @@ impl fmt::Display for TrainOutput {
 
 /// One wire chunk in the pooled/grad AlltoAll manifest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ChunkDesc {
-    table: usize,
-    shard: usize,
-    col_off: usize,
-    width: usize,
+pub(super) struct ChunkDesc {
+    pub(super) table: usize,
+    pub(super) shard: usize,
+    pub(super) col_off: usize,
+    pub(super) width: usize,
 }
 
 /// The chunks owner `rank` serves, in deterministic (table, shard) order.
@@ -345,30 +358,32 @@ fn owner_manifest(plan: &ShardingPlan, model: &DlrmConfig, rank: usize) -> Vec<C
 }
 
 /// A local model-parallel shard with its optimizer.
-struct ShardState {
-    desc: ChunkDesc,
-    store: Box<dyn RowStore>,
-    opt: Box<dyn SparseOptimizer>,
+pub(super) struct ShardState {
+    pub(super) desc: ChunkDesc,
+    pub(super) store: Box<dyn RowStore>,
+    pub(super) opt: Box<dyn SparseOptimizer>,
     /// The global-batch inputs this shard served in the current iteration.
-    lengths: Vec<u32>,
-    indices: Vec<u64>,
+    pub(super) lengths: Vec<u32>,
+    pub(super) indices: Vec<u64>,
 }
 
 /// A row-wise shard (handled separately: ReduceScatter, bucketized inputs).
-struct RowShardState {
-    table: usize,
-    row_off: u64,
-    store: Box<dyn RowStore>,
-    opt: Box<dyn SparseOptimizer>,
-    lengths: Vec<u32>,
-    indices: Vec<u64>,
+pub(super) struct RowShardState {
+    pub(super) table: usize,
+    /// Ordinal of this row block among the table's row-wise workers.
+    pub(super) shard: usize,
+    pub(super) row_off: u64,
+    pub(super) store: Box<dyn RowStore>,
+    pub(super) opt: Box<dyn SparseOptimizer>,
+    pub(super) lengths: Vec<u32>,
+    pub(super) indices: Vec<u64>,
 }
 
 /// A data-parallel replica.
-struct DpState {
-    table: usize,
-    store: Box<dyn RowStore>,
-    opt: Box<dyn SparseOptimizer>,
+pub(super) struct DpState {
+    pub(super) table: usize,
+    pub(super) store: Box<dyn RowStore>,
+    pub(super) opt: Box<dyn SparseOptimizer>,
 }
 
 /// One table's `(lengths, indices)` inputs bound for an owner shard —
@@ -381,45 +396,67 @@ struct IndexMsg {
     indices: Vec<u64>,
 }
 
-/// A batch whose index AlltoAll is already in flight on the comm lane
-/// (the double-buffer slot of the overlapped schedule).
-struct PendingInput {
-    sub: CombinedBatch,
-    handle: CommHandle<Vec<Arc<Vec<IndexMsg>>>>,
+/// A started collective: already finished on this thread (serial
+/// schedule, eval and probe forwards) or in flight on the comm lane
+/// (overlapped schedule). The schedule redeems both the same way.
+enum Pending<R> {
+    Done(R),
+    InFlight(CommHandle<R>),
 }
 
-struct Worker {
-    rank: usize,
-    world: usize,
-    cfg: Arc<SyncConfig>,
-    comm: Communicator,
-    bottom: Mlp,
-    top: Mlp,
-    shards: Vec<ShardState>,
-    row_shards: Vec<RowShardState>,
-    dp: Vec<DpState>,
+impl<R> Pending<R> {
+    fn wait(self) -> Result<R, SyncError> {
+        match self {
+            Pending::Done(r) => Ok(r),
+            Pending::InFlight(handle) => Ok(handle.wait()?),
+        }
+    }
+}
+
+/// A sub-batch whose index AlltoAll has been started.
+pub(super) struct PendingInput {
+    sub: CombinedBatch,
+    recv: Pending<Vec<Arc<Vec<IndexMsg>>>>,
+}
+
+pub(super) struct Worker {
+    pub(super) rank: usize,
+    pub(super) world: usize,
+    pub(super) cfg: Arc<SyncConfig>,
+    pub(super) comm: Communicator,
+    pub(super) bottom: Mlp,
+    pub(super) top: Mlp,
+    pub(super) shards: Vec<ShardState>,
+    pub(super) row_shards: Vec<RowShardState>,
+    pub(super) dp: Vec<DpState>,
     /// Workload collectors, index-parallel to `shards` / `row_shards` /
     /// `dp`. Empty when [`SyncConfig::workload`] is off, so the hot-path
     /// guard (`get_mut(i)`) degenerates to a bounds check — no clocks,
     /// no allocation, no locking either way.
-    wl_shards: Vec<ShardCollector>,
-    wl_rows: Vec<ShardCollector>,
-    wl_dp: Vec<ShardCollector>,
+    pub(super) wl_shards: Vec<ShardCollector>,
+    pub(super) wl_rows: Vec<ShardCollector>,
+    pub(super) wl_dp: Vec<ShardCollector>,
     /// Row-wise table ids in deterministic order (every rank iterates the
     /// same list so the ReduceScatter/AllGather sequences line up).
-    row_tables: Vec<usize>,
+    pub(super) row_tables: Vec<usize>,
     /// Data-parallel table ids in deterministic order.
-    dp_tables: Vec<usize>,
-    scratch_grads: Vec<f32>,
+    pub(super) dp_tables: Vec<usize>,
+    /// `manifests[r]`: the wire chunks owner `r` serves. Both sides of the
+    /// pooled and gradient AlltoAlls derive their layout from these.
+    pub(super) manifests: Vec<Vec<ChunkDesc>>,
+    /// The training iteration in progress (labels comm-lane spans).
+    pub(super) iter: u64,
+    pub(super) scratch_grads: Vec<f32>,
     /// Features cached between `forward(train=true)` and `backward_update`.
-    cached_features: Option<Vec<Tensor2>>,
-    /// The next batch's posted index AlltoAll (overlapped schedule only).
-    pending_input: Option<PendingInput>,
-    bottom_opt: Box<dyn neo_tensor::optim::DenseOptimizer>,
-    top_opt: Box<dyn neo_tensor::optim::DenseOptimizer>,
+    pub(super) cached_features: Option<Vec<Tensor2>>,
+    /// The next batch's started index AlltoAll, when the driver prefetched
+    /// one (the double-buffer slot).
+    pub(super) pending_input: Option<PendingInput>,
+    pub(super) bottom_opt: Box<dyn neo_tensor::optim::DenseOptimizer>,
+    pub(super) top_opt: Box<dyn neo_tensor::optim::DenseOptimizer>,
     /// Per-rank span recorder. Only records between `begin_iteration` /
     /// `end_iteration`, so evaluation and probe forwards stay silent.
-    rec: RankRecorder,
+    pub(super) rec: RankRecorder,
 }
 
 fn make_dense_opt(
@@ -451,8 +488,42 @@ fn make_opt(cfg: &SyncConfig, rows: u64, width: usize) -> Box<dyn SparseOptimize
     }
 }
 
+/// The store of a shard holding rows `[row_off, row_off + rows)` × columns
+/// `[col_off, col_off + width)` of table `t`, filled with their
+/// position-deterministic initial values, and the shard's optimizer.
+fn init_shard(
+    cfg: &SyncConfig,
+    t: usize,
+    row_off: u64,
+    rows: u64,
+    col_off: usize,
+    width: usize,
+) -> (Box<dyn RowStore>, Box<dyn SparseOptimizer>) {
+    let num_rows = cfg.model.tables[t].num_rows;
+    // an empty trailing row block still gets a one-row store
+    let mut store = make_store(cfg, rows.max(1), width);
+    for r in 0..rows {
+        let row = det_row_slice(cfg.seed, t, row_off + r, col_off, width, num_rows);
+        store.write_row(r, &row);
+    }
+    (store, make_opt(cfg, rows.max(1), width))
+}
+
+/// Posts one MLP's flattened gradients to the comm lane as its own
+/// AllReduce bucket.
+fn post_grad_bucket(
+    comm: &mut Communicator,
+    mlp: &Mlp,
+    span: &'static str,
+    iter: u64,
+) -> CommHandle<Arc<Vec<f32>>> {
+    let mut grads = Vec::new();
+    mlp.grads_flat(&mut grads);
+    comm.post_all_reduce_shared(Arc::new(grads), span, iter)
+}
+
 impl Worker {
-    fn new(cfg: Arc<SyncConfig>, mut comm: Communicator) -> Self {
+    pub(super) fn new(cfg: Arc<SyncConfig>, mut comm: Communicator) -> Self {
         comm.set_telemetry(cfg.telemetry.clone());
         comm.set_comm_delay(cfg.comm_delay);
         let rank = comm.rank();
@@ -469,100 +540,59 @@ impl Worker {
                 .with_final_activation(Activation::Identity),
             &mut rng,
         );
-        let bottom_params = bottom.num_params();
-        let top_params = top.num_params();
 
+        let manifests: Vec<Vec<ChunkDesc>> = (0..world)
+            .map(|owner| owner_manifest(&cfg.plan, model, owner))
+            .collect();
+        // a collector for one shard of table `t`, when profiling is on
+        let collector = |t: usize, shard, kind, width, base_row, counting| {
+            let rows = model.tables[t].num_rows;
+            cfg.workload
+                .then(|| ShardCollector::new(rank, t, shard, kind, width, base_row, rows, counting))
+        };
+
+        // table-/column-wise shards are built from this rank's manifest, so
+        // `shards` is in wire order by construction
         let mut shards = Vec::new();
+        let mut wl_shards = Vec::new();
+        for &desc in &manifests[rank] {
+            let tc = &model.tables[desc.table];
+            let (store, opt) =
+                init_shard(&cfg, desc.table, 0, tc.num_rows, desc.col_off, desc.width);
+            shards.push(ShardState {
+                desc,
+                store,
+                opt,
+                lengths: Vec::new(),
+                indices: Vec::new(),
+            });
+            let kind = match cfg.plan.placements[desc.table].scheme {
+                Scheme::ColumnWise { .. } => ShardKind::Col,
+                _ => ShardKind::Table,
+            };
+            // column slices all see the same replicated index stream; only
+            // slice 0 counts rows so the table-level merge sees it once
+            wl_shards.extend(collector(
+                desc.table,
+                desc.shard,
+                kind,
+                desc.width,
+                0,
+                desc.shard == 0,
+            ));
+        }
+
         let mut row_shards = Vec::new();
         let mut dp = Vec::new();
         let mut row_tables = Vec::new();
         let mut dp_tables = Vec::new();
-        let mut wl_shards = Vec::new();
         let mut wl_rows = Vec::new();
         let mut wl_dp = Vec::new();
         for p in &cfg.plan.placements {
             let t = p.table;
             let tc = &model.tables[t];
             match &p.scheme {
-                Scheme::TableWise { worker } => {
-                    if *worker == rank {
-                        let mut store = make_store(&cfg, tc.num_rows, tc.dim);
-                        for r in 0..tc.num_rows {
-                            store.write_row(r, &det_row(cfg.seed, t, r, tc.dim, tc.num_rows));
-                        }
-                        let opt = make_opt(&cfg, tc.num_rows, tc.dim);
-                        shards.push(ShardState {
-                            desc: ChunkDesc {
-                                table: t,
-                                shard: 0,
-                                col_off: 0,
-                                width: tc.dim,
-                            },
-                            store,
-                            opt,
-                            lengths: Vec::new(),
-                            indices: Vec::new(),
-                        });
-                        if cfg.workload {
-                            wl_shards.push(ShardCollector::new(
-                                rank,
-                                t,
-                                0,
-                                ShardKind::Table,
-                                tc.dim,
-                                0,
-                                tc.num_rows,
-                                true,
-                            ));
-                        }
-                    }
-                }
-                Scheme::ColumnWise {
-                    workers,
-                    split_dims,
-                } => {
-                    let mut off = 0usize;
-                    for (k, (&w, &d)) in workers.iter().zip(split_dims).enumerate() {
-                        if w == rank {
-                            let mut store = make_store(&cfg, tc.num_rows, d);
-                            for r in 0..tc.num_rows {
-                                store.write_row(
-                                    r,
-                                    &det_row_slice(cfg.seed, t, r, off, d, tc.num_rows),
-                                );
-                            }
-                            let opt = make_opt(&cfg, tc.num_rows, d);
-                            shards.push(ShardState {
-                                desc: ChunkDesc {
-                                    table: t,
-                                    shard: k,
-                                    col_off: off,
-                                    width: d,
-                                },
-                                store,
-                                opt,
-                                lengths: Vec::new(),
-                                indices: Vec::new(),
-                            });
-                            if cfg.workload {
-                                // column slices all see the same replicated
-                                // index stream; only slice 0 counts rows so
-                                // the table-level merge sees it once
-                                wl_shards.push(ShardCollector::new(
-                                    rank,
-                                    t,
-                                    k,
-                                    ShardKind::Col,
-                                    d,
-                                    0,
-                                    tc.num_rows,
-                                    k == 0,
-                                ));
-                            }
-                        }
-                        off += d;
-                    }
-                }
+                Scheme::TableWise { .. } | Scheme::ColumnWise { .. } => {}
                 Scheme::RowWise { workers } => {
                     row_tables.push(t);
                     let block = tc.num_rows.div_ceil(workers.len() as u64);
@@ -572,66 +602,37 @@ impl Worker {
                         }
                         let lo = block * k as u64;
                         let hi = (lo + block).min(tc.num_rows);
-                        let local_rows = hi.saturating_sub(lo);
-                        let mut store = make_store(&cfg, local_rows.max(1), tc.dim);
-                        for r in 0..local_rows {
-                            store.write_row(r, &det_row(cfg.seed, t, lo + r, tc.dim, tc.num_rows));
-                        }
-                        let opt = make_opt(&cfg, local_rows.max(1), tc.dim);
+                        let (store, opt) =
+                            init_shard(&cfg, t, lo, hi.saturating_sub(lo), 0, tc.dim);
                         row_shards.push(RowShardState {
                             table: t,
+                            shard: k,
                             row_off: lo,
                             store,
                             opt,
                             lengths: Vec::new(),
                             indices: Vec::new(),
                         });
-                        if cfg.workload {
-                            wl_rows.push(ShardCollector::new(
-                                rank,
-                                t,
-                                k,
-                                ShardKind::Row,
-                                tc.dim,
-                                lo,
-                                tc.num_rows,
-                                true,
-                            ));
-                        }
+                        wl_rows.extend(collector(t, k, ShardKind::Row, tc.dim, lo, true));
                     }
                 }
                 Scheme::DataParallel => {
                     dp_tables.push(t);
-                    let mut store = make_store(&cfg, tc.num_rows, tc.dim);
-                    for r in 0..tc.num_rows {
-                        store.write_row(r, &det_row(cfg.seed, t, r, tc.dim, tc.num_rows));
-                    }
-                    let opt = make_opt(&cfg, tc.num_rows, tc.dim);
+                    let (store, opt) = init_shard(&cfg, t, 0, tc.num_rows, 0, tc.dim);
                     dp.push(DpState {
                         table: t,
                         store,
                         opt,
                     });
-                    if cfg.workload {
-                        // every rank holds a full replica and serves its
-                        // local sub-batch; the shard ordinal is the rank
-                        wl_dp.push(ShardCollector::new(
-                            rank,
-                            t,
-                            rank,
-                            ShardKind::Dp,
-                            tc.dim,
-                            0,
-                            tc.num_rows,
-                            true,
-                        ));
-                    }
+                    // every rank holds a full replica and serves its
+                    // local sub-batch; the shard ordinal is the rank
+                    wl_dp.extend(collector(t, rank, ShardKind::Dp, tc.dim, 0, true));
                 }
             }
         }
 
-        let bottom_opt = make_dense_opt(&cfg, bottom_params);
-        let top_opt = make_dense_opt(&cfg, top_params);
+        let bottom_opt = make_dense_opt(&cfg, bottom.num_params());
+        let top_opt = make_dense_opt(&cfg, top.num_params());
         Self {
             rank,
             world,
@@ -647,6 +648,8 @@ impl Worker {
             wl_shards,
             wl_rows,
             wl_dp,
+            manifests,
+            iter: 0,
             scratch_grads: Vec::new(),
             cached_features: None,
             pending_input: None,
@@ -657,7 +660,7 @@ impl Worker {
     }
 
     /// Builds the per-destination `IndexMsg` payload of the index
-    /// AlltoAll for the local sub-batch (step 2 of the iteration),
+    /// AlltoAll for the local sub-batch (step 1 of the iteration),
     /// `Arc`-wrapped for the zero-copy exchange (the wrap is a pointer
     /// move, and receivers alias the payload instead of deep-cloning it).
     fn build_index_sends(&self, sub: &CombinedBatch) -> Result<Vec<Arc<Vec<IndexMsg>>>, SyncError> {
@@ -666,21 +669,17 @@ impl Worker {
         for p in &self.cfg.plan.placements {
             let t = p.table;
             let (lens, idx) = sub.table_inputs(t);
+            let msg = |shard: usize, lengths: &[u32], indices: &[u64]| IndexMsg {
+                table: t,
+                shard,
+                lengths: lengths.to_vec(),
+                indices: indices.to_vec(),
+            };
             match &p.scheme {
-                Scheme::TableWise { worker } => sends[*worker].push(IndexMsg {
-                    table: t,
-                    shard: 0,
-                    lengths: lens.to_vec(),
-                    indices: idx.to_vec(),
-                }),
+                Scheme::TableWise { worker } => sends[*worker].push(msg(0, lens, idx)),
                 Scheme::ColumnWise { workers, .. } => {
                     for (k, &w) in workers.iter().enumerate() {
-                        sends[w].push(IndexMsg {
-                            table: t,
-                            shard: k,
-                            lengths: lens.to_vec(),
-                            indices: idx.to_vec(),
-                        });
+                        sends[w].push(msg(k, lens, idx));
                     }
                 }
                 Scheme::RowWise { workers } => {
@@ -688,12 +687,7 @@ impl Worker {
                         .map_err(|e| err(e.to_string()))?;
                     for (k, &w) in workers.iter().enumerate() {
                         let (bl, bi) = bz.shard_inputs(k);
-                        sends[w].push(IndexMsg {
-                            table: t,
-                            shard: k,
-                            lengths: bl.to_vec(),
-                            indices: bi.to_vec(),
-                        });
+                        sends[w].push(msg(k, bl, bi));
                     }
                 }
                 Scheme::DataParallel => {}
@@ -705,7 +699,6 @@ impl Worker {
     /// Files the received index messages into the owned table-/column-
     /// and row-wise shards (the global-batch inputs they must serve).
     fn consume_index_recv(&mut self, recv: &[Arc<Vec<IndexMsg>>]) -> Result<(), SyncError> {
-        let model = self.cfg.model.clone();
         // table-wise / column-wise shards
         for sh in &mut self.shards {
             sh.lengths.clear();
@@ -724,12 +717,9 @@ impl Worker {
             rs.lengths.clear();
             rs.indices.clear();
             for src in recv {
-                let shard_no = self.cfg.plan.placements[rs.table]
-                    .scheme
-                    .row_shard_index(self.rank, rs.row_off, &model, rs.table);
                 let msg = src
                     .iter()
-                    .find(|m| m.table == rs.table && m.shard == shard_no)
+                    .find(|m| m.table == rs.table && m.shard == rs.shard)
                     .ok_or_else(|| err("missing index message for row shard"))?;
                 rs.lengths.extend_from_slice(&msg.lengths);
                 rs.indices.extend_from_slice(&msg.indices);
@@ -756,7 +746,7 @@ impl Worker {
     /// Consumes the workload collectors into harvested samples, attaching
     /// each shard store's memory accounting. Empty when
     /// [`SyncConfig::workload`] is off.
-    fn harvest_workload(&mut self) -> Vec<ShardSample> {
+    pub(super) fn harvest_workload(&mut self) -> Vec<ShardSample> {
         fn tier(store: &dyn RowStore) -> Option<TierSample> {
             store.tier_info().map(|t| TierSample {
                 capacity_rows: t.capacity_rows,
@@ -766,23 +756,19 @@ impl Worker {
                 misses: t.misses,
             })
         }
-        let mut out = Vec::new();
-        for (c, sh) in std::mem::take(&mut self.wl_shards)
+        // collectors are index-parallel to their stores kind by kind, so
+        // the chained sequences pair up
+        let collectors = std::mem::take(&mut self.wl_shards)
             .into_iter()
-            .zip(&self.shards)
-        {
-            out.push(c.finish(sh.store.param_bytes(), tier(sh.store.as_ref())));
-        }
-        for (c, rs) in std::mem::take(&mut self.wl_rows)
-            .into_iter()
-            .zip(&self.row_shards)
-        {
-            out.push(c.finish(rs.store.param_bytes(), tier(rs.store.as_ref())));
-        }
-        for (c, dpt) in std::mem::take(&mut self.wl_dp).into_iter().zip(&self.dp) {
-            out.push(c.finish(dpt.store.param_bytes(), tier(dpt.store.as_ref())));
-        }
-        out
+            .chain(std::mem::take(&mut self.wl_rows))
+            .chain(std::mem::take(&mut self.wl_dp));
+        let stores = (self.shards.iter().map(|s| &s.store))
+            .chain(self.row_shards.iter().map(|s| &s.store))
+            .chain(self.dp.iter().map(|s| &s.store));
+        collectors
+            .zip(stores)
+            .map(|(c, store)| c.finish(store.param_bytes(), tier(store.as_ref())))
+            .collect()
     }
 
     /// Packs owned pooled outputs into per-destination wire payloads
@@ -813,8 +799,7 @@ impl Worker {
         let mut pooled_features: Vec<Tensor2> = (0..model.tables.len())
             .map(|_| Tensor2::zeros(b_loc, d))
             .collect();
-        for (owner, data) in pooled_recv.iter().enumerate() {
-            let manifest = owner_manifest(&self.cfg.plan, model, owner);
+        for (manifest, data) in self.manifests.iter().zip(pooled_recv) {
             let mut off = 0usize;
             for c in manifest {
                 let n = b_loc * c.width;
@@ -834,7 +819,7 @@ impl Worker {
     }
 
     /// Row-wise ReduceScatter features and data-parallel local lookups
-    /// (steps 4b/4c — blocking in both schedules).
+    /// (step 4 — blocking in both schedules).
     fn row_and_dp_features(
         &mut self,
         sub: &CombinedBatch,
@@ -844,9 +829,8 @@ impl Worker {
         let world = self.world;
         let d = self.cfg.model.emb_dim();
 
-        // 4b. ReduceScatter for row-wise tables (table-id order, all ranks)
-        let row_tables = self.row_tables.clone();
-        for &t in &row_tables {
+        // ReduceScatter for row-wise tables (table-id order, all ranks)
+        for &t in &self.row_tables {
             let sp = self.rec.span(phase::EMB_LOOKUP);
             let mut partial = vec![0.0f32; world * b_loc * d];
             if let Some((k, rs)) = self
@@ -877,7 +861,7 @@ impl Worker {
                 Tensor2::from_vec(b_loc, d, mine).map_err(|e| err(e.to_string()))?;
         }
 
-        // 4c. local lookups for data-parallel replicas
+        // local lookups for data-parallel replicas
         let sp = self.rec.span(phase::EMB_LOOKUP);
         for (j, dpt) in self.dp.iter_mut().enumerate() {
             let (lens, idx) = sub.table_inputs(dpt.table);
@@ -924,106 +908,60 @@ impl Worker {
         Ok(logits)
     }
 
-    /// Forward pass over the worker's sub-batch, participating in the
-    /// group's collectives. Returns `(logits, sub_batch)`.
-    fn forward(
+    /// Splits off the local sub-batch and starts its index AlltoAll
+    /// (zero-copy: pointers on the wire) — on the comm lane when `lane`,
+    /// else to completion on this thread.
+    fn start_input_a2a(
         &mut self,
         global: &CombinedBatch,
-        train: bool,
-    ) -> Result<(Tensor2, CombinedBatch), SyncError> {
-        let sub = global
-            .split(self.world)
-            .map_err(|e| err(e.to_string()))?
-            .swap_remove(self.rank);
-        let b_loc = sub.batch_size();
-
-        // 1. bottom MLP on local dense features
-        let sp = self.rec.span(phase::FWD_BOTTOM_MLP);
-        let z0 = if train {
-            self.bottom.forward(&sub.dense)
-        } else {
-            self.bottom.forward_inference(&sub.dense)
-        };
-        drop(sp);
-
-        // 2. index redistribution (zero-copy: pointers on the wire)
-        let sp = self.rec.span(phase::INPUT_A2A);
-        let sends = self.build_index_sends(&sub)?;
-        let recv = self.comm.all_to_all_shared(sends)?;
-        drop(sp);
-
-        // 3. pooled lookups for owned shards over the global batch
-        let sp = self.rec.span(phase::EMB_LOOKUP);
-        self.consume_index_recv(&recv)?;
-        drop(recv);
-        let owned_pooled = self.owned_pooled_forward()?;
-        if sp.is_recording() {
-            let rows: usize = self.shards.iter().map(|sh| sh.indices.len()).sum();
-            self.rec
-                .sink()
-                .counter_add(metric::EMB_LOOKUP_ROWS, rows as u64);
-        }
-        drop(sp);
-
-        // 4a. pooled AlltoAll for table-/column-wise shards (manifest order)
-        let sp = self.rec.span(phase::ALLTOALL_FWD);
-        let payloads = self.build_pooled_payloads(&owned_pooled, b_loc);
-        let pooled_recv = self
-            .comm
-            .all_to_all_shared_quant(payloads, self.cfg.quant_fwd)?;
-        // assemble per-table pooled features for the local sub-batch
-        let mut pooled_features = self.assemble_pooled_features(&pooled_recv, b_loc)?;
-        drop(sp);
-
-        // 4b/4c. row-wise ReduceScatter + data-parallel lookups
-        self.row_and_dp_features(&sub, &mut pooled_features, b_loc)?;
-
-        // 5. interaction + top MLP
-        let logits = self.interact_and_top(z0, pooled_features, train)?;
-        Ok((logits, sub))
-    }
-
-    /// Splits off the local sub-batch and posts its index AlltoAll to the
-    /// comm lane (the producer half of the double buffer).
-    fn post_input_a2a(
-        &mut self,
-        global: &CombinedBatch,
-        iter: u64,
+        lane: bool,
     ) -> Result<PendingInput, SyncError> {
         let sub = global
             .split(self.world)
             .map_err(|e| err(e.to_string()))?
             .swap_remove(self.rank);
         let sends = self.build_index_sends(&sub)?;
-        let handle = self
-            .comm
-            .post_all_to_all_shared(sends, phase::INPUT_A2A, iter);
-        Ok(PendingInput { sub, handle })
+        let recv = if lane {
+            Pending::InFlight(
+                self.comm
+                    .post_all_to_all_shared(sends, phase::INPUT_A2A, self.iter),
+            )
+        } else {
+            let sp = self.rec.span(phase::INPUT_A2A);
+            let recv = self.comm.all_to_all_shared(sends)?;
+            drop(sp);
+            Pending::Done(recv)
+        };
+        Ok(PendingInput { sub, recv })
     }
 
-    /// Forward pass of the overlapped (Fig. 9) schedule. The current
-    /// batch's index AlltoAll is already in flight (posted during the
-    /// previous iteration, or primed here at the pipeline head); `next`
-    /// is the double-buffered batch whose index exchange this iteration
-    /// posts before its own interaction/top MLP. Bitwise-identical to
-    /// [`Worker::forward`] with `train = true`: every reordered pair of
-    /// operations is data-independent.
-    fn forward_overlapped(
+    /// Forward pass over the worker's sub-batch, participating in the
+    /// group's collectives. Returns `(logits, sub_batch)`.
+    ///
+    /// `next` is the double-buffered batch whose index exchange this
+    /// forward starts before its own interaction/top MLP; a training
+    /// forward finds its own exchange already started by the previous
+    /// iteration that way, and starts it here otherwise (pipeline head,
+    /// serial driver, eval and probe).
+    pub(super) fn forward(
         &mut self,
         global: &CombinedBatch,
         next: Option<&CombinedBatch>,
-        iter: u64,
+        train: bool,
     ) -> Result<(Tensor2, CombinedBatch), SyncError> {
-        let pending = match self.pending_input.take() {
+        // started collectives ride the comm lane behind compute; eval and
+        // probe forwards must not disturb the lane's in-flight prefetch
+        let lane = self.cfg.overlap && train;
+        let prefetched = self.pending_input.take_if(|_| train);
+        let PendingInput { sub, recv } = match prefetched {
             Some(p) => p,
-            None => self.post_input_a2a(global, iter)?,
+            None => self.start_input_a2a(global, lane)?,
         };
-        let PendingInput { sub, handle } = pending;
         let b_loc = sub.batch_size();
-        let recv = handle.wait()?;
+        let recv = recv.wait()?;
 
-        // owned-shard lookups first, so the pooled exchange can be
-        // posted before the bottom MLP and hide behind it
+        // owned-shard lookups over the global batch come first, so the
+        // pooled exchange can start before the bottom MLP and hide behind it
         let sp = self.rec.span(phase::EMB_LOOKUP);
         self.consume_index_recv(&recv)?;
         drop(recv);
@@ -1036,17 +974,32 @@ impl Worker {
         }
         drop(sp);
 
+        // pooled AlltoAll for table-/column-wise shards (manifest order)
         let payloads = self.build_pooled_payloads(&owned_pooled, b_loc);
-        let pooled = self.comm.post_all_to_all_shared_quant(
-            payloads,
-            self.cfg.quant_fwd,
-            phase::ALLTOALL_FWD,
-            iter,
-        );
+        let pooled = if lane {
+            Pending::InFlight(self.comm.post_all_to_all_shared_quant(
+                payloads,
+                self.cfg.quant_fwd,
+                phase::ALLTOALL_FWD,
+                self.iter,
+            ))
+        } else {
+            let sp = self.rec.span(phase::ALLTOALL_FWD);
+            let recv = self
+                .comm
+                .all_to_all_shared_quant(payloads, self.cfg.quant_fwd)?;
+            drop(sp);
+            Pending::Done(recv)
+        };
 
-        // bottom MLP runs while the pooled AlltoAll is on the wire
+        // bottom MLP on local dense features, while an overlapped pooled
+        // AlltoAll is on the wire
         let sp = self.rec.span(phase::FWD_BOTTOM_MLP);
-        let z0 = self.bottom.forward(&sub.dense);
+        let z0 = if train {
+            self.bottom.forward(&sub.dense)
+        } else {
+            self.bottom.forward_inference(&sub.dense)
+        };
         drop(sp);
 
         let pooled_recv = pooled.wait()?;
@@ -1058,50 +1011,23 @@ impl Worker {
         // double buffer: batch i+1's index exchange rides behind batch
         // i's interaction, top MLP, and the whole backward
         if let Some(nb) = next {
-            self.pending_input = Some(self.post_input_a2a(nb, iter)?);
+            self.pending_input = Some(self.start_input_a2a(nb, lane)?);
         }
 
-        let logits = self.interact_and_top(z0, pooled_features, true)?;
+        let logits = self.interact_and_top(z0, pooled_features, train)?;
         Ok((logits, sub))
-    }
-
-    /// Dense backward (step 7): top MLP, interaction, bottom MLP.
-    /// Returns the per-feature gradients (`g_features[0]` is the dense
-    /// input; `g_features[t + 1]` belongs to table `t`).
-    fn dense_backward(
-        &mut self,
-        grad_logits: &Tensor2,
-        features: &[Tensor2],
-    ) -> Result<Vec<Tensor2>, SyncError> {
-        let model = &self.cfg.model;
-        let d = model.emb_dim();
-        let num_tables = model.tables.len();
-        let sp = self.rec.span(phase::TOP_MLP_BWD);
-        let g_top_in = self
-            .top
-            .backward(grad_logits)
-            .map_err(|e| err(e.to_string()))?;
-        drop(sp);
-        let sp = self.rec.span(phase::INTERACTION_BWD);
-        let splits = g_top_in
-            .hsplit(&[d, num_pairs(num_tables + 1)])
-            .map_err(|e| err(e.to_string()))?;
-        let refs: Vec<&Tensor2> = features.iter().collect();
-        let mut g_features =
-            dot_interaction_backward(&refs, &splits[1]).map_err(|e| err(e.to_string()))?;
-        g_features[0] += &splits[0];
-        drop(sp);
-        let sp = self.rec.span(phase::BWD_BOTTOM_MLP);
-        self.bottom
-            .backward(&g_features[0])
-            .map_err(|e| err(e.to_string()))?;
-        drop(sp);
-        Ok(g_features)
     }
 
     /// Backward + update from the local logit gradient (already scaled by
     /// the *global* batch size).
-    fn backward_update(
+    ///
+    /// The MLP-gradient AllReduce is bucketed by schedule. Overlap posts
+    /// one bucket per MLP to the comm lane the moment its backward
+    /// finishes, so both run behind the blocking sparse paths. Serial
+    /// reduces a single `[bottom|top]` bucket afterwards. Rank-order
+    /// accumulation is element-wise, so the buckets are bitwise-equal to
+    /// the combined buffer's `[..nb]` / `[nb..]`.
+    pub(super) fn backward_update(
         &mut self,
         sub: &CombinedBatch,
         grad_logits: &Tensor2,
@@ -1111,73 +1037,21 @@ impl Worker {
             .take()
             .ok_or_else(|| err("backward without forward"))?;
         let bwd_span = self.rec.span(phase::BACKWARD);
-
-        // 7. dense backward
-        let g_features = self.dense_backward(grad_logits, &features)?;
-
-        // 8. sparse paths (grad exchanges + exact optimizer updates)
-        self.sparse_backward(sub, &g_features)?;
-
-        // 9. MLP AllReduce + SGD (zero-copy: the scratch buffer is handed
-        // off by pointer and recovered from the reduction's accumulator,
-        // which is uniquely held — `try_unwrap` recycles it without a copy)
-        self.scratch_grads.clear();
-        self.bottom.grads_flat(&mut self.scratch_grads);
-        self.top.grads_flat(&mut self.scratch_grads);
-        let buf = std::mem::take(&mut self.scratch_grads);
-        let sp = self.rec.span(phase::ALLREDUCE);
-        let reduced = self.comm.all_reduce_shared(Arc::new(buf))?;
-        drop(sp);
-        let sp = self.rec.span(phase::DENSE_OPTIM);
-        let nb = self.bottom.num_params();
-        self.bottom
-            .set_grads_flat(&reduced[..nb])
-            .map_err(|e| err(e.to_string()))?;
-        self.top
-            .set_grads_flat(&reduced[nb..])
-            .map_err(|e| err(e.to_string()))?;
-        self.scratch_grads = Arc::try_unwrap(reduced).unwrap_or_else(|a| (*a).clone());
-        self.bottom.apply_optimizer(self.bottom_opt.as_mut());
-        self.top.apply_optimizer(self.top_opt.as_mut());
-        drop(sp);
-        drop(bwd_span);
-        Ok(())
-    }
-
-    /// Backward + update of the overlapped (Fig. 9) schedule. The serial
-    /// path's single MLP AllReduce is split in two halves, each posted to
-    /// the comm lane the moment its backward segment finishes, so both
-    /// run behind the blocking sparse paths. Rank-order accumulation is
-    /// element-wise, so the two halves are bitwise-equal to the serial
-    /// combined buffer (`buf[..nb]` / `buf[nb..]`).
-    fn backward_update_overlapped(
-        &mut self,
-        sub: &CombinedBatch,
-        grad_logits: &Tensor2,
-        iter: u64,
-    ) -> Result<(), SyncError> {
-        let features = self
-            .cached_features
-            .take()
-            .ok_or_else(|| err("backward without forward"))?;
-        let bwd_span = self.rec.span(phase::BACKWARD);
-
+        let overlap = self.cfg.overlap;
         let model = &self.cfg.model;
         let d = model.emb_dim();
         let num_tables = model.tables.len();
+
+        // dense backward: top MLP, interaction, bottom MLP. `g_features[0]`
+        // is the dense input; `g_features[t + 1]` belongs to table `t`.
         let sp = self.rec.span(phase::TOP_MLP_BWD);
         let g_top_in = self
             .top
             .backward(grad_logits)
             .map_err(|e| err(e.to_string()))?;
         drop(sp);
-        // the top MLP's grads are final: post their AllReduce half now
-        let mut top_grads = Vec::new();
-        self.top.grads_flat(&mut top_grads);
-        let top_half =
-            self.comm
-                .post_all_reduce_shared(Arc::new(top_grads), phase::ALLREDUCE_TOP, iter);
-
+        let top_bucket = overlap
+            .then(|| post_grad_bucket(&mut self.comm, &self.top, phase::ALLREDUCE_TOP, self.iter));
         let sp = self.rec.span(phase::INTERACTION_BWD);
         let splits = g_top_in
             .hsplit(&[d, num_pairs(num_tables + 1)])
@@ -1192,33 +1066,60 @@ impl Worker {
             .backward(&g_features[0])
             .map_err(|e| err(e.to_string()))?;
         drop(sp);
-        // bottom half follows as soon as its segment is done
-        let mut bot_grads = Vec::new();
-        self.bottom.grads_flat(&mut bot_grads);
-        let bot_half =
-            self.comm
-                .post_all_reduce_shared(Arc::new(bot_grads), phase::ALLREDUCE_BOT, iter);
+        let bot_bucket = overlap.then(|| {
+            post_grad_bucket(
+                &mut self.comm,
+                &self.bottom,
+                phase::ALLREDUCE_BOT,
+                self.iter,
+            )
+        });
 
-        // blocking sparse paths run while both halves are on the wire
+        // sparse paths (grad exchanges + exact optimizer updates)
         self.sparse_backward(sub, &g_features)?;
 
-        let bot = bot_half.wait()?;
-        let top = top_half.wait()?;
-        let sp = self.rec.span(phase::DENSE_OPTIM);
-        self.bottom
-            .set_grads_flat(&bot)
-            .map_err(|e| err(e.to_string()))?;
-        self.top
-            .set_grads_flat(&top)
-            .map_err(|e| err(e.to_string()))?;
-        self.bottom.apply_optimizer(self.bottom_opt.as_mut());
-        self.top.apply_optimizer(self.top_opt.as_mut());
-        drop(sp);
+        match bot_bucket.zip(top_bucket) {
+            Some((bot, top)) => {
+                let (bot, top) = (bot.wait()?, top.wait()?);
+                self.dense_step(&bot, &top)?;
+            }
+            None => {
+                // zero-copy: the scratch buffer is handed off by pointer
+                // and recovered from the reduction's accumulator, which
+                // is uniquely held — `try_unwrap` recycles it without a
+                // copy
+                self.scratch_grads.clear();
+                self.bottom.grads_flat(&mut self.scratch_grads);
+                self.top.grads_flat(&mut self.scratch_grads);
+                let buf = std::mem::take(&mut self.scratch_grads);
+                let sp = self.rec.span(phase::ALLREDUCE);
+                let reduced = self.comm.all_reduce_shared(Arc::new(buf))?;
+                drop(sp);
+                let nb = self.bottom.num_params();
+                self.dense_step(&reduced[..nb], &reduced[nb..])?;
+                self.scratch_grads = Arc::try_unwrap(reduced).unwrap_or_else(|a| (*a).clone());
+            }
+        }
         drop(bwd_span);
         Ok(())
     }
 
-    /// Sparse backward (step 8): grad exchanges back to every shard kind
+    /// Installs the reduced MLP gradients and steps the dense optimizers.
+    fn dense_step(&mut self, bot: &[f32], top: &[f32]) -> Result<(), SyncError> {
+        let sp = self.rec.span(phase::DENSE_OPTIM);
+        self.bottom
+            .set_grads_flat(bot)
+            .map_err(|e| err(e.to_string()))?;
+        self.top
+            .set_grads_flat(top)
+            .map_err(|e| err(e.to_string()))?;
+        self.bottom.apply_optimizer(self.bottom_opt.as_mut());
+        self.top.apply_optimizer(self.top_opt.as_mut());
+        drop(sp);
+        Ok(())
+    }
+
+    /// Sparse backward (step 6): grad exchanges back to every shard kind
     /// plus the exact optimizer updates. Blocking in both schedules.
     fn sparse_backward(
         &mut self,
@@ -1227,14 +1128,13 @@ impl Worker {
     ) -> Result<(), SyncError> {
         let world = self.world;
         let b_loc = sub.batch_size();
-        let model = self.cfg.model.clone();
-        let d = model.emb_dim();
+        let d = self.cfg.model.emb_dim();
 
-        // 8a. grad AlltoAll back to table-/column-wise owners
+        // grad AlltoAll back to table-/column-wise owners
         let sp = self.rec.span(phase::ALLTOALL_BWD);
         let mut payloads: Vec<Vec<f32>> = vec![Vec::new(); world];
-        for (owner, payload) in payloads.iter_mut().enumerate() {
-            for c in owner_manifest(&self.cfg.plan, &model, owner) {
+        for (manifest, payload) in self.manifests.iter().zip(&mut payloads) {
+            for c in manifest {
                 let g = &g_features[c.table + 1];
                 for row in 0..b_loc {
                     payload.extend_from_slice(&g.row(row)[c.col_off..c.col_off + c.width]);
@@ -1250,10 +1150,10 @@ impl Worker {
         // owners apply exact sparse updates on the reassembled global grads
         let sp = self.rec.span(phase::SPARSE_OPTIM);
         let mut optim_rows = 0u64;
-        let my_manifest = owner_manifest(&self.cfg.plan, &model, self.rank);
         // per-source offset cursors
         let mut cursors = vec![0usize; world];
-        for c in &my_manifest {
+        for sh in &mut self.shards {
+            let c = sh.desc;
             let mut grads = Tensor2::zeros(world * b_loc, c.width);
             for (src, data) in grad_recv.iter().enumerate() {
                 let n = b_loc * c.width;
@@ -1265,11 +1165,6 @@ impl Worker {
                         .copy_from_slice(&chunk[row * c.width..(row + 1) * c.width]);
                 }
             }
-            let sh = self
-                .shards
-                .iter_mut()
-                .find(|s| s.desc.table == c.table && s.desc.shard == c.shard)
-                .ok_or_else(|| err("manifest chunk without local shard"))?;
             // fused backward (§4.1.1): merge straight into per-row
             // accumulators, never materializing the expanded gradient
             let sg = fused_backward_grads(&sh.lengths, &sh.indices, &grads)
@@ -1279,9 +1174,8 @@ impl Worker {
         }
         drop(sp);
 
-        // 8b. AllGather for row-wise tables (mirror of the ReduceScatter)
-        let row_tables = self.row_tables.clone();
-        for &t in &row_tables {
+        // AllGather for row-wise tables (mirror of the ReduceScatter)
+        for &t in &self.row_tables {
             let flat = g_features[t + 1].as_slice().to_vec();
             let sp = self.rec.span(phase::ALLGATHER);
             let global_grads = self.comm.all_gather(&flat)?;
@@ -1298,10 +1192,9 @@ impl Worker {
             }
         }
 
-        // 8c. data-parallel tables: AllGather the sparse grads, apply the
+        // data-parallel tables: AllGather the sparse grads, apply the
         // identical merged update on every replica
-        let dp_tables = self.dp_tables.clone();
-        for &t in &dp_tables {
+        for &t in &self.dp_tables {
             let (lens, idx) = sub.table_inputs(t);
             // ship per-rank *merged* grads: rank-order concatenation then a
             // final merge reproduces the raw-occurrence accumulation order
@@ -1315,8 +1208,8 @@ impl Worker {
                 .map(|(k, &i)| (i, local.occ_row(k).to_vec()))
                 .collect();
             let sp = self.rec.span(phase::ALLTOALL_BWD);
-            // one shared payload, `world` refcount bumps — the by-value
-            // path deep-cloned the pair list once per destination
+            // one shared payload, `world` refcount bumps — no deep clone
+            // of the pair list per destination
             let pairs = Arc::new(pairs);
             let gathered = self.comm.all_to_all_shared(vec![pairs; world])?;
             drop(sp);
@@ -1350,12 +1243,8 @@ impl Worker {
         }
         Ok(())
     }
-}
 
-// Worker keeps the forward features between forward() and
-// backward_update(); stored out-of-line to keep Worker::new tidy.
-impl Worker {
-    fn set_lr(&mut self, lr: f32) {
+    pub(super) fn set_lr(&mut self, lr: f32) {
         self.bottom_opt.set_lr(lr);
         self.top_opt.set_lr(lr);
         for sh in &mut self.shards {
@@ -1369,8 +1258,9 @@ impl Worker {
         }
     }
 
-    /// One training iteration. `next` is the double-buffered batch the
-    /// overlapped schedule posts ahead; the serial schedule ignores it.
+    /// One training iteration. `next` is the double-buffered batch whose
+    /// index exchange this iteration starts ahead, when the driver
+    /// prefetched one.
     fn train_step(
         &mut self,
         iter: u64,
@@ -1379,23 +1269,15 @@ impl Worker {
     ) -> Result<f32, SyncError> {
         let lr = self.cfg.lr_schedule.lr_at(self.cfg.lr, iter);
         self.set_lr(lr);
+        self.iter = iter;
         self.rec.begin_iteration(iter);
         let iter_span = self.rec.span(phase::ITERATION);
-        let overlap = self.cfg.overlap;
-        let (logits, sub) = if overlap {
-            self.forward_overlapped(global, next, iter)?
-        } else {
-            self.forward(global, true)?
-        };
+        let (logits, sub) = self.forward(global, next, true)?;
         let (loss, mut grad) =
             bce_with_logits(&logits, &sub.labels).map_err(|e| err(e.to_string()))?;
         // bce divides by the local batch; rescale to the global batch
         grad.scale(sub.batch_size() as f32 / self.cfg.global_batch as f32);
-        if overlap {
-            self.backward_update_overlapped(&sub, &grad, iter)?;
-        } else {
-            self.backward_update(&sub, &grad)?;
-        }
+        self.backward_update(&sub, &grad)?;
         // global mean loss (sub-batches are equal-sized)
         let mut l = vec![loss];
         let sp = self.rec.span(phase::ALLREDUCE);
@@ -1418,7 +1300,7 @@ impl Worker {
     fn evaluate(&mut self, batches: &[CombinedBatch]) -> Result<NormalizedEntropy, SyncError> {
         let mut ne = NormalizedEntropy::new();
         for b in batches {
-            let (logits, sub) = self.forward(b, false)?;
+            let (logits, sub) = self.forward(b, None, false)?;
             ne.observe_logits(&logits, &sub.labels);
         }
         Ok(ne)
@@ -1427,7 +1309,7 @@ impl Worker {
     /// Gathers every embedding shard to rank 0 and reassembles the full
     /// trained model there — the "publish for inference" path. All ranks
     /// must call this (it is a collective); only rank 0 returns `Some`.
-    fn gather_model(&mut self) -> Result<Option<neo_dlrm_model::DlrmModel>, SyncError> {
+    pub(super) fn gather_model(&mut self) -> Result<Option<neo_dlrm_model::DlrmModel>, SyncError> {
         struct GatherMsg {
             table: usize,
             col_off: usize,
@@ -1498,32 +1380,6 @@ impl Worker {
             }
         }
         Ok(Some(model))
-    }
-}
-
-/// Extension used while resolving row-wise shard ids from the plan.
-trait RowShardLookup {
-    fn row_shard_index(&self, rank: usize, row_off: u64, model: &DlrmConfig, table: usize)
-        -> usize;
-}
-
-impl RowShardLookup for Scheme {
-    fn row_shard_index(
-        &self,
-        rank: usize,
-        row_off: u64,
-        model: &DlrmConfig,
-        table: usize,
-    ) -> usize {
-        match self {
-            Scheme::RowWise { workers } => {
-                let block = model.tables[table].num_rows.div_ceil(workers.len() as u64);
-                let k = (row_off / block.max(1)) as usize;
-                debug_assert_eq!(workers[k], rank, "row shard ownership");
-                k
-            }
-            _ => 0,
-        }
     }
 }
 
@@ -1713,7 +1569,7 @@ impl SyncTrainer {
                             ne_curve.push((samples, w.evaluate(eval)?));
                         }
                         let probe_logits = match probe {
-                            Some(p) => Some(w.forward(p, false)?.0),
+                            Some(p) => Some(w.forward(p, None, false)?.0),
                             None => None,
                         };
                         let final_model = if cfg.gather_final_model {
@@ -2520,6 +2376,35 @@ mod schedule_and_stream_tests {
             .unwrap();
         assert_eq!(a.losses, b.losses);
         assert_eq!(a.probe_logits, b.probe_logits);
+    }
+
+    #[test]
+    fn overlap_moves_waits_not_traffic() {
+        // The two schedules issue the same exchanges; overlap only splits
+        // the MLP AllReduce in two buckets. Per step on a table-wise plan:
+        // index a2a, pooled a2a, grad a2a, loss mean, plus one (serial) or
+        // two (overlap) gradient AllReduces.
+        let steps = 4u64;
+        let run = |overlap: bool| {
+            let mut cfg = SyncConfig::exact(2, DlrmConfig::tiny(3, 64, 8), plan(2), 32);
+            cfg.overlap = overlap;
+            let ds = dataset();
+            SyncTrainer::new(cfg)
+                .train_stream(steps, |k| ds.batch(32, k), &[], 0, None)
+                .unwrap()
+                .comm
+        };
+        let (serial, over) = (run(false), run(true));
+        assert_eq!(serial.len(), 2);
+        for (s, o) in serial.iter().zip(&over) {
+            assert!(s.bytes_sent > 0);
+            assert_eq!(
+                s.bytes_sent, o.bytes_sent,
+                "overlap must not change traffic"
+            );
+            assert_eq!(s.ops, 5 * steps);
+            assert_eq!(o.ops, 6 * steps);
+        }
     }
 
     #[test]
