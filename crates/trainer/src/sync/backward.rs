@@ -1,0 +1,257 @@
+//! The backward half of the schedule: dense backward, gradient
+//! bucketing, the sparse paths, and the dense optimizer step.
+
+use std::sync::Arc;
+
+use neo_collectives::{CommHandle, Communicator};
+use neo_dataio::CombinedBatch;
+use neo_dlrm_model::interaction::{dot_interaction_backward, num_pairs};
+use neo_embeddings::bag::fused_backward_grads;
+use neo_embeddings::SparseGrad;
+use neo_telemetry::{metric, phase};
+use neo_tensor::mlp::Mlp;
+use neo_tensor::Tensor2;
+
+use super::config::{err, SyncError};
+use super::shard::Worker;
+
+/// Posts one MLP's flattened gradients to the comm lane as its own
+/// AllReduce bucket.
+fn post_grad_bucket(
+    comm: &mut Communicator,
+    mlp: &Mlp,
+    span: &'static str,
+    iter: u64,
+) -> CommHandle<Arc<Vec<f32>>> {
+    let mut grads = Vec::new();
+    mlp.grads_flat(&mut grads);
+    comm.post_all_reduce_shared(Arc::new(grads), span, iter)
+}
+
+impl Worker {
+    /// Backward + update from the local logit gradient (already scaled by
+    /// the *global* batch size).
+    ///
+    /// The MLP-gradient AllReduce is bucketed by schedule. Overlap posts
+    /// one bucket per MLP to the comm lane the moment its backward
+    /// finishes, so both run behind the blocking sparse paths. Serial
+    /// reduces a single `[bottom|top]` bucket afterwards. Rank-order
+    /// accumulation is element-wise, so the buckets are bitwise-equal to
+    /// the combined buffer's `[..nb]` / `[nb..]`.
+    pub(super) fn backward_update(
+        &mut self,
+        sub: &CombinedBatch,
+        grad_logits: &Tensor2,
+    ) -> Result<(), SyncError> {
+        let features = self
+            .cached_features
+            .take()
+            .ok_or_else(|| err("backward without forward"))?;
+        let bwd_span = self.rec.span(phase::BACKWARD);
+        let overlap = self.cfg.overlap;
+        let model = &self.cfg.model;
+        let d = model.emb_dim();
+        let num_tables = model.tables.len();
+
+        // dense backward: top MLP, interaction, bottom MLP. `g_features[0]`
+        // is the dense input; `g_features[t + 1]` belongs to table `t`.
+        let sp = self.rec.span(phase::TOP_MLP_BWD);
+        let g_top_in = self
+            .top
+            .backward(grad_logits)
+            .map_err(|e| err(e.to_string()))?;
+        drop(sp);
+        let top_bucket = overlap
+            .then(|| post_grad_bucket(&mut self.comm, &self.top, phase::ALLREDUCE_TOP, self.iter));
+        let sp = self.rec.span(phase::INTERACTION_BWD);
+        let splits = g_top_in
+            .hsplit(&[d, num_pairs(num_tables + 1)])
+            .map_err(|e| err(e.to_string()))?;
+        let refs: Vec<&Tensor2> = features.iter().collect();
+        let mut g_features =
+            dot_interaction_backward(&refs, &splits[1]).map_err(|e| err(e.to_string()))?;
+        g_features[0] += &splits[0];
+        drop(sp);
+        let sp = self.rec.span(phase::BWD_BOTTOM_MLP);
+        self.bottom
+            .backward(&g_features[0])
+            .map_err(|e| err(e.to_string()))?;
+        drop(sp);
+        let bot_bucket = overlap.then(|| {
+            post_grad_bucket(
+                &mut self.comm,
+                &self.bottom,
+                phase::ALLREDUCE_BOT,
+                self.iter,
+            )
+        });
+
+        // sparse paths (grad exchanges + exact optimizer updates)
+        self.sparse_backward(sub, &g_features)?;
+
+        match bot_bucket.zip(top_bucket) {
+            Some((bot, top)) => {
+                let (bot, top) = (bot.wait()?, top.wait()?);
+                self.dense_step(&bot, &top)?;
+            }
+            None => {
+                // zero-copy: the scratch buffer is handed off by pointer
+                // and recovered from the reduction's accumulator, which
+                // is uniquely held — `try_unwrap` recycles it without a
+                // copy
+                self.scratch_grads.clear();
+                self.bottom.grads_flat(&mut self.scratch_grads);
+                self.top.grads_flat(&mut self.scratch_grads);
+                let buf = std::mem::take(&mut self.scratch_grads);
+                let sp = self.rec.span(phase::ALLREDUCE);
+                let reduced = self.comm.all_reduce_shared(Arc::new(buf))?;
+                drop(sp);
+                let nb = self.bottom.num_params();
+                self.dense_step(&reduced[..nb], &reduced[nb..])?;
+                self.scratch_grads = Arc::try_unwrap(reduced).unwrap_or_else(|a| (*a).clone());
+            }
+        }
+        drop(bwd_span);
+        Ok(())
+    }
+
+    /// Installs the reduced MLP gradients and steps the dense optimizers.
+    fn dense_step(&mut self, bot: &[f32], top: &[f32]) -> Result<(), SyncError> {
+        let sp = self.rec.span(phase::DENSE_OPTIM);
+        self.bottom
+            .set_grads_flat(bot)
+            .map_err(|e| err(e.to_string()))?;
+        self.top
+            .set_grads_flat(top)
+            .map_err(|e| err(e.to_string()))?;
+        self.bottom.apply_optimizer(self.bottom_opt.as_mut());
+        self.top.apply_optimizer(self.top_opt.as_mut());
+        drop(sp);
+        Ok(())
+    }
+
+    /// Sparse backward (step 6): grad exchanges back to every shard kind
+    /// plus the exact optimizer updates. Blocking in both schedules.
+    fn sparse_backward(
+        &mut self,
+        sub: &CombinedBatch,
+        g_features: &[Tensor2],
+    ) -> Result<(), SyncError> {
+        let world = self.world;
+        let b_loc = sub.batch_size();
+        let d = self.cfg.model.emb_dim();
+
+        // grad AlltoAll back to table-/column-wise owners
+        let sp = self.rec.span(phase::ALLTOALL_BWD);
+        let mut payloads: Vec<Vec<f32>> = vec![Vec::new(); world];
+        for (manifest, payload) in self.manifests.iter().zip(&mut payloads) {
+            for c in manifest {
+                let g = &g_features[c.table + 1];
+                for row in 0..b_loc {
+                    payload.extend_from_slice(&g.row(row)[c.col_off..c.col_off + c.width]);
+                }
+            }
+        }
+        let payloads: Vec<Arc<Vec<f32>>> = payloads.into_iter().map(Arc::new).collect();
+        let grad_recv = self
+            .comm
+            .all_to_all_shared_quant(payloads, self.cfg.quant_bwd)?;
+        drop(sp);
+
+        // owners apply exact sparse updates on the reassembled global grads
+        let sp = self.rec.span(phase::SPARSE_OPTIM);
+        let mut optim_rows = 0u64;
+        // per-source offset cursors
+        let mut cursors = vec![0usize; world];
+        for sh in &mut self.shards {
+            let c = sh.desc;
+            let mut grads = Tensor2::zeros(world * b_loc, c.width);
+            for (src, data) in grad_recv.iter().enumerate() {
+                let n = b_loc * c.width;
+                let chunk = &data[cursors[src]..cursors[src] + n];
+                cursors[src] += n;
+                for row in 0..b_loc {
+                    grads
+                        .row_mut(src * b_loc + row)
+                        .copy_from_slice(&chunk[row * c.width..(row + 1) * c.width]);
+                }
+            }
+            // fused backward (§4.1.1): merge straight into per-row
+            // accumulators, never materializing the expanded gradient
+            let sg = fused_backward_grads(&sh.lengths, &sh.indices, &grads)
+                .map_err(|e| err(e.to_string()))?;
+            optim_rows += sg.indices.len() as u64;
+            sh.opt.apply_merged(sh.store.as_mut(), &sg);
+        }
+        drop(sp);
+
+        // AllGather for row-wise tables (mirror of the ReduceScatter)
+        for &t in &self.row_tables {
+            let flat = g_features[t + 1].as_slice().to_vec();
+            let sp = self.rec.span(phase::ALLGATHER);
+            let global_grads = self.comm.all_gather(&flat)?;
+            drop(sp);
+            if let Some(rs) = self.row_shards.iter_mut().find(|r| r.table == t) {
+                let sp = self.rec.span(phase::SPARSE_OPTIM);
+                let grads = Tensor2::from_vec(world * b_loc, d, global_grads)
+                    .map_err(|e| err(e.to_string()))?;
+                let sg = fused_backward_grads(&rs.lengths, &rs.indices, &grads)
+                    .map_err(|e| err(e.to_string()))?;
+                optim_rows += sg.indices.len() as u64;
+                rs.opt.apply_merged(rs.store.as_mut(), &sg);
+                drop(sp);
+            }
+        }
+
+        // data-parallel tables: AllGather the sparse grads, apply the
+        // identical merged update on every replica
+        for &t in &self.dp_tables {
+            let (lens, idx) = sub.table_inputs(t);
+            // ship per-rank *merged* grads: rank-order concatenation then a
+            // final merge reproduces the raw-occurrence accumulation order
+            // bit-for-bit while shrinking the AllGather payload
+            let local = fused_backward_grads(lens, idx, &g_features[t + 1])
+                .map_err(|e| err(e.to_string()))?;
+            let pairs: Vec<(u64, Vec<f32>)> = local
+                .indices
+                .iter()
+                .enumerate()
+                .map(|(k, &i)| (i, local.occ_row(k).to_vec()))
+                .collect();
+            let sp = self.rec.span(phase::ALLTOALL_BWD);
+            // one shared payload, `world` refcount bumps — no deep clone
+            // of the pair list per destination
+            let pairs = Arc::new(pairs);
+            let gathered = self.comm.all_to_all_shared(vec![pairs; world])?;
+            drop(sp);
+            let sp = self.rec.span(phase::SPARSE_OPTIM);
+            let mut indices = Vec::new();
+            let mut rows: Vec<f32> = Vec::new();
+            for src in &gathered {
+                for (i, g) in src.iter() {
+                    indices.push(*i);
+                    rows.extend_from_slice(g);
+                }
+            }
+            let n = indices.len();
+            let combined = SparseGrad::dense(
+                indices,
+                Tensor2::from_vec(n, d, rows).map_err(|e| err(e.to_string()))?,
+            );
+            let dpt = self
+                .dp
+                .iter_mut()
+                .find(|x| x.table == t)
+                .ok_or_else(|| err("missing dp replica"))?;
+            optim_rows += combined.indices.len() as u64;
+            dpt.opt.step(dpt.store.as_mut(), &combined);
+            drop(sp);
+        }
+        if self.rec.sink().enabled() {
+            self.rec
+                .sink()
+                .counter_add(metric::EMB_OPTIM_ROWS, optim_rows);
+        }
+        Ok(())
+    }
+}
