@@ -1,6 +1,6 @@
-//! Shared helpers for the figure harness and criterion benches: turning
-//! Table-3 model profiles into sharding problems and extracting the plan
-//! quality numbers the performance model consumes.
+//! Shared helpers for the `figures` harness: turning Table-3 model
+//! profiles into sharding problems and extracting the plan quality
+//! numbers the performance model consumes.
 
 #![forbid(unsafe_code)]
 #![deny(warnings)]

@@ -61,7 +61,7 @@ pub fn merge_grads(grad: &SparseGrad) -> SparseGrad {
     SparseGrad::dense(
         indices,
         // lint: allow(panic) — rows holds exactly n * dim elements by construction
-        Tensor2::from_vec(n, dim, rows).expect("accumulator shape"), // lint: allow(panic_path) — accumulator holds exactly n * dim elements by the merge loop above
+        Tensor2::from_vec(n, dim, rows).expect("accumulator shape"),
     )
 }
 

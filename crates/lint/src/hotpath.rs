@@ -7,9 +7,9 @@
 //! neo-tensor, the pooled/fused embedding kernels, radix sort and
 //! sparse optimizer in neo-embeddings, and the quantization kernels in
 //! neo-collectives) and flags heap-allocating tokens
-//! ([`ALLOC_TOKENS`]). The PR 9 bench gate catches an allocation
-//! regression only after the fact and only when it is big enough to
-//! move the floor; this rule names the exact line up front. Setup-time
+//! ([`ALLOC_TOKENS`]). The benchmark catches an allocation regression
+//! only after the fact and only when it is big enough to move
+//! `samples_per_s`; this rule names the exact line up front. Setup-time
 //! or by-design allocation sites (output buffers that are the API
 //! contract, amortized scratch growth) carry
 //! `// lint: allow(hot_path_alloc) — <reason>` waivers.

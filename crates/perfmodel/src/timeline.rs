@@ -436,7 +436,7 @@ fn schedule(ops: &[Op], unit: fn(Resource) -> u8) -> Timeline {
         ops.iter()
             .position(|o| o.name == name)
             // lint: allow(panic) — malformed-graph contract documented under # Panics
-            .unwrap_or_else(|| panic!("unknown dependency {name}")) // lint: allow(panic_path) — documented # Panics contract for malformed op graphs, not an input-error path
+            .unwrap_or_else(|| panic!("unknown dependency {name}"))
     };
     let deps: Vec<Vec<usize>> = ops
         .iter()
@@ -466,7 +466,7 @@ fn schedule(ops: &[Op], unit: fn(Resource) -> u8) -> Timeline {
             }
         }
         // lint: allow(panic) — cycle contract documented under # Panics
-        let (s, i) = best.expect("cycle in op graph"); // lint: allow(panic_path) — documented # Panics contract for cyclic op graphs
+        let (s, i) = best.expect("cycle in op graph");
         let e = s + ops[i].duration;
         start[i] = Some(s);
         finish[i] = Some(e);
@@ -477,7 +477,7 @@ fn schedule(ops: &[Op], unit: fn(Resource) -> u8) -> Timeline {
     let makespan = finish
         .iter()
         // lint: allow(panic) — the loop above scheduled every op
-        .map(|f| f.expect("scheduled")) // lint: allow(panic_path) — the scheduling loop above terminated, so every op has a finish time
+        .map(|f| f.expect("scheduled"))
         .fold(0.0, f64::max);
     Timeline {
         ops: order,

@@ -15,35 +15,18 @@
 //! * [`exposed`] — exposed-communication accounting joined against the
 //!   [`neo_perfmodel::timeline`] Fig. 9 operator taxonomy by span name.
 //! * [`report`] — the human-readable roll-up the quickstart prints.
-//! * [`benchfile`] — the schema-versioned `BENCH_<label>.json` document
-//!   and the baseline regression check behind `neo-xtask bench --check`.
-//! * [`diff`] — perf-diff between two bench reports: throughput deltas
-//!   attributed to the dominant per-phase movement (`bench --diff`).
-//! * [`suite`] — the pinned benchmark suite (quickstart config at 2/4/8
-//!   simulated ranks plus the exposed-comm case) that produces it.
-//! * [`micro`] — the kernel micro-suite (`bench --micro`): GEMM at the
-//!   quickstart MLP shapes, pooled lookup at Zipf batch shapes, and the
-//!   sparse-optimizer merge at pinned duplicate rates.
 
 #![forbid(unsafe_code)]
 #![deny(warnings)]
 
-pub mod benchfile;
 pub mod critical;
-pub mod diff;
 pub mod exposed;
 pub mod merge;
-pub mod micro;
 pub mod report;
 pub mod skew;
-pub mod suite;
 
-pub use benchfile::{BenchEntry, BenchReport, BENCH_SCHEMA_VERSION};
 pub use critical::{critical_path, CriticalPath, Segment, IDLE};
-pub use diff::{diff_reports, BenchDiff, EntryDiff};
 pub use exposed::{exposed_comm, ExposedComm};
 pub use merge::MergedTimeline;
-pub use micro::run_micro_suite;
 pub use report::{analyze, ProfReport};
 pub use skew::{phase_skew, PhaseSkew, RankPhaseStats};
-pub use suite::{run_suite, SuiteConfig, MONITOR_OVERHEAD_COLUMN, WORKLOAD_OVERHEAD_COLUMN};

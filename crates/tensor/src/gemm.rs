@@ -275,8 +275,8 @@ pub fn matmul_a_bt(a: &Tensor2, b: &Tensor2) -> crate::Result<Tensor2> {
 }
 
 /// Number of floating-point operations a `m x k x n` GEMM performs
-/// (multiply-add counted as two flops). Used by the perf model and the
-/// criterion benchmarks to report achieved TF/s.
+/// (multiply-add counted as two flops). Used by the benchmark ladder
+/// (`benchmark/`) to report achieved GFLOP/s.
 #[must_use]
 pub fn gemm_flops(m: usize, k: usize, n: usize) -> u64 {
     2 * m as u64 * k as u64 * n as u64

@@ -19,7 +19,7 @@
 //! | [`telemetry`] | `neo-telemetry` | §5.2 per-iteration breakdowns, Fig. 14 |
 //! | [`monitor`] | `neo-monitor` | live health: frames, heartbeats, watchdog |
 //! | [`workload`] | `neo-workload` | per-table access profiling, hot-row sketches |
-//! | [`prof`] | `neo-prof` | cross-rank critical path, exposed comm, bench suite |
+//! | [`prof`] | `neo-prof` | cross-rank critical path, exposed comm, rank skew |
 //! | [`sync`] | `neo-sync` | ordered locks + schedule-chaos injector (infra) |
 //!
 //! # Quickstart
@@ -83,7 +83,7 @@ pub mod prelude {
     pub use neo_monitor::{HealthEvent, Monitor, MonitorConfig, MonitorReport};
     pub use neo_netsim::{ClusterTopology, CollectiveCost, CollectiveKind};
     pub use neo_perfmodel::{DeviceProfile, IterationModel, ModelScenario};
-    pub use neo_prof::{analyze, BenchReport, ProfReport, SuiteConfig};
+    pub use neo_prof::{analyze, ProfReport};
     pub use neo_sharding::{CostModel, Planner, PlannerConfig, Scheme, ShardingPlan, TableSpec};
     pub use neo_telemetry::{phase, TelemetrySink, TelemetrySummary};
     pub use neo_tensor::{Tensor2, F16};
