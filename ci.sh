@@ -6,11 +6,11 @@
 #   2. clippy            (warnings are errors)
 #   3. neo-xtask lint    (15-rule neo-lint engine over the token stream,
 #                         symbol index, and workspace call graph; emits
-#                         results/lint.json + results/lint.sarif +
-#                         results/callgraph.json and diffs waived counts
-#                         against the committed results/lint_baseline.json
-#                         so new findings fail even when hidden behind
-#                         waivers; the lint run itself must finish in <10s)
+#                         results/lint.json + results/callgraph.json
+#                         and diffs waived counts against the committed
+#                         results/lint_baseline.json so new findings fail
+#                         even when hidden behind waivers; the lint run
+#                         itself must finish in <10s)
 #   4. tier-1 tests      (root-package build + tests, the ROADMAP gate)
 #   5. workspace tests   (all crates, then the standalone benchmark/
 #                         package, so an API removal that breaks it
@@ -42,13 +42,12 @@ cargo fmt --all -- --check
 echo "==> [2/11] cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> [3/11] cargo run -p neo-xtask -- lint (json + sarif + callgraph + baseline diff)"
+echo "==> [3/11] cargo run -p neo-xtask -- lint (json + callgraph + baseline diff)"
 # build first so the wall-time budget below measures the lint run, not rustc
 cargo build -q -p neo-xtask
 LINT_T0=$(date +%s%N)
 cargo run -q -p neo-xtask -- lint \
     --json results/lint.json \
-    --sarif results/lint.sarif \
     --callgraph results/callgraph.json \
     --baseline results/lint_baseline.json
 LINT_MS=$(( ($(date +%s%N) - LINT_T0) / 1000000 ))
@@ -58,8 +57,7 @@ if [ "$LINT_MS" -ge 10000 ]; then
     exit 1
 fi
 # the emitted artifacts must at minimum be well-formed JSON
-cargo run -q -p neo-xtask -- json-check results/lint.json results/lint.sarif \
-    results/callgraph.json
+cargo run -q -p neo-xtask -- json-check results/lint.json results/callgraph.json
 
 echo "==> [4/11] tier-1: cargo build --release && cargo test -q"
 cargo build --release

@@ -14,9 +14,8 @@
 //!
 //! Rules implement [`Rule`] and are registered in [`all_rules`];
 //! [`lint`] runs them all plus the trailing `stale_waiver` pass, and
-//! [`output`] renders the report as text, JSON (`neo-lint/1`), SARIF
-//! 2.1.0, the CI waiver baseline, or the call-graph artifact
-//! (`neo-callgraph/1`).
+//! [`output`] renders the report as text, JSON (`neo-lint/1`), the CI
+//! waiver baseline, or the call-graph artifact (`neo-callgraph/1`).
 //!
 //! The fifteen rules (see DESIGN.md for the full table; rules marked ⇄
 //! are interprocedural — they consume call-graph reachability):
@@ -97,7 +96,7 @@ pub const RULE_NAMES: &[&str] = &[
 /// iteration order (arbitrary and run-varying) is banned outright.
 pub const DETERMINISM_CRITICAL: &[&str] = &["collectives", "sharding", "embeddings", "trainer"];
 
-/// Rule metadata for reports (JSON `rules` array, SARIF driver rules).
+/// Rule metadata for reports (the JSON `rules` array).
 #[derive(Debug, Clone)]
 pub struct RuleInfo {
     pub name: &'static str,

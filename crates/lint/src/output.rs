@@ -1,11 +1,9 @@
-//! Machine-readable output: `lint --json`, SARIF 2.1.0, the waived-
-//! findings baseline the CI gate diffs against, and the `--callgraph`
-//! artifact.
+//! Machine-readable output: `lint --json`, the waived-findings baseline
+//! the CI gate diffs against, and the `--callgraph` artifact.
 //!
 //! All emitters are hand-rolled (the workspace is offline; no serde).
 //! The JSON report is the stable interchange format
-//! (`"schema": "neo-lint/1"`); SARIF is for editor/forge ingestion; the
-//! baseline (`neo-lint-baseline/2`) records **waived** finding counts
+//! (`"schema": "neo-lint/1"`); the baseline (`neo-lint-baseline/2`) records **waived** finding counts
 //! per rule so that a newly waived finding still fails CI — unwaived
 //! findings fail the lint exit code directly, so only the waived
 //! population can drift silently — plus the interprocedural rules'
@@ -83,59 +81,6 @@ pub fn to_json(report: &LintReport, infos: &[RuleInfo]) -> String {
             format!("\n{}\n  ", findings.join(",\n"))
         },
         waived_json(&report.waived),
-    )
-}
-
-/// SARIF 2.1.0 (Static Analysis Results Interchange Format): one run,
-/// one result per finding, rule metadata in the tool.driver component.
-pub fn to_sarif(report: &LintReport, infos: &[RuleInfo]) -> String {
-    let rules: Vec<String> = infos
-        .iter()
-        .map(|r| {
-            format!(
-                "            {{\"id\": \"{}\", \"shortDescription\": {{\"text\": \"{}\"}}}}",
-                r.name,
-                esc(r.summary)
-            )
-        })
-        .collect();
-    let results: Vec<String> = report
-        .diags
-        .iter()
-        .map(|d| {
-            let idx = infos
-                .iter()
-                .position(|r| r.name == d.rule)
-                .map(|i| i as i64)
-                .unwrap_or(-1);
-            let uri = d.path.display().to_string().replace('\\', "/");
-            format!(
-                "        {{\"ruleId\": \"{}\", \"ruleIndex\": {}, \"level\": \"error\", \
-                 \"message\": {{\"text\": \"{}\"}}, \"locations\": [{{\"physicalLocation\": \
-                 {{\"artifactLocation\": {{\"uri\": \"{}\"}}, \"region\": \
-                 {{\"startLine\": {}}}}}}}]}}",
-                d.rule,
-                idx,
-                esc(&d.message),
-                esc(&uri),
-                d.line,
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"$schema\": \"https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json\",\n  \
-         \"version\": \"2.1.0\",\n  \"runs\": [\n    {{\n      \"tool\": {{\n        \"driver\": {{\n          \
-         \"name\": \"neo-lint\",\n          \
-         \"informationUri\": \"https://example.invalid/neo-dlrm/lint\",\n          \
-         \"version\": \"{}\",\n          \"rules\": [\n{}\n          ]\n        }}\n      }},\n      \
-         \"results\": [{}]\n    }}\n  ]\n}}\n",
-        env!("CARGO_PKG_VERSION"),
-        rules.join(",\n"),
-        if results.is_empty() {
-            String::new()
-        } else {
-            format!("\n{}\n      ", results.join(",\n"))
-        },
     )
 }
 
@@ -342,48 +287,6 @@ mod tests {
                 .and_then(|n| n.as_f64()),
             Some(2.0)
         );
-    }
-
-    #[test]
-    fn sarif_parses_with_required_2_1_0_fields() {
-        let text = to_sarif(&report(), &infos());
-        let root = neo_telemetry::json::parse(&text).expect("valid JSON");
-        assert_eq!(root.get("version").and_then(|v| v.as_str()), Some("2.1.0"));
-        assert!(root
-            .get("$schema")
-            .and_then(|s| s.as_str())
-            .unwrap()
-            .contains("sarif-schema-2.1.0"));
-        let runs = root.get("runs").and_then(|r| r.as_array()).unwrap();
-        let driver = runs[0].get("tool").and_then(|t| t.get("driver")).unwrap();
-        assert_eq!(
-            driver.get("name").and_then(|n| n.as_str()),
-            Some("neo-lint")
-        );
-        assert_eq!(
-            driver
-                .get("rules")
-                .and_then(|r| r.as_array())
-                .unwrap()
-                .len(),
-            2
-        );
-        let results = runs[0].get("results").and_then(|r| r.as_array()).unwrap();
-        assert_eq!(
-            results[0].get("ruleId").and_then(|r| r.as_str()),
-            Some("panic")
-        );
-        assert_eq!(
-            results[0].get("ruleIndex").and_then(|i| i.as_f64()),
-            Some(0.0)
-        );
-        let region = results[0]
-            .get("locations")
-            .and_then(|l| l.as_array())
-            .and_then(|l| l[0].get("physicalLocation"))
-            .and_then(|p| p.get("region"))
-            .unwrap();
-        assert_eq!(region.get("startLine").and_then(|l| l.as_f64()), Some(7.0));
     }
 
     #[test]

@@ -10,6 +10,11 @@
 //!   (rows, dimension, pooling size);
 //! * [`scheme::Scheme`] — the four sharding primitives: table-wise,
 //!   row-wise, column-wise and data-parallel, composable per table;
+//! * [`scheme::ShardingPlan::shards`] — the one statement of shard
+//!   geometry: every [`scheme::Shard`] (a `rows × width` rectangle of a
+//!   table on a worker) the plan creates, which the memory accounting,
+//!   the planner's cost and lookup predictions, and the trainer all fold
+//!   over;
 //! * [`cost::CostModel`] — the §3.0.1 cost function: input distribution
 //!   ∝ `L`, lookup ∝ `L·D`, output communication ∝ `D`;
 //! * [`partition`] — the two placement heuristics evaluated in §4.2.5:
@@ -30,5 +35,5 @@ pub mod spec;
 
 pub use cost::CostModel;
 pub use planner::{Planner, PlannerConfig};
-pub use scheme::{Scheme, ShardingPlan, TablePlacement};
+pub use scheme::{Scheme, Shard, ShardingPlan, TablePlacement};
 pub use spec::TableSpec;

@@ -5,7 +5,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::cost::{CostModel, ShardDivision};
-use crate::partition::{greedy, imbalance, karmarkar_karp};
+use crate::partition::{greedy, karmarkar_karp};
 use crate::scheme::{split_dim, PlanError, Scheme, ShardingPlan, TablePlacement};
 use crate::spec::TableSpec;
 
@@ -229,25 +229,10 @@ impl Planner {
     /// load-balance optimization minimizes the spread of.
     pub fn per_worker_cost(&self, plan: &ShardingPlan, tables: &[TableSpec]) -> Vec<f64> {
         let mut load = vec![0.0f64; plan.world];
-        for (p, t) in plan.placements.iter().zip(tables) {
-            match &p.scheme {
-                Scheme::TableWise { worker } => load[*worker] += self.cost.table_cost(t),
-                Scheme::RowWise { workers } => {
-                    let c = self.cost.shard_cost(t, ShardDivision::Row, workers.len());
-                    for &w in workers {
-                        load[w] += c;
-                    }
-                }
-                Scheme::ColumnWise { workers, .. } => {
-                    let c = self
-                        .cost
-                        .shard_cost(t, ShardDivision::Column, workers.len());
-                    for &w in workers {
-                        load[w] += c;
-                    }
-                }
-                // replicated tables do local lookups only, evenly by design
-                Scheme::DataParallel => {}
+        for s in plan.shards(tables) {
+            // replicated tables do local lookups only, evenly by design
+            if let Some(division) = s.division {
+                load[s.worker] += self.cost.shard_cost(&tables[s.table], division, s.parts);
             }
         }
         load
@@ -265,12 +250,6 @@ impl Planner {
         load.iter().copied().fold(0.0, f64::max) / mean
     }
 
-    /// Quality of the raw item assignment under this planner's heuristic —
-    /// convenience for ablation benches.
-    pub fn assignment_imbalance(costs: &[f64], assignment: &[usize], bins: usize) -> f64 {
-        imbalance(costs, assignment, bins)
-    }
-
     /// Expected embedding-row lookups per worker *per iteration* under
     /// this plan, from the cost model's global batch `B` and each table's
     /// average pooling `L`:
@@ -286,28 +265,12 @@ impl Planner {
     pub fn predicted_lookup_rows(&self, plan: &ShardingPlan, tables: &[TableSpec]) -> Vec<f64> {
         let b = self.cost.global_batch as f64;
         let mut load = vec![0.0f64; plan.world];
-        for (p, t) in plan.placements.iter().zip(tables) {
-            let total = b * t.avg_pooling;
-            match &p.scheme {
-                Scheme::TableWise { worker } => load[*worker] += total,
-                Scheme::RowWise { workers } => {
-                    let per = total / workers.len() as f64;
-                    for &w in workers {
-                        load[w] += per;
-                    }
-                }
-                Scheme::ColumnWise { workers, .. } => {
-                    for &w in workers {
-                        load[w] += total;
-                    }
-                }
-                Scheme::DataParallel => {
-                    let per = total / plan.world as f64;
-                    for l in &mut load {
-                        *l += per;
-                    }
-                }
-            }
+        for s in plan.shards(tables) {
+            let total = b * tables[s.table].avg_pooling;
+            load[s.worker] += match s.division {
+                Some(ShardDivision::Whole | ShardDivision::Column) => total,
+                Some(ShardDivision::Row) | None => total / s.parts as f64,
+            };
         }
         load
     }

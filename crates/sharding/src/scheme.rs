@@ -3,6 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::cost::ShardDivision;
 use crate::spec::TableSpec;
 
 /// Error for invalid plans.
@@ -69,16 +70,6 @@ impl Scheme {
             Scheme::DataParallel => "data-parallel",
         }
     }
-
-    /// Number of shards this scheme creates.
-    pub fn num_shards(&self) -> usize {
-        match self {
-            Scheme::TableWise { .. } => 1,
-            Scheme::RowWise { workers } => workers.len(),
-            Scheme::ColumnWise { workers, .. } => workers.len(),
-            Scheme::DataParallel => 1,
-        }
-    }
 }
 
 /// Splits a dimension `d` into `parts` near-equal widths (remainder spread
@@ -111,6 +102,35 @@ pub struct ShardingPlan {
     pub world: usize,
     /// One placement per table, in table order.
     pub placements: Vec<TablePlacement>,
+}
+
+/// One rectangle of a table resident on a worker: rows
+/// `[row_off, row_off + rows)` × columns `[col_off, col_off + width)`. The
+/// four schemes are four ways to cut this one shape; they differ only in
+/// which collective moves a shard's inputs and outputs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Shard {
+    /// Table id.
+    pub table: usize,
+    /// Position among the table's shards (the replica's worker for a
+    /// data-parallel table).
+    pub ordinal: usize,
+    /// The worker holding the shard.
+    pub worker: usize,
+    /// First table row held.
+    pub row_off: u64,
+    /// Number of rows held (0 for an empty trailing row block).
+    pub rows: u64,
+    /// First embedding column held.
+    pub col_off: usize,
+    /// Number of embedding columns held.
+    pub width: usize,
+    /// How the shard divides its table; `None` for a data-parallel
+    /// replica, which divides nothing.
+    pub division: Option<ShardDivision>,
+    /// Number of shards the table has (`world` replicas when
+    /// data-parallel).
+    pub parts: usize,
 }
 
 impl ShardingPlan {
@@ -151,6 +171,12 @@ impl ShardingPlan {
                     if workers.iter().any(|&w| w >= self.world) {
                         return Err(err(format!("table {i}: row shard worker out of range")));
                     }
+                    // two row blocks on one rank should be one larger block;
+                    // the trainer serves a single block per table and rank
+                    let mut listed = workers.iter().enumerate();
+                    if let Some((_, w)) = listed.find(|&(k, w)| workers[..k].contains(w)) {
+                        return Err(err(format!("table {i}: row-wise worker {w} listed twice")));
+                    }
                 }
                 Scheme::ColumnWise {
                     workers,
@@ -179,6 +205,84 @@ impl ShardingPlan {
         Ok(())
     }
 
+    /// Every shard of the plan in `(table, ordinal)` order — the one
+    /// statement of shard geometry: a table-wise table is one whole shard,
+    /// a row-wise table is cut into `ceil(H / shards)`-row blocks (global
+    /// row `i` lives in block `i / block` as local row `i % block`), a
+    /// column-wise table into its `split_dims` slices, and a data-parallel
+    /// table yields one full replica per worker. (`neo-dataio`'s
+    /// `row_block_size` restates the block rule for `bucketize_rows`, one
+    /// crate below; `tests/invariants_prop.rs` holds the two together.)
+    ///
+    /// # Panics
+    ///
+    /// Panics on a row-wise placement with no workers, which
+    /// [`ShardingPlan::validate`] rejects (validate first).
+    pub fn shards(&self, tables: &[TableSpec]) -> Vec<Shard> {
+        let mut out = Vec::new();
+        for (p, t) in self.placements.iter().zip(tables) {
+            // a full replica on worker 0; each scheme overrides its cut
+            let full = Shard {
+                table: p.table,
+                ordinal: 0,
+                worker: 0,
+                row_off: 0,
+                rows: t.num_rows,
+                col_off: 0,
+                width: t.dim,
+                division: None,
+                parts: self.world,
+            };
+            match &p.scheme {
+                Scheme::TableWise { worker } => out.push(Shard {
+                    worker: *worker,
+                    division: Some(ShardDivision::Whole),
+                    parts: 1,
+                    ..full
+                }),
+                Scheme::RowWise { workers } => {
+                    let block = t.num_rows.div_ceil(workers.len() as u64);
+                    for (k, &w) in workers.iter().enumerate() {
+                        let lo = (block * k as u64).min(t.num_rows);
+                        out.push(Shard {
+                            ordinal: k,
+                            worker: w,
+                            row_off: lo,
+                            rows: (lo + block).min(t.num_rows) - lo,
+                            division: Some(ShardDivision::Row),
+                            parts: workers.len(),
+                            ..full
+                        });
+                    }
+                }
+                Scheme::ColumnWise {
+                    workers,
+                    split_dims,
+                } => {
+                    let mut off = 0;
+                    for (k, (&w, &d)) in workers.iter().zip(split_dims).enumerate() {
+                        out.push(Shard {
+                            ordinal: k,
+                            worker: w,
+                            col_off: off,
+                            width: d,
+                            division: Some(ShardDivision::Column),
+                            parts: workers.len(),
+                            ..full
+                        });
+                        off += d;
+                    }
+                }
+                Scheme::DataParallel => out.extend((0..self.world).map(|w| Shard {
+                    ordinal: w,
+                    worker: w,
+                    ..full
+                })),
+            }
+        }
+        out
+    }
+
     /// Parameter bytes resident on each worker (data-parallel tables count
     /// on every worker).
     ///
@@ -187,31 +291,8 @@ impl ShardingPlan {
     /// Panics if the plan does not match `tables` (validate first).
     pub fn memory_per_worker(&self, tables: &[TableSpec], bytes_per_elem: u64) -> Vec<u64> {
         let mut mem = vec![0u64; self.world];
-        for (p, t) in self.placements.iter().zip(tables) {
-            match &p.scheme {
-                Scheme::TableWise { worker } => mem[*worker] += t.param_bytes(bytes_per_elem),
-                Scheme::RowWise { workers } => {
-                    let block = t.num_rows.div_ceil(workers.len() as u64);
-                    for (k, &w) in workers.iter().enumerate() {
-                        let lo = block * k as u64;
-                        let hi = (lo + block).min(t.num_rows);
-                        mem[w] += hi.saturating_sub(lo) * t.dim as u64 * bytes_per_elem;
-                    }
-                }
-                Scheme::ColumnWise {
-                    workers,
-                    split_dims,
-                } => {
-                    for (&w, &d) in workers.iter().zip(split_dims) {
-                        mem[w] += t.num_rows * d as u64 * bytes_per_elem;
-                    }
-                }
-                Scheme::DataParallel => {
-                    for m in mem.iter_mut() {
-                        *m += t.param_bytes(bytes_per_elem);
-                    }
-                }
-            }
+        for s in self.shards(tables) {
+            mem[s.worker] += s.rows * s.width as u64 * bytes_per_elem;
         }
         mem
     }
@@ -306,6 +387,49 @@ mod tests {
     }
 
     #[test]
+    fn row_wise_rejects_a_repeated_worker_column_wise_allows_it() {
+        let mut p = plan();
+        p.placements[2].scheme = Scheme::RowWise {
+            workers: vec![0, 1, 0],
+        };
+        let e = p.validate(&tables()).unwrap_err();
+        assert!(e.to_string().contains("worker 0 listed twice"), "{e}");
+        // greedy packing may put two column slices on one worker
+        p.placements[2].scheme = Scheme::ColumnWise {
+            workers: vec![0, 1, 0],
+            split_dims: vec![32, 16, 16],
+        };
+        p.validate(&tables()).unwrap();
+    }
+
+    #[test]
+    fn shards_enumerate_every_scheme_in_table_ordinal_order() {
+        let mut p = plan();
+        p.placements[0].scheme = Scheme::ColumnWise {
+            workers: vec![3, 3],
+            split_dims: vec![24, 8],
+        };
+        let rect = |s: &Shard| {
+            (
+                s.table, s.ordinal, s.worker, s.row_off, s.rows, s.col_off, s.width,
+            )
+        };
+        let got: Vec<_> = p.shards(&tables()).iter().map(rect).collect();
+        let mut want = vec![(0, 0, 3, 0, 1000, 0, 24), (0, 1, 3, 0, 1000, 24, 8)];
+        want.extend((0..4).map(|w| (1, w, w, 0, 10, 0, 16)));
+        want.extend((0..4).map(|k| (2, k, k, 25_000 * k as u64, 25_000, 0, 64)));
+        assert_eq!(got, want);
+        let cut = |s: &Shard| (s.division, s.parts);
+        let kinds: Vec<_> = p.shards(&tables()).iter().map(cut).collect();
+        assert_eq!(kinds[0], (Some(ShardDivision::Column), 2));
+        assert_eq!(kinds[2], (None, 4));
+        assert_eq!(kinds[6], (Some(ShardDivision::Row), 4));
+        p.placements[0].scheme = Scheme::TableWise { worker: 1 };
+        let whole = cut(&p.shards(&tables())[0]);
+        assert_eq!(whole, (Some(ShardDivision::Whole), 1));
+    }
+
+    #[test]
     fn memory_accounting() {
         let mem = plan().memory_per_worker(&tables(), 4);
         // table 0 (1000x32x4 = 128_000) on worker 1
@@ -356,13 +480,6 @@ mod tests {
     #[test]
     fn scheme_names() {
         assert_eq!(Scheme::DataParallel.name(), "data-parallel");
-        assert_eq!(Scheme::TableWise { worker: 0 }.num_shards(), 1);
-        assert_eq!(
-            Scheme::RowWise {
-                workers: vec![0, 1]
-            }
-            .num_shards(),
-            2
-        );
+        assert_eq!(Scheme::TableWise { worker: 0 }.name(), "table-wise");
     }
 }

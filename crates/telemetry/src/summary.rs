@@ -25,7 +25,8 @@ impl TelemetrySummary {
     /// folding that into the lane-0 key would silently attribute lane time
     /// to compute-thread idle. Lane 0 keeps the bare phase name; auxiliary
     /// lanes render as `<phase>@lane<n>` so the per-phase table stays a
-    /// flat `(String, f64)` list for downstream consumers (bench reports).
+    /// flat `(String, f64)` list for downstream consumers (the `Display`
+    /// table, the benchmark's `trainer.*_ms` rows).
     pub fn from_snapshot(snap: &Snapshot) -> Self {
         let mut world = 0u32;
         let mut iters: Vec<u64> = Vec::new();

@@ -13,7 +13,7 @@ use neo_tensor::mlp::Mlp;
 use neo_tensor::Tensor2;
 
 use super::config::{err, SyncError};
-use super::shard::Worker;
+use super::shard::{rides_a2a, Worker};
 
 /// Posts one MLP's flattened gradients to the comm lane as its own
 /// AllReduce bucket.
@@ -87,7 +87,7 @@ impl Worker {
         });
 
         // sparse paths (grad exchanges + exact optimizer updates)
-        self.sparse_backward(sub, &g_features)?;
+        self.sparse_backward(sub.batch_size(), &g_features)?;
 
         match bot_bucket.zip(top_bucket) {
             Some((bot, top)) => {
@@ -132,13 +132,8 @@ impl Worker {
 
     /// Sparse backward (step 6): grad exchanges back to every shard kind
     /// plus the exact optimizer updates. Blocking in both schedules.
-    fn sparse_backward(
-        &mut self,
-        sub: &CombinedBatch,
-        g_features: &[Tensor2],
-    ) -> Result<(), SyncError> {
+    fn sparse_backward(&mut self, b_loc: usize, g_features: &[Tensor2]) -> Result<(), SyncError> {
         let world = self.world;
-        let b_loc = sub.batch_size();
         let d = self.cfg.model.emb_dim();
 
         // grad AlltoAll back to table-/column-wise owners
@@ -160,28 +155,22 @@ impl Worker {
 
         // owners apply exact sparse updates on the reassembled global grads
         let sp = self.rec.span(phase::SPARSE_OPTIM);
-        let mut optim_rows = 0u64;
         // per-source offset cursors
         let mut cursors = vec![0usize; world];
-        for sh in &mut self.shards {
-            let c = sh.desc;
-            let mut grads = Tensor2::zeros(world * b_loc, c.width);
+        for sh in self.shards.iter_mut().filter(|sh| rides_a2a(&sh.geo)) {
+            let width = sh.geo.width;
+            let mut grads = Tensor2::zeros(world * b_loc, width);
             for (src, data) in grad_recv.iter().enumerate() {
-                let n = b_loc * c.width;
+                let n = b_loc * width;
                 let chunk = &data[cursors[src]..cursors[src] + n];
                 cursors[src] += n;
                 for row in 0..b_loc {
                     grads
                         .row_mut(src * b_loc + row)
-                        .copy_from_slice(&chunk[row * c.width..(row + 1) * c.width]);
+                        .copy_from_slice(&chunk[row * width..(row + 1) * width]);
                 }
             }
-            // fused backward (§4.1.1): merge straight into per-row
-            // accumulators, never materializing the expanded gradient
-            let sg = fused_backward_grads(&sh.lengths, &sh.indices, &grads)
-                .map_err(|e| err(e.to_string()))?;
-            optim_rows += sg.indices.len() as u64;
-            sh.opt.apply_merged(sh.store.as_mut(), &sg);
+            sh.update(&grads, &self.rec)?;
         }
         drop(sp);
 
@@ -191,26 +180,27 @@ impl Worker {
             let sp = self.rec.span(phase::ALLGATHER);
             let global_grads = self.comm.all_gather(&flat)?;
             drop(sp);
-            if let Some(rs) = self.row_shards.iter_mut().find(|r| r.table == t) {
+            if let Some(sh) = self.shards.iter_mut().find(|sh| sh.geo.table == t) {
                 let sp = self.rec.span(phase::SPARSE_OPTIM);
                 let grads = Tensor2::from_vec(world * b_loc, d, global_grads)
                     .map_err(|e| err(e.to_string()))?;
-                let sg = fused_backward_grads(&rs.lengths, &rs.indices, &grads)
-                    .map_err(|e| err(e.to_string()))?;
-                optim_rows += sg.indices.len() as u64;
-                rs.opt.apply_merged(rs.store.as_mut(), &sg);
+                sh.update(&grads, &self.rec)?;
                 drop(sp);
             }
         }
 
         // data-parallel tables: AllGather the sparse grads, apply the
         // identical merged update on every replica
-        for &t in &self.dp_tables {
-            let (lens, idx) = sub.table_inputs(t);
+        for sh in self
+            .shards
+            .iter_mut()
+            .filter(|sh| sh.geo.division.is_none())
+        {
             // ship per-rank *merged* grads: rank-order concatenation then a
             // final merge reproduces the raw-occurrence accumulation order
             // bit-for-bit while shrinking the AllGather payload
-            let local = fused_backward_grads(lens, idx, &g_features[t + 1])
+            let g = &g_features[sh.geo.table + 1];
+            let local = fused_backward_grads(&sh.lengths, &sh.indices, g)
                 .map_err(|e| err(e.to_string()))?;
             let pairs: Vec<(u64, Vec<f32>)> = local
                 .indices
@@ -238,19 +228,11 @@ impl Worker {
                 indices,
                 Tensor2::from_vec(n, d, rows).map_err(|e| err(e.to_string()))?,
             );
-            let dpt = self
-                .dp
-                .iter_mut()
-                .find(|x| x.table == t)
-                .ok_or_else(|| err("missing dp replica"))?;
-            optim_rows += combined.indices.len() as u64;
-            dpt.opt.step(dpt.store.as_mut(), &combined);
-            drop(sp);
-        }
-        if self.rec.sink().enabled() {
             self.rec
                 .sink()
-                .counter_add(metric::EMB_OPTIM_ROWS, optim_rows);
+                .counter_add(metric::EMB_OPTIM_ROWS, n as u64);
+            sh.opt.step(sh.store.as_mut(), &combined);
+            drop(sp);
         }
         Ok(())
     }

@@ -6,6 +6,7 @@ use neo_collectives::{CommStats, ProcessGroup};
 use neo_dataio::CombinedBatch;
 use neo_dlrm_model::{bce_with_logits, NormalizedEntropy};
 use neo_monitor::Monitor;
+use neo_sharding::TableSpec;
 use neo_telemetry::{metric, phase, TelemetrySink};
 use neo_tensor::Tensor2;
 use neo_workload::{ShardSample, TableMeta, WorkloadReport};
@@ -167,18 +168,18 @@ impl SyncTrainer {
             )));
         }
         cfg.model.validate().map_err(|e| err(e.to_string()))?;
-        cfg.plan
-            .validate(
-                &cfg.model
-                    .tables
-                    .iter()
-                    .enumerate()
-                    .map(|(i, t)| {
-                        neo_sharding::TableSpec::new(i, t.num_rows, t.dim, t.avg_pooling as f64)
-                    })
-                    .collect::<Vec<_>>(),
-            )
-            .map_err(|e| err(e.to_string()))?;
+        if cfg.plan.world != cfg.world {
+            return Err(err(format!(
+                "plan is for {} workers, not {}",
+                cfg.plan.world, cfg.world
+            )));
+        }
+        let specs: Vec<TableSpec> = (cfg.model.tables.iter().enumerate())
+            .map(|(i, t)| TableSpec::new(i, t.num_rows, t.dim, t.avg_pooling as f64))
+            .collect();
+        cfg.plan.validate(&specs).map_err(|e| err(e.to_string()))?;
+        // shard geometry is enumerated once; every rank filters this list
+        let plan_shards = &cfg.plan.shards(&specs);
         let check = |b: &CombinedBatch| -> Result<(), SyncError> {
             if b.batch_size() != cfg.global_batch {
                 return Err(err("batch size mismatch"));
@@ -208,7 +209,7 @@ impl SyncTrainer {
                 .map(|comm| {
                     let cfg = Arc::clone(cfg);
                     scope.spawn(move || -> Result<WorkerResult, SyncError> {
-                        let mut w = Worker::new(cfg.clone(), comm);
+                        let mut w = Worker::new(cfg.clone(), comm, plan_shards);
                         let mut losses = Vec::with_capacity(num_batches as usize);
                         let mut ne_curve = Vec::new();
                         // double buffer: the overlapped schedule needs

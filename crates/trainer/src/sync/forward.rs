@@ -7,13 +7,12 @@ use neo_collectives::CommHandle;
 use neo_dataio::ops::bucketize_rows;
 use neo_dataio::CombinedBatch;
 use neo_dlrm_model::interaction::dot_interaction;
-use neo_embeddings::bag::pooled_forward;
 use neo_sharding::Scheme;
-use neo_telemetry::{metric, phase};
+use neo_telemetry::phase;
 use neo_tensor::Tensor2;
 
 use super::config::{err, SyncError};
-use super::shard::Worker;
+use super::shard::{rides_a2a, Worker};
 
 /// One table's `(lengths, indices)` inputs bound for an owner shard —
 /// the §4.4 lengths+indices wire format of the index AlltoAll.
@@ -86,61 +85,40 @@ impl Worker {
         Ok(sends.into_iter().map(Arc::new).collect())
     }
 
-    /// Files the received index messages into the owned table-/column-
-    /// and row-wise shards (the global-batch inputs they must serve).
-    fn consume_index_recv(&mut self, recv: &[Arc<Vec<IndexMsg>>]) -> Result<(), SyncError> {
-        // table-wise / column-wise shards
+    /// Files the inputs every local shard serves this iteration: its index
+    /// messages from all sources (the global batch), or the local
+    /// sub-batch for a replica.
+    fn file_inputs(
+        &mut self,
+        recv: &[Arc<Vec<IndexMsg>>],
+        sub: &CombinedBatch,
+    ) -> Result<(), SyncError> {
         for sh in &mut self.shards {
             sh.lengths.clear();
             sh.indices.clear();
-            for src in recv {
-                let msg = src
-                    .iter()
-                    .find(|m| m.table == sh.desc.table && m.shard == sh.desc.shard)
-                    .ok_or_else(|| err("missing index message for owned shard"))?;
-                sh.lengths.extend_from_slice(&msg.lengths);
-                sh.indices.extend_from_slice(&msg.indices);
+            if sh.geo.division.is_none() {
+                let (lens, idx) = sub.table_inputs(sh.geo.table);
+                sh.push_inputs(lens, idx);
+                continue;
             }
-        }
-        // row-wise shards
-        for rs in &mut self.row_shards {
-            rs.lengths.clear();
-            rs.indices.clear();
             for src in recv {
                 let msg = src
                     .iter()
-                    .find(|m| m.table == rs.table && m.shard == rs.shard)
-                    .ok_or_else(|| err("missing index message for row shard"))?;
-                rs.lengths.extend_from_slice(&msg.lengths);
-                rs.indices.extend_from_slice(&msg.indices);
+                    .find(|m| m.table == sh.geo.table && m.shard == sh.geo.ordinal)
+                    .ok_or_else(|| err("missing index message for owned shard"))?;
+                sh.push_inputs(&msg.lengths, &msg.indices);
             }
         }
         Ok(())
-    }
-
-    /// Pooled outputs of the owned table-/column-wise shards over the
-    /// global batch, in deterministic shard order.
-    fn owned_pooled_forward(&mut self) -> Result<Vec<Tensor2>, SyncError> {
-        let mut owned_pooled: Vec<Tensor2> = Vec::with_capacity(self.shards.len());
-        for (i, sh) in self.shards.iter_mut().enumerate() {
-            let pooled = pooled_forward(sh.store.as_mut(), &sh.lengths, &sh.indices)
-                .map_err(|e| err(e.to_string()))?;
-            if let Some(c) = self.wl_shards.get_mut(i) {
-                c.record(&sh.lengths, &sh.indices);
-            }
-            owned_pooled.push(pooled);
-        }
-        Ok(owned_pooled)
     }
 
     /// Packs owned pooled outputs into per-destination wire payloads
     /// (manifest order — the receiver derives the same layout),
     /// `Arc`-wrapped so the pooled AlltoAll hands off pointers.
     fn build_pooled_payloads(&self, owned_pooled: &[Tensor2], b_loc: usize) -> Vec<Arc<Vec<f32>>> {
-        let world = self.world;
-        let mut payloads: Vec<Vec<f32>> = vec![Vec::new(); world];
-        for (sh, pooled) in self.shards.iter().zip(owned_pooled) {
-            debug_assert_eq!(pooled.rows(), world * b_loc, "shard {:?}", sh.desc);
+        let mut payloads: Vec<Vec<f32>> = vec![Vec::new(); self.world];
+        for pooled in owned_pooled {
+            debug_assert_eq!(pooled.rows(), self.world * b_loc);
             for (dest, payload) in payloads.iter_mut().enumerate() {
                 let chunk = pooled.slice_rows(dest * b_loc, (dest + 1) * b_loc);
                 payload.extend_from_slice(chunk.as_slice());
@@ -184,37 +162,19 @@ impl Worker {
     /// (step 4 — blocking in both schedules).
     fn row_and_dp_features(
         &mut self,
-        sub: &CombinedBatch,
         pooled_features: &mut [Tensor2],
         b_loc: usize,
     ) -> Result<(), SyncError> {
-        let world = self.world;
         let d = self.cfg.model.emb_dim();
 
         // ReduceScatter for row-wise tables (table-id order, all ranks)
         for &t in &self.row_tables {
             let sp = self.rec.span(phase::EMB_LOOKUP);
-            let mut partial = vec![0.0f32; world * b_loc * d];
-            if let Some((k, rs)) = self
-                .row_shards
-                .iter_mut()
-                .enumerate()
-                .find(|(_, r)| r.table == t)
-            {
-                let pooled = pooled_forward(rs.store.as_mut(), &rs.lengths, &rs.indices)
-                    .map_err(|e| err(e.to_string()))?;
-                partial.copy_from_slice(pooled.as_slice());
-                if let Some(c) = self.wl_rows.get_mut(k) {
-                    // local bucketized indices; the collector globalizes
-                    // them with the shard's base row
-                    c.record(&rs.lengths, &rs.indices);
-                }
-                if sp.is_recording() {
-                    self.rec
-                        .sink()
-                        .counter_add(metric::EMB_LOOKUP_ROWS, rs.indices.len() as u64);
-                }
-            }
+            // a rank holding no block of the table contributes zeros
+            let partial = match self.shards.iter_mut().find(|sh| sh.geo.table == t) {
+                Some(sh) => sh.lookup(&self.rec, &sp)?.into_vec(),
+                None => vec![0.0f32; self.world * b_loc * d],
+            };
             drop(sp);
             let sp = self.rec.span(phase::REDUCE_SCATTER);
             let mine = self.comm.reduce_scatter(&partial)?;
@@ -225,18 +185,12 @@ impl Worker {
 
         // local lookups for data-parallel replicas
         let sp = self.rec.span(phase::EMB_LOOKUP);
-        for (j, dpt) in self.dp.iter_mut().enumerate() {
-            let (lens, idx) = sub.table_inputs(dpt.table);
-            if let Some(c) = self.wl_dp.get_mut(j) {
-                c.record(lens, idx);
-            }
-            if sp.is_recording() {
-                self.rec
-                    .sink()
-                    .counter_add(metric::EMB_LOOKUP_ROWS, idx.len() as u64);
-            }
-            pooled_features[dpt.table] =
-                pooled_forward(dpt.store.as_mut(), lens, idx).map_err(|e| err(e.to_string()))?;
+        for sh in self
+            .shards
+            .iter_mut()
+            .filter(|sh| sh.geo.division.is_none())
+        {
+            pooled_features[sh.geo.table] = sh.lookup(&self.rec, &sp)?;
         }
         drop(sp);
         Ok(())
@@ -325,14 +279,11 @@ impl Worker {
         // owned-shard lookups over the global batch come first, so the
         // pooled exchange can start before the bottom MLP and hide behind it
         let sp = self.rec.span(phase::EMB_LOOKUP);
-        self.consume_index_recv(&recv)?;
+        self.file_inputs(&recv, &sub)?;
         drop(recv);
-        let owned_pooled = self.owned_pooled_forward()?;
-        if sp.is_recording() {
-            let rows: usize = self.shards.iter().map(|sh| sh.indices.len()).sum();
-            self.rec
-                .sink()
-                .counter_add(metric::EMB_LOOKUP_ROWS, rows as u64);
+        let mut owned_pooled = Vec::new();
+        for sh in self.shards.iter_mut().filter(|sh| rides_a2a(&sh.geo)) {
+            owned_pooled.push(sh.lookup(&self.rec, &sp)?);
         }
         drop(sp);
 
@@ -368,7 +319,7 @@ impl Worker {
         let mut pooled_features = self.assemble_pooled_features(&pooled_recv, b_loc)?;
 
         // row-wise ReduceScatter + data-parallel lookups stay blocking
-        self.row_and_dp_features(&sub, &mut pooled_features, b_loc)?;
+        self.row_and_dp_features(&mut pooled_features, b_loc)?;
 
         // double buffer: batch i+1's index exchange rides behind batch
         // i's interaction, top MLP, and the whole backward

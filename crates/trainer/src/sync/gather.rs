@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use neo_embeddings::store::RowStore;
+use neo_sharding::Shard;
 
 use super::config::{err, SyncError};
 use super::shard::Worker;
@@ -13,44 +13,22 @@ impl Worker {
     /// must call this (it is a collective); only rank 0 returns `Some`.
     pub(super) fn gather_model(&mut self) -> Result<Option<neo_dlrm_model::DlrmModel>, SyncError> {
         struct GatherMsg {
-            table: usize,
-            col_off: usize,
-            width: usize,
-            row_off: u64,
-            rows: u64,
+            geo: Shard,
             data: Vec<f32>,
         }
         let mut to_root: Vec<GatherMsg> = Vec::new();
-        let mut pack =
-            |table: usize, col_off: usize, row_off: u64, store: &mut Box<dyn RowStore>| {
-                let rows = store.num_rows();
-                let width = store.dim();
-                let mut data = Vec::with_capacity(rows as usize * width);
-                let mut buf = vec![0.0f32; width];
-                for r in 0..rows {
-                    store.read_row(r, &mut buf);
-                    data.extend_from_slice(&buf);
-                }
-                to_root.push(GatherMsg {
-                    table,
-                    col_off,
-                    width,
-                    row_off,
-                    rows,
-                    data,
-                });
-            };
         for sh in &mut self.shards {
-            pack(sh.desc.table, sh.desc.col_off, 0, &mut sh.store);
-        }
-        for rs in &mut self.row_shards {
-            pack(rs.table, 0, rs.row_off, &mut rs.store);
-        }
-        // rank 0 additionally contributes its data-parallel replicas
-        if self.rank == 0 {
-            for dp in &mut self.dp {
-                pack(dp.table, 0, 0, &mut dp.store);
+            // replicas are identical everywhere; rank 0 contributes its own
+            if sh.geo.division.is_none() && self.rank != 0 {
+                continue;
             }
+            let mut data = Vec::with_capacity(sh.geo.rows as usize * sh.geo.width);
+            let mut buf = vec![0.0f32; sh.geo.width];
+            for r in 0..sh.geo.rows {
+                sh.store.read_row(r, &mut buf);
+                data.extend_from_slice(&buf);
+            }
+            to_root.push(GatherMsg { geo: sh.geo, data });
         }
         let mut sends: Vec<Vec<GatherMsg>> = (0..self.world).map(|_| Vec::new()).collect();
         sends[0] = to_root;
@@ -65,18 +43,13 @@ impl Worker {
         model.bottom = self.bottom.clone();
         model.top = self.top.clone();
         for src in &received {
-            for msg in src.iter() {
-                let table = &mut model.tables[msg.table];
-                let dim = table.dim();
-                let mut full = vec![0.0f32; dim];
-                for r in 0..msg.rows {
-                    let global = msg.row_off + r;
-                    if global >= table.num_rows() {
-                        continue; // padding rows of the last row block
-                    }
+            for GatherMsg { geo, data } in src.iter() {
+                let table = &mut model.tables[geo.table];
+                let mut full = vec![0.0f32; table.dim()];
+                for (r, slice) in data.chunks_exact(geo.width).enumerate() {
+                    let global = geo.row_off + r as u64;
                     table.read_row(global, &mut full);
-                    let slice = &msg.data[r as usize * msg.width..(r as usize + 1) * msg.width];
-                    full[msg.col_off..msg.col_off + msg.width].copy_from_slice(slice);
+                    full[geo.col_off..geo.col_off + geo.width].copy_from_slice(slice);
                     table.write_row(global, &full);
                 }
             }

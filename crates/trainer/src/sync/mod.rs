@@ -3,9 +3,12 @@
 //! Each simulated GPU is a worker thread holding:
 //!
 //! * a full replica of the bottom/top MLPs (data parallelism),
-//! * its shards of the embedding tables per the
-//!   [`ShardingPlan`](neo_sharding::ShardingPlan) (model parallelism),
-//! * replicas of the data-parallel tables,
+//! * one list of the embedding shards resident on its rank — the entries
+//!   of [`ShardingPlan::shards`](neo_sharding::ShardingPlan::shards) whose
+//!   worker it is, whatever scheme cut them (replicas of data-parallel
+//!   tables included). Every shard is looked up and updated by the same
+//!   two operations; the schemes differ only in the collective that moves
+//!   a shard's outputs and gradients (steps 2, 4 and 6 below),
 //! * a [`Communicator`](neo_collectives::Communicator) into the group.
 //!
 //! # One schedule, movable waits (§4.3, Fig. 9)
@@ -57,7 +60,7 @@
 //! placement of communication changes.
 //!
 //! Both sides of every exchange derive the wire manifest from the shared
-//! plan, so no shape metadata is exchanged at runtime.
+//! plan's shard list, so no shape metadata is exchanged at runtime.
 
 mod backward;
 mod config;
@@ -482,6 +485,26 @@ mod tests {
         // zero world
         let sc = SyncConfig::exact(0, model_cfg(), mixed_plan(1), 32);
         assert!(SyncTrainer::new(sc).train(&[], &[], 0, None).is_err());
+    }
+
+    #[test]
+    fn plans_the_shard_list_cannot_serve_are_errors() {
+        let fails = |world: usize, plan: ShardingPlan| {
+            let sc = SyncConfig::exact(world, model_cfg(), plan, 16);
+            match SyncTrainer::new(sc).train(&batches(1, 16), &[], 0, None) {
+                Ok(_) => panic!("trained on an invalid plan"),
+                Err(e) => e.to_string(),
+            }
+        };
+        // a rank serves one row block per table: a worker listed twice
+        // used to train to wrong logits with only its first block served
+        let mut twice = mixed_plan(2);
+        twice.placements[1].scheme = Scheme::RowWise {
+            workers: vec![0, 0],
+        };
+        assert!(fails(2, twice).contains("listed twice"));
+        // replicas are enumerated per plan worker, so the worlds must agree
+        assert!(fails(4, mixed_plan(2)).contains("plan is for 2 workers"));
     }
 
     #[test]

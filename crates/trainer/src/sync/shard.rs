@@ -1,95 +1,144 @@
-//! Per-rank state: the wire manifest, the embedding shards, and how a
-//! worker is built from the plan.
+//! Per-rank state: the shards a worker holds — one type whatever scheme
+//! cut them — and how a worker is built from the plan's shard list.
 
 use std::sync::Arc;
 
 use neo_collectives::Communicator;
-use neo_dlrm_model::DlrmConfig;
+use neo_embeddings::bag::{fused_backward_grads, pooled_forward};
 use neo_embeddings::store::{DenseStore, HalfStore, RowStore};
 use neo_embeddings::{RowWiseAdagrad, SparseAdagrad, SparseOptimizer, SparseSgd};
-use neo_sharding::{Scheme, ShardingPlan};
-use neo_telemetry::RankRecorder;
+use neo_sharding::cost::ShardDivision;
+use neo_sharding::Shard;
+use neo_telemetry::{metric, RankRecorder, SpanGuard};
 use neo_tensor::mlp::{Activation, Mlp, MlpConfig};
 use neo_tensor::Tensor2;
 use neo_workload::{ShardCollector, ShardKind, ShardSample, TierSample};
 use rand::SeedableRng;
 
-use super::config::{DenseOpt, SparseOpt, SyncConfig};
+use super::config::{err, DenseOpt, SparseOpt, SyncConfig, SyncError};
 use super::forward::PendingInput;
 use crate::init::det_row_slice;
 
-/// One wire chunk in the pooled/grad AlltoAll manifest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) struct ChunkDesc {
-    pub(super) table: usize,
-    pub(super) shard: usize,
-    pub(super) col_off: usize,
-    pub(super) width: usize,
+/// Whether a shard's pooled outputs and gradients travel in the pooled /
+/// gradient AlltoAlls (table- and column-wise shards). Row blocks use
+/// ReduceScatter / AllGather and replicas exchange merged sparse grads.
+pub(super) fn rides_a2a(s: &Shard) -> bool {
+    matches!(
+        s.division,
+        Some(ShardDivision::Whole | ShardDivision::Column)
+    )
 }
 
-/// The chunks owner `rank` serves, in deterministic (table, shard) order.
-fn owner_manifest(plan: &ShardingPlan, model: &DlrmConfig, rank: usize) -> Vec<ChunkDesc> {
-    let mut out = Vec::new();
-    for p in &plan.placements {
-        match &p.scheme {
-            Scheme::TableWise { worker } if *worker == rank => {
-                out.push(ChunkDesc {
-                    table: p.table,
-                    shard: 0,
-                    col_off: 0,
-                    width: model.tables[p.table].dim,
-                });
-            }
-            Scheme::ColumnWise {
-                workers,
-                split_dims,
-            } => {
-                let mut off = 0;
-                for (k, (&w, &d)) in workers.iter().zip(split_dims).enumerate() {
-                    if w == rank {
-                        out.push(ChunkDesc {
-                            table: p.table,
-                            shard: k,
-                            col_off: off,
-                            width: d,
-                        });
-                    }
-                    off += d;
-                }
-            }
-            _ => {}
+/// A shard resident on this rank: its rectangle of the table, the
+/// parameters and optimizer state for it, and the inputs it serves.
+pub(super) struct LocalShard {
+    pub(super) geo: Shard,
+    pub(super) store: Box<dyn RowStore>,
+    pub(super) opt: Box<dyn SparseOptimizer>,
+    /// The inputs served in the current iteration: the global batch's
+    /// (bucketized to local rows for a row block) as received from the
+    /// index AlltoAll, or the local sub-batch's for a replica.
+    pub(super) lengths: Vec<u32>,
+    pub(super) indices: Vec<u64>,
+    /// `None` when [`SyncConfig::workload`] is off, so the lookup pays one
+    /// branch — no clocks, no allocation, no locking either way.
+    collector: Option<ShardCollector>,
+}
+
+impl LocalShard {
+    /// The store of rectangle `geo`, filled with its position-deterministic
+    /// initial values, with a fresh optimizer (and collector, when
+    /// profiling).
+    fn new(cfg: &SyncConfig, geo: Shard) -> Self {
+        let table_rows = cfg.model.tables[geo.table].num_rows;
+        // an empty trailing row block still gets a one-row store
+        let (rows, width) = (geo.rows.max(1), geo.width);
+        let mut store: Box<dyn RowStore> = if cfg.fp16_embeddings {
+            Box::new(HalfStore::zeros(rows, width))
+        } else {
+            Box::new(DenseStore::zeros(rows, width))
+        };
+        for r in 0..geo.rows {
+            let row = geo.row_off + r;
+            let init = det_row_slice(cfg.seed, geo.table, row, geo.col_off, width, table_rows);
+            store.write_row(r, &init);
+        }
+        let opt: Box<dyn SparseOptimizer> = match cfg.optimizer {
+            SparseOpt::Sgd => Box::new(SparseSgd::new(cfg.lr)),
+            SparseOpt::Adagrad => Box::new(SparseAdagrad::new(cfg.lr, 1e-8, rows, width)),
+            SparseOpt::RowWiseAdagrad => Box::new(RowWiseAdagrad::new(cfg.lr, 1e-8, rows)),
+        };
+        let kind = match geo.division {
+            Some(ShardDivision::Whole) => ShardKind::Table,
+            Some(ShardDivision::Row) => ShardKind::Row,
+            Some(ShardDivision::Column) => ShardKind::Col,
+            None => ShardKind::Dp,
+        };
+        // column slices all see the same replicated index stream; only
+        // slice 0 counts rows so the table-level merge sees it once
+        let counting = kind != ShardKind::Col || geo.ordinal == 0;
+        let collector = cfg.workload.then(|| {
+            ShardCollector::new(
+                geo.worker,
+                geo.table,
+                geo.ordinal,
+                kind,
+                width,
+                geo.row_off,
+                table_rows,
+                counting,
+            )
+        });
+        Self {
+            geo,
+            store,
+            opt,
+            lengths: Vec::new(),
+            indices: Vec::new(),
+            collector,
         }
     }
-    out
-}
 
-/// A local model-parallel shard with its optimizer.
-pub(super) struct ShardState {
-    pub(super) desc: ChunkDesc,
-    pub(super) store: Box<dyn RowStore>,
-    pub(super) opt: Box<dyn SparseOptimizer>,
-    /// The global-batch inputs this shard served in the current iteration.
-    pub(super) lengths: Vec<u32>,
-    pub(super) indices: Vec<u64>,
-}
+    /// Files `(lengths, indices)` after the inputs already held.
+    pub(super) fn push_inputs(&mut self, lengths: &[u32], indices: &[u64]) {
+        self.lengths.extend_from_slice(lengths);
+        self.indices.extend_from_slice(indices);
+    }
 
-/// A row-wise shard (handled separately: ReduceScatter, bucketized inputs).
-pub(super) struct RowShardState {
-    pub(super) table: usize,
-    /// Ordinal of this row block among the table's row-wise workers.
-    pub(super) shard: usize,
-    pub(super) row_off: u64,
-    pub(super) store: Box<dyn RowStore>,
-    pub(super) opt: Box<dyn SparseOptimizer>,
-    pub(super) lengths: Vec<u32>,
-    pub(super) indices: Vec<u64>,
-}
+    /// The fused pooled lookup over the inputs held. `sp` is the caller's
+    /// open `EMB_LOOKUP` span: rows are counted only while it records, so
+    /// eval and probe forwards stay silent.
+    pub(super) fn lookup(
+        &mut self,
+        rec: &RankRecorder,
+        sp: &SpanGuard,
+    ) -> Result<Tensor2, SyncError> {
+        let pooled = pooled_forward(self.store.as_mut(), &self.lengths, &self.indices)
+            .map_err(|e| err(e.to_string()))?;
+        if let Some(c) = &mut self.collector {
+            // a row block's local indices; the collector globalizes them
+            // with the shard's base row
+            c.record(&self.lengths, &self.indices);
+        }
+        if sp.is_recording() {
+            rec.sink()
+                .counter_add(metric::EMB_LOOKUP_ROWS, self.indices.len() as u64);
+        }
+        Ok(pooled)
+    }
 
-/// A data-parallel replica.
-pub(super) struct DpState {
-    pub(super) table: usize,
-    pub(super) store: Box<dyn RowStore>,
-    pub(super) opt: Box<dyn SparseOptimizer>,
+    /// The exact sparse update from `grads`, the gradient of every pooled
+    /// output `lookup` produced. Fused backward (§4.1.1): merges straight
+    /// into per-row accumulators, never materializing the expanded
+    /// gradient.
+    pub(super) fn update(&mut self, grads: &Tensor2, rec: &RankRecorder) -> Result<(), SyncError> {
+        let sg = fused_backward_grads(&self.lengths, &self.indices, grads)
+            .map_err(|e| err(e.to_string()))?;
+        rec.sink()
+            .counter_add(metric::EMB_OPTIM_ROWS, sg.indices.len() as u64);
+        self.opt.apply_merged(self.store.as_mut(), &sg);
+        Ok(())
+    }
 }
 
 pub(super) struct Worker {
@@ -99,24 +148,18 @@ pub(super) struct Worker {
     pub(super) comm: Communicator,
     pub(super) bottom: Mlp,
     pub(super) top: Mlp,
-    pub(super) shards: Vec<ShardState>,
-    pub(super) row_shards: Vec<RowShardState>,
-    pub(super) dp: Vec<DpState>,
-    /// Workload collectors, index-parallel to `shards` / `row_shards` /
-    /// `dp`. Empty when [`SyncConfig::workload`] is off, so the hot-path
-    /// guard (`get_mut(i)`) degenerates to a bounds check — no clocks,
-    /// no allocation, no locking either way.
-    pub(super) wl_shards: Vec<ShardCollector>,
-    pub(super) wl_rows: Vec<ShardCollector>,
-    pub(super) wl_dp: Vec<ShardCollector>,
+    /// Every shard resident on this rank, in the plan's `(table, ordinal)`
+    /// order; its table-/column-wise subsequence is `manifests[rank]`, so
+    /// it is in wire order by construction.
+    pub(super) shards: Vec<LocalShard>,
     /// Row-wise table ids in deterministic order (every rank iterates the
-    /// same list so the ReduceScatter/AllGather sequences line up).
+    /// same list so the ReduceScatter/AllGather sequences line up, also
+    /// for a table it holds no block of).
     pub(super) row_tables: Vec<usize>,
-    /// Data-parallel table ids in deterministic order.
-    pub(super) dp_tables: Vec<usize>,
-    /// `manifests[r]`: the wire chunks owner `r` serves. Both sides of the
-    /// pooled and gradient AlltoAlls derive their layout from these.
-    pub(super) manifests: Vec<Vec<ChunkDesc>>,
+    /// `manifests[r]`: the table-/column-wise shards owner `r` serves. Both
+    /// sides of the pooled and gradient AlltoAlls derive their layout from
+    /// these.
+    pub(super) manifests: Vec<Vec<Shard>>,
     /// The training iteration in progress (labels comm-lane spans).
     pub(super) iter: u64,
     pub(super) scratch_grads: Vec<f32>,
@@ -145,45 +188,11 @@ fn make_dense_opt(
     }
 }
 
-fn make_store(cfg: &SyncConfig, rows: u64, width: usize) -> Box<dyn RowStore> {
-    if cfg.fp16_embeddings {
-        Box::new(HalfStore::zeros(rows, width))
-    } else {
-        Box::new(DenseStore::zeros(rows, width))
-    }
-}
-
-fn make_opt(cfg: &SyncConfig, rows: u64, width: usize) -> Box<dyn SparseOptimizer> {
-    match cfg.optimizer {
-        SparseOpt::Sgd => Box::new(SparseSgd::new(cfg.lr)),
-        SparseOpt::Adagrad => Box::new(SparseAdagrad::new(cfg.lr, 1e-8, rows, width)),
-        SparseOpt::RowWiseAdagrad => Box::new(RowWiseAdagrad::new(cfg.lr, 1e-8, rows)),
-    }
-}
-
-/// The store of a shard holding rows `[row_off, row_off + rows)` × columns
-/// `[col_off, col_off + width)` of table `t`, filled with their
-/// position-deterministic initial values, and the shard's optimizer.
-fn init_shard(
-    cfg: &SyncConfig,
-    t: usize,
-    row_off: u64,
-    rows: u64,
-    col_off: usize,
-    width: usize,
-) -> (Box<dyn RowStore>, Box<dyn SparseOptimizer>) {
-    let num_rows = cfg.model.tables[t].num_rows;
-    // an empty trailing row block still gets a one-row store
-    let mut store = make_store(cfg, rows.max(1), width);
-    for r in 0..rows {
-        let row = det_row_slice(cfg.seed, t, row_off + r, col_off, width, num_rows);
-        store.write_row(r, &row);
-    }
-    (store, make_opt(cfg, rows.max(1), width))
-}
-
 impl Worker {
-    pub(super) fn new(cfg: Arc<SyncConfig>, mut comm: Communicator) -> Self {
+    /// Builds rank `comm.rank()`'s worker; `plan_shards` is the plan's
+    /// [`shards`](neo_sharding::ShardingPlan::shards) list, enumerated once
+    /// by the driver.
+    pub(super) fn new(cfg: Arc<SyncConfig>, mut comm: Communicator, plan_shards: &[Shard]) -> Self {
         comm.set_telemetry(cfg.telemetry.clone());
         comm.set_comm_delay(cfg.comm_delay);
         let rank = comm.rank();
@@ -201,95 +210,16 @@ impl Worker {
             &mut rng,
         );
 
-        let manifests: Vec<Vec<ChunkDesc>> = (0..world)
-            .map(|owner| owner_manifest(&cfg.plan, model, owner))
+        let held_by = |owner: usize| plan_shards.iter().filter(move |s| s.worker == owner);
+        let shards = held_by(rank).map(|&s| LocalShard::new(&cfg, s)).collect();
+        let manifests = (0..world)
+            .map(|owner| held_by(owner).filter(|s| rides_a2a(s)).copied().collect())
             .collect();
-        // a collector for one shard of table `t`, when profiling is on
-        let collector = |t: usize, shard, kind, width, base_row, counting| {
-            let rows = model.tables[t].num_rows;
-            cfg.workload
-                .then(|| ShardCollector::new(rank, t, shard, kind, width, base_row, rows, counting))
-        };
-
-        // table-/column-wise shards are built from this rank's manifest, so
-        // `shards` is in wire order by construction
-        let mut shards = Vec::new();
-        let mut wl_shards = Vec::new();
-        for &desc in &manifests[rank] {
-            let tc = &model.tables[desc.table];
-            let (store, opt) =
-                init_shard(&cfg, desc.table, 0, tc.num_rows, desc.col_off, desc.width);
-            shards.push(ShardState {
-                desc,
-                store,
-                opt,
-                lengths: Vec::new(),
-                indices: Vec::new(),
-            });
-            let kind = match cfg.plan.placements[desc.table].scheme {
-                Scheme::ColumnWise { .. } => ShardKind::Col,
-                _ => ShardKind::Table,
-            };
-            // column slices all see the same replicated index stream; only
-            // slice 0 counts rows so the table-level merge sees it once
-            wl_shards.extend(collector(
-                desc.table,
-                desc.shard,
-                kind,
-                desc.width,
-                0,
-                desc.shard == 0,
-            ));
-        }
-
-        let mut row_shards = Vec::new();
-        let mut dp = Vec::new();
-        let mut row_tables = Vec::new();
-        let mut dp_tables = Vec::new();
-        let mut wl_rows = Vec::new();
-        let mut wl_dp = Vec::new();
-        for p in &cfg.plan.placements {
-            let t = p.table;
-            let tc = &model.tables[t];
-            match &p.scheme {
-                Scheme::TableWise { .. } | Scheme::ColumnWise { .. } => {}
-                Scheme::RowWise { workers } => {
-                    row_tables.push(t);
-                    let block = tc.num_rows.div_ceil(workers.len() as u64);
-                    for (k, &w) in workers.iter().enumerate() {
-                        if w != rank {
-                            continue;
-                        }
-                        let lo = block * k as u64;
-                        let hi = (lo + block).min(tc.num_rows);
-                        let (store, opt) =
-                            init_shard(&cfg, t, lo, hi.saturating_sub(lo), 0, tc.dim);
-                        row_shards.push(RowShardState {
-                            table: t,
-                            shard: k,
-                            row_off: lo,
-                            store,
-                            opt,
-                            lengths: Vec::new(),
-                            indices: Vec::new(),
-                        });
-                        wl_rows.extend(collector(t, k, ShardKind::Row, tc.dim, lo, true));
-                    }
-                }
-                Scheme::DataParallel => {
-                    dp_tables.push(t);
-                    let (store, opt) = init_shard(&cfg, t, 0, tc.num_rows, 0, tc.dim);
-                    dp.push(DpState {
-                        table: t,
-                        store,
-                        opt,
-                    });
-                    // every rank holds a full replica and serves its
-                    // local sub-batch; the shard ordinal is the rank
-                    wl_dp.extend(collector(t, rank, ShardKind::Dp, tc.dim, 0, true));
-                }
-            }
-        }
+        let row_tables = plan_shards
+            .iter()
+            .filter(|s| s.division == Some(ShardDivision::Row) && s.ordinal == 0)
+            .map(|s| s.table)
+            .collect();
 
         let bottom_opt = make_dense_opt(&cfg, bottom.num_params());
         let top_opt = make_dense_opt(&cfg, top.num_params());
@@ -301,13 +231,7 @@ impl Worker {
             bottom,
             top,
             shards,
-            row_shards,
-            dp,
             row_tables,
-            dp_tables,
-            wl_shards,
-            wl_rows,
-            wl_dp,
             manifests,
             iter: 0,
             scratch_grads: Vec::new(),
@@ -323,28 +247,18 @@ impl Worker {
     /// each shard store's memory accounting. Empty when
     /// [`SyncConfig::workload`] is off.
     pub(super) fn harvest_workload(&mut self) -> Vec<ShardSample> {
-        fn tier(store: &dyn RowStore) -> Option<TierSample> {
-            store.tier_info().map(|t| TierSample {
+        let harvest = |sh: &mut LocalShard| {
+            let tier = sh.store.tier_info().map(|t| TierSample {
                 capacity_rows: t.capacity_rows,
                 resident_rows: t.resident_rows,
                 cache_bytes: t.cache_bytes,
                 hits: t.hits,
                 misses: t.misses,
-            })
-        }
-        // collectors are index-parallel to their stores kind by kind, so
-        // the chained sequences pair up
-        let collectors = std::mem::take(&mut self.wl_shards)
-            .into_iter()
-            .chain(std::mem::take(&mut self.wl_rows))
-            .chain(std::mem::take(&mut self.wl_dp));
-        let stores = (self.shards.iter().map(|s| &s.store))
-            .chain(self.row_shards.iter().map(|s| &s.store))
-            .chain(self.dp.iter().map(|s| &s.store));
-        collectors
-            .zip(stores)
-            .map(|(c, store)| c.finish(store.param_bytes(), tier(store.as_ref())))
-            .collect()
+            });
+            let collector = sh.collector.take()?;
+            Some(collector.finish(sh.store.param_bytes(), tier))
+        };
+        self.shards.iter_mut().filter_map(harvest).collect()
     }
 
     pub(super) fn set_lr(&mut self, lr: f32) {
@@ -352,12 +266,6 @@ impl Worker {
         self.top_opt.set_lr(lr);
         for sh in &mut self.shards {
             sh.opt.set_lr(lr);
-        }
-        for rs in &mut self.row_shards {
-            rs.opt.set_lr(lr);
-        }
-        for dp in &mut self.dp {
-            dp.opt.set_lr(lr);
         }
     }
 }

@@ -64,7 +64,6 @@
 //!     waivers that no longer fire are flagged so they cannot rot in place.
 //!
 //! Flags: `--json FILE` writes the machine-readable `neo-lint/1` report,
-//! `--sarif FILE` writes SARIF 2.1.0 for editor/forge ingestion,
 //! `--callgraph FILE` dumps the `neo-callgraph/1` artifact (nodes, edges,
 //! per-rule root sets and reachable-set sizes) for offline analysis,
 //! `--baseline FILE` diffs waived-finding counts against the committed
@@ -152,7 +151,7 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "usage: neo-xtask lint [--root <dir>] [--json FILE] [--sarif FILE] \
+const USAGE: &str = "usage: neo-xtask lint [--root <dir>] [--json FILE] \
        [--callgraph FILE] [--baseline FILE] [--write-baseline FILE] \
      | neo-xtask json-check [--min-phases N] <files...> \
      | neo-xtask monitor-check [--expect-clean] [--expect-stall RANK,LANE] <file.jsonl> \
@@ -179,7 +178,6 @@ fn run(args: &[String]) -> Result<usize, String> {
 fn run_lint(args: &[String]) -> Result<usize, String> {
     let mut root = None;
     let mut json_out: Option<PathBuf> = None;
-    let mut sarif_out: Option<PathBuf> = None;
     let mut callgraph_out: Option<PathBuf> = None;
     let mut baseline: Option<PathBuf> = None;
     let mut write_baseline: Option<PathBuf> = None;
@@ -193,7 +191,6 @@ fn run_lint(args: &[String]) -> Result<usize, String> {
         match a.as_str() {
             "--root" => root = Some(path_arg("--root")?),
             "--json" => json_out = Some(path_arg("--json")?),
-            "--sarif" => sarif_out = Some(path_arg("--sarif")?),
             "--callgraph" => callgraph_out = Some(path_arg("--callgraph")?),
             "--baseline" => baseline = Some(path_arg("--baseline")?),
             "--write-baseline" => write_baseline = Some(path_arg("--write-baseline")?),
@@ -227,9 +224,6 @@ fn run_lint(args: &[String]) -> Result<usize, String> {
     };
     if let Some(path) = &json_out {
         write(path, neo_lint::output::to_json(&report, &infos), "report")?;
-    }
-    if let Some(path) = &sarif_out {
-        write(path, neo_lint::output::to_sarif(&report, &infos), "SARIF")?;
     }
     if let Some(path) = &callgraph_out {
         write(path, neo_lint::output::callgraph_json(&ws), "call graph")?;
@@ -728,7 +722,7 @@ mod tests {
 
     /// Builds a miniature workspace on disk and asserts the CLI catches a
     /// seeded violation, passes a clean tree, and emits parseable JSON,
-    /// SARIF, and baseline artifacts — the end-to-end contract `ci.sh`
+    /// call-graph and baseline artifacts — the end-to-end contract `ci.sh`
     /// gate 3 relies on. Rule-by-rule coverage lives in
     /// `crates/lint/tests/fixtures.rs`.
     #[test]
@@ -749,15 +743,12 @@ mod tests {
                      pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
         fs::write(src.join("lib.rs"), dirty).unwrap();
         let json_path = base.join("out/lint.json");
-        let sarif_path = base.join("out/lint.sarif");
         let graph_path = base.join("out/callgraph.json");
         let n = run_lint(&[
             root_args[0].clone(),
             root_args[1].clone(),
             "--json".into(),
             arg(&json_path),
-            "--sarif".into(),
-            arg(&sarif_path),
             "--callgraph".into(),
             arg(&graph_path),
         ])
@@ -771,9 +762,6 @@ mod tests {
             findings[0].get("rule").and_then(|r| r.as_str()),
             Some("panic")
         );
-        let sarif = neo_telemetry::json::parse(&fs::read_to_string(&sarif_path).unwrap())
-            .expect("SARIF parses");
-        assert_eq!(sarif.get("version").and_then(|v| v.as_str()), Some("2.1.0"));
         let graph = neo_telemetry::json::parse(&fs::read_to_string(&graph_path).unwrap())
             .expect("call-graph artifact parses");
         assert_eq!(

@@ -73,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     cfg.lr = 0.4;
     cfg.overlap = args.overlap;
     if args.comm_delay {
-        // wire cost priced like the bench suite's Fig. 14 pair
+        // wire cost priced like the benchmark's quickstart_w2_overlap_wire
         cfg.comm_delay = Some(CommDelay::new(16e9, 100e-6));
     }
     if args.overlap || args.comm_delay {

@@ -8,6 +8,7 @@ use neo_dlrm::embeddings::optim::merge_grads;
 use neo_dlrm::embeddings::{DenseStore, RowStore, TieredStore};
 use neo_dlrm::memory::Policy;
 use neo_dlrm::sharding::partition::{greedy, imbalance, karmarkar_karp};
+use neo_dlrm::sharding::{Scheme, ShardingPlan, TablePlacement, TableSpec};
 use neo_dlrm::tensor::{Tensor2, F16};
 use proptest::prelude::*;
 
@@ -85,6 +86,35 @@ proptest! {
         }
         recovered.sort_unstable();
         prop_assert_eq!(recovered, original);
+    }
+
+    /// The plan's row blocks are `bucketize_rows`' blocks — the two
+    /// statements of the row-block rule (`ShardingPlan::shards` and
+    /// `row_block_size`) agree, including on empty trailing blocks.
+    #[test]
+    fn plan_row_blocks_are_bucketize_blocks(num_rows in 1u64..80, shards in 1usize..9) {
+        let plan = ShardingPlan {
+            world: shards,
+            placements: vec![TablePlacement {
+                table: 0,
+                scheme: Scheme::RowWise { workers: (0..shards).collect() },
+            }],
+        };
+        let blocks = plan.shards(&[TableSpec::new(0, num_rows, 4, 1.0)]);
+        prop_assert_eq!(blocks.len(), shards);
+        let block = row_block_size(num_rows, shards);
+        for (k, s) in blocks.iter().enumerate() {
+            prop_assert_eq!(s.row_off, (k as u64 * block).min(num_rows));
+            prop_assert_eq!(s.row_off + s.rows, ((k as u64 + 1) * block).min(num_rows));
+        }
+        // every row is routed to the block that holds it, at its local row
+        let all_rows: Vec<u64> = (0..num_rows).collect();
+        let bz = bucketize_rows(shards, num_rows, &[num_rows as u32], &all_rows).unwrap();
+        for (k, s) in blocks.iter().enumerate() {
+            let (_, local) = bz.shard_inputs(k);
+            let held: Vec<u64> = local.iter().map(|&l| s.row_off + l).collect();
+            prop_assert_eq!(held, (s.row_off..s.row_off + s.rows).collect::<Vec<_>>());
+        }
     }
 
     /// permute preserves the index multiset and total lengths.
