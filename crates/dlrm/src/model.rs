@@ -260,7 +260,7 @@ impl DlrmModel {
         let refs: Vec<&Tensor2> = cache.features.iter().collect();
         let mut g_features = dot_interaction_backward(&refs, g_inter)?;
         g_features[0] += g_z0_direct;
-        self.bottom.backward(&g_features[0])?;
+        self.bottom.backward_params(&g_features[0])?;
 
         let mut sparse = Vec::with_capacity(self.tables.len());
         for (t, (lens, idx)) in cache.lengths_indices.iter().enumerate() {

@@ -42,6 +42,7 @@ pub const HOT_PATH_ROOTS: &[(&str, &[&str])] = &[
             "forward",
             "forward_inference",
             "backward",
+            "backward_params",
             "sgd_step",
             "zero_grads",
         ],

@@ -1,133 +1,182 @@
-//! Cache-blocked general matrix multiply and the transpose variants used by
-//! MLP back-propagation.
+//! General matrix multiply and the transpose variants used by MLP
+//! back-propagation: one register-tiled microkernel over packed panels.
 //!
-//! The original system delegates these to cuBLAS (`GemmEx`). The pure-Rust
-//! kernels here use register-tiled micro-kernels over cache-sized blocks —
-//! enough to keep the functional benchmarks honest while staying portable.
+//! The original system delegates these to cuBLAS (`GemmEx`). Here all three
+//! products — `A·B`, `Aᵀ·B`, `A·Bᵀ` — run through [`micro`], the only
+//! function that multiplies and accumulates: it keeps an `MR x NR` output
+//! tile in registers for the whole reduction and adds one product per
+//! reduction step. **Every output element is therefore the left-to-right
+//! `f32` sum over the reduction index — bitwise the naive triple loop**,
+//! which is the definition the tests compare against with `==`. The
+//! variants differ only in how [`pack_rows`]/[`pack_cols`] lay the operands
+//! out as `k x MR` and `k x NR` panels (zero-padded at the edges; padded
+//! lanes are computed and dropped, so padding can neither leak a NaN into
+//! nor hide one from a real output).
 //!
-//! The workspace forbids `unsafe`, so there are no intrinsics: the
-//! micro-kernels ([`axpy4`], [`dot4`]) are written as fixed-width lane
-//! arrays over `chunks_exact` blocks, a shape the autovectorizer lowers to
-//! SIMD on every target that has it. Each kernel accumulates in one fixed
-//! order, so repeated runs are bitwise identical and the serial and
-//! overlapped training schedules (which share these kernels) stay
+//! The workspace forbids `unsafe`, so there are no intrinsics and no
+//! `mul_add` (a libm call without an FMA target): the tile is a fixed-size
+//! array the autovectorizer keeps in eight 128-bit registers on baseline
+//! x86-64. The fixed order makes repeated runs bitwise identical, and the
+//! serial and overlapped training schedules (which share this kernel) stay
 //! bitwise-equal by construction.
 
 use crate::{ShapeError, Tensor2};
 
-/// Row-block size for the outer loop (fits comfortably in L2).
-const MC: usize = 64;
-/// Depth-block size.
-const KC: usize = 128;
-/// Micro-kernel lane width: accumulators are `[f32; LANE]` blocks walked
-/// with `chunks_exact`, which the autovectorizer maps onto 256-bit vector
-/// registers (or two 128-bit ones) without any `unsafe`.
-const LANE: usize = 8;
+/// Rows of the register tile (`A` panel width).
+const MR: usize = 4;
+/// Columns of the register tile (`B` panel width).
+const NR: usize = 8;
 
-/// Rank-1x4 micro-kernel:
-/// `c[j] += a[0]*b0[j] + a[1]*b1[j] + a[2]*b2[j] + a[3]*b3[j]` over full
-/// `LANE` blocks, scalar on the tail. The four products are summed
-/// left-to-right, so the accumulation order is fixed.
-#[inline]
-fn axpy4(c: &mut [f32], a: [f32; 4], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) {
-    let n = c.len();
-    let split = n - n % LANE;
-    let (c_body, c_tail) = c.split_at_mut(split);
-    for (blk, cl) in c_body.chunks_exact_mut(LANE).enumerate() {
-        let base = blk * LANE;
-        let b0l = &b0[base..base + LANE];
-        let b1l = &b1[base..base + LANE];
-        let b2l = &b2[base..base + LANE];
-        let b3l = &b3[base..base + LANE];
-        for l in 0..LANE {
-            cl[l] += a[0] * b0l[l] + a[1] * b1l[l] + a[2] * b2l[l] + a[3] * b3l[l];
-        }
-    }
-    for (t, cval) in c_tail.iter_mut().enumerate() {
-        let j = split + t;
-        *cval += a[0] * b0[j] + a[1] * b1[j] + a[2] * b2[j] + a[3] * b3[j];
-    }
+/// Which product [`gemm`] computes from its row-major operands.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Form {
+    /// `A (m x k) · B (k x n)`.
+    Nn,
+    /// `Aᵀ · B` for `A (k x m)`, `B (k x n)`.
+    Tn,
+    /// `A · Bᵀ` for `A (m x k)`, `B (n x k)`.
+    Nt,
 }
 
-/// Rank-1 micro-kernel: `c[j] += a * b[j]`, lane blocks + scalar tail.
-#[inline]
-fn axpy1(c: &mut [f32], a: f32, b: &[f32]) {
-    let n = c.len();
-    let split = n - n % LANE;
-    let (c_body, c_tail) = c.split_at_mut(split);
-    for (cl, bl) in c_body.chunks_exact_mut(LANE).zip(b.chunks_exact(LANE)) {
-        for l in 0..LANE {
-            cl[l] += a * bl[l];
-        }
-    }
-    for (cval, &bval) in c_tail.iter_mut().zip(&b[split..]) {
-        *cval += a * bval;
-    }
+/// Packed-panel scratch, reused across calls so steady-state products do
+/// not allocate: one `k x MR` panel of `A` (re-packed per tile row) and all
+/// of `B` as `k x NR` panels.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Panels {
+    a: Vec<f32>,
+    b: Vec<f32>,
 }
 
-/// Dot-product micro-kernel: one `a` row against four `b` rows at once,
-/// reusing each `a` lane load fourfold. Each of the four dot products keeps
-/// `LANE` partial sums that are reduced sequentially (fixed order), then the
-/// scalar tail is added — deterministic for a given shape.
+/// The microkernel: `c[i][j] = Σ_p ap[p][i] * bp[p][j]`, summed in `p`
+/// order from zero, one product per step.
 #[inline]
-fn dot4(a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> [f32; 4] {
-    let k = a.len();
-    let split = k - k % LANE;
-    let mut acc = [[0.0f32; LANE]; 4];
-    for (blk, al) in a[..split].chunks_exact(LANE).enumerate() {
-        let base = blk * LANE;
-        let rows = [
-            &b0[base..base + LANE],
-            &b1[base..base + LANE],
-            &b2[base..base + LANE],
-            &b3[base..base + LANE],
-        ];
-        for (accq, bl) in acc.iter_mut().zip(rows) {
-            for l in 0..LANE {
-                accq[l] += al[l] * bl[l];
+#[allow(clippy::needless_range_loop)] // index form keeps the 4x8 block in registers
+fn micro(ap: &[f32], bp: &[f32]) -> [[f32; NR]; MR] {
+    let mut c = [[0f32; NR]; MR];
+    for (a, b) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
+        for i in 0..MR {
+            for j in 0..NR {
+                c[i][j] += a[i] * b[j];
             }
         }
     }
-    let mut out = [0.0f32; 4];
-    for (q, accq) in acc.iter().enumerate() {
-        let mut s = 0.0f32;
-        for &v in accq {
-            s += v;
-        }
-        let b = [b0, b1, b2, b3][q];
-        for j in split..k {
-            s += a[j] * b[j];
-        }
-        out[q] = s;
-    }
-    out
+    c
 }
 
-/// Single-row dot product with the same lane layout as [`dot4`].
-#[inline]
-fn dot1(a: &[f32], b: &[f32]) -> f32 {
-    let k = a.len();
-    let split = k - k % LANE;
-    let mut acc = [0.0f32; LANE];
-    for (al, bl) in a[..split]
-        .chunks_exact(LANE)
-        .zip(b[..split].chunks_exact(LANE))
-    {
-        for l in 0..LANE {
-            acc[l] += al[l] * bl[l];
+/// Packs rows `r0..r0 + W` of the row-major `rows x k` matrix `src` as one
+/// `k x W` panel (transposed), zero-padding past `rows`.
+fn pack_rows<const W: usize>(src: &[f32], rows: usize, k: usize, r0: usize, panel: &mut [f32]) {
+    let block = &src[r0 * k..rows.min(r0 + W) * k];
+    if block.len() == panel.len() {
+        // constant width: the W strided reads per step unroll
+        for (p, lanes) in panel.chunks_exact_mut(W).enumerate() {
+            for (i, lane) in lanes.iter_mut().enumerate() {
+                *lane = block[i * k + p];
+            }
+        }
+    } else {
+        panel.fill(0.0);
+        for (i, row) in block.chunks_exact(k).enumerate() {
+            for (lane, &v) in panel.iter_mut().skip(i).step_by(W).zip(row) {
+                *lane = v;
+            }
         }
     }
-    let mut s = 0.0f32;
-    for &v in &acc {
-        s += v;
-    }
-    for j in split..k {
-        s += a[j] * b[j];
-    }
-    s
 }
 
-/// `C = A (m x k) * B (k x n)`.
+/// Packs columns `c0..c0 + W` of the row-major `k x cols` matrix `src` as
+/// one `k x W` panel (copied), zero-padding past `cols`.
+fn pack_cols<const W: usize>(src: &[f32], cols: usize, c0: usize, panel: &mut [f32]) {
+    let lines = panel.chunks_exact_mut(W).zip(src.chunks_exact(cols));
+    if c0 + W <= cols {
+        // constant width: vector moves instead of a `memcpy` call
+        for (lanes, row) in lines {
+            lanes.copy_from_slice(&row[c0..c0 + W]);
+        }
+    } else {
+        for (lanes, row) in lines {
+            let w = cols - c0;
+            lanes[..w].copy_from_slice(&row[c0..]);
+            lanes[w..].fill(0.0);
+        }
+    }
+}
+
+/// The driver under all three entry points: packs both operands, runs
+/// [`micro`] on every tile and hands each finished tile row to
+/// `emit(row, first_col, values)` exactly once, so the caller decides
+/// whether a row is stored, transformed or accumulated.
+///
+/// # Errors
+///
+/// Returns [`ShapeError`] if the reduction dimensions disagree.
+pub(crate) fn gemm(
+    form: Form,
+    a: &Tensor2,
+    b: &Tensor2,
+    ws: &mut Panels,
+    mut emit: impl FnMut(usize, usize, &[f32]),
+) -> crate::Result<()> {
+    let (name, (m, k), (kb, n)) = match form {
+        Form::Nn => ("matmul", a.shape(), b.shape()),
+        Form::Tn => ("matmul_at_b", (a.cols(), a.rows()), b.shape()),
+        Form::Nt => ("matmul_a_bt", a.shape(), (b.cols(), b.rows())),
+    };
+    if k != kb {
+        // lint: allow(hot_path_alloc) — error-path message, built only on a shape mismatch
+        return Err(ShapeError::new(format!(
+            "{name} {}x{} , {}x{}",
+            a.rows(),
+            a.cols(),
+            b.rows(),
+            b.cols()
+        )));
+    }
+    crate::sanitize::check_finite("gemm input A", a.as_slice());
+    crate::sanitize::check_finite("gemm input B", b.as_slice());
+    ws.a.resize(MR * k, 0.0);
+    ws.b.resize(n.div_ceil(NR) * NR * k, 0.0);
+    for j0 in (0..n).step_by(NR) {
+        let panel = &mut ws.b[j0 * k..(j0 + NR) * k];
+        match form {
+            Form::Nn | Form::Tn => pack_cols::<NR>(b.as_slice(), n, j0, panel),
+            Form::Nt => pack_rows::<NR>(b.as_slice(), n, k, j0, panel),
+        }
+    }
+    for i0 in (0..m).step_by(MR) {
+        match form {
+            Form::Nn | Form::Nt => pack_rows::<MR>(a.as_slice(), m, k, i0, &mut ws.a),
+            Form::Tn => pack_cols::<MR>(a.as_slice(), m, i0, &mut ws.a),
+        }
+        for j0 in (0..n).step_by(NR) {
+            let tile = micro(&ws.a, &ws.b[j0 * k..(j0 + NR) * k]);
+            let w = NR.min(n - j0);
+            for (i, row) in (i0..m).zip(&tile) {
+                crate::sanitize::check_finite("gemm output", &row[..w]);
+                emit(i, j0, &row[..w]);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Shared body of the public wrappers, whose contract is "returns a fresh
+/// tensor": output and panels are allocated per call.
+fn product(form: Form, a: &Tensor2, b: &Tensor2) -> crate::Result<Tensor2> {
+    let (m, n) = match form {
+        Form::Nn => (a.rows(), b.cols()),
+        Form::Tn => (a.cols(), b.cols()),
+        Form::Nt => (a.rows(), b.rows()),
+    };
+    let mut c = Tensor2::zeros(m, n);
+    let mut panels: Panels = Default::default();
+    gemm(form, a, b, &mut panels, |i, j0, acc| {
+        c.row_mut(i)[j0..j0 + acc.len()].copy_from_slice(acc);
+    })?;
+    Ok(c)
+}
+
+/// `C (m x n) = A (m x k) · B (k x n)`.
 ///
 /// # Errors
 ///
@@ -144,134 +193,27 @@ fn dot1(a: &[f32], b: &[f32]) -> f32 {
 /// # Ok::<(), neo_tensor::ShapeError>(())
 /// ```
 pub fn matmul(a: &Tensor2, b: &Tensor2) -> crate::Result<Tensor2> {
-    if a.cols() != b.rows() {
-        // lint: allow(hot_path_alloc) — error-path message, built only on a shape mismatch
-        return Err(ShapeError::new(format!(
-            "matmul {}x{} * {}x{}",
-            a.rows(),
-            a.cols(),
-            b.rows(),
-            b.cols()
-        )));
-    }
-    crate::sanitize::check_finite("matmul input A", a.as_slice());
-    crate::sanitize::check_finite("matmul input B", b.as_slice());
-    let (m, k) = a.shape();
-    let n = b.cols();
-    let mut c = Tensor2::zeros(m, n);
-    gemm_blocked(a.as_slice(), b.as_slice(), c.as_mut_slice(), m, k, n);
-    crate::sanitize::check_finite("matmul output", c.as_slice());
-    Ok(c)
+    product(Form::Nn, a, b)
 }
 
-/// `C = A^T (k x m)^T=(m x k)... ` more precisely: given `A (k x m)` and
-/// `B (k x n)`, computes `C (m x n) = A^T * B`.
-///
-/// Used for the weight gradient `dW = X^T * dY` in the backward pass.
+/// `C (m x n) = Aᵀ · B` for `A (k x m)` and `B (k x n)` — the weight
+/// gradient `dW = Xᵀ · dZ` of the backward pass.
 ///
 /// # Errors
 ///
 /// Returns [`ShapeError`] if the leading dimensions disagree.
 pub fn matmul_at_b(a: &Tensor2, b: &Tensor2) -> crate::Result<Tensor2> {
-    if a.rows() != b.rows() {
-        // lint: allow(hot_path_alloc) — error-path message, built only on a shape mismatch
-        return Err(ShapeError::new(format!(
-            "matmul_at_b {}x{} , {}x{}",
-            a.rows(),
-            a.cols(),
-            b.rows(),
-            b.cols()
-        )));
-    }
-    crate::sanitize::check_finite("matmul_at_b input A", a.as_slice());
-    crate::sanitize::check_finite("matmul_at_b input B", b.as_slice());
-    let (k, m) = a.shape();
-    let n = b.cols();
-    let mut c = Tensor2::zeros(m, n);
-    // C[i][j] = sum_p A[p][i] * B[p][j]; iterate p outermost for stride-1
-    // access on both inputs, four rank-1 updates fused per pass so each C
-    // row is read/written a quarter as often. No zero-skip on A: a branch
-    // in the hot loop defeats vectorization, and skipping would silently
-    // drop NaN/Inf propagation from B (0 * inf = NaN) — the sanitize
-    // feature now checks the inputs instead.
-    let (av, bv, cv) = (a.as_slice(), b.as_slice(), c.as_mut_slice());
-    let mut p = 0;
-    while p + 4 <= k {
-        let a0r = &av[p * m..(p + 1) * m];
-        let a1r = &av[(p + 1) * m..(p + 2) * m];
-        let a2r = &av[(p + 2) * m..(p + 3) * m];
-        let a3r = &av[(p + 3) * m..(p + 4) * m];
-        let b0r = &bv[p * n..(p + 1) * n];
-        let b1r = &bv[(p + 1) * n..(p + 2) * n];
-        let b2r = &bv[(p + 2) * n..(p + 3) * n];
-        let b3r = &bv[(p + 3) * n..(p + 4) * n];
-        for i in 0..m {
-            let crow = &mut cv[i * n..(i + 1) * n];
-            axpy4(crow, [a0r[i], a1r[i], a2r[i], a3r[i]], b0r, b1r, b2r, b3r);
-        }
-        p += 4;
-    }
-    while p < k {
-        let arow = &av[p * m..(p + 1) * m];
-        let brow = &bv[p * n..(p + 1) * n];
-        for (i, &aval) in arow.iter().enumerate() {
-            axpy1(&mut cv[i * n..(i + 1) * n], aval, brow);
-        }
-        p += 1;
-    }
-    crate::sanitize::check_finite("matmul_at_b output", c.as_slice());
-    Ok(c)
+    product(Form::Tn, a, b)
 }
 
-/// Given `A (m x k)` and `B (n x k)`, computes `C (m x n) = A * B^T`.
-///
-/// Used for the input gradient `dX = dY * W^T` (weights stored `out x in`
-/// would be `W`, here we keep weights `in x out` so this handles the other
-/// convention) and for the pairwise dot-product feature interaction
-/// `X * X^T`.
+/// `C (m x n) = A · Bᵀ` for `A (m x k)` and `B (n x k)` — the input
+/// gradient `dX = dZ · Wᵀ` of the backward pass.
 ///
 /// # Errors
 ///
 /// Returns [`ShapeError`] if the trailing dimensions disagree.
 pub fn matmul_a_bt(a: &Tensor2, b: &Tensor2) -> crate::Result<Tensor2> {
-    if a.cols() != b.cols() {
-        // lint: allow(hot_path_alloc) — error-path message, built only on a shape mismatch
-        return Err(ShapeError::new(format!(
-            "matmul_a_bt {}x{} , {}x{}",
-            a.rows(),
-            a.cols(),
-            b.rows(),
-            b.cols()
-        )));
-    }
-    crate::sanitize::check_finite("matmul_a_bt input A", a.as_slice());
-    crate::sanitize::check_finite("matmul_a_bt input B", b.as_slice());
-    let (m, k) = a.shape();
-    let n = b.rows();
-    let mut c = Tensor2::zeros(m, n);
-    let (av, bv, cv) = (a.as_slice(), b.as_slice(), c.as_mut_slice());
-    for i in 0..m {
-        let arow = &av[i * k..(i + 1) * k];
-        let crow = &mut cv[i * n..(i + 1) * n];
-        let mut j = 0;
-        while j + 4 <= n {
-            let d = dot4(
-                arow,
-                &bv[j * k..(j + 1) * k],
-                &bv[(j + 1) * k..(j + 2) * k],
-                &bv[(j + 2) * k..(j + 3) * k],
-                &bv[(j + 3) * k..(j + 4) * k],
-            );
-            crow[j..j + 4].copy_from_slice(&d);
-            j += 4;
-        }
-        while j < n {
-            crow[j] = dot1(arow, &bv[j * k..(j + 1) * k]);
-            j += 1;
-        }
-    }
-    crate::sanitize::check_finite("matmul_a_bt output", c.as_slice());
-    Ok(c)
+    product(Form::Nt, a, b)
 }
 
 /// Number of floating-point operations a `m x k x n` GEMM performs
@@ -282,35 +224,20 @@ pub fn gemm_flops(m: usize, k: usize, n: usize) -> u64 {
     2 * m as u64 * k as u64 * n as u64
 }
 
-/// Blocked inner kernel: `c (m x n) += a (m x k) * b (k x n)`, all row-major.
-fn gemm_blocked(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    for ic in (0..m).step_by(MC) {
-        let mb = MC.min(m - ic);
-        for pc in (0..k).step_by(KC) {
-            let kb = KC.min(k - pc);
-            for i in 0..mb {
-                let arow = &a[(ic + i) * k + pc..(ic + i) * k + pc + kb];
-                let crow = &mut c[(ic + i) * n..(ic + i) * n + n];
-                // 4-way fused rank-1 accumulation over the depth block.
-                let mut p = 0;
-                while p + 4 <= kb {
-                    axpy4(
-                        crow,
-                        [arow[p], arow[p + 1], arow[p + 2], arow[p + 3]],
-                        &b[(pc + p) * n..(pc + p) * n + n],
-                        &b[(pc + p + 1) * n..(pc + p + 1) * n + n],
-                        &b[(pc + p + 2) * n..(pc + p + 2) * n + n],
-                        &b[(pc + p + 3) * n..(pc + p + 3) * n + n],
-                    );
-                    p += 4;
-                }
-                while p < kb {
-                    axpy1(crow, arow[p], &b[(pc + p) * n..(pc + p) * n + n]);
-                    p += 1;
-                }
+#[cfg(test)]
+/// The definition every product must reproduce bit for bit, and the oracle
+/// of this module's and `mlp`'s tests: each output is the left-to-right
+/// `f32` sum over the reduction index.
+pub(crate) fn naive(a: &Tensor2, b: &Tensor2) -> Tensor2 {
+    let mut c = Tensor2::zeros(a.rows(), b.cols());
+    for i in 0..a.rows() {
+        for j in 0..b.cols() {
+            for p in 0..a.cols() {
+                c[(i, j)] += a[(i, p)] * b[(p, j)];
             }
         }
     }
+    c
 }
 
 #[cfg(test)]
@@ -318,28 +245,115 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn naive(a: &Tensor2, b: &Tensor2) -> Tensor2 {
-        let mut c = Tensor2::zeros(a.rows(), b.cols());
-        for i in 0..a.rows() {
-            for j in 0..b.cols() {
-                let mut s = 0.0;
-                for p in 0..a.cols() {
-                    s += a[(i, p)] * b[(p, j)];
+    /// Values with full mantissas, so a different summation order rounds
+    /// differently.
+    fn val(i: usize, j: usize, salt: u64) -> f32 {
+        let h = (i as u64 * 131 + j as u64 * 7 + salt * 17).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        ((h >> 40) as f32 / (1u64 << 24) as f32 - 0.5) * 3.7
+    }
+
+    /// All three entry points against [`naive`], `==` on every element
+    /// (transposing an operand moves data, it does not round).
+    fn assert_all_variants_exact(a: &Tensor2, b: &Tensor2) {
+        let want = naive(a, b);
+        let shape = (a.rows(), a.cols(), b.cols());
+        assert_eq!(matmul(a, b).unwrap(), want, "A·B {shape:?}");
+        assert_eq!(
+            matmul_at_b(&a.transposed(), b).unwrap(),
+            want,
+            "Aᵀ·B {shape:?}"
+        );
+        assert_eq!(
+            matmul_a_bt(a, &b.transposed()).unwrap(),
+            want,
+            "A·Bᵀ {shape:?}"
+        );
+    }
+
+    #[test]
+    fn every_variant_is_bitwise_the_naive_loop_across_tile_edges() {
+        let edges = [0, 1, MR - 1, MR, MR + 1, NR - 1, NR, NR + 1, 2 * NR + 3];
+        for &m in &edges {
+            for &n in &edges {
+                for k in [0, 1, 2, 7, 33] {
+                    let a = Tensor2::from_fn(m, k, |i, j| val(i, j, 1));
+                    let b = Tensor2::from_fn(k, n, |i, j| val(i, j, 2));
+                    assert_all_variants_exact(&a, &b);
                 }
-                c[(i, j)] = s;
             }
         }
-        c
     }
 
     #[test]
     fn matmul_matches_naive() {
         for &(m, k, n) in &[(1, 1, 1), (3, 5, 2), (17, 33, 9), (70, 130, 65)] {
-            let a = Tensor2::from_fn(m, k, |i, j| ((i * 7 + j * 3) % 11) as f32 - 5.0);
-            let b = Tensor2::from_fn(k, n, |i, j| ((i * 5 + j * 2) % 13) as f32 - 6.0);
-            let got = matmul(&a, &b).unwrap();
-            let want = naive(&a, &b);
-            assert!(got.max_abs_diff(&want).unwrap() < 1e-3, "{m}x{k}x{n}");
+            let a = Tensor2::from_fn(m, k, |i, j| val(i, j, 3));
+            let b = Tensor2::from_fn(k, n, |i, j| val(i, j, 4));
+            assert_all_variants_exact(&a, &b);
+        }
+    }
+
+    #[test]
+    fn at_b_matches_explicit_transpose() {
+        let a = Tensor2::from_fn(9, 4, |i, j| (i * 4 + j) as f32 * 0.1);
+        let b = Tensor2::from_fn(9, 6, |i, j| (i + j) as f32 * 0.2 - 1.0);
+        assert_eq!(matmul_at_b(&a, &b).unwrap(), naive(&a.transposed(), &b));
+    }
+
+    #[test]
+    fn a_bt_matches_explicit_transpose() {
+        let a = Tensor2::from_fn(5, 7, |i, j| (i * 7 + j) as f32 * 0.05);
+        let b = Tensor2::from_fn(3, 7, |i, j| (i + 2 * j) as f32 * 0.1 - 0.5);
+        assert_eq!(matmul_a_bt(&a, &b).unwrap(), naive(&a, &b.transposed()));
+    }
+
+    #[test]
+    fn empty_reduction_yields_zeros_and_empty_outputs_do_not_panic() {
+        let c = matmul(&Tensor2::zeros(5, 0), &Tensor2::zeros(0, 9)).unwrap();
+        assert_eq!(c, Tensor2::zeros(5, 9));
+        assert_eq!(
+            matmul_at_b(&Tensor2::zeros(0, 5), &Tensor2::zeros(0, 9)).unwrap(),
+            c
+        );
+        assert_eq!(
+            matmul_a_bt(&Tensor2::zeros(5, 0), &Tensor2::zeros(9, 0)).unwrap(),
+            c
+        );
+        assert_eq!(
+            matmul(&Tensor2::zeros(0, 3), &Tensor2::zeros(3, 4))
+                .unwrap()
+                .shape(),
+            (0, 4)
+        );
+        assert_eq!(
+            matmul(&Tensor2::zeros(3, 4), &Tensor2::zeros(4, 0))
+                .unwrap()
+                .shape(),
+            (3, 0)
+        );
+    }
+
+    #[test]
+    fn reused_panels_are_repacked_when_a_smaller_product_follows_a_larger_one() {
+        // An `Mlp` keeps one `Panels` across layers and steps: stale lanes
+        // of the larger product must not reach the smaller one, whose edge
+        // panels are mostly padding.
+        let mut panels = Panels::default();
+        let big = Tensor2::from_fn(2 * NR + 3, 33, |i, j| val(i, j, 5));
+        let a = Tensor2::from_fn(MR + 1, 7, |i, j| val(i, j, 6));
+        let b = Tensor2::from_fn(7, NR + 1, |i, j| val(i, j, 7));
+        for (form, x, y) in [
+            (Form::Nn, &a, &b),
+            (Form::Tn, &a.transposed(), &b),
+            (Form::Nt, &a, &b.transposed()),
+        ] {
+            gemm(Form::Nn, &big, &big.transposed(), &mut panels, |_, _, _| {}).unwrap();
+            let mut c = Tensor2::zeros(MR + 1, NR + 1);
+            gemm(form, x, y, &mut panels, |i, j0, acc| {
+                c.row_mut(i)[j0..j0 + acc.len()].copy_from_slice(acc);
+            })
+            .unwrap();
+            assert_eq!(c, naive(&a, &b), "{form:?}");
         }
     }
 
@@ -348,24 +362,6 @@ mod tests {
         let a = Tensor2::zeros(2, 3);
         let b = Tensor2::zeros(4, 2);
         assert!(matmul(&a, &b).is_err());
-    }
-
-    #[test]
-    fn at_b_matches_explicit_transpose() {
-        let a = Tensor2::from_fn(9, 4, |i, j| (i * 4 + j) as f32 * 0.1);
-        let b = Tensor2::from_fn(9, 6, |i, j| (i + j) as f32 * 0.2 - 1.0);
-        let got = matmul_at_b(&a, &b).unwrap();
-        let want = matmul(&a.transposed(), &b).unwrap();
-        assert!(got.max_abs_diff(&want).unwrap() < 1e-4);
-    }
-
-    #[test]
-    fn a_bt_matches_explicit_transpose() {
-        let a = Tensor2::from_fn(5, 7, |i, j| (i * 7 + j) as f32 * 0.05);
-        let b = Tensor2::from_fn(3, 7, |i, j| (i + 2 * j) as f32 * 0.1 - 0.5);
-        let got = matmul_a_bt(&a, &b).unwrap();
-        let want = matmul(&a, &b.transposed()).unwrap();
-        assert!(got.max_abs_diff(&want).unwrap() < 1e-4);
     }
 
     #[test]
@@ -379,64 +375,96 @@ mod tests {
         assert_eq!(gemm_flops(2, 3, 4), 48);
     }
 
+    /// `A = 0 (m x k)` and `B (k x n)` with one `inf` in its last column,
+    /// for `m = MR + 1`, `n = NR + 1`: the column's tile is one real lane
+    /// beside `NR - 1` zero-padded ones, under a row panel that is one real
+    /// row above `MR - 1` padded ones.
+    fn zero_a_and_b_with_inf_in_edge_tile() -> (Tensor2, Tensor2) {
+        let mut b = Tensor2::zeros(3, NR + 1);
+        b[(1, NR)] = f32::INFINITY;
+        (Tensor2::zeros(MR + 1, 3), b)
+    }
+
+    /// `0 * inf = NaN` must reach every output of column `NR` — a zero in
+    /// `A` or in the padding must not mask it — and no other output: the
+    /// NaNs the padded lanes compute are dropped with them.
+    #[cfg(not(feature = "sanitize"))]
+    fn assert_nan_in_last_column_only(c: &Tensor2) {
+        assert_eq!(c.shape(), (MR + 1, NR + 1));
+        for i in 0..c.rows() {
+            assert!(c[(i, NR)].is_nan(), "0 * inf must propagate as NaN");
+            assert!(c.row(i)[..NR].iter().all(|&v| v.to_bits() == 0), "row {i}");
+        }
+    }
+
+    #[test]
+    #[cfg(not(feature = "sanitize"))]
+    fn matmul_propagates_nonfinite_b_through_zero_a() {
+        let (a, b) = zero_a_and_b_with_inf_in_edge_tile();
+        assert_nan_in_last_column_only(&matmul(&a, &b).unwrap());
+    }
+
     #[test]
     #[cfg(not(feature = "sanitize"))]
     fn at_b_propagates_nonfinite_b_through_zero_a() {
-        // A zero in A must not mask a non-finite B value: 0 * inf = NaN,
-        // which the (sanitize-off) kernel carries into the output instead
-        // of silently skipping the update.
-        let a = Tensor2::zeros(3, 2); // k=3, m=2
-        let mut b = Tensor2::zeros(3, 4);
-        b[(1, 2)] = f32::INFINITY;
-        let c = matmul_at_b(&a, &b).unwrap();
-        assert!(c[(0, 2)].is_nan(), "0 * inf must propagate as NaN");
-        assert!(c[(1, 2)].is_nan());
-        assert_eq!(c[(0, 0)], 0.0);
+        let (a, b) = zero_a_and_b_with_inf_in_edge_tile();
+        assert_nan_in_last_column_only(&matmul_at_b(&a.transposed(), &b).unwrap());
+    }
+
+    #[test]
+    #[cfg(not(feature = "sanitize"))]
+    fn a_bt_propagates_nonfinite_b_through_zero_a() {
+        let (a, b) = zero_a_and_b_with_inf_in_edge_tile();
+        assert_nan_in_last_column_only(&matmul_a_bt(&a, &b.transposed()).unwrap());
+    }
+
+    // With the sanitizer armed the non-finite input is caught at the kernel
+    // boundary, before 0 * inf can even produce a NaN.
+    #[test]
+    #[cfg(feature = "sanitize")]
+    #[should_panic(expected = "sanitize: non-finite")]
+    fn matmul_rejects_nonfinite_b_under_sanitize() {
+        let (a, b) = zero_a_and_b_with_inf_in_edge_tile();
+        let _ = matmul(&a, &b);
     }
 
     #[test]
     #[cfg(feature = "sanitize")]
     #[should_panic(expected = "sanitize: non-finite")]
     fn at_b_rejects_nonfinite_b_under_sanitize() {
-        // With the sanitizer armed the non-finite input is caught at the
-        // kernel boundary, before 0 * inf can even produce a NaN.
-        let mut b = Tensor2::zeros(3, 4);
-        b[(1, 2)] = f32::INFINITY;
-        let _ = matmul_at_b(&Tensor2::zeros(3, 2), &b);
+        let (a, b) = zero_a_and_b_with_inf_in_edge_tile();
+        let _ = matmul_at_b(&a.transposed(), &b);
+    }
+
+    #[test]
+    #[cfg(feature = "sanitize")]
+    #[should_panic(expected = "sanitize: non-finite")]
+    fn a_bt_rejects_nonfinite_b_under_sanitize() {
+        let (a, b) = zero_a_and_b_with_inf_in_edge_tile();
+        let _ = matmul_a_bt(&a, &b.transposed());
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Every kernel matches the naive scalar reference within epsilon,
-        /// for arbitrary shapes spanning the lane/unroll remainders.
+        /// Every entry point is bitwise the naive scalar reference, for
+        /// arbitrary shapes spanning the tile remainders.
         #[test]
         fn kernels_match_naive_reference(
-            m in 1usize..20,
-            k in 1usize..40,
-            n in 1usize..20,
+            m in 0usize..20,
+            k in 0usize..40,
+            n in 0usize..20,
             seed in 0u64..1000,
         ) {
-            let val = |i: usize, j: usize, salt: u64| {
-                (((seed * 31 + salt * 17 + (i * 131 + j * 7) as u64) % 41) as f32 - 20.0) * 0.125
-            };
-            let a = Tensor2::from_fn(m, k, |i, j| val(i, j, 1));
-            let b = Tensor2::from_fn(k, n, |i, j| val(i, j, 2));
+            let a = Tensor2::from_fn(m, k, |i, j| val(i, j, seed));
+            let b = Tensor2::from_fn(k, n, |i, j| val(i, j, seed + 1));
             let want = naive(&a, &b);
-            let scale = 1e-4 * k as f32;
-
-            let got = matmul(&a, &b).unwrap();
-            prop_assert!(got.max_abs_diff(&want).unwrap() < scale);
-
-            let got = matmul_at_b(&a.transposed(), &b).unwrap();
-            prop_assert!(got.max_abs_diff(&want).unwrap() < scale);
-
-            let got = matmul_a_bt(&a, &b.transposed()).unwrap();
-            prop_assert!(got.max_abs_diff(&want).unwrap() < scale);
+            prop_assert_eq!(&matmul(&a, &b).unwrap(), &want);
+            prop_assert_eq!(&matmul_at_b(&a.transposed(), &b).unwrap(), &want);
+            prop_assert_eq!(&matmul_a_bt(&a, &b.transposed()).unwrap(), &want);
         }
 
-        /// Repeated runs of every kernel are bitwise identical: the lane
-        /// accumulators reduce in one fixed order, so there is no
+        /// Repeated runs of every kernel are bitwise identical: there is no
         /// run-to-run nondeterminism for the schedules to diverge on.
         #[test]
         fn kernels_bitwise_self_consistent(

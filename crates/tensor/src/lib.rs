@@ -2,11 +2,12 @@
 //!
 //! The paper's dense compute (MLPs, feature interaction) runs on cuBLAS /
 //! FBGEMM kernels. This crate provides the pure-Rust equivalent: a compact
-//! row-major matrix type ([`Tensor2`]), a cache-blocked GEMM with the
-//! transpose variants required by back-propagation ([`gemm`]), fully
-//! differentiable MLP layers ([`mlp`]), and the software half-precision
-//! types (FP16/BF16) used by reduced-precision embedding storage and
-//! quantized collectives ([`half`]).
+//! row-major matrix type ([`Tensor2`]), a register-tiled GEMM in the naive
+//! summation order with the transpose variants required by
+//! back-propagation ([`gemm`]), fully differentiable MLP layers ([`mlp`]),
+//! and the software half-precision types (FP16/BF16) used by
+//! reduced-precision embedding storage and quantized collectives
+//! ([`half`]).
 //!
 //! # Example
 //!

@@ -10,7 +10,8 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::{gemm, init, ShapeError, Tensor2};
+use crate::gemm::{gemm, Form, Panels};
+use crate::{init, ShapeError, Tensor2};
 
 /// Element-wise nonlinearity applied after a linear layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -50,112 +51,50 @@ impl Activation {
 
 /// One dense layer: `y = act(x W + b)`, with weights stored `in_dim x out_dim`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Linear {
+struct Linear {
     w: Tensor2,
     b: Tensor2,
     act: Activation,
     dw: Tensor2,
     db: Tensor2,
-    #[serde(skip)]
-    cached_input: Option<Tensor2>,
-    #[serde(skip)]
-    cached_output: Option<Tensor2>,
 }
 
 impl Linear {
     /// Creates a layer with Xavier-initialized weights and zero bias.
-    pub fn new(in_dim: usize, out_dim: usize, act: Activation, rng: &mut impl Rng) -> Self {
+    fn new(in_dim: usize, out_dim: usize, act: Activation, rng: &mut impl Rng) -> Self {
         Self {
             w: init::xavier_uniform(in_dim, out_dim, rng),
             b: Tensor2::zeros(1, out_dim),
             act,
             dw: Tensor2::zeros(in_dim, out_dim),
             db: Tensor2::zeros(1, out_dim),
-            cached_input: None,
-            cached_output: None,
         }
     }
 
-    /// Input dimensionality.
-    pub fn in_dim(&self) -> usize {
-        self.w.rows()
-    }
-
-    /// Output dimensionality.
-    pub fn out_dim(&self) -> usize {
-        self.w.cols()
-    }
-
-    /// Forward pass, caching activations for the subsequent backward call.
+    /// Writes `act(x W + b)` into `y` (resized to fit). Bias and
+    /// activation are applied as each GEMM tile row is stored, so `y` is
+    /// written exactly once.
     ///
     /// # Panics
     ///
-    /// Panics if `x.cols() != self.in_dim()`.
-    pub fn forward(&mut self, x: &Tensor2) -> Tensor2 {
-        let y = self.forward_inference(x);
-        self.cached_input = Some(x.clone()); // lint: allow(hot_path_alloc) — activation cache: backward consumes the saved input, so forward must own a copy
-        self.cached_output = Some(y.clone()); // lint: allow(hot_path_alloc) — activation cache: backward consumes the saved output, so forward must own a copy
-        y
-    }
-
-    /// Forward pass without caching (no backward possible afterwards).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.cols() != self.in_dim()`.
-    pub fn forward_inference(&self, x: &Tensor2) -> Tensor2 {
-        crate::sanitize::check_shape("linear forward input", x.shape(), (x.rows(), self.in_dim()));
-        crate::sanitize::check_finite("linear forward input", x.as_slice());
+    /// Panics if `x.cols()` is not the layer's input dimension.
+    fn forward_into(&self, x: &Tensor2, y: &mut Tensor2, panels: &mut Panels) {
+        crate::sanitize::check_shape("linear forward input", x.shape(), (x.rows(), self.w.rows()));
+        y.resize(x.rows(), self.w.cols());
+        let (act, bias) = (self.act, self.b.row(0));
+        let stored = gemm(Form::Nn, x, &self.w, panels, |i, j0, acc| {
+            let out = &mut y.row_mut(i)[j0..j0 + acc.len()];
+            for ((v, &s), &b) in out.iter_mut().zip(acc).zip(&bias[j0..]) {
+                *v = act.apply(s + b);
+            }
+        });
         // lint: allow(panic) — shape contract documented under # Panics
-        let mut y = gemm::matmul(x, &self.w).expect("linear forward shape"); // lint: allow(panic_path) — shape contract documented under # Panics; Result callers fix dims at build time
-        for i in 0..y.rows() {
-            let row = y.row_mut(i);
-            for (v, &bias) in row.iter_mut().zip(self.b.row(0)) {
-                *v = self.act.apply(*v + bias);
-            }
-        }
+        stored.expect("linear forward shape"); // lint: allow(panic_path) — shape contract documented under # Panics; Result callers fix dims at build time
         crate::sanitize::check_finite("mlp activation output", y.as_slice());
-        y
-    }
-
-    /// Backward pass: consumes the cached activations, accumulates `dw`/`db`
-    /// and returns the gradient with respect to the input.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if `forward` was not called first or `dy` has
-    /// the wrong shape.
-    pub fn backward(&mut self, dy: &Tensor2) -> crate::Result<Tensor2> {
-        let x = self
-            .cached_input
-            .take()
-            .ok_or_else(|| ShapeError::new("backward without forward"))?;
-        let y = self
-            .cached_output
-            .take()
-            .ok_or_else(|| ShapeError::new("backward without forward output"))?;
-        if dy.shape() != y.shape() {
-            return Err(ShapeError::new("dy shape mismatch in linear backward"));
-        }
-        // dz = dy * act'(y)
-        let mut dz = dy.clone(); // lint: allow(hot_path_alloc) — dz is backward's owned working copy of dy, scaled in place by the activation gradient
-        for (d, &out) in dz.as_mut_slice().iter_mut().zip(y.as_slice()) {
-            *d *= self.act.grad_from_output(out);
-        }
-        crate::sanitize::check_finite("mlp pre-activation gradient", dz.as_slice());
-        // dW += X^T dz ; db += column sums of dz ; dX = dz W^T
-        let dw = gemm::matmul_at_b(&x, &dz)?;
-        self.dw += &dw;
-        for i in 0..dz.rows() {
-            for (acc, &g) in self.db.row_mut(0).iter_mut().zip(dz.row(i)) {
-                *acc += g;
-            }
-        }
-        gemm::matmul_a_bt(&dz, &self.w)
     }
 
     /// Applies an SGD step `w -= lr * dw` and clears the gradients.
-    pub fn sgd_step(&mut self, lr: f32) {
+    fn sgd_step(&mut self, lr: f32) {
         // lint: allow(panic_path) — dw is allocated with w's shape at construction
         self.w.axpy(-lr, &self.dw).expect("dw shape"); // lint: allow(panic) — dw is allocated with w's shape
                                                        // lint: allow(panic_path) — db is allocated with b's shape at construction
@@ -166,13 +105,13 @@ impl Linear {
     }
 
     /// Clears accumulated gradients.
-    pub fn zero_grads(&mut self) {
-        self.dw.map_inplace(|_| 0.0);
-        self.db.map_inplace(|_| 0.0);
+    fn zero_grads(&mut self) {
+        self.dw.as_mut_slice().fill(0.0);
+        self.db.as_mut_slice().fill(0.0);
     }
 
     /// Number of trainable parameters (weights + bias).
-    pub fn num_params(&self) -> usize {
+    fn num_params(&self) -> usize {
         self.w.len() + self.b.len()
     }
 }
@@ -246,10 +185,27 @@ impl MlpConfig {
     }
 }
 
-/// A stack of [`Linear`] layers.
+/// Step state an [`Mlp`] keeps between calls so that, after the first step
+/// at a batch size, `forward` and the backward passes allocate only the
+/// tensor they return.
+#[derive(Debug, Clone, Default)]
+struct Workspace {
+    /// `acts[0]` is a copy of the input, `acts[l + 1]` layer `l`'s output —
+    /// which backward overwrites with the layer's pre-activation gradient.
+    acts: Vec<Tensor2>,
+    /// Input gradient handed from a layer to the one below it.
+    dx: Tensor2,
+    panels: Panels,
+    /// `acts` holds a forward pass no backward has consumed yet.
+    live: bool,
+}
+
+/// A stack of `y = act(x W + b)` layers.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Mlp {
     layers: Vec<Linear>,
+    #[serde(skip)]
+    ws: Workspace,
 }
 
 impl Mlp {
@@ -266,7 +222,10 @@ impl Mlp {
             layers.push(Linear::new(prev, w, act, rng));
             prev = w;
         }
-        Self { layers }
+        Self {
+            layers,
+            ws: Default::default(),
+        }
     }
 
     /// Number of layers.
@@ -275,34 +234,119 @@ impl Mlp {
     }
 
     /// Forward pass with caching for backward.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.cols()` is not the configured input dimension.
     pub fn forward(&mut self, x: &Tensor2) -> Tensor2 {
-        let mut h = x.clone(); // lint: allow(hot_path_alloc) — forward threads an owned activation through the layer chain
-        for layer in &mut self.layers {
-            h = layer.forward(&h);
+        let ws = &mut self.ws;
+        let n = self.layers.len();
+        ws.acts.resize_with(n + 1, Tensor2::default);
+        ws.acts[0].copy_from(x);
+        for (l, layer) in self.layers.iter().enumerate() {
+            let (below, above) = ws.acts.split_at_mut(l + 1);
+            layer.forward_into(&below[l], &mut above[0], &mut ws.panels);
         }
-        h
+        ws.live = true;
+        let mut y = Tensor2::zeros(0, 0);
+        y.copy_from(&ws.acts[n]);
+        y
     }
 
-    /// Forward pass without caching.
+    /// Forward pass without caching: leaves the activations a `forward`
+    /// cached for its `backward` untouched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.cols()` is not the configured input dimension.
     pub fn forward_inference(&self, x: &Tensor2) -> Tensor2 {
-        let mut h = x.clone(); // lint: allow(hot_path_alloc) — forward threads an owned activation through the layer chain
-        for layer in &self.layers {
-            h = layer.forward_inference(&h);
+        let mut h = Tensor2::zeros(0, 0);
+        let Some((first, rest)) = self.layers.split_first() else {
+            h.copy_from(x);
+            return h;
+        };
+        let (mut panels, mut y): (Panels, _) = (Default::default(), Tensor2::zeros(0, 0));
+        first.forward_into(x, &mut h, &mut panels);
+        for layer in rest {
+            layer.forward_into(&h, &mut y, &mut panels);
+            std::mem::swap(&mut h, &mut y);
         }
         h
     }
 
-    /// Backward pass; returns the gradient w.r.t. the original input.
+    /// Backward pass: consumes the cached activations, accumulates every
+    /// layer's `dw`/`db` and returns the gradient w.r.t. the original input.
     ///
     /// # Errors
     ///
-    /// Returns [`ShapeError`] if `forward` was not called first.
+    /// Returns [`ShapeError`] if `forward` was not called first or `dy` has
+    /// the wrong shape.
     pub fn backward(&mut self, dy: &Tensor2) -> crate::Result<Tensor2> {
-        let mut g = dy.clone(); // lint: allow(hot_path_alloc) — backward seeds the gradient chain with an owned copy of dy
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g)?;
+        self.backward_params(dy)?;
+        let mut dx = Tensor2::zeros(0, 0);
+        let Some(layer) = self.layers.first() else {
+            dx.copy_from(dy);
+            return Ok(dx);
+        };
+        // `backward_params` left layer 0's pre-activation gradient in `acts[1]`
+        let (panels, dz) = (&mut self.ws.panels, &self.ws.acts[1]);
+        dx.resize(dz.rows(), layer.w.rows());
+        gemm(Form::Nt, dz, &layer.w, panels, |i, j0, acc| {
+            dx.row_mut(i)[j0..j0 + acc.len()].copy_from_slice(acc);
+        })?;
+        Ok(dx)
+    }
+
+    /// [`Mlp::backward`] without the input gradient, for a stack whose input
+    /// is data (the bottom MLP): the same `dw`/`db`, bit for bit, minus
+    /// layer 0's `dZ · Wᵀ` product.
+    ///
+    /// Per layer, top down: `dz = g · act'(y)` written over the cached `y`,
+    /// `dw += xᵀ · dz` (accumulated as the GEMM tiles finish), `db +=` the
+    /// column sums of `dz` in row order, then `g = dz · wᵀ` for the layer
+    /// below.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShapeError`] if `forward` was not called first or `dy` has
+    /// the wrong shape.
+    pub fn backward_params(&mut self, dy: &Tensor2) -> crate::Result<()> {
+        let ws = &mut self.ws;
+        if !std::mem::take(&mut ws.live) {
+            return Err(ShapeError::new("backward without forward"));
         }
-        Ok(g)
+        let n = self.layers.len();
+        if dy.shape() != ws.acts[n].shape() {
+            return Err(ShapeError::new("dy shape mismatch in mlp backward"));
+        }
+        for (l, layer) in self.layers.iter_mut().enumerate().rev() {
+            let (below, above) = ws.acts.split_at_mut(l + 1);
+            let (x, dz) = (&below[l], &mut above[0]);
+            let g = if l + 1 == n { dy } else { &ws.dx };
+            for (d, &g) in dz.as_mut_slice().iter_mut().zip(g.as_slice()) {
+                *d = g * layer.act.grad_from_output(*d);
+            }
+            crate::sanitize::check_finite("mlp pre-activation gradient", dz.as_slice());
+            let dw = &mut layer.dw;
+            gemm(Form::Tn, x, dz, &mut ws.panels, |i, j0, acc| {
+                for (d, &s) in dw.row_mut(i)[j0..j0 + acc.len()].iter_mut().zip(acc) {
+                    *d += s;
+                }
+            })?;
+            for i in 0..dz.rows() {
+                for (acc, &g) in layer.db.row_mut(0).iter_mut().zip(dz.row(i)) {
+                    *acc += g;
+                }
+            }
+            if l > 0 {
+                let dx = &mut ws.dx;
+                dx.resize(dz.rows(), layer.w.rows());
+                gemm(Form::Nt, dz, &layer.w, &mut ws.panels, |i, j0, acc| {
+                    dx.row_mut(i)[j0..j0 + acc.len()].copy_from_slice(acc);
+                })?;
+            }
+        }
+        Ok(())
     }
 
     /// SGD step on every layer; clears gradients.
@@ -443,6 +487,7 @@ impl Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::naive;
     use rand::SeedableRng;
 
     fn rng() -> rand::rngs::StdRng {
@@ -460,10 +505,10 @@ mod tests {
 
     #[test]
     fn relu_clamps_negative() {
-        let mut l = Linear::new(1, 1, Activation::Relu, &mut rng());
+        let mut mlp = Mlp::new(&MlpConfig::new(1, &[1], Activation::Relu), &mut rng());
         // force negative output
-        l.w.as_mut_slice()[0] = -10.0;
-        let y = l.forward_inference(&Tensor2::full(1, 1, 1.0));
+        mlp.set_params_flat(&[-10.0, 0.0]).unwrap();
+        let y = mlp.forward_inference(&Tensor2::full(1, 1, 1.0));
         assert_eq!(y[(0, 0)], 0.0);
     }
 
@@ -635,5 +680,147 @@ mod tests {
         );
         let mlp = Mlp::new(&cfg, &mut rng());
         assert_eq!(mlp.num_params() as u64, cfg.num_params());
+    }
+
+    /// The unfused definition of one training step, accumulating onto the
+    /// layers' current gradients: naive matmul → bias pass → activation
+    /// pass; `dz` clone → naive `Xᵀ·dZ` → `+=`; naive `dZ·Wᵀ`. Returns the
+    /// output, the input gradient and every layer's `(dw, db)`.
+    fn unfused(
+        layers: &[Linear],
+        x: &Tensor2,
+        dy: &Tensor2,
+    ) -> (Tensor2, Tensor2, Vec<(Tensor2, Tensor2)>) {
+        let mut acts = vec![x.clone()];
+        for layer in layers {
+            let mut y = naive(&acts[acts.len() - 1], &layer.w);
+            for i in 0..y.rows() {
+                for (v, &b) in y.row_mut(i).iter_mut().zip(layer.b.row(0)) {
+                    *v += b;
+                }
+            }
+            y.map_inplace(|v| layer.act.apply(v));
+            acts.push(y);
+        }
+        let mut g = dy.clone();
+        let mut grads = Vec::new();
+        for (l, layer) in layers.iter().enumerate().rev() {
+            let mut dz = g.clone();
+            for (d, &y) in dz.as_mut_slice().iter_mut().zip(acts[l + 1].as_slice()) {
+                *d *= layer.act.grad_from_output(y);
+            }
+            let (mut dw, mut db) = (layer.dw.clone(), layer.db.clone());
+            dw += &naive(&acts[l].transposed(), &dz);
+            for i in 0..dz.rows() {
+                for (acc, &d) in db.row_mut(0).iter_mut().zip(dz.row(i)) {
+                    *acc += d;
+                }
+            }
+            grads.push((dw, db));
+            g = naive(&dz, &layer.w.transposed());
+        }
+        grads.reverse();
+        (acts.pop().unwrap(), g, grads)
+    }
+
+    fn grads_of(mlp: &Mlp) -> Vec<(Tensor2, Tensor2)> {
+        let pair = |l: &Linear| (l.dw.clone(), l.db.clone());
+        mlp.layers.iter().map(pair).collect()
+    }
+
+    /// One `forward` + `backward` on `mlp` and one `forward` +
+    /// `backward_params` on a clone, both `==` the unfused reference.
+    fn assert_step_is_bitwise_unfused(mlp: &mut Mlp, batch: usize, salt: usize) {
+        let (din, dout) = (mlp.layers[0].w.rows(), mlp.layers.last().unwrap().w.cols());
+        let wave = |i: usize, j: usize| ((i * 37 + j * 11 + salt * 5) % 23) as f32 * 0.173 - 1.9;
+        let x = Tensor2::from_fn(batch, din, wave);
+        let dy = Tensor2::from_fn(batch, dout, |i, j| wave(j, i) * 0.31);
+        let (want_y, want_dx, want_grads) = unfused(&mlp.layers, &x, &dy);
+        let mut twin = mlp.clone();
+
+        assert_eq!(mlp.forward(&x), want_y, "forward, batch {batch}");
+        assert_eq!(mlp.backward(&dy).unwrap(), want_dx, "dx, batch {batch}");
+        assert_eq!(grads_of(mlp), want_grads, "dw/db, batch {batch}");
+
+        assert_eq!(twin.forward(&x), want_y);
+        twin.backward_params(&dy).unwrap();
+        assert_eq!(
+            grads_of(&twin),
+            want_grads,
+            "backward_params, batch {batch}"
+        );
+    }
+
+    #[test]
+    fn fused_passes_are_bitwise_the_unfused_reference() {
+        for act in [Activation::Relu, Activation::Sigmoid, Activation::Identity] {
+            for batch in [1, 5, 130] {
+                // widths straddle the 4x8 tile; the last layer is one column
+                let mut mlp = Mlp::new(&MlpConfig::new(7, &[13, 9, 1], act), &mut rng());
+                assert_step_is_bitwise_unfused(&mut mlp, batch, 0);
+            }
+        }
+    }
+
+    #[test]
+    fn backward_accumulates_until_zero_grads_and_buffers_follow_the_batch_size() {
+        let cfg = MlpConfig::new(6, &[10, 3], Activation::Relu);
+        let mut mlp = Mlp::new(&cfg, &mut rng());
+        // The reference starts from the layers' current gradients, so every
+        // step after the first checks accumulation; 128 -> 77 -> 128
+        // shrinks and re-grows the activations, `dz`, `dx` and the panels.
+        for (step, batch) in [128, 128, 77, 128].into_iter().enumerate() {
+            assert_step_is_bitwise_unfused(&mut mlp, batch, step);
+        }
+        let before = grads_of(&mlp);
+        assert!(before.iter().any(|(dw, _)| dw.norm_sq() > 0.0));
+        mlp.zero_grads();
+        assert!(grads_of(&mlp)
+            .iter()
+            .all(|(dw, db)| dw.norm_sq() + db.norm_sq() == 0.0));
+    }
+
+    #[test]
+    fn a_stack_of_no_layers_is_the_identity() {
+        let mut mlp = Mlp::new(&MlpConfig::new(3, &[], Activation::Relu), &mut rng());
+        let x = Tensor2::from_fn(2, 3, |i, j| (i * 3 + j) as f32 - 2.0);
+        assert_eq!(mlp.forward_inference(&x), x);
+        assert_eq!(mlp.forward(&x), x);
+        assert_eq!(mlp.backward(&x).unwrap(), x);
+        mlp.forward(&x);
+        mlp.backward_params(&x).unwrap();
+    }
+
+    #[test]
+    fn backward_consumes_the_cached_forward() {
+        let mut mlp = Mlp::new(&MlpConfig::new(2, &[2], Activation::Identity), &mut rng());
+        let y = mlp.forward(&Tensor2::full(3, 2, 0.5));
+        mlp.backward(&y).unwrap();
+        assert!(mlp.backward(&y).is_err());
+        assert!(mlp.backward_params(&y).is_err());
+        mlp.forward(&Tensor2::full(3, 2, 0.5));
+        assert!(
+            mlp.backward(&Tensor2::zeros(4, 2)).is_err(),
+            "dy of another batch size"
+        );
+    }
+
+    #[test]
+    fn forward_inference_leaves_the_cached_activations_alone() {
+        // Eval and probe forwards run between a training forward and its
+        // backward in the trainer.
+        let cfg = MlpConfig::new(5, &[9, 4], Activation::Sigmoid);
+        let mut mlp = Mlp::new(&cfg, &mut rng());
+        let x = Tensor2::from_fn(12, 5, |i, j| (i as f32 - 6.0) * 0.1 + j as f32 * 0.05);
+        let dy = Tensor2::from_fn(12, 4, |i, j| (i + 2 * j) as f32 * 0.01 - 0.1);
+        let (_, want_dx, want_grads) = unfused(&mlp.layers, &x, &dy);
+        mlp.forward(&x);
+        let probe = Tensor2::from_fn(31, 5, |i, j| (i * j) as f32 * 0.01 - 0.4);
+        assert_eq!(
+            mlp.forward_inference(&probe),
+            unfused(&mlp.layers, &probe, &Tensor2::zeros(31, 4)).0
+        );
+        assert_eq!(mlp.backward(&dy).unwrap(), want_dx);
+        assert_eq!(grads_of(&mlp), want_grads);
     }
 }

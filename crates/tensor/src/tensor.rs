@@ -162,6 +162,22 @@ impl Tensor2 {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
+    /// Resizes in place to `rows x cols`, reusing the buffer's capacity.
+    /// Element values are unspecified afterwards: callers overwrite every
+    /// one.
+    pub(crate) fn resize(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.resize(rows * cols, 0.0);
+    }
+
+    /// Makes `self` a copy of `src`, reusing the buffer's capacity.
+    pub(crate) fn copy_from(&mut self, src: &Self) {
+        self.rows = src.rows;
+        self.cols = src.cols;
+        self.data.clone_from(&src.data);
+    }
+
     /// Returns the transpose as a new tensor.
     pub fn transposed(&self) -> Self {
         let mut out = Self::zeros(self.cols, self.rows);

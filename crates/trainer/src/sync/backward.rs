@@ -74,7 +74,7 @@ impl Worker {
         drop(sp);
         let sp = self.rec.span(phase::BWD_BOTTOM_MLP);
         self.bottom
-            .backward(&g_features[0])
+            .backward_params(&g_features[0])
             .map_err(|e| err(e.to_string()))?;
         drop(sp);
         let bot_bucket = overlap.then(|| {

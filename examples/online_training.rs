@@ -88,7 +88,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let splits = g_top.hsplit(&[d, pairs])?;
         let mut g_feats = neo_dlrm::dlrm::interaction::dot_interaction_backward(&refs, &splits[1])?;
         g_feats[0] += &splits[0];
-        served.bottom.backward(&g_feats[0])?;
+        served.bottom.backward_params(&g_feats[0])?;
         served.bottom.sgd_step(0.05);
         served.top.sgd_step(0.05);
         for (t, table) in tables.iter_mut().enumerate() {
