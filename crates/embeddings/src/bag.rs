@@ -14,6 +14,7 @@
 
 use neo_tensor::Tensor2;
 
+use crate::optim::accumulate_runs;
 use crate::store::{RowStore, StoreError};
 
 /// Accumulator lane width shared by the pooled kernels (see
@@ -22,7 +23,7 @@ const LANE: usize = 8;
 
 /// `out[j] += row[j]`, lane blocks + scalar tail.
 #[inline]
-fn add_assign_row(out: &mut [f32], row: &[f32]) {
+pub(crate) fn add_assign_row(out: &mut [f32], row: &[f32]) {
     let split = out.len() - out.len() % LANE;
     let (body, tail) = out.split_at_mut(split);
     for (ol, rl) in body.chunks_exact_mut(LANE).zip(row.chunks_exact(LANE)) {
@@ -32,21 +33,6 @@ fn add_assign_row(out: &mut [f32], row: &[f32]) {
     }
     for (o, &v) in tail.iter_mut().zip(&row[split..]) {
         *o += v;
-    }
-}
-
-/// `out[j] += w * row[j]`, same lane layout as [`add_assign_row`].
-#[inline]
-fn add_scaled_row(out: &mut [f32], w: f32, row: &[f32]) {
-    let split = out.len() - out.len() % LANE;
-    let (body, tail) = out.split_at_mut(split);
-    for (ol, rl) in body.chunks_exact_mut(LANE).zip(row.chunks_exact(LANE)) {
-        for l in 0..LANE {
-            ol[l] += w * rl[l];
-        }
-    }
-    for (o, &v) in tail.iter_mut().zip(&row[split..]) {
-        *o += w * v;
     }
 }
 
@@ -112,50 +98,55 @@ impl SparseGrad {
     }
 }
 
-/// Validates a combined-format batch against a table.
-fn validate(store: &dyn RowStore, lengths: &[u32], indices: &[u64]) -> Result<(), StoreError> {
+/// The combined format's one invariant: `lengths` sum to the index count.
+fn check_lengths(lengths: &[u32], nnz: usize) -> Result<(), StoreError> {
     let expected: usize = lengths.iter().map(|&l| l as usize).sum();
-    if expected != indices.len() {
+    if expected != nnz {
         // lint: allow(hot_path_alloc) — error-path message, built only when validation fails
         return Err(StoreError::new(format!(
-            "lengths sum to {expected} but {} indices were provided",
-            indices.len()
-        )));
-    }
-    if let Some(&bad) = indices.iter().find(|&&i| i >= store.num_rows()) {
-        // lint: allow(hot_path_alloc) — error-path message, built only when validation fails
-        return Err(StoreError::new(format!(
-            "index {bad} out of range for table with {} rows",
-            store.num_rows()
+            "lengths sum to {expected} but {nnz} indices were provided"
         )));
     }
     Ok(())
 }
 
-/// Pools one table's bags into `out`, reading rows either straight from a
-/// flat store view (fast path: no virtual call, no row copy) or through
-/// `read_row` into a scratch buffer. `weights` scales occurrence `k` by
-/// `weights[k]`; `None` is plain sum pooling. Accumulation order over bag
-/// members is identical on both paths.
-fn pool_into(
-    store: &mut dyn RowStore,
+/// Validates a combined-format batch against the gradient of its pooled
+/// output (one `grad_out` row per bag) and returns the occurrence → bag
+/// map both backward forms read `grad_out` through.
+fn bag_of_occurrences(
     lengths: &[u32],
-    indices: &[u64],
-    weights: Option<&[f32]>,
-    out: &mut Tensor2,
-) {
+    nnz: usize,
+    grad_out: &Tensor2,
+) -> Result<Vec<u32>, StoreError> {
+    check_lengths(lengths, nnz)?;
+    if grad_out.rows() != lengths.len() {
+        // lint: allow(hot_path_alloc) — error-path message, built only on a bag-count mismatch
+        return Err(StoreError::new(format!(
+            "grad_out has {} rows for {} bags",
+            grad_out.rows(),
+            lengths.len()
+        )));
+    }
+    let mut bag_of = Vec::with_capacity(nnz); // lint: allow(hot_path_alloc) — occurrence-to-bag map sized once per batch
+    for (bag, &len) in lengths.iter().enumerate() {
+        bag_of.extend(std::iter::repeat_n(bag as u32, len as usize));
+    }
+    Ok(bag_of)
+}
+
+/// Sum-pools one table's bags into `out`, reading rows either straight
+/// from a flat store view (fast path: no virtual call, no row copy) or
+/// through `read_row` into a scratch buffer. Accumulation order over bag
+/// members is identical on both paths.
+fn pool_into(store: &mut dyn RowStore, lengths: &[u32], indices: &[u64], out: &mut Tensor2) {
     let dim = store.dim();
     if let Some(flat) = store.as_flat() {
         let mut cursor = 0usize;
         for (b, &len) in lengths.iter().enumerate() {
             let row_out = out.row_mut(b);
-            for k in cursor..cursor + len as usize {
-                let base = indices[k] as usize * dim;
-                let row = &flat[base..base + dim];
-                match weights {
-                    Some(w) => add_scaled_row(row_out, w[k], row),
-                    None => add_assign_row(row_out, row),
-                }
+            for &idx in &indices[cursor..cursor + len as usize] {
+                let base = idx as usize * dim;
+                add_assign_row(row_out, &flat[base..base + dim]);
             }
             cursor += len as usize;
         }
@@ -165,12 +156,9 @@ fn pool_into(
     let mut cursor = 0usize;
     for (b, &len) in lengths.iter().enumerate() {
         let row_out = out.row_mut(b);
-        for k in cursor..cursor + len as usize {
-            store.read_row(indices[k], &mut buf);
-            match weights {
-                Some(w) => add_scaled_row(row_out, w[k], &buf),
-                None => add_assign_row(row_out, &buf),
-            }
+        for &idx in &indices[cursor..cursor + len as usize] {
+            store.read_row(idx, &mut buf);
+            add_assign_row(row_out, &buf);
         }
         cursor += len as usize;
     }
@@ -191,9 +179,16 @@ pub fn pooled_forward(
     lengths: &[u32],
     indices: &[u64],
 ) -> Result<Tensor2, StoreError> {
-    validate(store, lengths, indices)?;
+    check_lengths(lengths, indices.len())?;
+    if let Some(&bad) = indices.iter().find(|&&i| i >= store.num_rows()) {
+        // lint: allow(hot_path_alloc) — error-path message, built only when validation fails
+        return Err(StoreError::new(format!(
+            "index {bad} out of range for table with {} rows",
+            store.num_rows()
+        )));
+    }
     let mut out = Tensor2::zeros(lengths.len(), store.dim());
-    pool_into(store, lengths, indices, None, &mut out);
+    pool_into(store, lengths, indices, &mut out);
     neo_tensor::sanitize::check_finite("pooled embedding output", out.as_slice());
     Ok(out)
 }
@@ -215,120 +210,11 @@ pub fn pooled_backward(
     indices: &[u64],
     grad_out: &Tensor2,
 ) -> Result<SparseGrad, StoreError> {
-    let expected: usize = lengths.iter().map(|&l| l as usize).sum();
-    if expected != indices.len() {
-        return Err(StoreError::new("lengths/indices mismatch in backward"));
-    }
-    if grad_out.rows() != lengths.len() {
-        // lint: allow(hot_path_alloc) — error-path message, built only on a shape mismatch
-        return Err(StoreError::new(format!(
-            "grad_out has {} rows for {} bags",
-            grad_out.rows(),
-            lengths.len()
-        )));
-    }
-    let mut src = Vec::with_capacity(indices.len()); // lint: allow(hot_path_alloc) — occurrence map the backward result owns; sized once per batch
-    for (b, &len) in lengths.iter().enumerate() {
-        for _ in 0..len {
-            src.push(b as u32);
-        }
-    }
     Ok(SparseGrad {
+        src: bag_of_occurrences(lengths, indices.len(), grad_out)?,
         indices: indices.to_vec(), // lint: allow(hot_path_alloc) — result buffer: the returned SparseGrad owns its indices
         grads: grad_out.clone(), // lint: allow(hot_path_alloc) — result buffer: the returned SparseGrad owns its gradient rows
-        src,
     })
-}
-
-/// Weighted sum-pooled forward lookup: bag `b` pools
-/// `sum_i w_i * row[idx_i]`, the `per_sample_weights` mode of
-/// `nn.EmbeddingBag` that FBGEMM's fused kernels support (used by
-/// position-weighted and frequency-weighted sparse features).
-///
-/// # Errors
-///
-/// Returns [`StoreError`] if `weights.len() != indices.len()` or the
-/// unweighted preconditions fail.
-pub fn weighted_pooled_forward(
-    store: &mut dyn RowStore,
-    lengths: &[u32],
-    indices: &[u64],
-    weights: &[f32],
-) -> Result<Tensor2, StoreError> {
-    if weights.len() != indices.len() {
-        // lint: allow(hot_path_alloc) — error-path message, built only on a weight-count mismatch
-        return Err(StoreError::new(format!(
-            "{} weights for {} indices",
-            weights.len(),
-            indices.len()
-        )));
-    }
-    validate(store, lengths, indices)?;
-    let mut out = Tensor2::zeros(lengths.len(), store.dim());
-    pool_into(store, lengths, indices, Some(weights), &mut out);
-    neo_tensor::sanitize::check_finite("weighted pooled embedding output", out.as_slice());
-    Ok(out)
-}
-
-/// Backward of [`weighted_pooled_forward`] w.r.t. the embedding rows:
-/// occurrence `k` in bag `b` receives `w_k * grad_out[b]`.
-///
-/// Per-occurrence scaling defeats row sharing, so this variant returns the
-/// identity representation (one materialized row per occurrence).
-///
-/// # Errors
-///
-/// Returns [`StoreError`] on shape inconsistencies.
-pub fn weighted_pooled_backward(
-    lengths: &[u32],
-    indices: &[u64],
-    weights: &[f32],
-    grad_out: &Tensor2,
-) -> Result<SparseGrad, StoreError> {
-    if weights.len() != indices.len() {
-        return Err(StoreError::new(
-            "weights/indices mismatch in weighted backward",
-        ));
-    }
-    let shared = pooled_backward(lengths, indices, grad_out)?;
-    let dim = grad_out.cols();
-    let mut grads = Tensor2::zeros(indices.len(), dim);
-    for (k, &w) in weights.iter().enumerate() {
-        add_scaled_row(grads.row_mut(k), w, shared.occ_row(k));
-    }
-    Ok(SparseGrad::dense(indices.to_vec(), grads)) // lint: allow(hot_path_alloc) — result buffer: the weighted backward returns an owned SparseGrad
-}
-
-/// Gradient of the pooling *weights*: `dL/dw_k = dot(row[idx_k],
-/// grad_out[bag(k)])` — needed when the per-sample weights are themselves
-/// learned (position weighting).
-///
-/// # Errors
-///
-/// Returns [`StoreError`] on shape inconsistencies.
-pub fn pooling_weight_gradients(
-    store: &mut dyn RowStore,
-    lengths: &[u32],
-    indices: &[u64],
-    grad_out: &Tensor2,
-) -> Result<Vec<f32>, StoreError> {
-    validate(store, lengths, indices)?;
-    if grad_out.rows() != lengths.len() {
-        return Err(StoreError::new("grad_out bag count mismatch"));
-    }
-    let dim = store.dim();
-    let mut buf = vec![0.0f32; dim]; // lint: allow(hot_path_alloc) — per-call scratch row, amortized across the batch
-    let mut out = Vec::with_capacity(indices.len()); // lint: allow(hot_path_alloc) — output weight-gradient vector sized once to the batch
-    let mut cursor = 0usize;
-    for (b, &len) in lengths.iter().enumerate() {
-        let g = grad_out.row(b);
-        for &idx in &indices[cursor..cursor + len as usize] {
-            store.read_row(idx, &mut buf);
-            out.push(buf.iter().zip(g).map(|(r, gg)| r * gg).sum());
-        }
-        cursor += len as usize;
-    }
-    Ok(out)
 }
 
 /// Merges bag gradients *directly* into per-unique-row accumulations —
@@ -337,11 +223,10 @@ pub fn pooling_weight_gradients(
 /// gradient of [`pooled_backward`] is never materialized; each unique row
 /// gets one accumulator row fed straight from `grad_out`.
 ///
-/// The sort over row ids is the stable LSD radix pass of
-/// [`crate::radix::radix_argsort`] — permutation-identical to the
-/// comparison sort it replaced, so the result still equals
-/// `merge_grads(&pooled_backward(...))` bit-for-bit (same sorted order,
-/// same accumulation order) and can be passed to
+/// It is the sort-and-accumulate kernel of [`crate::optim::merge_grads`]
+/// reading occurrence `k` from `grad_out` instead of a [`SparseGrad`], so
+/// the result equals `merge_grads(&pooled_backward(...))` bit-for-bit (same
+/// sorted order, same accumulation order) and can be passed to
 /// [`crate::optim::SparseOptimizer::apply_merged`] unchanged.
 ///
 /// # Errors
@@ -352,52 +237,10 @@ pub fn fused_backward_grads(
     indices: &[u64],
     grad_out: &Tensor2,
 ) -> Result<SparseGrad, StoreError> {
-    let expected: usize = lengths.iter().map(|&l| l as usize).sum();
-    if expected != indices.len() {
-        return Err(StoreError::new(
-            "lengths/indices mismatch in fused backward",
-        ));
-    }
-    if grad_out.rows() != lengths.len() {
-        // lint: allow(hot_path_alloc) — error-path message, built only on a bag-count mismatch
-        return Err(StoreError::new(format!(
-            "grad_out has {} rows for {} bags",
-            grad_out.rows(),
-            lengths.len()
-        )));
-    }
-    let dim = grad_out.cols();
-    // occurrence → bag map, then a stable radix argsort by row id (ties
-    // keep arrival order, which fixes the accumulation order)
-    let mut bag_of = vec![0u32; indices.len()]; // lint: allow(hot_path_alloc) — occurrence-to-bag map sized once per batch
-    let mut cursor = 0usize;
-    for (bag, &l) in lengths.iter().enumerate() {
-        for s in &mut bag_of[cursor..cursor + l as usize] {
-            *s = bag as u32;
-        }
-        cursor += l as usize;
-    }
-    let order = crate::radix::radix_argsort(indices);
-
-    let mut out_indices: Vec<u64> = Vec::new(); // lint: allow(hot_path_alloc) — merge accumulator the fused backward owns and returns; grows per unique row, not per occurrence
-    let mut rows: Vec<f32> = Vec::new(); // lint: allow(hot_path_alloc) — merge accumulator the fused backward owns and returns; grows per unique row, not per occurrence
-    for &pos in &order {
-        let idx = indices[pos as usize];
-        let g = grad_out.row(bag_of[pos as usize] as usize);
-        if out_indices.last() == Some(&idx) {
-            let base = rows.len() - dim;
-            add_assign_row(&mut rows[base..], g);
-        } else {
-            out_indices.push(idx);
-            rows.extend_from_slice(g);
-        }
-    }
-    let n = out_indices.len();
-    Ok(SparseGrad::dense(
-        out_indices,
-        // lint: allow(panic) — rows holds exactly n * dim elements by construction
-        Tensor2::from_vec(n, dim, rows).expect("accumulator shape"),
-    ))
+    let bag_of = bag_of_occurrences(lengths, indices.len(), grad_out)?;
+    Ok(accumulate_runs(indices, grad_out.cols(), |k| {
+        grad_out.row(bag_of[k] as usize)
+    }))
 }
 
 /// One table's slice of a fused multi-table batch.
@@ -409,10 +252,9 @@ pub struct TableBatch<'a> {
     pub indices: &'a [u64],
 }
 
-/// Fused forward across many tables (§4.1.1): a single pass over the
-/// concatenated inputs, the analogue of batching ~1000 table lookups into
-/// one CUDA kernel. Flat FP32 tables stream rows directly from store
-/// memory; other backends share one scratch buffer. Returns one pooled
+/// Fused forward across many tables (§4.1.1), the analogue of batching
+/// ~1000 table lookups into one CUDA kernel: one call pools every table,
+/// [`pooled_forward`] per table in table order. Returns one pooled
 /// `B x D_t` tensor per table.
 ///
 /// # Errors
@@ -431,15 +273,11 @@ pub fn fused_pooled_forward(
             batches.len()
         )));
     }
-    let mut outs = Vec::with_capacity(tables.len()); // lint: allow(hot_path_alloc) — per-table output list sized once per fused call
-    for (table, batch) in tables.iter_mut().zip(batches) {
-        validate(table.as_ref(), batch.lengths, batch.indices)?;
-        let mut out = Tensor2::zeros(batch.lengths.len(), table.dim());
-        pool_into(table.as_mut(), batch.lengths, batch.indices, None, &mut out);
-        neo_tensor::sanitize::check_finite("fused pooled embedding output", out.as_slice());
-        outs.push(out);
-    }
-    Ok(outs)
+    tables
+        .iter_mut()
+        .zip(batches)
+        .map(|(table, batch)| pooled_forward(table.as_mut(), batch.lengths, batch.indices))
+        .collect() // lint: allow(hot_path_alloc) — per-table output list built once per fused call
 }
 
 #[cfg(test)]
@@ -515,15 +353,13 @@ mod tests {
 
         let lengths = [3u32, 0, 4, 1];
         let indices = [5u64, 5, 31, 0, 1, 2, 30, 17];
-        let weights: Vec<f32> = (0..8).map(|k| k as f32 * 0.25 - 1.0).collect();
-
         let a = pooled_forward(&mut flat, &lengths, &indices).unwrap();
         let b = pooled_forward(&mut opaque, &lengths, &indices).unwrap();
-        assert_eq!(a.as_slice(), b.as_slice(), "unweighted paths diverge");
-
-        let a = weighted_pooled_forward(&mut flat, &lengths, &indices, &weights).unwrap();
-        let b = weighted_pooled_forward(&mut opaque, &lengths, &indices, &weights).unwrap();
-        assert_eq!(a.as_slice(), b.as_slice(), "weighted paths diverge");
+        assert_eq!(
+            a.as_slice(),
+            b.as_slice(),
+            "flat and read_row paths diverge"
+        );
     }
 
     #[test]
@@ -618,14 +454,19 @@ mod tests {
 
     #[test]
     fn fused_backward_equals_expand_then_merge() {
-        use crate::optim::merge_grads;
+        use crate::optim::{merge_grads, merge_oracle};
         // duplicates within and across bags
         let lengths = [3u32, 0, 2, 4];
         let indices = [5u64, 2, 5, 7, 2, 2, 9, 5, 1];
         let grad_out = Tensor2::from_fn(4, 3, |i, j| (i * 3 + j) as f32 * 0.1 - 0.4);
         let fused = fused_backward_grads(&lengths, &indices, &grad_out).unwrap();
-        let reference = merge_grads(&pooled_backward(&lengths, &indices, &grad_out).unwrap());
-        assert_eq!(fused, reference, "bit-identical to expand-then-merge");
+        let expanded = pooled_backward(&lengths, &indices, &grad_out).unwrap();
+        assert_eq!(fused, merge_grads(&expanded), "expand-then-merge");
+        assert_eq!(
+            fused,
+            merge_oracle(&expanded),
+            "bit-identical to the oracle"
+        );
         assert_eq!(fused.indices, vec![1, 2, 5, 7, 9]);
     }
 
@@ -740,86 +581,5 @@ mod prop_tests {
                 }
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod weighted_tests {
-    use super::*;
-    use crate::store::DenseStore;
-
-    fn table() -> DenseStore {
-        let t = Tensor2::from_fn(8, 2, |i, j| if j == 0 { i as f32 } else { i as f32 * 10.0 });
-        DenseStore::from_tensor(t)
-    }
-
-    #[test]
-    fn unit_weights_match_unweighted() {
-        let mut t = table();
-        let lengths = [2u32, 1];
-        let indices = [1u64, 2, 5];
-        let plain = pooled_forward(&mut t, &lengths, &indices).unwrap();
-        let weighted =
-            weighted_pooled_forward(&mut t, &lengths, &indices, &[1.0, 1.0, 1.0]).unwrap();
-        assert_eq!(plain, weighted);
-    }
-
-    #[test]
-    fn weights_scale_contributions() {
-        let mut t = table();
-        let out = weighted_pooled_forward(&mut t, &[2], &[1, 2], &[2.0, -0.5]).unwrap();
-        // 2*[1,10] - 0.5*[2,20] = [1, 10]
-        assert_eq!(out.row(0), &[1.0, 10.0]);
-    }
-
-    #[test]
-    fn weighted_backward_scales_grads() {
-        let g = Tensor2::full(1, 2, 3.0);
-        let sg = weighted_pooled_backward(&[2], &[1, 4], &[0.5, 2.0], &g).unwrap();
-        assert_eq!(sg.grads.row(0), &[1.5, 1.5]);
-        assert_eq!(sg.grads.row(1), &[6.0, 6.0]);
-        assert_eq!(sg.occ_row(0), &[1.5, 1.5], "identity occurrence map");
-    }
-
-    #[test]
-    fn weight_gradient_matches_finite_difference() {
-        let mut t = table();
-        let lengths = [2u32, 1];
-        let indices = [3u64, 6, 2];
-        let weights = [0.7f32, -0.2, 1.1];
-        let grad_out = Tensor2::from_fn(2, 2, |i, j| (i + j) as f32 * 0.5 + 0.25);
-
-        let wg = pooling_weight_gradients(&mut t, &lengths, &indices, &grad_out).unwrap();
-        assert_eq!(wg.len(), 3);
-
-        // loss = sum(grad_out .* forward(w)) — linear in w, so finite
-        // difference is exact
-        let eps = 1e-2f32;
-        for k in 0..3 {
-            let mut wp = weights;
-            wp[k] += eps;
-            let mut wm = weights;
-            wm[k] -= eps;
-            let fp = weighted_pooled_forward(&mut t, &lengths, &indices, &wp).unwrap();
-            let fm = weighted_pooled_forward(&mut t, &lengths, &indices, &wm).unwrap();
-            let mut fd = 0.0f32;
-            for (a, (b, g)) in fp
-                .as_slice()
-                .iter()
-                .zip(fm.as_slice().iter().zip(grad_out.as_slice()))
-            {
-                fd += (a - b) * g;
-            }
-            fd /= 2.0 * eps;
-            assert!((fd - wg[k]).abs() < 1e-2, "w[{k}]: fd {fd} vs {}", wg[k]);
-        }
-    }
-
-    #[test]
-    fn weighted_validates() {
-        let mut t = table();
-        assert!(weighted_pooled_forward(&mut t, &[1], &[1], &[1.0, 2.0]).is_err());
-        assert!(weighted_pooled_backward(&[1], &[1], &[], &Tensor2::zeros(1, 2)).is_err());
-        assert!(pooling_weight_gradients(&mut t, &[1], &[99], &Tensor2::zeros(1, 2)).is_err());
     }
 }

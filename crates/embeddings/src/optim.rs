@@ -8,21 +8,56 @@
 //! duplicate rows into a single accumulated gradient, and applies one
 //! deterministic update per touched row. This is what gives the paper
 //! bit-wise reproducibility across runs and worker counts.
+//!
+//! Both halves are written once. `accumulate_runs` is the sort-and-merge
+//! kernel behind [`merge_grads`] and
+//! [`fused_backward_grads`](crate::bag::fused_backward_grads); one row
+//! driver behind [`SparseOptimizer::apply_merged`] reads each touched row,
+//! hands it to the optimizer's [`update_row`](SparseOptimizer::update_row)
+//! rule and writes it back.
 
 use neo_tensor::Tensor2;
 
-use crate::bag::SparseGrad;
+use crate::bag::{add_assign_row, SparseGrad};
+use crate::radix::radix_argsort;
 use crate::store::RowStore;
+
+/// Sort-and-accumulate: a stable argsort of `indices`, then one sweep that
+/// folds each run of equal ids into a single row. `row_of(k)` is the
+/// `dim`-wide gradient of occurrence `k`; equal ids accumulate in arrival
+/// order, one element-wise add per occurrence, which fixes the bits.
+pub(crate) fn accumulate_runs<'a>(
+    indices: &[u64],
+    dim: usize,
+    row_of: impl Fn(usize) -> &'a [f32],
+) -> SparseGrad {
+    let mut ids: Vec<u64> = Vec::new(); // lint: allow(hot_path_alloc) — merge accumulators the exact-update path returns; grow per unique row, not per occurrence
+    let mut rows: Vec<f32> = Vec::new(); // lint: allow(hot_path_alloc) — merge accumulators the exact-update path returns; grow per unique row, not per occurrence
+    for &k in &radix_argsort(indices) {
+        let (idx, g) = (indices[k as usize], row_of(k as usize));
+        if ids.last() == Some(&idx) {
+            let base = rows.len() - dim;
+            add_assign_row(&mut rows[base..], g);
+        } else {
+            ids.push(idx);
+            rows.extend_from_slice(g);
+        }
+    }
+    let n = ids.len();
+    debug_assert_eq!(rows.len(), n * dim, "one `dim`-wide row per id");
+    // the shape holds by construction: the fallback is never taken, and
+    // spelling it keeps `Result`-returning callers free of a panic path
+    let grads = Tensor2::from_vec(n, dim, rows).unwrap_or_else(|_| Tensor2::zeros(n, dim));
+    SparseGrad::dense(ids, grads)
+}
 
 /// Sorts `grad` by row id (stable, so equal rows accumulate in arrival
 /// order) and merges duplicates by summing — the "transpose the sparse
 /// update matrix" step of §4.1.2.
 ///
-/// The sort is the LSD radix pass of [`crate::radix::radix_argsort`]
-/// (stable by construction, O(passes · n)), and duplicates accumulate
-/// into one flat row buffer in a single sweep. Occurrences are read via
-/// [`SparseGrad::occ_row`], so inputs in the shared-row representation of
-/// [`crate::bag::pooled_backward`] merge without ever expanding.
+/// Occurrences are read via [`SparseGrad::occ_row`], so inputs in the
+/// shared-row representation of [`crate::bag::pooled_backward`] merge
+/// without ever expanding.
 ///
 /// # Example
 ///
@@ -39,58 +74,56 @@ use crate::store::RowStore;
 /// ```
 #[must_use]
 pub fn merge_grads(grad: &SparseGrad) -> SparseGrad {
-    let dim = grad.grads.cols();
-    let order = crate::radix::radix_argsort(&grad.indices);
-
-    let mut indices: Vec<u64> = Vec::new(); // lint: allow(hot_path_alloc) — merge accumulators the exact-update path returns; sized once per batch
-    let mut rows: Vec<f32> = Vec::new(); // lint: allow(hot_path_alloc) — merge accumulators the exact-update path returns; sized once per batch
-    for &k in &order {
-        let idx = grad.indices[k as usize];
-        let g = grad.occ_row(k as usize);
-        if indices.last() == Some(&idx) {
-            let base = rows.len() - dim;
-            for (a, &v) in rows[base..].iter_mut().zip(g) {
-                *a += v;
-            }
-        } else {
-            indices.push(idx);
-            rows.extend_from_slice(g);
-        }
-    }
-    let n = indices.len();
-    SparseGrad::dense(
-        indices,
-        // lint: allow(panic) — rows holds exactly n * dim elements by construction
-        Tensor2::from_vec(n, dim, rows).expect("accumulator shape"),
-    )
+    accumulate_runs(&grad.indices, grad.grads.cols(), |k| grad.occ_row(k))
 }
 
-/// A sparse optimizer operating on a [`RowStore`].
+/// The one `read_row → rule → write_row` loop: every occurrence of `grad`,
+/// in order, updates its row through `opt`'s rule. Owns the sanitizer
+/// checks and the scratch row for all four optimizers.
+fn update_rows<O: SparseOptimizer + ?Sized>(
+    opt: &mut O,
+    store: &mut dyn RowStore,
+    grad: &SparseGrad,
+) {
+    let (name, dim) = (opt.name(), store.dim());
+    let stored = grad.grads.rows();
+    neo_tensor::sanitize::check_shape(name, (stored, grad.grads.cols()), (stored, dim));
+    neo_tensor::sanitize::check_indices(name, &grad.indices, store.num_rows());
+    neo_tensor::sanitize::check_finite(name, grad.grads.as_slice());
+    let mut row = vec![0.0f32; dim]; // lint: allow(hot_path_alloc) — one dim-sized row buffer per optimizer step, amortized across all touched rows
+    for (k, &idx) in grad.indices.iter().enumerate() {
+        store.read_row(idx, &mut row);
+        opt.update_row(idx, &mut row, grad.occ_row(k));
+        store.write_row(idx, &row);
+    }
+}
+
+/// A sparse optimizer operating on a [`RowStore`]: a per-row rule plus the
+/// state it needs. How rows are merged, read and written back is the same
+/// for every rule and provided here.
 pub trait SparseOptimizer: Send {
+    /// The rule: updates `row`, the current values of row `idx`, in place
+    /// from its gradient `g` (same width), advancing any state held for
+    /// that row.
+    fn update_row(&mut self, idx: u64, row: &mut [f32], g: &[f32]);
+
     /// Applies one *exact* update: duplicates are merged first, then every
     /// touched row is read, updated once, and written back.
     fn step(&mut self, store: &mut dyn RowStore, grad: &SparseGrad) {
-        let merged = merge_grads(grad);
-        self.apply_merged(store, &merged);
+        self.apply_merged(store, &merge_grads(grad));
     }
 
     /// Applies an already-merged gradient (one row per unique index).
-    fn apply_merged(&mut self, store: &mut dyn RowStore, merged: &SparseGrad);
+    fn apply_merged(&mut self, store: &mut dyn RowStore, merged: &SparseGrad) {
+        update_rows(self, store, merged);
+    }
 
     /// The naive scatter baseline: applies gradients one-by-one in arrival
     /// order. For linear rules (SGD) this matches [`SparseOptimizer::step`];
     /// for AdaGrad/Adam it does not — the ablation the paper's determinism
     /// argument rests on.
     fn step_unmerged(&mut self, store: &mut dyn RowStore, grad: &SparseGrad) {
-        for k in 0..grad.indices.len() {
-            let single = SparseGrad::dense(
-                vec![grad.indices[k]], // lint: allow(hot_path_alloc) — the unmerged scatter baseline is intentionally naive; per-occurrence boxing is the ablation being measured
-                Tensor2::from_vec(1, grad.grads.cols(), grad.occ_row(k).to_vec()) // lint: allow(hot_path_alloc) — the unmerged scatter baseline is intentionally naive; per-occurrence boxing is the ablation being measured
-                    // lint: allow(panic) — one row of cols() elements always fits
-                    .expect("single row"),
-            );
-            self.apply_merged(store, &single);
-        }
+        update_rows(self, store, grad);
     }
 
     /// Bytes of optimizer state held for the table.
@@ -117,17 +150,9 @@ impl SparseSgd {
 }
 
 impl SparseOptimizer for SparseSgd {
-    fn apply_merged(&mut self, store: &mut dyn RowStore, merged: &SparseGrad) {
-        neo_tensor::sanitize::check_indices(self.name(), &merged.indices, store.num_rows());
-        neo_tensor::sanitize::check_finite(self.name(), merged.grads.as_slice());
-        let dim = store.dim();
-        let mut buf = vec![0.0f32; dim]; // lint: allow(hot_path_alloc) — one dim-sized row buffer per optimizer step, amortized across all touched rows
-        for (k, &idx) in merged.indices.iter().enumerate() {
-            store.read_row(idx, &mut buf);
-            for (v, &g) in buf.iter_mut().zip(merged.grads.row(k)) {
-                *v -= self.lr * g;
-            }
-            store.write_row(idx, &buf);
+    fn update_row(&mut self, _idx: u64, row: &mut [f32], g: &[f32]) {
+        for (v, &g) in row.iter_mut().zip(g) {
+            *v -= self.lr * g;
         }
     }
 
@@ -167,19 +192,12 @@ impl SparseAdagrad {
 }
 
 impl SparseOptimizer for SparseAdagrad {
-    fn apply_merged(&mut self, store: &mut dyn RowStore, merged: &SparseGrad) {
-        neo_tensor::sanitize::check_indices(self.name(), &merged.indices, store.num_rows());
-        neo_tensor::sanitize::check_finite(self.name(), merged.grads.as_slice());
-        let dim = self.dim;
-        let mut buf = vec![0.0f32; dim]; // lint: allow(hot_path_alloc) — one dim-sized row buffer per optimizer step, amortized across all touched rows
-        for (k, &idx) in merged.indices.iter().enumerate() {
-            store.read_row(idx, &mut buf);
-            let m = &mut self.moment[idx as usize * dim..(idx as usize + 1) * dim];
-            for ((v, &g), mi) in buf.iter_mut().zip(merged.grads.row(k)).zip(m.iter_mut()) {
-                *mi += g * g;
-                *v -= self.lr * g / (mi.sqrt() + self.eps);
-            }
-            store.write_row(idx, &buf);
+    fn update_row(&mut self, idx: u64, row: &mut [f32], g: &[f32]) {
+        let r = idx as usize;
+        let m = &mut self.moment[r * self.dim..(r + 1) * self.dim];
+        for ((v, &g), mi) in row.iter_mut().zip(g).zip(m) {
+            *mi += g * g;
+            *v -= self.lr * g / (mi.sqrt() + self.eps);
         }
     }
 
@@ -220,22 +238,13 @@ impl RowWiseAdagrad {
 }
 
 impl SparseOptimizer for RowWiseAdagrad {
-    fn apply_merged(&mut self, store: &mut dyn RowStore, merged: &SparseGrad) {
-        neo_tensor::sanitize::check_indices(self.name(), &merged.indices, store.num_rows());
-        neo_tensor::sanitize::check_finite(self.name(), merged.grads.as_slice());
-        let dim = store.dim();
-        let mut buf = vec![0.0f32; dim]; // lint: allow(hot_path_alloc) — one dim-sized row buffer per optimizer step, amortized across all touched rows
-        for (k, &idx) in merged.indices.iter().enumerate() {
-            let g_row = merged.grads.row(k);
-            let mean_sq: f32 = g_row.iter().map(|g| g * g).sum::<f32>() / dim as f32;
-            let m = &mut self.moment[idx as usize];
-            *m += mean_sq;
-            let scale = self.lr / (m.sqrt() + self.eps);
-            store.read_row(idx, &mut buf);
-            for (v, &g) in buf.iter_mut().zip(g_row) {
-                *v -= scale * g;
-            }
-            store.write_row(idx, &buf);
+    fn update_row(&mut self, idx: u64, row: &mut [f32], g: &[f32]) {
+        let mean_sq: f32 = g.iter().map(|g| g * g).sum::<f32>() / row.len() as f32;
+        let m = &mut self.moment[idx as usize];
+        *m += mean_sq;
+        let scale = self.lr / (m.sqrt() + self.eps);
+        for (v, &g) in row.iter_mut().zip(g) {
+            *v -= scale * g;
         }
     }
 
@@ -285,33 +294,20 @@ impl SparseAdam {
 }
 
 impl SparseOptimizer for SparseAdam {
-    fn apply_merged(&mut self, store: &mut dyn RowStore, merged: &SparseGrad) {
-        neo_tensor::sanitize::check_indices(self.name(), &merged.indices, store.num_rows());
-        neo_tensor::sanitize::check_finite(self.name(), merged.grads.as_slice());
-        let dim = self.dim;
-        let mut buf = vec![0.0f32; dim]; // lint: allow(hot_path_alloc) — one dim-sized row buffer per optimizer step, amortized across all touched rows
-        for (k, &idx) in merged.indices.iter().enumerate() {
-            let r = idx as usize;
-            self.steps[r] += 1;
-            let t = self.steps[r] as i32;
-            let bc1 = 1.0 - self.beta1.powi(t);
-            let bc2 = 1.0 - self.beta2.powi(t);
-            store.read_row(idx, &mut buf);
-            let ms = &mut self.m[r * dim..(r + 1) * dim];
-            let vs = &mut self.v[r * dim..(r + 1) * dim];
-            for (((val, &g), mi), vi) in buf
-                .iter_mut()
-                .zip(merged.grads.row(k))
-                .zip(ms.iter_mut())
-                .zip(vs.iter_mut())
-            {
-                *mi = self.beta1 * *mi + (1.0 - self.beta1) * g;
-                *vi = self.beta2 * *vi + (1.0 - self.beta2) * g * g;
-                let mhat = *mi / bc1;
-                let vhat = *vi / bc2;
-                *val -= self.lr * mhat / (vhat.sqrt() + self.eps);
-            }
-            store.write_row(idx, &buf);
+    fn update_row(&mut self, idx: u64, row: &mut [f32], g: &[f32]) {
+        let (r, dim) = (idx as usize, self.dim);
+        self.steps[r] += 1;
+        let t = self.steps[r] as i32;
+        let bc1 = 1.0 - self.beta1.powi(t);
+        let bc2 = 1.0 - self.beta2.powi(t);
+        let ms = &mut self.m[r * dim..(r + 1) * dim];
+        let vs = &mut self.v[r * dim..(r + 1) * dim];
+        for (((val, &g), mi), vi) in row.iter_mut().zip(g).zip(ms).zip(vs) {
+            *mi = self.beta1 * *mi + (1.0 - self.beta1) * g;
+            *vi = self.beta2 * *vi + (1.0 - self.beta2) * g * g;
+            let mhat = *mi / bc1;
+            let vhat = *vi / bc2;
+            *val -= self.lr * mhat / (vhat.sqrt() + self.eps);
         }
     }
 
@@ -326,6 +322,34 @@ impl SparseOptimizer for SparseAdam {
     fn set_lr(&mut self, lr: f32) {
         self.lr = lr;
     }
+}
+
+#[cfg(test)]
+/// The definition [`merge_grads`] and
+/// [`fused_backward_grads`](crate::bag::fused_backward_grads) must
+/// reproduce bit for bit, and the oracle of this module's and `bag`'s
+/// tests: a stable *comparison* sort of the occurrences by row id, then a
+/// scalar left-to-right add of each run.
+pub(crate) fn merge_oracle(grad: &SparseGrad) -> SparseGrad {
+    let dim = grad.grads.cols();
+    let mut order: Vec<usize> = (0..grad.indices.len()).collect();
+    order.sort_by_key(|&k| grad.indices[k]);
+    let mut indices: Vec<u64> = Vec::new();
+    let mut rows: Vec<f32> = Vec::new();
+    for k in order {
+        let (idx, g) = (grad.indices[k], grad.occ_row(k));
+        if indices.last() == Some(&idx) {
+            let base = rows.len() - dim;
+            for (a, &v) in rows[base..].iter_mut().zip(g) {
+                *a += v;
+            }
+        } else {
+            indices.push(idx);
+            rows.extend_from_slice(g);
+        }
+    }
+    let n = indices.len();
+    SparseGrad::dense(indices, Tensor2::from_vec(n, dim, rows).unwrap())
 }
 
 #[cfg(test)]
@@ -373,6 +397,7 @@ mod tests {
         }
         let dense = SparseGrad::dense(indices.to_vec(), expanded);
         assert_eq!(merge_grads(&shared), merge_grads(&dense));
+        assert_eq!(merge_grads(&shared), merge_oracle(&dense));
     }
 
     #[test]
@@ -503,5 +528,76 @@ mod tests {
         assert_eq!(RowWiseAdagrad::new(0.1, 0.0, 1).name(), "rowwise_adagrad");
         assert_eq!(SparseAdam::new(0.1, 0.0, 1, 1).name(), "adam");
         assert_eq!(SparseSgd::new(0.1).state_bytes(), 0);
+    }
+}
+
+#[cfg(test)]
+mod prop_tests {
+    use super::*;
+    use crate::bag::{fused_backward_grads, pooled_backward};
+    use proptest::prelude::*;
+
+    /// Values with full mantissas and mixed magnitudes, so a different
+    /// accumulation order rounds differently.
+    fn awkward(seed: u64, i: usize, j: usize) -> f32 {
+        let h = (seed + 1)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add((i as u64) << 20 | j as u64)
+            .wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let mantissa = (h >> 40) as f32 / (1u64 << 24) as f32 + 0.5;
+        let scale = [1e-3f32, 1.0, 37.0, 4096.0][(h >> 8) as usize % 4];
+        if h & 1 == 0 {
+            mantissa * scale
+        } else {
+            -mantissa * scale
+        }
+    }
+
+    fn bits(g: &SparseGrad) -> (Vec<u64>, Vec<u32>, (usize, usize)) {
+        let values = g.grads.as_slice().iter().map(|v| v.to_bits()).collect();
+        (g.indices.clone(), values, g.grads.shape())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The one kernel, through both of its callers and both gradient
+        /// representations, is bitwise the comparison-sort oracle: over
+        /// duplicates within and across bags, empty bags, an empty batch
+        /// and widths spanning the lane tail.
+        #[test]
+        fn sort_and_accumulate_is_bitwise_the_oracle(
+            dim in 1usize..21,
+            bag_lens in proptest::collection::vec(0u32..7, 0..7),
+            table_rows in 1u64..9,
+            seed in 0u64..10_000,
+        ) {
+            let nnz: usize = bag_lens.iter().map(|&l| l as usize).sum();
+            // few rows, so most ids repeat within and across bags; one id
+            // past 2^16 so the radix sort takes a third pass
+            let indices: Vec<u64> = (0..nnz)
+                .map(|k| {
+                    let r = seed.wrapping_mul(31).wrapping_add(k as u64 * 17) % table_rows;
+                    if r == 0 { r } else { r + (seed % 2) * 70_000 }
+                })
+                .collect();
+            let grad_out = Tensor2::from_fn(bag_lens.len(), dim, |i, j| awkward(seed, i, j));
+
+            // shared-row (`src`) input, and the fused form of the same batch
+            let shared = pooled_backward(&bag_lens, &indices, &grad_out).unwrap();
+            prop_assert_eq!(shared.src.len(), nnz);
+            let want = merge_oracle(&shared);
+            prop_assert_eq!(bits(&merge_grads(&shared)), bits(&want));
+            let fused = fused_backward_grads(&bag_lens, &indices, &grad_out).unwrap();
+            prop_assert_eq!(bits(&fused), bits(&want));
+            prop_assert_eq!(want.grads.cols(), dim, "an empty result keeps its width");
+
+            // identity-mapped input with its own row per occurrence
+            let dense = SparseGrad::dense(
+                indices.clone(),
+                Tensor2::from_fn(nnz, dim, |i, j| awkward(seed ^ 0xabcd, i, j)),
+            );
+            prop_assert_eq!(bits(&merge_grads(&dense)), bits(&merge_oracle(&dense)));
+        }
     }
 }

@@ -1,6 +1,7 @@
 //! Sanitizer behavior tests (ISSUE acceptance criterion): an out-of-range
-//! embedding index reaching a sparse optimizer is caught with
-//! `--features sanitize` and ignored without it.
+//! embedding index, or a gradient whose width is not the store's, reaching
+//! a sparse optimizer is caught with `--features sanitize` and ignored
+//! without it.
 //!
 //! Run both ways:
 //! ```text
@@ -15,7 +16,7 @@ use neo_tensor::{sanitize, Tensor2};
 mod armed {
     use super::*;
     use neo_embeddings::bag::SparseGrad;
-    use neo_embeddings::optim::{SparseOptimizer, SparseSgd};
+    use neo_embeddings::optim::{RowWiseAdagrad, SparseOptimizer, SparseSgd};
     use neo_embeddings::store::{DenseStore, RowStore};
 
     fn oob_grad() -> SparseGrad {
@@ -27,6 +28,27 @@ mod armed {
     fn oob_embedding_index_is_caught() {
         let mut store = DenseStore::zeros(8, 2);
         SparseSgd::new(0.1).step(&mut store, &oob_grad());
+    }
+
+    /// A column slice handed the full-width gradient used to update a
+    /// prefix of each row (and row-wise AdaGrad to average over the wrong
+    /// width) and return normally.
+    #[test]
+    #[should_panic(expected = "sanitize: shape (1, 4) where (1, 2) expected in rowwise_adagrad")]
+    fn gradient_wider_than_the_store_is_caught() {
+        let mut store = DenseStore::zeros(8, 2);
+        let merged = SparseGrad::dense(vec![3], Tensor2::full(1, 4, 0.5));
+        RowWiseAdagrad::new(0.1, 1e-8, 8).apply_merged(&mut store, &merged);
+    }
+
+    /// The reverse: a full-width store handed one column slice's gradient,
+    /// through the unmerged walk of the same row driver.
+    #[test]
+    #[should_panic(expected = "sanitize: shape (2, 2) where (2, 4) expected in sgd")]
+    fn gradient_narrower_than_the_store_is_caught() {
+        let mut store = DenseStore::zeros(8, 4);
+        let grad = SparseGrad::dense(vec![3, 3], Tensor2::full(2, 2, 0.5));
+        SparseSgd::new(0.1).step_unmerged(&mut store, &grad);
     }
 
     #[test]

@@ -52,11 +52,8 @@ pub const HOT_PATH_ROOTS: &[(&str, &[&str])] = &[
         &[
             "pooled_forward",
             "pooled_backward",
-            "weighted_pooled_forward",
-            "weighted_pooled_backward",
             "fused_pooled_forward",
             "fused_backward_grads",
-            "pooling_weight_gradients",
             "merge_grads",
             "radix_argsort",
             "step",

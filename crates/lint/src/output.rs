@@ -15,41 +15,33 @@
 
 use std::collections::BTreeMap;
 
+use neo_telemetry::export::push_json_string;
+
 use crate::hotpath;
 use crate::source::Diagnostic;
 use crate::{LintReport, RuleInfo, Workspace, RULE_NAMES};
 
-/// Escapes `s` for embedding in a JSON string literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+/// `s` as a JSON string literal, quotes included.
+fn quoted(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    push_json_string(&mut out, s);
     out
 }
 
 fn finding_json(d: &Diagnostic) -> String {
     format!(
-        "{{\"path\": \"{}\", \"line\": {}, \"rule\": \"{}\", \"message\": \"{}\"}}",
-        esc(&d.path.display().to_string()),
+        "{{\"path\": {}, \"line\": {}, \"rule\": \"{}\", \"message\": {}}}",
+        quoted(&d.path.display().to_string()),
         d.line,
         d.rule,
-        esc(&d.message),
+        quoted(&d.message),
     )
 }
 
 fn waived_json(waived: &BTreeMap<String, usize>) -> String {
     let entries: Vec<String> = waived
         .iter()
-        .map(|(rule, n)| format!("\"{}\": {n}", esc(rule)))
+        .map(|(rule, n)| format!("{}: {n}", quoted(rule)))
         .collect();
     format!("{{{}}}", entries.join(", "))
 }
@@ -60,9 +52,9 @@ pub fn to_json(report: &LintReport, infos: &[RuleInfo]) -> String {
         .iter()
         .map(|r| {
             format!(
-                "    {{\"name\": \"{}\", \"summary\": \"{}\"}}",
+                "    {{\"name\": \"{}\", \"summary\": {}}}",
                 r.name,
-                esc(r.summary)
+                quoted(r.summary)
             )
         })
         .collect();
@@ -110,17 +102,17 @@ pub fn callgraph_json(ws: &Workspace) -> String {
                 .iter()
                 .map(|(p, ln)| {
                     format!(
-                        "{{\"file\": \"{}\", \"line\": {}}}",
-                        esc(&p.display().to_string().replace('\\', "/")),
+                        "{{\"file\": {}, \"line\": {}}}",
+                        quoted(&p.display().to_string().replace('\\', "/")),
                         ln + 1
                     )
                 })
                 .collect();
             format!(
-                "    {{\"id\": {id}, \"crate\": \"{}\", \"fn\": \"{}\", \"pub\": {}, \
+                "    {{\"id\": {id}, \"crate\": {}, \"fn\": {}, \"pub\": {}, \
                  \"returns_result\": {}, \"defs\": [{}]}}",
-                esc(&n.krate),
-                esc(&n.name),
+                quoted(&n.krate),
+                quoted(&n.name),
                 n.is_pub,
                 n.returns_result,
                 defs.join(", "),

@@ -6,9 +6,9 @@ use std::sync::Arc;
 use neo_collectives::{CommHandle, Communicator};
 use neo_dataio::CombinedBatch;
 use neo_dlrm_model::interaction::{dot_interaction_backward, num_pairs};
-use neo_embeddings::bag::fused_backward_grads;
+use neo_embeddings::optim::merge_grads;
 use neo_embeddings::SparseGrad;
-use neo_telemetry::{metric, phase};
+use neo_telemetry::phase;
 use neo_tensor::mlp::Mlp;
 use neo_tensor::Tensor2;
 
@@ -170,7 +170,7 @@ impl Worker {
                         .copy_from_slice(&chunk[row * width..(row + 1) * width]);
                 }
             }
-            sh.update(&grads, &self.rec)?;
+            sh.apply(&sh.merged_grad(&grads)?, &self.rec);
         }
         drop(sp);
 
@@ -184,12 +184,12 @@ impl Worker {
                 let sp = self.rec.span(phase::SPARSE_OPTIM);
                 let grads = Tensor2::from_vec(world * b_loc, d, global_grads)
                     .map_err(|e| err(e.to_string()))?;
-                sh.update(&grads, &self.rec)?;
+                sh.apply(&sh.merged_grad(&grads)?, &self.rec);
                 drop(sp);
             }
         }
 
-        // data-parallel tables: AllGather the sparse grads, apply the
+        // data-parallel tables: exchange the sparse grads, apply the
         // identical merged update on every replica
         for sh in self
             .shards
@@ -198,40 +198,22 @@ impl Worker {
         {
             // ship per-rank *merged* grads: rank-order concatenation then a
             // final merge reproduces the raw-occurrence accumulation order
-            // bit-for-bit while shrinking the AllGather payload
-            let g = &g_features[sh.geo.table + 1];
-            let local = fused_backward_grads(&sh.lengths, &sh.indices, g)
-                .map_err(|e| err(e.to_string()))?;
-            let pairs: Vec<(u64, Vec<f32>)> = local
-                .indices
-                .iter()
-                .enumerate()
-                .map(|(k, &i)| (i, local.occ_row(k).to_vec()))
-                .collect();
+            // bit-for-bit while shrinking the exchanged payload
+            let local = Arc::new(vec![sh.merged_grad(&g_features[sh.geo.table + 1])?]);
             let sp = self.rec.span(phase::ALLTOALL_BWD);
-            // one shared payload, `world` refcount bumps — no deep clone
-            // of the pair list per destination
-            let pairs = Arc::new(pairs);
-            let gathered = self.comm.all_to_all_shared(vec![pairs; world])?;
+            // one shared payload, `world` refcount bumps
+            let gathered = self.comm.all_to_all_shared(vec![local; world])?;
             drop(sp);
             let sp = self.rec.span(phase::SPARSE_OPTIM);
             let mut indices = Vec::new();
             let mut rows: Vec<f32> = Vec::new();
-            for src in &gathered {
-                for (i, g) in src.iter() {
-                    indices.push(*i);
-                    rows.extend_from_slice(g);
-                }
+            for from in gathered.iter().flat_map(|msg| msg.iter()) {
+                indices.extend_from_slice(&from.indices);
+                rows.extend_from_slice(from.grads.as_slice());
             }
-            let n = indices.len();
-            let combined = SparseGrad::dense(
-                indices,
-                Tensor2::from_vec(n, d, rows).map_err(|e| err(e.to_string()))?,
-            );
-            self.rec
-                .sink()
-                .counter_add(metric::EMB_OPTIM_ROWS, n as u64);
-            sh.opt.step(sh.store.as_mut(), &combined);
+            let grads = Tensor2::from_vec(indices.len(), sh.geo.width, rows)
+                .map_err(|e| err(e.to_string()))?;
+            sh.apply(&merge_grads(&SparseGrad::dense(indices, grads)), &self.rec);
             drop(sp);
         }
         Ok(())

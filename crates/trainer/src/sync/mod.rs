@@ -6,9 +6,10 @@
 //! * one list of the embedding shards resident on its rank — the entries
 //!   of [`ShardingPlan::shards`](neo_sharding::ShardingPlan::shards) whose
 //!   worker it is, whatever scheme cut them (replicas of data-parallel
-//!   tables included). Every shard is looked up and updated by the same
-//!   two operations; the schemes differ only in the collective that moves
-//!   a shard's outputs and gradients (steps 2, 4 and 6 below),
+//!   tables included). Every shard is looked up by one operation and
+//!   updated by the same two — merge the gradient of the inputs it holds,
+//!   apply a merged gradient; the schemes differ only in the collective
+//!   that moves a shard's outputs and gradients (steps 2, 4 and 6 below),
 //! * a [`Communicator`](neo_collectives::Communicator) into the group.
 //!
 //! # One schedule, movable waits (§4.3, Fig. 9)
@@ -319,6 +320,49 @@ mod tests {
         // The full snapshot rides on TrainOutput for offline analysis.
         let carried = out.telemetry.as_ref().expect("snapshot present");
         assert_eq!(carried.spans.len(), snap.spans.len());
+    }
+
+    #[test]
+    fn replicas_count_optimizer_rows_after_the_merge() {
+        // every replica applies the merged global gradient, so each rank
+        // adds the distinct rows of the step's *global* batch — a row
+        // touched on both ranks used to count twice
+        let plan = ShardingPlan {
+            world: 2,
+            placements: vec![TablePlacement {
+                table: 0,
+                scheme: Scheme::DataParallel,
+            }],
+        };
+        let ds = SyntheticDataset::new(SyntheticConfig::uniform(1, 24, 3, 4)).unwrap();
+        let train: Vec<CombinedBatch> = (0..4).map(|k| ds.batch(16, k)).collect();
+        let unique =
+            |ids: &[u64]| ids.iter().collect::<std::collections::BTreeSet<_>>().len() as u64;
+        let (mut distinct, mut per_rank_distinct, mut occurrences) = (0u64, 0u64, 0u64);
+        for b in &train {
+            distinct += unique(b.indices());
+            occurrences += b.indices().len() as u64;
+            for half in b.split(2).unwrap() {
+                per_rank_distinct += unique(half.indices());
+            }
+        }
+        assert!(
+            distinct < per_rank_distinct && per_rank_distinct < occurrences,
+            "the batches must repeat rows within and across ranks \
+             ({distinct} / {per_rank_distinct} / {occurrences})"
+        );
+
+        let mut cfg = SyncConfig::exact(2, DlrmConfig::tiny(1, 24, 8), plan, 16);
+        let sink = neo_telemetry::TelemetrySink::armed();
+        cfg.telemetry = sink.clone();
+        SyncTrainer::new(cfg).train(&train, &[], 0, None).unwrap();
+        let snap = sink.snapshot().expect("armed sink snapshots");
+        let rows = snap
+            .counters
+            .iter()
+            .find(|(k, _)| k == metric::EMB_OPTIM_ROWS)
+            .map(|(_, v)| *v);
+        assert_eq!(rows, Some(2 * distinct));
     }
 
     /// Single-device reference training with the same math.

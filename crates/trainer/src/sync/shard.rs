@@ -6,7 +6,7 @@ use std::sync::Arc;
 use neo_collectives::Communicator;
 use neo_embeddings::bag::{fused_backward_grads, pooled_forward};
 use neo_embeddings::store::{DenseStore, HalfStore, RowStore};
-use neo_embeddings::{RowWiseAdagrad, SparseAdagrad, SparseOptimizer, SparseSgd};
+use neo_embeddings::{RowWiseAdagrad, SparseAdagrad, SparseGrad, SparseOptimizer, SparseSgd};
 use neo_sharding::cost::ShardDivision;
 use neo_sharding::Shard;
 use neo_telemetry::{metric, RankRecorder, SpanGuard};
@@ -127,17 +127,19 @@ impl LocalShard {
         Ok(pooled)
     }
 
-    /// The exact sparse update from `grads`, the gradient of every pooled
-    /// output `lookup` produced. Fused backward (§4.1.1): merges straight
-    /// into per-row accumulators, never materializing the expanded
-    /// gradient.
-    pub(super) fn update(&mut self, grads: &Tensor2, rec: &RankRecorder) -> Result<(), SyncError> {
-        let sg = fused_backward_grads(&self.lengths, &self.indices, grads)
-            .map_err(|e| err(e.to_string()))?;
+    /// Fused backward (§4.1.1) over the inputs held: `grads`, the gradient
+    /// of every pooled output `lookup` produced, merged straight into one
+    /// row per touched id, never materializing the expanded gradient.
+    pub(super) fn merged_grad(&self, grads: &Tensor2) -> Result<SparseGrad, SyncError> {
+        fused_backward_grads(&self.lengths, &self.indices, grads).map_err(|e| err(e.to_string()))
+    }
+
+    /// The exact sparse update from a merged gradient — every scheme's one
+    /// way into the store, counted in unique rows.
+    pub(super) fn apply(&mut self, merged: &SparseGrad, rec: &RankRecorder) {
         rec.sink()
-            .counter_add(metric::EMB_OPTIM_ROWS, sg.indices.len() as u64);
-        self.opt.apply_merged(self.store.as_mut(), &sg);
-        Ok(())
+            .counter_add(metric::EMB_OPTIM_ROWS, merged.len() as u64);
+        self.opt.apply_merged(self.store.as_mut(), merged);
     }
 }
 
