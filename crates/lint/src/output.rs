@@ -1,7 +1,8 @@
 //! Machine-readable output: `lint --json`, the waived-findings baseline
 //! the CI gate diffs against, and the `--callgraph` artifact.
 //!
-//! All emitters are hand-rolled (the workspace is offline; no serde).
+//! Every artifact is built as a `neo_telemetry::json::Json` tree and
+//! printed by its one writer (the workspace is offline; no serde).
 //! The JSON report is the stable interchange format
 //! (`"schema": "neo-lint/1"`); the baseline (`neo-lint-baseline/2`) records **waived** finding counts
 //! per rule so that a newly waived finding still fails CI — unwaived
@@ -15,76 +16,50 @@
 
 use std::collections::BTreeMap;
 
-use neo_telemetry::export::push_json_string;
+use neo_telemetry::json::Json;
 
 use crate::hotpath;
-use crate::source::Diagnostic;
 use crate::{LintReport, RuleInfo, Workspace, RULE_NAMES};
 
-/// `s` as a JSON string literal, quotes included.
-fn quoted(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    push_json_string(&mut out, s);
-    out
-}
+/// The one baseline schema [`diff_baseline`] accepts.
+const BASELINE_SCHEMA: &str = "neo-lint-baseline/2";
 
-fn finding_json(d: &Diagnostic) -> String {
-    format!(
-        "{{\"path\": {}, \"line\": {}, \"rule\": \"{}\", \"message\": {}}}",
-        quoted(&d.path.display().to_string()),
-        d.line,
-        d.rule,
-        quoted(&d.message),
-    )
-}
-
-fn waived_json(waived: &BTreeMap<String, usize>) -> String {
-    let entries: Vec<String> = waived
-        .iter()
-        .map(|(rule, n)| format!("{}: {n}", quoted(rule)))
-        .collect();
-    format!("{{{}}}", entries.join(", "))
+/// `{rule: count}` in rule-name order.
+fn counts(by_rule: &BTreeMap<String, usize>) -> Json {
+    Json::object(by_rule.iter().map(|(rule, n)| (rule, (*n).into())))
 }
 
 /// The `lint --json` report.
 pub fn to_json(report: &LintReport, infos: &[RuleInfo]) -> String {
-    let rules: Vec<String> = infos
+    let rules = infos
         .iter()
-        .map(|r| {
-            format!(
-                "    {{\"name\": \"{}\", \"summary\": {}}}",
-                r.name,
-                quoted(r.summary)
-            )
-        })
-        .collect();
-    let findings: Vec<String> = report
-        .diags
-        .iter()
-        .map(|d| format!("    {}", finding_json(d)))
-        .collect();
-    format!(
-        "{{\n  \"schema\": \"neo-lint/1\",\n  \"rules\": [\n{}\n  ],\n  \
-         \"findings\": [{}],\n  \"waived\": {}\n}}\n",
-        rules.join(",\n"),
-        if findings.is_empty() {
-            String::new()
-        } else {
-            format!("\n{}\n  ", findings.join(",\n"))
-        },
-        waived_json(&report.waived),
-    )
+        .map(|r| Json::object([("name", r.name.into()), ("summary", r.summary.into())]));
+    let findings = report.diags.iter().map(|d| {
+        Json::object([
+            ("path", d.path.display().to_string().into()),
+            ("line", d.line.into()),
+            ("rule", d.rule.into()),
+            ("message", d.message.as_str().into()),
+        ])
+    });
+    let doc = Json::object([
+        ("schema", "neo-lint/1".into()),
+        ("rules", Json::Array(rules.collect())),
+        ("findings", Json::Array(findings.collect())),
+        ("waived", counts(&report.waived)),
+    ]);
+    format!("{doc:#}\n")
 }
 
 /// The committed baseline: waived finding counts per rule, plus the
-/// interprocedural rules' reachable-set sizes (schema v2; v1 carried
-/// only `waived` and is still accepted by [`diff_baseline`]).
+/// interprocedural rules' reachable-set sizes.
 pub fn baseline_json(report: &LintReport) -> String {
-    format!(
-        "{{\n  \"schema\": \"neo-lint-baseline/2\",\n  \"waived\": {},\n  \"reachable\": {}\n}}\n",
-        waived_json(&report.waived),
-        waived_json(&report.reachable),
-    )
+    let doc = Json::object([
+        ("schema", BASELINE_SCHEMA.into()),
+        ("waived", counts(&report.waived)),
+        ("reachable", counts(&report.reachable)),
+    ]);
+    format!("{doc:#}\n")
 }
 
 /// The `--callgraph` artifact: every node with its definition sites and
@@ -92,63 +67,46 @@ pub fn baseline_json(report: &LintReport) -> String {
 /// reachable-set sizes.
 pub fn callgraph_json(ws: &Workspace) -> String {
     let g = &ws.graph;
-    let nodes: Vec<String> = g
-        .nodes
-        .iter()
-        .enumerate()
-        .map(|(id, n)| {
-            let defs: Vec<String> = n
-                .defs
-                .iter()
-                .map(|(p, ln)| {
-                    format!(
-                        "{{\"file\": {}, \"line\": {}}}",
-                        quoted(&p.display().to_string().replace('\\', "/")),
-                        ln + 1
-                    )
-                })
-                .collect();
-            format!(
-                "    {{\"id\": {id}, \"crate\": {}, \"fn\": {}, \"pub\": {}, \
-                 \"returns_result\": {}, \"defs\": [{}]}}",
-                quoted(&n.krate),
-                quoted(&n.name),
-                n.is_pub,
-                n.returns_result,
-                defs.join(", "),
-            )
-        })
-        .collect();
-    let edges: Vec<String> = g
+    let nodes = g.nodes.iter().enumerate().map(|(id, n)| {
+        let defs = n.defs.iter().map(|(p, ln)| {
+            Json::object([
+                ("file", p.display().to_string().replace('\\', "/").into()),
+                ("line", (ln + 1).into()),
+            ])
+        });
+        Json::object([
+            ("id", id.into()),
+            ("crate", n.krate.as_str().into()),
+            ("fn", n.name.as_str().into()),
+            ("pub", Json::Bool(n.is_pub)),
+            ("returns_result", Json::Bool(n.returns_result)),
+            ("defs", Json::Array(defs.collect())),
+        ])
+    });
+    let edges = g
         .edges
         .iter()
         .enumerate()
-        .flat_map(|(from, tos)| tos.iter().map(move |to| format!("[{from}, {to}]")))
-        .collect();
+        .flat_map(|(from, tos)| tos.iter().map(move |&to| Json::from(vec![from, to])));
     let roots = [
         ("comm_lane_blocking", hotpath::comm_lane_root_nodes(g)),
         ("hot_path_alloc", hotpath::hot_path_root_nodes(g)),
         ("panic_path", hotpath::panic_path_root_nodes(g)),
     ];
-    let root_entries: Vec<String> = roots
+    let reachable = roots
         .iter()
-        .map(|(rule, ids)| {
-            let ids: Vec<String> = ids.iter().map(|i| i.to_string()).collect();
-            format!("    \"{rule}\": [{}]", ids.join(", "))
-        })
-        .collect();
-    let reach_entries: Vec<String> = roots
-        .iter()
-        .map(|(rule, ids)| format!("\"{rule}\": {}", g.reachable_from(ids).len()))
-        .collect();
-    format!(
-        "{{\n  \"schema\": \"neo-callgraph/1\",\n  \"nodes\": [\n{}\n  ],\n  \
-         \"edges\": [{}],\n  \"roots\": {{\n{}\n  }},\n  \"reachable\": {{{}}}\n}}\n",
-        nodes.join(",\n"),
-        edges.join(", "),
-        root_entries.join(",\n"),
-        reach_entries.join(", "),
-    )
+        .map(|(rule, ids)| (*rule, g.reachable_from(ids).len().into()));
+    let doc = Json::object([
+        ("schema", "neo-callgraph/1".into()),
+        ("nodes", Json::Array(nodes.collect())),
+        ("edges", Json::Array(edges.collect())),
+        (
+            "roots",
+            Json::object(roots.iter().map(|(rule, ids)| (*rule, ids.clone().into()))),
+        ),
+        ("reachable", Json::object(reachable)),
+    ]);
+    format!("{doc:#}\n")
 }
 
 /// Outcome of diffing a report against a committed baseline.
@@ -167,9 +125,8 @@ pub struct BaselineDiff {
 pub fn diff_baseline(report: &LintReport, baseline_text: &str) -> Result<BaselineDiff, String> {
     let root = neo_telemetry::json::parse(baseline_text)
         .map_err(|e| format!("baseline is not valid JSON: {e}"))?;
-    let schema = root.get("schema").and_then(|s| s.as_str());
-    if schema != Some("neo-lint-baseline/2") && schema != Some("neo-lint-baseline/1") {
-        return Err("baseline schema is not neo-lint-baseline/1 or /2".to_owned());
+    if root.get("schema").and_then(|s| s.as_str()) != Some(BASELINE_SCHEMA) {
+        return Err(format!("baseline schema is not {BASELINE_SCHEMA}"));
     }
     let waived = root
         .get("waived")
@@ -226,6 +183,7 @@ pub fn diff_baseline(report: &LintReport, baseline_text: &str) -> Result<Baselin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::source::Diagnostic;
     use std::path::PathBuf;
 
     fn report() -> LintReport {
@@ -284,7 +242,7 @@ mod tests {
     #[test]
     fn baseline_diff_flags_growth_and_notes_shrinkage() {
         let rep = report(); // lock_order: 2 waived
-        let base = "{\n  \"schema\": \"neo-lint-baseline/1\",\n  \
+        let base = "{\n  \"schema\": \"neo-lint-baseline/2\",\n  \
                     \"waived\": {\"lock_order\": 1, \"panic\": 3, \"ghost_rule\": 1}\n}\n";
         let diff = diff_baseline(&rep, base).expect("parses");
         assert_eq!(diff.problems.len(), 1, "{:?}", diff.problems);
@@ -309,15 +267,13 @@ mod tests {
     fn malformed_baseline_is_an_error() {
         assert!(diff_baseline(&report(), "not json").is_err());
         assert!(diff_baseline(&report(), "{\"schema\": \"other/1\"}").is_err());
+        let v1 = "{\"schema\": \"neo-lint-baseline/1\", \"waived\": {\"lock_order\": 2}}";
+        assert!(diff_baseline(&report(), v1).is_err(), "only /2 is accepted");
     }
 
     #[test]
-    fn v1_baselines_are_still_accepted_and_reachable_drift_is_a_note() {
+    fn reachable_drift_is_a_note() {
         let rep = report(); // reachable: panic_path = 5
-        let v1 = "{\"schema\": \"neo-lint-baseline/1\", \"waived\": {\"lock_order\": 2}}";
-        let diff = diff_baseline(&rep, v1).expect("v1 accepted");
-        assert!(diff.problems.is_empty(), "{:?}", diff.problems);
-
         let v2 = "{\"schema\": \"neo-lint-baseline/2\", \"waived\": {\"lock_order\": 2}, \
                    \"reachable\": {\"panic_path\": 9}}";
         let diff = diff_baseline(&rep, v2).expect("v2 accepted");

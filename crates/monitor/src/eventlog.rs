@@ -1,6 +1,7 @@
 //! Rolling JSONL event log + Prometheus-style text exposition.
 //!
-//! Frame/event schema (one JSON object per line, schema version `"v": 1`):
+//! Frame/event schema (one compact JSON object per line, built as a
+//! [`Json`] tree and printed by its one writer; schema version `"v": 1`):
 //!
 //! ```json
 //! {"v":1,"kind":"frame","frame":0,"t_ns":12345,
@@ -24,7 +25,7 @@
 //! rank/lane.
 
 use crate::HealthEvent;
-use neo_telemetry::export::{push_json_f64, push_json_string};
+use neo_telemetry::json::Json;
 use neo_telemetry::{HeartbeatSample, MetricsSample};
 use std::fs::File;
 use std::io::Write;
@@ -40,105 +41,79 @@ pub fn frame_json(
     heartbeats: &[HeartbeatSample],
     metrics: &MetricsSample,
 ) -> String {
-    let mut out = String::with_capacity(512);
-    out.push_str(&format!(
-        "{{\"v\":{SCHEMA_VERSION},\"kind\":\"frame\",\"frame\":{frame},\"t_ns\":{t_ns},\
-         \"heartbeats\":["
-    ));
-    for (i, h) in heartbeats.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"rank\":{},\"lane\":{},\"iter\":{},\"state\":\"{}\",",
-            h.rank,
-            h.lane,
-            h.iter,
-            h.state.name()
-        ));
-        out.push_str("\"phase\":");
-        match h.phase {
-            Some(p) => push_json_string(&mut out, p),
-            None => out.push_str("null"),
-        }
-        out.push_str(&format!(
-            ",\"beats\":{},\"last_beat_ns\":{},\"last_iter_ns\":{}}}",
-            h.beats, h.last_beat_ns, h.last_iter_ns
-        ));
-    }
-    out.push_str("],\"counters\":{");
-    for (i, (name, v)) in metrics.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_json_string(&mut out, name);
-        out.push_str(&format!(":{v}"));
-    }
-    out.push_str("},\"gauges\":{");
-    for (i, (name, iter, v)) in metrics.gauges.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_json_string(&mut out, name);
-        out.push_str(&format!(":[{iter},"));
-        push_json_f64(&mut out, *v);
-        out.push(']');
-    }
-    out.push_str("}}");
-    out
+    let heartbeats = heartbeats.iter().map(|h| {
+        Json::object([
+            ("rank", h.rank.into()),
+            ("lane", h.lane.into()),
+            ("iter", h.iter.into()),
+            ("state", h.state.name().into()),
+            ("phase", h.phase.into()),
+            ("beats", h.beats.into()),
+            ("last_beat_ns", h.last_beat_ns.into()),
+            ("last_iter_ns", h.last_iter_ns.into()),
+        ])
+    });
+    let counters = metrics.counters.iter().map(|(name, v)| (name, (*v).into()));
+    let gauges = metrics
+        .gauges
+        .iter()
+        .map(|(name, iter, v)| (name, Json::Array(vec![(*iter).into(), (*v).into()])));
+    Json::object([
+        ("v", SCHEMA_VERSION.into()),
+        ("kind", "frame".into()),
+        ("frame", frame.into()),
+        ("t_ns", t_ns.into()),
+        ("heartbeats", Json::Array(heartbeats.collect())),
+        ("counters", Json::object(counters)),
+        ("gauges", Json::object(gauges)),
+    ])
+    .to_string()
 }
 
 /// Serialize one health event as a JSONL line (no trailing newline).
 pub fn event_json(t_ns: u64, event: &HealthEvent) -> String {
-    let mut out = String::with_capacity(128);
-    out.push_str(&format!(
-        "{{\"v\":{SCHEMA_VERSION},\"kind\":\"event\",\"t_ns\":{t_ns},\"event\":\"{}\"",
-        event.kind()
-    ));
-    match event {
+    let mut members = vec![
+        ("v", SCHEMA_VERSION.into()),
+        ("kind", "event".into()),
+        ("t_ns", t_ns.into()),
+        ("event", event.kind().into()),
+        ("rank", event.rank().into()),
+    ];
+    members.extend(match *event {
         HealthEvent::Stall {
-            rank,
             lane,
             iter,
             phase,
             quiet_ms,
-        } => {
-            out.push_str(&format!(
-                ",\"rank\":{rank},\"lane\":{lane},\"iter\":{iter},"
-            ));
-            out.push_str("\"phase\":");
-            match phase {
-                Some(p) => push_json_string(&mut out, p),
-                None => out.push_str("null"),
-            }
-            out.push_str(&format!(",\"quiet_ms\":{quiet_ms}"));
-        }
+            ..
+        } => vec![
+            ("lane", lane.into()),
+            ("iter", iter.into()),
+            ("phase", phase.into()),
+            ("quiet_ms", quiet_ms.into()),
+        ],
         HealthEvent::Hang {
-            rank,
             lane,
             iter,
             quiet_ms,
-        } => {
-            out.push_str(&format!(
-                ",\"rank\":{rank},\"lane\":{lane},\"iter\":{iter},\"quiet_ms\":{quiet_ms}"
-            ));
-        }
+            ..
+        } => vec![
+            ("lane", lane.into()),
+            ("iter", iter.into()),
+            ("quiet_ms", quiet_ms.into()),
+        ],
         HealthEvent::Straggler {
-            rank,
             p95_ms,
             mean_p95_ms,
             skew,
-        } => {
-            out.push_str(&format!(",\"rank\":{rank},\"p95_ms\":"));
-            push_json_f64(&mut out, *p95_ms);
-            out.push_str(",\"mean_p95_ms\":");
-            push_json_f64(&mut out, *mean_p95_ms);
-            out.push_str(",\"skew\":");
-            push_json_f64(&mut out, *skew);
-        }
-    }
-    out.push('}');
-    out
+            ..
+        } => vec![
+            ("p95_ms", p95_ms.into()),
+            ("mean_p95_ms", mean_p95_ms.into()),
+            ("skew", skew.into()),
+        ],
+    });
+    Json::object(members).to_string()
 }
 
 /// Map a dotted metric name to a Prometheus-legal `neo_*` name.
@@ -157,7 +132,7 @@ fn prom_name(name: &str) -> String {
 
 /// Append `v` in Prometheus sample-value syntax. Unlike JSON, the text
 /// format *has* spellings for non-finite values (`NaN`, `+Inf`, `-Inf`)
-/// — routing these through the JSON helper would emit `null` and corrupt
+/// — routing these through the JSON writer would emit `null` and corrupt
 /// the exposition.
 fn prom_f64(out: &mut String, v: f64) {
     if v.is_nan() {
@@ -302,7 +277,7 @@ impl EventLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use neo_telemetry::json::{self, Json};
+    use neo_telemetry::json;
     use neo_telemetry::HeartbeatState;
 
     fn hb(rank: u32, lane: u32) -> HeartbeatSample {

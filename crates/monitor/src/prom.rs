@@ -1,8 +1,8 @@
 //! A real checker for the Prometheus text exposition format.
 //!
-//! `neo-xtask monitor-check` used to eyeball `.prom` files with a couple
-//! of `starts_with` probes; this module actually parses the format so a
-//! malformed scrape (bad metric name, broken label syntax, an
+//! Rather than eyeball `.prom` files with a couple of `starts_with`
+//! probes, `neo-xtask check` runs this module, which actually parses the
+//! format so a malformed scrape (bad metric name, broken label syntax, an
 //! unparseable value, or the same series exported twice) fails CI instead
 //! of silently feeding garbage to a scraper. The grammar follows the
 //! Prometheus text-format spec:

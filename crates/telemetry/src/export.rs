@@ -1,9 +1,9 @@
-//! Export formats: hand-rolled JSON summary and Chrome trace-event JSON.
-//!
-//! The workspace's `serde` shim is a no-op marker crate, so serialization is
-//! written out by hand. Ordering is deterministic: names ascend (inherited
-//! from the `BTreeMap` store) and spans stay in record order.
+//! Export formats: the `neo-telemetry/1` JSON summary and Chrome
+//! trace-event JSON, both built as [`Json`] trees and printed by its one
+//! writer. Ordering is deterministic: names ascend (inherited from the
+//! `BTreeMap` store) and spans stay in record order.
 
+use crate::json::Json;
 use crate::{Histogram, SpanRecord};
 
 /// Point-in-time copy of everything a sink has recorded.
@@ -35,6 +35,7 @@ impl Snapshot {
     ///
     /// ```json
     /// {
+    ///   "schema": "neo-telemetry/1",
     ///   "counters": {"name": 1},
     ///   "gauges": {"name": [[iter, value]]},
     ///   "histograms": {"name": {"total": n, "sum": s, "mean": m,
@@ -45,84 +46,47 @@ impl Snapshot {
     /// }
     /// ```
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n  \"counters\": {");
-        for (i, (name, value)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            push_json_string(&mut out, name);
-            out.push_str(&format!(": {value}"));
-        }
-        out.push_str("\n  },\n  \"gauges\": {");
-        for (i, (name, series)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            push_json_string(&mut out, name);
-            out.push_str(": [");
-            for (j, (iter, value)) in series.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push('[');
-                out.push_str(&iter.to_string());
-                out.push(',');
-                push_json_f64(&mut out, *value);
-                out.push(']');
-            }
-            out.push(']');
-        }
-        out.push_str("\n  },\n  \"histograms\": {");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            push_json_string(&mut out, name);
-            out.push_str(&format!(
-                ": {{\"total\": {}, \"sum\": {}, \"mean\": ",
-                h.total(),
-                h.sum()
-            ));
-            push_json_f64(&mut out, h.mean());
-            for (label, q) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
-                out.push_str(&format!(", \"{label}\": "));
-                push_json_f64(&mut out, h.quantile(q));
-            }
+        let counters = self.counters.iter().map(|(name, v)| (name, (*v).into()));
+        let gauges = self.gauges.iter().map(|(name, series)| {
+            let points = series
+                .iter()
+                .map(|&(iter, v)| Json::Array(vec![iter.into(), v.into()]));
+            (name, Json::Array(points.collect()))
+        });
+        let histograms = self.histograms.iter().map(|(name, h)| {
             // each bucket carries its explicit inclusive [lo, hi] bounds so
             // consumers never hard-code the log2 bucket scheme
-            out.push_str(", \"buckets\": [");
-            for (j, (lo, hi, count)) in h.nonzero_bucket_ranges().iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("[{lo},{hi},{count}]"));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("\n  },\n  \"spans\": [");
-        for (i, s) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\"rank\": ");
-            out.push_str(&s.rank.to_string());
-            out.push_str(", \"lane\": ");
-            out.push_str(&s.lane.to_string());
-            out.push_str(", \"iter\": ");
-            out.push_str(&s.iter.to_string());
-            out.push_str(", \"name\": ");
-            push_json_string(&mut out, s.name);
-            out.push_str(&format!(
-                ", \"start_ns\": {}, \"end_ns\": {}}}",
-                s.start_ns, s.end_ns
-            ));
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+            let buckets = h.nonzero_bucket_ranges().into_iter();
+            let buckets = buckets.map(|(lo, hi, n)| Json::from(vec![lo, hi, n]));
+            let h = Json::object([
+                ("total", h.total().into()),
+                ("sum", (h.sum() as f64).into()),
+                ("mean", h.mean().into()),
+                ("p50", h.quantile(0.50).into()),
+                ("p95", h.quantile(0.95).into()),
+                ("p99", h.quantile(0.99).into()),
+                ("buckets", Json::Array(buckets.collect())),
+            ]);
+            (name, h)
+        });
+        let spans = self.spans.iter().map(|s| {
+            Json::object([
+                ("rank", s.rank.into()),
+                ("lane", s.lane.into()),
+                ("iter", s.iter.into()),
+                ("name", s.name.into()),
+                ("start_ns", s.start_ns.into()),
+                ("end_ns", s.end_ns.into()),
+            ])
+        });
+        let doc = Json::object([
+            ("schema", "neo-telemetry/1".into()),
+            ("counters", Json::object(counters)),
+            ("gauges", Json::object(gauges)),
+            ("histograms", Json::object(histograms)),
+            ("spans", Json::Array(spans.collect())),
+        ]);
+        format!("{doc:#}\n")
     }
 
     /// Serialize spans as Chrome trace-event JSON ("X" complete events,
@@ -139,91 +103,56 @@ impl Snapshot {
     /// events so Perfetto labels the training job and each rank/lane thread
     /// instead of showing bare pid/tid numbers.
     pub fn to_chrome_trace(&self) -> String {
-        let world = self
-            .spans
-            .iter()
-            .map(|s| s.rank + 1)
-            .max()
-            .unwrap_or(1)
-            .max(1);
+        let world = self.spans.iter().map(|s| s.rank + 1).max().unwrap_or(1);
         let tid_of = |rank: u32, lane: u32| u64::from(world) * u64::from(lane) + u64::from(rank);
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [");
-        out.push_str(
-            "\n  {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 0, \
-             \"args\": {\"name\": \"neo-dlrm training\"}}",
-        );
+        let label = |name: String| Json::object([("name", Json::from(name))]);
+        let mut events = vec![Json::object([
+            ("name", "process_name".into()),
+            ("ph", "M".into()),
+            ("pid", 0u32.into()),
+            ("args", label("neo-dlrm training".into())),
+        ])];
         let mut threads: Vec<(u32, u32)> = self.spans.iter().map(|s| (s.lane, s.rank)).collect();
         threads.sort_unstable();
         threads.dedup();
-        for &(lane, rank) in &threads {
-            let tid = tid_of(rank, lane);
-            let label = if lane == 0 {
+        events.extend(threads.into_iter().map(|(lane, rank)| {
+            let name = if lane == 0 {
                 format!("rank {rank}")
             } else {
                 format!("rank {rank} comm lane {lane}")
             };
-            out.push_str(&format!(
-                ",\n  {{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, \
-                 \"tid\": {tid}, \"args\": {{\"name\": \"{label}\"}}}}"
-            ));
-        }
-        for s in &self.spans {
-            out.push(',');
-            out.push_str("\n  {\"name\": ");
-            push_json_string(&mut out, s.name);
-            out.push_str(", \"cat\": \"neo\", \"ph\": \"X\", \"ts\": ");
-            push_json_f64(&mut out, s.start_ns as f64 / 1e3);
-            out.push_str(", \"dur\": ");
-            push_json_f64(&mut out, s.duration_ns() as f64 / 1e3);
-            out.push_str(&format!(
-                ", \"pid\": 0, \"tid\": {}, \"args\": {{\"iter\": {}}}}}",
-                tid_of(s.rank, s.lane),
-                s.iter
-            ));
-        }
-        out.push_str("\n]}\n");
-        out
-    }
-}
-
-/// Append `s` as a JSON string literal (quotes + escapes) to `out`.
-pub fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Append a finite `f64` as a JSON number (non-finite values become `null`,
-/// which JSON has no number spelling for).
-pub fn push_json_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let s = format!("{v}");
-        out.push_str(&s);
-        // `Display` omits the decimal point for integral floats; keep the
-        // value unambiguously a float so typed consumers round-trip it.
-        if !s.contains('.') && !s.contains('e') && !s.contains("inf") {
-            out.push_str(".0");
-        }
-    } else {
-        out.push_str("null");
+            Json::object([
+                ("name", "thread_name".into()),
+                ("ph", "M".into()),
+                ("pid", 0u32.into()),
+                ("tid", tid_of(rank, lane).into()),
+                ("args", label(name)),
+            ])
+        }));
+        events.extend(self.spans.iter().map(|s| {
+            Json::object([
+                ("name", s.name.into()),
+                ("cat", "neo".into()),
+                ("ph", "X".into()),
+                ("ts", (s.start_ns as f64 / 1e3).into()),
+                ("dur", (s.duration_ns() as f64 / 1e3).into()),
+                ("pid", 0u32.into()),
+                ("tid", tid_of(s.rank, s.lane).into()),
+                ("args", Json::object([("iter", s.iter.into())])),
+            ])
+        }));
+        let doc = Json::object([
+            ("displayTimeUnit", "ms".into()),
+            ("traceEvents", Json::Array(events)),
+        ]);
+        format!("{doc:#}\n")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::{self, Json};
+    use crate::json;
     use crate::{phase, TelemetrySink};
 
     fn sample_sink() -> TelemetrySink {
@@ -395,23 +324,5 @@ mod tests {
             let v = hist.and_then(|h| h.get(key)).and_then(Json::as_f64);
             assert!(v.is_some_and(|v| (4.0..=7.0).contains(&v)), "{key}: {v:?}");
         }
-    }
-
-    #[test]
-    fn json_string_escaping() {
-        let mut out = String::new();
-        push_json_string(&mut out, "a\"b\\c\nd\u{1}");
-        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\"");
-    }
-
-    #[test]
-    fn json_f64_forms() {
-        let mut out = String::new();
-        push_json_f64(&mut out, 2.0);
-        out.push(' ');
-        push_json_f64(&mut out, 0.5);
-        out.push(' ');
-        push_json_f64(&mut out, f64::NAN);
-        assert_eq!(out, "2.0 0.5 null");
     }
 }

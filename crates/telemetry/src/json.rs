@@ -1,16 +1,17 @@
-//! Minimal JSON parser used to validate telemetry exports.
+//! The workspace's one JSON value type: its parser and its writer.
 //!
-//! The workspace is offline and the `serde` shim is a no-op, so tooling
-//! (`neo-xtask json-check`, CI, tests) validates exports with this small
-//! recursive-descent parser. It accepts standard JSON (RFC 8259): objects,
-//! arrays, strings with escapes, numbers, booleans, null. It is a
-//! validator first — numbers are held as `f64`, object keys keep insertion
-//! order, and duplicate keys are allowed (last one wins on lookup is NOT
-//! implemented; `get` returns the first match).
+//! The workspace is offline and the `serde` shim is a no-op, so every
+//! artifact the workspace writes is built as a [`Json`] tree and printed
+//! by its [`Display`](fmt::Display) impl, and tooling (`neo-xtask check`,
+//! CI, tests) reads artifacts back with [`parse`], a small
+//! recursive-descent parser for standard JSON (RFC 8259): objects,
+//! arrays, strings with escapes, numbers, booleans, null. Numbers are held
+//! as `f64`, object keys keep insertion order, and duplicate keys are
+//! allowed (`get` returns the first match).
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
-/// A parsed JSON value.
+/// A JSON value: what [`parse`] returns and what `Display` writes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`
@@ -66,6 +67,119 @@ impl Json {
             Json::Object(members) => Some(members),
             _ => None,
         }
+    }
+
+    /// An object with `members` in the order given.
+    pub fn object<K: Into<String>>(members: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Object(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    fn write(&self, f: &mut fmt::Formatter<'_>, indent: Option<usize>) -> fmt::Result {
+        let (brackets, items): (&str, Vec<(Option<&str>, &Json)>) = match self {
+            Json::Null => return f.write_str("null"),
+            Json::Bool(b) => return write!(f, "{b}"),
+            Json::Number(n) if n.is_finite() => return write!(f, "{n}"),
+            Json::Number(_) => return f.write_str("null"),
+            Json::String(s) => return write_string(f, s),
+            Json::Array(items) => ("[]", items.iter().map(|v| (None, v)).collect()),
+            Json::Object(members) => ("{}", members.iter().map(|(k, v)| (Some(&**k), v)).collect()),
+        };
+        let inner = indent.map(|level| level + 1);
+        let newline = |f: &mut fmt::Formatter<'_>, level| write!(f, "\n{:1$}", "", 2 * level);
+        f.write_str(&brackets[..1])?;
+        for (i, (key, value)) in items.iter().enumerate() {
+            if i > 0 {
+                f.write_char(',')?;
+            }
+            if let Some(level) = inner {
+                newline(f, level)?;
+            }
+            if let Some(key) = key {
+                write_string(f, key)?;
+                f.write_str(if indent.is_some() { ": " } else { ":" })?;
+            }
+            value.write(f, inner)?;
+        }
+        if let (Some(level), false) = (indent, items.is_empty()) {
+            newline(f, level)?;
+        }
+        f.write_str(&brackets[1..])
+    }
+}
+
+/// `{}` writes compact JSON with no whitespace; `{:#}` indents two spaces
+/// per level with one member or item per line, as file artifacts are
+/// written. Numbers print in Rust's shortest round-trip form; non-finite
+/// ones, which JSON cannot spell, print as `null`.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f, f.alternate().then_some(0))
+    }
+}
+
+fn write_string(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_char('"')?;
+    let mut plain = 0; // start of the pending run written as-is
+    for (i, c) in s.char_indices() {
+        if c >= ' ' && c != '"' && c != '\\' {
+            continue;
+        }
+        f.write_str(&s[plain..i])?;
+        plain = i + 1; // every escaped char is one byte
+        match c {
+            '"' => f.write_str("\\\"")?,
+            '\\' => f.write_str("\\\\")?,
+            '\n' => f.write_str("\\n")?,
+            '\r' => f.write_str("\\r")?,
+            '\t' => f.write_str("\\t")?,
+            c => write!(f, "\\u{:04x}", u32::from(c))?,
+        }
+    }
+    f.write_str(&s[plain..])?;
+    f.write_char('"')
+}
+
+impl From<f64> for Json {
+    fn from(n: f64) -> Self {
+        Json::Number(n)
+    }
+}
+
+// Every integer the workspace writes (counts, bytes, nanoseconds since a
+// sink was armed, ids) is below 2^53, so an `f64` holds it exactly.
+macro_rules! from_integer {
+    ($($t:ty)*) => {$(
+        impl From<$t> for Json {
+            fn from(n: $t) -> Self {
+                Json::Number(n as f64)
+            }
+        }
+    )*};
+}
+from_integer!(u32 u64 usize);
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Self {
+        Json::String(s.to_owned())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Self {
+        Json::String(s)
+    }
+}
+
+/// `None` is `null`.
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Self {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
+impl<T: Into<Json>> From<Vec<T>> for Json {
+    fn from(items: Vec<T>) -> Self {
+        Json::Array(items.into_iter().map(Into::into).collect())
     }
 }
 
@@ -252,27 +366,25 @@ impl Parser<'_> {
         }
     }
 
-    fn unicode_escape(&mut self) -> Result<char, ParseError> {
-        let hex = self
-            .bytes
-            .get(self.pos..self.pos + 4)
-            .and_then(|h| std::str::from_utf8(h).ok())
-            .and_then(|h| u32::from_str_radix(h, 16).ok())
-            .ok_or_else(|| self.err("invalid \\u escape"))?;
+    /// Four hex digits after a `\u`.
+    fn hex4(&mut self) -> Result<u32, ParseError> {
+        let digits = self.bytes.get(self.pos..self.pos + 4).unwrap_or_default();
+        let hex = std::str::from_utf8(digits).map(|h| u32::from_str_radix(h, 16));
+        let hex = hex.ok().and_then(Result::ok);
+        let hex = hex.ok_or_else(|| self.err("invalid \\u escape"))?;
         self.pos += 4;
+        Ok(hex)
+    }
+
+    fn unicode_escape(&mut self) -> Result<char, ParseError> {
+        let hex = self.hex4()?;
         // Surrogate pairs: \uD800-\uDBFF must be followed by \uDC00-\uDFFF.
         if (0xD800..0xDC00).contains(&hex) {
             if self.bytes.get(self.pos..self.pos + 2) != Some(b"\\u") {
                 return Err(self.err("lone high surrogate"));
             }
             self.pos += 2;
-            let low = self
-                .bytes
-                .get(self.pos..self.pos + 4)
-                .and_then(|h| std::str::from_utf8(h).ok())
-                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                .ok_or_else(|| self.err("invalid \\u escape"))?;
-            self.pos += 4;
+            let low = self.hex4()?;
             if !(0xDC00..0xE000).contains(&low) {
                 return Err(self.err("invalid low surrogate"));
             }
@@ -288,9 +400,12 @@ impl Parser<'_> {
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        let digits_before = self.digits();
-        if digits_before == 0 {
-            return Err(self.err("expected digits in number"));
+        let leading_zero = self.peek() == Some(b'0');
+        match self.digits() {
+            0 => return Err(self.err("expected digits in number")),
+            1 => {}
+            _ if leading_zero => return Err(self.err("leading zero in number")),
+            _ => {}
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
@@ -369,8 +484,41 @@ mod tests {
             "1 2",
             "{\"a\":}",
             "\"\\ud83d\"",
+            "01",
+            "-01",
+            "00",
         ] {
             assert!(parse(bad).is_err(), "expected parse error for {bad:?}");
+        }
+        for good in ["0", "-0", "0.5", "10", "-0e1"] {
+            assert!(parse(good).is_ok(), "expected {good:?} to parse");
+        }
+    }
+
+    #[test]
+    fn writes_compact_and_indented_forms() {
+        let doc = Json::object([
+            ("s", Json::from("a\"b\\c\nd\u{1}")),
+            ("n", Json::from(vec![2.0, 0.5])),
+            ("e", Json::object(Vec::<(String, Json)>::new())),
+            ("z", Json::from(None::<u64>)),
+        ]);
+        assert_eq!(
+            doc.to_string(),
+            r#"{"s":"a\"b\\c\nd\u0001","n":[2,0.5],"e":{},"z":null}"#
+        );
+        assert_eq!(
+            format!("{doc:#}"),
+            "{\n  \"s\": \"a\\\"b\\\\c\\nd\\u0001\",\n  \"n\": [\n    2,\n    0.5\n  ],\n  \
+             \"e\": {},\n  \"z\": null\n}"
+        );
+    }
+
+    #[test]
+    fn non_finite_numbers_write_null() {
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(Json::from(v).to_string(), "null");
+            assert_eq!(format!("{:#}", Json::from(vec![v])), "[\n  null\n]");
         }
     }
 

@@ -11,12 +11,13 @@
 //! - a **span recorder** capturing named, nested phases per rank per
 //!   iteration via owned RAII guards ([`RankRecorder::span`] /
 //!   [`SpanGuard`]);
-//! - exporters for a hand-rolled **JSON summary** and the **Chrome
+//! - exporters for the `neo-telemetry/1` **JSON summary** and the **Chrome
 //!   trace-event format** (loadable in `chrome://tracing` / Perfetto);
 //! - the shared **phase-name taxonomy** ([`phase`]) consumed by both the
 //!   live trainer instrumentation and the `perfmodel` simulator, so
 //!   simulated and measured timelines are diffable;
-//! - a minimal JSON parser ([`json`]) used by tooling to validate exports.
+//! - the workspace's one JSON value type ([`json`]): the writer every
+//!   artifact is printed by, and the parser tooling reads them back with.
 //!
 //! The whole API is driven through a cloneable [`TelemetrySink`] handle.
 //! A disabled sink (the default) is a true no-op: no timing syscalls, no

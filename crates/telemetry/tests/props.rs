@@ -1,7 +1,88 @@
 //! Property-based tests for the metrics registry and span recorder.
 
-use neo_telemetry::{json, phase, Histogram, TelemetrySink, NUM_BUCKETS};
+use neo_telemetry::json::{self, Json};
+use neo_telemetry::{phase, Histogram, TelemetrySink, NUM_BUCKETS};
 use proptest::prelude::*;
+
+/// Random finite JSON trees nested up to `depth` levels.
+struct Trees {
+    depth: u32,
+}
+
+impl Strategy for Trees {
+    type Value = Json;
+
+    fn sample(&self, rng: &mut TestRng) -> Json {
+        tree(rng, self.depth)
+    }
+}
+
+fn tree(rng: &mut TestRng, depth: u32) -> Json {
+    let len = |rng: &mut TestRng| rng.next_u64() % 5;
+    match rng.next_u64() % if depth == 0 { 4 } else { 6 } {
+        0 => Json::Null,
+        1 => Json::Bool(rng.next_u64() & 1 == 1),
+        2 => Json::Number(number(rng)),
+        3 => Json::String(string(rng)),
+        4 => Json::Array((0..len(rng)).map(|_| tree(rng, depth - 1)).collect()),
+        _ => Json::Object(
+            (0..len(rng))
+                .map(|_| (string(rng), tree(rng, depth - 1)))
+                .collect(),
+        ),
+    }
+}
+
+/// Integers up to 2^53, ±0, subnormals, 1e±300 and arbitrary finite bits.
+fn number(rng: &mut TestRng) -> f64 {
+    const EDGES: [f64; 10] = [
+        0.0,
+        -0.0,
+        9_007_199_254_740_992.0,
+        -9_007_199_254_740_992.0,
+        1e300,
+        -1e300,
+        1e-300,
+        5e-324,
+        f64::MIN_POSITIVE,
+        f64::MAX,
+    ];
+    let sign = if rng.next_u64() & 1 == 1 { -1.0 } else { 1.0 };
+    match rng.next_u64() % 4 {
+        0 => EDGES[(rng.next_u64() % EDGES.len() as u64) as usize],
+        1 => sign * (rng.next_u64() % (1 << 53)) as f64,
+        2 => sign * f64::from_bits(rng.next_u64() & ((1 << 52) - 1)), // subnormal
+        _ => loop {
+            let v = f64::from_bits(rng.next_u64());
+            if v.is_finite() {
+                break v;
+            }
+        },
+    }
+}
+
+/// Strings over every control character, the two JSON metacharacters,
+/// DEL, and non-ASCII and non-BMP characters.
+fn string(rng: &mut TestRng) -> String {
+    let special = [
+        '"',
+        '\\',
+        '/',
+        '\u{7f}',
+        'a',
+        ' ',
+        'é',
+        '€',
+        '中',
+        '😀',
+        '\u{10ffff}',
+    ];
+    let alphabet: Vec<char> = ('\0'..' ').chain(special).collect();
+    let len = rng.next_u64() % 12;
+    (0..len)
+        .map(|_| alphabet[(rng.next_u64() % alphabet.len() as u64) as usize])
+        .collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -78,16 +159,17 @@ proptest! {
         let summary = sink.export_json().unwrap_or_default();
         let doc = json::parse(&summary);
         prop_assert!(doc.is_ok(), "summary export failed to parse: {:?}", doc);
-        let doc = doc.unwrap_or(json::Json::Null);
-        let span_count = doc.get("spans").and_then(json::Json::as_array).map(Vec::len);
+        let doc = doc.unwrap_or(Json::Null);
+        prop_assert_eq!(doc.get("schema").and_then(Json::as_str), Some("neo-telemetry/1"));
+        let span_count = doc.get("spans").and_then(Json::as_array).map(Vec::len);
         prop_assert_eq!(span_count, Some(spans.len()));
         let trace = sink.export_chrome_trace().unwrap_or_default();
         let tdoc = json::parse(&trace);
         prop_assert!(tdoc.is_ok(), "trace export failed to parse: {:?}", tdoc);
         let events = tdoc
-            .unwrap_or(json::Json::Null)
+            .unwrap_or(Json::Null)
             .get("traceEvents")
-            .and_then(json::Json::as_array)
+            .and_then(Json::as_array)
             .map(Vec::len);
         // One process_name metadata event, one thread_name per distinct
         // rank, then one "X" event per span.
@@ -95,6 +177,15 @@ proptest! {
         ranks.sort_unstable();
         ranks.dedup();
         prop_assert_eq!(events, Some(1 + ranks.len() + spans.len()));
+    }
+
+    /// The parser is the writer's oracle: both the compact and the
+    /// indented form of any finite tree parse back to the same tree, with
+    /// object members in their original order.
+    #[test]
+    fn writer_round_trips_through_the_parser(j in Trees { depth: 4 }) {
+        prop_assert_eq!(json::parse(&format!("{j}")), Ok(j.clone()));
+        prop_assert_eq!(json::parse(&format!("{j:#}")), Ok(j));
     }
 
     /// The interpolated quantile estimate is bounded by the edges of the

@@ -160,7 +160,6 @@ mod tests {
 
     #[test]
     fn workload_report_covers_every_scheme_and_conserves_counts() {
-        use neo_workload::WORKLOAD_SCHEMA_VERSION;
         let mut cfg = SyncConfig::exact(2, model_cfg(), mixed_plan(2), 16);
         cfg.workload = true;
         let iters = 3u64;
@@ -168,7 +167,7 @@ mod tests {
             .train(&batches(iters, 16), &[], 0, None)
             .unwrap();
         let r = out.workload.expect("workload was requested");
-        assert_eq!(r.schema_version, WORKLOAD_SCHEMA_VERSION);
+        assert!(r.to_json().contains("\"schema\": \"neo-workload/1\""));
         assert_eq!(r.world, 2);
         assert_eq!(r.iters, iters);
         assert_eq!(r.global_batch, 16);

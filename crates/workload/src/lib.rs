@@ -49,7 +49,7 @@
 pub mod report;
 pub mod sketch;
 
-pub use report::{TableMeta, TableWorkload, WorkloadReport, WORKLOAD_SCHEMA_VERSION};
+pub use report::{TableMeta, TableWorkload, WorkloadReport};
 pub use sketch::{CountMinSketch, TopK, DEFAULT_TOP_K};
 
 use neo_telemetry::Histogram;

@@ -1,11 +1,12 @@
 //! The `workload.json` artifact: merged per-table access statistics,
 //! shard-load attribution, Zipf fit, and rank imbalance.
 //!
-//! Schema (version 1):
+//! Schema `neo-workload/1`, built as a [`Json`] tree and printed by its
+//! one writer:
 //!
 //! ```json
 //! {
-//!   "schema_version": 1,
+//!   "schema": "neo-workload/1",
 //!   "world": 4, "iters": 120, "global_batch": 256, "comm_bytes": 1234,
 //!   "tables": [{
 //!     "table": 0, "rows": 20000, "dim": 16,
@@ -30,15 +31,14 @@
 //! embedded copy exists so humans and dashboards can read it without
 //! re-deriving.
 
-use neo_telemetry::export::{push_json_f64, push_json_string};
 use neo_telemetry::json::{self, Json};
 use neo_telemetry::Histogram;
 
 use crate::sketch::{CountMinSketch, TopK, DEFAULT_TOP_K};
 use crate::{ShardKind, ShardSample, TierSample};
 
-/// Version of the `workload.json` schema this build writes and reads.
-pub const WORKLOAD_SCHEMA_VERSION: u64 = 1;
+/// The root `schema` tag this build writes and reads.
+const SCHEMA: &str = "neo-workload/1";
 
 /// Model-side metadata for one table, supplied by the trainer at merge
 /// time (samples carry only what the hot path observed).
@@ -179,8 +179,6 @@ pub struct Imbalance {
 /// The `workload.json` artifact.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadReport {
-    /// Schema version ([`WORKLOAD_SCHEMA_VERSION`]).
-    pub schema_version: u64,
     /// Number of ranks.
     pub world: usize,
     /// Training iterations the statistics cover.
@@ -365,7 +363,6 @@ impl WorkloadReport {
             .collect();
         shards.sort_by_key(|s| (s.rank, s.table, s.shard));
         Self {
-            schema_version: WORKLOAD_SCHEMA_VERSION,
             world,
             iters,
             global_batch,
@@ -395,122 +392,79 @@ impl WorkloadReport {
 
     /// Serializes the artifact (always ends with a newline).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema_version\": {},\n", self.schema_version));
-        out.push_str(&format!("  \"world\": {},\n", self.world));
-        out.push_str(&format!("  \"iters\": {},\n", self.iters));
-        out.push_str(&format!("  \"global_batch\": {},\n", self.global_batch));
-        out.push_str(&format!("  \"comm_bytes\": {},\n", self.comm_bytes));
-        out.push_str("  \"tables\": [");
-        for (i, t) in self.tables.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {");
-            out.push_str(&format!("\"table\": {}, ", t.table));
-            out.push_str(&format!("\"rows\": {}, ", t.rows));
-            out.push_str(&format!("\"dim\": {}, ", t.dim));
-            out.push_str(&format!("\"lookups\": {}, ", t.lookups));
-            out.push_str(&format!("\"bags\": {}, ", t.bags));
-            out.push_str(&format!("\"unique_rows\": {},\n     ", t.unique_rows));
-            out.push_str(&format!(
-                "\"pooling\": {{\"total\": {}, \"sum\": {}, \"mean\": ",
-                t.pooling.total, t.pooling.sum
-            ));
-            push_json_f64(&mut out, t.pooling.mean);
-            out.push_str(", \"p50\": ");
-            push_json_f64(&mut out, t.pooling.p50);
-            out.push_str(", \"p95\": ");
-            push_json_f64(&mut out, t.pooling.p95);
-            out.push_str(", \"buckets\": [");
-            for (j, &(lo, hi, c)) in t.pooling.buckets.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("[{lo}, {hi}, {c}]"));
-            }
-            out.push_str("]},\n     \"top_rows\": [");
-            for (j, &(row, est)) in t.top_rows.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("[{row}, {est}]"));
-            }
-            out.push_str("],\n     ");
-            out.push_str(&format!(
-                "\"sketch\": {{\"depth\": {}, \"width\": {}, \"total\": {}}}, ",
-                t.sketch_depth, t.sketch_width, t.sketch_total
-            ));
-            out.push_str("\"zipf_exponent\": ");
-            match t.zipf_exponent {
-                Some(s) => push_json_f64(&mut out, s),
-                None => out.push_str("null"),
-            }
-            out.push_str(&format!(",\n     \"param_bytes\": {}, ", t.param_bytes));
-            out.push_str("\"tier\": ");
-            match &t.tier {
-                None => out.push_str("null"),
-                Some(tier) => {
-                    out.push_str(&format!(
-                        "{{\"capacity_rows\": {}, \"resident_rows\": {}, \
-                         \"cache_bytes\": {}, \"hits\": {}, \"misses\": {}, \
-                         \"observed_hit_rate\": ",
-                        tier.capacity_rows,
-                        tier.resident_rows,
-                        tier.cache_bytes,
-                        tier.hits,
-                        tier.misses
-                    ));
-                    push_json_f64(&mut out, tier.observed_hit_rate);
-                    out.push_str(", \"predicted_hit_rate\": ");
-                    match tier.predicted_hit_rate {
-                        Some(p) => push_json_f64(&mut out, p),
-                        None => out.push_str("null"),
-                    }
-                    out.push('}');
-                }
-            }
-            out.push('}');
-        }
-        out.push_str("\n  ],\n  \"shards\": [");
-        for (i, s) in self.shards.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {");
-            out.push_str(&format!("\"rank\": {}, ", s.rank));
-            out.push_str(&format!("\"table\": {}, ", s.table));
-            out.push_str(&format!("\"shard\": {}, ", s.shard));
-            out.push_str("\"kind\": ");
-            push_json_string(&mut out, s.kind.as_str());
-            out.push_str(&format!(", \"lookups\": {}, ", s.lookups));
-            out.push_str(&format!("\"bags\": {}, ", s.bags));
-            out.push_str(&format!("\"bytes\": {}, ", s.bytes));
-            out.push_str(&format!("\"param_bytes\": {}}}", s.param_bytes));
-        }
-        out.push_str("\n  ],\n  \"imbalance\": {");
+        let tables = self.tables.iter().map(|t| {
+            let p = &t.pooling;
+            let buckets = p.buckets.iter().map(|&(lo, hi, c)| vec![lo, hi, c].into());
+            let pooling = Json::object([
+                ("total", p.total.into()),
+                ("sum", p.sum.into()),
+                ("mean", p.mean.into()),
+                ("p50", p.p50.into()),
+                ("p95", p.p95.into()),
+                ("buckets", Json::Array(buckets.collect())),
+            ]);
+            let top_rows = t.top_rows.iter().map(|&(row, est)| vec![row, est].into());
+            let sketch = Json::object([
+                ("depth", t.sketch_depth.into()),
+                ("width", t.sketch_width.into()),
+                ("total", t.sketch_total.into()),
+            ]);
+            let tier = t.tier.as_ref().map(|tier| {
+                Json::object([
+                    ("capacity_rows", tier.capacity_rows.into()),
+                    ("resident_rows", tier.resident_rows.into()),
+                    ("cache_bytes", tier.cache_bytes.into()),
+                    ("hits", tier.hits.into()),
+                    ("misses", tier.misses.into()),
+                    ("observed_hit_rate", tier.observed_hit_rate.into()),
+                    ("predicted_hit_rate", tier.predicted_hit_rate.into()),
+                ])
+            });
+            Json::object([
+                ("table", t.table.into()),
+                ("rows", t.rows.into()),
+                ("dim", t.dim.into()),
+                ("lookups", t.lookups.into()),
+                ("bags", t.bags.into()),
+                ("unique_rows", t.unique_rows.into()),
+                ("pooling", pooling),
+                ("top_rows", Json::Array(top_rows.collect())),
+                ("sketch", sketch),
+                ("zipf_exponent", t.zipf_exponent.into()),
+                ("param_bytes", t.param_bytes.into()),
+                ("tier", tier.into()),
+            ])
+        });
+        let shards = self.shards.iter().map(|s| {
+            Json::object([
+                ("rank", s.rank.into()),
+                ("table", s.table.into()),
+                ("shard", s.shard.into()),
+                ("kind", s.kind.as_str().into()),
+                ("lookups", s.lookups.into()),
+                ("bags", s.bags.into()),
+                ("bytes", s.bytes.into()),
+                ("param_bytes", s.param_bytes.into()),
+            ])
+        });
         let imb = self.imbalance();
-        out.push_str("\"lookup_max_over_mean\": ");
-        push_json_f64(&mut out, imb.lookup_max_over_mean);
-        out.push_str(", \"bytes_max_over_mean\": ");
-        push_json_f64(&mut out, imb.bytes_max_over_mean);
-        out.push_str(", \"per_rank_lookups\": [");
-        for (i, v) in imb.per_rank_lookups.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("{v}"));
-        }
-        out.push_str("], \"per_rank_bytes\": [");
-        for (i, v) in imb.per_rank_bytes.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("{v}"));
-        }
-        out.push_str("]}\n}\n");
-        out
+        let imbalance = Json::object([
+            ("lookup_max_over_mean", imb.lookup_max_over_mean.into()),
+            ("bytes_max_over_mean", imb.bytes_max_over_mean.into()),
+            ("per_rank_lookups", imb.per_rank_lookups.into()),
+            ("per_rank_bytes", imb.per_rank_bytes.into()),
+        ]);
+        let doc = Json::object([
+            ("schema", SCHEMA.into()),
+            ("world", self.world.into()),
+            ("iters", self.iters.into()),
+            ("global_batch", self.global_batch.into()),
+            ("comm_bytes", self.comm_bytes.into()),
+            ("tables", Json::Array(tables.collect())),
+            ("shards", Json::Array(shards.collect())),
+            ("imbalance", imbalance),
+        ]);
+        format!("{doc:#}\n")
     }
 
     /// Parses an artifact written by [`WorkloadReport::to_json`].
@@ -518,11 +472,9 @@ impl WorkloadReport {
     /// file.
     pub fn parse(text: &str) -> Result<Self, String> {
         let root = json::parse(text).map_err(|e| format!("workload.json: {e}"))?;
-        let version = get_u64(&root, "schema_version")?;
-        if version != WORKLOAD_SCHEMA_VERSION {
-            return Err(format!(
-                "workload.json schema_version {version} != supported {WORKLOAD_SCHEMA_VERSION}"
-            ));
+        let schema = root.get("schema").and_then(Json::as_str);
+        if schema != Some(SCHEMA) {
+            return Err(format!("workload.json schema {schema:?} is not {SCHEMA}"));
         }
         let mut tables = Vec::new();
         for (i, t) in get_array(&root, "tables")?.iter().enumerate() {
@@ -533,7 +485,6 @@ impl WorkloadReport {
             shards.push(parse_shard(s).map_err(|e| format!("shards[{i}]: {e}"))?);
         }
         Ok(Self {
-            schema_version: version,
             world: get_u64(&root, "world")? as usize,
             iters: get_u64(&root, "iters")?,
             global_batch: get_u64(&root, "global_batch")? as usize,
@@ -573,52 +524,30 @@ fn opt_f64(v: &Json, key: &str) -> Result<Option<f64>, String> {
     }
 }
 
-fn parse_u64_triples(v: &Json, key: &str) -> Result<Vec<(u64, u64, u64)>, String> {
-    let mut out = Vec::new();
-    for item in get_array(v, key)? {
-        let nums: Vec<u64> = item
-            .as_array()
-            .map(|a| {
-                a.iter()
-                    .filter_map(Json::as_f64)
-                    .map(|n| n as u64)
-                    .collect()
-            })
-            .unwrap_or_default();
-        if nums.len() != 3 {
-            return Err(format!("`{key}` entries must be 3-element arrays"));
-        }
-        out.push((nums[0], nums[1], nums[2]));
-    }
-    Ok(out)
+/// `key`'s array of `N`-element integer arrays.
+fn get_u64_rows<const N: usize>(v: &Json, key: &str) -> Result<Vec<[u64; N]>, String> {
+    let row = |item: &Json| {
+        let nums = item.as_array().map(|a| a.iter().filter_map(Json::as_f64));
+        let nums: Vec<u64> = nums.into_iter().flatten().map(|n| n as u64).collect();
+        <[u64; N]>::try_from(nums)
+            .map_err(|_| format!("`{key}` entries must be {N}-element arrays"))
+    };
+    get_array(v, key)?.iter().map(row).collect()
 }
 
 fn parse_table(t: &Json) -> Result<TableWorkload, String> {
     let pooling_json = t.get("pooling").ok_or("missing `pooling`")?;
+    let buckets = get_u64_rows(pooling_json, "buckets")?;
     let pooling = PoolingSummary {
         total: get_u64(pooling_json, "total")?,
         sum: get_u64(pooling_json, "sum")?,
         mean: get_f64(pooling_json, "mean")?,
         p50: get_f64(pooling_json, "p50")?,
         p95: get_f64(pooling_json, "p95")?,
-        buckets: parse_u64_triples(pooling_json, "buckets")?,
+        buckets: buckets.into_iter().map(|[lo, hi, c]| (lo, hi, c)).collect(),
     };
-    let mut top_rows = Vec::new();
-    for item in get_array(t, "top_rows")? {
-        let nums: Vec<u64> = item
-            .as_array()
-            .map(|a| {
-                a.iter()
-                    .filter_map(Json::as_f64)
-                    .map(|n| n as u64)
-                    .collect()
-            })
-            .unwrap_or_default();
-        if nums.len() != 2 {
-            return Err("`top_rows` entries must be [row, estimate]".to_owned());
-        }
-        top_rows.push((nums[0], nums[1]));
-    }
+    let top_rows = get_u64_rows(t, "top_rows")?.into_iter();
+    let top_rows = top_rows.map(|[row, est]| (row, est)).collect();
     let sketch = t.get("sketch").ok_or("missing `sketch`")?;
     let tier = match t.get("tier") {
         None => return Err("missing `tier`".to_owned()),
@@ -760,12 +689,12 @@ mod tests {
     #[test]
     fn parse_rejects_bad_schema_and_kinds() {
         let r = sample_report();
-        let bad_version = r
+        let bad_schema = r
             .to_json()
-            .replace("\"schema_version\": 1", "\"schema_version\": 99");
-        assert!(WorkloadReport::parse(&bad_version)
-            .expect_err("version must be checked")
-            .contains("schema_version"));
+            .replace("\"neo-workload/1\"", "\"neo-workload/99\"");
+        assert!(WorkloadReport::parse(&bad_schema)
+            .expect_err("the schema tag must be checked")
+            .contains("neo-workload/99"));
         let bad_kind = r
             .to_json()
             .replace("\"kind\": \"row\"", "\"kind\": \"diagonal\"");

@@ -32,14 +32,14 @@
 //! echoing a one-line status per sample, a watchdog raises
 //! stall/hang/straggler alerts, and the final scrape lands next to the
 //! log as `<out>.prom`. Validate the artifacts with
-//! `neo-xtask monitor-check --expect-clean <out.jsonl>`.
+//! `neo-xtask check <out.jsonl>`.
 //!
 //! With `--workload <out.json>` the run enables the always-cheap access
 //! profiler (`neo-workload`): per-table lookup/pooling statistics,
 //! unique-row traffic, count-min hot-row sketches, and per-shard load
 //! attribution, written as the schema-versioned `workload.json` artifact.
 //! Profiling never perturbs training — losses are bitwise-identical with
-//! the flag on or off. Validate with `neo-xtask workload-check <out.json>`.
+//! the flag on or off. Validate with `neo-xtask check <out.json>`.
 
 use neo_dlrm::prelude::*;
 
