@@ -9,6 +9,7 @@ use neo_embeddings::bag::{pooled_backward, pooled_forward};
 use neo_embeddings::store::{DenseStore, RowStore};
 use neo_embeddings::SparseGrad;
 use neo_tensor::mlp::{Activation, Mlp, MlpConfig};
+use neo_tensor::optim::DenseSgd;
 use neo_tensor::{ShapeError, Tensor2};
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -274,8 +275,9 @@ impl DlrmModel {
     /// Applies SGD to the dense parts (MLPs) and clears their gradients.
     /// Sparse updates are the caller's (optimizer's) responsibility.
     pub fn dense_sgd_step(&mut self, lr: f32) {
-        self.bottom.sgd_step(lr);
-        self.top.sgd_step(lr);
+        let mut sgd = DenseSgd::new(lr);
+        self.bottom.apply_optimizer(&mut sgd);
+        self.top.apply_optimizer(&mut sgd);
     }
 }
 

@@ -106,6 +106,8 @@ pub const AMBIGUOUS_CALL_NAMES: &[&str] = &[
     "abs",
     "sum",
     "count",
+    "all",
+    "any",
     "map",
     "filter",
     "find",

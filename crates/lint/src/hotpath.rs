@@ -43,7 +43,7 @@ pub const HOT_PATH_ROOTS: &[(&str, &[&str])] = &[
             "forward_inference",
             "backward",
             "backward_params",
-            "sgd_step",
+            "apply_optimizer",
             "zero_grads",
         ],
     ),

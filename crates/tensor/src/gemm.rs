@@ -102,6 +102,12 @@ fn pack_cols<const W: usize>(src: &[f32], cols: usize, c0: usize, panel: &mut [f
     }
 }
 
+/// A row-major matrix operand of [`gemm`]: its elements and its
+/// `(rows, cols)`. A slice rather than a [`Tensor2`], so an
+/// [`crate::mlp::Mlp`] multiplies by a layer's weights where they sit in
+/// its flat parameter buffer.
+pub(crate) type Operand<'a> = (&'a [f32], (usize, usize));
+
 /// The driver under all three entry points: packs both operands, runs
 /// [`micro`] on every tile and hands each finished tile row to
 /// `emit(row, first_col, values)` exactly once, so the caller decides
@@ -112,41 +118,38 @@ fn pack_cols<const W: usize>(src: &[f32], cols: usize, c0: usize, panel: &mut [f
 /// Returns [`ShapeError`] if the reduction dimensions disagree.
 pub(crate) fn gemm(
     form: Form,
-    a: &Tensor2,
-    b: &Tensor2,
+    (a, (a_rows, a_cols)): Operand,
+    (b, (b_rows, b_cols)): Operand,
     ws: &mut Panels,
     mut emit: impl FnMut(usize, usize, &[f32]),
 ) -> crate::Result<()> {
     let (name, (m, k), (kb, n)) = match form {
-        Form::Nn => ("matmul", a.shape(), b.shape()),
-        Form::Tn => ("matmul_at_b", (a.cols(), a.rows()), b.shape()),
-        Form::Nt => ("matmul_a_bt", a.shape(), (b.cols(), b.rows())),
+        Form::Nn => ("matmul", (a_rows, a_cols), (b_rows, b_cols)),
+        Form::Tn => ("matmul_at_b", (a_cols, a_rows), (b_rows, b_cols)),
+        Form::Nt => ("matmul_a_bt", (a_rows, a_cols), (b_cols, b_rows)),
     };
     if k != kb {
         // lint: allow(hot_path_alloc) — error-path message, built only on a shape mismatch
         return Err(ShapeError::new(format!(
-            "{name} {}x{} , {}x{}",
-            a.rows(),
-            a.cols(),
-            b.rows(),
-            b.cols()
+            "{name} {a_rows}x{a_cols} , {b_rows}x{b_cols}"
         )));
     }
-    crate::sanitize::check_finite("gemm input A", a.as_slice());
-    crate::sanitize::check_finite("gemm input B", b.as_slice());
+    debug_assert!(a.len() == a_rows * a_cols && b.len() == b_rows * b_cols);
+    crate::sanitize::check_finite("gemm input A", a);
+    crate::sanitize::check_finite("gemm input B", b);
     ws.a.resize(MR * k, 0.0);
     ws.b.resize(n.div_ceil(NR) * NR * k, 0.0);
     for j0 in (0..n).step_by(NR) {
         let panel = &mut ws.b[j0 * k..(j0 + NR) * k];
         match form {
-            Form::Nn | Form::Tn => pack_cols::<NR>(b.as_slice(), n, j0, panel),
-            Form::Nt => pack_rows::<NR>(b.as_slice(), n, k, j0, panel),
+            Form::Nn | Form::Tn => pack_cols::<NR>(b, n, j0, panel),
+            Form::Nt => pack_rows::<NR>(b, n, k, j0, panel),
         }
     }
     for i0 in (0..m).step_by(MR) {
         match form {
-            Form::Nn | Form::Nt => pack_rows::<MR>(a.as_slice(), m, k, i0, &mut ws.a),
-            Form::Tn => pack_cols::<MR>(a.as_slice(), m, i0, &mut ws.a),
+            Form::Nn | Form::Nt => pack_rows::<MR>(a, m, k, i0, &mut ws.a),
+            Form::Tn => pack_cols::<MR>(a, m, i0, &mut ws.a),
         }
         for j0 in (0..n).step_by(NR) {
             let tile = micro(&ws.a, &ws.b[j0 * k..(j0 + NR) * k]);
@@ -170,7 +173,7 @@ fn product(form: Form, a: &Tensor2, b: &Tensor2) -> crate::Result<Tensor2> {
     };
     let mut c = Tensor2::zeros(m, n);
     let mut panels: Panels = Default::default();
-    gemm(form, a, b, &mut panels, |i, j0, acc| {
+    gemm(form, a.operand(), b.operand(), &mut panels, |i, j0, acc| {
         c.row_mut(i)[j0..j0 + acc.len()].copy_from_slice(acc);
     })?;
     Ok(c)
@@ -347,9 +350,16 @@ mod tests {
             (Form::Tn, &a.transposed(), &b),
             (Form::Nt, &a, &b.transposed()),
         ] {
-            gemm(Form::Nn, &big, &big.transposed(), &mut panels, |_, _, _| {}).unwrap();
+            gemm(
+                Form::Nn,
+                big.operand(),
+                big.transposed().operand(),
+                &mut panels,
+                |_, _, _| {},
+            )
+            .unwrap();
             let mut c = Tensor2::zeros(MR + 1, NR + 1);
-            gemm(form, x, y, &mut panels, |i, j0, acc| {
+            gemm(form, x.operand(), y.operand(), &mut panels, |i, j0, acc| {
                 c.row_mut(i)[j0..j0 + acc.len()].copy_from_slice(acc);
             })
             .unwrap();

@@ -176,30 +176,6 @@ impl fmt::Display for Bf16 {
     }
 }
 
-/// Quantizes a slice of `f32` to FP16 bits (round-to-nearest-even).
-pub fn quantize_f16(src: &[f32], dst: &mut Vec<u16>) {
-    dst.clear();
-    dst.extend(src.iter().map(|&v| f32_to_f16_bits(v)));
-}
-
-/// Dequantizes FP16 bits back to `f32`.
-pub fn dequantize_f16(src: &[u16], dst: &mut Vec<f32>) {
-    dst.clear();
-    dst.extend(src.iter().map(|&b| f16_bits_to_f32(b)));
-}
-
-/// Quantizes a slice of `f32` to BF16 bits.
-pub fn quantize_bf16(src: &[f32], dst: &mut Vec<u16>) {
-    dst.clear();
-    dst.extend(src.iter().map(|&v| Bf16::from_f32(v).to_bits()));
-}
-
-/// Dequantizes BF16 bits back to `f32`.
-pub fn dequantize_bf16(src: &[u16], dst: &mut Vec<f32>) {
-    dst.clear();
-    dst.extend(src.iter().map(|&b| Bf16::from_bits(b).to_f32()));
-}
-
 fn f16_bits_to_f32(bits: u16) -> f32 {
     let sign = ((bits >> 15) as u32) << 31;
     let exp = ((bits >> 10) & 0x1f) as u32;
@@ -375,19 +351,6 @@ mod tests {
         }
         let mean = acc / n as f64;
         assert!((mean - v as f64).abs() < 1e-5, "mean {mean} vs {v}");
-    }
-
-    #[test]
-    fn quantize_roundtrips() {
-        let src = vec![0.0f32, 1.0, -2.5, 0.125, 100.0];
-        let mut q = Vec::new();
-        let mut d = Vec::new();
-        quantize_f16(&src, &mut q);
-        dequantize_f16(&q, &mut d);
-        assert_eq!(d, src);
-        quantize_bf16(&src, &mut q);
-        dequantize_bf16(&q, &mut d);
-        assert_eq!(d, src);
     }
 
     #[test]

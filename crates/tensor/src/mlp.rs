@@ -3,14 +3,21 @@
 //! DLRMs contain a *bottom* MLP that embeds dense features and a *top* MLP
 //! that scores the feature interactions (§2 of the paper). Both are plain
 //! stacks of `Linear -> activation` layers; in the data-parallel dimension
-//! their gradients are synchronized with AllReduce, which is why this module
-//! exposes flat parameter/gradient views ([`Mlp::grads_flat`],
-//! [`Mlp::set_grads_flat`]).
+//! their gradients are synchronized with AllReduce and every rank applies
+//! one deterministic dense step.
+//!
+//! An [`Mlp`] therefore stores its parameters in one flat buffer and its
+//! gradients in another of the same layout: layer order, each layer's `W`
+//! (`in x out`, row-major) then its `b`. The layers compute straight out of
+//! and into those buffers. The trainer reduces [`Mlp::grads`] as one
+//! bucket, and [`Mlp::apply_optimizer`] — the only dense update — steps
+//! [`Mlp::params`] in place over [`Mlp::param_segments`].
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::gemm::{gemm, Form, Panels};
+use crate::gemm::{gemm, Form, Operand, Panels};
+use crate::optim::DenseOptimizer;
 use crate::{init, ShapeError, Tensor2};
 
 /// Element-wise nonlinearity applied after a linear layer.
@@ -49,40 +56,49 @@ impl Activation {
     }
 }
 
-/// One dense layer: `y = act(x W + b)`, with weights stored `in_dim x out_dim`.
+/// One dense layer `y = act(x W + b)`: where its `W` and then its `b` start
+/// in the owning [`Mlp`]'s flat buffers, and their shape.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct Linear {
-    w: Tensor2,
-    b: Tensor2,
+    /// `(in_dim, out_dim)`, the shape of `W`; `b` is `out_dim` long.
+    shape: (usize, usize),
     act: Activation,
-    dw: Tensor2,
-    db: Tensor2,
+    off: usize,
 }
 
 impl Linear {
-    /// Creates a layer with Xavier-initialized weights and zero bias.
-    fn new(in_dim: usize, out_dim: usize, act: Activation, rng: &mut impl Rng) -> Self {
-        Self {
-            w: init::xavier_uniform(in_dim, out_dim, rng),
-            b: Tensor2::zeros(1, out_dim),
-            act,
-            dw: Tensor2::zeros(in_dim, out_dim),
-            db: Tensor2::zeros(1, out_dim),
-        }
+    /// Number of trainable parameters (weights + bias).
+    fn num_params(&self) -> usize {
+        (self.shape.0 + 1) * self.shape.1
     }
 
-    /// Writes `act(x W + b)` into `y` (resized to fit). Bias and
-    /// activation are applied as each GEMM tile row is stored, so `y` is
-    /// written exactly once.
+    /// This layer's `(W, b)` in a buffer laid out like the MLP's.
+    fn split<'a>(&self, buf: &'a [f32]) -> (&'a [f32], &'a [f32]) {
+        buf[self.off..self.off + self.num_params()].split_at(self.shape.0 * self.shape.1)
+    }
+
+    /// `W` as a GEMM operand, from a buffer laid out like the MLP's.
+    fn weights<'a>(&self, params: &'a [f32]) -> Operand<'a> {
+        (self.split(params).0, self.shape)
+    }
+
+    /// [`Linear::split`] for writing.
+    fn split_mut<'a>(&self, buf: &'a mut [f32]) -> (&'a mut [f32], &'a mut [f32]) {
+        buf[self.off..self.off + self.num_params()].split_at_mut(self.shape.0 * self.shape.1)
+    }
+
+    /// Writes `act(x W + b)` into `y` (resized to fit), reading `W` and `b`
+    /// from `params`. Bias and activation are applied as each GEMM tile row
+    /// is stored, so `y` is written exactly once.
     ///
     /// # Panics
     ///
     /// Panics if `x.cols()` is not the layer's input dimension.
-    fn forward_into(&self, x: &Tensor2, y: &mut Tensor2, panels: &mut Panels) {
-        crate::sanitize::check_shape("linear forward input", x.shape(), (x.rows(), self.w.rows()));
-        y.resize(x.rows(), self.w.cols());
-        let (act, bias) = (self.act, self.b.row(0));
-        let stored = gemm(Form::Nn, x, &self.w, panels, |i, j0, acc| {
+    fn forward_into(&self, params: &[f32], x: &Tensor2, y: &mut Tensor2, panels: &mut Panels) {
+        crate::sanitize::check_shape("linear forward input", x.shape(), (x.rows(), self.shape.0));
+        y.resize(x.rows(), self.shape.1);
+        let (act, w, bias) = (self.act, self.weights(params), self.split(params).1);
+        let stored = gemm(Form::Nn, x.operand(), w, panels, |i, j0, acc| {
             let out = &mut y.row_mut(i)[j0..j0 + acc.len()];
             for ((v, &s), &b) in out.iter_mut().zip(acc).zip(&bias[j0..]) {
                 *v = act.apply(s + b);
@@ -91,28 +107,6 @@ impl Linear {
         // lint: allow(panic) — shape contract documented under # Panics
         stored.expect("linear forward shape"); // lint: allow(panic_path) — shape contract documented under # Panics; Result callers fix dims at build time
         crate::sanitize::check_finite("mlp activation output", y.as_slice());
-    }
-
-    /// Applies an SGD step `w -= lr * dw` and clears the gradients.
-    fn sgd_step(&mut self, lr: f32) {
-        // lint: allow(panic_path) — dw is allocated with w's shape at construction
-        self.w.axpy(-lr, &self.dw).expect("dw shape"); // lint: allow(panic) — dw is allocated with w's shape
-                                                       // lint: allow(panic_path) — db is allocated with b's shape at construction
-        self.b.axpy(-lr, &self.db).expect("db shape"); // lint: allow(panic) — db is allocated with b's shape
-        crate::sanitize::check_finite("sgd-updated weights", self.w.as_slice());
-        crate::sanitize::check_finite("sgd-updated bias", self.b.as_slice());
-        self.zero_grads();
-    }
-
-    /// Clears accumulated gradients.
-    fn zero_grads(&mut self) {
-        self.dw.as_mut_slice().fill(0.0);
-        self.db.as_mut_slice().fill(0.0);
-    }
-
-    /// Number of trainable parameters (weights + bias).
-    fn num_params(&self) -> usize {
-        self.w.len() + self.b.len()
     }
 }
 
@@ -200,32 +194,48 @@ struct Workspace {
     live: bool,
 }
 
-/// A stack of `y = act(x W + b)` layers.
+/// A stack of `y = act(x W + b)` layers whose parameters and gradients are
+/// two flat buffers in the module's layout.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Mlp {
     layers: Vec<Linear>,
+    params: Vec<f32>,
+    grads: Vec<f32>,
+    /// Exclusive end of every `W` and every `b` in the flat buffers.
+    segments: Vec<usize>,
     #[serde(skip)]
     ws: Workspace,
 }
 
 impl Mlp {
-    /// Builds the MLP described by `cfg` with weights drawn from `rng`.
+    /// Builds the MLP described by `cfg`: Xavier-initialized weights drawn
+    /// from `rng` layer by layer, zero biases and zero gradients.
     pub fn new(cfg: &MlpConfig, rng: &mut impl Rng) -> Self {
-        let mut layers = Vec::with_capacity(cfg.layer_sizes.len()); // lint: allow(hot_path_alloc) — model constructor; runs once at model build (reached only via the same-name merge with ShapeError::new)
-        let mut prev = cfg.input_dim;
-        for (idx, &w) in cfg.layer_sizes.iter().enumerate() {
+        let mut mlp = Self {
+            layers: Default::default(),
+            params: Default::default(),
+            grads: Default::default(),
+            segments: Default::default(),
+            ws: Default::default(),
+        };
+        let mut in_dim = cfg.input_dim;
+        for (idx, &out_dim) in cfg.layer_sizes.iter().enumerate() {
             let act = if idx + 1 == cfg.layer_sizes.len() {
                 cfg.final_activation
             } else {
                 cfg.hidden_activation
             };
-            layers.push(Linear::new(prev, w, act, rng));
-            prev = w;
+            let (shape, off) = ((in_dim, out_dim), mlp.params.len());
+            mlp.layers.push(Linear { shape, act, off });
+            mlp.params
+                .extend_from_slice(init::xavier_uniform(in_dim, out_dim, rng).as_slice());
+            mlp.segments.push(mlp.params.len());
+            mlp.params.resize(mlp.params.len() + out_dim, 0.0);
+            mlp.segments.push(mlp.params.len());
+            in_dim = out_dim;
         }
-        Self {
-            layers,
-            ws: Default::default(),
-        }
+        mlp.grads.resize(mlp.params.len(), 0.0);
+        mlp
     }
 
     /// Number of layers.
@@ -245,7 +255,7 @@ impl Mlp {
         ws.acts[0].copy_from(x);
         for (l, layer) in self.layers.iter().enumerate() {
             let (below, above) = ws.acts.split_at_mut(l + 1);
-            layer.forward_into(&below[l], &mut above[0], &mut ws.panels);
+            layer.forward_into(&self.params, &below[l], &mut above[0], &mut ws.panels);
         }
         ws.live = true;
         let mut y = Tensor2::zeros(0, 0);
@@ -266,9 +276,9 @@ impl Mlp {
             return h;
         };
         let (mut panels, mut y): (Panels, _) = (Default::default(), Tensor2::zeros(0, 0));
-        first.forward_into(x, &mut h, &mut panels);
+        first.forward_into(&self.params, x, &mut h, &mut panels);
         for layer in rest {
-            layer.forward_into(&h, &mut y, &mut panels);
+            layer.forward_into(&self.params, &h, &mut y, &mut panels);
             std::mem::swap(&mut h, &mut y);
         }
         h
@@ -290,8 +300,9 @@ impl Mlp {
         };
         // `backward_params` left layer 0's pre-activation gradient in `acts[1]`
         let (panels, dz) = (&mut self.ws.panels, &self.ws.acts[1]);
-        dx.resize(dz.rows(), layer.w.rows());
-        gemm(Form::Nt, dz, &layer.w, panels, |i, j0, acc| {
+        dx.resize(dz.rows(), layer.shape.0);
+        let w = layer.weights(&self.params);
+        gemm(Form::Nt, dz.operand(), w, panels, |i, j0, acc| {
             dx.row_mut(i)[j0..j0 + acc.len()].copy_from_slice(acc);
         })?;
         Ok(dx)
@@ -319,7 +330,7 @@ impl Mlp {
         if dy.shape() != ws.acts[n].shape() {
             return Err(ShapeError::new("dy shape mismatch in mlp backward"));
         }
-        for (l, layer) in self.layers.iter_mut().enumerate().rev() {
+        for (l, layer) in self.layers.iter().enumerate().rev() {
             let (below, above) = ws.acts.split_at_mut(l + 1);
             let (x, dz) = (&below[l], &mut above[0]);
             let g = if l + 1 == n { dy } else { &ws.dx };
@@ -327,21 +338,22 @@ impl Mlp {
                 *d = g * layer.act.grad_from_output(*d);
             }
             crate::sanitize::check_finite("mlp pre-activation gradient", dz.as_slice());
-            let dw = &mut layer.dw;
-            gemm(Form::Tn, x, dz, &mut ws.panels, |i, j0, acc| {
-                for (d, &s) in dw.row_mut(i)[j0..j0 + acc.len()].iter_mut().zip(acc) {
+            let ((dw, db), cols) = (layer.split_mut(&mut self.grads), layer.shape.1);
+            let panels = &mut ws.panels;
+            gemm(Form::Tn, x.operand(), dz.operand(), panels, |i, j0, acc| {
+                for (d, &s) in dw[i * cols + j0..].iter_mut().zip(acc) {
                     *d += s;
                 }
             })?;
             for i in 0..dz.rows() {
-                for (acc, &g) in layer.db.row_mut(0).iter_mut().zip(dz.row(i)) {
+                for (acc, &g) in db.iter_mut().zip(dz.row(i)) {
                     *acc += g;
                 }
             }
             if l > 0 {
-                let dx = &mut ws.dx;
-                dx.resize(dz.rows(), layer.w.rows());
-                gemm(Form::Nt, dz, &layer.w, &mut ws.panels, |i, j0, acc| {
+                let (dx, w) = (&mut ws.dx, layer.weights(&self.params));
+                dx.resize(dz.rows(), layer.shape.0);
+                gemm(Form::Nt, dz.operand(), w, panels, |i, j0, acc| {
                     dx.row_mut(i)[j0..j0 + acc.len()].copy_from_slice(acc);
                 })?;
             }
@@ -349,138 +361,52 @@ impl Mlp {
         Ok(())
     }
 
-    /// SGD step on every layer; clears gradients.
-    pub fn sgd_step(&mut self, lr: f32) {
-        for layer in &mut self.layers {
-            layer.sgd_step(lr);
-        }
-    }
-
     /// Clears all accumulated gradients.
     pub fn zero_grads(&mut self) {
-        for layer in &mut self.layers {
-            layer.zero_grads();
-        }
+        self.grads.fill(0.0);
     }
 
     /// Total trainable parameter count.
     pub fn num_params(&self) -> usize {
-        self.layers.iter().map(Linear::num_params).sum()
+        self.params.len()
     }
 
-    /// Appends all gradients (layer order, weights then bias) to `out`.
-    ///
-    /// Together with [`Mlp::set_grads_flat`] this is the hook the
-    /// data-parallel trainer uses to AllReduce MLP gradients.
-    pub fn grads_flat(&self, out: &mut Vec<f32>) {
-        for layer in &self.layers {
-            out.extend_from_slice(layer.dw.as_slice());
-            out.extend_from_slice(layer.db.as_slice());
-        }
+    /// Every parameter, in the module's layout.
+    pub fn params(&self) -> &[f32] {
+        &self.params
     }
 
-    /// Overwrites all gradients from a flat buffer produced by
-    /// [`Mlp::grads_flat`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if `src` has the wrong length.
-    pub fn set_grads_flat(&mut self, src: &[f32]) -> crate::Result<()> {
-        if src.len() != self.num_params() {
-            return Err(ShapeError::new(format!(
-                "flat grads of len {} for mlp with {} params",
-                src.len(),
-                self.num_params()
-            )));
-        }
-        let mut off = 0;
-        for layer in &mut self.layers {
-            let wlen = layer.dw.len();
-            layer
-                .dw
-                .as_mut_slice()
-                .copy_from_slice(&src[off..off + wlen]);
-            off += wlen;
-            let blen = layer.db.len();
-            layer
-                .db
-                .as_mut_slice()
-                .copy_from_slice(&src[off..off + blen]);
-            off += blen;
-        }
-        Ok(())
+    /// Every parameter, for writing (checkpoint load, the parameter-server
+    /// baseline's stale snapshots).
+    pub fn params_mut(&mut self) -> &mut [f32] {
+        &mut self.params
+    }
+
+    /// The gradients accumulated since the last step, in the parameters'
+    /// layout: the buffer the data-parallel trainer all-reduces.
+    pub fn grads(&self) -> &[f32] {
+        &self.grads
+    }
+
+    /// The gradients, for writing (installing the all-reduced sum).
+    pub fn grads_mut(&mut self) -> &mut [f32] {
+        &mut self.grads
     }
 
     /// Exclusive end offsets of each weight/bias slice within the flat
-    /// parameter buffer — the segment boundaries layer-wise optimizers
-    /// (LAMB) normalize over.
-    pub fn param_segments(&self) -> Vec<usize> {
-        let mut out = Vec::with_capacity(self.layers.len() * 2);
-        let mut off = 0;
-        for layer in &self.layers {
-            off += layer.w.len();
-            out.push(off);
-            off += layer.b.len();
-            out.push(off);
-        }
-        out
+    /// buffers — the segment boundaries layer-wise optimizers (LAMB)
+    /// normalize over.
+    pub fn param_segments(&self) -> &[usize] {
+        &self.segments
     }
 
-    /// Applies one step of any [`crate::optim::DenseOptimizer`] to the
-    /// MLP's parameters using its accumulated gradients, then clears the
-    /// gradients.
-    pub fn apply_optimizer(&mut self, opt: &mut dyn crate::optim::DenseOptimizer) {
-        let mut params = Vec::with_capacity(self.num_params());
-        let mut grads = Vec::with_capacity(self.num_params());
-        self.params_flat(&mut params);
-        self.grads_flat(&mut grads);
-        let segments = self.param_segments();
-        opt.step(&mut params, &grads, &segments);
-        crate::sanitize::check_finite("optimizer-updated parameters", &params);
-        // lint: allow(panic) — params was built from this MLP's own layout
-        self.set_params_flat(&params).expect("own parameter count"); // lint: allow(panic_path) — params was built from this MLP's own layout two lines above
+    /// Steps the parameters in place with any [`DenseOptimizer`] and the
+    /// accumulated gradients, then clears the gradients. It allocates and
+    /// copies nothing, and it is the only dense update.
+    pub fn apply_optimizer(&mut self, opt: &mut dyn DenseOptimizer) {
+        opt.step(&mut self.params, &self.grads, &self.segments);
+        crate::sanitize::check_finite("optimizer-updated parameters", &self.params);
         self.zero_grads();
-    }
-
-    /// Appends all parameters (layer order, weights then bias) to `out`.
-    pub fn params_flat(&self, out: &mut Vec<f32>) {
-        for layer in &self.layers {
-            out.extend_from_slice(layer.w.as_slice());
-            out.extend_from_slice(layer.b.as_slice());
-        }
-    }
-
-    /// Overwrites all parameters from a flat buffer produced by
-    /// [`Mlp::params_flat`]. Used to broadcast initial replicas and by the
-    /// parameter-server baseline.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if `src` has the wrong length.
-    pub fn set_params_flat(&mut self, src: &[f32]) -> crate::Result<()> {
-        if src.len() != self.num_params() {
-            return Err(ShapeError::new(format!(
-                "flat params of len {} for mlp with {} params",
-                src.len(),
-                self.num_params()
-            )));
-        }
-        let mut off = 0;
-        for layer in &mut self.layers {
-            let wlen = layer.w.len();
-            layer
-                .w
-                .as_mut_slice()
-                .copy_from_slice(&src[off..off + wlen]);
-            off += wlen;
-            let blen = layer.b.len();
-            layer
-                .b
-                .as_mut_slice()
-                .copy_from_slice(&src[off..off + blen]);
-            off += blen;
-        }
-        Ok(())
     }
 }
 
@@ -488,6 +414,7 @@ impl Mlp {
 mod tests {
     use super::*;
     use crate::gemm::naive;
+    use crate::optim::DenseSgd;
     use rand::SeedableRng;
 
     fn rng() -> rand::rngs::StdRng {
@@ -507,7 +434,7 @@ mod tests {
     fn relu_clamps_negative() {
         let mut mlp = Mlp::new(&MlpConfig::new(1, &[1], Activation::Relu), &mut rng());
         // force negative output
-        mlp.set_params_flat(&[-10.0, 0.0]).unwrap();
+        mlp.params_mut().copy_from_slice(&[-10.0, 0.0]);
         let y = mlp.forward_inference(&Tensor2::full(1, 1, 1.0));
         assert_eq!(y[(0, 0)], 0.0);
     }
@@ -578,7 +505,7 @@ mod tests {
             let y = mlp.forward(&x);
             let dy = (&y - &target) * 2.0;
             mlp.backward(&dy).unwrap();
-            mlp.sgd_step(0.01);
+            mlp.apply_optimizer(&mut DenseSgd::new(0.01));
         }
         let after = loss(&mlp);
         assert!(after < before * 0.2, "loss {before} -> {after}");
@@ -593,15 +520,12 @@ mod tests {
         mlp.backward(&Tensor2::full(y.rows(), y.cols(), 1.0))
             .unwrap();
 
-        let mut g = Vec::new();
-        mlp.grads_flat(&mut g);
+        let g = mlp.grads().to_vec();
         assert_eq!(g.len(), mlp.num_params());
         let scaled: Vec<f32> = g.iter().map(|v| v * 0.5).collect();
-        mlp.set_grads_flat(&scaled).unwrap();
-        let mut g2 = Vec::new();
-        mlp.grads_flat(&mut g2);
-        assert_eq!(g2, scaled);
-        assert!(mlp.set_grads_flat(&[0.0]).is_err());
+        mlp.grads_mut().copy_from_slice(&scaled);
+        assert_eq!(mlp.grads(), scaled);
+        assert_eq!(mlp.grads_mut().len(), mlp.num_params());
     }
 
     #[test]
@@ -609,16 +533,15 @@ mod tests {
         let cfg = MlpConfig::new(2, &[3], Activation::Identity);
         let mut a = Mlp::new(&cfg, &mut rng());
         let mut b = Mlp::new(&cfg, &mut rand::rngs::StdRng::seed_from_u64(99));
-        let mut p = Vec::new();
-        a.params_flat(&mut p);
-        b.set_params_flat(&p).unwrap();
+        let p = a.params().to_vec();
+        b.params_mut().copy_from_slice(&p);
         let x = Tensor2::full(2, 2, 0.3);
         assert_eq!(a.forward_inference(&x), b.forward_inference(&x));
         // also confirm a roundtrip through itself is identity
-        let mut p2 = Vec::new();
-        a.params_flat(&mut p2);
-        a.set_params_flat(&p2).unwrap();
+        let p2 = a.params().to_vec();
+        a.params_mut().copy_from_slice(&p2);
         assert_eq!(p, p2);
+        assert_eq!(a.params(), p);
     }
 
     #[test]
@@ -626,28 +549,8 @@ mod tests {
         let cfg = MlpConfig::new(3, &[5, 2], Activation::Relu);
         let mlp = Mlp::new(&cfg, &mut rng());
         let segs = mlp.param_segments();
-        assert_eq!(segs, vec![15, 20, 30, 32]);
+        assert_eq!(segs, [15, 20, 30, 32]);
         assert_eq!(*segs.last().unwrap(), mlp.num_params());
-    }
-
-    #[test]
-    fn apply_optimizer_matches_sgd_step() {
-        let cfg = MlpConfig::new(4, &[6, 2], Activation::Relu);
-        let mut a = Mlp::new(&cfg, &mut rng());
-        let mut b = a.clone();
-        let x = Tensor2::from_fn(8, 4, |i, j| (i + j) as f32 * 0.1 - 0.3);
-        for m in [&mut a, &mut b] {
-            let y = m.forward(&x);
-            let dy = Tensor2::full(y.rows(), y.cols(), 0.5);
-            m.backward(&dy).unwrap();
-        }
-        a.sgd_step(0.01);
-        b.apply_optimizer(&mut crate::optim::DenseSgd::new(0.01));
-        let mut pa = Vec::new();
-        let mut pb = Vec::new();
-        a.params_flat(&mut pa);
-        b.params_flat(&mut pb);
-        assert_eq!(pa, pb);
     }
 
     #[test]
@@ -685,17 +588,17 @@ mod tests {
     /// The unfused definition of one training step, accumulating onto the
     /// layers' current gradients: naive matmul → bias pass → activation
     /// pass; `dz` clone → naive `Xᵀ·dZ` → `+=`; naive `dZ·Wᵀ`. Returns the
-    /// output, the input gradient and every layer's `(dw, db)`.
-    fn unfused(
-        layers: &[Linear],
-        x: &Tensor2,
-        dy: &Tensor2,
-    ) -> (Tensor2, Tensor2, Vec<(Tensor2, Tensor2)>) {
+    /// output, the input gradient and the accumulated flat gradients.
+    fn unfused(mlp: &Mlp, x: &Tensor2, dy: &Tensor2) -> (Tensor2, Tensor2, Vec<f32>) {
+        let w_of = |layer: &Linear| {
+            let (w, _) = layer.split(&mlp.params);
+            Tensor2::from_vec(layer.shape.0, layer.shape.1, w.to_vec()).unwrap()
+        };
         let mut acts = vec![x.clone()];
-        for layer in layers {
-            let mut y = naive(&acts[acts.len() - 1], &layer.w);
+        for layer in &mlp.layers {
+            let mut y = naive(&acts[acts.len() - 1], &w_of(layer));
             for i in 0..y.rows() {
-                for (v, &b) in y.row_mut(i).iter_mut().zip(layer.b.row(0)) {
+                for (v, &b) in y.row_mut(i).iter_mut().zip(layer.split(&mlp.params).1) {
                     *v += b;
                 }
             }
@@ -703,52 +606,44 @@ mod tests {
             acts.push(y);
         }
         let mut g = dy.clone();
-        let mut grads = Vec::new();
-        for (l, layer) in layers.iter().enumerate().rev() {
+        let mut grads = mlp.grads.clone();
+        for (l, layer) in mlp.layers.iter().enumerate().rev() {
             let mut dz = g.clone();
             for (d, &y) in dz.as_mut_slice().iter_mut().zip(acts[l + 1].as_slice()) {
                 *d *= layer.act.grad_from_output(y);
             }
-            let (mut dw, mut db) = (layer.dw.clone(), layer.db.clone());
-            dw += &naive(&acts[l].transposed(), &dz);
+            let (dw, db) = layer.split_mut(&mut grads);
+            let step = naive(&acts[l].transposed(), &dz);
+            for (d, &s) in dw.iter_mut().zip(step.as_slice()) {
+                *d += s;
+            }
             for i in 0..dz.rows() {
-                for (acc, &d) in db.row_mut(0).iter_mut().zip(dz.row(i)) {
+                for (acc, &d) in db.iter_mut().zip(dz.row(i)) {
                     *acc += d;
                 }
             }
-            grads.push((dw, db));
-            g = naive(&dz, &layer.w.transposed());
+            g = naive(&dz, &w_of(layer).transposed());
         }
-        grads.reverse();
         (acts.pop().unwrap(), g, grads)
-    }
-
-    fn grads_of(mlp: &Mlp) -> Vec<(Tensor2, Tensor2)> {
-        let pair = |l: &Linear| (l.dw.clone(), l.db.clone());
-        mlp.layers.iter().map(pair).collect()
     }
 
     /// One `forward` + `backward` on `mlp` and one `forward` +
     /// `backward_params` on a clone, both `==` the unfused reference.
     fn assert_step_is_bitwise_unfused(mlp: &mut Mlp, batch: usize, salt: usize) {
-        let (din, dout) = (mlp.layers[0].w.rows(), mlp.layers.last().unwrap().w.cols());
+        let (din, dout) = (mlp.layers[0].shape.0, mlp.layers.last().unwrap().shape.1);
         let wave = |i: usize, j: usize| ((i * 37 + j * 11 + salt * 5) % 23) as f32 * 0.173 - 1.9;
         let x = Tensor2::from_fn(batch, din, wave);
         let dy = Tensor2::from_fn(batch, dout, |i, j| wave(j, i) * 0.31);
-        let (want_y, want_dx, want_grads) = unfused(&mlp.layers, &x, &dy);
+        let (want_y, want_dx, want_grads) = unfused(mlp, &x, &dy);
         let mut twin = mlp.clone();
 
         assert_eq!(mlp.forward(&x), want_y, "forward, batch {batch}");
         assert_eq!(mlp.backward(&dy).unwrap(), want_dx, "dx, batch {batch}");
-        assert_eq!(grads_of(mlp), want_grads, "dw/db, batch {batch}");
+        assert_eq!(mlp.grads(), want_grads, "dw/db, batch {batch}");
 
         assert_eq!(twin.forward(&x), want_y);
         twin.backward_params(&dy).unwrap();
-        assert_eq!(
-            grads_of(&twin),
-            want_grads,
-            "backward_params, batch {batch}"
-        );
+        assert_eq!(twin.grads(), want_grads, "backward_params, batch {batch}");
     }
 
     #[test]
@@ -772,12 +667,9 @@ mod tests {
         for (step, batch) in [128, 128, 77, 128].into_iter().enumerate() {
             assert_step_is_bitwise_unfused(&mut mlp, batch, step);
         }
-        let before = grads_of(&mlp);
-        assert!(before.iter().any(|(dw, _)| dw.norm_sq() > 0.0));
+        assert!(mlp.grads().iter().any(|&g| g != 0.0));
         mlp.zero_grads();
-        assert!(grads_of(&mlp)
-            .iter()
-            .all(|(dw, db)| dw.norm_sq() + db.norm_sq() == 0.0));
+        assert!(mlp.grads().iter().all(|&g| g == 0.0));
     }
 
     #[test]
@@ -813,14 +705,14 @@ mod tests {
         let mut mlp = Mlp::new(&cfg, &mut rng());
         let x = Tensor2::from_fn(12, 5, |i, j| (i as f32 - 6.0) * 0.1 + j as f32 * 0.05);
         let dy = Tensor2::from_fn(12, 4, |i, j| (i + 2 * j) as f32 * 0.01 - 0.1);
-        let (_, want_dx, want_grads) = unfused(&mlp.layers, &x, &dy);
+        let (_, want_dx, want_grads) = unfused(&mlp, &x, &dy);
         mlp.forward(&x);
         let probe = Tensor2::from_fn(31, 5, |i, j| (i * j) as f32 * 0.01 - 0.4);
         assert_eq!(
             mlp.forward_inference(&probe),
-            unfused(&mlp.layers, &probe, &Tensor2::zeros(31, 4)).0
+            unfused(&mlp, &probe, &Tensor2::zeros(31, 4)).0
         );
         assert_eq!(mlp.backward(&dy).unwrap(), want_dx);
-        assert_eq!(grads_of(&mlp), want_grads);
+        assert_eq!(mlp.grads(), want_grads);
     }
 }

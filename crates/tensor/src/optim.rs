@@ -3,8 +3,9 @@
 //! §4.1.2 calls out AdaGrad, LAMB and Adam as the advanced optimizers the
 //! system must support with fully deterministic updates. The sparse
 //! (embedding) versions live in `neo-embeddings`; these are their dense
-//! counterparts, operating on flat parameter/gradient buffers the trainer
-//! obtains from [`crate::mlp::Mlp::params_flat`].
+//! counterparts. Each steps a flat parameter buffer in place from a flat
+//! gradient buffer of the same layout — an [`crate::mlp::Mlp`]'s own, through
+//! [`crate::mlp::Mlp::apply_optimizer`] — and no step allocates.
 //!
 //! LAMB normalizes its update *per layer* (trust ratio), so every
 //! optimizer takes the parameter buffer's segment boundaries; SGD/AdaGrad/
@@ -150,18 +151,22 @@ impl DenseAdam {
         }
     }
 
-    fn adam_update(&mut self, grads: &[f32], out: &mut Vec<f32>) {
+    /// Advances the moments and the step count by `grads` and returns the
+    /// bias corrections `(1 - β1^t, 1 - β2^t)`.
+    fn advance(&mut self, grads: &[f32]) -> (f32, f32) {
         self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        out.clear();
-        for ((mi, vi), &g) in self.m.iter_mut().zip(self.v.iter_mut()).zip(grads) {
-            *mi = self.beta1 * *mi + (1.0 - self.beta1) * g;
-            *vi = self.beta2 * *vi + (1.0 - self.beta2) * g * g;
-            let mhat = *mi / bc1;
-            let vhat = *vi / bc2;
-            out.push(mhat / (vhat.sqrt() + self.eps));
+        let (b1, b2) = (self.beta1, self.beta2);
+        for ((m, v), &g) in self.m.iter_mut().zip(&mut self.v).zip(grads) {
+            *m = b1 * *m + (1.0 - b1) * g;
+            *v = b2 * *v + (1.0 - b2) * g * g;
         }
+        (1.0 - b1.powi(self.t as i32), 1.0 - b2.powi(self.t as i32))
+    }
+
+    /// The update direction `m̂ / (√v̂ + ε)` of one element whose advanced
+    /// moments are `m` and `v`.
+    fn direction(&self, m: f32, v: f32, (bc1, bc2): (f32, f32)) -> f32 {
+        (m / bc1) / ((v / bc2).sqrt() + self.eps)
     }
 }
 
@@ -169,10 +174,9 @@ impl DenseOptimizer for DenseAdam {
     fn step(&mut self, params: &mut [f32], grads: &[f32], segments: &[usize]) {
         check(params, grads, segments);
         assert_eq!(params.len(), self.m.len(), "adam state size");
-        let mut update = Vec::new();
-        self.adam_update(grads, &mut update);
-        for (p, u) in params.iter_mut().zip(&update) {
-            *p -= self.lr * u;
+        let bc = self.advance(grads);
+        for ((p, &m), &v) in params.iter_mut().zip(&self.m).zip(&self.v) {
+            *p -= self.lr * self.direction(m, v, bc);
         }
         crate::sanitize::check_finite(self.name(), params);
     }
@@ -214,25 +218,40 @@ impl DenseOptimizer for DenseLamb {
     fn step(&mut self, params: &mut [f32], grads: &[f32], segments: &[usize]) {
         check(params, grads, segments);
         assert_eq!(params.len(), self.inner.m.len(), "lamb state size");
-        let mut update = Vec::new();
-        self.inner.adam_update(grads, &mut update);
-        // add decoupled weight decay to the update direction
-        if self.weight_decay != 0.0 {
-            for (u, &p) in update.iter_mut().zip(params.iter()) {
-                *u += self.weight_decay * p;
+        let bc = self.inner.advance(grads);
+        let (adam, lr, weight_decay) = (&self.inner, self.lr, self.weight_decay);
+        // the Adam direction plus decoupled weight decay, recomputed from
+        // the advanced moments where it is needed instead of stored
+        let update = |p: f32, m: f32, v: f32| {
+            let u = adam.direction(m, v, bc);
+            if weight_decay != 0.0 {
+                u + weight_decay * p
+            } else {
+                u
             }
-        }
+        };
         let mut start = 0;
         for &end in segments {
-            let p_norm: f32 = params[start..end].iter().map(|x| x * x).sum::<f32>().sqrt();
-            let u_norm: f32 = update[start..end].iter().map(|x| x * x).sum::<f32>().sqrt();
+            let (params, m, v) = (
+                &mut params[start..end],
+                &adam.m[start..end],
+                &adam.v[start..end],
+            );
+            // both norms sum their squares left to right
+            let p_norm = params.iter().fold(0.0f32, |acc, &p| acc + p * p).sqrt();
+            let u_norm = (params.iter().zip(m).zip(v))
+                .fold(0.0f32, |acc, ((&p, &m), &v)| {
+                    let u = update(p, m, v);
+                    acc + u * u
+                })
+                .sqrt();
             let trust = if p_norm > 0.0 && u_norm > 0.0 {
                 p_norm / u_norm
             } else {
                 1.0
             };
-            for (p, u) in params[start..end].iter_mut().zip(&update[start..end]) {
-                *p -= self.lr * trust * u;
+            for ((p, &m), &v) in params.iter_mut().zip(m).zip(v) {
+                *p -= lr * trust * update(*p, m, v);
             }
             start = end;
         }

@@ -162,6 +162,11 @@ impl Tensor2 {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
+    /// This tensor as a [`crate::gemm`] operand.
+    pub(crate) fn operand(&self) -> crate::gemm::Operand<'_> {
+        (&self.data, self.shape())
+    }
+
     /// Resizes in place to `rows x cols`, reusing the buffer's capacity.
     /// Element values are unspecified afterwards: callers overwrite every
     /// one.
@@ -203,19 +208,6 @@ impl Tensor2 {
         for v in &mut self.data {
             *v = f(*v);
         }
-    }
-
-    /// `self += alpha * other` (axpy), the dense SGD primitive.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if shapes differ.
-    pub fn axpy(&mut self, alpha: f32, other: &Self) -> crate::Result<()> {
-        self.check_same_shape(other)?;
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += alpha * b;
-        }
-        Ok(())
     }
 
     /// Scales every element by `alpha`.
@@ -329,7 +321,8 @@ impl Tensor2 {
         Ok(Self { rows, cols, data })
     }
 
-    /// Maximum absolute element-wise difference against `other`.
+    /// Maximum absolute element-wise difference against `other`, or NaN
+    /// when any difference is NaN — so `diff < tol` fails on a NaN output.
     ///
     /// # Errors
     ///
@@ -341,12 +334,11 @@ impl Tensor2 {
             .iter()
             .zip(&other.data)
             .map(|(a, b)| (a - b).abs())
-            .fold(0.0f32, f32::max))
+            .fold(0.0f32, |max, d| if d > max || d.is_nan() { d } else { max }))
     }
 
     fn check_same_shape(&self, other: &Self) -> crate::Result<()> {
         if self.shape() != other.shape() {
-            // lint: allow(hot_path_alloc) — error-path message, built only on a shape mismatch
             return Err(ShapeError::new(format!(
                 "{}x{} vs {}x{}",
                 self.rows, self.cols, other.rows, other.cols
@@ -522,16 +514,6 @@ mod tests {
     }
 
     #[test]
-    fn axpy_adds_scaled() {
-        let mut a = Tensor2::full(2, 2, 1.0);
-        let b = Tensor2::full(2, 2, 3.0);
-        a.axpy(2.0, &b).unwrap();
-        assert!(a.as_slice().iter().all(|&v| v == 7.0));
-        let c = Tensor2::zeros(1, 1);
-        assert!(a.axpy(1.0, &c).is_err());
-    }
-
-    #[test]
     fn slice_rows_copies() {
         let t = Tensor2::from_fn(4, 2, |i, _| i as f32);
         let s = t.slice_rows(1, 3);
@@ -559,6 +541,21 @@ mod tests {
         assert_eq!(a.max_abs_diff(&b).unwrap(), 1.0);
         assert_eq!(a.sum(), 2.0);
         assert_eq!(a.norm_sq(), 14.0);
+    }
+
+    #[test]
+    fn max_abs_diff_propagates_nan() {
+        let nan_vs_finite = Tensor2::from_vec(1, 2, vec![1.0, f32::NAN]).unwrap();
+        let finite = Tensor2::from_vec(1, 2, vec![1.0, 2.0]).unwrap();
+        let nan = Tensor2::full(1, 1, f32::NAN);
+        for (a, b) in [
+            (&nan_vs_finite, &finite),
+            (&finite, &nan_vs_finite),
+            (&nan, &nan),
+        ] {
+            // NaN, so every `diff < tol` check built on it fails
+            assert!(a.max_abs_diff(b).unwrap().is_nan(), "{a:?} vs {b:?}");
+        }
     }
 
     #[test]

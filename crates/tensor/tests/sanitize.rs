@@ -17,10 +17,7 @@ fn mlp_with_nan_weight() -> Mlp {
     // hiding the injection from the feature-off propagation assert below.
     let cfg = MlpConfig::new(3, &[4, 2], Activation::Identity);
     let mut mlp = Mlp::new(&cfg, &mut rand::rngs::StdRng::seed_from_u64(7));
-    let mut params = Vec::new();
-    mlp.params_flat(&mut params);
-    params[5] = f32::NAN;
-    mlp.set_params_flat(&params).unwrap();
+    mlp.params_mut()[5] = f32::NAN;
     mlp
 }
 
@@ -41,9 +38,7 @@ mod armed {
     fn nan_gradient_is_caught_by_optimizer_step() {
         let cfg = MlpConfig::new(2, &[2], Activation::Identity);
         let mut mlp = Mlp::new(&cfg, &mut rand::rngs::StdRng::seed_from_u64(3));
-        let mut grads = vec![0.0f32; mlp.num_params()];
-        grads[0] = f32::INFINITY;
-        mlp.set_grads_flat(&grads).unwrap();
+        mlp.grads_mut()[0] = f32::INFINITY;
         mlp.apply_optimizer(&mut neo_tensor::optim::DenseSgd::new(0.1));
     }
 
@@ -55,7 +50,7 @@ mod armed {
         let y = mlp.forward(&x);
         mlp.backward(&Tensor2::full(y.rows(), y.cols(), 1.0))
             .unwrap();
-        mlp.sgd_step(0.01);
+        mlp.apply_optimizer(&mut neo_tensor::optim::DenseSgd::new(0.01));
         assert!(sanitize::enabled());
     }
 }

@@ -22,11 +22,9 @@ pub fn save(model: &mut DlrmModel) -> Vec<u8> {
     push_u32(&mut out, MAGIC);
     push_u32(&mut out, VERSION);
 
-    let mut dense = Vec::new();
-    model.bottom.params_flat(&mut dense);
-    model.top.params_flat(&mut dense);
-    push_u64(&mut out, dense.len() as u64);
-    for v in &dense {
+    let (bottom, top) = (model.bottom.params(), model.top.params());
+    push_u64(&mut out, (bottom.len() + top.len()) as u64);
+    for v in bottom.iter().chain(top) {
         out.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -80,18 +78,10 @@ pub fn load(model: &mut DlrmModel, bytes: &[u8]) -> Result<(), SyncError> {
             nb + nt
         )));
     }
-    let mut dense = Vec::with_capacity(n_dense);
-    for _ in 0..n_dense {
-        dense.push(r.f32()?);
+    let (bottom, top) = (model.bottom.params_mut(), model.top.params_mut());
+    for v in bottom.iter_mut().chain(top) {
+        *v = r.f32()?;
     }
-    model
-        .bottom
-        .set_params_flat(&dense[..nb])
-        .map_err(|e| SyncError::msg(e.to_string()))?;
-    model
-        .top
-        .set_params_flat(&dense[nb..])
-        .map_err(|e| SyncError::msg(e.to_string()))?;
 
     let n_tables = r.u64()? as usize;
     if n_tables != model.tables.len() {

@@ -117,9 +117,7 @@ impl PsTrainer {
         }
         let ps =
             reference_model(&cfg.model, cfg.seed).map_err(|e| SyncError::msg(e.to_string()))?;
-        let mut params = Vec::new();
-        ps.bottom.params_flat(&mut params);
-        ps.top.params_flat(&mut params);
+        let params = dense_params(&ps);
         let snapshots = (0..cfg.num_trainers)
             .map(|_| (params.clone(), 0usize))
             .collect();
@@ -181,12 +179,8 @@ impl PsTrainer {
         // restored around the gradient computation, so the *gradient* is
         // computed against the trainer's own (stale) weights exactly as in
         // the real system
-        let mut center = Vec::new();
-        self.ps.bottom.params_flat(&mut center);
-        self.ps.top.params_flat(&mut center);
-
-        let snapshot = self.snapshots[trainer].0.clone();
-        self.set_dense(&snapshot).map_err(SyncError::msg)?;
+        let mut center = dense_params(&self.ps);
+        set_dense(&mut self.ps, &self.snapshots[trainer].0);
 
         let logits = self
             .ps
@@ -202,23 +196,17 @@ impl PsTrainer {
         match self.cfg.dense_sync {
             DenseSync::Downpour => {
                 // push the gradient into the PS center
-                self.overwrite_dense_params_only(&center)
-                    .map_err(SyncError::msg)?;
+                set_dense(&mut self.ps, &center);
                 self.ps.dense_sgd_step(self.cfg.lr);
                 self.snapshots[trainer].1 += 1;
                 if self.snapshots[trainer].1 >= self.cfg.staleness.max(1) {
-                    let mut fresh = Vec::new();
-                    self.ps.bottom.params_flat(&mut fresh);
-                    self.ps.top.params_flat(&mut fresh);
-                    self.snapshots[trainer] = (fresh, 0);
+                    self.snapshots[trainer] = (dense_params(&self.ps), 0);
                 }
             }
             DenseSync::Easgd { alpha } => {
                 // local descent on the trainer's own replica
                 self.ps.dense_sgd_step(self.cfg.lr);
-                let mut local = Vec::new();
-                self.ps.bottom.params_flat(&mut local);
-                self.ps.top.params_flat(&mut local);
+                let mut local = dense_params(&self.ps);
                 self.snapshots[trainer].1 += 1;
                 if self.snapshots[trainer].1 >= self.cfg.staleness.max(1) {
                     // elastic exchange: the replica and the center pull
@@ -232,10 +220,7 @@ impl PsTrainer {
                 }
                 self.snapshots[trainer].0 = local;
                 // restore the (possibly elastically moved) center to the PS
-                self.overwrite_dense_params_only(&center)
-                    .map_err(SyncError::msg)?;
-                self.ps.bottom.zero_grads();
-                self.ps.top.zero_grads();
+                set_dense(&mut self.ps, &center);
             }
         }
 
@@ -279,23 +264,18 @@ impl PsTrainer {
             .forward_inference(batch)
             .map_err(|e| SyncError::msg(e.to_string()))
     }
+}
 
-    fn set_dense(&mut self, params: &[f32]) -> Result<(), String> {
-        self.overwrite_dense_params_only(params)
-    }
+/// The model's dense parameters, bottom MLP then top.
+fn dense_params(model: &DlrmModel) -> Vec<f32> {
+    [model.bottom.params(), model.top.params()].concat()
+}
 
-    fn overwrite_dense_params_only(&mut self, params: &[f32]) -> Result<(), String> {
-        let nb = self.ps.bottom.num_params();
-        self.ps
-            .bottom
-            .set_params_flat(&params[..nb])
-            .map_err(|e| e.to_string())?;
-        self.ps
-            .top
-            .set_params_flat(&params[nb..])
-            .map_err(|e| e.to_string())?;
-        Ok(())
-    }
+/// Overwrites the model's dense parameters from a [`dense_params`] buffer.
+fn set_dense(model: &mut DlrmModel, params: &[f32]) {
+    let (bottom, top) = params.split_at(model.bottom.num_params());
+    model.bottom.params_mut().copy_from_slice(bottom);
+    model.top.params_mut().copy_from_slice(top);
 }
 
 #[cfg(test)]
@@ -421,9 +401,7 @@ mod easgd_tests {
         // (the elastic force keeps them from diverging)
         let (mut t, ds) = setup(DenseSync::Easgd { alpha: 0.4 });
         t.train(&ds, 200, &[]).unwrap();
-        let mut center = Vec::new();
-        t.ps.bottom.params_flat(&mut center);
-        t.ps.top.params_flat(&mut center);
+        let center = dense_params(&t.ps);
         for (replica, _) in &t.snapshots {
             let max_diff = replica
                 .iter()

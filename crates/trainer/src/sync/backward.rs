@@ -15,17 +15,15 @@ use neo_tensor::Tensor2;
 use super::config::{err, SyncError};
 use super::shard::{rides_a2a, Worker};
 
-/// Posts one MLP's flattened gradients to the comm lane as its own
-/// AllReduce bucket.
+/// Posts one MLP's flat gradients to the comm lane as its own AllReduce
+/// bucket.
 fn post_grad_bucket(
     comm: &mut Communicator,
     mlp: &Mlp,
     span: &'static str,
     iter: u64,
 ) -> CommHandle<Arc<Vec<f32>>> {
-    let mut grads = Vec::new();
-    mlp.grads_flat(&mut grads);
-    comm.post_all_reduce_shared(Arc::new(grads), span, iter)
+    comm.post_all_reduce_shared(Arc::new(mlp.grads().to_vec()), span, iter)
 }
 
 impl Worker {
@@ -100,8 +98,8 @@ impl Worker {
                 // is uniquely held — `try_unwrap` recycles it without a
                 // copy
                 self.scratch_grads.clear();
-                self.bottom.grads_flat(&mut self.scratch_grads);
-                self.top.grads_flat(&mut self.scratch_grads);
+                self.scratch_grads.extend_from_slice(self.bottom.grads());
+                self.scratch_grads.extend_from_slice(self.top.grads());
                 let buf = std::mem::take(&mut self.scratch_grads);
                 let sp = self.rec.span(phase::ALLREDUCE);
                 let reduced = self.comm.all_reduce_shared(Arc::new(buf))?;
@@ -118,12 +116,17 @@ impl Worker {
     /// Installs the reduced MLP gradients and steps the dense optimizers.
     fn dense_step(&mut self, bot: &[f32], top: &[f32]) -> Result<(), SyncError> {
         let sp = self.rec.span(phase::DENSE_OPTIM);
-        self.bottom
-            .set_grads_flat(bot)
-            .map_err(|e| err(e.to_string()))?;
-        self.top
-            .set_grads_flat(top)
-            .map_err(|e| err(e.to_string()))?;
+        for (mlp, reduced) in [(&mut self.bottom, bot), (&mut self.top, top)] {
+            let grads = mlp.grads_mut();
+            if grads.len() != reduced.len() {
+                return Err(err(format!(
+                    "reduced gradient of len {} for an mlp with {} params",
+                    reduced.len(),
+                    grads.len()
+                )));
+            }
+            grads.copy_from_slice(reduced);
+        }
         self.bottom.apply_optimizer(self.bottom_opt.as_mut());
         self.top.apply_optimizer(self.top_opt.as_mut());
         drop(sp);

@@ -89,8 +89,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut g_feats = neo_dlrm::dlrm::interaction::dot_interaction_backward(&refs, &splits[1])?;
         g_feats[0] += &splits[0];
         served.bottom.backward_params(&g_feats[0])?;
-        served.bottom.sgd_step(0.05);
-        served.top.sgd_step(0.05);
+        served.dense_sgd_step(0.05);
         for (t, table) in tables.iter_mut().enumerate() {
             let (lens, idx) = batch.table_inputs(t);
             let sg = pooled_backward(lens, idx, &g_feats[t + 1])?;

@@ -10,7 +10,7 @@ use neo_dlrm::sharding::{CostModel, Planner, PlannerConfig, TableSpec};
 use neo_dlrm::tensor::Tensor2;
 use neo_dlrm::trainer::checkpoint;
 use neo_dlrm::trainer::init::reference_model;
-use neo_dlrm::trainer::{SyncConfig, SyncTrainer};
+use neo_dlrm::trainer::{DenseOpt, SyncConfig, SyncTrainer};
 
 fn model_cfg() -> DlrmConfig {
     DlrmConfig::tiny(3, 128, 8)
@@ -168,46 +168,54 @@ fn workload_profiler_does_not_perturb_training() {
 fn overlap_schedule_bitwise_matches_serial() {
     // The Fig. 9 overlapped schedule only reorders data-independent work
     // (posted collectives still reduce in rank order on the comm lane),
-    // so for every world size and quantization mode the loss trajectory,
-    // the probe logits, and every trained embedding row must be bitwise
-    // identical to the serial schedule.
+    // so for every world size, quantization mode and dense optimizer the
+    // loss trajectory, the probe logits, the gathered MLP parameters and
+    // every trained embedding row must be bitwise identical to the serial
+    // schedule.
     let ds = dataset();
     let batches: Vec<_> = (0..6).map(|k| ds.batch(32, k)).collect();
     let probe = ds.batch(32, 555);
+    let fp32 = (QuantMode::Fp32, QuantMode::Fp32);
+    let half = (QuantMode::Fp16, QuantMode::Bf16);
+    let mut cases = Vec::new();
     for world in [2, 4] {
-        for (qf, qb) in [
-            (QuantMode::Fp32, QuantMode::Fp32),
-            (QuantMode::Fp16, QuantMode::Bf16),
-        ] {
-            let run = |overlap: bool| {
-                let mut cfg = planned(world, 32);
-                cfg.seed = 42;
-                cfg.quant_fwd = qf;
-                cfg.quant_bwd = qb;
-                cfg.overlap = overlap;
-                cfg.gather_final_model = true;
-                SyncTrainer::new(cfg)
-                    .train(&batches, &[], 0, Some(&probe))
-                    .unwrap()
-            };
-            let serial = run(false);
-            let overlapped = run(true);
-            let tag = format!("world {world}, quant {qf:?}/{qb:?}");
-            assert_eq!(serial.losses, overlapped.losses, "losses diverge: {tag}");
-            assert_eq!(
-                serial.probe_logits, overlapped.probe_logits,
-                "probe logits diverge: {tag}"
-            );
-            let mut a = serial.final_model.expect("gathered serial model");
-            let mut b = overlapped.final_model.expect("gathered overlapped model");
-            for (t, (ta, tb)) in a.tables.iter_mut().zip(b.tables.iter_mut()).enumerate() {
-                let d = ta.dim();
-                let (mut ra, mut rb) = (vec![0.0f32; d], vec![0.0f32; d]);
-                for row in 0..ta.num_rows() {
-                    ta.read_row(row, &mut ra);
-                    tb.read_row(row, &mut rb);
-                    assert_eq!(ra, rb, "embedding row diverges: table {t} row {row}, {tag}");
-                }
+        cases.extend([(world, fp32, DenseOpt::Sgd), (world, half, DenseOpt::Sgd)]);
+    }
+    for opt in [DenseOpt::Adagrad, DenseOpt::Adam, DenseOpt::Lamb] {
+        cases.push((2, half, opt));
+    }
+    for (world, (qf, qb), opt) in cases {
+        let run = |overlap: bool| {
+            let mut cfg = planned(world, 32);
+            cfg.seed = 42;
+            cfg.quant_fwd = qf;
+            cfg.quant_bwd = qb;
+            cfg.dense_optimizer = opt;
+            cfg.overlap = overlap;
+            cfg.gather_final_model = true;
+            SyncTrainer::new(cfg)
+                .train(&batches, &[], 0, Some(&probe))
+                .unwrap()
+        };
+        let serial = run(false);
+        let overlapped = run(true);
+        let tag = format!("world {world}, quant {qf:?}/{qb:?}, {opt:?}");
+        assert_eq!(serial.losses, overlapped.losses, "losses diverge: {tag}");
+        assert_eq!(
+            serial.probe_logits, overlapped.probe_logits,
+            "probe logits diverge: {tag}"
+        );
+        let mut a = serial.final_model.expect("gathered serial model");
+        let mut b = overlapped.final_model.expect("gathered overlapped model");
+        assert_eq!(a.bottom.params(), b.bottom.params(), "bottom MLP: {tag}");
+        assert_eq!(a.top.params(), b.top.params(), "top MLP: {tag}");
+        for (t, (ta, tb)) in a.tables.iter_mut().zip(b.tables.iter_mut()).enumerate() {
+            let d = ta.dim();
+            let (mut ra, mut rb) = (vec![0.0f32; d], vec![0.0f32; d]);
+            for row in 0..ta.num_rows() {
+                ta.read_row(row, &mut ra);
+                tb.read_row(row, &mut rb);
+                assert_eq!(ra, rb, "embedding row diverges: table {t} row {row}, {tag}");
             }
         }
     }
