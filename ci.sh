@@ -14,7 +14,10 @@
 #   4. tier-1 tests      (root-package build + tests, the ROADMAP gate)
 #   5. workspace tests   (all crates, then the standalone benchmark/
 #                         package, so an API removal that breaks it
-#                         fails here)
+#                         fails here, then the ignored release-mode
+#                         f16_bf16_encode_exhaustive: all 2^32 f32
+#                         patterns through both 16-bit encoders against
+#                         the scalar oracle, elapsed time printed)
 #   6. sanitizer tests   (numeric sanitizer + lock-order runtime validator
 #                         armed via --features sanitize)
 #   7. artifacts         (one quickstart --telemetry --monitor --workload
@@ -62,9 +65,14 @@ echo "==> [4/9] tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
-echo "==> [5/9] cargo test -q --workspace (+ the benchmark package)"
+echo "==> [5/9] cargo test -q --workspace (+ the benchmark package, + the exhaustive f16/bf16 encode check)"
 cargo test -q --workspace
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
+# build first so the printed time is the exhaustive check, not rustc
+cargo test --release -q -p neo-tensor --no-run
+EXHAUSTIVE_T0=$(date +%s%N)
+cargo test --release -q -p neo-tensor -- --ignored f16_bf16_encode_exhaustive
+echo "    f16_bf16_encode_exhaustive: $(( ($(date +%s%N) - EXHAUSTIVE_T0) / 1000000 )) ms"
 
 echo "==> [6/9] sanitize: numeric + lock-order validators armed"
 cargo test -q -p neo-tensor -p neo-embeddings -p neo-sync -p neo-collectives \

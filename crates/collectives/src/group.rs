@@ -148,6 +148,7 @@ impl ProcessGroup {
                 telemetry: TelemetrySink::disabled(),
                 delay: None,
                 lane: Some(Lane::spawn(rank, Arc::clone(&lane_shared))),
+                wire: Vec::new(),
             })
             .collect()
     }
@@ -165,6 +166,9 @@ pub struct Communicator {
     pub(crate) telemetry: TelemetrySink,
     delay: Option<CommDelay>,
     pub(crate) lane: Option<Lane>,
+    /// 16-bit wire buffers of the last quantized AlltoAll, one per
+    /// destination, recycled by the next one once no peer holds them.
+    wire: Vec<Arc<Vec<u16>>>,
 }
 
 impl Communicator {
@@ -178,6 +182,7 @@ impl Communicator {
             telemetry: TelemetrySink::disabled(),
             delay: None,
             lane: None,
+            wire: Vec::new(),
         }
     }
 }
@@ -375,10 +380,17 @@ impl Communicator {
 
     /// Quantized f32 AlltoAllv (§5.3.2): [`QuantMode::Fp32`] short-circuits
     /// to [`Communicator::all_to_all_shared`] (no wire conversion, no
-    /// copies at all); the 16-bit modes quantize into fresh wire buffers
-    /// whose *pointers* are exchanged, then dequantize at the receiver,
-    /// exercising real precision loss and halving
-    /// [`CommStats::bytes_sent`].
+    /// copies at all); the 16-bit modes encode into wire buffers whose
+    /// *pointers* are exchanged, then decode at the receiver, exercising
+    /// real precision loss and halving [`CommStats::bytes_sent`].
+    ///
+    /// Neither side allocates in the steady state. The wire buffers are
+    /// this communicator's, reused once [`Arc::get_mut`] shows no peer
+    /// still holds the last call's. Each received buffer is decoded into
+    /// the consumed `sends` buffer at the same index, recovered with
+    /// [`Arc::try_unwrap`] and resized. Whenever either buffer is still
+    /// shared, a fresh one takes its place, so a caller that kept a clone
+    /// of its sends never sees it written.
     ///
     /// # Errors
     ///
@@ -393,23 +405,35 @@ impl Communicator {
         sends: Vec<Arc<Vec<f32>>>,
         mode: QuantMode,
     ) -> Result<Vec<Arc<Vec<f32>>>, CollectiveError> {
-        match mode {
-            QuantMode::Fp32 => self.all_to_all_shared(sends),
-            QuantMode::Fp16 | QuantMode::Bf16 => {
-                let wire: Vec<Arc<Vec<u16>>> = sends
-                    .iter()
-                    .map(|v| mode.quantize(v).map(Arc::new))
-                    .collect::<Result<_, _>>()?;
-                let recv = self.all_to_all_shared(wire)?;
-                recv.into_iter()
-                    .map(|v| {
-                        mode.dequantize(&v)
-                            .map(Arc::new)
-                            .map_err(CollectiveError::from)
-                    })
-                    .collect()
-            }
+        if mode == QuantMode::Fp32 {
+            return self.all_to_all_shared(sends);
         }
+        assert_eq!(
+            sends.len(),
+            self.world(),
+            "all_to_all_shared_quant needs world send lists"
+        );
+        self.wire.resize_with(sends.len(), Arc::default);
+        let mut wire = Vec::with_capacity(sends.len());
+        for (slot, src) in self.wire.iter_mut().zip(&sends) {
+            if Arc::get_mut(slot).is_none() {
+                *slot = Arc::default(); // a peer still reads the last one
+            }
+            let buf = Arc::make_mut(slot); // unique: never clones
+            buf.resize(src.len(), 0);
+            mode.encode_into(src, buf)?;
+            wire.push(Arc::clone(slot));
+        }
+        let recv = self.all_to_all_shared(wire)?;
+        recv.iter()
+            .zip(sends)
+            .map(|(bits, send)| {
+                let mut out = Arc::try_unwrap(send).unwrap_or_default();
+                out.resize(bits.len(), 0.0);
+                mode.decode_into(bits, &mut out)?;
+                Ok(Arc::new(out))
+            })
+            .collect()
     }
 
     /// Sums `input` element-wise across all ranks; every rank ends with

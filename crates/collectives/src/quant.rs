@@ -4,14 +4,20 @@
 //! backward AlltoAll in BF16: FP16 has more mantissa (better for
 //! activations), BF16 has FP32's exponent range (safer for gradients).
 
-use neo_tensor::{Bf16, F16};
-
 /// Error from asking a [`QuantMode`] for a wire conversion it cannot do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QuantError {
     /// [`QuantMode::Fp32`] has no 16-bit wire format; callers must
     /// short-circuit the unquantized case instead of converting.
     NotQuantized,
+    /// The source and destination of an `_into` conversion differ in
+    /// length.
+    LengthMismatch {
+        /// Elements in the source slice.
+        src: usize,
+        /// Elements in the destination slice.
+        dst: usize,
+    },
 }
 
 impl std::fmt::Display for QuantError {
@@ -19,6 +25,9 @@ impl std::fmt::Display for QuantError {
         match self {
             QuantError::NotQuantized => {
                 write!(f, "fp32 payloads are not quantized (no 16-bit wire format)")
+            }
+            QuantError::LengthMismatch { src, dst } => {
+                write!(f, "wire conversion of {src} elements into {dst}")
             }
         }
     }
@@ -48,31 +57,69 @@ impl QuantMode {
         }
     }
 
-    /// Quantizes to 16-bit wire format.
+    /// Quantizes `src` into the 16-bit wire buffer `dst`, element for
+    /// element, without allocating.
     ///
     /// # Errors
     ///
     /// Returns [`QuantError::NotQuantized`] on [`QuantMode::Fp32`] (which
-    /// has no 16-bit wire format — callers short-circuit that case).
-    pub fn quantize(&self, src: &[f32]) -> Result<Vec<u16>, QuantError> {
+    /// has no 16-bit wire format — callers short-circuit that case) and
+    /// [`QuantError::LengthMismatch`] when the lengths differ.
+    pub fn encode_into(&self, src: &[f32], dst: &mut [u16]) -> Result<(), QuantError> {
+        same_len(src.len(), dst.len())?;
         match self {
-            QuantMode::Fp32 => Err(QuantError::NotQuantized),
-            QuantMode::Fp16 => Ok(src.iter().map(|&v| F16::from_f32(v).to_bits()).collect()), // lint: allow(hot_path_alloc) — wire-format buffer the quantize API returns; one allocation per exchanged tensor
-            QuantMode::Bf16 => Ok(src.iter().map(|&v| Bf16::from_f32(v).to_bits()).collect()), // lint: allow(hot_path_alloc) — wire-format buffer the quantize API returns; one allocation per exchanged tensor
+            QuantMode::Fp32 => return Err(QuantError::NotQuantized),
+            QuantMode::Fp16 => neo_tensor::half::f16_encode(src, dst),
+            QuantMode::Bf16 => neo_tensor::half::bf16_encode(src, dst),
         }
+        Ok(())
     }
 
-    /// Dequantizes from the 16-bit wire format.
+    /// Dequantizes the 16-bit wire buffer `src` into `dst`, element for
+    /// element, without allocating.
     ///
     /// # Errors
     ///
-    /// Returns [`QuantError::NotQuantized`] on [`QuantMode::Fp32`].
-    pub fn dequantize(&self, src: &[u16]) -> Result<Vec<f32>, QuantError> {
+    /// Returns [`QuantError::NotQuantized`] on [`QuantMode::Fp32`] and
+    /// [`QuantError::LengthMismatch`] when the lengths differ.
+    pub fn decode_into(&self, src: &[u16], dst: &mut [f32]) -> Result<(), QuantError> {
+        same_len(src.len(), dst.len())?;
         match self {
-            QuantMode::Fp32 => Err(QuantError::NotQuantized),
-            QuantMode::Fp16 => Ok(src.iter().map(|&b| F16::from_bits(b).to_f32()).collect()), // lint: allow(hot_path_alloc) — decode buffer the dequantize API returns; one allocation per exchanged tensor
-            QuantMode::Bf16 => Ok(src.iter().map(|&b| Bf16::from_bits(b).to_f32()).collect()), // lint: allow(hot_path_alloc) — decode buffer the dequantize API returns; one allocation per exchanged tensor
+            QuantMode::Fp32 => return Err(QuantError::NotQuantized),
+            QuantMode::Fp16 => neo_tensor::half::f16_decode(src, dst),
+            QuantMode::Bf16 => neo_tensor::half::bf16_decode(src, dst),
         }
+        Ok(())
+    }
+
+    /// Quantizes to a fresh 16-bit wire buffer: [`QuantMode::encode_into`]
+    /// into a new `Vec`.
+    ///
+    /// # Errors
+    ///
+    /// As [`QuantMode::encode_into`].
+    pub fn quantize(&self, src: &[f32]) -> Result<Vec<u16>, QuantError> {
+        let mut wire = vec![0; src.len()];
+        self.encode_into(src, &mut wire).map(|()| wire)
+    }
+
+    /// Dequantizes into a fresh buffer: [`QuantMode::decode_into`] into a
+    /// new `Vec`.
+    ///
+    /// # Errors
+    ///
+    /// As [`QuantMode::decode_into`].
+    pub fn dequantize(&self, src: &[u16]) -> Result<Vec<f32>, QuantError> {
+        let mut out = vec![0.0; src.len()];
+        self.decode_into(src, &mut out).map(|()| out)
+    }
+}
+
+fn same_len(src: usize, dst: usize) -> Result<(), QuantError> {
+    if src == dst {
+        Ok(())
+    } else {
+        Err(QuantError::LengthMismatch { src, dst })
     }
 }
 
@@ -142,9 +189,23 @@ mod tests {
             QuantMode::Fp32.dequantize(&[0]),
             Err(QuantError::NotQuantized)
         );
+        assert_eq!(
+            QuantMode::Fp32.encode_into(&[1.0], &mut [0]),
+            Err(QuantError::NotQuantized)
+        );
+        assert_eq!(
+            QuantMode::Fp32.decode_into(&[0], &mut [0.0]),
+            Err(QuantError::NotQuantized)
+        );
         assert!(QuantError::NotQuantized
             .to_string()
             .contains("not quantized"));
+        let short = QuantError::LengthMismatch { src: 2, dst: 1 };
+        for mode in [QuantMode::Fp16, QuantMode::Bf16] {
+            assert_eq!(mode.encode_into(&[1.0, 2.0], &mut [0]), Err(short));
+            assert_eq!(mode.decode_into(&[0, 0], &mut [0.0]), Err(short));
+        }
+        assert_eq!(short.to_string(), "wire conversion of 2 elements into 1");
     }
 
     #[test]

@@ -6,6 +6,7 @@
 
 use neo_collectives::{CommDelay, ProcessGroup, QuantMode};
 use neo_telemetry::{metric, TelemetrySink};
+use neo_tensor::{Bf16, F16};
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::thread;
@@ -48,6 +49,38 @@ fn arcs<T>(sends: Vec<Vec<T>>) -> Vec<Arc<Vec<T>>> {
 
 fn plain<T: Clone>(recv: &[Arc<Vec<T>>]) -> Vec<Vec<T>> {
     recv.iter().map(|v| v.as_ref().clone()).collect()
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// What rank `src` addresses to rank `dest` on call `call`: `n` values,
+/// alternately arbitrary bit patterns (NaN, inf, subnormals, overflow)
+/// and moderate values that round on the wire.
+fn wire_payload(seed: u64, call: usize, src: usize, dest: usize, n: usize) -> Vec<f32> {
+    (0..n)
+        .map(|i| {
+            let h = (seed ^ (call * 131 + src * 17 + dest * 5 + i * 1009) as u64)
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            if i % 2 == 0 {
+                f32::from_bits((h >> 32) as u32)
+            } else {
+                (h >> 44) as f32 * 0.0137 - 137.0
+            }
+        })
+        .collect()
+}
+
+/// The element-wise wire round trip, `decode(encode(x))`.
+fn round_trip(mode: QuantMode, v: &[f32]) -> Vec<u32> {
+    v.iter()
+        .map(|&x| match mode {
+            QuantMode::Fp16 => F16::from_f32(x).to_f32().to_bits(),
+            QuantMode::Bf16 => Bf16::from_f32(x).to_f32().to_bits(),
+            QuantMode::Fp32 => x.to_bits(),
+        })
+        .collect()
 }
 
 proptest! {
@@ -151,6 +184,80 @@ proptest! {
         for recvs in out {
             for r in recvs {
                 prop_assert_eq!(r.as_ref(), &expect);
+            }
+        }
+    }
+
+    /// The quantized AlltoAll recycles its wire and decode buffers from
+    /// call to call without changing a bit. Over 3–5 calls whose per-pair
+    /// lengths grow, shrink and hit zero, every received buffer is the
+    /// element-wise `decode(encode(x))`; a rank that kept a clone of its
+    /// sends finds it unchanged; and a rank that did not gets each answer
+    /// back in its own send allocation wherever that one was long enough.
+    /// Covers world 1–3 × both 16-bit modes × blocking and posted.
+    #[test]
+    fn quantized_alltoall_recycles_buffers_bitwise(
+        calls in 3usize..6,
+        lens in collection::vec(0usize..40, 45),
+        keep in collection::vec(any::<bool>(), 5),
+        seed in 0u64..1000,
+    ) {
+        let pair_len = move |call: usize, src: usize, dest: usize| lens[(call * 3 + src) * 3 + dest];
+        for (world, mode, posted) in (1..=3).flat_map(|w| {
+            [QuantMode::Fp16, QuantMode::Bf16]
+                .into_iter()
+                .flat_map(move |m| [(w, m, false), (w, m, true)])
+        }) {
+            let (keep, len_of) = (keep.clone(), pair_len.clone());
+            let out = run_group(world, move |rank, comm| {
+                let mut log = Vec::new();
+                for (call, &keep) in keep.iter().enumerate().take(calls) {
+                    let sends: Vec<Arc<Vec<f32>>> = (0..world)
+                        .map(|dest| {
+                            let n = len_of(call, rank, dest);
+                            Arc::new(wire_payload(seed, call, rank, dest, n))
+                        })
+                        .collect();
+                    let kept = (keep != (rank % 2 == 1))
+                        .then(|| (sends.clone(), sends.iter().map(|v| bits(v)).collect::<Vec<_>>()));
+                    let spans: Vec<(usize, usize)> =
+                        sends.iter().map(|v| (v.as_ptr() as usize, v.len())).collect();
+                    let recv = if posted {
+                        comm.post_all_to_all_shared_quant(sends, mode, "alltoall_fwd", call as u64)
+                            .wait()
+                    } else {
+                        comm.all_to_all_shared_quant(sends, mode)
+                    };
+                    // an error is logged, not raised: every rank must keep
+                    // calling, or its peers park in the rendezvous
+                    log.push(recv.map(|recv| {
+                        let untouched = kept.as_ref().is_none_or(|(held, golden)| {
+                            held.iter().map(|v| bits(v)).eq(golden.iter().cloned())
+                        });
+                        let in_place = kept.is_some()
+                            || recv.iter().zip(&spans).all(|(r, &(ptr, len))| {
+                                r.is_empty() || r.len() > len || r.as_ptr() as usize == ptr
+                            });
+                        (recv.iter().map(|r| bits(r)).collect::<Vec<_>>(), untouched, in_place)
+                    }));
+                }
+                log
+            });
+            for (rank, log) in out.into_iter().enumerate() {
+                for (call, entry) in log.into_iter().enumerate() {
+                    let want: Vec<Vec<u32>> = (0..world)
+                        .map(|src| {
+                            let n = pair_len(call, src, rank);
+                            round_trip(mode, &wire_payload(seed, call, src, rank, n))
+                        })
+                        .collect();
+                    let case = format!("world {world} {mode} posted {posted} rank {rank} call {call}");
+                    let (recv, untouched, in_place) =
+                        entry.map_err(|e| TestCaseError::Fail(format!("{case}: {e}")))?;
+                    prop_assert_eq!(recv, want, "{}", case);
+                    prop_assert!(untouched, "kept sends written: {}", case);
+                    prop_assert!(in_place, "decode allocated past a free send buffer: {}", case);
+                }
             }
         }
     }

@@ -221,11 +221,8 @@ impl HalfStore {
     /// Randomly initialized FP16 table.
     pub fn random(num_rows: u64, dim: usize, rng: &mut impl Rng) -> Self {
         let dense = init::embedding_uniform(num_rows as usize, dim, rng);
-        let bits = dense
-            .as_slice()
-            .iter()
-            .map(|&v| F16::from_f32(v).to_bits())
-            .collect();
+        let mut bits = vec![0; dense.len()];
+        neo_tensor::half::f16_encode(dense.as_slice(), &mut bits);
         Self {
             bits,
             num_rows,
@@ -262,9 +259,7 @@ impl RowStore for HalfStore {
         assert!(row < self.num_rows, "row {row} out of range");
         assert_eq!(out.len(), self.dim, "read buffer width");
         let base = row as usize * self.dim;
-        for (o, &b) in out.iter_mut().zip(&self.bits[base..base + self.dim]) {
-            *o = F16::from_bits(b).to_f32();
-        }
+        neo_tensor::half::f16_decode(&self.bits[base..base + self.dim], out);
     }
 
     fn write_row(&mut self, row: u64, data: &[f32]) {
@@ -277,9 +272,7 @@ impl RowStore for HalfStore {
                 *slot = F16::from_f32_stochastic(v, noise).to_bits();
             }
         } else {
-            for (slot, &v) in self.bits[base..base + self.dim].iter_mut().zip(data) {
-                *slot = F16::from_f32(v).to_bits();
-            }
+            neo_tensor::half::f16_encode(data, &mut self.bits[base..base + self.dim]);
         }
     }
 

@@ -5,8 +5,8 @@
 //! **hot_path_alloc** walks everything reachable from the per-iteration
 //! kernel roots ([`HOT_PATH_ROOTS`]: the GEMM/MLP kernels in
 //! neo-tensor, the pooled/fused embedding kernels, radix sort and
-//! sparse optimizer in neo-embeddings, and the quantization kernels in
-//! neo-collectives) and flags heap-allocating tokens
+//! sparse optimizer in neo-embeddings, the FP16/BF16 slice kernels in
+//! neo-tensor and the wire conversions in neo-collectives) and flags heap-allocating tokens
 //! ([`ALLOC_TOKENS`]). The benchmark catches an allocation regression
 //! only after the fact and only when it is big enough to move
 //! `samples_per_s`; this rule names the exact line up front. Setup-time
@@ -45,6 +45,10 @@ pub const HOT_PATH_ROOTS: &[(&str, &[&str])] = &[
             "backward_params",
             "apply_optimizer",
             "zero_grads",
+            "f16_encode",
+            "f16_decode",
+            "bf16_encode",
+            "bf16_decode",
         ],
     ),
     (
@@ -61,7 +65,7 @@ pub const HOT_PATH_ROOTS: &[(&str, &[&str])] = &[
             "apply_merged",
         ],
     ),
-    ("collectives", &["quantize", "dequantize"]),
+    ("collectives", &["encode_into", "decode_into"]),
 ];
 
 /// Heap-allocating (or allocation-implying) tokens on a hot path.
