@@ -3,8 +3,9 @@
 #
 # Every gate is mandatory; the script stops at the first failure:
 #   1. formatting        (cargo fmt --check)
-#   2. clippy            (warnings are errors)
-#   3. neo-xtask lint    (15-rule neo-lint engine over the token stream,
+#   2. clippy            (warnings are errors, and so is a `let _ =`
+#                         discard of a #[must_use] value)
+#   3. neo-xtask lint    (12-rule neo-lint engine over the token stream,
 #                         symbol index, and workspace call graph; emits
 #                         results/lint.json + results/callgraph.json
 #                         and diffs waived counts against the committed
@@ -40,8 +41,8 @@ cd "$(dirname "$0")"
 echo "==> [1/9] cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> [2/9] cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace --all-targets -- -D warnings
+echo "==> [2/9] cargo clippy --workspace -- -D warnings -D clippy::let_underscore_must_use"
+cargo clippy --workspace --all-targets -- -D warnings -D clippy::let_underscore_must_use
 
 echo "==> [3/9] cargo run -p neo-xtask -- lint (json + callgraph + baseline diff)"
 # build first so the wall-time budget below measures the lint run, not rustc

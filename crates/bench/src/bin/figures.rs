@@ -735,8 +735,8 @@ fn timeline_block() {
     let scale = 60.0 / t.makespan; // 60-column gantt
     let mut rows: Vec<_> = t.ops.clone();
     rows.sort_by(|a, b| a.1.start.total_cmp(&b.1.start));
-    for (name, s) in rows {
-        let res = ops.iter().find(|o| o.name == name).map(|o| o.resource);
+    for (phase, s) in rows {
+        let res = ops.iter().find(|o| o.phase == phase).map(|o| o.resource);
         let tag = match res {
             Some(Resource::Compute) => "#",
             Some(Resource::Memory) => "=",
@@ -747,7 +747,7 @@ fn timeline_block() {
         let start = (s.start * scale) as usize;
         let len = (((s.end - s.start) * scale) as usize).max(1);
         println!(
-            "  {name:<16} |{}{}{}| {:>7.2} ms",
+            "  {phase:<16} |{}{}{}| {:>7.2} ms",
             " ".repeat(start),
             tag.repeat(len),
             " ".repeat(60usize.saturating_sub(start + len)),

@@ -4,7 +4,7 @@ use std::any::Any;
 use std::sync::Arc;
 
 use neo_sync::{OrderedBarrier, OrderedMutex};
-use neo_telemetry::{metric, TelemetrySink};
+use neo_telemetry::{Metric, TelemetrySink};
 
 use crate::delay::CommDelay;
 use crate::nonblocking::Lane;
@@ -247,9 +247,7 @@ impl Communicator {
     /// the payload if a [`CommDelay`] is attached.
     fn note_bytes(&mut self, op: &'static str, bytes: u64) {
         self.stats.bytes_sent += bytes;
-        if self.telemetry.enabled() {
-            self.telemetry.counter_add(&metric::comm_bytes(op), bytes);
-        }
+        self.telemetry.counter_add(Metric::CommBytes(op), bytes);
         if let Some(d) = &self.delay {
             d.inject(bytes);
         }
@@ -545,9 +543,9 @@ impl Communicator {
         }
         self.shared.barrier.wait(); // lint: allow(comm_lane_blocking) — final rendezvous: slots must be cleared before the next collective reuses them
         if let (Some(t0), Some(t1)) = (t0, self.telemetry.now_ns()) {
-            self.telemetry.counter_add(&metric::comm_calls(op), 1);
+            self.telemetry.counter_add(Metric::CommCalls(op), 1);
             self.telemetry
-                .histogram_observe(&metric::comm_latency_ns(op), t1.saturating_sub(t0));
+                .histogram_observe(Metric::CommNs(op), t1.saturating_sub(t0));
         }
         result
     }

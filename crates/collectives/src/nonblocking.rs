@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 use neo_sync::chaos;
-use neo_telemetry::{metric, RankRecorder, TelemetrySink};
+use neo_telemetry::{Metric, Phase, RankRecorder, TelemetrySink};
 
 use crate::delay::CommDelay;
 use crate::group::{CollectiveError, Communicator, Shared};
@@ -106,7 +106,7 @@ impl Lane {
     fn send(&self, job: Job) {
         // A failed send means the lane thread is gone; the poster's
         // CommHandle will surface LaneClosed at wait time.
-        let _ = self.tx.send(job);
+        self.tx.send(job).ok();
     }
 
     /// Point the lane's telemetry at `sink`; lane spans land on
@@ -169,7 +169,7 @@ impl<R> CommHandle<R> {
         };
         if let (Some(t0), Some(t1)) = (t0, self.telemetry.now_ns()) {
             self.telemetry
-                .histogram_observe(&metric::comm_wait_ns(self.op), t1.saturating_sub(t0));
+                .histogram_observe(Metric::CommWaitNs(self.op), t1.saturating_sub(t0));
         }
         res
     }
@@ -177,8 +177,11 @@ impl<R> CommHandle<R> {
 
 impl Communicator {
     /// Ship `run` to the comm lane, returning the handle its result will
-    /// arrive through. The lane brackets the exchange in a span named
-    /// `span_name` attributed to `iter` on telemetry lane [`COMM_LANE`].
+    /// arrive through. The lane brackets the exchange in a span of the
+    /// [`Phase`] named `span_name`, attributed to `iter` on telemetry lane
+    /// [`COMM_LANE`]. The name stays a string for the standalone
+    /// `benchmark/` package, which posts by phase name; the lane resolves
+    /// it only when its recorder is armed.
     ///
     /// `bytes` is the op's logical wire payload: caller-side accounting
     /// mirrors the blocking path so [`CommStats`](crate::CommStats) are
@@ -204,8 +207,9 @@ impl Communicator {
             chaos::yield_point(chaos::site::POST);
             lane.send(Box::new(move |ctx| {
                 chaos::yield_point(chaos::site::LANE_ENTER);
-                ctx.rec.begin_iteration(iter);
-                let sp = ctx.rec.span(span_name);
+                let it = ctx.rec.begin_iteration(iter);
+                let phase = ctx.rec.enabled().then(|| Phase::from_name(span_name));
+                let sp = phase.flatten().map(|p| ctx.rec.span(p));
                 // Stall injection sits between the span-open beat and the
                 // exchange beat: a parked victim is last seen *in the
                 // span* (it never reached the rendezvous), while its
@@ -221,18 +225,19 @@ impl Communicator {
                 let res =
                     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&mut ctx.comm)));
                 drop(sp);
-                ctx.rec.end_iteration();
+                it.end();
                 chaos::yield_point(chaos::site::LANE_EXIT);
                 match res {
                     Ok(res) => {
-                        let _ = tx.send(res);
+                        tx.send(res).ok();
                         LaneStatus::Ok
                     }
                     Err(payload) => {
-                        let _ = tx.send(Err(CollectiveError::LaneFailed {
+                        tx.send(Err(CollectiveError::LaneFailed {
                             op,
                             message: panic_message(payload.as_ref()),
-                        }));
+                        }))
+                        .ok();
                         LaneStatus::Failed
                     }
                 }
@@ -245,15 +250,13 @@ impl Communicator {
     /// [`Arc`] pointers to the comm lane and returns immediately — the
     /// payload buffers are never copied onto the lane, only their
     /// refcounts move. `span_name` / `iter` label the lane-side telemetry
-    /// span (use the relevant [`phase`] constant).
+    /// span (a [`Phase::as_str`] name).
     ///
     /// All ranks must post the same lane collectives in the same order.
     ///
     /// A contract violation (e.g. `sends.len() != world`) panics the
     /// exchange *on the lane thread*; the panic is captured and surfaces
     /// as [`CollectiveError::LaneFailed`] at [`CommHandle::wait`].
-    ///
-    /// [`phase`]: neo_telemetry::phase
     pub fn post_all_to_all_shared<T: Send + Sync + 'static>(
         &mut self,
         sends: Vec<Arc<Vec<T>>>,
@@ -310,7 +313,7 @@ impl Communicator {
 mod tests {
     use super::*;
     use crate::group::ProcessGroup;
-    use neo_telemetry::phase;
+    use neo_telemetry::Phase;
     use std::thread;
 
     fn run<R: Send + 'static>(
@@ -342,7 +345,7 @@ mod tests {
             let sends: Vec<Arc<Vec<u64>>> = (0..3)
                 .map(|j| Arc::new(vec![(rank * 10 + j) as u64]))
                 .collect();
-            let handle = c.post_all_to_all_shared(sends.clone(), phase::INPUT_A2A, 0);
+            let handle = c.post_all_to_all_shared(sends.clone(), Phase::InputA2a.as_str(), 0);
             let posted = handle.wait().unwrap();
             let blocking = c.all_to_all_shared(sends).unwrap();
             (posted, blocking)
@@ -363,10 +366,16 @@ mod tests {
                 .map(|i| ((rank * 32 + i) as f32 * 0.3).cos())
                 .collect();
             let whole = c.all_reduce_shared(Arc::new(full.clone())).unwrap();
-            let bot =
-                c.post_all_reduce_shared(Arc::new(full[..20].to_vec()), phase::ALLREDUCE_BOT, 0);
-            let top =
-                c.post_all_reduce_shared(Arc::new(full[20..].to_vec()), phase::ALLREDUCE_TOP, 0);
+            let bot = c.post_all_reduce_shared(
+                Arc::new(full[..20].to_vec()),
+                Phase::AllreduceBot.as_str(),
+                0,
+            );
+            let top = c.post_all_reduce_shared(
+                Arc::new(full[20..].to_vec()),
+                Phase::AllreduceTop.as_str(),
+                0,
+            );
             let mut halves = bot.wait().unwrap().as_ref().clone();
             halves.extend(top.wait().unwrap().iter());
             (whole, halves)
@@ -383,7 +392,7 @@ mod tests {
         // this would cross-match ops and panic; with the second lane it
         // must complete cleanly.
         let out = run(2, |rank, c| {
-            let h = c.post_all_to_all_shared(sends_of(rank as u32, 2), phase::INPUT_A2A, 0);
+            let h = c.post_all_to_all_shared(sends_of(rank as u32, 2), Phase::InputA2a.as_str(), 0);
             let v = c
                 .all_reduce_shared(Arc::new(vec![rank as f32 + 1.0]))
                 .unwrap();
@@ -404,7 +413,7 @@ mod tests {
             let h = c.post_all_to_all_shared_quant(
                 sends.clone(),
                 QuantMode::Bf16,
-                phase::ALLTOALL_FWD,
+                Phase::AlltoallFwd.as_str(),
                 1,
             );
             let posted = h.wait().unwrap();
@@ -426,7 +435,7 @@ mod tests {
         let per_rank_sink = sink.clone();
         let out = run(2, move |_rank, c| {
             c.set_telemetry(per_rank_sink.clone());
-            let h = c.post_all_to_all_shared(sends_of(1u8, 2), phase::INPUT_A2A, 4);
+            let h = c.post_all_to_all_shared(sends_of(1u8, 2), Phase::InputA2a.as_str(), 4);
             h.wait().unwrap()
         });
         assert_eq!(out.len(), 2);
@@ -440,7 +449,7 @@ mod tests {
         let lane_spans: Vec<_> = snap
             .spans
             .iter()
-            .filter(|s| s.lane == COMM_LANE && s.name == phase::INPUT_A2A)
+            .filter(|s| s.lane == COMM_LANE && s.phase == Phase::InputA2a)
             .collect();
         assert_eq!(lane_spans.len(), 2, "one lane span per rank");
         assert!(lane_spans.iter().all(|s| s.iter == 4));
@@ -453,11 +462,13 @@ mod tests {
         // rendezvous deposit — each rank must get the captured panic back
         // as LaneFailed rather than hanging or unwinding the caller.
         let out = run(2, |rank, c| {
-            let bad = c.post_all_to_all_shared(sends_of(rank as u32, 3), phase::INPUT_A2A, 0);
+            let bad =
+                c.post_all_to_all_shared(sends_of(rank as u32, 3), Phase::InputA2a.as_str(), 0);
             let err = bad.wait().expect_err("malformed exchange must fail");
             // The lane is now out of service: later posts observe a
             // closed lane at wait, not a hang.
-            let after = c.post_all_to_all_shared(sends_of(rank as u32, 2), phase::INPUT_A2A, 1);
+            let after =
+                c.post_all_to_all_shared(sends_of(rank as u32, 2), Phase::InputA2a.as_str(), 1);
             (err, after.wait().expect_err("lane must be closed"))
         });
         for (err, after) in out {
@@ -505,7 +516,7 @@ mod tests {
         let out = run(2, |rank, c| {
             c.set_comm_delay(Some(CommDelay::new(1e9, 20e-3)));
             let t0 = std::time::Instant::now();
-            let h = c.post_all_to_all_shared(sends_of(rank as u32, 2), phase::INPUT_A2A, 0);
+            let h = c.post_all_to_all_shared(sends_of(rank as u32, 2), Phase::InputA2a.as_str(), 0);
             let post_cost = t0.elapsed();
             let recv = h.wait().unwrap();
             (post_cost, recv)

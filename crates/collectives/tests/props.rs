@@ -5,7 +5,7 @@
 //! (rule `props_cover`) enforces that this stays true as the API grows.
 
 use neo_collectives::{CommDelay, ProcessGroup, QuantMode};
-use neo_telemetry::{metric, TelemetrySink};
+use neo_telemetry::{Metric, TelemetrySink};
 use neo_tensor::{Bf16, F16};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -308,24 +308,24 @@ proptest! {
         });
         let total_bytes: u64 = out.iter().map(|s| s.bytes_sent).sum();
         let snap = sink.snapshot().expect("armed sink has a snapshot");
-        let counter = |name: &str| {
+        let counter = |m: Metric| {
             snap.counters
                 .iter()
-                .find(|(k, _)| k == name)
+                .find(|(k, _)| *k == m.name())
                 .map(|(_, v)| *v)
                 .unwrap_or(0)
         };
         let telemetry_bytes =
-            counter(&metric::comm_bytes("all_reduce")) + counter(&metric::comm_bytes("all_gather"));
+            counter(Metric::CommBytes("all_reduce")) + counter(Metric::CommBytes("all_gather"));
         prop_assert_eq!(telemetry_bytes, total_bytes);
-        prop_assert_eq!(counter(&metric::comm_calls("all_reduce")), world as u64);
-        prop_assert_eq!(counter(&metric::comm_calls("all_gather")), world as u64);
+        prop_assert_eq!(counter(Metric::CommCalls("all_reduce")), world as u64);
+        prop_assert_eq!(counter(Metric::CommCalls("all_gather")), world as u64);
         // Latency histograms recorded one observation per rank per op.
         for op in ["all_reduce", "all_gather"] {
             let hist = snap
                 .histograms
                 .iter()
-                .find(|(k, _)| k == &metric::comm_latency_ns(op))
+                .find(|(k, _)| *k == Metric::CommNs(op).name())
                 .map(|(_, h)| h.total());
             prop_assert_eq!(hist, Some(world as u64), "latency histogram for {}", op);
         }

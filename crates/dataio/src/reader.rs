@@ -7,7 +7,7 @@
 //! / pipelining requirement of §3.0.2.
 
 use crossbeam::channel::{bounded, Receiver};
-use neo_telemetry::{metric, TelemetrySink};
+use neo_telemetry::{Metric, TelemetrySink};
 
 use crate::batch::CombinedBatch;
 
@@ -75,7 +75,7 @@ impl PrefetchReader {
                 let batch = make(k);
                 if let (Some(t0), Some(t1)) = (t0, producer_sink.now_ns()) {
                     producer_sink
-                        .histogram_observe(metric::DATAIO_BATCH_BUILD_NS, t1.saturating_sub(t0));
+                        .histogram_observe(Metric::DataioBatchBuildNs, t1.saturating_sub(t0));
                 }
                 if tx.send(batch).is_err() {
                     return; // consumer hung up early
@@ -95,11 +95,11 @@ impl PrefetchReader {
         if self.telemetry.enabled() {
             let depth = self.rx.len() as f64;
             self.telemetry
-                .gauge_push(metric::DATAIO_QUEUE_DEPTH, self.received, depth);
+                .gauge_push(Metric::DataioQueueDepth, self.received, depth);
             // High-water mark: survives in a sampled monitor frame even if
             // the peak falls between two samples of the depth series.
             self.telemetry
-                .gauge_set_max(metric::DATAIO_QUEUE_PEAK, self.received, depth);
+                .gauge_set_max(Metric::DataioQueuePeak, self.received, depth);
             self.received += 1;
         }
         self.rx.recv().ok()
@@ -118,7 +118,7 @@ impl Drop for PrefetchReader {
         let (_tx, dummy_rx) = bounded::<CombinedBatch>(1);
         drop(std::mem::replace(&mut self.rx, dummy_rx));
         if let Some(h) = self.handle.take() {
-            let _ = h.join();
+            h.join().ok();
         }
     }
 }
@@ -191,25 +191,25 @@ mod tests {
         let hist = snap
             .histograms
             .iter()
-            .find(|(k, _)| k == neo_telemetry::metric::DATAIO_BATCH_BUILD_NS)
+            .find(|(k, _)| *k == Metric::DataioBatchBuildNs.name())
             .map(|(_, h)| h.total());
         assert_eq!(hist, Some(6), "one build observation per batch");
         let depth_points = snap
             .gauges
             .iter()
-            .find(|(k, _)| k == neo_telemetry::metric::DATAIO_QUEUE_DEPTH)
+            .find(|(k, _)| *k == Metric::DataioQueueDepth.name())
             .map(|(_, s)| s.len());
         // One sample per next_batch call, including the final None probe.
         assert_eq!(depth_points, Some(7));
         let depth_max = snap
             .gauges
             .iter()
-            .find(|(k, _)| k == neo_telemetry::metric::DATAIO_QUEUE_DEPTH)
+            .find(|(k, _)| *k == Metric::DataioQueueDepth.name())
             .map(|(_, s)| s.iter().map(|&(_, v)| v).fold(0.0f64, f64::max));
         let peak = snap
             .gauges
             .iter()
-            .find(|(k, _)| k == neo_telemetry::metric::DATAIO_QUEUE_PEAK)
+            .find(|(k, _)| *k == Metric::DataioQueuePeak.name())
             .and_then(|(_, s)| s.last().map(|&(_, v)| v));
         assert_eq!(peak, depth_max, "peak gauge tracks the high-water mark");
     }

@@ -61,7 +61,7 @@ impl TieredStore {
     /// `<prefix>.cache_hit` / `cache_miss` / `cache_evict` /
     /// `cache_writeback`. Call once per stats snapshot (counters are
     /// monotonic in the registry).
-    pub fn export_telemetry(&self, sink: &neo_telemetry::TelemetrySink, prefix: &str) {
+    pub fn export_telemetry(&self, sink: &neo_telemetry::TelemetrySink, prefix: &'static str) {
         self.cache_stats().export_to(sink, prefix);
     }
 

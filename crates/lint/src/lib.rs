@@ -7,7 +7,7 @@
 //!    wrapped in a [`SourceFile`] with derived code/comment/test line
 //!    views and waiver spans ([`source`]);
 //! 2. **symbols** — a cross-crate [`SymbolIndex`] ([`symbols`]) records
-//!    every fn (visibility, Result-ness), struct, and const;
+//!    every fn (visibility, Result-ness) and struct;
 //! 3. **call graph** — per-function call sites resolve against the
 //!    symbol index into a workspace-wide [`callgraph::CallGraph`] with
 //!    deterministic, cycle-tolerant transitive reachability.
@@ -17,7 +17,7 @@
 //! [`output`] renders the report as text, JSON (`neo-lint/1`), the CI
 //! waiver baseline, or the call-graph artifact (`neo-callgraph/1`).
 //!
-//! The fifteen rules (see DESIGN.md for the full table; rules marked ⇄
+//! The twelve rules (see DESIGN.md for the full table; rules marked ⇄
 //! are interprocedural — they consume call-graph reachability):
 //!
 //!  1. **panic** — no panicking calls in library code
@@ -26,26 +26,25 @@
 //!     `#![deny(warnings)]` and a `//!` header
 //!  4. **props_cover** — every pub fn of the collectives group API is
 //!     named in the property-test suite
-//!  5. **span_balance** — `.span(..)` guards bind a live variable
-//!  6. **metric_names** — metric-call string literals use the taxonomy
-//!     prefixes
-//!  7. **lock_order** ⇄ — global lock-acquisition graph stays acyclic,
+//!  5. **lock_order** ⇄ — global lock-acquisition graph stays acyclic,
 //!     with transitive held-guard expansion across crate boundaries
-//!  8. **lock_unwrap** — no lock-poison propagation outside `sync`
-//!  9. **determinism** — no hidden run-varying inputs outside the
+//!  6. **lock_unwrap** — no lock-poison propagation outside `sync`
+//!  7. **determinism** — no hidden run-varying inputs outside the
 //!     measurement crates
-//! 10. **comm_lane_blocking** ⇄ — nothing blocking reachable (full
+//!  8. **comm_lane_blocking** ⇄ — nothing blocking reachable (full
 //!     transitive closure) from the comm-lane worker entry points
-//! 11. **telemetry_taxonomy** — `phase::`/`metric::` references resolve
-//!     against neo-telemetry's exports; no span string literals
-//! 12. **discarded_result** — no silently dropped `Result` from the
+//!  9. **discarded_result** — no silently dropped `Result` from the
 //!     collectives/trainer/dataio public APIs
-//! 13. **hot_path_alloc** ⇄ — no heap allocation reachable from the
+//! 10. **hot_path_alloc** ⇄ — no heap allocation reachable from the
 //!     per-iteration kernel roots in tensor/embeddings/collectives
-//! 14. **panic_path** ⇄ — no panicking call reachable from fns whose
+//! 11. **panic_path** ⇄ — no panicking call reachable from fns whose
 //!     signature already promises a `Result`
-//! 15. **stale_waiver** — every `// lint: allow(..)` annotation names a
+//! 12. **stale_waiver** — every `// lint: allow(..)` annotation names a
 //!     real rule and still suppresses something
+//!
+//! The telemetry vocabulary is not linted: `neo-telemetry`'s `Phase` and
+//! `Metric` enums and its `#[must_use]` guards make the compiler reject a
+//! misspelt or inline name and a guard dropped where it is made.
 //!
 //! Findings are waived in place with `// lint: allow(<rule>) — <reason>`;
 //! waiver consumption is tracked per token span so the `stale_waiver`
@@ -73,19 +72,16 @@ pub use source::{Diagnostic, SourceFile};
 pub use symbols::SymbolIndex;
 
 /// Every rule name, in documentation order. `stale_waiver` runs inside
-/// [`lint`] after the other fourteen so it sees which waivers fired.
+/// [`lint`] after the other eleven so it sees which waivers fired.
 pub const RULE_NAMES: &[&str] = &[
     "panic",
     "hash_iter",
     "crate_header",
     "props_cover",
-    "span_balance",
-    "metric_names",
     "lock_order",
     "lock_unwrap",
     "determinism",
     "comm_lane_blocking",
-    "telemetry_taxonomy",
     "discarded_result",
     "hot_path_alloc",
     "panic_path",
@@ -103,7 +99,7 @@ pub struct RuleInfo {
     pub summary: &'static str,
 }
 
-/// Metadata for all fifteen rules, in [`RULE_NAMES`] order.
+/// Metadata for all twelve rules, in [`RULE_NAMES`] order.
 pub fn rule_infos() -> Vec<RuleInfo> {
     let mut infos: Vec<RuleInfo> = all_rules()
         .iter()
@@ -312,32 +308,6 @@ impl Rule for PropsCoverRule {
     }
 }
 
-struct SpanBalanceRule;
-impl Rule for SpanBalanceRule {
-    fn name(&self) -> &'static str {
-        "span_balance"
-    }
-    fn summary(&self) -> &'static str {
-        "span guards bind a live variable (a temporary closes the span immediately)"
-    }
-    fn check(&self, ws: &Workspace) -> Vec<Diagnostic> {
-        per_file(ws, |_, f| rules::check_span_balance(f))
-    }
-}
-
-struct MetricNamesRule;
-impl Rule for MetricNamesRule {
-    fn name(&self) -> &'static str {
-        "metric_names"
-    }
-    fn summary(&self) -> &'static str {
-        "metric-call string literals stay inside the taxonomy prefixes"
-    }
-    fn check(&self, ws: &Workspace) -> Vec<Diagnostic> {
-        per_file(ws, |_, f| rules::check_metric_names(f))
-    }
-}
-
 struct LockOrderRule;
 impl Rule for LockOrderRule {
     fn name(&self) -> &'static str {
@@ -392,22 +362,6 @@ impl Rule for CommLaneRule {
     }
 }
 
-struct TaxonomyRule;
-impl Rule for TaxonomyRule {
-    fn name(&self) -> &'static str {
-        "telemetry_taxonomy"
-    }
-    fn summary(&self) -> &'static str {
-        "phase::/metric:: references resolve against neo-telemetry's taxonomy exports"
-    }
-    fn check(&self, ws: &Workspace) -> Vec<Diagnostic> {
-        let telemetry = ws.symbols.of("telemetry");
-        per_file(ws, |krate, f| {
-            newrules::check_telemetry_taxonomy(krate, f, &telemetry)
-        })
-    }
-}
-
 struct DiscardedResultRule;
 impl Rule for DiscardedResultRule {
     fn name(&self) -> &'static str {
@@ -458,7 +412,7 @@ impl Rule for PanicPathRule {
     }
 }
 
-/// The fourteen registered rules, in [`RULE_NAMES`] order. `stale_waiver`
+/// The eleven registered rules, in [`RULE_NAMES`] order. `stale_waiver`
 /// is not in the registry: it must run after every other rule has marked
 /// the waivers it consumed, so [`lint`] runs it as a trailing pass.
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
@@ -467,13 +421,10 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(HashIterRule),
         Box::new(CrateHeaderRule),
         Box::new(PropsCoverRule),
-        Box::new(SpanBalanceRule),
-        Box::new(MetricNamesRule),
         Box::new(LockOrderRule),
         Box::new(LockUnwrapRule),
         Box::new(DeterminismRule),
         Box::new(CommLaneRule),
-        Box::new(TaxonomyRule),
         Box::new(DiscardedResultRule),
         Box::new(HotPathAllocRule),
         Box::new(PanicPathRule),

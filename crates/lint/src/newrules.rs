@@ -1,5 +1,5 @@
-//! The three cross-crate rules added with the token-stream engine:
-//! `determinism`, `telemetry_taxonomy`, and `discarded_result`.
+//! The two cross-crate rules added with the token-stream engine:
+//! `determinism` and `discarded_result`.
 //!
 //! `determinism` protects bitwise reproducibility, the property the
 //! paper's §6 numeric-parity methodology rests on: training twice with
@@ -14,15 +14,6 @@
 //! in the `DETERMINISM_CRITICAL` crates `hash_iter` already bans the
 //! iteration itself.
 //!
-//! `telemetry_taxonomy` keeps the span/metric namespace closed: every
-//! `phase::X` / `metric::X` reference must resolve to a symbol actually
-//! exported by `neo-telemetry`'s taxonomy modules, and `.span(...)` may
-//! not be fed a bare string literal — names live in the taxonomy, not at
-//! call sites, so cross-rank trace alignment and `neo-prof`'s
-//! critical-path analysis can rely on one closed vocabulary. This
-//! extends the literal-prefix `metric_names` rule with symbol-level
-//! resolution.
-//!
 //! `discarded_result` bans silently dropping a `Result` from the public
 //! collectives/trainer/dataio APIs (`let _ = group.all_reduce(..)` or a
 //! bare `group.all_reduce(..);` statement): a swallowed collective error
@@ -33,8 +24,6 @@ use std::collections::BTreeMap;
 
 use crate::rules::{matching_paren, token_match};
 use crate::source::{Diagnostic, SourceFile};
-use crate::symbols::CrateSymbols;
-use crate::token::is_ident_char;
 
 /// Crates whose purpose is measurement; wall-clock reads are their job.
 /// `monitor` samples clocks and sleeps by design (live health sampler).
@@ -122,120 +111,6 @@ pub fn check_determinism(krate: &str, file: &SourceFile, hash_critical: bool) ->
     out
 }
 
-/// Rule `telemetry_taxonomy`: `phase::X` / `metric::X` references must
-/// resolve against `neo-telemetry`'s taxonomy exports, and `.span(...)`
-/// must name its phase via the taxonomy, not a string literal.
-/// `telemetry` is the crate being resolved against and is exempt.
-pub fn check_telemetry_taxonomy(
-    krate: &str,
-    file: &SourceFile,
-    telemetry: &CrateSymbols,
-) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    if krate == "telemetry" {
-        return out;
-    }
-    let known: BTreeMap<&str, Vec<String>> = ["phase", "metric"]
-        .iter()
-        .map(|m| {
-            let mut names: Vec<String> = telemetry
-                .consts_in(m)
-                .iter()
-                .map(|c| c.name.clone())
-                .collect();
-            names.extend(
-                telemetry
-                    .fns_in(m)
-                    .iter()
-                    .filter(|f| f.is_pub)
-                    .map(|f| f.name.clone()),
-            );
-            (*m, names)
-        })
-        .collect();
-    if known.values().all(|v| v.is_empty()) {
-        return out; // no taxonomy in scope (fixture workspaces)
-    }
-
-    for (ln, code) in file.code.iter().enumerate() {
-        if file.in_test[ln] {
-            continue;
-        }
-        for (module, names) in &known {
-            let pat = format!("{module}::");
-            let mut from = 0;
-            while let Some(rel) = code[from..].find(&pat) {
-                let at = from + rel;
-                from = at + pat.len();
-                // `my_phase::` is a different path segment, not the module
-                if code[..at].chars().next_back().is_some_and(is_ident_char) {
-                    continue;
-                }
-                let referenced: String = code[at + pat.len()..]
-                    .chars()
-                    .take_while(|c| is_ident_char(*c))
-                    .collect();
-                // empty: brace imports (`phase::{A, B}`) or a nested path —
-                // the members are checked where they are used
-                if referenced.is_empty() || names.contains(&referenced) {
-                    continue;
-                }
-                if file.allows(ln, "telemetry_taxonomy") {
-                    continue;
-                }
-                out.push(Diagnostic {
-                    path: file.path.clone(),
-                    line: ln + 1,
-                    rule: "telemetry_taxonomy",
-                    message: format!(
-                        "`{module}::{referenced}` is not exported by neo-telemetry's \
-                         `{module}` taxonomy module; add the symbol to the taxonomy \
-                         (one closed vocabulary keeps cross-rank traces alignable) \
-                         or add `// lint: allow(telemetry_taxonomy) — <reason>`"
-                    ),
-                });
-            }
-        }
-
-        // `.span("...")`: the phase name must come from the taxonomy
-        if code.contains("fn span(") {
-            continue;
-        }
-        let mut from = 0;
-        while let Some(rel) = code[from..].find(".span(") {
-            let at = from + rel;
-            let open = at + ".span(".len() - 1;
-            from = open + 1;
-            let Some(close) = matching_paren(code, open) else {
-                continue;
-            };
-            if !code[open..close].contains('"') {
-                continue;
-            }
-            if file.allows(ln, "telemetry_taxonomy") {
-                continue;
-            }
-            let literal = file
-                .tokens
-                .iter()
-                .filter(|t| t.line == ln)
-                .find_map(|t| t.str_value())
-                .unwrap_or_default();
-            out.push(Diagnostic {
-                path: file.path.clone(),
-                line: ln + 1,
-                rule: "telemetry_taxonomy",
-                message: format!(
-                    "`.span(\"{literal}\")` names the phase with a string literal; \
-                     use a `neo_telemetry::phase` constant so the vocabulary stays \
-                     closed, or add `// lint: allow(telemetry_taxonomy) — <reason>`"
-                ),
-            });
-        }
-    }
-    out
-}
-
 /// Fn names the rule refuses to index: they collide with ubiquitous
 /// std/inherent methods (`Barrier::wait`, `Vec::append`,
 /// `SpanGuard::finish`, channel `send`, …), and a token-level matcher
@@ -315,7 +190,6 @@ pub fn check_discarded_result(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::symbols::SymbolIndex;
     use std::path::Path;
 
     fn parse(path: &str, text: &str) -> SourceFile {
@@ -363,66 +237,6 @@ mod tests {
         );
         // critical crates defer to hash_iter for the whole iteration
         assert!(check_determinism("netsim", &fold, true).is_empty());
-    }
-
-    fn taxonomy() -> crate::symbols::CrateSymbols {
-        let phase = parse(
-            "crates/telemetry/src/phase.rs",
-            "pub const ITERATION: &str = \"iteration\";\n\
-             pub const ALLTOALL_FWD: &str = \"alltoall_fwd\";\n\
-             pub fn is_known(name: &str) -> bool { true }\n",
-        );
-        let metric = parse(
-            "crates/telemetry/src/metric.rs",
-            "pub const TRAIN_LOSS: &str = \"train/loss\";\n\
-             pub fn comm_bytes(lane: &str) -> String { String::new() }\n",
-        );
-        SymbolIndex::build(&[("telemetry".to_owned(), vec![phase, metric])]).of("telemetry")
-    }
-
-    #[test]
-    fn taxonomy_resolves_references_and_flags_unknowns() {
-        let src = "use neo_telemetry::phase;\n\
-                   fn f(t: &Telemetry) {\n\
-                   \x20   let _s = t.span(phase::ITERATION);\n\
-                   \x20   let _s = t.span(phase::WARMUP);\n\
-                   \x20   t.counter_add(metric::TRAIN_LOSS, 1);\n\
-                   \x20   t.counter_add(&metric::comm_bytes(\"grad\"), 1);\n\
-                   \x20   let other = my_phase::WARMUP;\n\
-                   }\n";
-        let f = parse("crates/trainer/src/lib.rs", src);
-        let diags = check_telemetry_taxonomy("trainer", &f, &taxonomy());
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].line, 4);
-        assert!(
-            diags[0].message.contains("phase::WARMUP"),
-            "{}",
-            diags[0].message
-        );
-    }
-
-    #[test]
-    fn taxonomy_flags_span_string_literals() {
-        let src = "fn f(t: &Telemetry) {\n\
-                   \x20   let _s = t.span(\"fwd_custom\");\n\
-                   \x20   let _s = t.span(phase::ITERATION);\n\
-                   }\n\
-                   impl T {\n    pub fn span(&self, name: &str) -> Span { Span }\n}\n";
-        let f = parse("crates/trainer/src/lib.rs", src);
-        let diags = check_telemetry_taxonomy("trainer", &f, &taxonomy());
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].line, 2);
-        assert!(
-            diags[0].message.contains("fwd_custom"),
-            "{}",
-            diags[0].message
-        );
-        // the telemetry crate itself, and workspaces without a taxonomy, pass
-        assert!(check_telemetry_taxonomy("telemetry", &f, &taxonomy()).is_empty());
-        assert!(
-            check_telemetry_taxonomy("trainer", &f, &Default::default()).is_empty(),
-            "no taxonomy in scope: rule stands down"
-        );
     }
 
     fn result_fns() -> BTreeMap<String, String> {

@@ -1,4 +1,4 @@
-//! The six file-local invariants, as pure functions over [`SourceFile`]s.
+//! The four file-local invariants, as pure functions over [`SourceFile`]s.
 //!
 //! Rule names (used in `// lint: allow(<rule>) — <reason>` annotations):
 //!
@@ -8,17 +8,13 @@
 //! | `hash_iter`   | no HashMap/HashSet iteration in determinism-critical crates |
 //! | `crate_header`| `#![forbid(unsafe_code)]` + `#![deny(warnings)]` in roots   |
 //! | `props_cover` | every `pub fn` of collectives group.rs named in props.rs    |
-//! | `span_balance`| telemetry span guards are bound, and begin/end_iteration    |
-//! |               | calls are balanced per file                                 |
-//! | `metric_names`| metric registrations use `neo_telemetry::metric` constants/ |
-//! |               | helpers, not inline string literals                         |
 //!
 //! `lock_order`, `lock_unwrap`, and `comm_lane_blocking` live in
-//! [`crate::lockorder`]; `determinism`, `telemetry_taxonomy`, and
-//! `discarded_result` in [`crate::newrules`]; `stale_waiver` is
-//! [`SourceFile::stale_waivers`], run after every other rule so consumed
-//! annotations are already marked. The [`crate::Rule`] registry in the
-//! crate root wires all fifteen together.
+//! [`crate::lockorder`]; `determinism` and `discarded_result` in
+//! [`crate::newrules`]; `stale_waiver` is [`SourceFile::stale_waivers`],
+//! run after every other rule so consumed annotations are already marked.
+//! The [`crate::Rule`] registry in the crate root wires all twelve
+//! together.
 
 use crate::source::{Diagnostic, SourceFile};
 pub use crate::token::is_ident_char;
@@ -242,101 +238,6 @@ pub(crate) fn iterates_ident(code: &str, name: &str) -> bool {
     false
 }
 
-/// Rule `span_balance`: telemetry span instrumentation must be shaped so
-/// the recorded timeline stays well-formed.
-///
-/// Well-formed means spans nest within one `(rank, lane)`: the check is
-/// per source file and lane-agnostic on purpose, because the overlapped
-/// trainer's posted collectives record on a dedicated comm lane
-/// (`neo_collectives::COMM_LANE`) whose spans legally interleave with
-/// the rank's main-lane compute — the guards still pair up file by
-/// file, one `begin_iteration`/`end_iteration` pair per recording site
-/// (the comm-lane recorder in `nonblocking.rs` carries its own pair).
-///
-/// Two checks, both per file and both waivable with
-/// `// lint: allow(span_balance) — <reason>`:
-///
-/// 1. A `.span(...)` guard must be *bound* (`let sp = rec.span(X);`). A
-///    bare `rec.span(X);` statement or a `let _ = rec.span(X);` binding
-///    drops the guard on the same line, recording a zero-length span —
-///    almost always a mistake that silently hollows out the timeline.
-/// 2. Library code must call `.begin_iteration(` and `.end_iteration(`
-///    the same number of times; an unpaired begin leaves every later span
-///    attributed to a stale iteration index.
-pub fn check_span_balance(file: &SourceFile) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    let mut begins = 0usize;
-    let mut ends = 0usize;
-    let mut first_begin_line = 0usize;
-    for (ln, code) in file.code.iter().enumerate() {
-        if file.in_test[ln] {
-            continue;
-        }
-        // a waiver is only *consulted* (and thereby marked used for the
-        // stale_waiver rule) when the line carries a token this rule acts
-        // on; a waived relevant line is excluded from the balance counts,
-        // exactly as before
-        let relevant = token_match(code, ".begin_iteration(").is_some()
-            || token_match(code, ".end_iteration(").is_some()
-            || token_match(code, ".span(").is_some();
-        if relevant && file.allows(ln, "span_balance") {
-            continue;
-        }
-        if token_match(code, ".begin_iteration(").is_some() {
-            if begins == 0 {
-                first_begin_line = ln + 1;
-            }
-            begins += 1;
-        }
-        if token_match(code, ".end_iteration(").is_some() {
-            ends += 1;
-        }
-        let Some(at) = token_match(code, ".span(") else {
-            continue;
-        };
-        // `fn span(` definitions and continuation lines (`.span(` with no
-        // receiver on this line) can't be judged here.
-        if token_match(code, "fn span(").is_some() {
-            continue;
-        }
-        let before = code[..at].trim();
-        if before.is_empty() {
-            continue;
-        }
-        // find the `)` matching the `(` of `.span(`; if the call is followed
-        // by `;` it is a statement whose result vanishes unless bound
-        let open = at + ".span(".len() - 1;
-        let close = matching_paren(code, open);
-        let ends_as_statement = close.is_some_and(|c| code[c + 1..].trim_start().starts_with(';'));
-        let discarded_binding = before.contains("let _ =") || before.contains("let _=");
-        let bare_statement = ends_as_statement && !before.contains('=');
-        if discarded_binding || bare_statement {
-            out.push(Diagnostic {
-                path: file.path.clone(),
-                line: ln + 1,
-                rule: "span_balance",
-                message: "span guard dropped on the line that creates it (records a \
-                          zero-length span); bind it with `let sp = ...` and drop it \
-                          where the phase ends, or add \
-                          `// lint: allow(span_balance) — <reason>`"
-                    .to_owned(),
-            });
-        }
-    }
-    if begins != ends {
-        out.push(Diagnostic {
-            path: file.path.clone(),
-            line: first_begin_line.max(1),
-            rule: "span_balance",
-            message: format!(
-                "unbalanced iteration markers: {begins} begin_iteration call(s) vs \
-                 {ends} end_iteration call(s) in this file"
-            ),
-        });
-    }
-    out
-}
-
 /// Byte offset of the `)` matching the `(` at byte offset `open`, scanning
 /// within one line; `None` when the call spans lines.
 pub(crate) fn matching_paren(code: &str, open: usize) -> Option<usize> {
@@ -354,55 +255,6 @@ pub(crate) fn matching_paren(code: &str, open: usize) -> Option<usize> {
         }
     }
     None
-}
-
-/// Metric-registration calls governed by rule `metric_names`.
-const METRIC_CALLS: &[&str] = &[".counter_add(", ".gauge_push(", ".histogram_observe("];
-
-/// Rule `metric_names`: metric registrations must name their metric via
-/// the constants/helpers in `crates/telemetry/src/metric.rs`, not inline
-/// string literals. An inline literal drifts silently from the canonical
-/// taxonomy; a constant can't. The check is line-based: a registration
-/// call whose argument region (up to the matching `)` or end of line)
-/// still contains a `"` after string *contents* are blanked carries a
-/// literal. Waive with `// lint: allow(metric_names) — <reason>`.
-pub fn check_metric_names(file: &SourceFile) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for (ln, code) in file.code.iter().enumerate() {
-        if file.in_test[ln] {
-            continue;
-        }
-        for call in METRIC_CALLS {
-            let Some(at) = token_match(code, call) else {
-                continue;
-            };
-            // definitions (`fn counter_add(`) are not registrations
-            if token_match(code, &format!("fn {}", &call[1..])).is_some() {
-                continue;
-            }
-            let open = at + call.len() - 1;
-            let end = matching_paren(code, open).unwrap_or(code.len());
-            if code[open..end].contains('"') {
-                // consult the waiver only on an actual finding (stale_waiver)
-                if file.allows(ln, "metric_names") {
-                    break;
-                }
-                out.push(Diagnostic {
-                    path: file.path.clone(),
-                    line: ln + 1,
-                    rule: "metric_names",
-                    message: format!(
-                        "metric registered with an inline string literal; use a \
-                         constant or helper from `neo_telemetry::metric` (`{}`), \
-                         or add `// lint: allow(metric_names) — <reason>`",
-                        call.trim_start_matches('.').trim_end_matches('(')
-                    ),
-                });
-                break; // one diagnostic per line is enough
-            }
-        }
-    }
-    out
 }
 
 /// Rule `crate_header`: crate roots must carry both
@@ -565,63 +417,6 @@ mod tests {
         assert_eq!(check_crate_header(&missing).len(), 1);
         let neither = file("fn a() {}\n");
         assert_eq!(check_crate_header(&neither).len(), 2);
-    }
-
-    #[test]
-    fn span_balance_flags_discarded_guards() {
-        let f = file(
-            "fn a(rec: &RankRecorder) { rec.span(phase::TOP_MLP); }\n\
-             fn b(rec: &RankRecorder) { let _ = rec.span(phase::TOP_MLP); }\n\
-             fn c(rec: &RankRecorder) { let sp = rec.span(phase::TOP_MLP); drop(sp); }\n\
-             // lint: allow(span_balance) — intentional zero-length marker\n\
-             fn d(rec: &RankRecorder) { rec.span(phase::TOP_MLP); }\n",
-        );
-        let diags = check_span_balance(&f);
-        assert_eq!(diags.len(), 2, "{diags:?}");
-        assert_eq!(diags[0].line, 1);
-        assert_eq!(diags[1].line, 2);
-    }
-
-    #[test]
-    fn span_balance_skips_definitions_and_expression_uses() {
-        let f = file(
-            "pub fn span(&self, name: &'static str) -> SpanGuard { self.make(name) }\n\
-             fn use_it(rec: &RankRecorder) -> SpanGuard { rec.span(phase::TOP_MLP) }\n",
-        );
-        assert!(check_span_balance(&f).is_empty());
-    }
-
-    #[test]
-    fn span_balance_requires_paired_iteration_markers() {
-        let unbalanced = file("fn s(r: &RankRecorder) { r.begin_iteration(3); }\n");
-        let diags = check_span_balance(&unbalanced);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert!(diags[0].message.contains("unbalanced"));
-
-        let balanced = file(
-            "fn s(r: &RankRecorder) { r.begin_iteration(3); }\n\
-             fn e(r: &RankRecorder) { r.end_iteration(); }\n",
-        );
-        assert!(check_span_balance(&balanced).is_empty());
-    }
-
-    #[test]
-    fn metric_names_flags_inline_literals_and_respects_waivers() {
-        let f = file(
-            "fn a(s: &Sink) { s.counter_add(\"my.counter\", 1); }\n\
-             fn b(s: &Sink) { s.counter_add(metric::EMB_LOOKUP_ROWS, 1); }\n\
-             fn c(s: &Sink) { s.gauge_push(&metric::comm_bytes(op), 0, 1.0); }\n\
-             fn d(s: &Sink) { s.histogram_observe(&format!(\"{p}.ns\"), 7); }\n\
-             // lint: allow(metric_names) — bridging an external name verbatim\n\
-             fn e(s: &Sink) { s.counter_add(\"ext.name\", 1); }\n\
-             pub fn counter_add(&self, name: &str, delta: u64) { self.add(name, delta) }\n\
-             #[cfg(test)]\nmod t { fn t(s: &Sink) { s.counter_add(\"test.only\", 1); } }\n",
-        );
-        let diags = check_metric_names(&f);
-        assert_eq!(diags.len(), 2, "{diags:?}");
-        assert_eq!(diags[0].line, 1);
-        assert_eq!(diags[1].line, 4);
-        assert!(diags[0].message.contains("counter_add"));
     }
 
     #[test]

@@ -3,14 +3,12 @@
 //! Walks every crate's token streams once and records every function
 //! definition — free fns, inherent methods, and trait-impl fns alike —
 //! with its visibility (`is_pub`) and whether it returns a `Result`,
-//! plus the `pub` structs and consts (with their string value when the
-//! initializer is a string literal). Rules consult the index for
-//! cross-crate checks: `telemetry_taxonomy` resolves `phase::X` /
-//! `metric::X` references against the constants and helpers actually
-//! exported by `neo-telemetry`'s taxonomy modules, `discarded_result`
-//! knows which public collectives/trainer/dataio calls return a
-//! `Result` that must not be silently dropped, and the call graph
-//! (`callgraph` module) resolves call sites against the full fn set.
+//! plus the `pub` structs and enums. Rules consult the index for
+//! cross-crate checks: `discarded_result` knows which public
+//! collectives/trainer/dataio calls return a `Result` that must not be
+//! silently dropped, and the call graph (`callgraph` module) resolves
+//! call sites against the full fn set and `Type::f` paths against the
+//! type names.
 
 use std::collections::BTreeMap;
 
@@ -21,8 +19,6 @@ use crate::token::{Tok, TokKind};
 #[derive(Debug, Clone)]
 pub struct FnSym {
     pub name: String,
-    /// File stem the symbol is defined in (`phase`, `metric`, `group`, …).
-    pub module: String,
     /// Whether the declared return type mentions a `Result` (including
     /// aliases ending in `Result`).
     pub returns_result: bool,
@@ -32,33 +28,11 @@ pub struct FnSym {
     pub is_pub: bool,
 }
 
-/// A public const (or static).
-#[derive(Debug, Clone)]
-pub struct ConstSym {
-    pub name: String,
-    pub module: String,
-    /// The initializer's string value when it is a string literal.
-    pub value: Option<String>,
-}
-
 /// Everything one crate exports.
 #[derive(Debug, Clone, Default)]
 pub struct CrateSymbols {
     pub fns: Vec<FnSym>,
     pub structs: Vec<String>,
-    pub consts: Vec<ConstSym>,
-}
-
-impl CrateSymbols {
-    /// Const names defined in `module` (a file stem).
-    pub fn consts_in(&self, module: &str) -> Vec<&ConstSym> {
-        self.consts.iter().filter(|c| c.module == module).collect()
-    }
-
-    /// Fn names defined in `module` (a file stem).
-    pub fn fns_in(&self, module: &str) -> Vec<&FnSym> {
-        self.fns.iter().filter(|f| f.module == module).collect()
-    }
 }
 
 /// Public symbols per crate, keyed by crate directory name.
@@ -101,12 +75,6 @@ fn significant(file: &SourceFile) -> Vec<&Tok> {
 }
 
 fn scan_file(file: &SourceFile, out: &mut CrateSymbols) {
-    let module = file
-        .path
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .unwrap_or("")
-        .to_owned();
     let toks = significant(file);
     let ident = |i: usize, s: &str| {
         toks.get(i)
@@ -123,7 +91,6 @@ fn scan_file(file: &SourceFile, out: &mut CrateSymbols) {
             if let Some(name_tok) = toks.get(i + 1).filter(|t| t.kind == TokKind::Ident) {
                 out.fns.push(FnSym {
                     name: name_tok.text.clone(),
-                    module: module.clone(),
                     returns_result: return_mentions_result(&toks, i + 2),
                     is_pub: vis_is_pub(&toks, i),
                 });
@@ -153,24 +120,6 @@ fn scan_file(file: &SourceFile, out: &mut CrateSymbols) {
         if ident(j, "struct") || ident(j, "enum") {
             if let Some(name_tok) = toks.get(j + 1).filter(|t| t.kind == TokKind::Ident) {
                 out.structs.push(name_tok.text.clone());
-            }
-        } else if ident(j, "const") || ident(j, "static") {
-            if let Some(name_tok) = toks.get(j + 1).filter(|t| t.kind == TokKind::Ident) {
-                // value: first string-literal token before the closing `;`
-                let mut value = None;
-                let mut k = j + 2;
-                while k < toks.len() && toks[k].text != ";" {
-                    if let Some(v) = toks[k].str_value() {
-                        value = Some(v);
-                        break;
-                    }
-                    k += 1;
-                }
-                out.consts.push(ConstSym {
-                    name: name_tok.text.clone(),
-                    module: module.clone(),
-                    value,
-                });
             }
         }
         i = j + 1;
@@ -255,23 +204,6 @@ mod tests {
     fn index_of(name: &str, module: &str, text: &str) -> CrateSymbols {
         let f = SourceFile::parse(Path::new(&format!("crates/{name}/src/{module}.rs")), text);
         SymbolIndex::build(&[(name.to_owned(), vec![f])]).of(name)
-    }
-
-    #[test]
-    fn consts_record_string_values_per_module() {
-        let syms = index_of(
-            "telemetry",
-            "phase",
-            "pub const ITERATION: &str = \"iteration\";\n\
-             pub const ALL: &[&str] = &[ITERATION];\n\
-             const PRIVATE: &str = \"hidden\";\n",
-        );
-        let consts = syms.consts_in("phase");
-        assert_eq!(consts.len(), 2, "{consts:?}");
-        assert_eq!(consts[0].name, "ITERATION");
-        assert_eq!(consts[0].value.as_deref(), Some("iteration"));
-        assert_eq!(consts[1].name, "ALL");
-        assert_eq!(consts[1].value, None);
     }
 
     #[test]

@@ -57,50 +57,6 @@ impl Tok {
     pub fn is_comment(&self) -> bool {
         matches!(self.kind, TokKind::LineComment | TokKind::BlockComment)
     }
-
-    /// The literal's decoded text for membership checks: strips quotes
-    /// and raw-string hash fences; escape sequences are resolved for the
-    /// common cases (`\\`, `\"`, `\n`, `\t`, `\r`, `\0`, `\'`). Returns
-    /// `None` for non-string tokens.
-    pub fn str_value(&self) -> Option<String> {
-        match self.kind {
-            TokKind::Str => {
-                let inner = self
-                    .text
-                    .trim_start_matches('b')
-                    .trim_start_matches('"')
-                    .trim_end_matches('"');
-                let mut out = String::with_capacity(inner.len());
-                let mut chars = inner.chars();
-                while let Some(c) = chars.next() {
-                    if c != '\\' {
-                        out.push(c);
-                        continue;
-                    }
-                    match chars.next() {
-                        Some('n') => out.push('\n'),
-                        Some('t') => out.push('\t'),
-                        Some('r') => out.push('\r'),
-                        Some('0') => out.push('\0'),
-                        Some(other) => out.push(other),
-                        None => {}
-                    }
-                }
-                Some(out)
-            }
-            TokKind::RawStr => {
-                let trimmed = self
-                    .text
-                    .trim_start_matches('b')
-                    .trim_start_matches('r')
-                    .trim_start_matches('#');
-                let trimmed = trimmed.strip_prefix('"').unwrap_or(trimmed);
-                let trimmed = trimmed.trim_end_matches('#');
-                Some(trimmed.strip_suffix('"').unwrap_or(trimmed).to_owned())
-            }
-            _ => None,
-        }
-    }
 }
 
 /// Whether `c` can appear in an identifier.
@@ -382,7 +338,7 @@ mod tests {
         assert_eq!(joined(&toks), src);
         let raws: Vec<&Tok> = toks.iter().filter(|t| t.kind == TokKind::RawStr).collect();
         assert_eq!(raws.len(), 2, "{raws:?}");
-        assert_eq!(raws[1].str_value().as_deref(), Some("has \"# inside"));
+        assert_eq!(raws[1].text, "r##\"has \"# inside\"##");
         // `r` used as a plain ident must not start a raw string
         assert!(toks
             .iter()

@@ -59,17 +59,12 @@ impl CacheStats {
     ///
     /// Counters in the registry are monotonic, so call this once per stats
     /// snapshot (e.g. at the end of a run), not per access.
-    pub fn export_to(&self, sink: &neo_telemetry::TelemetrySink, prefix: &str) {
-        if !sink.enabled() {
-            return;
-        }
-        sink.counter_add(&neo_telemetry::metric::cache_hit(prefix), self.hits);
-        sink.counter_add(&neo_telemetry::metric::cache_miss(prefix), self.misses);
-        sink.counter_add(&neo_telemetry::metric::cache_evict(prefix), self.evictions);
-        sink.counter_add(
-            &neo_telemetry::metric::cache_writeback(prefix),
-            self.writebacks,
-        );
+    pub fn export_to(&self, sink: &neo_telemetry::TelemetrySink, prefix: &'static str) {
+        use neo_telemetry::Metric;
+        sink.counter_add(Metric::CacheHit(prefix), self.hits);
+        sink.counter_add(Metric::CacheMiss(prefix), self.misses);
+        sink.counter_add(Metric::CacheEvict(prefix), self.evictions);
+        sink.counter_add(Metric::CacheWriteback(prefix), self.writebacks);
     }
 }
 

@@ -242,7 +242,7 @@ impl EventLog {
             self.file = None; // close before renaming
             let mut rolled = path.clone().into_os_string();
             rolled.push(".1");
-            let _ = std::fs::rename(&path, &rolled);
+            std::fs::rename(&path, &rolled).ok();
             self.reopen();
         }
         if let Some(f) = &mut self.file {
@@ -286,7 +286,7 @@ mod tests {
             lane,
             iter: 5,
             state: HeartbeatState::InSpan,
-            phase: Some(neo_telemetry::phase::EMB_LOOKUP),
+            phase: Some(neo_telemetry::Phase::EmbLookup),
             beats: 9,
             last_beat_ns: 1234,
             last_iter_ns: 999,
@@ -330,7 +330,7 @@ mod tests {
             rank: 2,
             lane: 1,
             iter: 7,
-            phase: Some(neo_telemetry::phase::ALLREDUCE_TOP),
+            phase: Some(neo_telemetry::Phase::AllreduceTop),
             quiet_ms: 260,
         };
         let doc = json::parse(&event_json(5, &stall)).unwrap_or(Json::Null);
@@ -383,7 +383,7 @@ mod tests {
     #[test]
     fn event_log_rolls_at_the_byte_budget() {
         let dir = std::env::temp_dir().join(format!("neo_monitor_test_{}", std::process::id()));
-        let _ = std::fs::create_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("log.jsonl");
         let mut log = EventLog::open(Some(path.clone()), 64);
         let line = "x".repeat(40);
@@ -396,7 +396,7 @@ mod tests {
         assert_eq!(head.len(), 41);
         log.write_exposition(&[], &MetricsSample::default());
         assert!(dir.join("log.prom").exists());
-        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -419,7 +419,7 @@ mod tests {
     #[test]
     fn rolled_frames_keep_numbering_and_slot_monotonicity() {
         let dir = std::env::temp_dir().join(format!("neo_monitor_roll_{}", std::process::id()));
-        let _ = std::fs::create_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("frames.jsonl");
 
         // Real frames with advancing counters, like the sampler writes.
@@ -468,7 +468,7 @@ mod tests {
             assert_eq!(*iter, i as u64);
             assert_eq!(*beats, 3 * i as u64 + 1, "per-slot beats stay monotonic");
         }
-        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

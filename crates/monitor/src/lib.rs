@@ -33,7 +33,7 @@ pub mod prom;
 pub mod watchdog;
 
 use eventlog::EventLog;
-use neo_telemetry::{metric, HeartbeatSample, TelemetrySink};
+use neo_telemetry::{HeartbeatSample, Metric, Phase, TelemetrySink};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -112,7 +112,7 @@ pub enum HealthEvent {
         /// Iteration the slot was in when it fell silent.
         iter: u64,
         /// Phase of the span it was last seen inside, if any.
-        phase: Option<&'static str>,
+        phase: Option<Phase>,
         /// Silence observed when the alert fired, milliseconds.
         quiet_ms: u64,
     },
@@ -174,7 +174,7 @@ impl fmt::Display for HealthEvent {
             } => write!(
                 f,
                 "stall: rank {rank} lane {lane} quiet {quiet_ms}ms in {} (iter {iter})",
-                phase.unwrap_or("<between spans>")
+                phase.map_or("<between spans>", Phase::as_str)
             ),
             HealthEvent::Hang {
                 rank,
@@ -287,9 +287,9 @@ fn sampler_loop(sink: &TelemetrySink, cfg: &MonitorConfig, stop: &AtomicBool) ->
         } else {
             Default::default()
         };
-        sink.counter_add(metric::MONITOR_SAMPLES, 1);
+        sink.counter_add(Metric::MonitorSamples, 1);
         for e in wd.observe(&hbs, now) {
-            sink.counter_add(metric::MONITOR_EVENTS, 1);
+            sink.counter_add(Metric::MonitorEvents, 1);
             log.write_line(&eventlog::event_json(now, &e));
             if cfg.echo {
                 println!("monitor: ALERT {e}");
@@ -325,12 +325,11 @@ fn sampler_loop(sink: &TelemetrySink, cfg: &MonitorConfig, stop: &AtomicBool) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use neo_telemetry::phase;
 
     #[test]
     fn monitor_samples_a_live_sink_and_writes_frames() {
         let dir = std::env::temp_dir().join(format!("neo_monitor_lib_{}", std::process::id()));
-        let _ = std::fs::create_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("run.jsonl");
         let sink = TelemetrySink::armed();
         let cfg = MonitorConfig {
@@ -340,9 +339,9 @@ mod tests {
         let mon = Monitor::start(&sink, cfg);
         let rec = sink.rank(0);
         for it in 0..20u64 {
-            rec.begin_iteration(it);
-            drop(rec.span(phase::ITERATION));
-            rec.end_iteration();
+            let guard = rec.begin_iteration(it);
+            drop(rec.span(Phase::Iteration));
+            guard.end();
             std::thread::sleep(Duration::from_millis(1));
         }
         let report = mon.stop();
@@ -359,8 +358,8 @@ mod tests {
         let counters = sink.sample().map(|s| s.counters).unwrap_or_default();
         assert!(counters
             .iter()
-            .any(|(n, v)| n == metric::MONITOR_SAMPLES && *v >= 2));
-        let _ = std::fs::remove_dir_all(&dir);
+            .any(|(n, v)| *n == Metric::MonitorSamples.name() && *v >= 2));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -386,7 +385,7 @@ mod tests {
             rank: 2,
             lane: 1,
             iter: 7,
-            phase: Some(phase::ALLREDUCE_TOP),
+            phase: Some(Phase::AllreduceTop),
             quiet_ms: 260,
         };
         assert_eq!((stall.kind(), stall.rank()), ("stall", 2));

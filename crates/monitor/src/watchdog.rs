@@ -285,7 +285,7 @@ mod tests {
             lane,
             iter: 6,
             state,
-            phase: (state == HeartbeatState::InSpan).then_some(neo_telemetry::phase::ALLREDUCE_TOP),
+            phase: (state == HeartbeatState::InSpan).then_some(neo_telemetry::Phase::AllreduceTop),
             beats,
             last_beat_ns,
             last_iter_ns: 1_000_000,
@@ -333,7 +333,7 @@ mod tests {
                 quiet_ms,
             } => {
                 assert_eq!((*rank, *lane, *iter), (2, 1, 5));
-                assert_eq!(*phase, Some(neo_telemetry::phase::ALLREDUCE_TOP));
+                assert_eq!(*phase, Some(neo_telemetry::Phase::AllreduceTop));
                 assert_eq!(*quiet_ms, 285);
             }
             other => panic!("expected stall, got {other:?}"),

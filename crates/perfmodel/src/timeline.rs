@@ -11,7 +11,7 @@
 //! on the comm lane so they run under the backward pass.
 
 use crate::iteration::IterationBreakdown;
-use neo_telemetry::phase;
+use neo_telemetry::Phase;
 use serde::{Deserialize, Serialize};
 
 /// The execution resource an operator occupies exclusively.
@@ -40,14 +40,14 @@ impl Resource {
 /// One operator in the iteration DAG.
 #[derive(Debug, Clone)]
 pub struct Op {
-    /// Operator name (unique within the graph).
-    pub name: &'static str,
+    /// The phase the operator is (unique within the graph).
+    pub phase: Phase,
     /// Execution time in seconds.
     pub duration: f64,
     /// Resource occupied while running.
     pub resource: Resource,
-    /// Names of operators that must finish first.
-    pub deps: Vec<&'static str>,
+    /// Operators that must finish first.
+    pub deps: Vec<Phase>,
 }
 
 /// A scheduled operator instance.
@@ -62,23 +62,23 @@ pub struct Scheduled {
 /// The simulated iteration schedule.
 #[derive(Debug, Clone)]
 pub struct Timeline {
-    /// `(op name, placement)` in completion order.
-    pub ops: Vec<(&'static str, Scheduled)>,
+    /// `(op phase, placement)` in completion order.
+    pub ops: Vec<(Phase, Scheduled)>,
     /// Iteration makespan in seconds.
     pub makespan: f64,
 }
 
 impl Timeline {
     /// Placement of one operator.
-    pub fn op(&self, name: &str) -> Option<Scheduled> {
-        self.ops.iter().find(|(n, _)| *n == name).map(|&(_, s)| s)
+    pub fn op(&self, phase: Phase) -> Option<Scheduled> {
+        self.ops.iter().find(|(p, _)| *p == phase).map(|&(_, s)| s)
     }
 
     /// Total busy time of a resource (for utilization reports).
     pub fn busy(&self, ops: &[Op], resource: Resource) -> f64 {
         ops.iter()
             .filter(|o| o.resource == resource)
-            .filter_map(|o| self.op(o.name))
+            .filter_map(|o| self.op(o.phase))
             .map(|s| s.end - s.start)
             .sum()
     }
@@ -86,110 +86,110 @@ impl Timeline {
 
 /// Builds the Fig. 9 DAG from an Eq. 1 component breakdown.
 ///
-/// Operator names come from [`neo_telemetry::phase`] so that a simulated
-/// timeline and a measured span timeline (from an armed
-/// [`neo_telemetry::TelemetrySink`]) can be joined by name.
+/// Operators are [`Phase`]s, so a simulated timeline and a measured span
+/// timeline (from an armed [`neo_telemetry::TelemetrySink`]) join on the
+/// same type.
 ///
 /// With pipelining, the input AlltoAll and HtoD copy belong to the *next*
 /// batch and run concurrently (they only gate the next iteration's
 /// embedding lookup, not this one's); without it they gate the lookup.
 pub fn fig9_graph(bd: &IterationBreakdown, pipelined: bool) -> Vec<Op> {
-    let input_deps: Vec<&'static str> = Vec::new();
-    let lookup_deps: Vec<&'static str> = if pipelined {
+    let input_deps: Vec<Phase> = Vec::new();
+    let lookup_deps: Vec<Phase> = if pipelined {
         vec![]
     } else {
-        vec![phase::INPUT_A2A, phase::HTOD]
+        vec![Phase::InputA2a, Phase::Htod]
     };
     vec![
         Op {
-            name: phase::INPUT_A2A,
+            phase: Phase::InputA2a,
             duration: bd.input_a2a,
             resource: Resource::Network,
             deps: input_deps,
         },
         Op {
-            name: phase::HTOD,
+            phase: Phase::Htod,
             duration: bd.htod,
             resource: Resource::Memory,
             deps: vec![],
         },
         Op {
-            name: phase::FWD_BOTTOM_MLP,
+            phase: Phase::FwdBottomMlp,
             duration: bd.bot_mlp_fwd,
             resource: Resource::Compute,
             deps: vec![],
         },
         Op {
-            name: phase::EMB_LOOKUP,
+            phase: Phase::EmbLookup,
             duration: bd.emb_lookup,
             resource: Resource::Memory,
             deps: lookup_deps,
         },
         Op {
-            name: phase::ALLTOALL_FWD,
+            phase: Phase::AlltoallFwd,
             duration: bd.a2a_fwd,
             resource: Resource::Network,
-            deps: vec![phase::EMB_LOOKUP],
+            deps: vec![Phase::EmbLookup],
         },
         Op {
-            name: phase::INTERACTION,
+            phase: Phase::Interaction,
             duration: bd.interaction / 2.0,
             resource: Resource::Compute,
-            deps: vec![phase::FWD_BOTTOM_MLP, phase::ALLTOALL_FWD],
+            deps: vec![Phase::FwdBottomMlp, Phase::AlltoallFwd],
         },
         Op {
-            name: phase::TOP_MLP,
+            phase: Phase::TopMlp,
             duration: bd.top_mlp_fwd,
             resource: Resource::Compute,
-            deps: vec![phase::INTERACTION],
+            deps: vec![Phase::Interaction],
         },
         Op {
-            name: phase::TOP_MLP_BWD,
+            phase: Phase::TopMlpBwd,
             duration: bd.top_mlp_bwd,
             resource: Resource::Compute,
-            deps: vec![phase::TOP_MLP],
+            deps: vec![Phase::TopMlp],
         },
         Op {
-            name: phase::INTERACTION_BWD,
+            phase: Phase::InteractionBwd,
             duration: bd.interaction / 2.0,
             resource: Resource::Compute,
-            deps: vec![phase::TOP_MLP_BWD],
+            deps: vec![Phase::TopMlpBwd],
         },
         Op {
-            name: phase::ALLTOALL_BWD,
+            phase: Phase::AlltoallBwd,
             duration: bd.a2a_bwd,
             resource: Resource::Network,
-            deps: vec![phase::INTERACTION_BWD],
+            deps: vec![Phase::InteractionBwd],
         },
         Op {
-            name: phase::SPARSE_OPTIM,
+            phase: Phase::SparseOptim,
             duration: bd.emb_update,
             resource: Resource::Memory,
-            deps: vec![phase::ALLTOALL_BWD],
+            deps: vec![Phase::AlltoallBwd],
         },
         Op {
-            name: phase::BWD_BOTTOM_MLP,
+            phase: Phase::BwdBottomMlp,
             duration: bd.bot_mlp_bwd,
             resource: Resource::Compute,
-            deps: vec![phase::INTERACTION_BWD],
+            deps: vec![Phase::InteractionBwd],
         },
         Op {
-            name: phase::ALLREDUCE_TOP,
+            phase: Phase::AllreduceTop,
             duration: bd.allreduce / 2.0,
             resource: Resource::Network,
-            deps: vec![phase::TOP_MLP_BWD],
+            deps: vec![Phase::TopMlpBwd],
         },
         Op {
-            name: phase::ALLREDUCE_BOT,
+            phase: Phase::AllreduceBot,
             duration: bd.allreduce / 2.0,
             resource: Resource::Network,
-            deps: vec![phase::BWD_BOTTOM_MLP],
+            deps: vec![Phase::BwdBottomMlp],
         },
     ]
 }
 
 /// Dependency structure of the phases the live trainer actually emits,
-/// as `(name, resource, deps)` — the Fig. 9 graph extended with the
+/// as `(phase, resource, deps)` — the Fig. 9 graph extended with the
 /// row-wise sharding collectives (reduce-scatter / all-gather), the
 /// dense AllReduce spans (the serial trainer's combined `allreduce`
 /// plus the overlapped trainer's posted top/bottom halves), and the
@@ -213,97 +213,85 @@ pub fn fig9_graph(bd: &IterationBreakdown, pipelined: bool) -> Vec<Op> {
 /// AllReduce appears as its posted top/bottom halves.
 ///
 /// [`measured_graph`] instantiates this template with measured durations;
-/// the names are exactly the ones `trainer::sync` records, so a measured
-/// span summary joins by name with no translation table. Phases a given
+/// the phases are the ones `trainer::sync` records, so a measured span
+/// summary joins on [`Phase`] with no translation table. Phases a given
 /// run never recorded (e.g. the AllReduce halves in a serial run) join as
 /// zero-duration ops and drop out of every total.
-pub const MEASURED_TEMPLATE: &[(&str, Resource, &[&str])] = &[
-    (phase::HTOD, Resource::Memory, &[]),
-    (phase::FWD_BOTTOM_MLP, Resource::Compute, &[]),
-    (phase::EMB_LOOKUP, Resource::Memory, &[phase::HTOD]),
+pub const MEASURED_TEMPLATE: &[(Phase, Resource, &[Phase])] = &[
+    (Phase::Htod, Resource::Memory, &[]),
+    (Phase::FwdBottomMlp, Resource::Compute, &[]),
+    (Phase::EmbLookup, Resource::Memory, &[Phase::Htod]),
+    (Phase::AlltoallFwd, Resource::CommLane, &[Phase::EmbLookup]),
     (
-        phase::ALLTOALL_FWD,
+        Phase::InputA2a,
         Resource::CommLane,
-        &[phase::EMB_LOOKUP],
+        &[Phase::AlltoallFwd, Phase::ReduceScatter],
     ),
+    (Phase::ReduceScatter, Resource::Network, &[Phase::EmbLookup]),
     (
-        phase::INPUT_A2A,
-        Resource::CommLane,
-        &[phase::ALLTOALL_FWD, phase::REDUCE_SCATTER],
-    ),
-    (
-        phase::REDUCE_SCATTER,
-        Resource::Network,
-        &[phase::EMB_LOOKUP],
-    ),
-    (
-        phase::INTERACTION,
+        Phase::Interaction,
         Resource::Compute,
         &[
-            phase::FWD_BOTTOM_MLP,
-            phase::ALLTOALL_FWD,
-            phase::REDUCE_SCATTER,
+            Phase::FwdBottomMlp,
+            Phase::AlltoallFwd,
+            Phase::ReduceScatter,
         ],
     ),
-    (phase::TOP_MLP, Resource::Compute, &[phase::INTERACTION]),
-    (phase::TOP_MLP_BWD, Resource::Compute, &[phase::TOP_MLP]),
+    (Phase::TopMlp, Resource::Compute, &[Phase::Interaction]),
+    (Phase::TopMlpBwd, Resource::Compute, &[Phase::TopMlp]),
+    (Phase::AllreduceTop, Resource::CommLane, &[Phase::TopMlpBwd]),
     (
-        phase::ALLREDUCE_TOP,
-        Resource::CommLane,
-        &[phase::TOP_MLP_BWD],
-    ),
-    (
-        phase::INTERACTION_BWD,
+        Phase::InteractionBwd,
         Resource::Compute,
-        &[phase::TOP_MLP_BWD],
+        &[Phase::TopMlpBwd],
     ),
     (
-        phase::ALLTOALL_BWD,
+        Phase::AlltoallBwd,
         Resource::Network,
-        &[phase::INTERACTION_BWD],
+        &[Phase::InteractionBwd],
     ),
-    (phase::ALLGATHER, Resource::Network, &[phase::ALLTOALL_BWD]),
+    (Phase::Allgather, Resource::Network, &[Phase::AlltoallBwd]),
     (
-        phase::SPARSE_OPTIM,
+        Phase::SparseOptim,
         Resource::Memory,
-        &[phase::ALLTOALL_BWD, phase::ALLGATHER],
+        &[Phase::AlltoallBwd, Phase::Allgather],
     ),
     (
-        phase::BWD_BOTTOM_MLP,
+        Phase::BwdBottomMlp,
         Resource::Compute,
-        &[phase::INTERACTION_BWD],
+        &[Phase::InteractionBwd],
     ),
     (
-        phase::ALLREDUCE_BOT,
+        Phase::AllreduceBot,
         Resource::CommLane,
-        &[phase::BWD_BOTTOM_MLP],
+        &[Phase::BwdBottomMlp],
     ),
     (
-        phase::DENSE_OPTIM,
+        Phase::DenseOptim,
         Resource::Compute,
-        &[phase::ALLREDUCE_TOP, phase::ALLREDUCE_BOT],
+        &[Phase::AllreduceTop, Phase::AllreduceBot],
     ),
-    (phase::ALLREDUCE, Resource::Network, &[phase::DENSE_OPTIM]),
+    (Phase::Allreduce, Resource::Network, &[Phase::DenseOptim]),
 ];
 
 /// Joins measured per-phase durations (seconds, e.g. mean span time from a
 /// [`neo_telemetry`] summary) onto [`MEASURED_TEMPLATE`], producing an op
 /// graph that [`simulate`] can schedule. Phases missing from `phase_secs`
 /// get zero duration, so a partial measurement still yields a valid DAG;
-/// names not in the template (aggregates like `iteration`) are ignored.
-pub fn measured_graph(phase_secs: &[(String, f64)]) -> Vec<Op> {
-    let dur = |name: &str| -> f64 {
+/// phases not in the template (aggregates like `iteration`) are ignored.
+pub fn measured_graph(phase_secs: &[(Phase, f64)]) -> Vec<Op> {
+    let dur = |phase: Phase| -> f64 {
         phase_secs
             .iter()
-            .find(|(n, _)| n == name)
+            .find(|(p, _)| *p == phase)
             .map(|&(_, d)| d.max(0.0))
             .unwrap_or(0.0)
     };
     MEASURED_TEMPLATE
         .iter()
-        .map(|&(name, resource, deps)| Op {
-            name,
-            duration: dur(name),
+        .map(|&(phase, resource, deps)| Op {
+            phase,
+            duration: dur(phase),
             resource,
             deps: deps.to_vec(),
         })
@@ -355,7 +343,7 @@ pub fn comm_exposure(t: &Timeline, ops: &[Op]) -> CommExposure {
     let intervals = |comm: bool| -> Vec<(f64, f64)> {
         ops.iter()
             .filter(|o| o.resource.is_comm() == comm)
-            .filter_map(|o| t.op(o.name).map(|s| (s.start, s.end)))
+            .filter_map(|o| t.op(o.phase).map(|s| (s.start, s.end)))
             .filter(|&(s, e)| e > s)
             .collect()
     };
@@ -432,15 +420,15 @@ pub fn simulate_worker(ops: &[Op]) -> Timeline {
 
 /// Shared list scheduler: ops mapped to the same `unit` serialize.
 fn schedule(ops: &[Op], unit: fn(Resource) -> u8) -> Timeline {
-    let idx = |name: &str| -> usize {
+    let idx = |phase: Phase| -> usize {
         ops.iter()
-            .position(|o| o.name == name)
+            .position(|o| o.phase == phase)
             // lint: allow(panic) — malformed-graph contract documented under # Panics
-            .unwrap_or_else(|| panic!("unknown dependency {name}"))
+            .unwrap_or_else(|| panic!("unknown dependency {phase}"))
     };
     let deps: Vec<Vec<usize>> = ops
         .iter()
-        .map(|o| o.deps.iter().map(|d| idx(d)).collect())
+        .map(|o| o.deps.iter().map(|&d| idx(d)).collect())
         .collect();
 
     let mut finish: Vec<Option<f64>> = vec![None; ops.len()];
@@ -471,7 +459,7 @@ fn schedule(ops: &[Op], unit: fn(Resource) -> u8) -> Timeline {
         start[i] = Some(s);
         finish[i] = Some(e);
         unit_free.insert(unit(ops[i].resource), e);
-        order.push((ops[i].name, Scheduled { start: s, end: e }));
+        order.push((ops[i].phase, Scheduled { start: s, end: e }));
         done += 1;
     }
     let makespan = finish
@@ -505,30 +493,13 @@ mod tests {
         let bd = breakdown(true);
         let ops = fig9_graph(&bd, true);
         let t = simulate(&ops);
-        let get = |n: &str| t.op(n).unwrap();
-        assert!(get(phase::ALLTOALL_FWD).start >= get(phase::EMB_LOOKUP).end - 1e-12);
-        assert!(get(phase::INTERACTION).start >= get(phase::FWD_BOTTOM_MLP).end - 1e-12);
-        assert!(get(phase::INTERACTION).start >= get(phase::ALLTOALL_FWD).end - 1e-12);
-        assert!(get(phase::TOP_MLP_BWD).start >= get(phase::TOP_MLP).end - 1e-12);
-        assert!(get(phase::SPARSE_OPTIM).start >= get(phase::ALLTOALL_BWD).end - 1e-12);
-        assert!(get(phase::ALLREDUCE_BOT).start >= get(phase::BWD_BOTTOM_MLP).end - 1e-12);
-    }
-
-    #[test]
-    fn fig9_names_come_from_the_shared_span_taxonomy() {
-        let bd = breakdown(false);
-        for ops in [fig9_graph(&bd, true), fig9_graph(&bd, false)] {
-            for op in &ops {
-                assert!(
-                    phase::is_known(op.name),
-                    "op {:?} missing from neo_telemetry::phase::ALL",
-                    op.name
-                );
-                for d in &op.deps {
-                    assert!(phase::is_known(d), "dep {d:?} not in the taxonomy");
-                }
-            }
-        }
+        let get = |p: Phase| t.op(p).unwrap();
+        assert!(get(Phase::AlltoallFwd).start >= get(Phase::EmbLookup).end - 1e-12);
+        assert!(get(Phase::Interaction).start >= get(Phase::FwdBottomMlp).end - 1e-12);
+        assert!(get(Phase::Interaction).start >= get(Phase::AlltoallFwd).end - 1e-12);
+        assert!(get(Phase::TopMlpBwd).start >= get(Phase::TopMlp).end - 1e-12);
+        assert!(get(Phase::SparseOptim).start >= get(Phase::AlltoallBwd).end - 1e-12);
+        assert!(get(Phase::AllreduceBot).start >= get(Phase::BwdBottomMlp).end - 1e-12);
     }
 
     #[test]
@@ -545,7 +516,7 @@ mod tests {
             let mut spans: Vec<Scheduled> = ops
                 .iter()
                 .filter(|o| o.resource == res)
-                .map(|o| t.op(o.name).unwrap())
+                .map(|o| t.op(o.phase).unwrap())
                 .collect();
             spans.sort_by(|a, b| a.start.partial_cmp(&b.start).unwrap());
             for w in spans.windows(2) {
@@ -619,39 +590,35 @@ mod tests {
     #[test]
     fn measured_graph_joins_by_name_and_tolerates_gaps() {
         let secs = vec![
-            (phase::EMB_LOOKUP.to_string(), 3e-3),
-            (phase::ALLTOALL_FWD.to_string(), 2e-3),
-            ("iteration".to_string(), 99.0), // aggregate: ignored
-            ("not_a_phase".to_string(), 1.0),
+            (Phase::EmbLookup, 3e-3),
+            (Phase::AlltoallFwd, 2e-3),
+            (Phase::Iteration, 99.0), // aggregate: ignored
         ];
         let ops = measured_graph(&secs);
         assert_eq!(ops.len(), MEASURED_TEMPLATE.len());
-        let get = |n: &str| ops.iter().find(|o| o.name == n).unwrap().clone();
-        assert!((get(phase::EMB_LOOKUP).duration - 3e-3).abs() < 1e-15);
-        assert!((get(phase::ALLTOALL_FWD).duration - 2e-3).abs() < 1e-15);
-        assert_eq!(get(phase::TOP_MLP).duration, 0.0);
-        assert!(!ops.iter().any(|o| o.name == "iteration"));
+        let get = |p: Phase| ops.iter().find(|o| o.phase == p).unwrap().clone();
+        assert!((get(Phase::EmbLookup).duration - 3e-3).abs() < 1e-15);
+        assert!((get(Phase::AlltoallFwd).duration - 2e-3).abs() < 1e-15);
+        assert_eq!(get(Phase::TopMlp).duration, 0.0);
+        assert!(!ops.iter().any(|o| o.phase == Phase::Iteration));
         // the template schedules cleanly
         let t = simulate(&ops);
         assert!(t.makespan >= 5e-3 - 1e-12);
-        for op in &ops {
-            assert!(phase::is_known(op.name));
-        }
     }
 
     #[test]
     fn serialized_schedule_exposes_all_comm() {
         // Hand-build a strictly serial timeline over the measured template.
-        let secs: Vec<(String, f64)> = phase::ALL.iter().map(|p| (p.to_string(), 1e-3)).collect();
+        let secs: Vec<(Phase, f64)> = Phase::ALL.iter().map(|&p| (p, 1e-3)).collect();
         let ops = measured_graph(&secs);
         let mut cursor = 0.0;
-        let sched: Vec<(&'static str, Scheduled)> = ops
+        let sched: Vec<(Phase, Scheduled)> = ops
             .iter()
             .map(|o| {
                 let s = cursor;
                 cursor += o.duration;
                 (
-                    o.name,
+                    o.phase,
                     Scheduled {
                         start: s,
                         end: cursor,
@@ -690,25 +657,22 @@ mod tests {
         // delay: sizable posted collectives, backward compute long
         // enough to hide part of them. The simulated overlap prediction
         // must land strictly below the serial prediction.
-        let secs: Vec<(String, f64)> = [
-            (phase::INPUT_A2A, 2e-3),
-            (phase::HTOD, 0.2e-3),
-            (phase::FWD_BOTTOM_MLP, 0.5e-3),
-            (phase::EMB_LOOKUP, 0.5e-3),
-            (phase::ALLTOALL_FWD, 2e-3),
-            (phase::INTERACTION, 0.5e-3),
-            (phase::TOP_MLP, 1e-3),
-            (phase::TOP_MLP_BWD, 1.5e-3),
-            (phase::ALLREDUCE_TOP, 1e-3),
-            (phase::INTERACTION_BWD, 0.5e-3),
-            (phase::ALLTOALL_BWD, 2e-3),
-            (phase::BWD_BOTTOM_MLP, 1e-3),
-            (phase::ALLREDUCE_BOT, 1e-3),
-            (phase::DENSE_OPTIM, 0.3e-3),
-        ]
-        .iter()
-        .map(|&(n, d)| (n.to_string(), d))
-        .collect();
+        let secs = [
+            (Phase::InputA2a, 2e-3),
+            (Phase::Htod, 0.2e-3),
+            (Phase::FwdBottomMlp, 0.5e-3),
+            (Phase::EmbLookup, 0.5e-3),
+            (Phase::AlltoallFwd, 2e-3),
+            (Phase::Interaction, 0.5e-3),
+            (Phase::TopMlp, 1e-3),
+            (Phase::TopMlpBwd, 1.5e-3),
+            (Phase::AllreduceTop, 1e-3),
+            (Phase::InteractionBwd, 0.5e-3),
+            (Phase::AlltoallBwd, 2e-3),
+            (Phase::BwdBottomMlp, 1e-3),
+            (Phase::AllreduceBot, 1e-3),
+            (Phase::DenseOptim, 0.3e-3),
+        ];
         let ops = measured_graph(&secs);
         let t = simulate(&ops);
         let overlap = comm_exposure(&t, &ops).fraction_of(t.makespan);
@@ -727,13 +691,13 @@ mod tests {
         // longer interval), not the sum.
         let ops = vec![
             Op {
-                name: phase::ALLTOALL_BWD,
+                phase: Phase::AlltoallBwd,
                 duration: 4e-3,
                 resource: Resource::Network,
                 deps: vec![],
             },
             Op {
-                name: phase::ALLREDUCE_TOP,
+                phase: Phase::AllreduceTop,
                 duration: 10e-3,
                 resource: Resource::CommLane,
                 deps: vec![],
@@ -742,14 +706,14 @@ mod tests {
         let t = Timeline {
             ops: vec![
                 (
-                    phase::ALLTOALL_BWD,
+                    Phase::AlltoallBwd,
                     Scheduled {
                         start: 2e-3,
                         end: 6e-3,
                     },
                 ),
                 (
-                    phase::ALLREDUCE_TOP,
+                    Phase::AllreduceTop,
                     Scheduled {
                         start: 0.0,
                         end: 10e-3,
@@ -770,10 +734,10 @@ mod tests {
     #[should_panic(expected = "unknown dependency")]
     fn unknown_dep_panics() {
         simulate(&[Op {
-            name: "x",
+            phase: Phase::TopMlp,
             duration: 1.0,
             resource: Resource::Compute,
-            deps: vec!["missing"],
+            deps: vec![Phase::Interaction],
         }]);
     }
 }

@@ -19,17 +19,24 @@
 //! is at least the longest single leaf span and at most the wall-clock.
 
 use crate::merge::MergedTimeline;
+use neo_telemetry::Phase;
 
-/// Phase label for segments where no rank had a leaf span open.
-pub const IDLE: &str = "idle";
+/// Segment phase where no rank had a leaf span open; reports print it as
+/// `idle`.
+pub const IDLE: Option<Phase> = None;
+
+/// A segment phase's name, [`IDLE`] included.
+fn label(phase: Option<Phase>) -> &'static str {
+    phase.map_or("idle", Phase::as_str)
+}
 
 /// One attributed interval of the critical path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Segment {
     /// Rank charged for the interval (0 for [`IDLE`] segments).
     pub rank: u32,
-    /// Phase name, or [`IDLE`].
-    pub phase: &'static str,
+    /// The charged phase, or [`IDLE`].
+    pub phase: Option<Phase>,
     /// Interval start, ns.
     pub start_ns: u64,
     /// Interval end, ns (exclusive; `end_ns > start_ns`).
@@ -66,18 +73,18 @@ impl CriticalPath {
     }
 
     /// Total attributed to one phase across all segments, ns.
-    pub fn phase_ns(&self, name: &str) -> u64 {
+    pub fn phase_ns(&self, phase: Option<Phase>) -> u64 {
         self.segments
             .iter()
-            .filter(|s| s.phase == name)
+            .filter(|s| s.phase == phase)
             .map(Segment::duration_ns)
             .sum()
     }
 
     /// `(phase, rank, total ns)` aggregated over segments, largest first;
     /// [`IDLE`] rows keep rank 0.
-    pub fn by_phase(&self) -> Vec<(&'static str, u32, u64)> {
-        let mut acc: Vec<(&'static str, u32, u64)> = Vec::new();
+    pub fn by_phase(&self) -> Vec<(Option<Phase>, u32, u64)> {
+        let mut acc: Vec<(Option<Phase>, u32, u64)> = Vec::new();
         for s in &self.segments {
             if let Some(e) = acc
                 .iter_mut()
@@ -88,14 +95,19 @@ impl CriticalPath {
                 acc.push((s.phase, s.rank, s.duration_ns()));
             }
         }
-        acc.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(b.0)).then(a.1.cmp(&b.1)));
+        acc.sort_by(|a, b| {
+            b.2.cmp(&a.2)
+                .then(label(a.0).cmp(label(b.0)))
+                .then(a.1.cmp(&b.1))
+        });
         acc
     }
 
     /// The `(phase, rank, ns)` contributing the most critical-path time,
     /// ignoring [`IDLE`] — the phase that bounds this iteration.
-    pub fn bounding(&self) -> Option<(&'static str, u32, u64)> {
-        self.by_phase().into_iter().find(|(n, _, _)| *n != IDLE)
+    pub fn bounding(&self) -> Option<(Phase, u32, u64)> {
+        let mut rows = self.by_phase().into_iter();
+        rows.find_map(|(p, rank, ns)| Some((p?, rank, ns)))
     }
 }
 
@@ -117,7 +129,7 @@ pub fn critical_path(m: &MergedTimeline, iter: u64) -> Option<CriticalPath> {
         if let Some(s) = active {
             segments.push(Segment {
                 rank: s.rank,
-                phase: s.name,
+                phase: Some(s.phase),
                 start_ns: s.start_ns,
                 end_ns: t,
             });
@@ -151,13 +163,13 @@ pub fn critical_path(m: &MergedTimeline, iter: u64) -> Option<CriticalPath> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use neo_telemetry::{phase, Snapshot, SpanRecord};
+    use neo_telemetry::{Snapshot, SpanRecord};
 
-    fn span(rank: u32, iter: u64, name: &'static str, s: u64, e: u64) -> SpanRecord {
+    fn span(rank: u32, iter: u64, phase: Phase, s: u64, e: u64) -> SpanRecord {
         SpanRecord {
             rank,
             iter,
-            name,
+            phase,
             lane: 0,
             start_ns: s,
             end_ns: e,
@@ -174,15 +186,15 @@ mod tests {
     #[test]
     fn serial_single_rank_path_is_the_spans_themselves() {
         let m = merged(vec![
-            span(0, 0, phase::FWD_BOTTOM_MLP, 0, 10),
-            span(0, 0, phase::EMB_LOOKUP, 10, 30),
-            span(0, 0, phase::TOP_MLP, 30, 35),
+            span(0, 0, Phase::FwdBottomMlp, 0, 10),
+            span(0, 0, Phase::EmbLookup, 10, 30),
+            span(0, 0, Phase::TopMlp, 30, 35),
         ]);
         let cp = critical_path(&m, 0).expect("path");
         assert_eq!(cp.wall_ns, 35);
         assert_eq!(cp.busy_ns(), 35);
         assert_eq!(cp.segments.len(), 3);
-        assert_eq!(cp.bounding(), Some((phase::EMB_LOOKUP, 0, 20)));
+        assert_eq!(cp.bounding(), Some((Phase::EmbLookup, 0, 20)));
         // segments are in ascending time order and partition the wall
         for w in cp.segments.windows(2) {
             assert_eq!(w[0].end_ns, w[1].start_ns);
@@ -194,17 +206,17 @@ mod tests {
         // rank 0 finishes early; rank 1 straggles in emb_lookup; then a
         // gap before a final shared phase.
         let m = merged(vec![
-            span(0, 3, phase::EMB_LOOKUP, 0, 10),
-            span(1, 3, phase::EMB_LOOKUP, 0, 40),
-            span(0, 3, phase::ALLTOALL_FWD, 50, 60),
+            span(0, 3, Phase::EmbLookup, 0, 10),
+            span(1, 3, Phase::EmbLookup, 0, 40),
+            span(0, 3, Phase::AlltoallFwd, 50, 60),
         ]);
         let cp = critical_path(&m, 3).expect("path");
         assert_eq!(cp.wall_ns, 60);
         // [0,40] rank 1 lookup, [40,50] idle, [50,60] alltoall
-        assert_eq!(cp.phase_ns(phase::EMB_LOOKUP), 40);
+        assert_eq!(cp.phase_ns(Some(Phase::EmbLookup)), 40);
         assert_eq!(cp.phase_ns(IDLE), 10);
-        assert_eq!(cp.phase_ns(phase::ALLTOALL_FWD), 10);
-        assert_eq!(cp.bounding(), Some((phase::EMB_LOOKUP, 1, 40)));
+        assert_eq!(cp.phase_ns(Some(Phase::AlltoallFwd)), 10);
+        assert_eq!(cp.bounding(), Some((Phase::EmbLookup, 1, 40)));
         assert_eq!(cp.busy_ns(), 50);
     }
 
@@ -213,18 +225,18 @@ mod tests {
         // comm [0,30] overlapped by compute [10,30]: the walk charges
         // compute for [10,30] (latest start) and comm only for [0,10].
         let m = merged(vec![
-            span(0, 0, phase::ALLREDUCE, 0, 30),
-            span(0, 0, phase::TOP_MLP_BWD, 10, 30),
+            span(0, 0, Phase::Allreduce, 0, 30),
+            span(0, 0, Phase::TopMlpBwd, 10, 30),
         ]);
         let cp = critical_path(&m, 0).expect("path");
-        assert_eq!(cp.phase_ns(phase::TOP_MLP_BWD), 20);
-        assert_eq!(cp.phase_ns(phase::ALLREDUCE), 10);
+        assert_eq!(cp.phase_ns(Some(Phase::TopMlpBwd)), 20);
+        assert_eq!(cp.phase_ns(Some(Phase::Allreduce)), 10);
         assert_eq!(cp.busy_ns(), 30);
     }
 
     #[test]
     fn missing_iteration_yields_none() {
-        let m = merged(vec![span(0, 0, phase::TOP_MLP, 0, 5)]);
+        let m = merged(vec![span(0, 0, Phase::TopMlp, 0, 5)]);
         assert!(critical_path(&m, 9).is_none());
     }
 }

@@ -12,8 +12,8 @@
 //! their uncovered remainder counts.
 //!
 //! The predicted side joins the same measured per-phase means onto
-//! [`neo_perfmodel::timeline::MEASURED_TEMPLATE`] by span name (the Fig. 9
-//! operator taxonomy) and computes:
+//! [`neo_perfmodel::timeline::MEASURED_TEMPLATE`] by [`Phase`] (the Fig. 9
+//! operators) and computes:
 //!
 //! * [`ExposedComm::predicted_serial_fraction`] — the serialized-schedule
 //!   prediction, comparable to the measured fraction of a serial run. The
@@ -35,7 +35,7 @@ use crate::merge::MergedTimeline;
 use neo_perfmodel::timeline::{
     comm_exposure, measured_graph, serial_comm_fraction, simulate_worker,
 };
-use neo_telemetry::phase;
+use neo_telemetry::Phase;
 
 /// Documented agreement bound between the measured exposed-comm fraction
 /// and the schedule-matched prediction on the same run (absolute
@@ -62,7 +62,7 @@ pub struct ExposedComm {
     pub overlapped: bool,
     /// `(collective phase, mean ms per iteration per rank)`, largest
     /// first, zero-cost collectives omitted.
-    pub per_collective: Vec<(String, f64)>,
+    pub per_collective: Vec<(Phase, f64)>,
     /// Serialized-schedule prediction of the exposed fraction from the
     /// joined Fig. 9 graph (see module docs).
     pub predicted_serial_fraction: f64,
@@ -129,13 +129,13 @@ pub fn exposed_comm(m: &MergedTimeline) -> Option<ExposedComm> {
     let iter_ms = bracket_total_ns as f64 / bracket_count as f64 * 1e-6;
 
     let means = m.mean_phase_secs();
-    let mut per_collective: Vec<(String, f64)> = means
+    let mut per_collective: Vec<(Phase, f64)> = means
         .iter()
-        .filter(|(n, _)| phase::COMM.contains(&n.as_str()))
-        .map(|(n, secs)| (n.clone(), secs * 1e3))
+        .filter(|(p, _)| p.is_comm())
+        .map(|&(p, secs)| (p, secs * 1e3))
         .filter(|(_, ms)| *ms > 0.0)
         .collect();
-    per_collective.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    per_collective.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.as_str().cmp(b.0.as_str())));
     let comm_ms: f64 = per_collective.iter().map(|(_, ms)| ms).sum();
 
     // measured exposure: per rank, the union of comm intervals (any
@@ -145,17 +145,13 @@ pub fn exposed_comm(m: &MergedTimeline) -> Option<ExposedComm> {
         let comm: Vec<(u64, u64)> = m
             .spans()
             .iter()
-            .filter(|s| s.rank == rank && phase::COMM.contains(&s.name))
+            .filter(|s| s.rank == rank && s.phase.is_comm())
             .map(|s| (s.start_ns, s.end_ns))
             .collect();
         let cover = merge_intervals(
             m.spans()
                 .iter()
-                .filter(|s| {
-                    s.rank == rank
-                        && !phase::COMM.contains(&s.name)
-                        && !phase::AGGREGATE.contains(&s.name)
-                })
+                .filter(|s| s.rank == rank && !s.phase.is_comm() && !s.phase.is_aggregate())
                 .map(|s| (s.start_ns, s.end_ns))
                 .collect(),
         );
@@ -204,22 +200,22 @@ mod tests {
     use super::*;
     use neo_telemetry::{Snapshot, SpanRecord};
 
-    fn span(rank: u32, iter: u64, name: &'static str, s: u64, e: u64) -> SpanRecord {
+    fn span(rank: u32, iter: u64, phase: Phase, s: u64, e: u64) -> SpanRecord {
         SpanRecord {
             rank,
             iter,
-            name,
+            phase,
             lane: 0,
             start_ns: s,
             end_ns: e,
         }
     }
 
-    fn lane_span(rank: u32, iter: u64, name: &'static str, s: u64, e: u64) -> SpanRecord {
+    fn lane_span(rank: u32, iter: u64, phase: Phase, s: u64, e: u64) -> SpanRecord {
         SpanRecord {
             rank,
             iter,
-            name,
+            phase,
             lane: 1,
             start_ns: s,
             end_ns: e,
@@ -231,10 +227,10 @@ mod tests {
         // One rank, one iteration, fully serial, no gaps: 40 ns of work,
         // 15 ns of it communication.
         let spans = vec![
-            span(0, 0, phase::ITERATION, 0, 40),
-            span(0, 0, phase::FWD_BOTTOM_MLP, 0, 10),
-            span(0, 0, phase::ALLTOALL_FWD, 10, 25),
-            span(0, 0, phase::TOP_MLP, 25, 40),
+            span(0, 0, Phase::Iteration, 0, 40),
+            span(0, 0, Phase::FwdBottomMlp, 0, 10),
+            span(0, 0, Phase::AlltoallFwd, 10, 25),
+            span(0, 0, Phase::TopMlp, 25, 40),
         ];
         let m = MergedTimeline::from_snapshot(&Snapshot {
             spans,
@@ -250,7 +246,7 @@ mod tests {
         assert!((e.predicted_serial_fraction - 15.0 / 40.0).abs() < 1e-9);
         assert!(e.within_tolerance(), "{e:?}");
         assert_eq!(e.per_collective.len(), 1);
-        assert_eq!(e.per_collective[0].0, phase::ALLTOALL_FWD);
+        assert_eq!(e.per_collective[0].0, Phase::AlltoallFwd);
         // the overlapping schedule can only hide comm, never add it
         assert!(e.predicted_overlap_fraction <= e.predicted_serial_fraction + 1e-9);
     }
@@ -260,10 +256,10 @@ mod tests {
         // comm lane runs alltoall [5, 25]; lane-0 compute covers [0, 20]:
         // only [20, 25] of the collective is exposed.
         let spans = vec![
-            span(0, 0, phase::ITERATION, 0, 40),
-            span(0, 0, phase::FWD_BOTTOM_MLP, 0, 20),
-            lane_span(0, 0, phase::ALLTOALL_FWD, 5, 25),
-            span(0, 0, phase::TOP_MLP, 25, 40),
+            span(0, 0, Phase::Iteration, 0, 40),
+            span(0, 0, Phase::FwdBottomMlp, 0, 20),
+            lane_span(0, 0, Phase::AlltoallFwd, 5, 25),
+            span(0, 0, Phase::TopMlp, 25, 40),
         ];
         let m = MergedTimeline::from_snapshot(&Snapshot {
             spans,
@@ -277,9 +273,9 @@ mod tests {
         assert!((e.measured_fraction - 5.0 / 40.0).abs() < 1e-9);
         // fully covered comm exposes nothing
         let spans = vec![
-            span(0, 0, phase::ITERATION, 0, 40),
-            span(0, 0, phase::FWD_BOTTOM_MLP, 0, 30),
-            lane_span(0, 0, phase::ALLTOALL_FWD, 5, 25),
+            span(0, 0, Phase::Iteration, 0, 40),
+            span(0, 0, Phase::FwdBottomMlp, 0, 30),
+            lane_span(0, 0, Phase::AlltoallFwd, 5, 25),
         ];
         let m = MergedTimeline::from_snapshot(&Snapshot {
             spans,
@@ -295,9 +291,9 @@ mod tests {
         // two comm ops overlapping in wall-clock (main-lane + comm-lane)
         // with no compute cover: their union, not their sum, is exposed.
         let spans = vec![
-            span(0, 0, phase::ITERATION, 0, 30),
-            span(0, 0, phase::ALLTOALL_BWD, 0, 20),
-            lane_span(0, 0, phase::INPUT_A2A, 10, 30),
+            span(0, 0, Phase::Iteration, 0, 30),
+            span(0, 0, Phase::AlltoallBwd, 0, 20),
+            lane_span(0, 0, Phase::InputA2a, 10, 30),
         ];
         let m = MergedTimeline::from_snapshot(&Snapshot {
             spans,
@@ -312,7 +308,7 @@ mod tests {
     #[test]
     fn no_iteration_brackets_yields_none() {
         let m = MergedTimeline::from_snapshot(&Snapshot {
-            spans: vec![span(0, 0, phase::TOP_MLP, 0, 5)],
+            spans: vec![span(0, 0, Phase::TopMlp, 0, 5)],
             ..Snapshot::default()
         });
         assert!(exposed_comm(&m).is_none());

@@ -13,7 +13,9 @@
 //! * [`skew`] — per-rank p50/p95 per phase, max-over-ranks vs. mean, and
 //!   the top-k skewed phases (the §4.2 load-imbalance lens).
 //! * [`exposed`] — exposed-communication accounting joined against the
-//!   [`neo_perfmodel::timeline`] Fig. 9 operator taxonomy by span name.
+//!   [`neo_perfmodel::timeline`] Fig. 9 operators, joined on [`Phase`].
+//!
+//! [`Phase`]: neo_telemetry::Phase
 //! * [`report`] — the human-readable roll-up the quickstart prints.
 
 #![forbid(unsafe_code)]

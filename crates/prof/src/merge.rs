@@ -4,7 +4,7 @@
 //! order. [`MergedTimeline`] regroups them by iteration so the analyzers
 //! can look at one iteration across every rank at once, and separates
 //! *leaf* spans (phases that do work) from *aggregate* spans
-//! ([`neo_telemetry::phase::AGGREGATE`]: `iteration`, `backward`) that
+//! ([`Phase::is_aggregate`]: `iteration`, `backward`) that
 //! only bracket other phases — attributing time to both a parent and its
 //! children would double-count it.
 //!
@@ -17,7 +17,7 @@
 //! [`MergedTimeline::has_comm_lanes`] tells analyzers which schedule
 //! produced the snapshot.
 
-use neo_telemetry::{phase, Snapshot, SpanRecord};
+use neo_telemetry::{Phase, Snapshot, SpanRecord};
 
 /// Span timeline regrouped by iteration, ranks merged.
 #[derive(Debug, Clone, Default)]
@@ -65,7 +65,7 @@ impl MergedTimeline {
     pub fn iteration_leaves(&self, iter: u64) -> Vec<&SpanRecord> {
         self.spans
             .iter()
-            .filter(|s| s.iter == iter && !phase::AGGREGATE.contains(&s.name))
+            .filter(|s| s.iter == iter && !s.phase.is_aggregate())
             .collect()
     }
 
@@ -74,7 +74,7 @@ impl MergedTimeline {
     pub fn iteration_brackets(&self, iter: u64) -> Vec<&SpanRecord> {
         self.spans
             .iter()
-            .filter(|s| s.iter == iter && s.name == phase::ITERATION)
+            .filter(|s| s.iter == iter && s.phase == Phase::Iteration)
             .collect()
     }
 
@@ -91,22 +91,22 @@ impl MergedTimeline {
     /// Mean duration in seconds of every leaf phase, averaged over ranks
     /// and iterations — the join key for
     /// [`neo_perfmodel::timeline::measured_graph`].
-    pub fn mean_phase_secs(&self) -> Vec<(String, f64)> {
+    pub fn mean_phase_secs(&self) -> Vec<(Phase, f64)> {
         let denom = (self.iters.len().max(1) * self.world.max(1) as usize) as f64;
-        let mut totals: Vec<(&'static str, u128)> = Vec::new();
+        let mut totals: Vec<(Phase, u128)> = Vec::new();
         for s in &self.spans {
-            if phase::AGGREGATE.contains(&s.name) {
+            if s.phase.is_aggregate() {
                 continue;
             }
-            if let Some(entry) = totals.iter_mut().find(|(n, _)| *n == s.name) {
+            if let Some(entry) = totals.iter_mut().find(|(p, _)| *p == s.phase) {
                 entry.1 += s.duration_ns() as u128;
             } else {
-                totals.push((s.name, s.duration_ns() as u128));
+                totals.push((s.phase, s.duration_ns() as u128));
             }
         }
         totals
             .into_iter()
-            .map(|(n, ns)| (n.to_string(), ns as f64 / denom * 1e-9))
+            .map(|(p, ns)| (p, ns as f64 / denom * 1e-9))
             .collect()
     }
 }
@@ -115,11 +115,11 @@ impl MergedTimeline {
 mod tests {
     use super::*;
 
-    pub(crate) fn span(rank: u32, iter: u64, name: &'static str, s: u64, e: u64) -> SpanRecord {
+    pub(crate) fn span(rank: u32, iter: u64, phase: Phase, s: u64, e: u64) -> SpanRecord {
         SpanRecord {
             rank,
             iter,
-            name,
+            phase,
             lane: 0,
             start_ns: s,
             end_ns: e,
@@ -128,10 +128,10 @@ mod tests {
 
     #[test]
     fn comm_lane_spans_are_detected_and_attributed_to_their_rank() {
-        let mut lane = span(1, 0, phase::INPUT_A2A, 5, 25);
+        let mut lane = span(1, 0, Phase::InputA2a, 5, 25);
         lane.lane = 1; // neo_collectives::COMM_LANE
         let snap = Snapshot {
-            spans: vec![span(0, 0, phase::EMB_LOOKUP, 0, 10), lane],
+            spans: vec![span(0, 0, Phase::EmbLookup, 0, 10), lane],
             ..Snapshot::default()
         };
         let m = MergedTimeline::from_snapshot(&snap);
@@ -139,9 +139,9 @@ mod tests {
         assert_eq!(m.world, 2, "lane spans still count toward world");
         assert_eq!(m.iteration_leaves(0).len(), 2);
         let means = m.mean_phase_secs();
-        assert!(means.iter().any(|(n, _)| n == phase::INPUT_A2A));
+        assert!(means.iter().any(|(p, _)| *p == Phase::InputA2a));
         let serial = MergedTimeline::from_snapshot(&Snapshot {
-            spans: vec![span(0, 0, phase::EMB_LOOKUP, 0, 10)],
+            spans: vec![span(0, 0, Phase::EmbLookup, 0, 10)],
             ..Snapshot::default()
         });
         assert!(!serial.has_comm_lanes());
@@ -151,11 +151,11 @@ mod tests {
     fn merge_groups_by_iteration_and_drops_aggregates_from_leaves() {
         let snap = Snapshot {
             spans: vec![
-                span(0, 0, phase::ITERATION, 0, 100),
-                span(0, 0, phase::EMB_LOOKUP, 10, 40),
-                span(1, 0, phase::TOP_MLP, 20, 60),
-                span(0, 1, phase::BACKWARD, 100, 150),
-                span(0, 1, phase::ALLREDUCE, 110, 130),
+                span(0, 0, Phase::Iteration, 0, 100),
+                span(0, 0, Phase::EmbLookup, 10, 40),
+                span(1, 0, Phase::TopMlp, 20, 60),
+                span(0, 1, Phase::Backward, 100, 150),
+                span(0, 1, Phase::Allreduce, 110, 130),
             ],
             ..Snapshot::default()
         };
@@ -164,7 +164,7 @@ mod tests {
         assert_eq!(m.iters, vec![0, 1]);
         let leaves0 = m.iteration_leaves(0);
         assert_eq!(leaves0.len(), 2);
-        assert!(leaves0.iter().all(|s| s.name != phase::ITERATION));
+        assert!(leaves0.iter().all(|s| s.phase != Phase::Iteration));
         assert_eq!(m.iteration_brackets(0).len(), 1);
         assert_eq!(m.iteration_wall_ns(0), Some((10, 60)));
         assert_eq!(m.iteration_wall_ns(1), Some((110, 130)));
@@ -175,19 +175,19 @@ mod tests {
     fn mean_phase_secs_averages_over_ranks_and_iters() {
         let snap = Snapshot {
             spans: vec![
-                span(0, 0, phase::EMB_LOOKUP, 0, 2_000_000_000),
-                span(1, 0, phase::EMB_LOOKUP, 0, 4_000_000_000),
-                span(0, 1, phase::EMB_LOOKUP, 0, 2_000_000_000),
-                span(1, 1, phase::EMB_LOOKUP, 0, 4_000_000_000),
-                span(0, 0, phase::ITERATION, 0, 9_000_000_000),
+                span(0, 0, Phase::EmbLookup, 0, 2_000_000_000),
+                span(1, 0, Phase::EmbLookup, 0, 4_000_000_000),
+                span(0, 1, Phase::EmbLookup, 0, 2_000_000_000),
+                span(1, 1, Phase::EmbLookup, 0, 4_000_000_000),
+                span(0, 0, Phase::Iteration, 0, 9_000_000_000),
             ],
             ..Snapshot::default()
         };
         let m = MergedTimeline::from_snapshot(&snap);
         let means = m.mean_phase_secs();
         assert_eq!(means.len(), 1, "aggregate excluded: {means:?}");
-        let (name, secs) = &means[0];
-        assert_eq!(name, phase::EMB_LOOKUP);
+        let (phase, secs) = &means[0];
+        assert_eq!(*phase, Phase::EmbLookup);
         // 12 s total over 2 ranks x 2 iters
         assert!((secs - 3.0).abs() < 1e-9);
     }

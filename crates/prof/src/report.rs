@@ -11,7 +11,7 @@ use crate::critical::{critical_path, CriticalPath, IDLE};
 use crate::exposed::{exposed_comm, ExposedComm, TOLERANCE};
 use crate::merge::MergedTimeline;
 use crate::skew::{phase_skew, PhaseSkew};
-use neo_telemetry::Snapshot;
+use neo_telemetry::{Phase, Snapshot};
 
 /// How many skewed phases the report prints.
 const TOP_K_SKEW: usize = 5;
@@ -33,19 +33,19 @@ pub struct ProfReport {
 impl ProfReport {
     /// `(phase, iterations bounded by it)` over the whole run, most
     /// frequent first.
-    pub fn bounding_histogram(&self) -> Vec<(&'static str, usize)> {
-        let mut acc: Vec<(&'static str, usize)> = Vec::new();
+    pub fn bounding_histogram(&self) -> Vec<(Phase, usize)> {
+        let mut acc: Vec<(Phase, usize)> = Vec::new();
         for cp in &self.critical {
-            let Some((name, _, _)) = cp.bounding() else {
+            let Some((phase, _, _)) = cp.bounding() else {
                 continue;
             };
-            if let Some(e) = acc.iter_mut().find(|(n, _)| *n == name) {
+            if let Some(e) = acc.iter_mut().find(|(p, _)| *p == phase) {
                 e.1 += 1;
             } else {
-                acc.push((name, 1));
+                acc.push((phase, 1));
             }
         }
-        acc.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
+        acc.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.as_str().cmp(b.0.as_str())));
         acc
     }
 }
@@ -156,13 +156,13 @@ impl fmt::Display for ProfReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use neo_telemetry::{phase, SpanRecord};
+    use neo_telemetry::SpanRecord;
 
-    fn span(rank: u32, iter: u64, name: &'static str, s: u64, e: u64) -> SpanRecord {
+    fn span(rank: u32, iter: u64, phase: Phase, s: u64, e: u64) -> SpanRecord {
         SpanRecord {
             rank,
             iter,
-            name,
+            phase,
             lane: 0,
             start_ns: s,
             end_ns: e,
@@ -173,12 +173,12 @@ mod tests {
     fn analyze_names_the_bounding_phase_per_iteration() {
         let snap = Snapshot {
             spans: vec![
-                span(0, 0, phase::ITERATION, 0, 40),
-                span(0, 0, phase::EMB_LOOKUP, 0, 30),
-                span(0, 0, phase::TOP_MLP, 30, 40),
-                span(0, 1, phase::ITERATION, 40, 100),
-                span(0, 1, phase::ALLTOALL_FWD, 40, 90),
-                span(0, 1, phase::TOP_MLP, 90, 100),
+                span(0, 0, Phase::Iteration, 0, 40),
+                span(0, 0, Phase::EmbLookup, 0, 30),
+                span(0, 0, Phase::TopMlp, 30, 40),
+                span(0, 1, Phase::Iteration, 40, 100),
+                span(0, 1, Phase::AlltoallFwd, 40, 90),
+                span(0, 1, Phase::TopMlp, 90, 100),
             ],
             ..Snapshot::default()
         };
@@ -186,11 +186,11 @@ mod tests {
         assert_eq!(report.critical.len(), 2);
         assert_eq!(
             report.critical[0].bounding().map(|(n, _, _)| n),
-            Some(phase::EMB_LOOKUP)
+            Some(Phase::EmbLookup)
         );
         assert_eq!(
             report.critical[1].bounding().map(|(n, _, _)| n),
-            Some(phase::ALLTOALL_FWD)
+            Some(Phase::AlltoallFwd)
         );
         let text = report.to_string();
         assert!(

@@ -8,7 +8,7 @@
 //! the planner rebalances them.
 
 use crate::merge::MergedTimeline;
-use neo_telemetry::phase;
+use neo_telemetry::Phase;
 // Exact nearest-rank percentile — the same kernel `neo-monitor`'s online
 // straggler watchdog uses, so live and post-hoc skew agree on the math.
 use neo_telemetry::stats::percentile_ns;
@@ -31,8 +31,8 @@ pub struct RankPhaseStats {
 /// Cross-rank skew summary for one phase.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseSkew {
-    /// Phase name.
-    pub phase: String,
+    /// The phase.
+    pub phase: Phase,
     /// Mean over ranks of the per-rank mean duration, ms.
     pub mean_ms: f64,
     /// Max over ranks of the per-rank mean duration, ms.
@@ -48,21 +48,21 @@ pub struct PhaseSkew {
 /// Computes per-phase skew over every leaf phase in the merged timeline,
 /// sorted most-skewed first (ties broken by `max_ms` descending).
 pub fn phase_skew(m: &MergedTimeline) -> Vec<PhaseSkew> {
-    let mut names: Vec<&'static str> = Vec::new();
+    let mut phases: Vec<Phase> = Vec::new();
     for s in m.spans() {
-        if !phase::AGGREGATE.contains(&s.name) && !names.contains(&s.name) {
-            names.push(s.name);
+        if !s.phase.is_aggregate() && !phases.contains(&s.phase) {
+            phases.push(s.phase);
         }
     }
-    let mut out: Vec<PhaseSkew> = names
+    let mut out: Vec<PhaseSkew> = phases
         .into_iter()
-        .map(|name| {
+        .map(|phase| {
             let mut per_rank: Vec<RankPhaseStats> = Vec::new();
             for rank in 0..m.world {
                 let mut durs: Vec<u64> = m
                     .spans()
                     .iter()
-                    .filter(|s| s.name == name && s.rank == rank)
+                    .filter(|s| s.phase == phase && s.rank == rank)
                     .map(|s| s.duration_ns())
                     .collect();
                 if durs.is_empty() {
@@ -89,7 +89,7 @@ pub fn phase_skew(m: &MergedTimeline) -> Vec<PhaseSkew> {
                 .fold((0.0f64, 0u32), |acc, x| if x.0 > acc.0 { x } else { acc });
             let skew = if mean_ms > 0.0 { max_ms / mean_ms } else { 1.0 };
             PhaseSkew {
-                phase: name.to_string(),
+                phase,
                 mean_ms,
                 max_ms,
                 skew,
@@ -102,7 +102,7 @@ pub fn phase_skew(m: &MergedTimeline) -> Vec<PhaseSkew> {
         b.skew
             .total_cmp(&a.skew)
             .then(b.max_ms.total_cmp(&a.max_ms))
-            .then(a.phase.cmp(&b.phase))
+            .then(a.phase.as_str().cmp(b.phase.as_str()))
     });
     out
 }
@@ -112,11 +112,11 @@ mod tests {
     use super::*;
     use neo_telemetry::{Snapshot, SpanRecord};
 
-    fn span(rank: u32, iter: u64, name: &'static str, s: u64, e: u64) -> SpanRecord {
+    fn span(rank: u32, iter: u64, phase: Phase, s: u64, e: u64) -> SpanRecord {
         SpanRecord {
             rank,
             iter,
-            name,
+            phase,
             lane: 0,
             start_ns: s,
             end_ns: e,
@@ -127,13 +127,13 @@ mod tests {
     fn skew_ranks_imbalanced_phases_first() {
         let spans = vec![
             // emb_lookup: rank 0 takes 10, rank 1 takes 30 -> skew 1.5
-            span(0, 0, phase::EMB_LOOKUP, 0, 10),
-            span(1, 0, phase::EMB_LOOKUP, 0, 30),
+            span(0, 0, Phase::EmbLookup, 0, 10),
+            span(1, 0, Phase::EmbLookup, 0, 30),
             // top_mlp: both take 10 -> skew 1.0
-            span(0, 0, phase::TOP_MLP, 10, 20),
-            span(1, 0, phase::TOP_MLP, 30, 40),
+            span(0, 0, Phase::TopMlp, 10, 20),
+            span(1, 0, Phase::TopMlp, 30, 40),
             // aggregate: excluded entirely
-            span(0, 0, phase::ITERATION, 0, 40),
+            span(0, 0, Phase::Iteration, 0, 40),
         ];
         let m = MergedTimeline::from_snapshot(&Snapshot {
             spans,
@@ -141,7 +141,7 @@ mod tests {
         });
         let skews = phase_skew(&m);
         assert_eq!(skews.len(), 2, "{skews:?}");
-        assert_eq!(skews[0].phase, phase::EMB_LOOKUP);
+        assert_eq!(skews[0].phase, Phase::EmbLookup);
         assert!((skews[0].skew - 1.5).abs() < 1e-9);
         assert_eq!(skews[0].max_rank, 1);
         assert!((skews[1].skew - 1.0).abs() < 1e-9);
@@ -151,7 +151,7 @@ mod tests {
     #[test]
     fn percentiles_are_exact_order_statistics() {
         let spans: Vec<SpanRecord> = (1..=100u64)
-            .map(|k| span(0, k, phase::INTERACTION, 0, k * 1_000_000))
+            .map(|k| span(0, k, Phase::Interaction, 0, k * 1_000_000))
             .collect();
         let m = MergedTimeline::from_snapshot(&Snapshot {
             spans,

@@ -3,23 +3,23 @@
 //! timelines obey the analyzer's structural invariants).
 
 use neo_prof::{critical_path, exposed_comm, MergedTimeline, IDLE};
-use neo_telemetry::{phase, Snapshot, SpanRecord};
+use neo_telemetry::{Phase, Snapshot, SpanRecord};
 use proptest::prelude::*;
 
 /// Leaf phases the generators draw from (no aggregates).
-const LEAVES: &[&str] = &[
-    phase::FWD_BOTTOM_MLP,
-    phase::INPUT_A2A,
-    phase::EMB_LOOKUP,
-    phase::ALLTOALL_FWD,
-    phase::REDUCE_SCATTER,
-    phase::INTERACTION,
-    phase::TOP_MLP,
-    phase::TOP_MLP_BWD,
-    phase::ALLTOALL_BWD,
-    phase::SPARSE_OPTIM,
-    phase::ALLREDUCE,
-    phase::DENSE_OPTIM,
+const LEAVES: &[Phase] = &[
+    Phase::FwdBottomMlp,
+    Phase::InputA2a,
+    Phase::EmbLookup,
+    Phase::AlltoallFwd,
+    Phase::ReduceScatter,
+    Phase::Interaction,
+    Phase::TopMlp,
+    Phase::TopMlpBwd,
+    Phase::AlltoallBwd,
+    Phase::SparseOptim,
+    Phase::Allreduce,
+    Phase::DenseOptim,
 ];
 
 fn merged(spans: Vec<SpanRecord>) -> MergedTimeline {
@@ -47,7 +47,7 @@ proptest! {
             .map(|&(rank, which, start, len)| SpanRecord {
                 rank,
                 iter: 0,
-                name: LEAVES[which % LEAVES.len()],
+                phase: LEAVES[which % LEAVES.len()],
                 lane: 0,
                 start_ns: start,
                 end_ns: start + len,
@@ -93,7 +93,7 @@ proptest! {
             spans.push(SpanRecord {
                 rank: 0,
                 iter: 0,
-                name: LEAVES[which % LEAVES.len()],
+                phase: LEAVES[which % LEAVES.len()],
                 lane: 0,
                 start_ns: cursor,
                 end_ns: cursor + len,
@@ -102,14 +102,14 @@ proptest! {
         }
         let comm_total: u64 = spans
             .iter()
-            .filter(|s| phase::COMM.contains(&s.name))
+            .filter(|s| s.phase.is_comm())
             .map(|s| s.duration_ns())
             .sum();
         // bracket the run so exposed_comm has an iteration wall
         spans.push(SpanRecord {
             rank: 0,
             iter: 0,
-            name: phase::ITERATION,
+            phase: Phase::Iteration,
             lane: 0,
             start_ns: 0,
             end_ns: cursor,
@@ -118,7 +118,9 @@ proptest! {
 
         let cp = critical_path(&m, 0).expect("path");
         prop_assert_eq!(cp.phase_ns(IDLE), 0, "serial timeline has no gaps");
-        let comm_on_path: u64 = phase::COMM.iter().map(|c| cp.phase_ns(c)).sum();
+        let comm_on_path: u64 = (Phase::ALL.into_iter().filter(|p| p.is_comm()))
+            .map(|c| cp.phase_ns(Some(c)))
+            .sum();
         prop_assert_eq!(comm_on_path, comm_total, "all comm time is exposed");
 
         let e = exposed_comm(&m).expect("bracketed run reports");

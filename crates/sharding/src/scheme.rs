@@ -469,7 +469,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot split")]
     fn split_dim_rejects_too_many_parts() {
-        let _ = split_dim(3, 4);
+        drop(split_dim(3, 4));
     }
 
     #[test]

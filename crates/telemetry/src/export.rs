@@ -4,7 +4,7 @@
 //! `BTreeMap` store) and spans stay in record order.
 
 use crate::json::Json;
-use crate::{Histogram, SpanRecord};
+use crate::{Histogram, Phase, SpanRecord};
 
 /// Point-in-time copy of everything a sink has recorded.
 #[derive(Debug, Clone, Default)]
@@ -20,15 +20,15 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Distinct span names, first-seen order.
-    pub fn span_names(&self) -> Vec<&'static str> {
-        let mut names: Vec<&'static str> = Vec::new();
+    /// Distinct span phases, first-seen order.
+    pub fn phases(&self) -> Vec<Phase> {
+        let mut phases: Vec<Phase> = Vec::new();
         for s in &self.spans {
-            if !names.contains(&s.name) {
-                names.push(s.name);
+            if !phases.contains(&s.phase) {
+                phases.push(s.phase);
             }
         }
-        names
+        phases
     }
 
     /// Serialize the summary document:
@@ -74,7 +74,7 @@ impl Snapshot {
                 ("rank", s.rank.into()),
                 ("lane", s.lane.into()),
                 ("iter", s.iter.into()),
-                ("name", s.name.into()),
+                ("name", s.phase.into()),
                 ("start_ns", s.start_ns.into()),
                 ("end_ns", s.end_ns.into()),
             ])
@@ -131,7 +131,7 @@ impl Snapshot {
         }));
         events.extend(self.spans.iter().map(|s| {
             Json::object([
-                ("name", s.name.into()),
+                ("name", s.phase.into()),
                 ("cat", "neo".into()),
                 ("ph", "X".into()),
                 ("ts", (s.start_ns as f64 / 1e3).into()),
@@ -153,19 +153,19 @@ impl Snapshot {
 mod tests {
     use super::*;
     use crate::json;
-    use crate::{phase, TelemetrySink};
+    use crate::{Metric, TelemetrySink};
 
     fn sample_sink() -> TelemetrySink {
         let sink = TelemetrySink::armed();
-        sink.counter_add("comm.all_reduce.bytes", 4096);
-        sink.gauge_push("train.loss", 0, 0.693);
-        sink.gauge_push("train.loss", 1, 0.651);
-        sink.histogram_observe("comm.all_reduce.ns", 1500);
+        sink.counter_add(Metric::CommBytes("all_reduce"), 4096);
+        sink.gauge_push(Metric::TrainLoss, 0, 0.693);
+        sink.gauge_push(Metric::TrainLoss, 1, 0.651);
+        sink.histogram_observe(Metric::CommNs("all_reduce"), 1500);
         let rec = sink.rank(1);
-        rec.begin_iteration(0);
-        drop(rec.span(phase::ITERATION));
-        drop(rec.span(phase::EMB_LOOKUP));
-        rec.end_iteration();
+        let it = rec.begin_iteration(0);
+        drop(rec.span(Phase::Iteration));
+        drop(rec.span(Phase::EmbLookup));
+        it.end();
         sink
     }
 
@@ -265,14 +265,14 @@ mod tests {
         let sink = TelemetrySink::armed();
         for r in 0..2u32 {
             let rec = sink.rank(r);
-            rec.begin_iteration(0);
-            drop(rec.span(phase::TOP_MLP));
-            rec.end_iteration();
+            let it = rec.begin_iteration(0);
+            drop(rec.span(Phase::TopMlp));
+            it.end();
         }
         let lane = sink.rank_lane(1, 1);
-        lane.begin_iteration(0);
-        drop(lane.span(phase::ALLTOALL_FWD));
-        lane.end_iteration();
+        let it = lane.begin_iteration(0);
+        drop(lane.span(Phase::AlltoallFwd));
+        it.end();
 
         let text = sink.export_chrome_trace().unwrap_or_default();
         let doc = json::parse(&text).unwrap_or(Json::Null);
@@ -294,7 +294,7 @@ mod tests {
         assert_eq!(lane_meta, Some("rank 1 comm lane 1"));
         let lane_span = events
             .iter()
-            .find(|e| e.get("name").and_then(Json::as_str) == Some(phase::ALLTOALL_FWD));
+            .find(|e| e.get("name").and_then(Json::as_str) == Some("alltoall_fwd"));
         assert_eq!(
             lane_span.and_then(|e| e.get("tid")).and_then(Json::as_f64),
             Some(3.0)
@@ -302,7 +302,7 @@ mod tests {
         // lane-0 spans keep tid = rank
         let main_span = events
             .iter()
-            .find(|e| e.get("name").and_then(Json::as_str) == Some(phase::TOP_MLP));
+            .find(|e| e.get("name").and_then(Json::as_str) == Some("top_mlp"));
         assert_eq!(
             main_span.and_then(|e| e.get("tid")).and_then(Json::as_f64),
             Some(0.0)
@@ -313,11 +313,13 @@ mod tests {
     fn summary_json_carries_percentiles() {
         let sink = TelemetrySink::armed();
         for v in [4u64, 5, 6, 7] {
-            sink.histogram_observe("h.ns", v);
+            sink.histogram_observe(Metric::DataioBatchBuildNs, v);
         }
         let text = sink.export_json().unwrap_or_default();
         let doc = json::parse(&text).unwrap_or(Json::Null);
-        let hist = doc.get("histograms").and_then(|h| h.get("h.ns"));
+        let hist = doc
+            .get("histograms")
+            .and_then(|h| h.get("dataio.batch_build.ns"));
         let p50 = hist.and_then(|h| h.get("p50")).and_then(Json::as_f64);
         assert_eq!(p50, Some(5.5));
         for key in ["p95", "p99"] {

@@ -18,7 +18,7 @@
 //! disabled-telemetry path still performs zero clock reads, zero
 //! allocations, and zero atomic stores.
 
-use crate::phase;
+use crate::Phase;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// What a heartbeat slot was last seen doing.
@@ -54,13 +54,13 @@ const KIND_ITERATING: u64 = 1;
 const KIND_IN_SPAN: u64 = 2;
 const KIND_EXCHANGE: u64 = 3;
 
-/// Pack `(kind, phase index + 1)` into one word: kind in the low 8 bits,
-/// the phase's position in [`phase::ALL`] plus one above (0 = no phase).
+/// Pack `(kind, phase discriminant + 1)` into one word: kind in the low 8
+/// bits, the phase's discriminant plus one above (0 = no phase).
 fn pack(kind: u64, phase_plus1: u64) -> u64 {
     kind | (phase_plus1 << 8)
 }
 
-fn unpack(word: u64) -> (HeartbeatState, Option<&'static str>) {
+fn unpack(word: u64) -> (HeartbeatState, Option<Phase>) {
     let state = match word & 0xff {
         KIND_ITERATING => HeartbeatState::Iterating,
         KIND_IN_SPAN => HeartbeatState::InSpan,
@@ -68,12 +68,8 @@ fn unpack(word: u64) -> (HeartbeatState, Option<&'static str>) {
         _ => HeartbeatState::Idle,
     };
     let idx = (word >> 8) as usize;
-    let name = if idx == 0 {
-        None
-    } else {
-        phase::ALL.get(idx - 1).copied()
-    };
-    (state, name)
+    let phase = idx.checked_sub(1).and_then(|i| Phase::ALL.get(i)).copied();
+    (state, phase)
 }
 
 /// One lock-free heartbeat slot, shared between its publishing
@@ -84,7 +80,7 @@ pub struct Heartbeat {
     lane: u32,
     /// Iterations *begun* (1-based; 0 = none yet).
     iter: AtomicU64,
-    /// Packed `(state kind, phase index + 1)` word.
+    /// Packed `(state kind, phase discriminant + 1)` word.
     state: AtomicU64,
     /// Total publications; strictly monotonic per slot.
     beats: AtomicU64,
@@ -135,10 +131,9 @@ impl Heartbeat {
         self.beat(pack(KIND_IDLE, 0), now_ns);
     }
 
-    /// Beat: a span named by taxonomy index `phase_idx` opened.
-    pub(crate) fn publish_span_open(&self, phase_idx: Option<usize>, now_ns: u64) {
-        let plus1 = phase_idx.map(|i| i as u64 + 1).unwrap_or(0);
-        self.beat(pack(KIND_IN_SPAN, plus1), now_ns);
+    /// Beat: a span of `phase` opened.
+    pub(crate) fn publish_span_open(&self, phase: Phase, now_ns: u64) {
+        self.beat(pack(KIND_IN_SPAN, phase as u64 + 1), now_ns);
     }
 
     /// Beat: a span closed; back to between-spans.
@@ -181,7 +176,7 @@ pub struct HeartbeatSample {
     /// Last-published state.
     pub state: HeartbeatState,
     /// Phase of the open span when `state` is [`HeartbeatState::InSpan`].
-    pub phase: Option<&'static str>,
+    pub phase: Option<Phase>,
     /// Total beats published; strictly monotonic per slot.
     pub beats: u64,
     /// Sink-relative time of the last beat, ns.
@@ -221,9 +216,9 @@ mod tests {
         ] {
             assert_eq!(unpack(pack(kind, 0)), (state, None));
         }
-        for (i, name) in phase::ALL.iter().enumerate() {
-            let (state, got) = unpack(pack(KIND_IN_SPAN, i as u64 + 1));
-            assert_eq!((state, got), (HeartbeatState::InSpan, Some(*name)));
+        for p in Phase::ALL {
+            let (state, got) = unpack(pack(KIND_IN_SPAN, p as u64 + 1));
+            assert_eq!((state, got), (HeartbeatState::InSpan, Some(p)));
         }
         // out-of-range phase index degrades to no phase, not a panic
         assert_eq!(unpack(pack(KIND_IN_SPAN, 9999)).1, None);
@@ -243,10 +238,10 @@ mod tests {
         assert_eq!((s1.iter, s1.beats, s1.last_beat_ns), (8, 1, 100));
         assert_eq!(s1.state, HeartbeatState::Iterating);
 
-        hb.publish_span_open(phase::index_of(phase::EMB_LOOKUP), 200);
+        hb.publish_span_open(Phase::EmbLookup, 200);
         let s2 = hb.sample();
         assert_eq!(s2.state, HeartbeatState::InSpan);
-        assert_eq!(s2.phase, Some(phase::EMB_LOOKUP));
+        assert_eq!(s2.phase, Some(Phase::EmbLookup));
         assert!(s2.mid_work());
         assert_eq!(s2.quiet_ns(700), 500);
 

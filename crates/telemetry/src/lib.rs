@@ -7,15 +7,15 @@
 //!
 //! - a thread-safe metrics registry: monotonically increasing **counters**,
 //!   per-iteration **gauge series**, and **histograms** with fixed log2
-//!   buckets ([`Histogram`]);
-//! - a **span recorder** capturing named, nested phases per rank per
-//!   iteration via owned RAII guards ([`RankRecorder::span`] /
-//!   [`SpanGuard`]);
+//!   buckets ([`Histogram`]), each named by a [`Metric`];
+//! - a **span recorder** capturing nested [`Phase`]s per rank per
+//!   iteration via owned RAII guards ([`RankRecorder::begin_iteration`] /
+//!   [`IterationGuard`], [`RankRecorder::span`] / [`SpanGuard`]);
 //! - exporters for the `neo-telemetry/1` **JSON summary** and the **Chrome
 //!   trace-event format** (loadable in `chrome://tracing` / Perfetto);
-//! - the shared **phase-name taxonomy** ([`phase`]) consumed by both the
-//!   live trainer instrumentation and the `perfmodel` simulator, so
-//!   simulated and measured timelines are diffable;
+//! - the closed **span and metric vocabularies** ([`Phase`], [`Metric`]),
+//!   shared by the live trainer instrumentation and the `perfmodel`
+//!   simulator, so simulated and measured timelines are diffable;
 //! - the workspace's one JSON value type ([`json`]): the writer every
 //!   artifact is printed by, and the parser tooling reads them back with.
 //!
@@ -38,17 +38,20 @@ mod summary;
 
 pub use export::Snapshot;
 pub use heartbeat::{HeartbeatSample, HeartbeatState};
+pub use metric::Metric;
 pub use metrics::{Histogram, MetricsSample, NUM_BUCKETS};
+pub use phase::Phase;
 pub use summary::TelemetrySummary;
 
 use heartbeat::Heartbeat;
 use metrics::Store;
 use neo_sync::{OrderedMutex, OrderedMutexGuard};
 use std::fmt;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One recorded phase interval: rank + iteration + name + wall-clock bounds.
+/// One recorded phase interval: rank + iteration + phase + wall-clock bounds.
 ///
 /// Timestamps are nanoseconds since the owning sink was armed, so records
 /// from different ranks share a clock and can be merged into one timeline.
@@ -62,8 +65,8 @@ pub struct SpanRecord {
     pub lane: u32,
     /// Training iteration the span belongs to.
     pub iter: u64,
-    /// Phase name, normally one of the [`phase`] constants.
-    pub name: &'static str,
+    /// The phase the span measured.
+    pub phase: Phase,
     /// Start, nanoseconds since the sink was armed.
     pub start_ns: u64,
     /// End, nanoseconds since the sink was armed.
@@ -77,6 +80,7 @@ impl SpanRecord {
     }
 }
 
+#[derive(Debug)]
 struct Inner {
     epoch: Instant,
     store: OrderedMutex<Store>,
@@ -154,38 +158,49 @@ impl TelemetrySink {
         self.inner.is_some()
     }
 
-    /// Add `delta` to the named monotonic counter.
-    pub fn counter_add(&self, name: &str, delta: u64) {
+    /// Add `delta` to the monotonic counter `metric`.
+    ///
+    /// ```
+    /// use neo_telemetry::{Metric, TelemetrySink};
+    /// TelemetrySink::armed().counter_add(Metric::EmbLookupRows, 1);
+    /// ```
+    ///
+    /// A metric is named by the vocabulary, never inline:
+    ///
+    /// ```compile_fail
+    /// neo_telemetry::TelemetrySink::armed().counter_add("inline_metric_name", 1);
+    /// ```
+    pub fn counter_add(&self, metric: Metric, delta: u64) {
         if let Some(inner) = &self.inner {
-            inner.store().counter_add(name, delta);
+            inner.store().counter_add(metric, delta);
         }
     }
 
-    /// Append one `(iteration, value)` point to the named gauge series.
-    pub fn gauge_push(&self, name: &str, iter: u64, value: f64) {
+    /// Append one `(iteration, value)` point to the gauge series `metric`.
+    pub fn gauge_push(&self, metric: Metric, iter: u64, value: f64) {
         if let Some(inner) = &self.inner {
-            inner.store().gauge_push(name, iter, value);
+            inner.store().gauge_push(metric, iter, value);
         }
     }
 
-    /// Raise the named running-max gauge to `value` if it exceeds the
+    /// Raise the running-max gauge `metric` to `value` if it exceeds the
     /// current maximum (recording `iter` as where the peak occurred).
     ///
     /// Unlike [`TelemetrySink::gauge_push`], which appends a point per
     /// observation, a running-max gauge keeps exactly one point — the peak
     /// — so peak queue depth / peak memory survive any later sampling or
     /// summarization instead of being averaged away. Use one style or the
-    /// other per gauge name, not both.
-    pub fn gauge_set_max(&self, name: &str, iter: u64, value: f64) {
+    /// other per gauge, not both.
+    pub fn gauge_set_max(&self, metric: Metric, iter: u64, value: f64) {
         if let Some(inner) = &self.inner {
-            inner.store().gauge_set_max(name, iter, value);
+            inner.store().gauge_set_max(metric, iter, value);
         }
     }
 
-    /// Record one observation into the named log2-bucket histogram.
-    pub fn histogram_observe(&self, name: &str, value: u64) {
+    /// Record one observation into the log2-bucket histogram `metric`.
+    pub fn histogram_observe(&self, metric: Metric, value: u64) {
         if let Some(inner) = &self.inner {
-            inner.store().histogram_observe(name, value);
+            inner.store().histogram_observe(metric, value);
         }
     }
 
@@ -206,15 +221,19 @@ impl TelemetrySink {
     /// nonblocking-collective comm lane — whose spans may legally overlap
     /// lane-0 spans on the merged timeline.
     pub fn rank_lane(&self, rank: u32, lane: u32) -> RankRecorder {
-        let hb = self.inner.as_ref().map(|i| i.heartbeat(rank, lane));
+        let live = self.inner.as_ref().map(|inner| {
+            Arc::new(Live {
+                hb: inner.heartbeat(rank, lane),
+                inner: Arc::clone(inner),
+                iter: AtomicU64::new(0),
+                active: AtomicBool::new(false),
+            })
+        });
         RankRecorder {
             sink: self.clone(),
             rank,
             lane,
-            iter: std::cell::Cell::new(0),
-            active: std::cell::Cell::new(false),
-            hb,
-            iter_start_ns: std::cell::Cell::new(0),
+            live,
         }
     }
 
@@ -262,30 +281,34 @@ impl TelemetrySink {
     pub fn summary(&self) -> Option<TelemetrySummary> {
         self.snapshot().map(|s| TelemetrySummary::from_snapshot(&s))
     }
-
-    fn record_span(&self, rec: SpanRecord) {
-        if let Some(inner) = &self.inner {
-            inner.store().push_span(rec);
-        }
-    }
 }
 
-/// Per-rank span recorder. Spans are only captured between
-/// [`RankRecorder::begin_iteration`] and [`RankRecorder::end_iteration`],
-/// so evaluation / probe passes reusing the same code paths stay silent.
+/// Recording state of one armed [`RankRecorder`], shared with the guards it
+/// hands out so that no guard borrows the recorder. The recorder and its
+/// guards live on one thread and the fields publish no other data, so
+/// every access is `Relaxed`.
+#[derive(Debug)]
+struct Live {
+    inner: Arc<Inner>,
+    /// Heartbeat slot for the recorder's `(rank, lane)`.
+    hb: Arc<Heartbeat>,
+    /// Iteration stamped onto spans.
+    iter: AtomicU64,
+    /// Whether an iteration is open; spans record only inside one.
+    active: AtomicBool,
+}
+
+/// Per-rank span recorder. Spans are only captured while an
+/// [`IterationGuard`] from [`RankRecorder::begin_iteration`] is open, so
+/// evaluation / probe passes reusing the same code paths stay silent.
 #[derive(Debug)]
 pub struct RankRecorder {
     sink: TelemetrySink,
     rank: u32,
     lane: u32,
-    iter: std::cell::Cell<u64>,
-    active: std::cell::Cell<bool>,
-    /// Heartbeat slot for this `(rank, lane)`; `None` on a disabled sink,
-    /// which keeps the disabled path free of clock reads and stores.
-    hb: Option<Arc<Heartbeat>>,
-    /// Sink-relative start of the current iteration, for the per-iteration
-    /// duration published on the heartbeat at `end_iteration`.
-    iter_start_ns: std::cell::Cell<u64>,
+    /// `None` on a disabled sink, which keeps the disabled path free of
+    /// clock reads, allocations and atomic stores.
+    live: Option<Arc<Live>>,
 }
 
 impl RankRecorder {
@@ -309,30 +332,36 @@ impl RankRecorder {
         &self.sink
     }
 
-    /// Mark the start of training iteration `iter`; spans opened after this
-    /// call are recorded and stamped with `iter`. On an armed sink this
-    /// also beats the `(rank, lane)` heartbeat slot.
-    pub fn begin_iteration(&self, iter: u64) {
-        self.iter.set(iter);
-        self.active.set(true);
-        if let Some(hb) = &self.hb {
-            if let Some(now) = self.sink.now_ns() {
-                self.iter_start_ns.set(now);
-                hb.publish_iter_begin(iter, now);
-            }
-        }
+    /// Whether this recorder's sink is armed.
+    pub fn enabled(&self) -> bool {
+        self.live.is_some()
     }
 
-    /// Mark the end of the current iteration; subsequent spans are ignored
-    /// until the next [`RankRecorder::begin_iteration`]. On an armed sink
-    /// this beats the heartbeat slot back to idle and publishes the
-    /// iteration's duration for online straggler attribution.
-    pub fn end_iteration(&self) {
-        self.active.set(false);
-        if let Some(hb) = &self.hb {
-            if let Some(now) = self.sink.now_ns() {
-                hb.publish_iter_end(now.saturating_sub(self.iter_start_ns.get()), now);
-            }
+    /// The recording state while an iteration is open.
+    fn open(&self) -> Option<&Arc<Live>> {
+        self.live
+            .as_ref()
+            .filter(|l| l.active.load(Ordering::Relaxed))
+    }
+
+    /// Start training iteration `iter`: spans opened until the returned
+    /// guard ends are recorded and stamped with `iter`. On an armed sink
+    /// this also beats the `(rank, lane)` heartbeat slot.
+    ///
+    /// The guard is fully owned, like [`SpanGuard`], so the iteration can
+    /// stay open across `&mut self` calls on the structure that owns the
+    /// recorder; consuming it with [`IterationGuard::end`] makes a second
+    /// end impossible.
+    pub fn begin_iteration(&self, iter: u64) -> IterationGuard {
+        let Some(live) = &self.live else {
+            return IterationGuard { open: None };
+        };
+        let start_ns = live.inner.now_ns();
+        live.iter.store(iter, Ordering::Relaxed);
+        live.active.store(true, Ordering::Relaxed);
+        live.hb.publish_iter_begin(iter, start_ns);
+        IterationGuard {
+            open: Some((Arc::clone(live), start_ns)),
         }
     }
 
@@ -341,58 +370,109 @@ impl RankRecorder {
     /// that goes quiet in this state is waiting on someone else, so the
     /// stall watchdog blames the peer that never arrived instead of the
     /// threads parked here. No-op when the sink is disabled or no
-    /// iteration is active.
+    /// iteration is open.
     pub fn mark_exchange(&self) {
-        if !self.active.get() {
-            return;
-        }
-        if let Some(hb) = &self.hb {
-            if let Some(now) = self.sink.now_ns() {
-                hb.publish_exchange(now);
-            }
+        if let Some(live) = self.open() {
+            live.hb.publish_exchange(live.inner.now_ns());
         }
     }
 
-    /// Open a named span. The returned guard records the interval when it is
-    /// dropped (or via [`SpanGuard::end`]). When the sink is disabled or no
-    /// iteration is active this reads no clock and allocates nothing.
+    /// Open a span of `phase`. The returned guard records the interval
+    /// when it is dropped (or via [`SpanGuard::end`]). When the sink is
+    /// disabled or no iteration is open this reads no clock and allocates
+    /// nothing.
     ///
-    /// The guard is fully owned (it holds a clone of the sink handle, not a
-    /// borrow of `self`), so it can stay live across `&mut self` calls on
-    /// the structure that owns the recorder.
-    pub fn span(&self, name: &'static str) -> SpanGuard {
-        if !self.active.get() {
-            return SpanGuard { live: None };
-        }
-        let Some(start_ns) = self.sink.now_ns() else {
+    /// The guard is fully owned (it holds a clone of the recording state,
+    /// not a borrow of `self`), so it can stay live across `&mut self`
+    /// calls on the structure that owns the recorder.
+    ///
+    /// ```
+    /// use neo_telemetry::{Phase, TelemetrySink};
+    /// let rec = TelemetrySink::armed().rank(0);
+    /// let it = rec.begin_iteration(0);
+    /// let sp = rec.span(Phase::TopMlp);
+    /// drop(sp);
+    /// it.end();
+    /// ```
+    ///
+    /// A span is named by the vocabulary, never inline:
+    ///
+    /// ```compile_fail
+    /// let rec = neo_telemetry::TelemetrySink::armed().rank(0);
+    /// let _sp = rec.span("inline");
+    /// ```
+    ///
+    /// and a guard dropped on the line that opens it is a zero-length span,
+    /// which `deny(warnings)` rejects:
+    ///
+    /// ```compile_fail
+    /// #![deny(unused_must_use)]
+    /// use neo_telemetry::{Phase, TelemetrySink};
+    /// let rec = TelemetrySink::armed().rank(0);
+    /// rec.span(Phase::TopMlp);
+    /// ```
+    pub fn span(&self, phase: Phase) -> SpanGuard {
+        let Some(live) = self.open() else {
             return SpanGuard { live: None };
         };
-        // Reuse the clock read the span already made for the beat.
-        if let Some(hb) = &self.hb {
-            hb.publish_span_open(phase::index_of(name), start_ns);
-        }
+        let start_ns = live.inner.now_ns();
+        live.hb.publish_span_open(phase, start_ns);
         SpanGuard {
             live: Some(SpanLive {
-                sink: self.sink.clone(),
+                state: Arc::clone(live),
                 rank: self.rank,
                 lane: self.lane,
-                iter: self.iter.get(),
-                name,
+                iter: live.iter.load(Ordering::Relaxed),
+                phase,
                 start_ns,
-                hb: self.hb.clone(),
             }),
         }
     }
 }
 
+/// RAII guard for one open training iteration, from
+/// [`RankRecorder::begin_iteration`].
+///
+/// Dropping it without [`IterationGuard::end`] — a rank returning `Err`
+/// mid-step — only stops recording: the heartbeat slot stays mid-work, so
+/// the watchdog still blames that rank.
+#[must_use = "an iteration must be closed with `end`; dropping the guard leaves the heartbeat mid-work"]
+#[derive(Debug)]
+pub struct IterationGuard {
+    /// The recording state and the iteration's start; `None` when the sink
+    /// is disabled.
+    open: Option<(Arc<Live>, u64)>,
+}
+
+impl IterationGuard {
+    /// End the iteration: later spans are ignored until the next
+    /// [`RankRecorder::begin_iteration`]. On an armed sink this beats the
+    /// heartbeat slot back to idle and publishes the iteration's duration
+    /// for online straggler attribution.
+    pub fn end(mut self) {
+        if let Some((live, start_ns)) = self.open.take() {
+            live.active.store(false, Ordering::Relaxed);
+            let now = live.inner.now_ns();
+            live.hb.publish_iter_end(now.saturating_sub(start_ns), now);
+        }
+    }
+}
+
+impl Drop for IterationGuard {
+    fn drop(&mut self) {
+        if let Some((live, _)) = &self.open {
+            live.active.store(false, Ordering::Relaxed);
+        }
+    }
+}
+
 struct SpanLive {
-    sink: TelemetrySink,
+    state: Arc<Live>,
     rank: u32,
     lane: u32,
     iter: u64,
-    name: &'static str,
+    phase: Phase,
     start_ns: u64,
-    hb: Option<Arc<Heartbeat>>,
 }
 
 /// RAII guard for one phase interval; records on drop.
@@ -417,27 +497,25 @@ impl SpanGuard {
 
     fn finish(&mut self) -> Option<u64> {
         let live = self.live.take()?;
-        let end_ns = live.sink.now_ns()?;
-        if let Some(hb) = &live.hb {
-            hb.publish_span_close(end_ns);
-        }
+        let end_ns = live.state.inner.now_ns();
+        live.state.hb.publish_span_close(end_ns);
         let rec = SpanRecord {
             rank: live.rank,
             lane: live.lane,
             iter: live.iter,
-            name: live.name,
+            phase: live.phase,
             start_ns: live.start_ns,
             end_ns,
         };
         let dur = rec.duration_ns();
-        live.sink.record_span(rec);
+        live.state.inner.store().push_span(rec);
         Some(dur)
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let _ = self.finish();
+        self.finish();
     }
 }
 
@@ -460,14 +538,16 @@ mod tests {
     fn disabled_sink_is_a_no_op() {
         let sink = TelemetrySink::disabled();
         assert!(!sink.enabled());
-        sink.counter_add("c", 1);
-        sink.gauge_push("g", 0, 1.0);
-        sink.histogram_observe("h", 7);
+        sink.counter_add(Metric::MonitorSamples, 1);
+        sink.gauge_push(Metric::TrainLoss, 0, 1.0);
+        sink.histogram_observe(Metric::DataioBatchBuildNs, 7);
         let rec = sink.rank(0);
-        rec.begin_iteration(0);
-        let sp = rec.span(phase::ITERATION);
+        assert!(!rec.enabled());
+        let it = rec.begin_iteration(0);
+        let sp = rec.span(Phase::Iteration);
         assert!(!sp.is_recording());
         assert_eq!(sp.end(), None);
+        it.end();
         assert!(sink.snapshot().is_none());
         assert!(sink.export_json().is_none());
         assert!(sink.export_chrome_trace().is_none());
@@ -479,18 +559,18 @@ mod tests {
         let sink = TelemetrySink::armed();
         let rec = sink.rank(0);
         // No begin_iteration yet.
-        assert!(!rec.span(phase::EMB_LOOKUP).is_recording());
-        rec.begin_iteration(3);
-        let sp = rec.span(phase::EMB_LOOKUP);
+        assert!(!rec.span(Phase::EmbLookup).is_recording());
+        let it = rec.begin_iteration(3);
+        let sp = rec.span(Phase::EmbLookup);
         assert!(sp.is_recording());
         drop(sp);
-        rec.end_iteration();
-        assert!(!rec.span(phase::TOP_MLP).is_recording());
+        it.end();
+        assert!(!rec.span(Phase::TopMlp).is_recording());
         let snap = sink.snapshot().filter(|s| s.spans.len() == 1);
         let snap = snap.as_ref().map(|s| &s.spans[0]);
         assert_eq!(
-            snap.map(|s| (s.name, s.iter, s.rank)),
-            Some((phase::EMB_LOOKUP, 3, 0))
+            snap.map(|s| (s.phase, s.iter, s.rank)),
+            Some((Phase::EmbLookup, 3, 0))
         );
     }
 
@@ -498,21 +578,22 @@ mod tests {
     fn clones_share_storage() {
         let sink = TelemetrySink::armed();
         let other = sink.clone();
-        other.counter_add("shared", 2);
-        sink.counter_add("shared", 3);
+        other.counter_add(Metric::EmbOptimRows, 2);
+        sink.counter_add(Metric::EmbOptimRows, 3);
         let snap = sink.snapshot();
         let counters = snap.map(|s| s.counters).unwrap_or_default();
-        assert_eq!(counters, vec![("shared".to_string(), 5)]);
+        assert_eq!(counters, vec![("emb.optim.rows".to_string(), 5)]);
     }
 
     #[test]
     fn span_end_returns_duration_and_records() {
         let sink = TelemetrySink::armed();
         let rec = sink.rank(2);
-        rec.begin_iteration(7);
-        let sp = rec.span(phase::ALLTOALL_FWD);
+        let it = rec.begin_iteration(7);
+        let sp = rec.span(Phase::AlltoallFwd);
         let dur = sp.end();
         assert!(dur.is_some());
+        it.end();
         let snap = sink.snapshot();
         let spans = snap.map(|s| s.spans).unwrap_or_default();
         assert_eq!(spans.len(), 1);
@@ -526,10 +607,10 @@ mod tests {
         let sink = TelemetrySink::armed();
         let rec = sink.rank_lane(1, 2);
         assert_eq!((rec.rank(), rec.lane()), (1, 2));
-        rec.begin_iteration(5);
-        let sp = rec.span(phase::ALLTOALL_FWD);
+        let it = rec.begin_iteration(5);
+        let sp = rec.span(Phase::AlltoallFwd);
         drop(sp);
-        rec.end_iteration();
+        it.end();
         let spans = sink.snapshot().map(|s| s.spans).unwrap_or_default();
         assert_eq!(spans.len(), 1);
         assert_eq!((spans[0].rank, spans[0].lane, spans[0].iter), (1, 2, 5));
@@ -549,17 +630,17 @@ mod tests {
         assert_eq!((slots[1].rank, slots[1].lane), (1, 1));
         assert_eq!(slots[0].beats, 0);
 
-        rec.begin_iteration(4);
-        let sp = rec.span(phase::EMB_LOOKUP);
+        let it = rec.begin_iteration(4);
+        let sp = rec.span(Phase::EmbLookup);
         let hb = &sink.heartbeats()[0];
         assert_eq!(hb.iter, 5, "iteration 4 begun => 1-based count 5");
         assert_eq!(hb.state, HeartbeatState::InSpan);
-        assert_eq!(hb.phase, Some(phase::EMB_LOOKUP));
+        assert_eq!(hb.phase, Some(Phase::EmbLookup));
         assert_eq!(hb.beats, 2, "iter begin + span open");
         drop(sp);
         rec.mark_exchange();
         assert_eq!(sink.heartbeats()[0].state, HeartbeatState::Exchange);
-        rec.end_iteration();
+        it.end();
         let done = &sink.heartbeats()[0];
         assert_eq!(done.state, HeartbeatState::Idle);
         assert_eq!(done.beats, 5);
@@ -569,19 +650,41 @@ mod tests {
 
         // re-requesting the same (rank, lane) reuses the slot
         let again = sink.rank_lane(1, 0);
-        again.begin_iteration(5);
-        again.end_iteration();
+        again.begin_iteration(5).end();
         assert_eq!(sink.heartbeats().len(), 2);
         assert_eq!(sink.heartbeats()[0].beats, 7);
+    }
+
+    #[test]
+    fn an_unended_iteration_stops_recording_but_stays_mid_work() {
+        let sink = TelemetrySink::armed();
+        let rec = sink.rank(0);
+        let it = rec.begin_iteration(2);
+        let sp = rec.span(Phase::TopMlp);
+        drop(sp);
+        drop(it); // e.g. the step returned `Err` before ending the iteration
+        assert!(!rec.span(Phase::TopMlp).is_recording());
+        rec.mark_exchange();
+        let hb = &sink.heartbeats()[0];
+        assert_eq!(
+            hb.state,
+            HeartbeatState::Iterating,
+            "the watchdog still sees work"
+        );
+        assert_eq!(
+            hb.beats, 3,
+            "iter begin + span open + span close, nothing on drop"
+        );
+        assert_eq!(sink.snapshot().map(|s| s.spans.len()), Some(1));
     }
 
     #[test]
     fn disabled_sink_has_no_heartbeats_and_mark_exchange_is_inert() {
         let sink = TelemetrySink::disabled();
         let rec = sink.rank(0);
-        rec.begin_iteration(0);
+        let it = rec.begin_iteration(0);
         rec.mark_exchange();
-        rec.end_iteration();
+        it.end();
         assert!(sink.heartbeats().is_empty());
         assert!(sink.sample().is_none());
     }
@@ -589,15 +692,19 @@ mod tests {
     #[test]
     fn gauge_set_max_and_sample_round_trip_through_the_sink() {
         let sink = TelemetrySink::armed();
-        sink.gauge_set_max("peak", 0, 2.0);
-        sink.gauge_set_max("peak", 3, 8.0);
-        sink.gauge_set_max("peak", 5, 4.0);
-        sink.counter_add("c", 1);
+        let peak = Metric::DataioQueuePeak;
+        sink.gauge_set_max(peak, 0, 2.0);
+        sink.gauge_set_max(peak, 3, 8.0);
+        sink.gauge_set_max(peak, 5, 4.0);
+        sink.counter_add(Metric::MonitorEvents, 1);
         let sample = sink.sample().unwrap_or_default();
-        assert_eq!(sample.gauges, vec![("peak".to_string(), 3, 8.0)]);
-        assert_eq!(sample.counters, vec![("c".to_string(), 1)]);
+        assert_eq!(
+            sample.gauges,
+            vec![("dataio.queue_peak".to_string(), 3, 8.0)]
+        );
+        assert_eq!(sample.counters, vec![("monitor.events".to_string(), 1)]);
         // disabled sinks stay inert
-        TelemetrySink::disabled().gauge_set_max("peak", 0, 9.0);
+        TelemetrySink::disabled().gauge_set_max(peak, 0, 9.0);
     }
 
     #[test]

@@ -1,72 +1,98 @@
-//! Canonical metric names (counters, gauges, histograms).
+//! The metric vocabulary: every counter, gauge and histogram as one enum.
 //!
-//! Dotted lowercase names: `<subsystem>.<what>[.<unit>]`. Collectives
-//! metrics are generated per operation as `comm.<op>.bytes`,
-//! `comm.<op>.calls`, and `comm.<op>.ns`; cache bridges emit
-//! `<prefix>.cache_hit` / `cache_miss` / `cache_evict` / `cache_writeback`.
+//! Names are dotted lowercase, `<subsystem>.<what>[.<unit>]`. Collectives
+//! metrics come per operation (`comm.<op>.bytes`, `.calls`, `.ns`,
+//! `.wait_ns`); cache bridges emit `<prefix>.cache_hit` / `cache_miss` /
+//! `cache_evict` / `cache_writeback`.
 
-/// Gauge: globally reduced training loss per iteration (rank 0 only).
-pub const TRAIN_LOSS: &str = "train.loss";
-/// Gauge: learning rate per iteration (rank 0 only).
-pub const TRAIN_LR: &str = "train.lr";
-/// Gauge: global samples/sec derived from the iteration span (rank 0 only).
-pub const TRAIN_THROUGHPUT: &str = "train.throughput_samples_per_sec";
-/// Counter: embedding rows gathered during forward lookups.
-pub const EMB_LOOKUP_ROWS: &str = "emb.lookup.rows";
-/// Counter: embedding rows updated by the sparse optimizer.
-pub const EMB_OPTIM_ROWS: &str = "emb.optim.rows";
-/// Histogram: nanoseconds spent building one input batch.
-pub const DATAIO_BATCH_BUILD_NS: &str = "dataio.batch_build.ns";
-/// Gauge: prefetch queue depth observed at each consumer receive.
-pub const DATAIO_QUEUE_DEPTH: &str = "dataio.queue_depth";
-/// Running-max gauge: peak prefetch queue depth over the run (survives
-/// sampling, unlike the per-receive [`DATAIO_QUEUE_DEPTH`] series).
-pub const DATAIO_QUEUE_PEAK: &str = "dataio.queue_peak";
-/// Counter: telemetry frames written by the live monitor's sampler.
-pub const MONITOR_SAMPLES: &str = "monitor.samples";
-/// Counter: health events raised by the live monitor's watchdog.
-pub const MONITOR_EVENTS: &str = "monitor.events";
+use std::borrow::Cow;
 
-/// Counter name for bytes moved by a collective op: `comm.<op>.bytes`.
-pub fn comm_bytes(op: &str) -> String {
-    format!("comm.{op}.bytes")
+/// One metric a [`crate::TelemetrySink`] records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Metric {
+    /// Gauge: globally reduced training loss per iteration (rank 0 only).
+    TrainLoss,
+    /// Gauge: learning rate per iteration (rank 0 only).
+    TrainLr,
+    /// Gauge: global samples/sec derived from the iteration span (rank 0
+    /// only).
+    TrainThroughput,
+    /// Counter: embedding rows gathered during forward lookups.
+    EmbLookupRows,
+    /// Counter: embedding rows updated by the sparse optimizer.
+    EmbOptimRows,
+    /// Histogram: nanoseconds spent building one input batch.
+    DataioBatchBuildNs,
+    /// Gauge: prefetch queue depth observed at each consumer receive.
+    DataioQueueDepth,
+    /// Running-max gauge: peak prefetch queue depth over the run (survives
+    /// sampling, unlike the per-receive [`Metric::DataioQueueDepth`]).
+    DataioQueuePeak,
+    /// Counter: telemetry frames written by the live monitor's sampler.
+    MonitorSamples,
+    /// Counter: health events raised by the live monitor's watchdog.
+    MonitorEvents,
+    /// Counter: bytes moved by collective `op`, `comm.<op>.bytes`.
+    CommBytes(&'static str),
+    /// Counter: invocations of collective `op`, `comm.<op>.calls`.
+    CommCalls(&'static str),
+    /// Histogram: in-collective latency of `op`, `comm.<op>.ns`.
+    CommNs(&'static str),
+    /// Histogram: how long the caller blocked in `CommHandle::wait` for a
+    /// posted `op`, `comm.<op>.wait_ns` — the exposed part of the op, as
+    /// opposed to [`Metric::CommNs`] measured on the comm lane.
+    CommWaitNs(&'static str),
+    /// Counter: cache hits under a prefix, `<prefix>.cache_hit`.
+    CacheHit(&'static str),
+    /// Counter: cache misses under a prefix, `<prefix>.cache_miss`.
+    CacheMiss(&'static str),
+    /// Counter: cache evictions under a prefix, `<prefix>.cache_evict`.
+    CacheEvict(&'static str),
+    /// Counter: dirty writebacks under a prefix, `<prefix>.cache_writeback`.
+    CacheWriteback(&'static str),
 }
 
-/// Counter name for invocations of a collective op: `comm.<op>.calls`.
-pub fn comm_calls(op: &str) -> String {
-    format!("comm.{op}.calls")
+impl Metric {
+    /// The metric's name in every artifact. Borrowed for the fixed names;
+    /// the parametrised families format theirs.
+    pub fn name(self) -> Cow<'static, str> {
+        Cow::Borrowed(match self {
+            Metric::TrainLoss => "train.loss",
+            Metric::TrainLr => "train.lr",
+            Metric::TrainThroughput => "train.throughput_samples_per_sec",
+            Metric::EmbLookupRows => "emb.lookup.rows",
+            Metric::EmbOptimRows => "emb.optim.rows",
+            Metric::DataioBatchBuildNs => "dataio.batch_build.ns",
+            Metric::DataioQueueDepth => "dataio.queue_depth",
+            Metric::DataioQueuePeak => "dataio.queue_peak",
+            Metric::MonitorSamples => "monitor.samples",
+            Metric::MonitorEvents => "monitor.events",
+            Metric::CommBytes(op) => return format!("comm.{op}.bytes").into(),
+            Metric::CommCalls(op) => return format!("comm.{op}.calls").into(),
+            Metric::CommNs(op) => return format!("comm.{op}.ns").into(),
+            Metric::CommWaitNs(op) => return format!("comm.{op}.wait_ns").into(),
+            Metric::CacheHit(p) => return format!("{p}.cache_hit").into(),
+            Metric::CacheMiss(p) => return format!("{p}.cache_miss").into(),
+            Metric::CacheEvict(p) => return format!("{p}.cache_evict").into(),
+            Metric::CacheWriteback(p) => return format!("{p}.cache_writeback").into(),
+        })
+    }
 }
 
-/// Histogram name for latency of a collective op: `comm.<op>.ns`.
-pub fn comm_latency_ns(op: &str) -> String {
-    format!("comm.{op}.ns")
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-/// Histogram name for the posted-to-wait latency of a nonblocking
-/// collective op: `comm.<op>.wait_ns`. Distinct from [`comm_latency_ns`]
-/// (in-collective time on the comm lane): this is how long the *caller*
-/// blocked in `CommHandle::wait`, i.e. the exposed part of the op.
-pub fn comm_wait_ns(op: &str) -> String {
-    format!("comm.{op}.wait_ns")
-}
-
-/// Counter name for cache hits under `prefix`: `<prefix>.cache_hit`.
-pub fn cache_hit(prefix: &str) -> String {
-    format!("{prefix}.cache_hit")
-}
-
-/// Counter name for cache misses under `prefix`: `<prefix>.cache_miss`.
-pub fn cache_miss(prefix: &str) -> String {
-    format!("{prefix}.cache_miss")
-}
-
-/// Counter name for cache evictions under `prefix`: `<prefix>.cache_evict`.
-pub fn cache_evict(prefix: &str) -> String {
-    format!("{prefix}.cache_evict")
-}
-
-/// Counter name for dirty writebacks under `prefix`:
-/// `<prefix>.cache_writeback`.
-pub fn cache_writeback(prefix: &str) -> String {
-    format!("{prefix}.cache_writeback")
+    #[test]
+    fn families_format_their_parameter_into_the_name() {
+        assert_eq!(Metric::TrainLoss.name(), "train.loss");
+        assert_eq!(
+            Metric::CommWaitNs("all_reduce").name(),
+            "comm.all_reduce.wait_ns"
+        );
+        assert_eq!(
+            Metric::CacheWriteback("emb.t0").name(),
+            "emb.t0.cache_writeback"
+        );
+    }
 }

@@ -1,7 +1,7 @@
 //! Metric storage: counters, gauge series, log2-bucket histograms.
 
 use crate::export::Snapshot;
-use crate::SpanRecord;
+use crate::{Metric, SpanRecord};
 use std::collections::BTreeMap;
 
 /// Number of histogram buckets. Bucket 0 holds exact zeros; bucket `i >= 1`
@@ -178,19 +178,21 @@ pub(crate) struct Store {
 }
 
 impl Store {
-    pub(crate) fn counter_add(&mut self, name: &str, delta: u64) {
-        if let Some(c) = self.counters.get_mut(name) {
+    pub(crate) fn counter_add(&mut self, metric: Metric, delta: u64) {
+        let name = metric.name();
+        if let Some(c) = self.counters.get_mut(&*name) {
             *c = c.saturating_add(delta);
         } else {
-            self.counters.insert(name.to_string(), delta);
+            self.counters.insert(name.into_owned(), delta);
         }
     }
 
-    pub(crate) fn gauge_push(&mut self, name: &str, iter: u64, value: f64) {
-        if let Some(series) = self.gauges.get_mut(name) {
+    pub(crate) fn gauge_push(&mut self, metric: Metric, iter: u64, value: f64) {
+        let name = metric.name();
+        if let Some(series) = self.gauges.get_mut(&*name) {
             series.push((iter, value));
         } else {
-            self.gauges.insert(name.to_string(), vec![(iter, value)]);
+            self.gauges.insert(name.into_owned(), vec![(iter, value)]);
         }
     }
 
@@ -198,25 +200,27 @@ impl Store {
     /// whenever a larger value is observed (see
     /// `TelemetrySink::gauge_set_max`). Do not mix with `gauge_push` on
     /// the same name — set_max would overwrite the pushed series' tail.
-    pub(crate) fn gauge_set_max(&mut self, name: &str, iter: u64, value: f64) {
-        if let Some(series) = self.gauges.get_mut(name) {
+    pub(crate) fn gauge_set_max(&mut self, metric: Metric, iter: u64, value: f64) {
+        let name = metric.name();
+        if let Some(series) = self.gauges.get_mut(&*name) {
             match series.last_mut() {
                 Some(last) if value > last.1 => *last = (iter, value),
                 Some(_) => {}
                 None => series.push((iter, value)),
             }
         } else {
-            self.gauges.insert(name.to_string(), vec![(iter, value)]);
+            self.gauges.insert(name.into_owned(), vec![(iter, value)]);
         }
     }
 
-    pub(crate) fn histogram_observe(&mut self, name: &str, value: u64) {
-        if let Some(h) = self.histograms.get_mut(name) {
+    pub(crate) fn histogram_observe(&mut self, metric: Metric, value: u64) {
+        let name = metric.name();
+        if let Some(h) = self.histograms.get_mut(&*name) {
             h.observe(value);
         } else {
             let mut h = Histogram::default();
             h.observe(value);
-            self.histograms.insert(name.to_string(), h);
+            self.histograms.insert(name.into_owned(), h);
         }
     }
 
@@ -337,40 +341,51 @@ mod tests {
     #[test]
     fn gauge_set_max_keeps_only_the_peak() {
         let mut s = Store::default();
-        s.gauge_set_max("q.peak", 0, 3.0);
-        s.gauge_set_max("q.peak", 1, 9.0); // new peak replaces
-        s.gauge_set_max("q.peak", 2, 5.0); // below peak: ignored
+        let peak = Metric::DataioQueuePeak;
+        s.gauge_set_max(peak, 0, 3.0);
+        s.gauge_set_max(peak, 1, 9.0); // new peak replaces
+        s.gauge_set_max(peak, 2, 5.0); // below peak: ignored
         let gauges = s.snapshot().gauges;
-        assert_eq!(gauges, vec![("q.peak".to_string(), vec![(1, 9.0)])]);
+        assert_eq!(
+            gauges,
+            vec![("dataio.queue_peak".to_string(), vec![(1, 9.0)])]
+        );
         // the peak survives into the cheap sample too
-        assert_eq!(s.sample().gauges, vec![("q.peak".to_string(), 1, 9.0)]);
+        assert_eq!(
+            s.sample().gauges,
+            vec![("dataio.queue_peak".to_string(), 1, 9.0)]
+        );
     }
 
     #[test]
     fn sample_carries_counters_and_last_gauge_points() {
         let mut s = Store::default();
-        s.counter_add("c", 4);
-        s.gauge_push("g", 0, 1.0);
-        s.gauge_push("g", 1, 2.0);
-        s.histogram_observe("h", 10);
+        s.counter_add(Metric::CommCalls("all_reduce"), 4);
+        s.gauge_push(Metric::TrainLoss, 0, 1.0);
+        s.gauge_push(Metric::TrainLoss, 1, 2.0);
+        s.histogram_observe(Metric::CommNs("all_reduce"), 10);
         s.push_span(SpanRecord {
             rank: 0,
             lane: 0,
             iter: 0,
-            name: "iteration",
+            phase: crate::Phase::Iteration,
             start_ns: 0,
             end_ns: 1,
         });
         let sample = s.sample();
-        assert_eq!(sample.counters, vec![("c".to_string(), 4)]);
-        assert_eq!(sample.gauges, vec![("g".to_string(), 1, 2.0)]);
+        assert_eq!(
+            sample.counters,
+            vec![("comm.all_reduce.calls".to_string(), 4)]
+        );
+        assert_eq!(sample.gauges, vec![("train.loss".to_string(), 1, 2.0)]);
     }
 
     #[test]
     fn counters_saturate() {
         let mut s = Store::default();
-        s.counter_add("c", u64::MAX - 1);
-        s.counter_add("c", 5);
-        assert_eq!(s.snapshot().counters, vec![("c".to_string(), u64::MAX)]);
+        s.counter_add(Metric::EmbLookupRows, u64::MAX - 1);
+        s.counter_add(Metric::EmbLookupRows, 5);
+        let want = vec![("emb.lookup.rows".to_string(), u64::MAX)];
+        assert_eq!(s.snapshot().counters, want);
     }
 }

@@ -1,7 +1,7 @@
 //! Aggregate per-phase summary derived from a [`Snapshot`].
 
 use crate::export::Snapshot;
-use crate::phase;
+use crate::Phase;
 use std::fmt;
 
 /// Per-phase averages over a recorded run, suitable for one-line display.
@@ -11,7 +11,7 @@ pub struct TelemetrySummary {
     pub world: u32,
     /// Number of iterations covered (distinct `iter` values seen).
     pub iterations: u64,
-    /// `(phase, avg ms per iteration per rank)`, taxonomy order first.
+    /// `(phase, avg ms per iteration per rank)`, in [`Phase`] order.
     pub phases: Vec<(String, f64)>,
     /// Final counter values, name-ascending.
     pub counters: Vec<(String, u64)>,
@@ -30,14 +30,14 @@ impl TelemetrySummary {
     pub fn from_snapshot(snap: &Snapshot) -> Self {
         let mut world = 0u32;
         let mut iters: Vec<u64> = Vec::new();
-        // ((name, lane), total_ns) accumulated across ranks and iterations.
-        let mut totals: Vec<((&'static str, u32), u128)> = Vec::new();
+        // ((phase, lane), total_ns) accumulated across ranks and iterations.
+        let mut totals: Vec<((Phase, u32), u128)> = Vec::new();
         for s in &snap.spans {
             world = world.max(s.rank + 1);
             if !iters.contains(&s.iter) {
                 iters.push(s.iter);
             }
-            let key = (s.name, s.lane);
+            let key = (s.phase, s.lane);
             if let Some(entry) = totals.iter_mut().find(|(k, _)| *k == key) {
                 entry.1 += s.duration_ns() as u128;
             } else {
@@ -46,15 +46,8 @@ impl TelemetrySummary {
         }
         let iterations = iters.len() as u64;
         let denom = (iterations.max(1) as f64) * (world.max(1) as f64);
-        // Taxonomy order first (lane 0 before higher lanes of the same
-        // phase), then any extra names in first-seen order.
-        totals.sort_by_key(|((n, lane), _)| {
-            let pos = phase::ALL
-                .iter()
-                .position(|p| p == n)
-                .unwrap_or(phase::ALL.len());
-            (pos, *lane)
-        });
+        // Phase order, lane 0 before higher lanes of the same phase.
+        totals.sort_by_key(|&((p, lane), _)| (p as usize, lane));
         let phases = totals
             .into_iter()
             .map(|((n, lane), total_ns)| {
@@ -83,7 +76,7 @@ impl TelemetrySummary {
     }
 
     /// Summed avg ms/iteration/rank across the communication phases
-    /// ([`phase::COMM`]) — the "exposed comm" of the paper's Fig. 14.
+    /// ([`Phase::is_comm`]) — the "exposed comm" of the paper's Fig. 14.
     ///
     /// Only lane-0 entries match: comm time on an auxiliary lane (keyed
     /// `<phase>@lane<n>`) is *overlapped* with compute by construction, so
@@ -91,7 +84,7 @@ impl TelemetrySummary {
     pub fn exposed_comm_ms(&self) -> f64 {
         self.phases
             .iter()
-            .filter(|(n, _)| phase::COMM.contains(&n.as_str()))
+            .filter(|(n, _)| Phase::from_name(n).is_some_and(Phase::is_comm))
             .map(|(_, ms)| ms)
             .sum()
     }
@@ -117,15 +110,15 @@ mod tests {
     use super::*;
     use crate::SpanRecord;
 
-    fn span(rank: u32, iter: u64, name: &'static str, start: u64, end: u64) -> SpanRecord {
-        lane_span(rank, 0, iter, name, start, end)
+    fn span(rank: u32, iter: u64, phase: Phase, start: u64, end: u64) -> SpanRecord {
+        lane_span(rank, 0, iter, phase, start, end)
     }
 
     fn lane_span(
         rank: u32,
         lane: u32,
         iter: u64,
-        name: &'static str,
+        phase: Phase,
         start: u64,
         end: u64,
     ) -> SpanRecord {
@@ -133,7 +126,7 @@ mod tests {
             rank,
             lane,
             iter,
-            name,
+            phase,
             start_ns: start,
             end_ns: end,
         }
@@ -143,11 +136,11 @@ mod tests {
     fn averages_across_ranks_and_iterations() {
         let snap = Snapshot {
             spans: vec![
-                span(0, 0, phase::ITERATION, 0, 4_000_000),
-                span(1, 0, phase::ITERATION, 0, 2_000_000),
-                span(0, 1, phase::ITERATION, 5_000_000, 7_000_000),
-                span(1, 1, phase::ITERATION, 5_000_000, 11_000_000),
-                span(0, 0, phase::ALLTOALL_FWD, 0, 1_000_000),
+                span(0, 0, Phase::Iteration, 0, 4_000_000),
+                span(1, 0, Phase::Iteration, 0, 2_000_000),
+                span(0, 1, Phase::Iteration, 5_000_000, 7_000_000),
+                span(1, 1, Phase::Iteration, 5_000_000, 11_000_000),
+                span(0, 0, Phase::AlltoallFwd, 0, 1_000_000),
             ],
             ..Snapshot::default()
         };
@@ -155,31 +148,31 @@ mod tests {
         assert_eq!(s.world, 2);
         assert_eq!(s.iterations, 2);
         // iteration: (4+2+2+6)ms / (2 iters * 2 ranks) = 3.5ms
-        assert!((s.phase_ms(phase::ITERATION).unwrap_or(0.0) - 3.5).abs() < 1e-9);
+        assert!((s.phase_ms("iteration").unwrap_or(0.0) - 3.5).abs() < 1e-9);
         // alltoall_fwd: 1ms / 4 = 0.25ms, and it is a comm phase.
         assert!((s.exposed_comm_ms() - 0.25).abs() < 1e-9);
         // Taxonomy ordering: iteration precedes alltoall_fwd.
-        assert_eq!(s.phases[0].0, phase::ITERATION);
+        assert_eq!(s.phases[0].0, "iteration");
     }
 
     #[test]
     fn comm_lane_spans_get_their_own_keys() {
         let snap = Snapshot {
             spans: vec![
-                span(0, 0, phase::ITERATION, 0, 4_000_000),
+                span(0, 0, Phase::Iteration, 0, 4_000_000),
                 // overlapped allreduce on the comm lane: must NOT fold into
                 // (or hide behind) a lane-0 key
-                lane_span(0, 1, 0, phase::ALLREDUCE_TOP, 1_000_000, 3_000_000),
+                lane_span(0, 1, 0, Phase::AllreduceTop, 1_000_000, 3_000_000),
                 // same phase also measured caller-side on lane 0
-                span(0, 0, phase::ALLREDUCE_TOP, 1_000_000, 1_500_000),
+                span(0, 0, Phase::AllreduceTop, 1_000_000, 1_500_000),
             ],
             ..Snapshot::default()
         };
         let s = TelemetrySummary::from_snapshot(&snap);
-        assert!((s.phase_ms(phase::ALLREDUCE_TOP).unwrap_or(0.0) - 0.5).abs() < 1e-9);
+        assert!((s.phase_ms("allreduce_top").unwrap_or(0.0) - 0.5).abs() < 1e-9);
         assert!((s.phase_ms("allreduce_top@lane1").unwrap_or(0.0) - 2.0).abs() < 1e-9);
         // lane 0 sorts before lane 1 of the same phase
-        let pos0 = s.phases.iter().position(|(n, _)| n == phase::ALLREDUCE_TOP);
+        let pos0 = s.phases.iter().position(|(n, _)| n == "allreduce_top");
         let pos1 = s
             .phases
             .iter()
@@ -195,7 +188,7 @@ mod tests {
     #[test]
     fn display_is_one_line() {
         let snap = Snapshot {
-            spans: vec![span(0, 0, phase::ITERATION, 0, 2_000_000)],
+            spans: vec![span(0, 0, Phase::Iteration, 0, 2_000_000)],
             ..Snapshot::default()
         };
         let line = TelemetrySummary::from_snapshot(&snap).to_string();

@@ -1,8 +1,18 @@
 //! Property-based tests for the metrics registry and span recorder.
 
 use neo_telemetry::json::{self, Json};
-use neo_telemetry::{phase, Histogram, TelemetrySink, NUM_BUCKETS};
+use neo_telemetry::{Histogram, Metric, Phase, TelemetrySink, NUM_BUCKETS};
 use proptest::prelude::*;
+
+/// A spread of fixed and parametrised metrics for the generators to pick.
+const METRICS: [Metric; 6] = [
+    Metric::TrainLoss,
+    Metric::EmbLookupRows,
+    Metric::DataioBatchBuildNs,
+    Metric::CommBytes("all_reduce"),
+    Metric::CommWaitNs("all_to_all_v"),
+    Metric::CacheHit("emb.t0"),
+];
 
 /// Random finite JSON trees nested up to `depth` levels.
 struct Trees {
@@ -122,18 +132,19 @@ proptest! {
     ) {
         let sink = TelemetrySink::disabled();
         for (i, n) in names.iter().enumerate() {
-            let n = format!("metric.{n}");
-            sink.counter_add(&n, i as u64);
-            sink.gauge_push(&n, i as u64, i as f64);
-            sink.histogram_observe(&n, i as u64);
+            let m = METRICS[n % METRICS.len()];
+            sink.counter_add(m, i as u64);
+            sink.gauge_push(m, i as u64, i as f64);
+            sink.histogram_observe(m, i as u64);
         }
         let rec = sink.rank(0);
-        rec.begin_iteration(0);
+        let it = rec.begin_iteration(0);
         for _ in 0..spans {
-            let g = rec.span(phase::EMB_LOOKUP);
+            let g = rec.span(Phase::EmbLookup);
             prop_assert!(!g.is_recording());
             prop_assert_eq!(g.end(), None);
         }
+        it.end();
         prop_assert!(sink.snapshot().is_none());
         prop_assert!(sink.export_json().is_none());
         prop_assert!(sink.summary().is_none());
@@ -148,13 +159,13 @@ proptest! {
     ) {
         let sink = TelemetrySink::armed();
         for (name, v) in &counters {
-            sink.counter_add(&format!("counter.{name}"), *v as u64);
+            sink.counter_add(METRICS[name % METRICS.len()], *v as u64);
         }
         for &(rank, iter, which) in &spans {
             let rec = sink.rank(rank);
-            rec.begin_iteration(iter);
-            drop(rec.span(phase::ALL[which % phase::ALL.len()]));
-            rec.end_iteration();
+            let it = rec.begin_iteration(iter);
+            drop(rec.span(Phase::ALL[which % Phase::ALL.len()]));
+            it.end();
         }
         let summary = sink.export_json().unwrap_or_default();
         let doc = json::parse(&summary);
@@ -227,9 +238,10 @@ fn disabled_span_guard_is_allocation_free() {
     let sink = TelemetrySink::disabled();
     assert!(std::mem::size_of::<neo_telemetry::SpanGuard>() <= 64);
     let rec = sink.rank(3);
-    rec.begin_iteration(9);
-    let g = rec.span(phase::ITERATION);
+    let it = rec.begin_iteration(9);
+    let g = rec.span(Phase::Iteration);
     assert!(!g.is_recording());
     assert_eq!(g.end(), None);
+    it.end();
     assert!(sink.snapshot().is_none(), "nothing may be recorded");
 }

@@ -8,7 +8,7 @@ use neo_dataio::CombinedBatch;
 use neo_dlrm_model::interaction::{dot_interaction_backward, num_pairs};
 use neo_embeddings::optim::merge_grads;
 use neo_embeddings::SparseGrad;
-use neo_telemetry::phase;
+use neo_telemetry::Phase;
 use neo_tensor::mlp::Mlp;
 use neo_tensor::Tensor2;
 
@@ -20,10 +20,10 @@ use super::shard::{rides_a2a, Worker};
 fn post_grad_bucket(
     comm: &mut Communicator,
     mlp: &Mlp,
-    span: &'static str,
+    phase: Phase,
     iter: u64,
 ) -> CommHandle<Arc<Vec<f32>>> {
-    comm.post_all_reduce_shared(Arc::new(mlp.grads().to_vec()), span, iter)
+    comm.post_all_reduce_shared(Arc::new(mlp.grads().to_vec()), phase.as_str(), iter)
 }
 
 impl Worker {
@@ -45,7 +45,7 @@ impl Worker {
             .cached_features
             .take()
             .ok_or_else(|| err("backward without forward"))?;
-        let bwd_span = self.rec.span(phase::BACKWARD);
+        let bwd_span = self.rec.span(Phase::Backward);
         let overlap = self.cfg.overlap;
         let model = &self.cfg.model;
         let d = model.emb_dim();
@@ -53,15 +53,15 @@ impl Worker {
 
         // dense backward: top MLP, interaction, bottom MLP. `g_features[0]`
         // is the dense input; `g_features[t + 1]` belongs to table `t`.
-        let sp = self.rec.span(phase::TOP_MLP_BWD);
+        let sp = self.rec.span(Phase::TopMlpBwd);
         let g_top_in = self
             .top
             .backward(grad_logits)
             .map_err(|e| err(e.to_string()))?;
         drop(sp);
         let top_bucket = overlap
-            .then(|| post_grad_bucket(&mut self.comm, &self.top, phase::ALLREDUCE_TOP, self.iter));
-        let sp = self.rec.span(phase::INTERACTION_BWD);
+            .then(|| post_grad_bucket(&mut self.comm, &self.top, Phase::AllreduceTop, self.iter));
+        let sp = self.rec.span(Phase::InteractionBwd);
         let splits = g_top_in
             .hsplit(&[d, num_pairs(num_tables + 1)])
             .map_err(|e| err(e.to_string()))?;
@@ -70,18 +70,13 @@ impl Worker {
             dot_interaction_backward(&refs, &splits[1]).map_err(|e| err(e.to_string()))?;
         g_features[0] += &splits[0];
         drop(sp);
-        let sp = self.rec.span(phase::BWD_BOTTOM_MLP);
+        let sp = self.rec.span(Phase::BwdBottomMlp);
         self.bottom
             .backward_params(&g_features[0])
             .map_err(|e| err(e.to_string()))?;
         drop(sp);
         let bot_bucket = overlap.then(|| {
-            post_grad_bucket(
-                &mut self.comm,
-                &self.bottom,
-                phase::ALLREDUCE_BOT,
-                self.iter,
-            )
+            post_grad_bucket(&mut self.comm, &self.bottom, Phase::AllreduceBot, self.iter)
         });
 
         // sparse paths (grad exchanges + exact optimizer updates)
@@ -101,7 +96,7 @@ impl Worker {
                 self.scratch_grads.extend_from_slice(self.bottom.grads());
                 self.scratch_grads.extend_from_slice(self.top.grads());
                 let buf = std::mem::take(&mut self.scratch_grads);
-                let sp = self.rec.span(phase::ALLREDUCE);
+                let sp = self.rec.span(Phase::Allreduce);
                 let reduced = self.comm.all_reduce_shared(Arc::new(buf))?;
                 drop(sp);
                 let nb = self.bottom.num_params();
@@ -115,7 +110,7 @@ impl Worker {
 
     /// Installs the reduced MLP gradients and steps the dense optimizers.
     fn dense_step(&mut self, bot: &[f32], top: &[f32]) -> Result<(), SyncError> {
-        let sp = self.rec.span(phase::DENSE_OPTIM);
+        let sp = self.rec.span(Phase::DenseOptim);
         for (mlp, reduced) in [(&mut self.bottom, bot), (&mut self.top, top)] {
             let grads = mlp.grads_mut();
             if grads.len() != reduced.len() {
@@ -140,7 +135,7 @@ impl Worker {
         let d = self.cfg.model.emb_dim();
 
         // grad AlltoAll back to table-/column-wise owners
-        let sp = self.rec.span(phase::ALLTOALL_BWD);
+        let sp = self.rec.span(Phase::AlltoallBwd);
         let mut payloads: Vec<Vec<f32>> = vec![Vec::new(); world];
         for (manifest, payload) in self.manifests.iter().zip(&mut payloads) {
             for c in manifest {
@@ -157,7 +152,7 @@ impl Worker {
         drop(sp);
 
         // owners apply exact sparse updates on the reassembled global grads
-        let sp = self.rec.span(phase::SPARSE_OPTIM);
+        let sp = self.rec.span(Phase::SparseOptim);
         // per-source offset cursors
         let mut cursors = vec![0usize; world];
         for sh in self.shards.iter_mut().filter(|sh| rides_a2a(&sh.geo)) {
@@ -180,11 +175,11 @@ impl Worker {
         // AllGather for row-wise tables (mirror of the ReduceScatter)
         for &t in &self.row_tables {
             let flat = g_features[t + 1].as_slice().to_vec();
-            let sp = self.rec.span(phase::ALLGATHER);
+            let sp = self.rec.span(Phase::Allgather);
             let global_grads = self.comm.all_gather(&flat)?;
             drop(sp);
             if let Some(sh) = self.shards.iter_mut().find(|sh| sh.geo.table == t) {
-                let sp = self.rec.span(phase::SPARSE_OPTIM);
+                let sp = self.rec.span(Phase::SparseOptim);
                 let grads = Tensor2::from_vec(world * b_loc, d, global_grads)
                     .map_err(|e| err(e.to_string()))?;
                 sh.apply(&sh.merged_grad(&grads)?, &self.rec);
@@ -203,11 +198,11 @@ impl Worker {
             // final merge reproduces the raw-occurrence accumulation order
             // bit-for-bit while shrinking the exchanged payload
             let local = Arc::new(vec![sh.merged_grad(&g_features[sh.geo.table + 1])?]);
-            let sp = self.rec.span(phase::ALLTOALL_BWD);
+            let sp = self.rec.span(Phase::AlltoallBwd);
             // one shared payload, `world` refcount bumps
             let gathered = self.comm.all_to_all_shared(vec![local; world])?;
             drop(sp);
-            let sp = self.rec.span(phase::SPARSE_OPTIM);
+            let sp = self.rec.span(Phase::SparseOptim);
             let mut indices = Vec::new();
             let mut rows: Vec<f32> = Vec::new();
             for from in gathered.iter().flat_map(|msg| msg.iter()) {

@@ -7,7 +7,7 @@ use neo_dataio::CombinedBatch;
 use neo_dlrm_model::{bce_with_logits, NormalizedEntropy};
 use neo_monitor::Monitor;
 use neo_sharding::TableSpec;
-use neo_telemetry::{metric, phase, TelemetrySink};
+use neo_telemetry::{Metric, Phase, TelemetrySink};
 use neo_tensor::Tensor2;
 use neo_workload::{ShardSample, TableMeta, WorkloadReport};
 
@@ -27,8 +27,10 @@ impl Worker {
         let lr = self.cfg.lr_schedule.lr_at(self.cfg.lr, iter);
         self.set_lr(lr);
         self.iter = iter;
-        self.rec.begin_iteration(iter);
-        let iter_span = self.rec.span(phase::ITERATION);
+        // An `Err` below drops the guard unended: recording stops and the
+        // heartbeat stays mid-work, so the watchdog still blames this rank.
+        let iteration = self.rec.begin_iteration(iter);
+        let iter_span = self.rec.span(Phase::Iteration);
         let (logits, sub) = self.forward(global, next, true)?;
         let (loss, mut grad) =
             bce_with_logits(&logits, &sub.labels).map_err(|e| err(e.to_string()))?;
@@ -37,20 +39,20 @@ impl Worker {
         self.backward_update(&sub, &grad)?;
         // global mean loss (sub-batches are equal-sized)
         let mut l = vec![loss];
-        let sp = self.rec.span(phase::ALLREDUCE);
+        let sp = self.rec.span(Phase::Allreduce);
         self.comm.all_reduce_mean(&mut l)?;
         drop(sp);
         if let Some(ns) = iter_span.end() {
             // rank 0 owns the global gauges (loss is already all-reduced)
             if self.rank == 0 {
                 let sink = self.rec.sink();
-                sink.gauge_push(metric::TRAIN_LOSS, iter, f64::from(l[0]));
-                sink.gauge_push(metric::TRAIN_LR, iter, f64::from(lr));
+                sink.gauge_push(Metric::TrainLoss, iter, f64::from(l[0]));
+                sink.gauge_push(Metric::TrainLr, iter, f64::from(lr));
                 let throughput = self.cfg.global_batch as f64 * 1e9 / ns.max(1) as f64;
-                sink.gauge_push(metric::TRAIN_THROUGHPUT, iter, throughput);
+                sink.gauge_push(Metric::TrainThroughput, iter, throughput);
             }
         }
-        self.rec.end_iteration();
+        iteration.end();
         Ok(l[0])
     }
 

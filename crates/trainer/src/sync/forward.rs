@@ -8,7 +8,7 @@ use neo_dataio::ops::bucketize_rows;
 use neo_dataio::CombinedBatch;
 use neo_dlrm_model::interaction::dot_interaction;
 use neo_sharding::Scheme;
-use neo_telemetry::phase;
+use neo_telemetry::Phase;
 use neo_tensor::Tensor2;
 
 use super::config::{err, SyncError};
@@ -169,14 +169,14 @@ impl Worker {
 
         // ReduceScatter for row-wise tables (table-id order, all ranks)
         for &t in &self.row_tables {
-            let sp = self.rec.span(phase::EMB_LOOKUP);
+            let sp = self.rec.span(Phase::EmbLookup);
             // a rank holding no block of the table contributes zeros
             let partial = match self.shards.iter_mut().find(|sh| sh.geo.table == t) {
                 Some(sh) => sh.lookup(&self.rec, &sp)?.into_vec(),
                 None => vec![0.0f32; self.world * b_loc * d],
             };
             drop(sp);
-            let sp = self.rec.span(phase::REDUCE_SCATTER);
+            let sp = self.rec.span(Phase::ReduceScatter);
             let mine = self.comm.reduce_scatter(&partial)?;
             drop(sp);
             pooled_features[t] =
@@ -184,7 +184,7 @@ impl Worker {
         }
 
         // local lookups for data-parallel replicas
-        let sp = self.rec.span(phase::EMB_LOOKUP);
+        let sp = self.rec.span(Phase::EmbLookup);
         for sh in self
             .shards
             .iter_mut()
@@ -204,14 +204,14 @@ impl Worker {
         mut pooled_features: Vec<Tensor2>,
         train: bool,
     ) -> Result<Tensor2, SyncError> {
-        let sp = self.rec.span(phase::INTERACTION);
+        let sp = self.rec.span(Phase::Interaction);
         let mut features = vec![z0];
         features.append(&mut pooled_features);
         let refs: Vec<&Tensor2> = features.iter().collect();
         let inter = dot_interaction(&refs).map_err(|e| err(e.to_string()))?;
         let top_in = Tensor2::hcat(&[&features[0], &inter]).map_err(|e| err(e.to_string()))?;
         drop(sp);
-        let sp = self.rec.span(phase::TOP_MLP);
+        let sp = self.rec.span(Phase::TopMlp);
         let logits = if train {
             self.top.forward(&top_in)
         } else {
@@ -238,12 +238,13 @@ impl Worker {
             .swap_remove(self.rank);
         let sends = self.build_index_sends(&sub)?;
         let recv = if lane {
-            Pending::InFlight(
-                self.comm
-                    .post_all_to_all_shared(sends, phase::INPUT_A2A, self.iter),
-            )
+            Pending::InFlight(self.comm.post_all_to_all_shared(
+                sends,
+                Phase::InputA2a.as_str(),
+                self.iter,
+            ))
         } else {
-            let sp = self.rec.span(phase::INPUT_A2A);
+            let sp = self.rec.span(Phase::InputA2a);
             let recv = self.comm.all_to_all_shared(sends)?;
             drop(sp);
             Pending::Done(recv)
@@ -278,7 +279,7 @@ impl Worker {
 
         // owned-shard lookups over the global batch come first, so the
         // pooled exchange can start before the bottom MLP and hide behind it
-        let sp = self.rec.span(phase::EMB_LOOKUP);
+        let sp = self.rec.span(Phase::EmbLookup);
         self.file_inputs(&recv, &sub)?;
         drop(recv);
         let mut owned_pooled = Vec::new();
@@ -293,11 +294,11 @@ impl Worker {
             Pending::InFlight(self.comm.post_all_to_all_shared_quant(
                 payloads,
                 self.cfg.quant_fwd,
-                phase::ALLTOALL_FWD,
+                Phase::AlltoallFwd.as_str(),
                 self.iter,
             ))
         } else {
-            let sp = self.rec.span(phase::ALLTOALL_FWD);
+            let sp = self.rec.span(Phase::AlltoallFwd);
             let recv = self
                 .comm
                 .all_to_all_shared_quant(payloads, self.cfg.quant_fwd)?;
@@ -307,7 +308,7 @@ impl Worker {
 
         // bottom MLP on local dense features, while an overlapped pooled
         // AlltoAll is on the wire
-        let sp = self.rec.span(phase::FWD_BOTTOM_MLP);
+        let sp = self.rec.span(Phase::FwdBottomMlp);
         let z0 = if train {
             self.bottom.forward(&sub.dense)
         } else {

@@ -83,7 +83,7 @@ mod tests {
     use neo_embeddings::{SparseOptimizer, SparseSgd};
     use neo_monitor::MonitorConfig;
     use neo_sharding::{Scheme, ShardingPlan, TablePlacement};
-    use neo_telemetry::{metric, phase};
+    use neo_telemetry::{Metric, Phase};
     use neo_tensor::Tensor2;
     use neo_workload::{ShardKind, WorkloadReport};
 
@@ -246,30 +246,23 @@ mod tests {
             .unwrap();
 
         let snap = sink.snapshot().expect("armed sink snapshots");
-        let names = snap.span_names();
-        assert!(
-            names.len() >= 8,
-            "expected >= 8 distinct phases, got {names:?}"
-        );
-        for n in &names {
-            assert!(phase::is_known(n), "span name {n} outside the taxonomy");
-        }
+        let names = snap.phases();
         // The mixed plan exercises every trainer phase.
         for want in [
-            phase::ITERATION,
-            phase::FWD_BOTTOM_MLP,
-            phase::INPUT_A2A,
-            phase::EMB_LOOKUP,
-            phase::ALLTOALL_FWD,
-            phase::REDUCE_SCATTER,
-            phase::INTERACTION,
-            phase::TOP_MLP,
-            phase::BACKWARD,
-            phase::ALLTOALL_BWD,
-            phase::ALLGATHER,
-            phase::SPARSE_OPTIM,
-            phase::ALLREDUCE,
-            phase::DENSE_OPTIM,
+            Phase::Iteration,
+            Phase::FwdBottomMlp,
+            Phase::InputA2a,
+            Phase::EmbLookup,
+            Phase::AlltoallFwd,
+            Phase::ReduceScatter,
+            Phase::Interaction,
+            Phase::TopMlp,
+            Phase::Backward,
+            Phase::AlltoallBwd,
+            Phase::Allgather,
+            Phase::SparseOptim,
+            Phase::Allreduce,
+            Phase::DenseOptim,
         ] {
             assert!(names.contains(&want), "missing phase {want} in {names:?}");
         }
@@ -277,14 +270,14 @@ mod tests {
         let iteration_spans = snap
             .spans
             .iter()
-            .filter(|s| s.name == phase::ITERATION)
+            .filter(|s| s.phase == Phase::Iteration)
             .count();
         assert_eq!(iteration_spans, 2 * iters as usize);
         // Rank-0 gauges: one point per iteration, loss values matching.
         let loss_series = snap
             .gauges
             .iter()
-            .find(|(k, _)| k == metric::TRAIN_LOSS)
+            .find(|(k, _)| *k == Metric::TrainLoss.name())
             .map(|(_, s)| s.clone())
             .unwrap_or_default();
         assert_eq!(loss_series.len(), iters as usize);
@@ -301,20 +294,20 @@ mod tests {
         assert!(
             snap.counters
                 .iter()
-                .any(|(k, v)| k == metric::EMB_LOOKUP_ROWS && *v > 0),
+                .any(|(k, v)| *k == Metric::EmbLookupRows.name() && *v > 0),
             "no embedding lookup rows recorded"
         );
         assert!(
             snap.counters
                 .iter()
-                .any(|(k, v)| k == metric::EMB_OPTIM_ROWS && *v > 0),
+                .any(|(k, v)| *k == Metric::EmbOptimRows.name() && *v > 0),
             "no embedding optim rows recorded"
         );
         // Summary surfaces on TrainOutput and in its Display.
         let summary = out.telemetry_summary.as_ref().expect("summary present");
         assert_eq!(summary.world, 2);
         assert_eq!(summary.iterations, iters);
-        assert!(summary.phase_ms(phase::ITERATION).unwrap_or(0.0) > 0.0);
+        assert!(summary.phase_ms("iteration").unwrap_or(0.0) > 0.0);
         assert!(out.to_string().contains("telemetry:"), "{out}");
         // The full snapshot rides on TrainOutput for offline analysis.
         let carried = out.telemetry.as_ref().expect("snapshot present");
@@ -359,7 +352,7 @@ mod tests {
         let rows = snap
             .counters
             .iter()
-            .find(|(k, _)| k == metric::EMB_OPTIM_ROWS)
+            .find(|(k, _)| *k == Metric::EmbOptimRows.name())
             .map(|(_, v)| *v);
         assert_eq!(rows, Some(2 * distinct));
     }
@@ -602,23 +595,23 @@ mod tests {
             .unwrap();
         assert_eq!(out.losses.len(), 3);
         let snap = sink.snapshot().expect("armed sink snapshots");
-        let names = snap.span_names();
+        let names = snap.phases();
         for want in [
-            phase::ALLREDUCE_TOP,
-            phase::ALLREDUCE_BOT,
-            phase::INPUT_A2A,
-            phase::ALLTOALL_FWD,
-            phase::ALLREDUCE, // the loss mean stays a blocking combined op
+            Phase::AllreduceTop,
+            Phase::AllreduceBot,
+            Phase::InputA2a,
+            Phase::AlltoallFwd,
+            Phase::Allreduce, // the loss mean stays a blocking combined op
         ] {
             assert!(names.contains(&want), "missing phase {want} in {names:?}");
         }
         // posted collectives record their spans on the comm lane; the
         // loss AllReduce stays on the main lane
-        for posted in [phase::ALLREDUCE_TOP, phase::ALLREDUCE_BOT, phase::INPUT_A2A] {
+        for posted in [Phase::AllreduceTop, Phase::AllreduceBot, Phase::InputA2a] {
             assert!(
                 snap.spans
                     .iter()
-                    .filter(|s| s.name == posted)
+                    .filter(|s| s.phase == posted)
                     .all(|s| s.lane == neo_collectives::COMM_LANE),
                 "{posted} spans not on the comm lane"
             );
@@ -626,13 +619,13 @@ mod tests {
         assert!(snap
             .spans
             .iter()
-            .filter(|s| s.name == phase::ALLREDUCE)
+            .filter(|s| s.phase == Phase::Allreduce)
             .all(|s| s.lane == 0));
         // every wait on a posted op records posted-to-wait latency
         assert!(
             snap.histograms
                 .iter()
-                .any(|(k, h)| k == &metric::comm_wait_ns("all_reduce") && h.total() > 0),
+                .any(|(k, h)| *k == Metric::CommWaitNs("all_reduce").name() && h.total() > 0),
             "no comm.all_reduce.wait_ns observations in {:?}",
             snap.histograms.iter().map(|(k, _)| k).collect::<Vec<_>>()
         );

@@ -9,7 +9,7 @@ use neo_embeddings::store::{DenseStore, HalfStore, RowStore};
 use neo_embeddings::{RowWiseAdagrad, SparseAdagrad, SparseGrad, SparseOptimizer, SparseSgd};
 use neo_sharding::cost::ShardDivision;
 use neo_sharding::Shard;
-use neo_telemetry::{metric, RankRecorder, SpanGuard};
+use neo_telemetry::{Metric, RankRecorder, SpanGuard};
 use neo_tensor::mlp::{Activation, Mlp, MlpConfig};
 use neo_tensor::Tensor2;
 use neo_workload::{ShardCollector, ShardKind, ShardSample, TierSample};
@@ -122,7 +122,7 @@ impl LocalShard {
         }
         if sp.is_recording() {
             rec.sink()
-                .counter_add(metric::EMB_LOOKUP_ROWS, self.indices.len() as u64);
+                .counter_add(Metric::EmbLookupRows, self.indices.len() as u64);
         }
         Ok(pooled)
     }
@@ -138,7 +138,7 @@ impl LocalShard {
     /// way into the store, counted in unique rows.
     pub(super) fn apply(&mut self, merged: &SparseGrad, rec: &RankRecorder) {
         rec.sink()
-            .counter_add(metric::EMB_OPTIM_ROWS, merged.len() as u64);
+            .counter_add(Metric::EmbOptimRows, merged.len() as u64);
         self.opt.apply_merged(self.store.as_mut(), merged);
     }
 }
@@ -172,8 +172,8 @@ pub(super) struct Worker {
     pub(super) pending_input: Option<PendingInput>,
     pub(super) bottom_opt: Box<dyn neo_tensor::optim::DenseOptimizer>,
     pub(super) top_opt: Box<dyn neo_tensor::optim::DenseOptimizer>,
-    /// Per-rank span recorder. Only records between `begin_iteration` /
-    /// `end_iteration`, so evaluation and probe forwards stay silent.
+    /// Per-rank span recorder. Only records while an iteration is open, so
+    /// evaluation and probe forwards stay silent.
     pub(super) rec: RankRecorder,
 }
 

@@ -11,17 +11,18 @@
 //!   are known, at least one frame exists and no health event was raised
 //!   (a clean run). The `.prom` sibling, when present, goes through
 //!   `neo_monitor::prom::check_exposition`.
-//! - `neo-telemetry/1`: at least [`MIN_PHASES`] distinct span names, and
-//!   spans on one `(rank, lane)` only nest. Posted collectives interleave
-//!   with compute legally because they run on their own comm lane.
+//! - `neo-telemetry/1`: every span name is a [`Phase`], at least
+//!   [`MIN_PHASES`] distinct ones appear, and spans on one `(rank, lane)`
+//!   only nest. Posted collectives interleave with compute legally because
+//!   they run on their own comm lane.
 //! - `neo-workload/1`: pooling mass, bags, shard lookups (replicated for
 //!   column slices) and the sketch total are conserved against each
 //!   table's lookups; top-K rows lie inside the sketch support and the
 //!   table; unique rows are bounded; model-parallel index traffic fits
 //!   inside the `comm.*` byte counters.
 //! - Chrome trace: every event has a name and phase, every "X" event a
-//!   `ts` and `dur`, and `process_name` / `thread_name` metadata events
-//!   label the process and every span's thread.
+//!   [`Phase`] name, a `ts` and a `dur`, and `process_name` / `thread_name`
+//!   metadata events label the process and every span's thread.
 //! - `neo-lint/1`, `neo-lint-baseline/2`, `neo-callgraph/1`: parsing is
 //!   the check.
 
@@ -29,6 +30,7 @@ use std::fs;
 use std::path::Path;
 
 use neo_telemetry::json::{self, Json};
+use neo_telemetry::Phase;
 use neo_workload::{ShardKind, TableWorkload, WorkloadReport};
 
 use crate::USAGE;
@@ -94,14 +96,25 @@ fn string<'a>(j: &'a Json, key: &str) -> Option<&'a str> {
     j.get(key).and_then(Json::as_str)
 }
 
+/// One problem per distinct span name outside the [`Phase`] vocabulary.
+fn unknown_phases<'a>(names: impl Iterator<Item = &'a str>) -> Vec<String> {
+    let mut unknown: Vec<&str> = names.filter(|n| Phase::from_name(n).is_none()).collect();
+    unknown.sort_unstable();
+    unknown.dedup();
+    unknown
+        .iter()
+        .map(|n| format!("span name `{n}` is not a phase"))
+        .collect()
+}
+
 fn telemetry_summary(doc: &Json) -> Verdict {
     let Some(spans) = doc.get("spans").and_then(Json::as_array) else {
         return Err(vec!["no `spans` array".into()]);
     };
     let mut names: Vec<&str> = spans.iter().filter_map(|s| string(s, "name")).collect();
+    let mut bad = unknown_phases(names.iter().copied());
     names.sort_unstable();
     names.dedup();
-    let mut bad = Vec::new();
     if names.len() < MIN_PHASES {
         bad.push(format!(
             "only {} distinct span phase(s), need at least {MIN_PHASES}",
@@ -163,7 +176,7 @@ fn chrome_trace(events: &[Json]) -> Verdict {
         let is = move |e: &&Json| ph(e) == Some("M") && string(e, "name") == Some(name);
         events.iter().filter(is)
     };
-    let mut bad = Vec::new();
+    let mut bad = unknown_phases(spans().filter_map(|e| string(e, "name")));
     let malformed = events
         .iter()
         .filter(|e| {
@@ -375,7 +388,7 @@ mod tests {
     use super::*;
     use neo_monitor::eventlog::{event_json, frame_json};
     use neo_monitor::HealthEvent;
-    use neo_telemetry::{phase, HeartbeatSample, HeartbeatState, MetricsSample, TelemetrySink};
+    use neo_telemetry::{HeartbeatSample, HeartbeatState, MetricsSample, TelemetrySink};
     use neo_workload::{ShardCollector, TableMeta};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -454,20 +467,20 @@ mod tests {
     fn telemetry_summary_needs_eight_phases_that_nest_per_lane() {
         let sink = TelemetrySink::armed();
         let rec = sink.rank(1);
-        rec.begin_iteration(0);
-        for name in &phase::ALL[..MIN_PHASES] {
-            drop(rec.span(name));
+        let it = rec.begin_iteration(0);
+        for &p in &Phase::ALL[..MIN_PHASES] {
+            drop(rec.span(p));
         }
-        rec.end_iteration();
+        it.end();
         assert_ok(check(&[("t.json", &sink.export_json().unwrap())]));
         assert_ok(check(&[(
             "t.trace.json",
             &sink.export_chrome_trace().unwrap(),
         )]));
 
-        let eight: Vec<(u32, &str, u64, u64)> = (phase::ALL[..MIN_PHASES].iter())
+        let eight: Vec<(u32, &str, u64, u64)> = (Phase::ALL[..MIN_PHASES].iter())
             .zip(0u64..)
-            .map(|(name, i)| (0, *name, 10 * i, 10 * i + 5))
+            .map(|(p, i)| (0, p.as_str(), 10 * i, 10 * i + 5))
             .collect();
         assert_ok(check(&[("t.json", &summary(&eight))]));
         assert_flags(
@@ -476,14 +489,36 @@ mod tests {
         );
         // a comm-lane span crossing two lane-0 spans is legal...
         let mut lanes = eight.clone();
-        lanes.push((1, phase::ALLTOALL_FWD, 3, 14));
+        lanes.push((1, "alltoall_fwd", 3, 14));
         assert_ok(check(&[("t.json", &summary(&lanes))]));
         // ...and the same span on lane 0 is not
         let mut tangled = eight.clone();
-        tangled.push((0, phase::ALLTOALL_FWD, 3, 14));
+        tangled.push((0, "alltoall_fwd", 3, 14));
         assert_flags(
             check(&[("t.json", &summary(&tangled))]),
             "partially overlap",
+        );
+    }
+
+    #[test]
+    fn span_names_outside_the_phase_vocabulary_are_rejected() {
+        let mut warmup: Vec<(u32, &str, u64, u64)> = (Phase::ALL.iter())
+            .zip(0u64..)
+            .map(|(p, i)| (0, p.as_str(), 10 * i, 10 * i + 5))
+            .collect();
+        warmup.push((0, "warmup", 500, 505));
+        assert_flags(
+            check(&[("t.json", &summary(&warmup))]),
+            "span name `warmup` is not a phase",
+        );
+        let process = r#"{"name": "process_name", "ph": "M", "pid": 0, "args": {"name": "x"}}"#;
+        let thread =
+            r#"{"name": "thread_name", "ph": "M", "pid": 0, "tid": 0, "args": {"name": "rank 0"}}"#;
+        let span = r#"{"name": "warmup", "ph": "X", "ts": 0, "dur": 5, "pid": 0, "tid": 0}"#;
+        let trace = format!(r#"{{"traceEvents": [{process}, {thread}, {span}]}}"#);
+        assert_flags(
+            check(&[("t.json", &trace)]),
+            "span name `warmup` is not a phase",
         );
     }
 
@@ -565,7 +600,7 @@ mod tests {
             rank: 1,
             lane: 1,
             iter: 4,
-            phase: Some(phase::ALLREDUCE_TOP),
+            phase: Some(Phase::AllreduceTop),
             quiet_ms: 300,
         };
         let stalled = log(&[frame(0, 10, 3, 1), event_json(90, &stall)]);

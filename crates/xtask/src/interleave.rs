@@ -257,7 +257,7 @@ fn run_with_watchdog(
     let batches = batches.to_vec();
     let probe = probe.clone();
     thread::spawn(move || {
-        let _ = tx.send(train(combo, &batches, &probe, true));
+        tx.send(train(combo, &batches, &probe, true)).ok();
     });
     rx.recv_timeout(WATCHDOG).ok()
 }

@@ -6,7 +6,7 @@
 //! the paper's §4.1.2 reproducibility claim. The engine is a three-layer
 //! pipeline — lossless token stream, cross-crate symbol index, and a
 //! whole-workspace call graph with transitive reachability — feeding
-//! fifteen rules (the full table lives in DESIGN.md and `neo_lint`'s
+//! twelve rules (the full table lives in DESIGN.md and `neo_lint`'s
 //! crate docs):
 //!
 //! 1. **panic** — no `unwrap()`/`expect()`/`panic!`/`unreachable!`/`todo!`/
@@ -20,48 +20,44 @@
 //!    in every crate root.
 //! 4. **props_cover** — every `pub fn` in `crates/collectives/src/group.rs`
 //!    is named by a property test in `crates/collectives/tests/props.rs`.
-//! 5. **span_balance** — telemetry span guards are bound rather than
-//!    dropped on creation, and `begin_iteration`/`end_iteration` calls pair
-//!    up within each file.
-//! 6. **metric_names** — metric registrations name their metric via the
-//!    constants/helpers in `crates/telemetry/src/metric.rs`, never an
-//!    inline string literal.
-//! 7. **lock_order** — every nested `Mutex`/`RwLock` acquisition (with
+//! 5. **lock_order** — every nested `Mutex`/`RwLock` acquisition (with
 //!    calls made while a guard is held expanded transitively through the
 //!    workspace call graph, across crate boundaries) must respect a single
 //!    global lock order; an edge that closes a cycle in the
 //!    lock-acquisition graph is a potential deadlock and is rejected unless
 //!    waived with `// lint: allow(lock_order) — <reason>`.
-//! 8. **lock_unwrap** — no `.lock().unwrap()` / `.read().expect(...)` /
+//! 6. **lock_unwrap** — no `.lock().unwrap()` / `.read().expect(...)` /
 //!    `PoisonError::into_inner` poison-propagation idioms outside
 //!    `crates/sync`; code must use the `OrderedMutex`/`OrderedRwLock`
 //!    wrappers, whose `lock()` recovers from poisoning by construction.
-//! 9. **determinism** — no hidden run-varying inputs (`Instant::now`,
+//! 7. **determinism** — no hidden run-varying inputs (`Instant::now`,
 //!    `SystemTime`, thread ids, randomized hashing, host parallelism
 //!    probes, order-sensitive folds over hash iteration) outside the
 //!    measurement crates (telemetry, prof, bench, xtask) and the seeded
 //!    chaos module.
-//! 10. **comm_lane_blocking** — nothing blocking (channel `recv`, `sleep`,
-//!     condvar waits, lock acquisition while holding a guard) anywhere in
-//!     the call-graph reachable set of the comm-lane worker in
-//!     `collectives/nonblocking.rs`, whatever crate it lives in; the lane
-//!     exists to hide collective latency.
-//! 11. **telemetry_taxonomy** — every `phase::X` / `metric::X` reference
-//!     resolves against `neo-telemetry`'s taxonomy exports, and
-//!     `.span(..)` never takes a raw string literal.
-//! 12. **discarded_result** — no `let _ =` or bare-statement drops of a
-//!     `Result` returned by the public collectives/trainer/dataio APIs.
-//! 13. **hot_path_alloc** — no heap allocation (`clone`/`collect`/
+//! 8. **comm_lane_blocking** — nothing blocking (channel `recv`, `sleep`,
+//!    condvar waits, lock acquisition while holding a guard) anywhere in
+//!    the call-graph reachable set of the comm-lane worker in
+//!    `collectives/nonblocking.rs`, whatever crate it lives in; the lane
+//!    exists to hide collective latency.
+//! 9. **discarded_result** — no `let _ =` or bare-statement drops of a
+//!    `Result` returned by the public collectives/trainer/dataio APIs.
+//! 10. **hot_path_alloc** — no heap allocation (`clone`/`collect`/
 //!     `to_vec`/`vec!`/`Box::new`/`format!`) in any fn reachable from the
 //!     per-iteration kernel roots (the GEMM/MLP kernels, pooled embedding
 //!     kernels, sparse optimizer, quantization); setup-time sites carry
 //!     `// lint: allow(hot_path_alloc) — <reason>` waivers.
-//! 14. **panic_path** — no panicking token in a non-`Result` fn that a
+//! 11. **panic_path** — no panicking token in a non-`Result` fn that a
 //!     `Result`-returning fn transitively reaches: a signature that
 //!     promises `Err` must not abort through a helper instead.
-//! 15. **stale_waiver** — every `// lint: allow(<rule>) — <reason>`
+//! 12. **stale_waiver** — every `// lint: allow(<rule>) — <reason>`
 //!     annotation must name a known rule and actually suppress a finding;
 //!     waivers that no longer fire are flagged so they cannot rot in place.
+//!
+//! The telemetry vocabulary needs no rule: spans and metrics are named by
+//! the `Phase` and `Metric` enums, and the span and iteration guards are
+//! `#[must_use]`, so the compiler rejects a misspelt name, an inline
+//! string and a guard dropped where it is made.
 //!
 //! Flags: `--json FILE` writes the machine-readable `neo-lint/1` report,
 //! `--callgraph FILE` dumps the `neo-callgraph/1` artifact (nodes, edges,

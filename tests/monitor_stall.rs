@@ -124,5 +124,5 @@ fn injected_lane_stall_is_detected_and_logged() {
         "only {frames} frames across a {INJECTED_STALL_MS}ms stall"
     );
     std::fs::remove_file(&log).ok();
-    let _ = std::fs::remove_file(log.with_extension("prom"));
+    std::fs::remove_file(log.with_extension("prom")).ok();
 }
