@@ -3,9 +3,18 @@
 #
 # Every gate is mandatory; the script stops at the first failure:
 #   1. formatting        (cargo fmt --check)
-#   2. clippy            (warnings are errors, and so is a `let _ =`
-#                         discard of a #[must_use] value)
-#   3. neo-xtask lint    (12-rule neo-lint engine over the token stream,
+#   2. clippy            (root clippy.toml, two passes. All targets:
+#                         warnings are errors, and so are a `let _ =`
+#                         discard of a #[must_use] value and any #[allow]
+#                         or reasonless suppression (use #[expect(..,
+#                         reason = ..)]); disallowed hash containers,
+#                         std::sync locks, clock and thread-identity
+#                         reads. Library and bin code, all features:
+#                         unwrap/expect/panic!/unreachable!/todo!/
+#                         unimplemented!. Then both passes on the seeded
+#                         crates/lint/tests/clippy_fixture crate, which
+#                         must report every expected lint code)
+#   3. neo-xtask lint    (7-rule neo-lint engine over the token stream,
 #                         symbol index, and workspace call graph; emits
 #                         results/lint.json + results/callgraph.json
 #                         and diffs waived counts against the committed
@@ -41,8 +50,35 @@ cd "$(dirname "$0")"
 echo "==> [1/9] cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> [2/9] cargo clippy --workspace -- -D warnings -D clippy::let_underscore_must_use"
-cargo clippy --workspace --all-targets -- -D warnings -D clippy::let_underscore_must_use
+echo "==> [2/9] cargo clippy: all targets, then panics in library + bin code, then the seeded fixture"
+CLIPPY_ALL_TARGETS=(--all-targets -- -D warnings -D clippy::let_underscore_must_use
+    -D clippy::allow_attributes -D clippy::allow_attributes_without_reason)
+CLIPPY_PANICS=(--lib --bins --all-features -- -D warnings -D clippy::unwrap_used
+    -D clippy::expect_used -D clippy::panic -D clippy::unreachable -D clippy::todo
+    -D clippy::unimplemented)
+cargo clippy --workspace "${CLIPPY_ALL_TARGETS[@]}"
+cargo clippy --workspace "${CLIPPY_PANICS[@]}"
+# the fixture must fail both passes *with* each replacement's lint code,
+# so a mistyped clippy.toml path cannot switch a check off silently
+FIXTURE_OUT="$(mktemp)"
+for pass in ALL_TARGETS PANICS; do
+    declare -n CLIPPY_ARGS="CLIPPY_$pass"
+    if cargo clippy -q --manifest-path crates/lint/tests/clippy_fixture/Cargo.toml \
+        --target-dir target/clippy-fixture --message-format=json "${CLIPPY_ARGS[@]}" \
+        >>"$FIXTURE_OUT" 2>/dev/null; then
+        echo "clippy gate failed: the seeded fixture passed the $pass pass" >&2
+        exit 1
+    fi
+done
+for want in '"code":"clippy::unwrap_used"' '"code":"clippy::disallowed_methods"' \
+    '"code":"clippy::let_underscore_must_use"' '"code":"unused_must_use"' \
+    'disallowed type `std::collections::HashMap`' 'disallowed type `std::sync::Mutex`'; do
+    if ! grep -qF "$want" "$FIXTURE_OUT"; then
+        echo "clippy gate failed: the seeded fixture did not report $want" >&2
+        exit 1
+    fi
+done
+rm -f "$FIXTURE_OUT"
 
 echo "==> [3/9] cargo run -p neo-xtask -- lint (json + callgraph + baseline diff)"
 # build first so the wall-time budget below measures the lint run, not rustc

@@ -10,6 +10,9 @@
 //! actually training scaled-down models with the sync and PS trainers.
 //! EXPERIMENTS.md records paper-vs-reproduced for every block printed here.
 
+#![forbid(unsafe_code)]
+#![deny(warnings)]
+
 use neo_bench::{capacity_aware_imbalance, fmt_bytes, USABLE_HBM_PER_GPU};
 use neo_dataio::{SyntheticConfig, SyntheticDataset};
 use neo_dlrm_model::{DlrmConfig, ModelProfile};
@@ -275,10 +278,18 @@ fn fig10() {
     banner("Figure 10: training quality — async small-batch PS vs sync large-batch");
     // functional training at laptop scale: same model, same sample budget
     let model = DlrmConfig::tiny(4, 512, 8);
-    let ds = SyntheticDataset::new(SyntheticConfig::uniform(4, 512, 4, 4)).unwrap(); // lint: allow(panic) — demo binary with hard-coded valid config
+    #[expect(
+        clippy::unwrap_used,
+        reason = "demo binary with hard-coded valid config"
+    )]
+    let ds = SyntheticDataset::new(SyntheticConfig::uniform(4, 512, 4, 4)).unwrap();
     let eval: Vec<_> = (10_000..10_008).map(|k| ds.batch(256, k)).collect();
 
     // async PS: batch 16, 4 trainers, staleness 8
+    #[expect(
+        clippy::unwrap_used,
+        reason = "demo binary with hard-coded valid config"
+    )]
     let mut ps = PsTrainer::new(PsConfig {
         model: model.clone(),
         num_trainers: 4,
@@ -288,25 +299,37 @@ fn fig10() {
         seed: 7,
         dense_sync: Default::default(),
     })
-    .unwrap(); // lint: allow(panic) — demo binary with hard-coded valid config
-    let ps_curve = ps.train(&ds, 4096, &eval).unwrap(); // lint: allow(panic) — demo binary with hard-coded valid config
+    .unwrap();
+    #[expect(
+        clippy::unwrap_used,
+        reason = "demo binary with hard-coded valid config"
+    )]
+    let ps_curve = ps.train(&ds, 4096, &eval).unwrap();
 
     // sync large batch: 256 global on 4 workers, same total samples
     let specs = table_specs_from(&model);
+    #[expect(
+        clippy::unwrap_used,
+        reason = "demo binary with hard-coded valid config"
+    )]
     let plan = Planner::new(
         neo_sharding::CostModel::v100_prototype(256),
         PlannerConfig::default(),
     )
     .plan(&specs, 4)
-    .unwrap(); // lint: allow(panic) — demo binary with hard-coded valid config
-               // linear LR scaling for the 16x larger batch — §5.3's tuned setup
+    .unwrap();
+    // linear LR scaling for the 16x larger batch — §5.3's tuned setup
     let mut cfg = SyncConfig::exact(4, model, plan, 256);
     cfg.lr = 0.5;
     cfg.seed = 7;
     let batches: Vec<_> = (0..256u64).map(|k| ds.batch(256, k + 50_000)).collect();
+    #[expect(
+        clippy::unwrap_used,
+        reason = "demo binary with hard-coded valid config"
+    )]
     let out = SyncTrainer::new(cfg)
         .train(&batches, &eval, 32, None)
-        .unwrap(); // lint: allow(panic) — demo binary with hard-coded valid config
+        .unwrap();
 
     println!("  async PS (B=16, 4 trainers, staleness 8):");
     for (s, ne) in ps_curve.iter().step_by(2) {
@@ -640,7 +663,11 @@ fn ablations() {
     use rand::SeedableRng;
     use rand_distr::Distribution;
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-    let zipf = rand_distr::Zipf::new(1_000_000u64, 1.05).unwrap(); // lint: allow(panic) — demo binary with hard-coded valid config
+    #[expect(
+        clippy::unwrap_used,
+        reason = "demo binary with hard-coded valid config"
+    )]
+    let zipf = rand_distr::Zipf::new(1_000_000u64, 1.05).unwrap();
     let trace: Vec<u64> = (0..60_000)
         .map(|_| zipf.sample(&mut rng) as u64 - 1)
         .collect();

@@ -103,6 +103,10 @@ mod tests {
     #[test]
     fn injecting_sleeps_at_least_the_cost() {
         let d = CommDelay::new(1e9, 2e-3); // 2 ms fixed latency
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test times the injected delay"
+        )]
         let t0 = std::time::Instant::now();
         d.inject(0);
         assert!(t0.elapsed() >= Duration::from_millis(2));

@@ -132,7 +132,10 @@ impl ProcessGroup {
     /// # Panics
     ///
     /// Panics if `world == 0`.
-    #[allow(clippy::new_ret_no_self)] // deliberately a factory: one handle per rank
+    #[expect(
+        clippy::new_ret_no_self,
+        reason = "deliberately a factory: one handle per rank"
+    )]
     pub fn new(world: usize) -> Vec<Communicator> {
         assert!(world > 0, "process group needs at least one rank");
         let shared = Shared::new(world, "collectives.main.slots", "collectives.main.barrier");

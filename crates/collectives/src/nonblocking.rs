@@ -498,6 +498,10 @@ mod tests {
         });
         let delayed = run(2, |rank, c| {
             c.set_comm_delay(Some(CommDelay::new(1e9, 1e-3)));
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the test times the injected delay"
+            )]
             let t0 = std::time::Instant::now();
             let v = c
                 .all_reduce_shared(Arc::new(vec![rank as f32 * 0.25; 16]))
@@ -515,6 +519,10 @@ mod tests {
     fn delayed_posted_op_sleeps_on_the_lane_not_the_caller() {
         let out = run(2, |rank, c| {
             c.set_comm_delay(Some(CommDelay::new(1e9, 20e-3)));
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the test times the injected delay"
+            )]
             let t0 = std::time::Instant::now();
             let h = c.post_all_to_all_shared(sends_of(rank as u32, 2), Phase::InputA2a.as_str(), 0);
             let post_cost = t0.elapsed();

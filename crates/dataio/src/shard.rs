@@ -171,31 +171,42 @@ impl ShardReader {
             return Err(err("shard too short"));
         }
         let (payload, tail) = body.split_at(body.len() - 8);
-        let stored = u64::from_le_bytes(tail.try_into().expect("8 bytes")); // lint: allow(panic) — split_at leaves exactly 8 bytes
+        #[expect(clippy::expect_used, reason = "split_at leaves exactly 8 bytes")]
+        let stored = u64::from_le_bytes(tail.try_into().expect("8 bytes"));
         let computed = payload.iter().fold(0xCBF2_9CE4_8422_2325u64, |h, &b| {
             (h ^ b as u64).wrapping_mul(0x1000_0000_01B3)
         });
         if stored != computed {
             return Err(err("shard checksum mismatch"));
         }
-        // lint: allow(panic) — 4-byte slice converts to [u8; 4] infallibly
-        if u32::from_le_bytes(payload[0..4].try_into().expect("4")) != MAGIC {
+        #[expect(
+            clippy::expect_used,
+            reason = "4-byte slice converts to [u8; 4] infallibly"
+        )]
+        let magic = u32::from_le_bytes(payload[0..4].try_into().expect("4"));
+        if magic != MAGIC {
             return Err(err("bad shard magic"));
         }
-        // lint: allow(panic) — 4-byte slice converts to [u8; 4] infallibly
-        if u32::from_le_bytes(payload[4..8].try_into().expect("4")) != VERSION {
+        #[expect(
+            clippy::expect_used,
+            reason = "4-byte slice converts to [u8; 4] infallibly"
+        )]
+        let version = u32::from_le_bytes(payload[4..8].try_into().expect("4"));
+        if version != VERSION {
             return Err(err("unsupported shard version"));
         }
         // index: [.. index .. index_off][fnv]; all offsets are absolute
         // file positions (the header is part of the hashed stream)
         let index_off = u64::from_le_bytes(
-            payload[payload.len() - 8..].try_into().expect("8 bytes"), // lint: allow(panic) — 8-byte slice, length checked above
+            #[expect(clippy::expect_used, reason = "8-byte slice, length checked above")]
+            payload[payload.len() - 8..].try_into().expect("8 bytes"),
         ) as usize;
         if index_off + 8 > payload.len() {
             return Err(err("shard index out of range"));
         }
+        #[expect(clippy::expect_used, reason = "bounds checked above")]
         let n =
-            u64::from_le_bytes(payload[index_off..index_off + 8].try_into().expect("8")) as usize; // lint: allow(panic) — bounds checked above
+            u64::from_le_bytes(payload[index_off..index_off + 8].try_into().expect("8")) as usize;
         let mut offsets = Vec::with_capacity(n);
         let mut pos = index_off + 8;
         for _ in 0..n {
@@ -203,7 +214,7 @@ impl ShardReader {
                 return Err(err("truncated shard index"));
             }
             offsets.push(u64::from_le_bytes(
-                // lint: allow(panic) — bounds checked by the guard above
+                #[expect(clippy::expect_used, reason = "bounds checked by the guard above")]
                 payload[pos..pos + 8].try_into().expect("8"),
             ));
             pos += 8;

@@ -187,8 +187,11 @@ impl SyntheticDataset {
             labels.push(if rng.gen::<f32>() < p { 1.0 } else { 0.0 });
         }
 
+        #[expect(
+            clippy::expect_used,
+            reason = "generator builds mutually consistent arrays"
+        )]
         CombinedBatch::new(b, t, lengths, indices, dense, labels)
-            // lint: allow(panic) — generator builds mutually consistent arrays
             .expect("generator produces consistent batches") // lint: allow(panic_path) — generator-internal consistency; the Err surface covers caller-supplied shapes, not generated ones
     }
 }

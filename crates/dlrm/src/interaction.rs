@@ -21,7 +21,10 @@ pub fn num_pairs(f: usize) -> usize {
 ///
 /// Returns [`ShapeError`] if the features disagree on shape or none are
 /// given.
-#[allow(clippy::needless_range_loop)] // paired i<j index walk is clearest here
+#[expect(
+    clippy::needless_range_loop,
+    reason = "paired i<j index walk is clearest here"
+)]
 pub fn dot_interaction(features: &[&Tensor2]) -> Result<Tensor2, ShapeError> {
     let first = features
         .first()

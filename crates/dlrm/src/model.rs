@@ -62,7 +62,10 @@ impl DlrmConfig {
 
     /// Embedding dimension (bottom-MLP output width).
     pub fn emb_dim(&self) -> usize {
-        // lint: allow(panic) — configs are built with at least one layer
+        #[expect(
+            clippy::expect_used,
+            reason = "configs are built with at least one layer"
+        )]
         *self.bottom_mlp.last().expect("bottom mlp nonempty") // lint: allow(panic_path) — config invariant: models are constructed with at least one bottom-MLP layer
     }
 

@@ -53,19 +53,38 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::PathBuf;
 
-use crate::newrules::AMBIGUOUS_RESULT_FNS;
 use crate::source::SourceFile;
 use crate::symbols::SymbolIndex;
 use crate::token::is_ident_char;
 
 /// Method/free-fn names that collide with std so hard that an
-/// *unqualified cross-crate* edge is almost always a false positive.
-/// Extends [`AMBIGUOUS_RESULT_FNS`] (used by `discarded_result` for the
-/// same reason) with pervasive container/iterator/conversion names.
-/// Same-crate resolution is NOT gated by this list: a crate that
+/// *unqualified cross-crate* edge is almost always a false positive:
+/// ubiquitous std/inherent methods (`Barrier::wait`, `Vec::append`,
+/// channel `send`, …) plus pervasive container/iterator/conversion
+/// names. Same-crate resolution is NOT gated by this list: a crate that
 /// defines `get` and calls `.get(` may mean its own, and the graph
 /// over-approximates on purpose.
 pub const AMBIGUOUS_CALL_NAMES: &[&str] = &[
+    "wait",
+    "append",
+    "finish",
+    "send",
+    "recv",
+    "join",
+    "push",
+    "insert",
+    "write",
+    "read",
+    "next",
+    "take",
+    "get",
+    "new",
+    "open",
+    "create",
+    "load",
+    "save",
+    "split",
+    "concat",
     "len",
     "is_empty",
     "clone",
@@ -346,7 +365,7 @@ impl CallGraph {
         if let Some(id) = self.node_of(caller_crate, name) {
             return vec![id];
         }
-        if AMBIGUOUS_CALL_NAMES.contains(&name) || AMBIGUOUS_RESULT_FNS.contains(&name) {
+        if AMBIGUOUS_CALL_NAMES.contains(&name) {
             return Vec::new();
         }
         self.nodes

@@ -14,20 +14,30 @@
 //! contract, amortized scratch growth) carry
 //! `// lint: allow(hot_path_alloc) — <reason>` waivers.
 //!
-//! **panic_path** tightens the per-site `panic` rule into a
-//! reachability guarantee: a fn whose signature returns `Result`
-//! promises its callers an `Err`, not an abort — so nothing it
-//! (transitively) calls may panic. Sites *inside* Result-returning fns
-//! are already the per-site rule's domain; this rule covers the gap the
-//! per-site rule cannot see, namely panicking tokens in
+//! **panic_path** tightens clippy's per-site `unwrap_used`/`expect_used`/
+//! `panic` checks (ci.sh gate 2) into a reachability guarantee: a fn
+//! whose signature returns `Result` promises its callers an `Err`, not an
+//! abort — so nothing it (transitively) calls may panic. Sites *inside*
+//! Result-returning fns are already the per-site checks' domain; this
+//! rule covers the gap they cannot see, namely panicking tokens in
 //! non-Result helpers that a Result fn calls.
 
 use std::collections::BTreeMap;
 
 use crate::callgraph::{CallGraph, FnSpans};
-use crate::rules::{token_match, PANIC_TOKENS};
+use crate::rules::token_match;
 use crate::source::Diagnostic;
 use crate::Workspace;
+
+/// Panic-family tokens `panic_path` looks for in reachable helpers.
+const PANIC_TOKENS: &[&str] = &[
+    ".unwrap()",
+    ".expect(",
+    "panic!",
+    "unreachable!",
+    "todo!",
+    "unimplemented!",
+];
 
 /// Per-iteration kernel roots, `(crate, fn names)`. Everything these
 /// reach is "the hot path": one allocation here runs every training
@@ -162,7 +172,7 @@ pub fn check_hot_path_alloc(ws: &Workspace) -> Vec<Diagnostic> {
 
 /// `panic_path`: panicking tokens inside a *non*-Result fn reachable
 /// from a Result-returning fn. Sites inside Result fns themselves are
-/// the per-site `panic` rule's domain and are not double-reported.
+/// clippy's per-site domain and are not double-reported.
 pub fn check_panic_path(ws: &Workspace) -> Vec<Diagnostic> {
     check_reachable_tokens(
         ws,
@@ -329,7 +339,7 @@ mod tests {
             "{}",
             diags[0].message
         );
-        // the unwrap inside a Result fn is the per-site panic rule's job
+        // the unwrap inside a Result fn is clippy's per-site job
         let ws2 = workspace(&[(
             "demo",
             &[("lib.rs", "pub fn api() -> Result<(), E> { x.unwrap(); }\n")],

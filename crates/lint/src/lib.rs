@@ -17,34 +17,36 @@
 //! [`output`] renders the report as text, JSON (`neo-lint/1`), the CI
 //! waiver baseline, or the call-graph artifact (`neo-callgraph/1`).
 //!
-//! The twelve rules (see DESIGN.md for the full table; rules marked ⇄
+//! The seven rules (see DESIGN.md for the full table; rules marked ⇄
 //! are interprocedural — they consume call-graph reachability):
 //!
-//!  1. **panic** — no panicking calls in library code
-//!  2. **hash_iter** — no hash-map iteration in determinism-critical crates
-//!  3. **crate_header** — crate roots carry `#![forbid(unsafe_code)]` +
-//!     `#![deny(warnings)]` and a `//!` header
-//!  4. **props_cover** — every pub fn of the collectives group API is
-//!     named in the property-test suite
-//!  5. **lock_order** ⇄ — global lock-acquisition graph stays acyclic,
-//!     with transitive held-guard expansion across crate boundaries
-//!  6. **lock_unwrap** — no lock-poison propagation outside `sync`
-//!  7. **determinism** — no hidden run-varying inputs outside the
-//!     measurement crates
-//!  8. **comm_lane_blocking** ⇄ — nothing blocking reachable (full
-//!     transitive closure) from the comm-lane worker entry points
-//!  9. **discarded_result** — no silently dropped `Result` from the
-//!     collectives/trainer/dataio public APIs
-//! 10. **hot_path_alloc** ⇄ — no heap allocation reachable from the
-//!     per-iteration kernel roots in tensor/embeddings/collectives
-//! 11. **panic_path** ⇄ — no panicking call reachable from fns whose
-//!     signature already promises a `Result`
-//! 12. **stale_waiver** — every `// lint: allow(..)` annotation names a
-//!     real rule and still suppresses something
+//! 1. **crate_header** — crate roots (`src/lib.rs`, `src/main.rs`,
+//!    `src/bin/*.rs`) carry `#![forbid(unsafe_code)]` +
+//!    `#![deny(warnings)]`
+//! 2. **props_cover** — every pub fn of the collectives group API is
+//!    named in the property-test suite
+//! 3. **lock_order** ⇄ — global lock-acquisition graph stays acyclic,
+//!    with transitive held-guard expansion across crate boundaries
+//! 4. **comm_lane_blocking** ⇄ — nothing blocking reachable (full
+//!    transitive closure) from the comm-lane worker entry points
+//! 5. **hot_path_alloc** ⇄ — no heap allocation reachable from the
+//!    per-iteration kernel roots in tensor/embeddings/collectives
+//! 6. **panic_path** ⇄ — no panicking call reachable from fns whose
+//!    signature already promises a `Result`
+//! 7. **stale_waiver** — every `// lint: allow(..)` annotation names a
+//!    real rule and still suppresses something
 //!
-//! The telemetry vocabulary is not linted: `neo-telemetry`'s `Phase` and
-//! `Metric` enums and its `#[must_use]` guards make the compiler reject a
-//! misspelt or inline name and a guard dropped where it is made.
+//! What the compiler and clippy can check on resolved types is not
+//! linted here. ci.sh gate 2 runs clippy with the root `clippy.toml`:
+//! `clippy::{unwrap_used, expect_used, panic, ..}` over library and bin
+//! code, `disallowed-types` for hash containers and `std::sync` locks,
+//! `disallowed-methods` for clock and thread-identity reads, and
+//! `unused_must_use` plus `clippy::let_underscore_must_use` for dropped
+//! `Result`s. Those sites are waived with `#[expect(.., reason = ..)]`,
+//! which rustc reports as unfulfilled once the code outgrows it. The
+//! telemetry vocabulary is not linted either: `neo-telemetry`'s `Phase`
+//! and `Metric` enums and its `#[must_use]` guards make the compiler
+//! reject a misspelt or inline name and a guard dropped where it is made.
 //!
 //! Findings are waived in place with `// lint: allow(<rule>) — <reason>`;
 //! waiver consumption is tracked per token span so the `stale_waiver`
@@ -56,7 +58,6 @@
 pub mod callgraph;
 pub mod hotpath;
 pub mod lockorder;
-pub mod newrules;
 pub mod output;
 pub mod rules;
 pub mod source;
@@ -72,25 +73,16 @@ pub use source::{Diagnostic, SourceFile};
 pub use symbols::SymbolIndex;
 
 /// Every rule name, in documentation order. `stale_waiver` runs inside
-/// [`lint`] after the other eleven so it sees which waivers fired.
+/// [`lint`] after the other six so it sees which waivers fired.
 pub const RULE_NAMES: &[&str] = &[
-    "panic",
-    "hash_iter",
     "crate_header",
     "props_cover",
     "lock_order",
-    "lock_unwrap",
-    "determinism",
     "comm_lane_blocking",
-    "discarded_result",
     "hot_path_alloc",
     "panic_path",
     "stale_waiver",
 ];
-
-/// Crates where replayed runs must be bitwise identical, so hash-map
-/// iteration order (arbitrary and run-varying) is banned outright.
-pub const DETERMINISM_CRITICAL: &[&str] = &["collectives", "sharding", "embeddings", "trainer"];
 
 /// Rule metadata for reports (the JSON `rules` array).
 #[derive(Debug, Clone)]
@@ -99,7 +91,7 @@ pub struct RuleInfo {
     pub summary: &'static str,
 }
 
-/// Metadata for all twelve rules, in [`RULE_NAMES`] order.
+/// Metadata for all seven rules, in [`RULE_NAMES`] order.
 pub fn rule_infos() -> Vec<RuleInfo> {
     let mut infos: Vec<RuleInfo> = all_rules()
         .iter()
@@ -221,65 +213,24 @@ pub trait Rule {
     fn check(&self, ws: &Workspace) -> Vec<Diagnostic>;
 }
 
-/// Shorthand for rules that run file-by-file.
-fn per_file(ws: &Workspace, f: impl Fn(&str, &SourceFile) -> Vec<Diagnostic>) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for (name, files) in &ws.crates {
-        for file in files {
-            out.extend(f(name, file));
-        }
-    }
-    out
-}
-
-struct PanicRule;
-impl Rule for PanicRule {
-    fn name(&self) -> &'static str {
-        "panic"
-    }
-    fn summary(&self) -> &'static str {
-        "no panicking calls (unwrap/expect/panic!/unchecked indexing escapes) in library code"
-    }
-    fn check(&self, ws: &Workspace) -> Vec<Diagnostic> {
-        per_file(ws, |_, f| rules::check_panics(f))
-    }
-}
-
-struct HashIterRule;
-impl Rule for HashIterRule {
-    fn name(&self) -> &'static str {
-        "hash_iter"
-    }
-    fn summary(&self) -> &'static str {
-        "no hash-map iteration in determinism-critical crates (order is run-varying)"
-    }
-    fn check(&self, ws: &Workspace) -> Vec<Diagnostic> {
-        per_file(ws, |krate, f| {
-            if DETERMINISM_CRITICAL.contains(&krate) {
-                rules::check_hash_iteration(f)
-            } else {
-                Vec::new()
-            }
-        })
-    }
-}
-
 struct CrateHeaderRule;
 impl Rule for CrateHeaderRule {
     fn name(&self) -> &'static str {
         "crate_header"
     }
     fn summary(&self) -> &'static str {
-        "crate roots carry #![forbid(unsafe_code)], #![deny(warnings)], and a //! header"
+        "crate roots (lib.rs, main.rs, bin/*.rs) carry #![forbid(unsafe_code)] and #![deny(warnings)]"
     }
     fn check(&self, ws: &Workspace) -> Vec<Diagnostic> {
-        per_file(ws, |_, f| {
-            if f.path.ends_with("src/lib.rs") || f.path.ends_with("src/main.rs") {
-                rules::check_crate_header(f)
-            } else {
-                Vec::new()
-            }
-        })
+        ws.crates
+            .iter()
+            .flat_map(|(_, files)| files)
+            .filter(|f| {
+                let bin_root = f.path.parent().is_some_and(|d| d.ends_with("src/bin"));
+                f.path.ends_with("src/lib.rs") || f.path.ends_with("src/main.rs") || bin_root
+            })
+            .flat_map(rules::check_crate_header)
+            .collect()
     }
 }
 
@@ -321,34 +272,6 @@ impl Rule for LockOrderRule {
     }
 }
 
-struct LockUnwrapRule;
-impl Rule for LockUnwrapRule {
-    fn name(&self) -> &'static str {
-        "lock_unwrap"
-    }
-    fn summary(&self) -> &'static str {
-        "no lock-poison propagation (.lock().unwrap()) outside the sync crate"
-    }
-    fn check(&self, ws: &Workspace) -> Vec<Diagnostic> {
-        per_file(ws, lockorder::check_lock_unwrap)
-    }
-}
-
-struct DeterminismRule;
-impl Rule for DeterminismRule {
-    fn name(&self) -> &'static str {
-        "determinism"
-    }
-    fn summary(&self) -> &'static str {
-        "no hidden run-varying inputs (clocks, thread ids, randomized hashing) outside measurement crates"
-    }
-    fn check(&self, ws: &Workspace) -> Vec<Diagnostic> {
-        per_file(ws, |krate, f| {
-            newrules::check_determinism(krate, f, DETERMINISM_CRITICAL.contains(&krate))
-        })
-    }
-}
-
 struct CommLaneRule;
 impl Rule for CommLaneRule {
     fn name(&self) -> &'static str {
@@ -359,30 +282,6 @@ impl Rule for CommLaneRule {
     }
     fn check(&self, ws: &Workspace) -> Vec<Diagnostic> {
         lockorder::check_comm_lane_blocking(&ws.crates, &ws.graph)
-    }
-}
-
-struct DiscardedResultRule;
-impl Rule for DiscardedResultRule {
-    fn name(&self) -> &'static str {
-        "discarded_result"
-    }
-    fn summary(&self) -> &'static str {
-        "no silently dropped Result from the collectives/trainer/dataio public APIs"
-    }
-    fn check(&self, ws: &Workspace) -> Vec<Diagnostic> {
-        let mut result_fns: BTreeMap<String, String> = BTreeMap::new();
-        for krate in ["collectives", "trainer", "dataio"] {
-            for f in &ws.symbols.of(krate).fns {
-                if f.is_pub
-                    && f.returns_result
-                    && !newrules::AMBIGUOUS_RESULT_FNS.contains(&f.name.as_str())
-                {
-                    result_fns.insert(f.name.clone(), krate.to_owned());
-                }
-            }
-        }
-        per_file(ws, |_, f| newrules::check_discarded_result(f, &result_fns))
     }
 }
 
@@ -412,20 +311,15 @@ impl Rule for PanicPathRule {
     }
 }
 
-/// The eleven registered rules, in [`RULE_NAMES`] order. `stale_waiver`
+/// The six registered rules, in [`RULE_NAMES`] order. `stale_waiver`
 /// is not in the registry: it must run after every other rule has marked
 /// the waivers it consumed, so [`lint`] runs it as a trailing pass.
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
-        Box::new(PanicRule),
-        Box::new(HashIterRule),
         Box::new(CrateHeaderRule),
         Box::new(PropsCoverRule),
         Box::new(LockOrderRule),
-        Box::new(LockUnwrapRule),
-        Box::new(DeterminismRule),
         Box::new(CommLaneRule),
-        Box::new(DiscardedResultRule),
         Box::new(HotPathAllocRule),
         Box::new(PanicPathRule),
     ]

@@ -1,5 +1,7 @@
-//! Rules `lock_order`, `lock_unwrap`, and `comm_lane_blocking`: the
-//! concurrency half of the workspace invariants.
+//! Rules `lock_order` and `comm_lane_blocking`: the concurrency half of
+//! the workspace invariants. Poison propagation needs no rule: the root
+//! `clippy.toml` disallows the `std::sync` lock types outside `neo-sync`,
+//! and its `Ordered*` wrappers' `lock()` already returns the guard.
 //!
 //! `lock_order` extracts every `Mutex`/`RwLock`/`Condvar` (and
 //! `OrderedMutex`/`OrderedRwLock`) field or binding in the workspace,
@@ -31,13 +33,6 @@
 //! guard lives until scope end, but treating it as held is the
 //! false-positive class this rule used to produce).
 //!
-//! `lock_unwrap` bans `.lock().unwrap()`-style poison propagation:
-//! a panic on one trainer thread must not cascade into opaque poison
-//! panics on every other rank. Library code goes through
-//! `neo_sync::recover` or the ordered wrappers (which recover
-//! internally); the `sync` crate itself, where `recover` lives, is
-//! exempt.
-//!
 //! `comm_lane_blocking` guards the Fig. 9 overlap: the comm-lane worker
 //! in `collectives/nonblocking.rs` is the thread that hides collective
 //! latency behind compute, so anything that can block it — a channel
@@ -68,17 +63,6 @@ const LOCK_TYPES: &[&str] = &[
 /// Guard-producing acquisition calls on a known lock binding.
 const ACQUIRE_TOKENS: &[&str] = &[".lock()", ".read()", ".write()"];
 
-/// Poison-propagating idioms banned by rule `lock_unwrap`.
-const LOCK_UNWRAP_TOKENS: &[&str] = &[
-    ".lock().unwrap()",
-    ".lock().expect(",
-    ".read().unwrap()",
-    ".read().expect(",
-    ".write().unwrap()",
-    ".write().expect(",
-    "PoisonError::into_inner",
-];
-
 /// Calls that park the executing thread (rule `comm_lane_blocking`).
 const BLOCKING_TOKENS: &[&str] = &[
     ".recv()",
@@ -88,41 +72,6 @@ const BLOCKING_TOKENS: &[&str] = &[
     ".wait_while(",
     ".wait_timeout(",
 ];
-
-/// Rule `lock_unwrap`: flags poison-propagating lock access in library
-/// code. `krate` is the crate directory name; `sync` is exempt (it
-/// implements the recovery helper these sites should use).
-pub fn check_lock_unwrap(krate: &str, file: &SourceFile) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    if krate == "sync" {
-        return out;
-    }
-    for (ln, code) in file.code.iter().enumerate() {
-        if file.in_test[ln] {
-            continue;
-        }
-        for tok in LOCK_UNWRAP_TOKENS {
-            if token_match(code, tok).is_some() {
-                // consult the waiver only on an actual finding (stale_waiver)
-                if file.allows(ln, "lock_unwrap") {
-                    break;
-                }
-                out.push(Diagnostic {
-                    path: file.path.clone(),
-                    line: ln + 1,
-                    rule: "lock_unwrap",
-                    message: format!(
-                        "`{tok}` propagates lock poison across threads; use \
-                         `neo_sync::recover` or an Ordered lock wrapper, or add \
-                         `// lint: allow(lock_unwrap) — <reason>`"
-                    ),
-                });
-                break; // one diagnostic per line is enough
-            }
-        }
-    }
-    out
-}
 
 /// Shortest directed path `from -> .. -> to` in `edges` (BFS), if any.
 pub fn path_between<N: PartialEq + Copy>(edges: &[(N, N)], from: N, to: N) -> Option<Vec<N>> {
@@ -446,7 +395,7 @@ pub fn check_comm_lane_blocking(
 /// Identifiers bound to a lock type anywhere in `files`: struct fields,
 /// statics, params, and let bindings (`name: Mutex<..>` / `name =
 /// Mutex::new(..)`), with qualified-path and `&`/`&mut` prefixes walked
-/// back exactly like the `hash_iter` extraction.
+/// back.
 fn lock_fields(files: &[SourceFile]) -> BTreeSet<String> {
     let mut fields = BTreeSet::new();
     for file in files {
@@ -1019,22 +968,6 @@ mod tests {
             "{}",
             diags[0].message
         );
-    }
-
-    #[test]
-    fn lock_unwrap_flags_poison_propagation() {
-        let src = "fn f(m: &std::sync::Mutex<u32>) -> u32 {\n\
-                   \x20   *m.lock().unwrap()\n\
-                   }\n\
-                   // lint: allow(lock_unwrap) — migrating this file next pass\n\
-                   fn g(m: &std::sync::Mutex<u32>) -> u32 {\n\
-                   \x20   *m.lock().expect(\"poisoned\") // lint: allow(lock_unwrap) — same\n\
-                   }\n";
-        let f = SourceFile::parse(Path::new("crates/demo/src/lib.rs"), src);
-        let diags = check_lock_unwrap("demo", &f);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].line, 2);
-        assert!(check_lock_unwrap("sync", &f).is_empty(), "sync is exempt");
     }
 
     #[test]

@@ -191,7 +191,7 @@ mod tests {
             diags: vec![Diagnostic {
                 path: PathBuf::from("crates/demo/src/lib.rs"),
                 line: 7,
-                rule: "panic",
+                rule: "panic_path",
                 message: "`.unwrap()` with \"quotes\" and a \\ backslash".to_owned(),
             }],
             waived: [("lock_order".to_owned(), 2usize)].into_iter().collect(),
@@ -202,8 +202,8 @@ mod tests {
     fn infos() -> Vec<RuleInfo> {
         vec![
             RuleInfo {
-                name: "panic",
-                summary: "no panicking calls in library code",
+                name: "panic_path",
+                summary: "no panicking call reachable from Result fns",
             },
             RuleInfo {
                 name: "lock_order",
@@ -224,7 +224,7 @@ mod tests {
         assert_eq!(findings.len(), 1);
         assert_eq!(
             findings[0].get("rule").and_then(|r| r.as_str()),
-            Some("panic")
+            Some("panic_path")
         );
         assert_eq!(findings[0].get("line").and_then(|l| l.as_f64()), Some(7.0));
         assert_eq!(
@@ -243,12 +243,12 @@ mod tests {
     fn baseline_diff_flags_growth_and_notes_shrinkage() {
         let rep = report(); // lock_order: 2 waived
         let base = "{\n  \"schema\": \"neo-lint-baseline/2\",\n  \
-                    \"waived\": {\"lock_order\": 1, \"panic\": 3, \"ghost_rule\": 1}\n}\n";
+                    \"waived\": {\"lock_order\": 1, \"hot_path_alloc\": 3, \"ghost_rule\": 1}\n}\n";
         let diff = diff_baseline(&rep, base).expect("parses");
         assert_eq!(diff.problems.len(), 1, "{:?}", diff.problems);
         assert!(diff.problems[0].contains("lock_order"));
         assert!(
-            diff.notes.iter().any(|n| n.contains("panic")),
+            diff.notes.iter().any(|n| n.contains("hot_path_alloc")),
             "{:?}",
             diff.notes
         );

@@ -22,7 +22,7 @@ pub struct Diagnostic {
     pub path: PathBuf,
     /// 1-based line number.
     pub line: usize,
-    /// Short rule identifier, e.g. `panic` or `hash_iter`.
+    /// Short rule identifier, e.g. `panic_path` or `lock_order`.
     pub rule: &'static str,
     /// Human-readable explanation.
     pub message: String,

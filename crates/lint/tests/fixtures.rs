@@ -4,7 +4,7 @@
 //! Each fixture under `tests/fixtures/<rule>/{seeded,clean}` is a full
 //! `Workspace::load` root (fixture crates only need a `src/` dir, not a
 //! `Cargo.toml`), so the whole engine runs end to end: tokenizer, symbol
-//! index, waiver bookkeeping, and all twelve rules. The clean twin
+//! index, waiver bookkeeping, and all seven rules. The clean twin
 //! asserting **zero** findings across every rule — not just the target —
 //! keeps fixtures honest about cross-rule interference.
 
@@ -85,5 +85,17 @@ fn stale_waiver_clean_fixture_actually_consumes_its_waiver() {
     // the clean twin is only meaningful if the annotation is consumed,
     // not merely absent — a waived finding must land in `waived`.
     let report = run("stale_waiver", "clean");
-    assert_eq!(report.waived.get("panic").copied(), Some(1));
+    assert_eq!(report.waived.get("panic_path").copied(), Some(1));
+}
+
+#[test]
+fn crate_header_checks_bin_roots() {
+    // `src/bin/*.rs` files are crate roots just like `src/lib.rs`
+    let report = run("crate_header", "seeded");
+    let bin_hits = report
+        .diags
+        .iter()
+        .filter(|d| d.rule == "crate_header" && d.path.ends_with("src/bin/tool.rs"))
+        .count();
+    assert_eq!(bin_hits, 2, "{:?}", report.diags);
 }

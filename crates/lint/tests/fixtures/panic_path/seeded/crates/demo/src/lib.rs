@@ -7,6 +7,5 @@ pub fn api(x: Option<u32>) -> Result<u32, String> {
 }
 
 fn helper(x: Option<u32>) -> u32 {
-    // per-site finding waived so only the interprocedural rule trips
-    x.unwrap() // lint: allow(panic) — seeded for panic_path
+    x.unwrap()
 }

@@ -9,8 +9,12 @@ pub struct S {
     b: Mutex<u32>,
 }
 
-// lint: allow(panic) — nothing panics below any more
-pub fn f(x: Option<u32>) -> u32 {
+pub fn api(x: Option<u32>) -> Result<u32, String> {
+    Ok(helper(x))
+}
+
+fn helper(x: Option<u32>) -> u32 {
+    // lint: allow(panic_path) — nothing panics below any more
     x.unwrap_or(0)
 }
 

@@ -272,19 +272,19 @@ impl SetAssocCache {
         let mut victim = None;
         if lines.len() == ways {
             let idx = match policy {
+                #[expect(clippy::expect_used, reason = "guard ensures lines.len() == ways > 0")]
                 Policy::Lru => lines
                     .iter()
                     .enumerate()
                     .min_by_key(|(_, l)| l.last_used)
                     .map(|(i, _)| i)
-                    // lint: allow(panic) — guard ensures lines.len() == ways > 0
                     .expect("nonempty set"), // lint: allow(panic_path) — eviction only runs when the set is full, so the set is nonempty
+                #[expect(clippy::expect_used, reason = "guard ensures lines.len() == ways > 0")]
                 Policy::Lfu => lines
                     .iter()
                     .enumerate()
                     .min_by_key(|(_, l)| (l.freq, l.last_used))
                     .map(|(i, _)| i)
-                    // lint: allow(panic) — guard ensures lines.len() == ways > 0
                     .expect("nonempty set"), // lint: allow(panic_path) — eviction only runs when the set is full, so the set is nonempty
             };
             let line = lines.swap_remove(idx);

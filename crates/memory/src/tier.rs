@@ -152,7 +152,10 @@ impl MemoryHierarchy {
         let time: f64 = placement
             .iter()
             .map(|(tier, b)| {
-                // lint: allow(panic) — place() only assigns bytes to known tiers
+                #[expect(
+                    clippy::expect_used,
+                    reason = "place() only assigns bytes to known tiers"
+                )]
                 let spec = self.tier(*tier).expect("placed tier exists");
                 *b as f64 / spec.read_bw
             })

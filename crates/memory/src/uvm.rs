@@ -7,7 +7,7 @@
 //! a fully-associative LRU cache of fixed-size *pages*, where touching any
 //! row migrates the whole page across PCIe.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use crate::cache::CacheStats;
 
@@ -34,7 +34,7 @@ pub struct UvmPageCache {
     rows_per_page: u64,
     row_bytes: u64,
     /// page id -> (last_used, dirty)
-    resident: HashMap<u64, (u64, bool)>,
+    resident: BTreeMap<u64, (u64, bool)>,
     clock: u64,
     stats: CacheStats,
     bytes_in: u64,
@@ -57,7 +57,7 @@ impl UvmPageCache {
             capacity_pages,
             rows_per_page,
             row_bytes,
-            resident: HashMap::new(),
+            resident: BTreeMap::new(),
             clock: 0,
             stats: CacheStats::default(),
             bytes_in: 0,
@@ -88,11 +88,14 @@ impl UvmPageCache {
         }
         self.stats.misses += 1;
         if self.resident.len() == self.capacity_pages {
+            #[expect(
+                clippy::expect_used,
+                reason = "resident.len() == capacity_pages > 0 here"
+            )]
             let (&victim, &(_, dirty)) = self
                 .resident
                 .iter()
                 .min_by_key(|(_, (t, _))| *t)
-                // lint: allow(panic) — resident.len() == capacity_pages > 0 here
                 .expect("nonempty uvm cache");
             self.resident.remove(&victim);
             self.stats.evictions += 1;

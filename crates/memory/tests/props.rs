@@ -2,7 +2,7 @@
 
 use neo_memory::{Policy, SetAssocCache, UvmPageCache};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -19,7 +19,7 @@ proptest! {
     ) {
         let policy = if lfu { Policy::Lfu } else { Policy::Lru };
         let mut cache = SetAssocCache::new(sets, ways, 1, policy);
-        let mut truth: HashMap<u64, f32> = HashMap::new();
+        let mut truth: BTreeMap<u64, f32> = BTreeMap::new();
         for (key, val, is_write) in ops {
             let val = val as f32;
             if is_write {
@@ -40,7 +40,7 @@ proptest! {
         keys in proptest::collection::vec(0u64..64, 1..80),
     ) {
         let mut cache = SetAssocCache::new(2, 2, 1, Policy::Lru);
-        let mut truth: HashMap<u64, f32> = HashMap::new();
+        let mut truth: BTreeMap<u64, f32> = BTreeMap::new();
         for (i, &key) in keys.iter().enumerate() {
             let val = i as f32;
             if cache.get_mut(key).map(|s| s[0] = val).is_none() {

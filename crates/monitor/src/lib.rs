@@ -370,6 +370,10 @@ mod tests {
             ..MonitorConfig::in_memory()
         };
         let mon = Monitor::start(&sink, cfg);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test times how promptly stop returns"
+        )]
         let t0 = std::time::Instant::now();
         let report = mon.stop();
         assert!(

@@ -421,9 +421,12 @@ pub fn simulate_worker(ops: &[Op]) -> Timeline {
 /// Shared list scheduler: ops mapped to the same `unit` serialize.
 fn schedule(ops: &[Op], unit: fn(Resource) -> u8) -> Timeline {
     let idx = |phase: Phase| -> usize {
+        #[expect(
+            clippy::panic,
+            reason = "malformed-graph contract documented under # Panics"
+        )]
         ops.iter()
             .position(|o| o.phase == phase)
-            // lint: allow(panic) — malformed-graph contract documented under # Panics
             .unwrap_or_else(|| panic!("unknown dependency {phase}"))
     };
     let deps: Vec<Vec<usize>> = ops
@@ -433,7 +436,7 @@ fn schedule(ops: &[Op], unit: fn(Resource) -> u8) -> Timeline {
 
     let mut finish: Vec<Option<f64>> = vec![None; ops.len()];
     let mut start: Vec<Option<f64>> = vec![None; ops.len()];
-    let mut unit_free: std::collections::HashMap<u8, f64> = std::collections::HashMap::new();
+    let mut unit_free: std::collections::BTreeMap<u8, f64> = std::collections::BTreeMap::new();
     let mut done = 0usize;
     let mut order = Vec::new();
     while done < ops.len() {
@@ -453,7 +456,10 @@ fn schedule(ops: &[Op], unit: fn(Resource) -> u8) -> Timeline {
                 best = Some((s, i));
             }
         }
-        // lint: allow(panic) — cycle contract documented under # Panics
+        #[expect(
+            clippy::expect_used,
+            reason = "cycle contract documented under # Panics"
+        )]
         let (s, i) = best.expect("cycle in op graph");
         let e = s + ops[i].duration;
         start[i] = Some(s);
@@ -462,9 +468,9 @@ fn schedule(ops: &[Op], unit: fn(Resource) -> u8) -> Timeline {
         order.push((ops[i].phase, Scheduled { start: s, end: e }));
         done += 1;
     }
+    #[expect(clippy::expect_used, reason = "the loop above scheduled every op")]
     let makespan = finish
         .iter()
-        // lint: allow(panic) — the loop above scheduled every op
         .map(|f| f.expect("scheduled"))
         .fold(0.0, f64::max);
     Timeline {

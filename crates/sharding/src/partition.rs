@@ -39,12 +39,12 @@ pub fn greedy(costs: &[f64], bins: usize) -> Vec<usize> {
     let mut sums = vec![0.0f64; bins];
     let mut assignment = vec![0usize; costs.len()];
     for &i in &order {
+        #[expect(clippy::expect_used, reason = "bins > 0 is asserted at function entry")]
         let bin = sums
             .iter()
             .enumerate()
             .min_by(|(_, a), (_, b)| a.total_cmp(b))
             .map(|(k, _)| k)
-            // lint: allow(panic) — bins > 0 is asserted at function entry
             .expect("bins > 0"); // lint: allow(panic_path) — bins > 0 is asserted at function entry
         assignment[i] = bin;
         sums[bin] += costs[i];
@@ -91,7 +91,7 @@ pub fn greedy_capacitated(
             None => {
                 // nothing fits: overflow onto the emptiest bin by memory
                 feasible = false;
-                // lint: allow(panic) — bins > 0 is asserted at function entry
+                #[expect(clippy::expect_used, reason = "bins > 0 is asserted at function entry")]
                 (0..bins).min_by_key(|&b| mem_sums[b]).expect("bins > 0")
             }
         };
@@ -162,7 +162,10 @@ pub fn karmarkar_karp(costs: &[f64], bins: usize) -> Vec<usize> {
         heap.push(Tuple { bins: merged });
     }
 
-    // lint: allow(panic) — non-empty costs seed the heap and merging keeps one tuple
+    #[expect(
+        clippy::expect_used,
+        reason = "non-empty costs seed the heap and merging keeps one tuple"
+    )]
     let solution = heap.pop().expect("nonempty heap"); // lint: allow(panic_path) — the heap is seeded from nonempty costs and merging always leaves one tuple
     let mut assignment = vec![0usize; costs.len()];
     for (bin, (_, items)) in solution.bins.iter().enumerate() {

@@ -147,12 +147,12 @@ impl Planner {
                 let workers: Vec<usize> = if use_hier {
                     // table-wise-then-row-wise: pick the least loaded node,
                     // shard this table across only its GPUs
+                    #[expect(clippy::expect_used, reason = "use_hier implies >= 1 node")]
                     let node = node_row_load
                         .iter()
                         .enumerate()
                         .min_by(|(_, a), (_, b)| a.total_cmp(b))
                         .map(|(k, _)| k)
-                        // lint: allow(panic) — use_hier implies >= 1 node
                         .expect("hierarchical node list nonempty");
                     node_row_load[node] += self.cost.shard_cost(t, ShardDivision::Row, node_size);
                     (node * node_size..(node + 1) * node_size).collect()
@@ -484,7 +484,7 @@ mod tests {
             PlannerConfig::default().hierarchical(8),
         );
         let plan = p.plan(&tables, 16).unwrap();
-        let mut nodes_used = std::collections::HashSet::new();
+        let mut nodes_used = std::collections::BTreeSet::new();
         for placement in &plan.placements {
             match &placement.scheme {
                 Scheme::RowWise { workers } => {

@@ -190,6 +190,10 @@ mod tests {
             "non-target thread must not consume the one-shot stall"
         );
         set_thread_tag(victim);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test times the injected stall"
+        )]
         let t0 = std::time::Instant::now();
         stall_point();
         assert!(t0.elapsed() >= Duration::from_millis(1));

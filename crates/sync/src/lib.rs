@@ -45,6 +45,10 @@
 #![forbid(unsafe_code)]
 #![deny(warnings)]
 #![deny(missing_docs)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "the Ordered* wrappers are built on the std::sync locks they replace"
+)]
 
 pub mod chaos;
 mod order;

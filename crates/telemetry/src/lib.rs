@@ -146,6 +146,10 @@ impl TelemetrySink {
     pub fn armed() -> Self {
         Self {
             inner: Some(Arc::new(Inner {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "span timestamps are offsets from this epoch; measuring is the sink's job"
+                )]
                 epoch: Instant::now(),
                 store: OrderedMutex::new("telemetry.store", Store::default()),
                 heartbeats: OrderedMutex::new("telemetry.heartbeats", Vec::new()),

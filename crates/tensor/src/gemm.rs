@@ -50,7 +50,6 @@ pub(crate) struct Panels {
 /// The microkernel: `c[i][j] = Σ_p ap[p][i] * bp[p][j]`, summed in `p`
 /// order from zero, one product per step.
 #[inline]
-#[allow(clippy::needless_range_loop)] // index form keeps the 4x8 block in registers
 fn micro(ap: &[f32], bp: &[f32]) -> [[f32; NR]; MR] {
     let mut c = [[0f32; NR]; MR];
     for (a, b) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {

@@ -638,6 +638,10 @@ mod tests {
     #[ignore = "all 2^32 f32 patterns; run in release with --ignored"]
     fn f16_bf16_encode_exhaustive() {
         const BLOCK: u64 = 1 << 12;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "splitting the exhaustive sweep over cores cannot change its result"
+        )]
         let threads = std::thread::available_parallelism().map_or(1, |n| n.get() as u64);
         let total = 1u64 << 32;
         std::thread::scope(|scope| {

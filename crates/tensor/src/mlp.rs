@@ -104,7 +104,10 @@ impl Linear {
                 *v = act.apply(s + b);
             }
         });
-        // lint: allow(panic) — shape contract documented under # Panics
+        #[expect(
+            clippy::expect_used,
+            reason = "shape contract documented under # Panics"
+        )]
         stored.expect("linear forward shape"); // lint: allow(panic_path) — shape contract documented under # Panics; Result callers fix dims at build time
         crate::sanitize::check_finite("mlp activation output", y.as_slice());
     }

@@ -21,8 +21,8 @@
 #[inline]
 pub fn check_finite(context: &str, values: &[f32]) {
     #[cfg(feature = "sanitize")]
+    #[expect(clippy::panic, reason = "sanitizer is an opt-in debug facility")]
     if let Some((i, v)) = values.iter().enumerate().find(|(_, v)| !v.is_finite()) {
-        // lint: allow(panic) — sanitizer is an opt-in debug facility
         panic!("sanitize: non-finite value {v} at position {i} in {context}"); // lint: allow(panic_path) — aborting on corrupted data is the sanitizer's contract; opt-in via the sanitize feature
     }
     #[cfg(not(feature = "sanitize"))]
@@ -38,8 +38,8 @@ pub fn check_finite(context: &str, values: &[f32]) {
 #[inline]
 pub fn check_shape(context: &str, got: (usize, usize), want: (usize, usize)) {
     #[cfg(feature = "sanitize")]
+    #[expect(clippy::panic, reason = "sanitizer is an opt-in debug facility")]
     if got != want {
-        // lint: allow(panic) — sanitizer is an opt-in debug facility
         panic!("sanitize: shape {got:?} where {want:?} expected in {context}"); // lint: allow(panic_path) — aborting on corrupted data is the sanitizer's contract; opt-in via the sanitize feature
     }
     #[cfg(not(feature = "sanitize"))]
@@ -55,8 +55,8 @@ pub fn check_shape(context: &str, got: (usize, usize), want: (usize, usize)) {
 #[inline]
 pub fn check_index(context: &str, index: u64, bound: u64) {
     #[cfg(feature = "sanitize")]
+    #[expect(clippy::panic, reason = "sanitizer is an opt-in debug facility")]
     if index >= bound {
-        // lint: allow(panic) — sanitizer is an opt-in debug facility
         panic!("sanitize: index {index} out of range for {bound} rows in {context}");
     }
     #[cfg(not(feature = "sanitize"))]
@@ -72,8 +72,8 @@ pub fn check_index(context: &str, index: u64, bound: u64) {
 #[inline]
 pub fn check_indices(context: &str, indices: &[u64], bound: u64) {
     #[cfg(feature = "sanitize")]
+    #[expect(clippy::panic, reason = "sanitizer is an opt-in debug facility")]
     if let Some((i, &idx)) = indices.iter().enumerate().find(|(_, &idx)| idx >= bound) {
-        // lint: allow(panic) — sanitizer is an opt-in debug facility
         panic!("sanitize: index {idx} (position {i}) out of range for {bound} rows in {context}");
     }
     #[cfg(not(feature = "sanitize"))]

@@ -56,7 +56,7 @@ pub fn load(model: &mut DlrmModel, bytes: &[u8]) -> Result<(), SyncError> {
         return Err(SyncError::msg("checkpoint too short"));
     }
     let (body, tail) = bytes.split_at(bytes.len() - 8);
-    // lint: allow(panic) — split_at leaves exactly 8 bytes
+    #[expect(clippy::expect_used, reason = "split_at leaves exactly 8 bytes")]
     let stored = u64::from_le_bytes(tail.try_into().expect("8 bytes"));
     if fnv(body) != stored {
         return Err(SyncError::msg("checkpoint checksum mismatch"));
@@ -121,21 +121,21 @@ impl Reader<'_> {
 
     fn u32(&mut self) -> Result<u32, SyncError> {
         Ok(u32::from_le_bytes(
-            // lint: allow(panic) — take(4) returns exactly 4 bytes
+            #[expect(clippy::expect_used, reason = "take(4) returns exactly 4 bytes")]
             self.take(4)?.try_into().expect("4 bytes"),
         ))
     }
 
     fn u64(&mut self) -> Result<u64, SyncError> {
         Ok(u64::from_le_bytes(
-            // lint: allow(panic) — take(8) returns exactly 8 bytes
+            #[expect(clippy::expect_used, reason = "take(8) returns exactly 8 bytes")]
             self.take(8)?.try_into().expect("8 bytes"),
         ))
     }
 
     fn f32(&mut self) -> Result<f32, SyncError> {
         Ok(f32::from_le_bytes(
-            // lint: allow(panic) — take(4) returns exactly 4 bytes
+            #[expect(clippy::expect_used, reason = "take(4) returns exactly 4 bytes")]
             self.take(4)?.try_into().expect("4 bytes"),
         ))
     }

@@ -299,9 +299,12 @@ impl SyncTrainer {
             }
         }
         let probe_logits = if by_rank[0].probe_logits.is_some() {
+            #[expect(
+                clippy::expect_used,
+                reason = "every worker fills probe_logits when rank 0 does"
+            )]
             let parts: Vec<Tensor2> = by_rank
                 .iter_mut()
-                // lint: allow(panic) — every worker fills probe_logits when rank 0 does
                 .map(|r| r.probe_logits.take().expect("probe"))
                 .collect();
             let refs: Vec<&Tensor2> = parts.iter().collect();

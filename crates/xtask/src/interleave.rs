@@ -130,7 +130,10 @@ pub fn run_interleave(args: &[String]) -> Result<usize, String> {
                 .map_err(|e| format!("serial reference (world {}): {e}", combo.world))?;
             reference[combo_idx] = Some(signature(out)?);
         }
-        // lint: allow(panic) — combo's reference was just filled above
+        #[expect(
+            clippy::unwrap_used,
+            reason = "combo's reference was just filled above"
+        )]
         let serial = reference[combo_idx].as_ref().unwrap();
 
         chaos::arm(seed);
@@ -202,7 +205,7 @@ pub fn run_interleave(args: &[String]) -> Result<usize, String> {
 }
 
 fn dataset() -> SyntheticDataset {
-    // lint: allow(panic) — fixed valid config, cannot fail
+    #[expect(clippy::unwrap_used, reason = "fixed valid config, cannot fail")]
     SyntheticDataset::new(SyntheticConfig::uniform(3, 128, 3, 4)).unwrap() // lint: allow(panic_path) — fixed valid config, cannot fail
 }
 

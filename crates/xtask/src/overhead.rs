@@ -86,6 +86,10 @@ fn paired_overhead(name: &str, arm: Arm, pairs: usize, iters: u64) -> Result<Vec
     let run = |on: bool| -> Result<f64, String> {
         let mut cfg = base.clone();
         arm(&mut cfg, on);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "pricing the overhead is wall-clock timing"
+        )]
         let t0 = Instant::now();
         SyncTrainer::new(cfg)
             .train(&batches, &[], 0, None)
@@ -125,6 +129,7 @@ pub fn run_overhead(args: &[String]) -> Result<usize, String> {
     }
     let mut over = 0usize;
     for (name, arm) in ARMS {
+        #[expect(clippy::disallowed_methods, reason = "prints the arm's elapsed time")]
         let t0 = Instant::now();
         let pcts = paired_overhead(name, arm, PAIRS, ITERS)?;
         let ok = verdict(&pcts, BUDGET_PCT)?;

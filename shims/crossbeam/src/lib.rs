@@ -6,6 +6,10 @@
 //! `std::sync::{Mutex, Condvar}`.
 
 #![forbid(unsafe_code)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "the channel is built on std::sync::{Mutex, Condvar}"
+)]
 
 /// Multi-producer multi-consumer channels.
 pub mod channel {

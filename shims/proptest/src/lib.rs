@@ -193,7 +193,7 @@ macro_rules! tuple_strategy {
         impl<$($s: Strategy),+> Strategy for ($($s,)+) {
             type Value = ($($s::Value,)+);
 
-            #[allow(non_snake_case)]
+            #[expect(non_snake_case, reason = "the macro binds each strategy to its uppercase type name")]
             fn sample(&self, rng: &mut TestRng) -> Self::Value {
                 let ($($s,)+) = self;
                 ($($s.sample(rng),)+)
