@@ -14,7 +14,7 @@
 #                         unimplemented!. Then both passes on the seeded
 #                         crates/lint/tests/clippy_fixture crate, which
 #                         must report every expected lint code)
-#   3. neo-xtask lint    (7-rule neo-lint engine over the token stream,
+#   3. neo-xtask lint    (6-rule neo-lint engine over the token stream,
 #                         symbol index, and workspace call graph; emits
 #                         results/lint.json + results/callgraph.json
 #                         and diffs waived counts against the committed
@@ -27,9 +27,11 @@
 #                         fails here, then the ignored release-mode
 #                         f16_bf16_encode_exhaustive: all 2^32 f32
 #                         patterns through both 16-bit encoders against
-#                         the scalar oracle, elapsed time printed)
-#   6. sanitizer tests   (numeric sanitizer + lock-order runtime validator
-#                         armed via --features sanitize)
+#                         the scalar oracle, elapsed time printed, and
+#                         neo-sync's tests in release, where the lock-class
+#                         check is compiled out and must stay silent)
+#   6. sanitizer tests   (numeric sanitizer armed via --features sanitize
+#                         on every crate that has or forwards the feature)
 #   7. artifacts         (one quickstart --telemetry --monitor --workload
 #                         run; neo-xtask check validates the summary, the
 #                         Chrome trace, the monitor event log + exposition,
@@ -43,7 +45,8 @@
 #                         job, see benchmark/README.md)
 #   9. interleave gate   (seeded schedule perturbation of the overlapped
 #                         trainer: no deadlock, bitwise-equal to serial,
-#                         zero spurious monitor alerts)
+#                         zero spurious monitor alerts; on the dev profile,
+#                         so neo-sync's lock-class check runs on every seed)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -102,19 +105,19 @@ echo "==> [4/9] tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
-echo "==> [5/9] cargo test -q --workspace (+ the benchmark package, + the exhaustive f16/bf16 encode check)"
+echo "==> [5/9] cargo test -q --workspace (+ the benchmark package, + the exhaustive f16/bf16 encode check, + neo-sync in release)"
 cargo test -q --workspace
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
+cargo test --release -q -p neo-sync
 # build first so the printed time is the exhaustive check, not rustc
 cargo test --release -q -p neo-tensor --no-run
 EXHAUSTIVE_T0=$(date +%s%N)
 cargo test --release -q -p neo-tensor -- --ignored f16_bf16_encode_exhaustive
 echo "    f16_bf16_encode_exhaustive: $(( ($(date +%s%N) - EXHAUSTIVE_T0) / 1000000 )) ms"
 
-echo "==> [6/9] sanitize: numeric + lock-order validators armed"
-cargo test -q -p neo-tensor -p neo-embeddings -p neo-sync -p neo-collectives \
-    -p neo-dataio -p neo-telemetry -p neo-monitor -p neo-trainer -p neo-dlrm \
-    --features sanitize
+echo "==> [6/9] sanitize: numeric sanitizer armed"
+cargo test -q -p neo-tensor -p neo-embeddings -p neo-collectives -p neo-dataio \
+    -p neo-trainer -p neo-dlrm --features sanitize
 
 echo "==> [7/9] artifacts: quickstart --telemetry --monitor --workload + neo-xtask check"
 ARTIFACTS="$(mktemp -d)"
@@ -127,7 +130,7 @@ rm -rf "$ARTIFACTS"
 echo "==> [8/9] overhead: monitor + workload-profiler budgets (min of 12 pairs <= 3%)"
 cargo run -q --release -p neo-xtask -- overhead
 
-echo "==> [9/9] interleave: 32 seeded schedule perturbations vs serial"
-cargo run -q --release -p neo-xtask -- interleave --seeds 32
+echo "==> [9/9] interleave: 32 seeded schedule perturbations vs serial (debug: lock classes checked)"
+cargo run -q -p neo-xtask -- interleave --seeds 32
 
 echo "ci.sh: all gates passed"

@@ -3,7 +3,7 @@
 use std::any::Any;
 use std::sync::Arc;
 
-use neo_sync::{OrderedBarrier, OrderedMutex};
+use neo_sync::{LockClass, OrderedBarrier, OrderedMutex};
 use neo_telemetry::{Metric, TelemetrySink};
 
 use crate::delay::CommDelay;
@@ -106,15 +106,16 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// `slots_name`/`barrier_name` are this instance's nodes in the
-    /// workspace lock hierarchy (DESIGN.md): the main and lane copies
-    /// get distinct names so the sanitize-mode order graph can tell a
-    /// legal main-vs-lane interleaving from a true inversion.
-    fn new(world: usize, slots_name: &'static str, barrier_name: &'static str) -> Arc<Self> {
+    /// The main and lane copies share [`LockClass::CollectiveSlots`]: no
+    /// thread ever holds both.
+    fn new(world: usize) -> Arc<Self> {
         Arc::new(Shared {
             world,
-            barrier: OrderedBarrier::new(barrier_name, world),
-            slots: OrderedMutex::new(slots_name, (0..world).map(|_| None).collect()),
+            barrier: OrderedBarrier::new(world),
+            slots: OrderedMutex::new(
+                LockClass::CollectiveSlots,
+                (0..world).map(|_| None).collect(),
+            ),
         })
     }
 }
@@ -138,11 +139,11 @@ impl ProcessGroup {
     )]
     pub fn new(world: usize) -> Vec<Communicator> {
         assert!(world > 0, "process group needs at least one rank");
-        let shared = Shared::new(world, "collectives.main.slots", "collectives.main.barrier");
+        let shared = Shared::new(world);
         // Nonblocking collectives rendezvous through a second, independent
         // shared state so an in-flight posted op can never cross-match a
         // blocking op issued concurrently on the main thread.
-        let lane_shared = Shared::new(world, "collectives.lane.slots", "collectives.lane.barrier");
+        let lane_shared = Shared::new(world);
         (0..world)
             .map(|rank| Communicator {
                 rank,

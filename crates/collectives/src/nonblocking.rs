@@ -77,6 +77,9 @@ impl Lane {
             // seeded test park exactly one lane to provoke a detectable
             // stall. A pair of thread-local stores when disarmed.
             chaos::set_thread_tag(rank as u64);
+            // A lane that waits on a lock re-exposes the exchange it
+            // hides; debug builds panic on its second guard.
+            neo_sync::mark_comm_lane();
             let mut ctx = LaneCtx {
                 comm: Communicator::lane_endpoint(rank, shared),
                 rec: RankRecorder::disabled(),

@@ -12,7 +12,7 @@
 
 use std::collections::BTreeMap;
 
-use neo_sync::OrderedMutex;
+use neo_sync::{LockClass, OrderedMutex};
 
 use crate::batch::CombinedBatch;
 use crate::reader::PrefetchReader;
@@ -64,7 +64,7 @@ impl SharedFeed {
         assert!(world > 0, "feed needs at least one consumer");
         Self {
             state: OrderedMutex::new(
-                "dataio.feed.state",
+                LockClass::FeedState,
                 FeedState {
                     reader,
                     next: 0,
@@ -139,6 +139,36 @@ mod tests {
             assert_eq!(g, want);
         }
         assert_eq!(f.parked(), 0, "all batches fully claimed");
+    }
+
+    #[test]
+    fn armed_reader_records_under_the_feed_lock() {
+        // the one lock nesting the program executes: `batch` holds the
+        // feed state while the reader records into an armed sink, which
+        // takes the telemetry store; debug builds check it against the
+        // LockClass rank on every claim
+        let ds = dataset();
+        let sink = neo_telemetry::TelemetrySink::armed();
+        let f = SharedFeed::new(
+            PrefetchReader::spawn_with_telemetry(4, 2, sink.clone(), move |k| ds.batch(8, k)),
+            2,
+        );
+        let claimed: usize = std::thread::scope(|s| {
+            (0..2)
+                .map(|_| s.spawn(|| (0..4).filter_map(|k| f.batch(k)).count()))
+                .collect::<Vec<_>>()
+                .into_iter()
+                .map(|h| h.join().expect("consumer"))
+                .sum()
+        });
+        assert_eq!(claimed, 8, "every batch claimed by both consumers");
+        let snap = sink.snapshot().expect("armed sink snapshots");
+        let depth_points = snap
+            .gauges
+            .iter()
+            .find(|(k, _)| *k == neo_telemetry::Metric::DataioQueueDepth.name())
+            .map(|(_, s)| s.len());
+        assert_eq!(depth_points, Some(4), "one record per pull, under the lock");
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! (`token`/`source`), layer two the cross-crate [`SymbolIndex`], and
 //! this module resolves per-function call sites against that index into
 //! a workspace-wide directed graph with transitive reachability.
-//! Interprocedural rules (`lock_order`, `comm_lane_blocking`,
-//! `hot_path_alloc`, `panic_path`) query it instead of hand-rolling
-//! one-level call expansions.
+//! Interprocedural rules (`comm_lane_blocking`, `hot_path_alloc`,
+//! `panic_path`) query it instead of hand-rolling one-level call
+//! expansions.
 //!
 //! # Model
 //!
@@ -374,18 +374,6 @@ impl CallGraph {
             .filter(|(_, n)| n.name == name && n.is_pub)
             .map(|(id, _)| id)
             .collect()
-    }
-
-    /// Rule-level resolution of an *unqualified* call to `name` from
-    /// inside `caller_crate`: the same-crate fn wins exclusively when it
-    /// exists; otherwise every cross-crate `pub` fn of that name, unless
-    /// the name is too generic to resolve ([`AMBIGUOUS_CALL_NAMES`]).
-    /// Used by rules (lock_order) that extract call sites with their own
-    /// machinery and only need the graph for target resolution.
-    pub fn resolve_call(&self, caller_crate: &str, name: &str) -> Vec<usize> {
-        let aliases = BTreeMap::new();
-        let type_crates = BTreeMap::new();
-        self.resolve(caller_crate, name, None, &aliases, &type_crates)
     }
 
     /// Every node reachable from `roots` (roots included), by a

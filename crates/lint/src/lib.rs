@@ -17,7 +17,7 @@
 //! [`output`] renders the report as text, JSON (`neo-lint/1`), the CI
 //! waiver baseline, or the call-graph artifact (`neo-callgraph/1`).
 //!
-//! The seven rules (see DESIGN.md for the full table; rules marked ⇄
+//! The six rules (see DESIGN.md for the full table; rules marked ⇄
 //! are interprocedural — they consume call-graph reachability):
 //!
 //! 1. **crate_header** — crate roots (`src/lib.rs`, `src/main.rs`,
@@ -25,15 +25,13 @@
 //!    `#![deny(warnings)]`
 //! 2. **props_cover** — every pub fn of the collectives group API is
 //!    named in the property-test suite
-//! 3. **lock_order** ⇄ — global lock-acquisition graph stays acyclic,
-//!    with transitive held-guard expansion across crate boundaries
-//! 4. **comm_lane_blocking** ⇄ — nothing blocking reachable (full
+//! 3. **comm_lane_blocking** ⇄ — nothing blocking reachable (full
 //!    transitive closure) from the comm-lane worker entry points
-//! 5. **hot_path_alloc** ⇄ — no heap allocation reachable from the
+//! 4. **hot_path_alloc** ⇄ — no heap allocation reachable from the
 //!    per-iteration kernel roots in tensor/embeddings/collectives
-//! 6. **panic_path** ⇄ — no panicking call reachable from fns whose
+//! 5. **panic_path** ⇄ — no panicking call reachable from fns whose
 //!    signature already promises a `Result`
-//! 7. **stale_waiver** — every `// lint: allow(..)` annotation names a
+//! 6. **stale_waiver** — every `// lint: allow(..)` annotation names a
 //!    real rule and still suppresses something
 //!
 //! What the compiler and clippy can check on resolved types is not
@@ -47,6 +45,9 @@
 //! telemetry vocabulary is not linted either: `neo-telemetry`'s `Phase`
 //! and `Metric` enums and its `#[must_use]` guards make the compiler
 //! reject a misspelt or inline name and a guard dropped where it is made.
+//! Nor is lock order: each `neo-sync` lock carries a ranked `LockClass`,
+//! and every debug build checks each acquisition against the classes its
+//! thread already holds.
 //!
 //! Findings are waived in place with `// lint: allow(<rule>) — <reason>`;
 //! waiver consumption is tracked per token span so the `stale_waiver`
@@ -57,7 +58,6 @@
 
 pub mod callgraph;
 pub mod hotpath;
-pub mod lockorder;
 pub mod output;
 pub mod rules;
 pub mod source;
@@ -73,11 +73,10 @@ pub use source::{Diagnostic, SourceFile};
 pub use symbols::SymbolIndex;
 
 /// Every rule name, in documentation order. `stale_waiver` runs inside
-/// [`lint`] after the other six so it sees which waivers fired.
+/// [`lint`] after the other five so it sees which waivers fired.
 pub const RULE_NAMES: &[&str] = &[
     "crate_header",
     "props_cover",
-    "lock_order",
     "comm_lane_blocking",
     "hot_path_alloc",
     "panic_path",
@@ -91,7 +90,7 @@ pub struct RuleInfo {
     pub summary: &'static str,
 }
 
-/// Metadata for all seven rules, in [`RULE_NAMES`] order.
+/// Metadata for all six rules, in [`RULE_NAMES`] order.
 pub fn rule_infos() -> Vec<RuleInfo> {
     let mut infos: Vec<RuleInfo> = all_rules()
         .iter()
@@ -259,29 +258,16 @@ impl Rule for PropsCoverRule {
     }
 }
 
-struct LockOrderRule;
-impl Rule for LockOrderRule {
-    fn name(&self) -> &'static str {
-        "lock_order"
-    }
-    fn summary(&self) -> &'static str {
-        "the workspace lock-acquisition graph stays acyclic (no written deadlock)"
-    }
-    fn check(&self, ws: &Workspace) -> Vec<Diagnostic> {
-        lockorder::check_lock_order(&ws.crates, &ws.graph)
-    }
-}
-
 struct CommLaneRule;
 impl Rule for CommLaneRule {
     fn name(&self) -> &'static str {
         "comm_lane_blocking"
     }
     fn summary(&self) -> &'static str {
-        "nothing blocking (recv/sleep/wait/nested locking) reachable from the comm-lane worker"
+        "nothing blocking (recv/sleep/wait) reachable from the comm-lane worker"
     }
     fn check(&self, ws: &Workspace) -> Vec<Diagnostic> {
-        lockorder::check_comm_lane_blocking(&ws.crates, &ws.graph)
+        hotpath::check_comm_lane_blocking(ws)
     }
 }
 
@@ -311,14 +297,13 @@ impl Rule for PanicPathRule {
     }
 }
 
-/// The six registered rules, in [`RULE_NAMES`] order. `stale_waiver`
+/// The five registered rules, in [`RULE_NAMES`] order. `stale_waiver`
 /// is not in the registry: it must run after every other rule has marked
 /// the waivers it consumed, so [`lint`] runs it as a trailing pass.
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(CrateHeaderRule),
         Box::new(PropsCoverRule),
-        Box::new(LockOrderRule),
         Box::new(CommLaneRule),
         Box::new(HotPathAllocRule),
         Box::new(PanicPathRule),

@@ -6,16 +6,16 @@
 //! | `crate_header`| `#![forbid(unsafe_code)]` + `#![deny(warnings)]` in roots |
 //! | `props_cover` | every `pub fn` of collectives group.rs named in props.rs  |
 //!
-//! `lock_order` and `comm_lane_blocking` live in [`crate::lockorder`];
-//! `hot_path_alloc` and `panic_path` in [`crate::hotpath`];
-//! `stale_waiver` is [`SourceFile::stale_waivers`], run after every other
-//! rule so consumed annotations are already marked. The [`crate::Rule`]
-//! registry in the crate root wires all seven together. Panics, hash
-//! containers, clock reads and `std::sync` locks are clippy's job (the
-//! root `clippy.toml` and ci.sh gate 2), not this crate's.
+//! `comm_lane_blocking`, `hot_path_alloc` and `panic_path` live in
+//! [`crate::hotpath`]; `stale_waiver` is [`SourceFile::stale_waivers`],
+//! run after every other rule so consumed annotations are already
+//! marked. The [`crate::Rule`] registry in the crate root wires all six
+//! together. Panics, hash containers, clock reads and `std::sync` locks
+//! are clippy's job (the root `clippy.toml` and ci.sh gate 2), and lock
+//! order is neo-sync's `LockClass`; neither is this crate's.
 
 use crate::source::{Diagnostic, SourceFile};
-pub use crate::token::is_ident_char;
+use crate::token::is_ident_char;
 
 /// Whether `hay` contains `needle` starting at a non-identifier boundary.
 pub fn token_match(hay: &str, needle: &str) -> Option<usize> {
@@ -33,25 +33,6 @@ pub fn token_match(hay: &str, needle: &str) -> Option<usize> {
         from = at + needle.len();
     }
     None
-}
-
-/// The identifier that ends `text` (after stripping generic/type noise),
-/// if any. `"let mut plan"` → `plan`; `"pub counts"` → `counts`.
-pub fn trailing_ident(text: &str) -> Option<String> {
-    let trimmed = text.trim_end();
-    let start = trimmed
-        .rfind(|c: char| !is_ident_char(c))
-        .map(|i| i + 1)
-        .unwrap_or(0);
-    let name = &trimmed[start..];
-    if name.is_empty() || name.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-        return None;
-    }
-    // skip keywords that can precede a binding name
-    if ["mut", "let", "pub", "ref", "fn", "in", "as", "dyn", "impl"].contains(&name) {
-        return None;
-    }
-    Some(name.to_owned())
 }
 
 /// Rule `crate_header`: crate roots must carry both

@@ -1,8 +1,8 @@
 #![forbid(unsafe_code)]
 #![deny(warnings)]
 //! Fixture crate: two stale annotations — one whose panic went away,
-//! and one left over from the pre-callgraph one-level `lock_order`
-//! expansion, which the transitive engine no longer needs.
+//! and one naming `lock_order`, a rule the linter no longer has (lock
+//! order is neo-sync's `LockClass` check now).
 
 pub struct S {
     a: Mutex<u32>,
@@ -20,7 +20,7 @@ fn helper(x: Option<u32>) -> u32 {
 
 pub fn ordered(s: &S) {
     let ga = s.a.lock();
-    // lint: allow(lock_order) — stale: this edge never closes a cycle
+    // lint: allow(lock_order) — stale: the rule is gone
     let gb = s.b.lock();
     drop(gb);
     drop(ga);

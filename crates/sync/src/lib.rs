@@ -1,31 +1,18 @@
 //! Ordered synchronization primitives and a deterministic schedule-chaos
 //! injector — the runtime half of the workspace's concurrency-correctness
-//! story (the static half is `neo-xtask lint`'s `lock_order` rule).
+//! story.
 //!
 //! # Ordered locks
 //!
-//! [`OrderedMutex`], [`OrderedRwLock`], and [`OrderedBarrier`] wrap their
-//! `std::sync` counterparts with a `&'static str` name. With the crate's
-//! `sanitize` feature **off** (the default) they are pass-throughs: no
-//! tracking, no extra state per acquisition, bitwise-identical behavior.
-//! With `sanitize` **on**, every acquisition maintains a thread-local
-//! held-lock stack and a process-wide acquisition-order graph:
-//!
-//! * acquiring `B` while holding `A` records the order edge `A → B`;
-//! * an acquisition whose edge would close a cycle — the classic AB/BA
-//!   inversion that deadlocks under the wrong interleaving — is reported
-//!   as a typed [`LockOrderViolation`] *before* blocking, either via the
-//!   fallible [`OrderedMutex::lock_ordered`] or by recording into a
-//!   process-wide registry drained with [`take_violations`];
-//! * an [`OrderedBarrier::wait`] entered while holding any lock is
-//!   flagged as a rendezvous wait-cycle hazard (a peer that needs the
-//!   lock to reach the barrier would hang the whole group).
-//!
-//! Lock names form the workspace lock hierarchy documented in DESIGN.md
-//! (e.g. `collectives.main.slots`, `dataio.feed.state`,
-//! `telemetry.store`); the graph is keyed by those names, so one misuse
-//! anywhere in a process is enough for the validator to learn the edge
-//! and flag the reverse order everywhere else.
+//! [`OrderedMutex`] and [`OrderedRwLock`] wrap their `std::sync`
+//! counterparts with a [`LockClass`], whose declaration order is the
+//! workspace lock order. Under `debug_assertions` every acquisition
+//! checks the classes the calling thread already holds and panics,
+//! naming both classes, on an out-of-rank or repeated class, before it
+//! blocks. [`OrderedBarrier::wait`] panics while the caller holds any
+//! guard, and a thread marked with [`mark_comm_lane`] panics on a second
+//! guard. Release builds compile the checks out, so the wrappers are
+//! pass-throughs there. See [`LockClass`] for the rank.
 //!
 //! # Poison policy
 //!
@@ -51,13 +38,15 @@
 )]
 
 pub mod chaos;
-mod order;
+mod class;
 
-pub use order::{take_violations, LockOrderViolation, ViolationKind};
+pub use class::{mark_comm_lane, LockClass};
 
 use std::fmt;
 use std::sync::{Barrier, BarrierWaitResult, Mutex, MutexGuard, PoisonError};
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+use class::Held;
 
 /// Recovers the guard from a poisoned lock result.
 ///
@@ -70,78 +59,50 @@ pub fn recover<G>(r: Result<G, PoisonError<G>>) -> G {
     r.unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Lock names the calling thread currently holds, outermost first.
-/// Always empty when the `sanitize` feature is off.
-pub fn held_locks() -> Vec<&'static str> {
-    order::held_locks()
-}
-
-/// A named [`std::sync::Mutex`] participating in lock-order validation
-/// when the `sanitize` feature is on; a plain pass-through otherwise.
+/// A [`std::sync::Mutex`] of a [`LockClass`], rank-checked under
+/// `debug_assertions`.
 pub struct OrderedMutex<T> {
-    name: &'static str,
+    class: LockClass,
     inner: Mutex<T>,
 }
 
 impl<T> OrderedMutex<T> {
-    /// Wraps `value` under the order-graph node `name`. Names should be
-    /// globally unique, dot-separated `crate.component.field` paths.
-    pub const fn new(name: &'static str, value: T) -> Self {
+    /// Wraps `value` in a lock of `class`.
+    pub const fn new(class: LockClass, value: T) -> Self {
         Self {
-            name,
+            class,
             inner: Mutex::new(value),
         }
     }
 
-    /// This lock's order-graph name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Acquires the lock, recovering from poison. Under `sanitize`, a
-    /// would-be ordering violation is recorded in the process registry
-    /// (see [`take_violations`]) and the acquisition proceeds anyway —
-    /// the call site keeps its infallible signature.
+    /// Acquires the lock, recovering from poison.
+    ///
+    /// # Panics
+    ///
+    /// Under `debug_assertions`, when the calling thread already holds a
+    /// class ranked at or above this one, or holds any guard on a comm
+    /// lane.
     pub fn lock(&self) -> OrderedMutexGuard<'_, T> {
-        if let Some(v) = order::on_acquire(self.name) {
-            order::record(v);
-        }
-        let inner = recover(self.inner.lock());
-        order::on_acquired(self.name);
+        let held = Held::acquire(self.class);
         OrderedMutexGuard {
-            name: self.name,
-            inner,
+            inner: recover(self.inner.lock()),
+            held,
         }
-    }
-
-    /// Acquires the lock, refusing (without blocking) if the acquisition
-    /// would commit an ordering violation under `sanitize`. With
-    /// `sanitize` off this never fails.
-    pub fn lock_ordered(&self) -> Result<OrderedMutexGuard<'_, T>, LockOrderViolation> {
-        if let Some(v) = order::on_acquire(self.name) {
-            return Err(v);
-        }
-        let inner = recover(self.inner.lock());
-        order::on_acquired(self.name);
-        Ok(OrderedMutexGuard {
-            name: self.name,
-            inner,
-        })
     }
 }
 
 impl<T> fmt::Debug for OrderedMutex<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("OrderedMutex")
-            .field("name", &self.name)
+            .field("class", &self.class)
             .finish()
     }
 }
 
-/// RAII guard for [`OrderedMutex`]; releases the order-graph hold on drop.
+/// RAII guard for [`OrderedMutex`]; releases its class on drop.
 pub struct OrderedMutexGuard<'a, T> {
-    name: &'static str,
     inner: MutexGuard<'a, T>,
+    held: Held,
 }
 
 impl<T> std::ops::Deref for OrderedMutexGuard<'_, T> {
@@ -157,109 +118,61 @@ impl<T> std::ops::DerefMut for OrderedMutexGuard<'_, T> {
     }
 }
 
-impl<T> Drop for OrderedMutexGuard<'_, T> {
-    fn drop(&mut self) {
-        order::on_release(self.name);
-    }
-}
-
 impl<T> fmt::Debug for OrderedMutexGuard<'_, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("OrderedMutexGuard")
-            .field("name", &self.name)
+            .field("class", &self.held.class())
             .finish()
     }
 }
 
-/// A named [`std::sync::RwLock`] participating in lock-order validation
-/// when the `sanitize` feature is on; a plain pass-through otherwise.
-/// Reader and writer acquisitions share one order-graph node.
+/// A [`std::sync::RwLock`] of a [`LockClass`], rank-checked under
+/// `debug_assertions`. Readers and writers hold the same class.
 pub struct OrderedRwLock<T> {
-    name: &'static str,
+    class: LockClass,
     inner: RwLock<T>,
 }
 
 impl<T> OrderedRwLock<T> {
-    /// Wraps `value` under the order-graph node `name`.
-    pub const fn new(name: &'static str, value: T) -> Self {
+    /// Wraps `value` in a lock of `class`.
+    pub const fn new(class: LockClass, value: T) -> Self {
         Self {
-            name,
+            class,
             inner: RwLock::new(value),
         }
     }
 
-    /// This lock's order-graph name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Shared acquisition; ordering violations are recorded, not raised.
+    /// Shared acquisition, checked like [`OrderedMutex::lock`].
     pub fn read(&self) -> OrderedReadGuard<'_, T> {
-        if let Some(v) = order::on_acquire(self.name) {
-            order::record(v);
-        }
-        let inner = recover(self.inner.read());
-        order::on_acquired(self.name);
+        let held = Held::acquire(self.class);
         OrderedReadGuard {
-            name: self.name,
-            inner,
+            inner: recover(self.inner.read()),
+            held,
         }
     }
 
-    /// Exclusive acquisition; ordering violations are recorded, not raised.
+    /// Exclusive acquisition, checked like [`OrderedMutex::lock`].
     pub fn write(&self) -> OrderedWriteGuard<'_, T> {
-        if let Some(v) = order::on_acquire(self.name) {
-            order::record(v);
-        }
-        let inner = recover(self.inner.write());
-        order::on_acquired(self.name);
+        let held = Held::acquire(self.class);
         OrderedWriteGuard {
-            name: self.name,
-            inner,
+            inner: recover(self.inner.write()),
+            held,
         }
-    }
-
-    /// Shared acquisition that refuses (without blocking) on a would-be
-    /// ordering violation under `sanitize`.
-    pub fn read_ordered(&self) -> Result<OrderedReadGuard<'_, T>, LockOrderViolation> {
-        if let Some(v) = order::on_acquire(self.name) {
-            return Err(v);
-        }
-        let inner = recover(self.inner.read());
-        order::on_acquired(self.name);
-        Ok(OrderedReadGuard {
-            name: self.name,
-            inner,
-        })
-    }
-
-    /// Exclusive acquisition that refuses (without blocking) on a
-    /// would-be ordering violation under `sanitize`.
-    pub fn write_ordered(&self) -> Result<OrderedWriteGuard<'_, T>, LockOrderViolation> {
-        if let Some(v) = order::on_acquire(self.name) {
-            return Err(v);
-        }
-        let inner = recover(self.inner.write());
-        order::on_acquired(self.name);
-        Ok(OrderedWriteGuard {
-            name: self.name,
-            inner,
-        })
     }
 }
 
 impl<T> fmt::Debug for OrderedRwLock<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("OrderedRwLock")
-            .field("name", &self.name)
+            .field("class", &self.class)
             .finish()
     }
 }
 
 /// Shared-access RAII guard for [`OrderedRwLock`].
 pub struct OrderedReadGuard<'a, T> {
-    name: &'static str,
     inner: RwLockReadGuard<'a, T>,
+    held: Held,
 }
 
 impl<T> std::ops::Deref for OrderedReadGuard<'_, T> {
@@ -269,24 +182,18 @@ impl<T> std::ops::Deref for OrderedReadGuard<'_, T> {
     }
 }
 
-impl<T> Drop for OrderedReadGuard<'_, T> {
-    fn drop(&mut self) {
-        order::on_release(self.name);
-    }
-}
-
 impl<T> fmt::Debug for OrderedReadGuard<'_, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("OrderedReadGuard")
-            .field("name", &self.name)
+            .field("class", &self.held.class())
             .finish()
     }
 }
 
 /// Exclusive-access RAII guard for [`OrderedRwLock`].
 pub struct OrderedWriteGuard<'a, T> {
-    name: &'static str,
     inner: RwLockWriteGuard<'a, T>,
+    held: Held,
 }
 
 impl<T> std::ops::Deref for OrderedWriteGuard<'_, T> {
@@ -302,57 +209,35 @@ impl<T> std::ops::DerefMut for OrderedWriteGuard<'_, T> {
     }
 }
 
-impl<T> Drop for OrderedWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        order::on_release(self.name);
-    }
-}
-
 impl<T> fmt::Debug for OrderedWriteGuard<'_, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("OrderedWriteGuard")
-            .field("name", &self.name)
+            .field("class", &self.held.class())
             .finish()
     }
 }
 
-/// A named [`std::sync::Barrier`]. Under `sanitize`, entering the wait
-/// while holding any ordered lock records a
-/// [`ViolationKind::RendezvousWhileLocked`] hazard (a peer that needs the
-/// held lock to reach this barrier would deadlock the rendezvous); the
-/// wait itself always proceeds so peers are not starved of the arrival.
+/// A [`std::sync::Barrier`] whose wait, under `debug_assertions`, panics
+/// while the caller holds any ordered guard: a peer that needs the held
+/// lock to reach the barrier would deadlock the rendezvous.
+#[derive(Debug)]
 pub struct OrderedBarrier {
-    name: &'static str,
     inner: Barrier,
 }
 
 impl OrderedBarrier {
-    /// A barrier for `n` threads under the order-graph node `name`.
-    pub fn new(name: &'static str, n: usize) -> Self {
+    /// A barrier for `n` threads.
+    pub fn new(n: usize) -> Self {
         Self {
-            name,
             inner: Barrier::new(n),
         }
-    }
-
-    /// This barrier's order-graph name.
-    pub fn name(&self) -> &'static str {
-        self.name
     }
 
     /// Blocks until all `n` threads arrive; exactly one caller observes
     /// `is_leader()`.
     pub fn wait(&self) -> BarrierWaitResult {
-        order::on_rendezvous(self.name);
+        class::check_rendezvous();
         self.inner.wait()
-    }
-}
-
-impl fmt::Debug for OrderedBarrier {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("OrderedBarrier")
-            .field("name", &self.name)
-            .finish()
     }
 }
 
@@ -361,21 +246,45 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    /// The formatted panic message `f` raises on a fresh thread, if it
+    /// panics.
+    fn panic_of(f: impl FnOnce() + Send + 'static) -> Option<String> {
+        let payload = std::thread::spawn(f).join().err()?;
+        Some(
+            payload
+                .downcast::<String>()
+                .map_or_else(|_| String::new(), |s| *s),
+        )
+    }
+
+    /// Asserts `f` panics naming every one of `words` under
+    /// `debug_assertions`, and runs through without a check otherwise.
+    fn assert_checked(words: &[&str], f: impl FnOnce() + Send + 'static) {
+        let msg = panic_of(f);
+        if !cfg!(debug_assertions) {
+            assert_eq!(msg, None, "release builds carry no check");
+            return;
+        }
+        let msg = msg.expect("the check did not fire");
+        for w in words {
+            assert!(msg.contains(w), "`{w}` missing from: {msg}");
+        }
+    }
+
     #[test]
     fn mutex_and_rwlock_pass_values_through() {
-        let m = OrderedMutex::new("test.pass.m", 1u32);
+        let m = OrderedMutex::new(LockClass::FeedState, 1u32);
         *m.lock() += 41;
         assert_eq!(*m.lock(), 42);
-        assert_eq!(m.name(), "test.pass.m");
 
-        let rw = OrderedRwLock::new("test.pass.rw", vec![1, 2]);
+        let rw = OrderedRwLock::new(LockClass::TelemetryStore, vec![1, 2]);
         rw.write().push(3);
         assert_eq!(rw.read().as_slice(), &[1, 2, 3]);
     }
 
     #[test]
     fn barrier_elects_one_leader() {
-        let b = Arc::new(OrderedBarrier::new("test.pass.bar", 3));
+        let b = Arc::new(OrderedBarrier::new(3));
         let leaders: usize = std::thread::scope(|s| {
             (0..3)
                 .map(|_| {
@@ -391,91 +300,65 @@ mod tests {
     }
 
     #[test]
-    fn consistent_nesting_is_silent() {
-        let a = OrderedMutex::new("test.nest.a", ());
-        let b = OrderedMutex::new("test.nest.b", ());
+    fn rank_order_nesting_is_silent() {
+        let feed = OrderedMutex::new(LockClass::FeedState, ());
+        let slots = OrderedMutex::new(LockClass::CollectiveSlots, ());
+        let store = OrderedRwLock::new(LockClass::TelemetryStore, ());
+        let beats = OrderedMutex::new(LockClass::TelemetryHeartbeats, ());
         for _ in 0..3 {
-            let _ga = a.lock();
-            let gb = b.lock_ordered();
-            assert!(gb.is_ok(), "same-order nesting must never be flagged");
+            let _f = feed.lock();
+            let _s = slots.lock();
+            let _r = store.read();
+            let _b = beats.lock();
         }
-        assert!(held_locks().is_empty());
+        // released classes may be taken again, in any order
+        drop(beats.lock());
+        drop(feed.lock());
+        OrderedBarrier::new(1).wait();
     }
 
-    #[cfg(feature = "sanitize")]
     #[test]
-    fn inversion_is_refused_with_the_closing_cycle() {
-        let a = OrderedMutex::new("test.inv.a", ());
-        let b = OrderedMutex::new("test.inv.b", ());
-        {
-            let _ga = a.lock();
-            let _gb = b.lock(); // learns the edge a -> b
-        }
-        let _gb = b.lock();
-        let err = a.lock_ordered().expect_err("b-then-a closes a cycle");
-        assert_eq!(err.kind, ViolationKind::Cycle);
-        assert_eq!(err.acquiring, "test.inv.a");
-        assert_eq!(err.held, vec!["test.inv.b"]);
-        assert_eq!(err.cycle.first(), Some(&"test.inv.a"));
-        assert_eq!(err.cycle.last(), Some(&"test.inv.a"));
-        assert!(err.cycle.contains(&"test.inv.b"));
-        assert!(err.to_string().contains("lock-order cycle"));
+    fn seeded_inversion_panics_naming_both_classes() {
+        assert_checked(&["acquiring FeedState", "holding TelemetryStore"], || {
+            let feed = OrderedMutex::new(LockClass::FeedState, ());
+            let store = OrderedMutex::new(LockClass::TelemetryStore, ());
+            let _s = store.lock();
+            let _f = feed.lock();
+        });
     }
 
-    #[cfg(feature = "sanitize")]
     #[test]
-    fn reacquiring_the_same_lock_is_a_self_cycle() {
-        let a = OrderedMutex::new("test.self.a", ());
-        let _g = a.lock();
-        let err = a.lock_ordered().expect_err("self-deadlock");
-        assert_eq!(err.cycle, vec!["test.self.a", "test.self.a"]);
-    }
-
-    #[cfg(feature = "sanitize")]
-    #[test]
-    fn held_stack_tracks_scopes() {
-        let a = OrderedMutex::new("test.held.a", ());
-        let rw = OrderedRwLock::new("test.held.rw", ());
-        {
-            let _ga = a.lock();
-            let _gr = rw.read();
-            assert_eq!(held_locks(), vec!["test.held.a", "test.held.rw"]);
-        }
-        assert!(held_locks().is_empty());
-    }
-
-    #[cfg(feature = "sanitize")]
-    #[test]
-    fn rendezvous_while_locked_is_recorded() {
-        let b = OrderedBarrier::new("test.rdv.bar", 1);
-        let m = OrderedMutex::new("test.rdv.m", ());
-        {
-            let _g = m.lock();
-            b.wait();
-        }
-        let hazards = take_violations();
-        assert!(
-            hazards
-                .iter()
-                .any(|v| v.kind == ViolationKind::RendezvousWhileLocked
-                    && v.acquiring == "test.rdv.bar"
-                    && v.held == vec!["test.rdv.m"]),
-            "expected a rendezvous hazard, got {hazards:?}"
+    fn same_class_reacquire_panics() {
+        assert_checked(
+            &["acquiring CollectiveSlots", "holding CollectiveSlots"],
+            || {
+                // two locks of one class: the main and lane slots
+                let main = OrderedMutex::new(LockClass::CollectiveSlots, ());
+                let lane = OrderedRwLock::new(LockClass::CollectiveSlots, ());
+                let _m = main.lock();
+                let _l = lane.write();
+            },
         );
     }
 
-    #[cfg(not(feature = "sanitize"))]
     #[test]
-    fn disarmed_wrappers_never_flag_anything() {
-        let a = OrderedMutex::new("test.off.a", ());
-        let b = OrderedMutex::new("test.off.b", ());
-        {
-            let _ga = a.lock();
-            let _gb = b.lock();
-        }
-        let _gb = b.lock();
-        assert!(a.lock_ordered().is_ok(), "pass-through build");
-        assert!(take_violations().is_empty());
-        assert!(held_locks().is_empty());
+    fn barrier_wait_while_holding_a_guard_panics() {
+        assert_checked(&["barrier wait", "TelemetryHeartbeats"], || {
+            let beats = OrderedMutex::new(LockClass::TelemetryHeartbeats, ());
+            let _b = beats.lock();
+            OrderedBarrier::new(1).wait();
+        });
+    }
+
+    #[test]
+    fn second_guard_on_a_comm_lane_panics() {
+        assert_checked(&["comm lane", "TelemetryStore", "CollectiveSlots"], || {
+            mark_comm_lane();
+            let slots = OrderedMutex::new(LockClass::CollectiveSlots, ());
+            let store = OrderedMutex::new(LockClass::TelemetryStore, ());
+            drop(store.lock()); // one guard at a time is fine
+            let _s = slots.lock();
+            let _t = store.lock();
+        });
     }
 }

@@ -45,7 +45,7 @@ pub use summary::TelemetrySummary;
 
 use heartbeat::Heartbeat;
 use metrics::Store;
-use neo_sync::{OrderedMutex, OrderedMutexGuard};
+use neo_sync::{LockClass, OrderedMutex, OrderedMutexGuard};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -103,7 +103,6 @@ impl Inner {
 
     fn heartbeat(&self, rank: u32, lane: u32) -> Arc<Heartbeat> {
         let mut slots = self.heartbeats.lock();
-        // lint: allow(lock_order) — same-name merge: h.rank() is Heartbeat::rank (an atomic getter), not TelemetrySink::rank, so no second acquire occurs
         if let Some(h) = slots.iter().find(|h| h.rank() == rank && h.lane() == lane) {
             return Arc::clone(h);
         }
@@ -151,8 +150,8 @@ impl TelemetrySink {
                     reason = "span timestamps are offsets from this epoch; measuring is the sink's job"
                 )]
                 epoch: Instant::now(),
-                store: OrderedMutex::new("telemetry.store", Store::default()),
-                heartbeats: OrderedMutex::new("telemetry.heartbeats", Vec::new()),
+                store: OrderedMutex::new(LockClass::TelemetryStore, Store::default()),
+                heartbeats: OrderedMutex::new(LockClass::TelemetryHeartbeats, Vec::new()),
             })),
         }
     }

@@ -22,14 +22,16 @@
 //! site)`, so a failing seed replays exactly:
 //!
 //! ```text
-//! cargo run --release -p neo-xtask -- interleave --seed 17
+//! cargo run -p neo-xtask -- interleave --seed 17
 //! ```
 //!
 //! A hang is reported as a possible deadlock (with the seed) instead of
 //! hanging CI: each run executes on a watchdog thread with a generous
-//! timeout. When the workspace is built with `--features sanitize`, any
-//! lock-order violations the runtime validator records during the runs
-//! are drained and reported as failures too.
+//! timeout. In a debug build (ci.sh runs the harness on the dev profile)
+//! neo-sync's lock-class check is live on every perturbed schedule: an
+//! out-of-rank acquisition, a barrier wait under a guard, or a second
+//! guard on a comm lane panics its thread, and the trainer reports the
+//! panic as the seed's training error.
 
 use std::sync::mpsc;
 use std::thread;
@@ -185,10 +187,6 @@ pub fn run_interleave(args: &[String]) -> Result<usize, String> {
                     },
                 }
             }
-        }
-        for v in neo_sync::take_violations() {
-            problems += 1;
-            println!("interleave: {tag}: lock-order violation: {v}");
         }
     }
 

@@ -6,33 +6,26 @@
 //! the paper's §4.1.2 reproducibility claim. The engine is a three-layer
 //! pipeline — lossless token stream, cross-crate symbol index, and a
 //! whole-workspace call graph with transitive reachability — feeding
-//! seven rules (the full table lives in DESIGN.md and `neo_lint`'s
+//! six rules (the full table lives in DESIGN.md and `neo_lint`'s
 //! crate docs):
 //!
 //! 1. **crate_header** — `#![forbid(unsafe_code)]` and `#![deny(warnings)]`
 //!    in every crate root (`src/lib.rs`, `src/main.rs`, `src/bin/*.rs`).
 //! 2. **props_cover** — every `pub fn` in `crates/collectives/src/group.rs`
 //!    is named by a property test in `crates/collectives/tests/props.rs`.
-//! 3. **lock_order** — every nested `Mutex`/`RwLock` acquisition (with
-//!    calls made while a guard is held expanded transitively through the
-//!    workspace call graph, across crate boundaries) must respect a single
-//!    global lock order; an edge that closes a cycle in the
-//!    lock-acquisition graph is a potential deadlock and is rejected unless
-//!    waived with `// lint: allow(lock_order) — <reason>`.
-//! 4. **comm_lane_blocking** — nothing blocking (channel `recv`, `sleep`,
-//!    condvar waits, lock acquisition while holding a guard) anywhere in
-//!    the call-graph reachable set of the comm-lane worker in
-//!    `collectives/nonblocking.rs`, whatever crate it lives in; the lane
-//!    exists to hide collective latency.
-//! 5. **hot_path_alloc** — no heap allocation (`clone`/`collect`/
+//! 3. **comm_lane_blocking** — nothing blocking (channel `recv`, `sleep`,
+//!    barrier and condvar waits) anywhere in the call-graph reachable set
+//!    of the comm-lane worker in `collectives/nonblocking.rs`, whatever
+//!    crate it lives in; the lane exists to hide collective latency.
+//! 4. **hot_path_alloc** — no heap allocation (`clone`/`collect`/
 //!    `to_vec`/`vec!`/`Box::new`/`format!`) in any fn reachable from the
 //!    per-iteration kernel roots (the GEMM/MLP kernels, pooled embedding
 //!    kernels, sparse optimizer, quantization); setup-time sites carry
 //!    `// lint: allow(hot_path_alloc) — <reason>` waivers.
-//! 6. **panic_path** — no panicking token in a non-`Result` fn that a
+//! 5. **panic_path** — no panicking token in a non-`Result` fn that a
 //!    `Result`-returning fn transitively reaches: a signature that
 //!    promises `Err` must not abort through a helper instead.
-//! 7. **stale_waiver** — every `// lint: allow(<rule>) — <reason>`
+//! 6. **stale_waiver** — every `// lint: allow(<rule>) — <reason>`
 //!    annotation must name a known rule and actually suppress a finding;
 //!    waivers that no longer fire are flagged so they cannot rot in place.
 //!
@@ -44,7 +37,9 @@
 //! vocabulary: spans and metrics are named by the `Phase` and `Metric`
 //! enums, and the span and iteration guards are `#[must_use]`, so the
 //! compiler rejects a misspelt name, an inline string and a guard
-//! dropped where it is made.
+//! dropped where it is made. Nor does lock order: every `neo-sync` lock
+//! carries a ranked `LockClass`, and debug builds check each acquisition
+//! against the classes its thread holds.
 //!
 //! Flags: `--json FILE` writes the machine-readable `neo-lint/1` report,
 //! `--callgraph FILE` dumps the `neo-callgraph/1` artifact (nodes, edges,
@@ -54,12 +49,13 @@
 //! findings are waived; reachable-set drift is reported as a note), and
 //! `--write-baseline FILE` regenerates that baseline after review.
 //!
-//! `cargo run --release -p neo-xtask -- interleave [--seeds N] [--seed S]
+//! `cargo run -p neo-xtask -- interleave [--seeds N] [--seed S]
 //! [--iters K]` runs the seeded schedule-perturbation harness: for each
 //! seed it arms the `neo-sync` chaos layer, trains the overlapped (Fig. 9)
 //! trainer at w ∈ {2, 4}, and asserts the result is bitwise identical to a
-//! serial reference and free of deadlock (watchdog) and of runtime
-//! lock-order violations. See `interleave.rs`.
+//! serial reference and free of deadlock (watchdog); on the dev profile
+//! the lock-class check runs on every perturbed schedule. See
+//! `interleave.rs`.
 //!
 //! `cargo run -p neo-xtask -- check <files...>` (no flags) validates every
 //! artifact the workspace writes, dispatching on its schema tag; the rules
