@@ -3,10 +3,11 @@
 #
 # Every gate is mandatory; the script stops at the first failure:
 #   1. formatting        (cargo fmt --check)
-#   2. clippy            (root clippy.toml, two passes. All targets:
-#                         warnings are errors, and so are a `let _ =`
-#                         discard of a #[must_use] value and any #[allow]
-#                         or reasonless suppression (use #[expect(..,
+#   2. clippy            (root clippy.toml, two passes. All targets and
+#                         all features, so sanitize-gated tests are
+#                         linted too: warnings are errors, and so are a
+#                         `let _ =` discard of a #[must_use] value and any
+#                         #[allow] or reasonless suppression (use #[expect(..,
 #                         reason = ..)]); disallowed hash containers,
 #                         std::sync locks, clock and thread-identity
 #                         reads. Library and bin code, all features:
@@ -54,8 +55,9 @@ echo "==> [1/9] cargo fmt --check"
 cargo fmt --all -- --check
 
 echo "==> [2/9] cargo clippy: all targets, then panics in library + bin code, then the seeded fixture"
-CLIPPY_ALL_TARGETS=(--all-targets -- -D warnings -D clippy::let_underscore_must_use
-    -D clippy::allow_attributes -D clippy::allow_attributes_without_reason)
+CLIPPY_ALL_TARGETS=(--all-targets --all-features -- -D warnings
+    -D clippy::let_underscore_must_use -D clippy::allow_attributes
+    -D clippy::allow_attributes_without_reason)
 CLIPPY_PANICS=(--lib --bins --all-features -- -D warnings -D clippy::unwrap_used
     -D clippy::expect_used -D clippy::panic -D clippy::unreachable -D clippy::todo
     -D clippy::unimplemented)

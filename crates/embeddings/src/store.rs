@@ -122,6 +122,12 @@ pub trait RowStore: Send {
     }
 }
 
+/// Rows per block of the filled-row constructors: 16 KiB of `f32`, so a
+/// block is written while it sits in L1.
+fn fill_block_rows(dim: usize) -> usize {
+    (4096 / dim.max(1)).max(1)
+}
+
 /// FP32 dense storage — the plain HBM-resident table.
 #[derive(Debug, Clone)]
 pub struct DenseStore {
@@ -141,6 +147,21 @@ impl DenseStore {
     pub fn random(num_rows: u64, dim: usize, rng: &mut impl Rng) -> Self {
         Self {
             data: init::embedding_uniform(num_rows as usize, dim, rng),
+        }
+    }
+
+    /// Table filled in row order by `fill(first_row, rows)`, where `rows`
+    /// holds whole rows from `first_row` on, a cache-sized block at a time,
+    /// straight into its one buffer, so each page is touched once. `fill`
+    /// must write all of `rows`.
+    pub fn from_rows(num_rows: u64, dim: usize, mut fill: impl FnMut(u64, &mut [f32])) -> Self {
+        Self {
+            data: Tensor2::from_row_blocks(
+                num_rows as usize,
+                dim,
+                fill_block_rows(dim),
+                |r, rows| fill(r as u64, rows),
+            ),
         }
     }
 
@@ -209,13 +230,7 @@ impl fmt::Debug for HalfStore {
 impl HalfStore {
     /// Zero-initialized FP16 table with round-to-nearest writes.
     pub fn zeros(num_rows: u64, dim: usize) -> Self {
-        Self {
-            bits: vec![0u16; num_rows as usize * dim],
-            num_rows,
-            dim,
-            stochastic: false,
-            rng: rand::rngs::StdRng::seed_from_u64(0),
-        }
+        Self::from_bits(vec![0u16; num_rows as usize * dim], num_rows, dim)
     }
 
     /// Randomly initialized FP16 table.
@@ -223,6 +238,28 @@ impl HalfStore {
         let dense = init::embedding_uniform(num_rows as usize, dim, rng);
         let mut bits = vec![0; dense.len()];
         neo_tensor::half::f16_encode(dense.as_slice(), &mut bits);
+        Self::from_bits(bits, num_rows, dim)
+    }
+
+    /// Round-to-nearest FP16 table filled in row order by
+    /// `fill(first_row, rows)` like [`DenseStore::from_rows`]: each block
+    /// goes through one reused cache-sized `f32` buffer and is encoded
+    /// straight into the table. `fill` must write all of `rows`.
+    pub fn from_rows(num_rows: u64, dim: usize, mut fill: impl FnMut(u64, &mut [f32])) -> Self {
+        let (rows, block_rows) = (num_rows as usize, fill_block_rows(dim));
+        let mut bits = Vec::with_capacity(rows * dim);
+        let mut block = vec![0.0f32; block_rows.min(rows) * dim];
+        for first in (0..rows).step_by(block_rows) {
+            let len = block_rows.min(rows - first) * dim;
+            fill(first as u64, &mut block[..len]);
+            bits.resize(first * dim + len, 0);
+            neo_tensor::half::f16_encode(&block[..len], &mut bits[first * dim..]);
+        }
+        Self::from_bits(bits, num_rows, dim)
+    }
+
+    /// Round-to-nearest table over `num_rows × dim` encoded values.
+    fn from_bits(bits: Vec<u16>, num_rows: u64, dim: usize) -> Self {
         Self {
             bits,
             num_rows,
@@ -365,6 +402,46 @@ mod tests {
             s.bits.clone()
         };
         assert_eq!(run(), run());
+    }
+
+    /// Each filled-row constructor holds exactly the bits of `zeros`
+    /// followed by `write_row` of every row, FP16 rounding included, over
+    /// one block, several, a partial last one and degenerate shapes.
+    #[test]
+    fn from_rows_equals_zeros_then_write_row() {
+        // spans fp16 subnormals, ties and overflow
+        let value = |r: u64, c: usize| {
+            (r as f32 * 7.3 - 40.0) * (c as f32 - 2.5) * 1e-3f32.powi(r as i32 % 4)
+        };
+        for (rows, dim) in [
+            (0u64, 3usize),
+            (1, 0),
+            (1, 1),
+            (17, 5),
+            (300, 32),
+            (1000, 5),
+        ] {
+            let fill = |first: u64, block: &mut [f32]| {
+                for (k, v) in block.iter_mut().enumerate() {
+                    *v = value(first + (k / dim) as u64, k % dim);
+                }
+            };
+            let mut dense = DenseStore::zeros(rows, dim);
+            let mut half = HalfStore::zeros(rows, dim);
+            for r in 0..rows {
+                let row: Vec<f32> = (0..dim).map(|c| value(r, c)).collect();
+                dense.write_row(r, &row);
+                half.write_row(r, &row);
+            }
+            let filled = DenseStore::from_rows(rows, dim, fill);
+            let bits = |t: &Tensor2| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(filled.as_tensor()), bits(dense.as_tensor()));
+            assert_eq!(filled.as_tensor().shape(), dense.as_tensor().shape());
+            let filled = HalfStore::from_rows(rows, dim, fill);
+            assert!(!filled.is_stochastic());
+            assert_eq!((filled.num_rows, filled.dim), (rows, dim));
+            assert_eq!(filled.bits, half.bits);
+        }
     }
 
     #[test]

@@ -56,7 +56,8 @@ mod armed {
     fn nan_in_embedding_table_is_caught_by_pooled_forward() {
         let mut store = DenseStore::zeros(8, 2);
         store.write_row(3, &[f32::NAN, 1.0]);
-        let _ = bag::pooled_forward(&mut store, &[1], &[3]);
+        // the sanitizer panics inside the lookup, so nothing is returned
+        bag::pooled_forward(&mut store, &[1], &[3]).ok();
     }
 
     #[test]

@@ -79,6 +79,25 @@ impl Tensor2 {
         Self { rows, cols, data }
     }
 
+    /// Creates a tensor whose rows are written in order by
+    /// `f(first_row, block)`, one block of at most `block_rows` whole rows
+    /// at a time, straight into one buffer sized up front. `f` must write
+    /// all of `block`.
+    pub fn from_row_blocks(
+        rows: usize,
+        cols: usize,
+        block_rows: usize,
+        mut f: impl FnMut(usize, &mut [f32]),
+    ) -> Self {
+        let block_rows = block_rows.max(1);
+        let mut data = Vec::with_capacity(rows * cols);
+        for first in (0..rows).step_by(block_rows) {
+            data.resize((first + block_rows).min(rows) * cols, 0.0);
+            f(first, &mut data[first * cols..]);
+        }
+        Self { rows, cols, data }
+    }
+
     /// Wraps an existing buffer as a tensor.
     ///
     /// # Errors

@@ -7,6 +7,7 @@
 //! values — the foundation of the sharding-equivalence tests.
 
 use neo_dlrm_model::{DlrmConfig, DlrmModel};
+use neo_embeddings::store::DenseStore;
 use neo_tensor::ShapeError;
 
 /// Deterministic value of element `(table, row, col)` for a table of
@@ -23,28 +24,45 @@ pub fn det_element(seed: u64, table: usize, row: u64, col: usize, num_rows: u64)
     ((h >> 11) as f32 / (1u64 << 53) as f32 * 2.0 - 1.0) * scale
 }
 
-/// Materializes one full row.
-#[must_use]
-pub fn det_row(seed: u64, table: usize, row: u64, dim: usize, num_rows: u64) -> Vec<f32> {
-    (0..dim)
-        .map(|c| det_element(seed, table, row, c, num_rows))
-        .collect()
-}
-
-/// Materializes a column slice `[col_off, col_off + width)` of one row —
-/// what a column-wise shard needs.
-#[must_use]
-pub fn det_row_slice(
+/// Fills `dst` with the rectangle `dst.len() / width` rows ×
+/// `[col_off, col_off + width)` of table `table`, starting at global row
+/// `row_off`, row-major with stride `width`: element `(i, j)` is
+/// [`det_element`]`(seed, table, row_off + i, col_off + j, num_rows)` bit
+/// for bit. `dst` holds whole rows.
+///
+/// The hash key `seed ^ table·C1 ^ row·C2 ^ col·C3` is one XOR chain and
+/// XOR is associative, so the seed and table terms are folded once, the
+/// row term once per row, and the column term steps by one wrapping add
+/// (`(c + 1)·C3 = c·C3 + C3` mod 2^64); the scale is computed once.
+/// `h >> 11 < 2^53` converts through `i64` to the same `f32`, without the
+/// unsigned conversion's branch.
+pub fn det_fill(
     seed: u64,
     table: usize,
-    row: u64,
+    num_rows: u64,
+    row_off: u64,
     col_off: usize,
     width: usize,
-    num_rows: u64,
-) -> Vec<f32> {
-    (col_off..col_off + width)
-        .map(|c| det_element(seed, table, row, c, num_rows))
-        .collect()
+    dst: &mut [f32],
+) {
+    const C_TABLE: u64 = 0xA076_1D64_78BD_642F;
+    const C_ROW: u64 = 0xE703_7ED1_A0B4_28DB;
+    const C_COL: u64 = 0x8EBC_6AF0_9C88_C6E3;
+    if width == 0 {
+        return;
+    }
+    let scale = 1.0 / (num_rows.max(1) as f32).sqrt();
+    let table_key = seed ^ (table as u64).wrapping_mul(C_TABLE);
+    let first_col_key = (col_off as u64).wrapping_mul(C_COL);
+    for (row, out) in (row_off..).zip(dst.chunks_exact_mut(width)) {
+        let row_key = table_key ^ row.wrapping_mul(C_ROW);
+        let mut col_key = first_col_key;
+        for v in out {
+            let h = splitmix(row_key ^ col_key);
+            col_key = col_key.wrapping_add(C_COL);
+            *v = ((h >> 11) as i64 as f32 / (1u64 << 53) as f32 * 2.0 - 1.0) * scale;
+        }
+    }
 }
 
 /// Builds the single-device reference model whose embedding tables use the
@@ -57,11 +75,10 @@ pub fn det_row_slice(
 pub fn reference_model(cfg: &DlrmConfig, seed: u64) -> Result<DlrmModel, ShapeError> {
     let mut model = DlrmModel::new(cfg, seed)?;
     for (t, table) in model.tables.iter_mut().enumerate() {
-        let rows = table.num_rows();
-        let dim = table.dim();
-        for r in 0..rows {
-            table.write_row(r, &det_row(seed, t, r, dim, rows));
-        }
+        let (rows, dim) = (table.num_rows(), table.dim());
+        *table = Box::new(DenseStore::from_rows(rows, dim, |r, block| {
+            det_fill(seed, t, rows, r, 0, dim, block);
+        }));
     }
     Ok(model)
 }
@@ -76,6 +93,7 @@ fn splitmix(mut x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn elements_bounded_and_deterministic() {
@@ -89,15 +107,6 @@ mod tests {
     }
 
     #[test]
-    fn slices_agree_with_full_rows() {
-        let full = det_row(9, 1, 17, 16, 1000);
-        let left = det_row_slice(9, 1, 17, 0, 7, 1000);
-        let right = det_row_slice(9, 1, 17, 7, 9, 1000);
-        assert_eq!(&full[..7], &left[..]);
-        assert_eq!(&full[7..], &right[..]);
-    }
-
-    #[test]
     fn different_coordinates_differ() {
         assert_ne!(det_element(1, 0, 0, 0, 10), det_element(1, 0, 0, 1, 10));
         assert_ne!(det_element(1, 0, 0, 0, 10), det_element(1, 0, 1, 0, 10));
@@ -106,11 +115,43 @@ mod tests {
     }
 
     #[test]
-    fn reference_model_uses_det_rows() {
+    fn reference_model_uses_det_elements() {
         let cfg = neo_dlrm_model::DlrmConfig::tiny(2, 20, 4);
         let mut m = reference_model(&cfg, 5).unwrap();
         let mut buf = [0.0f32; 4];
         m.tables[1].read_row(3, &mut buf);
-        assert_eq!(buf.to_vec(), det_row(5, 1, 3, 4, 20));
+        let want: Vec<f32> = (0..4).map(|c| det_element(5, 1, 3, c, 20)).collect();
+        assert_eq!(buf.to_vec(), want);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The fill kernel is the per-element definition, bit for bit, at
+        /// every position of every rectangle: the hoisted hash terms wrap
+        /// over the full `u64` range and `num_rows` spans 1 to 2^40 on a
+        /// log scale, so the scale and the `i64` conversion see small and
+        /// huge tables alike.
+        #[test]
+        fn fill_is_det_element_bitwise(
+            seed in any::<u64>(),
+            table in 0usize..=64,
+            row_off in 0u64..=(1 << 40),
+            rows in 0usize..=300,
+            col_off in 0usize..=48,
+            width in 0usize..=48,
+            rows_log in 0u32..=40,
+            rows_bits in any::<u64>(),
+        ) {
+            let num_rows = 1 + rows_bits % (1u64 << rows_log);
+            let mut dst = vec![f32::NAN; rows * width];
+            det_fill(seed, table, num_rows, row_off, col_off, width, &mut dst);
+            for i in 0..rows {
+                for j in 0..width {
+                    let want = det_element(seed, table, row_off + i as u64, col_off + j, num_rows);
+                    prop_assert_eq!(dst[i * width + j].to_bits(), want.to_bits());
+                }
+            }
+        }
     }
 }

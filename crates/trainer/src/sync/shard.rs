@@ -17,7 +17,7 @@ use rand::SeedableRng;
 
 use super::config::{err, DenseOpt, SparseOpt, SyncConfig, SyncError};
 use super::forward::PendingInput;
-use crate::init::det_row_slice;
+use crate::init::det_fill;
 
 /// Whether a shard's pooled outputs and gradients travel in the pooled /
 /// gradient AlltoAlls (table- and column-wise shards). Row blocks use
@@ -51,18 +51,28 @@ impl LocalShard {
     /// profiling).
     fn new(cfg: &SyncConfig, geo: Shard) -> Self {
         let table_rows = cfg.model.tables[geo.table].num_rows;
-        // an empty trailing row block still gets a one-row store
+        // an empty trailing row block still gets a one-row store, of zeros
         let (rows, width) = (geo.rows.max(1), geo.width);
-        let mut store: Box<dyn RowStore> = if cfg.fp16_embeddings {
-            Box::new(HalfStore::zeros(rows, width))
-        } else {
-            Box::new(DenseStore::zeros(rows, width))
+        let fill = |r: u64, block: &mut [f32]| {
+            if geo.rows == 0 {
+                block.fill(0.0);
+            } else {
+                det_fill(
+                    cfg.seed,
+                    geo.table,
+                    table_rows,
+                    geo.row_off + r,
+                    geo.col_off,
+                    width,
+                    block,
+                );
+            }
         };
-        for r in 0..geo.rows {
-            let row = geo.row_off + r;
-            let init = det_row_slice(cfg.seed, geo.table, row, geo.col_off, width, table_rows);
-            store.write_row(r, &init);
-        }
+        let store: Box<dyn RowStore> = if cfg.fp16_embeddings {
+            Box::new(HalfStore::from_rows(rows, width, fill))
+        } else {
+            Box::new(DenseStore::from_rows(rows, width, fill))
+        };
         let opt: Box<dyn SparseOptimizer> = match cfg.optimizer {
             SparseOpt::Sgd => Box::new(SparseSgd::new(cfg.lr)),
             SparseOpt::Adagrad => Box::new(SparseAdagrad::new(cfg.lr, 1e-8, rows, width)),

@@ -14,7 +14,7 @@
 use neo_dlrm::embeddings::bag::{pooled_backward, pooled_forward};
 use neo_dlrm::perfmodel::capacity::{capacity_chain, fit_on_cluster};
 use neo_dlrm::prelude::*;
-use neo_dlrm::trainer::init::det_row;
+use neo_dlrm::trainer::init::det_fill;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- part 1: the paper's arithmetic ----
@@ -33,10 +33,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // a 200k-row table backed by "DDR", fronted by a 16k-row "HBM" cache
     let rows: u64 = 200_000;
     let dim = 32;
-    let mut backing = DenseStore::zeros(rows, dim);
-    for r in 0..rows {
-        backing.write_row(r, &det_row(1, 0, r, dim, rows));
-    }
+    let backing =
+        DenseStore::from_rows(rows, dim, |r, block| det_fill(1, 0, rows, r, 0, dim, block));
     let mut table = TieredStore::new(Box::new(backing), 16_384, Policy::Lru);
     let mut opt = RowWiseAdagrad::new(0.05, 1e-8, rows);
 

@@ -1,12 +1,17 @@
 //! Acceptance tests for the `neo-workload` access-profile artifact: the
 //! top-K hot rows track the synthetic generator's Zipf head, the observed
 //! per-rank lookup imbalance agrees with the sharding planner's
-//! prediction, and the artifact round-trips losslessly.
+//! prediction, the artifact round-trips losslessly, and every rank's
+//! embedding stores hold exactly the bytes the plan assigns it.
 
+use neo_dlrm::collectives::QuantMode;
 use neo_dlrm::dataio::{SyntheticConfig, SyntheticDataset};
-use neo_dlrm::dlrm::DlrmConfig;
-use neo_dlrm::sharding::{CostModel, Planner, PlannerConfig, TableSpec};
-use neo_dlrm::trainer::{SyncConfig, SyncTrainer};
+use neo_dlrm::dlrm::{DlrmConfig, EmbTableCfg};
+use neo_dlrm::sharding::scheme::split_dim;
+use neo_dlrm::sharding::{
+    CostModel, Planner, PlannerConfig, Scheme, ShardingPlan, TablePlacement, TableSpec,
+};
+use neo_dlrm::trainer::{SparseOpt, SyncConfig, SyncTrainer};
 use neo_dlrm::workload::WorkloadReport;
 
 const TABLES: usize = 4;
@@ -96,4 +101,98 @@ fn artifact_round_trips_and_conserves_counts() {
         assert_eq!(t.sketch_total, t.lookups);
     }
     assert!(report.comm_bytes > 0);
+}
+
+/// The hand-built mixed plan of the benchmark's `sparse_w2`: table `i` by
+/// `i % 4` — table-wise, row-wise over every rank, column-wise over every
+/// rank, table-wise on the next rank.
+fn mixed_plan(specs: &[TableSpec], world: usize) -> ShardingPlan {
+    let all: Vec<usize> = (0..world).collect();
+    let placements = specs
+        .iter()
+        .map(|t| {
+            let scheme = match t.id % 4 {
+                0 => Scheme::TableWise {
+                    worker: (t.id / 4) % world,
+                },
+                1 => Scheme::RowWise {
+                    workers: all.clone(),
+                },
+                2 => Scheme::ColumnWise {
+                    workers: all.clone(),
+                    split_dims: split_dim(t.dim, world),
+                },
+                _ => Scheme::TableWise {
+                    worker: (t.id / 4 + 1) % world,
+                },
+            };
+            TablePlacement {
+                table: t.id,
+                scheme,
+            }
+        })
+        .collect();
+    ShardingPlan { world, placements }
+}
+
+/// The exact half of the memory ledger: per rank, the stores' parameter
+/// bytes are the planner's `memory_per_worker` — FP32 at 4 bytes per
+/// element, FP16 at 2 — so initialization allocates the planned
+/// rectangles and nothing else. The one difference is named: an empty
+/// trailing row block still gets a one-row store, which the plan counts
+/// as zero rows.
+#[test]
+fn store_bytes_are_the_planned_rectangles() {
+    // sparse_w2's model and plan at test scale, then a 3-rank cut of
+    // 4-row tables whose row-wise blocks are 2, 2 and 0 rows
+    for (world, rows) in [(2, 1_000), (3, 4)] {
+        let model = DlrmConfig {
+            dense_dim: 4,
+            bottom_mlp: vec![16, 32],
+            tables: (0..8)
+                .map(|_| EmbTableCfg {
+                    num_rows: rows,
+                    dim: 32,
+                    avg_pooling: 32,
+                })
+                .collect(),
+            top_mlp: vec![32, 1],
+        };
+        let specs: Vec<TableSpec> = model
+            .tables
+            .iter()
+            .enumerate()
+            .map(|(i, t)| TableSpec::new(i, t.num_rows, t.dim, f64::from(t.avg_pooling)))
+            .collect();
+        let plan = mixed_plan(&specs, world);
+        plan.validate(&specs).unwrap();
+        let empty_blocks: Vec<_> = plan
+            .shards(&specs)
+            .into_iter()
+            .filter(|s| s.rows == 0)
+            .collect();
+        assert_eq!(empty_blocks.is_empty(), world == 2);
+        let ds = SyntheticDataset::new(SyntheticConfig::uniform(8, rows, 32, 4)).unwrap();
+        let batch = 16 * world;
+        let batches: Vec<_> = (0..2).map(|k| ds.batch(batch, k)).collect();
+        for (fp16, bytes_per_elem) in [(false, 4), (true, 2)] {
+            let mut want = plan.memory_per_worker(&specs, bytes_per_elem);
+            for s in &empty_blocks {
+                want[s.worker] += s.width as u64 * bytes_per_elem;
+            }
+            let mut cfg = SyncConfig::exact(world, model.clone(), plan.clone(), batch);
+            cfg.quant_fwd = QuantMode::Fp16;
+            cfg.quant_bwd = QuantMode::Bf16;
+            cfg.optimizer = SparseOpt::RowWiseAdagrad;
+            cfg.fp16_embeddings = fp16;
+            cfg.workload = true;
+            let out = SyncTrainer::new(cfg).train(&batches, &[], 0, None).unwrap();
+            let report = out.workload.expect("profiler was on");
+            let mut got = vec![0u64; world];
+            for s in &report.shards {
+                got[s.rank] += s.param_bytes;
+            }
+            assert_eq!(got, want, "world {world}, fp16 {fp16}");
+        }
+    }
 }
