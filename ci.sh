@@ -15,7 +15,7 @@
 #                         unimplemented!. Then both passes on the seeded
 #                         crates/lint/tests/clippy_fixture crate, which
 #                         must report every expected lint code)
-#   3. neo-xtask lint    (6-rule neo-lint engine over the token stream,
+#   3. neo-xtask lint    (5-rule neo-lint engine over the token stream,
 #                         symbol index, and workspace call graph; emits
 #                         results/lint.json + results/callgraph.json
 #                         and diffs waived counts against the committed

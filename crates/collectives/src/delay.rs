@@ -4,12 +4,15 @@
 //! memory, so on the wall clock they cost microseconds where the real
 //! ZionEX fabric costs hundreds. That makes overlap experiments (§4.3)
 //! meaningless: there is nothing to hide. [`CommDelay`] restores a
-//! realistic wire cost by sleeping `latency + bytes / bandwidth` per
-//! collective, priced from a [`ClusterTopology`] link, without touching
-//! the exchanged values — injected latency is wall-clock only, so
-//! bitwise determinism is unaffected.
+//! realistic wire cost of `latency + bytes / bandwidth` per collective,
+//! priced from a [`ClusterTopology`] link, as a *deadline*: a post stamps
+//! when its payload would be off the wire, and the wait sleeps only for
+//! what is left of it. Compute between post and wait therefore hides the
+//! modelled wire exactly, with no thread sleeping on it. Injected latency
+//! is wall-clock only and never touches the exchanged values, so bitwise
+//! determinism is unaffected.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use neo_netsim::topology::LinkSpec;
 use neo_netsim::ClusterTopology;
@@ -17,9 +20,9 @@ use neo_netsim::ClusterTopology;
 /// Per-operation latency injector derived from a netsim link model.
 ///
 /// Attached to a `Communicator` via `set_comm_delay`, every collective
-/// sleeps for the α–β transfer time of its payload before the rendezvous.
-/// Off by default; a communicator without a delay reads no clock and
-/// sleeps nowhere.
+/// completes no earlier than the α–β transfer time of its payload after
+/// its post. Off by default; a communicator without a delay reads no
+/// clock and sleeps nowhere.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CommDelay {
     link: LinkSpec,
@@ -62,13 +65,27 @@ impl CommDelay {
         Duration::from_secs_f64(secs.max(0.0))
     }
 
-    /// Sleeps for [`CommDelay::cost`] of `bytes` on the calling thread.
-    pub fn inject(&self, bytes: u64) {
-        let d = self.cost(bytes);
-        if !d.is_zero() {
-            std::thread::sleep(d); // lint: allow(comm_lane_blocking) — deliberate fault injection: modeling link latency by parking the caller is this function's contract
-        }
+    /// When a payload of `bytes` posted now is off the modelled wire.
+    pub(crate) fn deadline(&self, bytes: u64) -> Instant {
+        now() + self.cost(bytes)
     }
+}
+
+/// Sleeps out what is left until `deadline`; returns at once once it has
+/// passed.
+pub(crate) fn sleep_until(deadline: Instant) {
+    let left = deadline.saturating_duration_since(now());
+    if !left.is_zero() {
+        std::thread::sleep(left);
+    }
+}
+
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the injected wire cost is wall-clock by definition; read only when a delay is attached"
+)]
+fn now() -> Instant {
+    Instant::now()
 }
 
 #[cfg(test)]
@@ -101,14 +118,13 @@ mod tests {
     }
 
     #[test]
-    fn injecting_sleeps_at_least_the_cost() {
+    fn sleeping_until_a_deadline_pays_only_what_is_left() {
         let d = CommDelay::new(1e9, 2e-3); // 2 ms fixed latency
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "the test times the injected delay"
-        )]
-        let t0 = std::time::Instant::now();
-        d.inject(0);
-        assert!(t0.elapsed() >= Duration::from_millis(2));
+        let deadline = d.deadline(0);
+        sleep_until(deadline);
+        let t1 = now();
+        assert!(t1 >= deadline);
+        sleep_until(deadline); // already passed: no sleep
+        assert!(t1.elapsed() < Duration::from_millis(2));
     }
 }

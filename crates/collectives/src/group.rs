@@ -1,14 +1,15 @@
-//! The thread-backed process group and its collectives.
+//! The process group and its collectives, each a post and a wait on the
+//! group's [`Ring`].
 
-use std::any::Any;
 use std::sync::Arc;
 
-use neo_sync::{LockClass, OrderedBarrier, OrderedMutex};
-use neo_telemetry::{Metric, TelemetrySink};
+use neo_sync::chaos;
+use neo_telemetry::{Metric, RankRecorder, TelemetrySink};
 
 use crate::delay::CommDelay;
-use crate::nonblocking::Lane;
+use crate::nonblocking::CommHandle;
 use crate::quant::{QuantError, QuantMode};
+use crate::ring::{Deposit, Ring};
 
 /// Error from a collective operation.
 ///
@@ -18,7 +19,7 @@ use crate::quant::{QuantError, QuantMode};
 /// through a panic on the hot path.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CollectiveError {
-    /// A rank's deposit slot was empty when results were read.
+    /// A rank's deposit was missing when results were read.
     MissingDeposit {
         /// The collective being executed.
         op: &'static str,
@@ -30,20 +31,6 @@ pub enum CollectiveError {
     },
     /// A quantized collective was asked for an impossible wire conversion.
     Quant(QuantError),
-    /// A nonblocking collective's comm lane shut down before delivering
-    /// the result (the group was torn down mid-flight).
-    LaneClosed {
-        /// The collective being executed.
-        op: &'static str,
-    },
-    /// The comm-lane worker panicked while running a posted collective;
-    /// the panic payload is captured here instead of unwinding the caller.
-    LaneFailed {
-        /// The collective being executed.
-        op: &'static str,
-        /// The panic message the lane worker died with.
-        message: String,
-    },
 }
 
 impl std::fmt::Display for CollectiveError {
@@ -59,12 +46,6 @@ impl std::fmt::Display for CollectiveError {
                 write!(f, "payload type mismatch in collective {op}")
             }
             CollectiveError::Quant(e) => write!(f, "quantized collective: {e}"),
-            CollectiveError::LaneClosed { op } => {
-                write!(f, "comm lane closed before {op} completed")
-            }
-            CollectiveError::LaneFailed { op, message } => {
-                write!(f, "comm lane worker panicked during {op}: {message}")
-            }
         }
     }
 }
@@ -94,28 +75,25 @@ pub struct CommStats {
     pub ops: u64,
 }
 
-struct Deposit {
-    op: &'static str,
-    payload: Box<dyn Any + Send>,
+/// One rank's end of the group, shared by its [`Communicator`] and every
+/// [`CommHandle`] it has posted.
+pub(crate) struct Endpoint {
+    pub(crate) rank: usize,
+    pub(crate) ring: Arc<Ring>,
+    pub(crate) telemetry: TelemetrySink,
+    /// A recorder on the rank's heartbeat slot, where a wait that has to
+    /// park marks the exchange.
+    pub(crate) beat: RankRecorder,
 }
 
-pub(crate) struct Shared {
-    world: usize,
-    barrier: OrderedBarrier,
-    slots: OrderedMutex<Vec<Option<Deposit>>>,
-}
-
-impl Shared {
-    /// The main and lane copies share [`LockClass::CollectiveSlots`]: no
-    /// thread ever holds both.
-    fn new(world: usize) -> Arc<Self> {
-        Arc::new(Shared {
-            world,
-            barrier: OrderedBarrier::new(world),
-            slots: OrderedMutex::new(
-                LockClass::CollectiveSlots,
-                (0..world).map(|_| None).collect(),
-            ),
+impl Endpoint {
+    fn new(rank: usize, ring: Arc<Ring>, telemetry: TelemetrySink) -> Arc<Self> {
+        let beat = telemetry.rank(rank as u32);
+        Arc::new(Endpoint {
+            rank,
+            ring,
+            telemetry,
+            beat,
         })
     }
 }
@@ -139,19 +117,13 @@ impl ProcessGroup {
     )]
     pub fn new(world: usize) -> Vec<Communicator> {
         assert!(world > 0, "process group needs at least one rank");
-        let shared = Shared::new(world);
-        // Nonblocking collectives rendezvous through a second, independent
-        // shared state so an in-flight posted op can never cross-match a
-        // blocking op issued concurrently on the main thread.
-        let lane_shared = Shared::new(world);
+        let ring = Arc::new(Ring::new(world));
         (0..world)
             .map(|rank| Communicator {
-                rank,
-                shared: Arc::clone(&shared),
+                ep: Endpoint::new(rank, Arc::clone(&ring), TelemetrySink::disabled()),
+                epoch: 0,
                 stats: CommStats::default(),
-                telemetry: TelemetrySink::disabled(),
                 delay: None,
-                lane: Some(Lane::spawn(rank, Arc::clone(&lane_shared))),
                 wire: Vec::new(),
             })
             .collect()
@@ -160,42 +132,27 @@ impl ProcessGroup {
 
 /// One rank's handle into the collective group.
 ///
-/// Every collective is a synchronous rendezvous: *all* ranks must call the
-/// same operation (enforced at runtime — a mismatch panics with the two
-/// operation names). Calls block until every rank has arrived.
+/// Every collective is a post and a wait on the group's ring: *all* ranks
+/// must issue the same collectives in the same order, posted or blocking
+/// (enforced at runtime — a mismatch panics with the two operation
+/// names). A blocking call is its own post followed at once by its wait.
 pub struct Communicator {
-    pub(crate) rank: usize,
-    shared: Arc<Shared>,
-    pub(crate) stats: CommStats,
-    pub(crate) telemetry: TelemetrySink,
+    ep: Arc<Endpoint>,
+    /// This rank's next collective; equal on every rank, since all issue
+    /// the same sequence.
+    epoch: u64,
+    stats: CommStats,
     delay: Option<CommDelay>,
-    pub(crate) lane: Option<Lane>,
     /// 16-bit wire buffers of the last quantized AlltoAll, one per
     /// destination, recycled by the next one once no peer holds them.
     wire: Vec<Arc<Vec<u16>>>,
 }
 
-impl Communicator {
-    /// A communicator over `shared` with no comm lane of its own — the
-    /// endpoint a [`Lane`] thread drives on behalf of its owning rank.
-    pub(crate) fn lane_endpoint(rank: usize, shared: Arc<Shared>) -> Self {
-        Communicator {
-            rank,
-            shared,
-            stats: CommStats::default(),
-            telemetry: TelemetrySink::disabled(),
-            delay: None,
-            lane: None,
-            wire: Vec::new(),
-        }
-    }
-}
-
 impl std::fmt::Debug for Communicator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Communicator")
-            .field("rank", &self.rank)
-            .field("world", &self.shared.world)
+            .field("rank", &self.ep.rank)
+            .field("world", &self.world())
             .field("stats", &self.stats)
             .finish()
     }
@@ -205,13 +162,13 @@ impl Communicator {
     /// This rank's id in `0..world`.
     #[inline]
     pub fn rank(&self) -> usize {
-        self.rank
+        self.ep.rank
     }
 
     /// Number of ranks in the group.
     #[inline]
     pub fn world(&self) -> usize {
-        self.shared.world
+        self.ep.ring.world()
     }
 
     /// Traffic counters for this rank.
@@ -221,46 +178,29 @@ impl Communicator {
 
     /// Attach a telemetry sink: every collective then also feeds
     /// `comm.<op>.bytes` / `comm.<op>.calls` counters and a
-    /// `comm.<op>.ns` latency histogram (which includes rendezvous wait,
-    /// i.e. the *exposed* cost of the collective on this rank).
-    /// Nonblocking collectives additionally record their exchange span on
-    /// the rank's comm lane (lane 1) and a `comm.<op>.wait_ns` histogram
-    /// at [`crate::CommHandle::wait`].
+    /// `comm.<op>.ns` histogram from post to completed wait, and a wait
+    /// that has to park marks an exchange on the rank's lane-0 heartbeat
+    /// slot. A posted collective additionally records a
+    /// `comm.<op>.wait_ns` histogram at [`CommHandle::wait`] and its
+    /// in-flight span, post to completed wait, on lane
+    /// [`COMM_LANE`](crate::COMM_LANE).
     pub fn set_telemetry(&mut self, sink: TelemetrySink) {
-        self.telemetry = sink.clone();
-        if let Some(lane) = &self.lane {
-            lane.set_telemetry(sink);
-        }
+        self.ep = Endpoint::new(self.ep.rank, Arc::clone(&self.ep.ring), sink);
     }
 
     /// Attach (or with `None` detach) an opt-in latency injector: every
-    /// collective then sleeps the modeled wire time of its payload before
-    /// the rendezvous, on whichever thread runs the exchange — the caller
-    /// for blocking collectives, the comm lane for posted ones. Off by
-    /// default; when off this costs nothing (no clock reads, no sleeps)
-    /// and injected delay never changes exchanged values.
+    /// collective then completes no earlier than the modelled wire time
+    /// of its payload after its post. A blocking collective pays it in
+    /// full; a posted one only for what is left when it is waited on.
+    /// Off by default; when off this costs nothing (no clock reads, no
+    /// sleeps) and injected delay never changes exchanged values.
     pub fn set_comm_delay(&mut self, delay: Option<CommDelay>) {
         self.delay = delay;
-        if let Some(lane) = &self.lane {
-            lane.set_comm_delay(delay);
-        }
-    }
-
-    /// Account payload bytes to [`CommStats`] and, when armed, to the
-    /// per-op telemetry counter; then inject the modeled wire latency for
-    /// the payload if a [`CommDelay`] is attached.
-    fn note_bytes(&mut self, op: &'static str, bytes: u64) {
-        self.stats.bytes_sent += bytes;
-        self.telemetry.counter_add(Metric::CommBytes(op), bytes);
-        if let Some(d) = &self.delay {
-            d.inject(bytes);
-        }
     }
 
     /// Blocks until every rank reaches the barrier.
     pub fn barrier(&mut self) {
-        self.stats.ops += 1;
-        self.shared.barrier.wait();
+        self.post("barrier", 0, (), |_| Ok(())).wait().ok();
     }
 
     /// Averages `buf` across ranks: [`Communicator::all_reduce_shared`]'s
@@ -284,7 +224,7 @@ impl Communicator {
     /// # Errors
     ///
     /// Returns [`CollectiveError`] if a rank deposited a payload of the
-    /// wrong type or a slot was empty at read time.
+    /// wrong type.
     ///
     /// # Panics
     ///
@@ -297,23 +237,28 @@ impl Communicator {
             "reduce_scatter length not divisible by world"
         );
         let chunk = input.len() / world;
-        let my = self.rank;
-        self.note_bytes("reduce_scatter", (input.len() * 4) as u64);
-        self.exchange("reduce_scatter", input.to_vec(), |slots| {
-            let mut acc = vec![0.0f32; chunk];
-            for slot in slots {
-                let contrib = payload_ref::<Vec<f32>>(slot, "reduce_scatter")?;
-                assert_eq!(
-                    contrib.len(),
-                    chunk * world,
-                    "reduce_scatter length mismatch"
-                );
-                for (a, b) in acc.iter_mut().zip(&contrib[my * chunk..(my + 1) * chunk]) {
-                    *a += b;
+        let my = self.rank();
+        self.post(
+            "reduce_scatter",
+            input.len() * 4,
+            input.to_vec(),
+            move |deposits| {
+                let mut acc = vec![0.0f32; chunk];
+                for d in &deposits {
+                    let contrib = payload_ref::<Vec<f32>>(d, "reduce_scatter")?;
+                    assert_eq!(
+                        contrib.len(),
+                        chunk * world,
+                        "reduce_scatter length mismatch"
+                    );
+                    for (a, b) in acc.iter_mut().zip(&contrib[my * chunk..(my + 1) * chunk]) {
+                        *a += b;
+                    }
                 }
-            }
-            Ok(acc)
-        })
+                Ok(acc)
+            },
+        )
+        .wait()
     }
 
     /// Concatenates every rank's `input` in rank order; all ranks get the
@@ -322,16 +267,16 @@ impl Communicator {
     /// # Errors
     ///
     /// Returns [`CollectiveError`] if a rank deposited a payload of the
-    /// wrong type or a slot was empty at read time.
+    /// wrong type.
     pub fn all_gather(&mut self, input: &[f32]) -> Result<Vec<f32>, CollectiveError> {
-        self.note_bytes("all_gather", (input.len() * 4) as u64);
-        self.exchange("all_gather", input.to_vec(), |slots| {
+        self.post("all_gather", input.len() * 4, input.to_vec(), |deposits| {
             let mut out = Vec::new();
-            for slot in slots {
-                out.extend_from_slice(payload_ref::<Vec<f32>>(slot, "all_gather")?);
+            for d in &deposits {
+                out.extend_from_slice(payload_ref::<Vec<f32>>(d, "all_gather")?);
             }
             Ok(out)
         })
+        .wait()
     }
 
     /// Personalized exchange: `sends[j]` goes to rank `j`; returns `recvs`
@@ -353,7 +298,7 @@ impl Communicator {
     /// # Errors
     ///
     /// Returns [`CollectiveError`] if a rank deposited a payload of the
-    /// wrong type or a slot was empty at read time.
+    /// wrong type.
     ///
     /// # Panics
     ///
@@ -362,22 +307,8 @@ impl Communicator {
         &mut self,
         sends: Vec<Arc<Vec<T>>>,
     ) -> Result<Vec<Arc<Vec<T>>>, CollectiveError> {
-        assert_eq!(
-            sends.len(),
-            self.world(),
-            "all_to_all_shared needs world send lists"
-        );
-        let total: usize = sends.iter().map(|v| v.len()).sum();
-        self.note_bytes("all_to_all_v", (total * std::mem::size_of::<T>()) as u64);
-        let my = self.rank;
-        self.exchange("all_to_all_v", sends, |slots| {
-            let mut out = Vec::with_capacity(slots.len());
-            for slot in slots {
-                let matrix = payload_ref::<Vec<Arc<Vec<T>>>>(slot, "all_to_all_v")?;
-                out.push(Arc::clone(&matrix[my]));
-            }
-            Ok(out)
-        })
+        self.start_all_to_all(sends, std::mem::size_of::<T>(), Ok)
+            .wait()
     }
 
     /// Quantized f32 AlltoAllv (§5.3.2): [`QuantMode::Fp32`] short-circuits
@@ -397,7 +328,7 @@ impl Communicator {
     /// # Errors
     ///
     /// Returns [`CollectiveError`] if a rank deposited a payload of the
-    /// wrong type, a slot was empty, or the wire conversion fails.
+    /// wrong type or the wire conversion fails.
     ///
     /// # Panics
     ///
@@ -407,35 +338,7 @@ impl Communicator {
         sends: Vec<Arc<Vec<f32>>>,
         mode: QuantMode,
     ) -> Result<Vec<Arc<Vec<f32>>>, CollectiveError> {
-        if mode == QuantMode::Fp32 {
-            return self.all_to_all_shared(sends);
-        }
-        assert_eq!(
-            sends.len(),
-            self.world(),
-            "all_to_all_shared_quant needs world send lists"
-        );
-        self.wire.resize_with(sends.len(), Arc::default);
-        let mut wire = Vec::with_capacity(sends.len());
-        for (slot, src) in self.wire.iter_mut().zip(&sends) {
-            if Arc::get_mut(slot).is_none() {
-                *slot = Arc::default(); // a peer still reads the last one
-            }
-            let buf = Arc::make_mut(slot); // unique: never clones
-            buf.resize(src.len(), 0);
-            mode.encode_into(src, buf)?;
-            wire.push(Arc::clone(slot));
-        }
-        let recv = self.all_to_all_shared(wire)?;
-        recv.iter()
-            .zip(sends)
-            .map(|(bits, send)| {
-                let mut out = Arc::try_unwrap(send).unwrap_or_default();
-                out.resize(bits.len(), 0.0);
-                mode.decode_into(bits, &mut out)?;
-                Ok(Arc::new(out))
-            })
-            .collect()
+        self.start_all_to_all_quant(sends, mode).wait()
     }
 
     /// Sums `input` element-wise across all ranks; every rank ends with
@@ -455,7 +358,7 @@ impl Communicator {
     /// # Errors
     ///
     /// Returns [`CollectiveError`] if a rank deposited a payload of the
-    /// wrong type or a slot was empty at read time.
+    /// wrong type.
     ///
     /// # Panics
     ///
@@ -464,107 +367,152 @@ impl Communicator {
         &mut self,
         input: Arc<Vec<f32>>,
     ) -> Result<Arc<Vec<f32>>, CollectiveError> {
-        let n = input.len();
-        self.note_bytes("all_reduce", (n * 4) as u64);
-        let contribs = self.exchange("all_reduce", input, |slots| {
-            let mut out = Vec::with_capacity(slots.len());
-            for slot in slots {
-                let contrib = payload_ref::<Arc<Vec<f32>>>(slot, "all_reduce")?;
-                assert_eq!(contrib.len(), n, "all_reduce length mismatch");
-                out.push(Arc::clone(contrib));
-            }
-            Ok(out)
-        })?;
-        let mut contribs = contribs.into_iter();
-        let Some(first) = contribs.next() else {
-            return Err(CollectiveError::MissingDeposit { op: "all_reduce" });
-        };
-        let mut acc_arc = first;
-        let acc = Arc::make_mut(&mut acc_arc);
-        // `x + 0.0` is bitwise-equal to `0.0 + x` for every f32, so this
-        // pass turns the recycled rank-0 buffer into exactly a
-        // zero-initialized accumulator after its first addition —
-        // including the negative-zero lanes it normalizes to +0.0.
-        for a in acc.iter_mut() {
-            *a += 0.0;
-        }
-        for contrib in contribs {
-            for (a, b) in acc.iter_mut().zip(contrib.iter()) {
-                *a += b;
-            }
-        }
-        Ok(acc_arc)
+        self.start_all_reduce(input).wait()
     }
 
-    /// Core rendezvous: deposit a payload, wait for everyone, compute this
-    /// rank's result from all deposits, wait again, and let the leader
-    /// clear the slots. A failed read still walks every barrier so the
-    /// other ranks are never left deadlocked by this rank's early error.
-    fn exchange<P: Send + 'static, R>(
+    /// The one post every collective goes through: account `bytes` of
+    /// logical payload, stamp the wire deadline, deposit `payload` into
+    /// this rank's next ring entry and arrive without waiting. `read`
+    /// turns every rank's deposit into this rank's result at wait.
+    fn post<P: Send + Sync + 'static, R>(
         &mut self,
         op: &'static str,
+        bytes: usize,
         payload: P,
-        read: impl FnOnce(&[Option<Deposit>]) -> Result<R, CollectiveError>,
-    ) -> Result<R, CollectiveError> {
+        read: impl FnOnce(Vec<Deposit>) -> Result<R, CollectiveError> + Send + 'static,
+    ) -> CommHandle<R> {
+        chaos::yield_point(chaos::site::POST);
+        let bytes = bytes as u64;
         self.stats.ops += 1;
-        // None when disabled: the hot path makes no clock syscall.
-        let t0 = self.telemetry.now_ns();
-        {
-            let mut slots = self.shared.slots.lock();
-            debug_assert!(
-                slots[self.rank].is_none(),
-                "rank {} double deposit",
-                self.rank
-            );
-            slots[self.rank] = Some(Deposit {
-                op,
-                payload: Box::new(payload),
-            });
-        }
-        self.shared.barrier.wait(); // lint: allow(comm_lane_blocking) — rendezvous barrier is the collective itself; the lane exists to overlap it with compute, not to remove it
-        let result = {
-            let slots = self.shared.slots.lock();
-            let mut verified = Ok(());
-            for (r, slot) in slots.iter().enumerate() {
-                let Some(d) = slot.as_ref() else {
-                    verified = Err(CollectiveError::MissingDeposit { op });
-                    break;
-                };
-                assert_eq!(
-                    d.op, op,
-                    "collective mismatch: rank {} called {} while rank {r} called {}",
-                    self.rank, op, d.op
-                );
-            }
-            verified.and_then(|()| read(&slots))
+        self.stats.bytes_sent += bytes;
+        let ep = Arc::clone(&self.ep);
+        ep.telemetry.counter_add(Metric::CommBytes(op), bytes);
+        let epoch = self.epoch;
+        self.epoch += 1;
+        let handle = CommHandle {
+            posted_ns: ep.telemetry.now_ns(),
+            ready_at: self.delay.map(|d| d.deadline(bytes)),
+            ep,
+            epoch,
+            op,
+            track: None,
+            read: Box::new(read),
         };
-        let leader = self.shared.barrier.wait(); // lint: allow(comm_lane_blocking) — second rendezvous: every rank must deposit before any rank reads
-        if leader.is_leader() {
-            let mut slots = self.shared.slots.lock();
-            for slot in slots.iter_mut() {
-                *slot = None;
+        // a stalled poster is parked here, posted but not yet arrived
+        chaos::stall_point(self.rank() as u64);
+        chaos::yield_point(chaos::site::ARRIVE);
+        handle
+            .ep
+            .ring
+            .arrive(epoch, self.rank(), op, Arc::new(payload));
+        handle
+    }
+
+    /// Posts the pointer exchange of `sends` (`elem` bytes per element on
+    /// the wire); `then` finishes the received row at wait.
+    pub(crate) fn start_all_to_all<T: Send + Sync + 'static, R: 'static>(
+        &mut self,
+        sends: Vec<Arc<Vec<T>>>,
+        elem: usize,
+        then: impl FnOnce(Vec<Arc<Vec<T>>>) -> Result<R, CollectiveError> + Send + 'static,
+    ) -> CommHandle<R> {
+        assert_eq!(
+            sends.len(),
+            self.world(),
+            "all_to_all_shared needs world send lists"
+        );
+        let bytes = sends.iter().map(|v| v.len()).sum::<usize>() * elem;
+        let my = self.rank();
+        self.post("all_to_all_v", bytes, sends, move |deposits| {
+            let mut recv = Vec::with_capacity(deposits.len());
+            for d in &deposits {
+                let matrix = payload_ref::<Vec<Arc<Vec<T>>>>(d, "all_to_all_v")?;
+                recv.push(Arc::clone(&matrix[my]));
             }
+            drop(deposits);
+            then(recv)
+        })
+    }
+
+    /// Posts [`Communicator::all_to_all_shared_quant`]: the encode runs
+    /// here, on the caller, and the decode at wait.
+    pub(crate) fn start_all_to_all_quant(
+        &mut self,
+        sends: Vec<Arc<Vec<f32>>>,
+        mode: QuantMode,
+    ) -> CommHandle<Vec<Arc<Vec<f32>>>> {
+        if mode == QuantMode::Fp32 {
+            return self.start_all_to_all(sends, mode.wire_bytes(), Ok);
         }
-        self.shared.barrier.wait(); // lint: allow(comm_lane_blocking) — final rendezvous: slots must be cleared before the next collective reuses them
-        if let (Some(t0), Some(t1)) = (t0, self.telemetry.now_ns()) {
-            self.telemetry.counter_add(Metric::CommCalls(op), 1);
-            self.telemetry
-                .histogram_observe(Metric::CommNs(op), t1.saturating_sub(t0));
+        assert_eq!(
+            sends.len(),
+            self.world(),
+            "all_to_all_shared_quant needs world send lists"
+        );
+        self.wire.resize_with(sends.len(), Arc::default);
+        let mut wire = Vec::with_capacity(sends.len());
+        let mut encoded = Ok(());
+        for (slot, src) in self.wire.iter_mut().zip(&sends) {
+            if Arc::get_mut(slot).is_none() {
+                *slot = Arc::default(); // a peer still reads the last one
+            }
+            let buf = Arc::make_mut(slot); // unique: never clones
+            buf.resize(src.len(), 0);
+            encoded = encoded.and(mode.encode_into(src, buf));
+            wire.push(Arc::clone(slot));
         }
-        result
+        // a failed encode still posts, so no peer is left parked
+        self.start_all_to_all(wire, mode.wire_bytes(), move |recv| {
+            encoded?;
+            recv.iter()
+                .zip(sends)
+                .map(|(bits, send)| {
+                    let mut out = Arc::try_unwrap(send).unwrap_or_default();
+                    out.resize(bits.len(), 0.0);
+                    mode.decode_into(bits, &mut out)?;
+                    Ok(Arc::new(out))
+                })
+                .collect()
+        })
+    }
+
+    /// Posts [`Communicator::all_reduce_shared`].
+    pub(crate) fn start_all_reduce(&mut self, input: Arc<Vec<f32>>) -> CommHandle<Arc<Vec<f32>>> {
+        let n = input.len();
+        self.post("all_reduce", n * 4, input, move |deposits| {
+            let mut contribs = Vec::with_capacity(deposits.len());
+            for d in &deposits {
+                let contrib = payload_ref::<Arc<Vec<f32>>>(d, "all_reduce")?;
+                assert_eq!(contrib.len(), n, "all_reduce length mismatch");
+                contribs.push(Arc::clone(contrib));
+            }
+            // the deposits go first, so an unshared contribution (world 1)
+            // is recycled in place below
+            drop(deposits);
+            let mut contribs = contribs.into_iter();
+            let Some(mut acc_arc) = contribs.next() else {
+                return Err(CollectiveError::MissingDeposit { op: "all_reduce" });
+            };
+            let acc = Arc::make_mut(&mut acc_arc);
+            // `x + 0.0` is bitwise-equal to `0.0 + x` for every f32, so this
+            // pass turns the recycled rank-0 buffer into exactly a
+            // zero-initialized accumulator after its first addition —
+            // including the negative-zero lanes it normalizes to +0.0.
+            for a in acc.iter_mut() {
+                *a += 0.0;
+            }
+            for contrib in contribs {
+                for (a, b) in acc.iter_mut().zip(contrib.iter()) {
+                    *a += b;
+                }
+            }
+            Ok(acc_arc)
+        })
     }
 }
 
-fn payload_ref<'a, T: 'static>(
-    slot: &'a Option<Deposit>,
-    op: &'static str,
-) -> Result<&'a T, CollectiveError> {
-    let deposit = slot
-        .as_ref()
-        .ok_or(CollectiveError::MissingDeposit { op })?;
-    deposit
-        .payload
-        .downcast_ref::<T>()
+fn payload_ref<'a, T: 'static>(d: &'a Deposit, op: &'static str) -> Result<&'a T, CollectiveError> {
+    d.downcast_ref::<T>()
         .ok_or(CollectiveError::PayloadTypeMismatch { op })
 }
 
@@ -762,6 +710,30 @@ mod tests {
             (v[0], ag)
         });
         assert_eq!(out[0], (5.0, vec![7.0]));
+    }
+
+    #[test]
+    fn mismatched_collectives_panic_on_every_rank() {
+        // the same payload type, so only the op-name check can tell
+        let handles: Vec<_> = ProcessGroup::new(2)
+            .into_iter()
+            .map(|mut c| {
+                thread::spawn(move || {
+                    if c.rank() == 0 {
+                        c.all_gather(&[1.0]).ok();
+                    } else {
+                        c.reduce_scatter(&[1.0, 2.0]).ok();
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            let payload = h.join().expect_err("a mismatch must panic every rank");
+            let msg = payload
+                .downcast::<String>()
+                .map_or_else(|_| String::new(), |s| *s);
+            assert!(msg.contains("collective mismatch"), "{msg}");
+        }
     }
 
     #[test]

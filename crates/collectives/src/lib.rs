@@ -15,9 +15,8 @@
 //!   row-wise sharded tables (§4.2.2);
 //! * [`Communicator::barrier`];
 //! * `post_all_to_all_shared` / `post_all_to_all_shared_quant` /
-//!   `post_all_reduce_shared` — the same three exchanges *started* on a
-//!   dedicated per-rank comm-lane thread, returning a [`CommHandle`] to
-//!   `wait` on.
+//!   `post_all_reduce_shared` — the same three exchanges *posted*,
+//!   returning a [`CommHandle`] to `wait` on.
 //!
 //! The two critical-path collectives hand payloads over as `Arc`s: ranks
 //! deposit pointers instead of copying buffers into the rendezvous,
@@ -33,19 +32,22 @@
 //!
 //! The paper's pipelining (§4.3, Fig. 9) is one dependency graph whose
 //! collective *waits* are placed differently, and this API is shaped for
-//! that: a posted collective and its blocking form run the same exchange
-//! and account the same [`CommStats`], so a trainer writes its iteration
-//! once and chooses per collective whether it completes inline on the
-//! caller or rides the comm lane behind compute until its `wait`. The
-//! lane drives a second, independent rendezvous group, so posted
-//! exchanges also overlap blocking collectives issued meanwhile. The
-//! blocking forms deliberately do *not* go through the lane: a lane hop
-//! costs about as much as the rendezvous itself.
+//! that. Every collective is split in two on the group's one ring of
+//! epoch-tagged entries: the post deposits this rank's payload and
+//! arrives without waiting, and the wait blocks until every rank has
+//! arrived, then reads. A blocking collective is its post followed at
+//! once by its wait, so a posted collective and its blocking form run the
+//! same code and account the same [`CommStats`]; a trainer writes its
+//! iteration once and chooses per collective how much compute sits
+//! between post and wait. No thread runs on a rank's behalf: a
+//! shared-memory collective moves only `Arc` pointers, so its arrival is
+//! all that has to be split from its read.
 //!
 //! An opt-in [`CommDelay`] derived from a `neo_netsim::ClusterTopology`
-//! link sleeps the modeled wire time per op, on whichever thread runs the
-//! exchange, giving the shared-memory collectives realistic, overlappable
-//! cost. Off by default and wall-clock only: values never change.
+//! link gives the shared-memory collectives a realistic, overlappable
+//! cost: a post stamps when its payload would be off the modelled wire,
+//! and the wait sleeps only for what is left. Off by default and
+//! wall-clock only: values never change.
 //!
 //! # Example
 //!
@@ -77,6 +79,7 @@ mod delay;
 mod group;
 mod nonblocking;
 pub mod quant;
+mod ring;
 
 pub use delay::CommDelay;
 pub use group::{CollectiveError, CommStats, Communicator, ProcessGroup};

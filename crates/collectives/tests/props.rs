@@ -4,7 +4,7 @@
 //! [`ProcessGroup`] surface is exercised here — `neo-xtask lint`
 //! (rule `props_cover`) enforces that this stays true as the API grows.
 
-use neo_collectives::{CommDelay, ProcessGroup, QuantMode};
+use neo_collectives::{CommDelay, CommHandle, CommStats, ProcessGroup, QuantMode};
 use neo_telemetry::{Metric, TelemetrySink};
 use neo_tensor::{Bf16, F16};
 use proptest::prelude::*;
@@ -81,6 +81,118 @@ fn round_trip(mode: QuantMode, v: &[f32]) -> Vec<u32> {
             QuantMode::Fp32 => x.to_bits(),
         })
         .collect()
+}
+
+/// One call of a ring-contract program: `(kind, posted, len)`. Kinds 0–2
+/// (`all_to_all_shared`, `all_to_all_shared_quant`, `all_reduce_shared`)
+/// may be posted; 3–5 (`reduce_scatter`, `all_gather`, `barrier`) are
+/// always blocking.
+type Call = (u8, bool, usize);
+
+/// A posted call of a program, by call index.
+enum Posted {
+    Rows(usize, CommHandle<Vec<Arc<Vec<f32>>>>),
+    Sum(usize, CommHandle<Arc<Vec<f32>>>),
+}
+
+/// The result bits of a row list, each row prefixed with its length.
+fn row_bits(rows: &[Arc<Vec<f32>>]) -> Vec<u32> {
+    rows.iter()
+        .flat_map(|r| std::iter::once(r.len() as u32).chain(r.iter().map(|x| x.to_bits())))
+        .collect()
+}
+
+/// Runs `calls` on every rank of a world-`world` group and returns each
+/// rank's per-call result bits and final `CommStats`. Unless
+/// `all_blocking`, the postable calls marked posted are posted, and
+/// outstanding handles are waited in an order drawn from `picks` —
+/// shifted by rank, so ranks disagree on it — some between later calls
+/// and the rest after the last one.
+fn run_program(
+    world: usize,
+    calls: Vec<Call>,
+    picks: Vec<usize>,
+    seed: u64,
+    all_blocking: bool,
+) -> Vec<(Vec<Vec<u32>>, CommStats)> {
+    run_group(world, move |rank, comm| {
+        let mut out = vec![Vec::new(); calls.len()];
+        let mut pending: Vec<Posted> = Vec::new();
+        let mut next = (0..).map(|j: usize| picks[(j + rank) % picks.len()]);
+        let redeem = |h: Posted, out: &mut Vec<Vec<u32>>| match h {
+            Posted::Rows(i, h) => out[i] = row_bits(&h.wait().expect("posted rows")),
+            Posted::Sum(i, h) => out[i] = bits(&h.wait().expect("posted sum")),
+        };
+        for (i, &(kind, posted, len)) in calls.iter().enumerate() {
+            let posted = posted && !all_blocking;
+            let buf = input(seed ^ i as u64, rank, world * (len + 1));
+            let sends: Vec<Arc<Vec<f32>>> = (0..world)
+                .map(|dest| Arc::new(wire_payload(seed, i, rank, dest, (len + dest) % 5)))
+                .collect();
+            let mode = if len % 2 == 0 {
+                QuantMode::Fp16
+            } else {
+                QuantMode::Bf16
+            };
+            match (kind, posted) {
+                (0, true) => pending.push(Posted::Rows(
+                    i,
+                    comm.post_all_to_all_shared(sends, "input_a2a", i as u64),
+                )),
+                (0, false) => out[i] = row_bits(&comm.all_to_all_shared(sends).expect("a2a")),
+                (1, true) => pending.push(Posted::Rows(
+                    i,
+                    comm.post_all_to_all_shared_quant(sends, mode, "alltoall_fwd", i as u64),
+                )),
+                (1, false) => {
+                    out[i] = row_bits(&comm.all_to_all_shared_quant(sends, mode).expect("quant"))
+                }
+                (2, true) => pending.push(Posted::Sum(
+                    i,
+                    comm.post_all_reduce_shared(Arc::new(buf), "allreduce", i as u64),
+                )),
+                (2, false) => out[i] = bits(&comm.all_reduce_shared(Arc::new(buf)).expect("ar")),
+                (3, _) => out[i] = bits(&comm.reduce_scatter(&buf).expect("reduce_scatter")),
+                (4, _) => out[i] = bits(&comm.all_gather(&buf).expect("all_gather")),
+                _ => comm.barrier(),
+            }
+            let k = next.next().unwrap_or(0);
+            if k % 3 != 0 && !pending.is_empty() {
+                let h = pending.remove(k % pending.len());
+                redeem(h, &mut out);
+            }
+        }
+        while !pending.is_empty() {
+            let k = next.next().unwrap_or(0);
+            let h = pending.remove(k % pending.len());
+            redeem(h, &mut out);
+        }
+        (out, comm.stats())
+    })
+}
+
+proptest! {
+    // programs are cheap at these sizes; cover the space more densely
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The ring contract: a program of posted and blocking collectives,
+    /// its posts waited in any order — non-LIFO, interleaved with later
+    /// blocking calls, and different on every rank — gives every rank
+    /// bitwise the results and `CommStats` of the same program run
+    /// all-blocking, at world 1–4.
+    #[test]
+    fn posted_programs_match_their_all_blocking_run(
+        world in 1usize..5,
+        calls in collection::vec((0u8..6, any::<bool>(), 0usize..5), 1..9),
+        picks in collection::vec(0usize..16, 1..9),
+        seed in 0u64..1000,
+    ) {
+        let posted = run_program(world, calls.clone(), picks.clone(), seed, false);
+        let blocking = run_program(world, calls, picks, seed, true);
+        for (rank, (p, b)) in posted.into_iter().zip(blocking).enumerate() {
+            prop_assert_eq!(p, b, "rank {}", rank);
+        }
+    }
 }
 
 proptest! {
@@ -367,7 +479,7 @@ proptest! {
                 .expect("all_to_all_shared_quant");
             let bytes_blocking = comm.stats().bytes_sent;
 
-            // posted forms run the same three exchanges on the comm lane
+            // posted forms run the same three exchanges, waited later
             let bot = comm.post_all_reduce_shared(Arc::new(buf[..split].to_vec()), "allreduce_bot", 0);
             let top = comm.post_all_reduce_shared(Arc::new(buf[split..].to_vec()), "allreduce_top", 0);
             let mut halves = bot.wait().expect("bot wait").as_ref().clone();

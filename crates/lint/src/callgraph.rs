@@ -4,9 +4,8 @@
 //! (`token`/`source`), layer two the cross-crate [`SymbolIndex`], and
 //! this module resolves per-function call sites against that index into
 //! a workspace-wide directed graph with transitive reachability.
-//! Interprocedural rules (`comm_lane_blocking`, `hot_path_alloc`,
-//! `panic_path`) query it instead of hand-rolling one-level call
-//! expansions.
+//! Interprocedural rules (`hot_path_alloc`, `panic_path`) query it
+//! instead of hand-rolling one-level call expansions.
 //!
 //! # Model
 //!

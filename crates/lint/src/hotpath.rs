@@ -1,19 +1,8 @@
-//! Call-graph-powered rules: `comm_lane_blocking`, `hot_path_alloc`
-//! and `panic_path`, plus the root-set helpers shared with the
+//! Call-graph-powered rules: `hot_path_alloc` and `panic_path`, plus
+//! the root-set helpers shared with the
 //! `--callgraph` artifact and the baseline's per-rule reachable-set
 //! counts. Each flags a token list on the lines of every fn reachable
 //! from its root set, in whatever crate the fn lives.
-//!
-//! **comm_lane_blocking** guards the Fig. 9 overlap: the comm-lane
-//! worker in `collectives/nonblocking.rs` is the thread that hides
-//! collective latency behind compute, so anything that parks it — a
-//! channel `recv`, a `sleep`, a barrier or condvar wait
-//! ([`BLOCKING_TOKENS`]) — re-serializes exactly the communication the
-//! overlapped schedule exists to hide. The lane's job-queue `recv` *is*
-//! its idle state and carries a standing waiver, as do the rendezvous
-//! barriers that are the collective itself. A lane that waits on a
-//! *lock* is neo-sync's to catch: debug builds panic on a second guard
-//! on a thread marked as a comm lane.
 //!
 //! **hot_path_alloc** walks everything reachable from the per-iteration
 //! kernel roots ([`HOT_PATH_ROOTS`]: the GEMM/MLP kernels in
@@ -50,16 +39,6 @@ const PANIC_TOKENS: &[&str] = &[
     "unreachable!",
     "todo!",
     "unimplemented!",
-];
-
-/// Calls that park the executing thread (`comm_lane_blocking`).
-pub const BLOCKING_TOKENS: &[&str] = &[
-    ".recv()",
-    ".recv_timeout(",
-    "thread::sleep(",
-    ".wait(",
-    ".wait_while(",
-    ".wait_timeout(",
 ];
 
 /// Per-iteration kernel roots, `(crate, fn names)`. Everything these
@@ -142,21 +121,6 @@ pub fn panic_path_root_nodes(g: &CallGraph) -> Vec<usize> {
         .collect()
 }
 
-/// Root nodes for `comm_lane_blocking`: fns defined in the collectives
-/// comm-lane file (`nonblocking.rs`) — the lane worker, its job loop,
-/// and the post/wait surface that enqueues onto it.
-pub fn comm_lane_root_nodes(g: &CallGraph) -> Vec<usize> {
-    (0..g.nodes.len())
-        .filter(|&i| {
-            g.nodes[i].krate == "collectives"
-                && g.nodes[i]
-                    .defs
-                    .iter()
-                    .any(|(p, _)| p.ends_with("nonblocking.rs"))
-        })
-        .collect()
-}
-
 /// Reachable-set sizes per interprocedural rule, recorded in the
 /// baseline (`neo-lint-baseline/2`) and the `--callgraph` artifact so a
 /// resolver regression (roots silently vanishing, closure collapsing)
@@ -164,32 +128,12 @@ pub fn comm_lane_root_nodes(g: &CallGraph) -> Vec<usize> {
 pub fn reachable_set_sizes(ws: &Workspace) -> BTreeMap<String, usize> {
     let g = &ws.graph;
     [
-        ("comm_lane_blocking", comm_lane_root_nodes(g)),
         ("hot_path_alloc", hot_path_root_nodes(g)),
         ("panic_path", panic_path_root_nodes(g)),
     ]
     .into_iter()
     .map(|(rule, roots)| (rule.to_owned(), g.reachable_from(&roots).len()))
     .collect()
-}
-
-/// `comm_lane_blocking`: blocking calls inside any fn reachable from the
-/// comm-lane roots.
-pub fn check_comm_lane_blocking(ws: &Workspace) -> Vec<Diagnostic> {
-    check_reachable_tokens(
-        ws,
-        &comm_lane_root_nodes(&ws.graph),
-        BLOCKING_TOKENS,
-        "comm_lane_blocking",
-        |tok, krate, name, root| {
-            format!(
-                "`{tok}` blocks `{krate}::{name}`, reachable from comm-lane root `{root}`; the \
-                 lane must stay non-blocking to hide collective latency (Fig. 9 overlap) — \
-                 move the wait off-lane, or add `// lint: allow(comm_lane_blocking) — <reason>`"
-            )
-        },
-        |_| true,
-    )
 }
 
 /// `hot_path_alloc`: allocation tokens inside any fn reachable from the
@@ -390,16 +334,16 @@ mod tests {
     }
 
     #[test]
-    fn comm_lane_reachability_crosses_crates() {
-        // worker -> neo_sync::pause (another crate, another file): the
-        // sleep inside `pause` is on the lane even though neo-sync has
-        // nothing to do with nonblocking.rs. `idle` is not reachable.
+    fn reachability_crosses_crates() {
+        // api -> neo_sync::pause (another crate, another file): the
+        // unwrap inside `pause` is reached from a Result fn even though
+        // neo-sync never names it. `idle` is not reachable.
         let ws = workspace(&[
             (
                 "collectives",
                 &[(
-                    "nonblocking.rs",
-                    "pub fn worker(q: &Queue) {\n\
+                    "group.rs",
+                    "pub fn api() -> Result<(), E> {\n\
                      \x20   neo_sync::pause();\n\
                      }\n",
                 )],
@@ -409,15 +353,15 @@ mod tests {
                 &[(
                     "f0.rs",
                     "pub fn pause() {\n\
-                     \x20   std::thread::sleep(D);\n\
+                     \x20   x.unwrap();\n\
                      }\n\
                      pub fn idle() {\n\
-                     \x20   std::thread::sleep(D);\n\
+                     \x20   y.unwrap();\n\
                      }\n",
                 )],
             ),
         ]);
-        let diags = check_comm_lane_blocking(&ws);
+        let diags = check_panic_path(&ws);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].line, 2);
         assert!(diags[0].path.ends_with("f0.rs"), "flagged where defined");
@@ -429,7 +373,7 @@ mod tests {
     }
 
     #[test]
-    fn reachable_sizes_cover_the_three_interprocedural_rules() {
+    fn reachable_sizes_cover_the_two_interprocedural_rules() {
         let ws = workspace(&[(
             "tensor",
             &[(
@@ -439,7 +383,6 @@ mod tests {
         )]);
         let sizes = reachable_set_sizes(&ws);
         assert_eq!(sizes["hot_path_alloc"], 2);
-        assert_eq!(sizes["comm_lane_blocking"], 0);
         assert_eq!(sizes["panic_path"], 0);
     }
 }

@@ -17,7 +17,7 @@
 //! [`output`] renders the report as text, JSON (`neo-lint/1`), the CI
 //! waiver baseline, or the call-graph artifact (`neo-callgraph/1`).
 //!
-//! The six rules (see DESIGN.md for the full table; rules marked ⇄
+//! The five rules (see DESIGN.md for the full table; rules marked ⇄
 //! are interprocedural — they consume call-graph reachability):
 //!
 //! 1. **crate_header** — crate roots (`src/lib.rs`, `src/main.rs`,
@@ -25,13 +25,11 @@
 //!    `#![deny(warnings)]`
 //! 2. **props_cover** — every pub fn of the collectives group API is
 //!    named in the property-test suite
-//! 3. **comm_lane_blocking** ⇄ — nothing blocking reachable (full
-//!    transitive closure) from the comm-lane worker entry points
-//! 4. **hot_path_alloc** ⇄ — no heap allocation reachable from the
+//! 3. **hot_path_alloc** ⇄ — no heap allocation reachable from the
 //!    per-iteration kernel roots in tensor/embeddings/collectives
-//! 5. **panic_path** ⇄ — no panicking call reachable from fns whose
+//! 4. **panic_path** ⇄ — no panicking call reachable from fns whose
 //!    signature already promises a `Result`
-//! 6. **stale_waiver** — every `// lint: allow(..)` annotation names a
+//! 5. **stale_waiver** — every `// lint: allow(..)` annotation names a
 //!    real rule and still suppresses something
 //!
 //! What the compiler and clippy can check on resolved types is not
@@ -73,11 +71,10 @@ pub use source::{Diagnostic, SourceFile};
 pub use symbols::SymbolIndex;
 
 /// Every rule name, in documentation order. `stale_waiver` runs inside
-/// [`lint`] after the other five so it sees which waivers fired.
+/// [`lint`] after the other four so it sees which waivers fired.
 pub const RULE_NAMES: &[&str] = &[
     "crate_header",
     "props_cover",
-    "comm_lane_blocking",
     "hot_path_alloc",
     "panic_path",
     "stale_waiver",
@@ -90,7 +87,7 @@ pub struct RuleInfo {
     pub summary: &'static str,
 }
 
-/// Metadata for all six rules, in [`RULE_NAMES`] order.
+/// Metadata for all five rules, in [`RULE_NAMES`] order.
 pub fn rule_infos() -> Vec<RuleInfo> {
     let mut infos: Vec<RuleInfo> = all_rules()
         .iter()
@@ -258,19 +255,6 @@ impl Rule for PropsCoverRule {
     }
 }
 
-struct CommLaneRule;
-impl Rule for CommLaneRule {
-    fn name(&self) -> &'static str {
-        "comm_lane_blocking"
-    }
-    fn summary(&self) -> &'static str {
-        "nothing blocking (recv/sleep/wait) reachable from the comm-lane worker"
-    }
-    fn check(&self, ws: &Workspace) -> Vec<Diagnostic> {
-        hotpath::check_comm_lane_blocking(ws)
-    }
-}
-
 struct HotPathAllocRule;
 impl Rule for HotPathAllocRule {
     fn name(&self) -> &'static str {
@@ -297,14 +281,13 @@ impl Rule for PanicPathRule {
     }
 }
 
-/// The five registered rules, in [`RULE_NAMES`] order. `stale_waiver`
+/// The four registered rules, in [`RULE_NAMES`] order. `stale_waiver`
 /// is not in the registry: it must run after every other rule has marked
 /// the waivers it consumed, so [`lint`] runs it as a trailing pass.
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(CrateHeaderRule),
         Box::new(PropsCoverRule),
-        Box::new(CommLaneRule),
         Box::new(HotPathAllocRule),
         Box::new(PanicPathRule),
     ]

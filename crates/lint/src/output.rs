@@ -89,7 +89,6 @@ pub fn callgraph_json(ws: &Workspace) -> String {
         .enumerate()
         .flat_map(|(from, tos)| tos.iter().map(move |&to| Json::from(vec![from, to])));
     let roots = [
-        ("comm_lane_blocking", hotpath::comm_lane_root_nodes(g)),
         ("hot_path_alloc", hotpath::hot_path_root_nodes(g)),
         ("panic_path", hotpath::panic_path_root_nodes(g)),
     ];
@@ -194,9 +193,7 @@ mod tests {
                 rule: "panic_path",
                 message: "`.unwrap()` with \"quotes\" and a \\ backslash".to_owned(),
             }],
-            waived: [("comm_lane_blocking".to_owned(), 2usize)]
-                .into_iter()
-                .collect(),
+            waived: [("props_cover".to_owned(), 2usize)].into_iter().collect(),
             reachable: [("panic_path".to_owned(), 5usize)].into_iter().collect(),
         }
     }
@@ -208,8 +205,8 @@ mod tests {
                 summary: "no panicking call reachable from Result fns",
             },
             RuleInfo {
-                name: "comm_lane_blocking",
-                summary: "nothing blocking reachable from the comm lane",
+                name: "props_cover",
+                summary: "every pub fn of the collectives group API is property-tested",
             },
         ]
     }
@@ -235,7 +232,7 @@ mod tests {
         );
         assert_eq!(
             root.get("waived")
-                .and_then(|w| w.get("comm_lane_blocking"))
+                .and_then(|w| w.get("props_cover"))
                 .and_then(|n| n.as_f64()),
             Some(2.0)
         );
@@ -243,12 +240,12 @@ mod tests {
 
     #[test]
     fn baseline_diff_flags_growth_and_notes_shrinkage() {
-        let rep = report(); // comm_lane_blocking: 2 waived
+        let rep = report(); // props_cover: 2 waived
         let base = "{\n  \"schema\": \"neo-lint-baseline/2\",\n  \
-                    \"waived\": {\"comm_lane_blocking\": 1, \"hot_path_alloc\": 3, \"ghost_rule\": 1}\n}\n";
+                    \"waived\": {\"props_cover\": 1, \"hot_path_alloc\": 3, \"ghost_rule\": 1}\n}\n";
         let diff = diff_baseline(&rep, base).expect("parses");
         assert_eq!(diff.problems.len(), 1, "{:?}", diff.problems);
-        assert!(diff.problems[0].contains("comm_lane_blocking"));
+        assert!(diff.problems[0].contains("props_cover"));
         assert!(
             diff.notes.iter().any(|n| n.contains("hot_path_alloc")),
             "{:?}",
@@ -269,14 +266,14 @@ mod tests {
     fn malformed_baseline_is_an_error() {
         assert!(diff_baseline(&report(), "not json").is_err());
         assert!(diff_baseline(&report(), "{\"schema\": \"other/1\"}").is_err());
-        let v1 = "{\"schema\": \"neo-lint-baseline/1\", \"waived\": {\"comm_lane_blocking\": 2}}";
+        let v1 = "{\"schema\": \"neo-lint-baseline/1\", \"waived\": {\"props_cover\": 2}}";
         assert!(diff_baseline(&report(), v1).is_err(), "only /2 is accepted");
     }
 
     #[test]
     fn reachable_drift_is_a_note() {
         let rep = report(); // reachable: panic_path = 5
-        let v2 = "{\"schema\": \"neo-lint-baseline/2\", \"waived\": {\"comm_lane_blocking\": 2}, \
+        let v2 = "{\"schema\": \"neo-lint-baseline/2\", \"waived\": {\"props_cover\": 2}, \
                    \"reachable\": {\"panic_path\": 9}}";
         let diff = diff_baseline(&rep, v2).expect("v2 accepted");
         assert!(

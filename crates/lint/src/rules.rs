@@ -6,10 +6,10 @@
 //! | `crate_header`| `#![forbid(unsafe_code)]` + `#![deny(warnings)]` in roots |
 //! | `props_cover` | every `pub fn` of collectives group.rs named in props.rs  |
 //!
-//! `comm_lane_blocking`, `hot_path_alloc` and `panic_path` live in
-//! [`crate::hotpath`]; `stale_waiver` is [`SourceFile::stale_waivers`],
-//! run after every other rule so consumed annotations are already
-//! marked. The [`crate::Rule`] registry in the crate root wires all six
+//! `hot_path_alloc` and `panic_path` live in [`crate::hotpath`];
+//! `stale_waiver` is [`SourceFile::stale_waivers`], run after every
+//! other rule so consumed annotations are already marked. The
+//! [`crate::Rule`] registry in the crate root wires all five
 //! together. Panics, hash containers, clock reads and `std::sync` locks
 //! are clippy's job (the root `clippy.toml` and ci.sh gate 2), and lock
 //! order is neo-sync's `LockClass`; neither is this crate's.

@@ -4,7 +4,7 @@
 //! Each fixture under `tests/fixtures/<rule>/{seeded,clean}` is a full
 //! `Workspace::load` root (fixture crates only need a `src/` dir, not a
 //! `Cargo.toml`), so the whole engine runs end to end: tokenizer, symbol
-//! index, waiver bookkeeping, and all six rules. The clean twin
+//! index, waiver bookkeeping, and all five rules. The clean twin
 //! asserting **zero** findings across every rule — not just the target —
 //! keeps fixtures honest about cross-rule interference.
 

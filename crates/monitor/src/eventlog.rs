@@ -10,7 +10,7 @@
 //!                 "last_iter_ns":900000}],
 //!  "counters":{"emb.lookup.rows":4096},
 //!  "gauges":{"train.loss":[4,0.69]}}
-//! {"v":1,"kind":"event","t_ns":99999,"event":"stall","rank":2,"lane":1,
+//! {"v":1,"kind":"event","t_ns":99999,"event":"stall","rank":2,"lane":0,
 //!  "iter":7,"phase":"allreduce_top","quiet_ms":260}
 //! ```
 //!

@@ -1,8 +1,8 @@
 //! Live runtime health monitoring for the Neo training stack.
 //!
 //! All other observability in the workspace is post-hoc: snapshots and
-//! profiler reports exist only after `train()` returns, so a hung comm
-//! lane or a slowly degrading straggler is invisible until the run ends.
+//! profiler reports exist only after `train()` returns, so a hung
+//! collective or a slowly degrading straggler is invisible until the run ends.
 //! This crate turns the zero-cost telemetry layer into a *live* system,
 //! mirroring the production fleet-health signals the paper's setting
 //! assumes:
@@ -116,14 +116,15 @@ pub enum HealthEvent {
         /// Silence observed when the alert fired, milliseconds.
         quiet_ms: u64,
     },
-    /// A comm lane parked at a rendezvous beyond the deadline with no
-    /// identifiable victim, or parked while same-lane peers advanced.
+    /// Every quiet slot was parked at a collective rendezvous beyond the
+    /// deadline, so no victim is in sight; the first to fall silent is
+    /// indicted.
     Hang {
-        /// Rank of the parked lane.
+        /// Rank of the parked slot.
         rank: u32,
-        /// Execution lane (always > 0 for rendezvous hangs).
+        /// Execution lane of the parked slot (0 = main compute thread).
         lane: u32,
-        /// Iteration the lane was serving when it parked.
+        /// Iteration the slot was in when it parked.
         iter: u64,
         /// Silence observed when the alert fired, milliseconds.
         quiet_ms: u64,
@@ -256,10 +257,8 @@ fn status_line(frame: u64, heartbeats: &[HeartbeatSample], alerts: usize) -> Str
         .max()
         .unwrap_or(0);
     let ranks = heartbeats.iter().filter(|h| h.lane == 0).count();
-    let lanes = heartbeats.len() - ranks;
     format!(
-        "monitor: frame {frame} | iter {iter} | {ranks} ranks + {lanes} lanes | \
-         {alerts} alert{}",
+        "monitor: frame {frame} | iter {iter} | {ranks} ranks | {alerts} alert{}",
         if alerts == 1 { "" } else { "s" }
     )
 }
@@ -387,18 +386,18 @@ mod tests {
     fn health_event_accessors_and_display() {
         let stall = HealthEvent::Stall {
             rank: 2,
-            lane: 1,
+            lane: 0,
             iter: 7,
             phase: Some(Phase::AllreduceTop),
             quiet_ms: 260,
         };
         assert_eq!((stall.kind(), stall.rank()), ("stall", 2));
         let line = stall.to_string();
-        assert!(line.contains("rank 2 lane 1"), "{line}");
+        assert!(line.contains("rank 2 lane 0"), "{line}");
         assert!(line.contains("allreduce_top"), "{line}");
         let hang = HealthEvent::Hang {
             rank: 0,
-            lane: 1,
+            lane: 0,
             iter: 3,
             quiet_ms: 500,
         };

@@ -7,15 +7,17 @@
 //!
 //! Alert taxonomy (see DESIGN.md "Live monitoring"):
 //!
+//! One rule over the worker slots, each a rank's compute thread, which
+//! both computes and waits on its collectives:
+//!
 //! - **Stall** — a slot mid-work published no beat within the deadline and
 //!   was *not* parked at a collective rendezvous: it is stuck inside its
-//!   own work. When comm-lane slots are quiet, only non-exchanging lanes
-//!   can be victims — a lane last seen *exchanging* is waiting on a peer,
-//!   and blaming it would name the wrong rank.
-//! - **Hang** — a comm lane parked at (or short of) a rendezvous beyond
-//!   the deadline with no identifiable victim: either every quiet lane
-//!   already arrived (the missing party never even dequeued its job), or
-//!   a lane sits quiet while same-lane peers advance.
+//!   own work — or parked between posting a collective and arriving at
+//!   it. A slot last seen *exchanging* is waiting on a peer, and blaming
+//!   it would name the wrong rank.
+//! - **Hang** — every quiet slot is exchanging, so no victim is in sight:
+//!   the missing party never posted at all, or its slot stopped
+//!   publishing. The slot that fell silent first is blamed, once.
 //! - **Straggler** — one rank's p95 iteration time is more than
 //!   `straggler_skew` times the mean p95 of the *other* ranks (exact
 //!   order statistics via [`neo_telemetry::stats`], the same kernel
@@ -113,59 +115,18 @@ impl Watchdog {
                 .is_some_and(|s| s.beats == *beats && stale(s))
         });
 
-        let stale_comm: Vec<&HeartbeatSample> =
-            samples.iter().filter(|s| s.lane > 0 && stale(s)).collect();
-        let stale_main: Vec<&HeartbeatSample> =
-            samples.iter().filter(|s| s.lane == 0 && stale(s)).collect();
-
+        let (waiting, stuck): (Vec<&HeartbeatSample>, Vec<&HeartbeatSample>) = samples
+            .iter()
+            .filter(|s| stale(s))
+            .partition(|s| s.state == HeartbeatState::Exchange);
         let mut out = Vec::new();
-        if !stale_comm.is_empty() {
-            // Victims: quiet comm lanes that never reached the rendezvous.
-            let victims: Vec<&&HeartbeatSample> = stale_comm
-                .iter()
-                .filter(|s| s.state != HeartbeatState::Exchange)
-                .collect();
-            if !victims.is_empty() {
-                for v in victims {
-                    self.raise(&mut out, "stall", v, now_ns);
-                }
-            } else {
-                // Every quiet lane already arrived: the missing party never
-                // even dequeued its job (or sits outside lane-land). If
-                // some same-lane peers still advance, each parked lane is
-                // its own hang; if the whole lane world is parked, blame
-                // the earliest arrival once.
-                let world_parked = samples
-                    .iter()
-                    .filter(|s| s.lane > 0 && s.beats > 0)
-                    .all(stale);
-                if world_parked {
-                    if let Some(oldest) = oldest_beat(&stale_comm) {
-                        self.raise(&mut out, "hang", oldest, now_ns);
-                    }
-                } else {
-                    for s in &stale_comm {
-                        self.raise(&mut out, "hang", s, now_ns);
-                    }
-                }
-            }
-        } else if !stale_main.is_empty() {
-            // No comm lane involved. A whole quiet world has one root
-            // cause (the earliest slot to fall silent); a partially quiet
-            // world indicts each straggling slot directly.
-            let world_stale = samples
-                .iter()
-                .filter(|s| s.lane == 0 && s.beats > 0 && s.mid_work())
-                .all(stale);
-            if world_stale {
-                if let Some(oldest) = oldest_beat(&stale_main) {
-                    self.raise(&mut out, "stall", oldest, now_ns);
-                }
-            } else {
-                for s in &stale_main {
-                    self.raise(&mut out, "stall", s, now_ns);
-                }
-            }
+        for s in &stuck {
+            self.raise(&mut out, "stall", s, now_ns);
+        }
+        // no victim in sight: blame the slot that fell silent first
+        let oldest = waiting.iter().min_by_key(|s| (s.last_beat_ns, s.rank));
+        if let Some(oldest) = oldest.filter(|_| stuck.is_empty()) {
+            self.raise(&mut out, "hang", oldest, now_ns);
         }
         out
     }
@@ -253,14 +214,6 @@ impl Watchdog {
     }
 }
 
-/// The slot that fell silent first.
-fn oldest_beat<'a>(slots: &[&'a HeartbeatSample]) -> Option<&'a HeartbeatSample> {
-    slots
-        .iter()
-        .min_by_key(|s| (s.last_beat_ns, s.rank, s.lane))
-        .copied()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,18 +262,15 @@ mod tests {
     }
 
     #[test]
-    fn non_exchanging_quiet_lane_is_the_stall_victim() {
+    fn quiet_slot_outside_an_exchange_is_the_stall_victim() {
         let mut wd = Watchdog::new(cfg());
-        // rank 2's lane froze inside its span; peers arrived at the
-        // rendezvous (exchange) and are equally quiet; main threads are
-        // quiet too — only rank 2 lane 1 may be blamed.
+        // rank 2 froze inside its span, short of arriving; its peers
+        // arrived and wait on it (exchange), equally quiet — only rank 2
+        // may be blamed.
         let samples = vec![
-            slot(0, 0, HeartbeatState::Iterating, 9, 100 * MS),
-            slot(1, 0, HeartbeatState::Iterating, 9, 110 * MS),
-            slot(2, 0, HeartbeatState::Iterating, 9, 105 * MS),
-            slot(0, 1, HeartbeatState::Exchange, 5, 120 * MS),
-            slot(1, 1, HeartbeatState::Exchange, 5, 90 * MS),
-            slot(2, 1, HeartbeatState::InSpan, 5, 115 * MS),
+            slot(0, 0, HeartbeatState::Exchange, 5, 120 * MS),
+            slot(1, 0, HeartbeatState::Exchange, 5, 90 * MS),
+            slot(2, 0, HeartbeatState::InSpan, 5, 115 * MS),
         ];
         let events = wd.observe(&samples, 400 * MS);
         assert_eq!(events.len(), 1, "{events:?}");
@@ -332,7 +282,7 @@ mod tests {
                 phase,
                 quiet_ms,
             } => {
-                assert_eq!((*rank, *lane, *iter), (2, 1, 5));
+                assert_eq!((*rank, *lane, *iter), (2, 0, 5));
                 assert_eq!(*phase, Some(neo_telemetry::Phase::AllreduceTop));
                 assert_eq!(*quiet_ms, 285);
             }
@@ -342,21 +292,15 @@ mod tests {
         assert!(wd.observe(&samples, 500 * MS).is_empty());
         // everyone beats again -> episode closes -> a relapse re-alerts
         let healthy = vec![
-            slot(0, 0, HeartbeatState::Iterating, 10, 590 * MS),
-            slot(1, 0, HeartbeatState::Iterating, 10, 591 * MS),
-            slot(2, 0, HeartbeatState::Iterating, 10, 592 * MS),
-            slot(0, 1, HeartbeatState::Exchange, 6, 593 * MS),
-            slot(1, 1, HeartbeatState::Exchange, 6, 594 * MS),
-            slot(2, 1, HeartbeatState::Iterating, 6, 595 * MS),
+            slot(0, 0, HeartbeatState::Exchange, 6, 593 * MS),
+            slot(1, 0, HeartbeatState::Exchange, 6, 594 * MS),
+            slot(2, 0, HeartbeatState::Iterating, 6, 595 * MS),
         ];
         assert!(wd.observe(&healthy, 600 * MS).is_empty());
         let relapse = vec![
-            slot(0, 0, HeartbeatState::Iterating, 11, 995 * MS),
-            slot(1, 0, HeartbeatState::Iterating, 11, 996 * MS),
-            slot(2, 0, HeartbeatState::Iterating, 11, 997 * MS),
-            slot(0, 1, HeartbeatState::Exchange, 7, 620 * MS),
-            slot(1, 1, HeartbeatState::Exchange, 7, 621 * MS),
-            slot(2, 1, HeartbeatState::InSpan, 8, 622 * MS),
+            slot(0, 0, HeartbeatState::Exchange, 7, 620 * MS),
+            slot(1, 0, HeartbeatState::Exchange, 7, 621 * MS),
+            slot(2, 0, HeartbeatState::InSpan, 8, 622 * MS),
         ];
         let again = wd.observe(&relapse, 1000 * MS);
         assert!(
@@ -364,7 +308,7 @@ mod tests {
                 again.as_slice(),
                 [HealthEvent::Stall {
                     rank: 2,
-                    lane: 1,
+                    lane: 0,
                     ..
                 }]
             ),
@@ -373,60 +317,17 @@ mod tests {
     }
 
     #[test]
-    fn all_lanes_exchanging_is_a_hang_on_the_earliest_arrival() {
+    fn all_slots_exchanging_is_a_hang_on_the_earliest_arrival() {
         let mut wd = Watchdog::new(cfg());
         let samples = vec![
-            slot(0, 1, HeartbeatState::Exchange, 5, 120 * MS),
-            slot(1, 1, HeartbeatState::Exchange, 5, 90 * MS),
+            slot(0, 0, HeartbeatState::Exchange, 5, 120 * MS),
+            slot(1, 0, HeartbeatState::Exchange, 5, 90 * MS),
         ];
         let events = wd.observe(&samples, 400 * MS);
         assert!(
             matches!(
                 events.as_slice(),
                 [HealthEvent::Hang {
-                    rank: 1,
-                    lane: 1,
-                    ..
-                }]
-            ),
-            "{events:?}"
-        );
-    }
-
-    #[test]
-    fn lane_parked_while_peers_advance_is_a_hang() {
-        let mut wd = Watchdog::new(cfg());
-        let samples = vec![
-            slot(0, 1, HeartbeatState::Exchange, 5, 90 * MS),
-            slot(1, 1, HeartbeatState::Iterating, 50, 395 * MS), // advancing
-        ];
-        let events = wd.observe(&samples, 400 * MS);
-        assert!(
-            matches!(
-                events.as_slice(),
-                [HealthEvent::Hang {
-                    rank: 0,
-                    lane: 1,
-                    ..
-                }]
-            ),
-            "{events:?}"
-        );
-    }
-
-    #[test]
-    fn whole_quiet_main_world_blames_the_first_to_fall_silent() {
-        let mut wd = Watchdog::new(cfg());
-        let samples = vec![
-            slot(0, 0, HeartbeatState::Iterating, 9, 120 * MS),
-            slot(1, 0, HeartbeatState::InSpan, 9, 80 * MS),
-            slot(2, 0, HeartbeatState::Iterating, 9, 130 * MS),
-        ];
-        let events = wd.observe(&samples, 400 * MS);
-        assert!(
-            matches!(
-                events.as_slice(),
-                [HealthEvent::Stall {
                     rank: 1,
                     lane: 0,
                     ..
@@ -434,6 +335,46 @@ mod tests {
             ),
             "{events:?}"
         );
+    }
+
+    #[test]
+    fn slot_parked_while_peers_advance_is_a_hang() {
+        let mut wd = Watchdog::new(cfg());
+        let samples = vec![
+            slot(0, 0, HeartbeatState::Exchange, 5, 90 * MS),
+            slot(1, 0, HeartbeatState::Iterating, 50, 395 * MS), // advancing
+        ];
+        let events = wd.observe(&samples, 400 * MS);
+        assert!(
+            matches!(
+                events.as_slice(),
+                [HealthEvent::Hang {
+                    rank: 0,
+                    lane: 0,
+                    ..
+                }]
+            ),
+            "{events:?}"
+        );
+    }
+
+    #[test]
+    fn every_quiet_slot_outside_an_exchange_is_indicted() {
+        let mut wd = Watchdog::new(cfg());
+        let samples = vec![
+            slot(0, 0, HeartbeatState::Iterating, 9, 120 * MS),
+            slot(1, 0, HeartbeatState::InSpan, 9, 80 * MS),
+            slot(2, 0, HeartbeatState::Iterating, 9, 390 * MS), // fresh
+        ];
+        let events = wd.observe(&samples, 400 * MS);
+        let stalled: Vec<u32> = events
+            .iter()
+            .map(|e| match e {
+                HealthEvent::Stall { rank, lane: 0, .. } => *rank,
+                other => panic!("expected stalls, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(stalled, [0, 1]);
     }
 
     #[test]

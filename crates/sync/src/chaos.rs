@@ -1,7 +1,7 @@
 //! Deterministic schedule-chaos injector for the interleave harness.
 //!
 //! `neo-xtask interleave` arms this module with a seed, then runs the
-//! overlapped trainer. Code on the comm-lane boundaries calls
+//! overlapped trainer. The collectives' split-phase boundaries call
 //! [`yield_point`] with a site id; armed, the injector hashes
 //! `(seed, per-thread call counter, site)` with SplitMix64 and — on a
 //! fixed fraction of calls — yields the time slice or sleeps a bounded
@@ -11,25 +11,23 @@
 //!
 //! Determinism contract: decisions depend only on the seed, the site id,
 //! and how many yield points *this thread* has crossed. Thread identity
-//! is positional (the trainer spawns the same worker/lane topology every
-//! run), so a failing seed replays the same decision sequence per
-//! thread. Disarmed (the default, and always in production paths), every
+//! is positional (the trainer spawns the same workers every run), so a
+//! failing seed replays the same decision sequence per thread. Disarmed (the default, and always in production paths), every
 //! call is two relaxed atomic loads.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Yield-point site ids. Spread across the comm-lane hand-off so
-/// perturbations hit both sides of every queue/rendezvous edge.
+/// Yield-point site ids, one per edge of a split-phase collective, so
+/// perturbations reorder both arrivals and the reads that wait on them.
 pub mod site {
-    /// Caller thread, just before shipping a job to the comm lane.
+    /// Posting thread, on entry to a collective's post.
     pub const POST: u32 = 1;
-    /// Comm-lane thread, after dequeuing a job and before running it.
-    pub const LANE_ENTER: u32 = 2;
-    /// Comm-lane thread, after running a job and before sending the result.
-    pub const LANE_EXIT: u32 = 3;
-    /// Caller thread, on entry to `CommHandle::wait`.
-    pub const WAIT: u32 = 4;
+    /// Posting thread, after the post's bookkeeping and just before it
+    /// deposits and counts its arrival.
+    pub const ARRIVE: u32 = 2;
+    /// Waiting thread, on entry to `CommHandle::wait`.
+    pub const WAIT: u32 = 3;
 }
 
 static ARMED: AtomicBool = AtomicBool::new(false);
@@ -44,9 +42,6 @@ static STALL_DONE: AtomicBool = AtomicBool::new(false);
 thread_local! {
     /// Yield points this thread has crossed while armed.
     static COUNTER: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-    /// Positional tag of this thread (the comm lane's rank), set at lane
-    /// spawn so the stall injector can target one lane deterministically.
-    static TAG: std::cell::Cell<u64> = const { std::cell::Cell::new(u64::MAX) };
 }
 
 /// Arms the injector with `seed`. Affects the whole process; the
@@ -66,16 +61,9 @@ pub fn is_armed() -> bool {
     ARMED.load(Ordering::Relaxed)
 }
 
-/// Tag the calling thread with its positional identity (the comm lane's
-/// rank). Lanes call this once at spawn; [`stall_point`] only fires on the
-/// thread whose tag matches the seeded target.
-pub fn set_thread_tag(tag: u64) {
-    TAG.with(|t| t.set(tag));
-}
-
-/// The lane rank a stall armed with `seed` will hit in a `world`-lane
-/// topology. Exposed so tests can assert against the victim the injector
-/// will actually pick.
+/// The rank a stall armed with `seed` will hit in a `world`-rank group.
+/// Exposed so tests can assert against the victim the injector will
+/// actually pick.
 pub fn stall_target(seed: u64, world: u64) -> u64 {
     if world == 0 {
         0
@@ -84,9 +72,9 @@ pub fn stall_target(seed: u64, world: u64) -> u64 {
     }
 }
 
-/// Arm a one-shot comm-lane stall: the first [`stall_point`] crossed by
-/// the thread tagged [`stall_target`]`(seed, world)` sleeps `stall_ms`
-/// milliseconds, then the injector self-disarms. Deterministic per seed;
+/// Arm a one-shot stall: the first [`stall_point`] crossed by rank
+/// [`stall_target`]`(seed, world)` sleeps `stall_ms` milliseconds, then
+/// the injector self-disarms. Deterministic per seed;
 /// used to provoke a detectable stall for the monitor's watchdog.
 pub fn arm_stall(seed: u64, world: u64, stall_ms: u64) {
     STALL_SEED.store(seed, Ordering::Relaxed);
@@ -101,17 +89,17 @@ pub fn disarm_stall() {
     STALL_ARMED.store(false, Ordering::Relaxed);
 }
 
-/// A stall opportunity on a tagged thread. Disarmed (the default): two
-/// relaxed loads, no clock, no sleep. Armed: if this thread's tag matches
-/// the seeded target and the stall has not fired yet, sleep the configured
-/// duration exactly once.
-pub fn stall_point() {
+/// A stall opportunity for `rank`, which a collective's post crosses
+/// between posting and arriving. Disarmed (the default): one relaxed
+/// load, no clock, no sleep. Armed: if `rank` is the seeded target and
+/// the stall has not fired yet, sleep the configured duration exactly
+/// once.
+pub fn stall_point(rank: u64) {
     if !STALL_ARMED.load(Ordering::Relaxed) {
         return;
     }
     let world = STALL_WORLD.load(Ordering::Relaxed);
-    let target = stall_target(STALL_SEED.load(Ordering::Relaxed), world);
-    if TAG.with(|t| t.get()) != target {
+    if rank != stall_target(STALL_SEED.load(Ordering::Relaxed), world) {
         return;
     }
     if STALL_DONE.swap(true, Ordering::Relaxed) {
@@ -175,7 +163,7 @@ mod tests {
     }
 
     #[test]
-    fn stall_fires_once_on_the_target_tag_only() {
+    fn stall_fires_once_on_the_target_rank_only() {
         let seed = 11u64;
         let world = 4u64;
         let victim = stall_target(seed, world);
@@ -183,26 +171,23 @@ mod tests {
         assert_eq!(victim, stall_target(seed, world), "deterministic");
 
         arm_stall(seed, world, 1);
-        // untagged thread (tag u64::MAX) never matches a real lane target
-        stall_point();
+        stall_point((victim + 1) % world);
         assert!(
             !STALL_DONE.load(Ordering::Relaxed),
-            "non-target thread must not consume the one-shot stall"
+            "a non-target rank must not consume the one-shot stall"
         );
-        set_thread_tag(victim);
         #[expect(
             clippy::disallowed_methods,
             reason = "the test times the injected stall"
         )]
         let t0 = std::time::Instant::now();
-        stall_point();
+        stall_point(victim);
         assert!(t0.elapsed() >= Duration::from_millis(1));
         assert!(STALL_DONE.load(Ordering::Relaxed));
         // second crossing is a no-op (one-shot)
-        stall_point();
+        stall_point(victim);
         disarm_stall();
-        stall_point(); // disarmed: no-op
-        set_thread_tag(u64::MAX);
+        stall_point(victim); // disarmed: no-op
     }
 
     #[test]
@@ -218,7 +203,7 @@ mod tests {
 
         arm(42);
         assert!(is_armed());
-        for s in [site::POST, site::LANE_ENTER, site::LANE_EXIT, site::WAIT] {
+        for s in [site::POST, site::ARRIVE, site::WAIT] {
             yield_point(s);
         }
         disarm();

@@ -1,19 +1,18 @@
 //! Lock classes: the workspace lock order as a type.
 //!
-//! Every [`crate::OrderedMutex`] and [`crate::OrderedRwLock`] is built
-//! with a [`LockClass`], and the enum's declaration order is the rank: a
-//! thread holding class `A` may acquire class `B` only when `A < B`.
+//! Every [`crate::OrderedMutex`] is built with a [`LockClass`], and the
+//! enum's declaration order is the rank: a thread holding class `A` may
+//! acquire class `B` only when `A < B`.
 //! Threads that all climb the rank never wait on each other in a cycle,
 //! so no interleaving can deadlock them on these locks.
 //!
 //! Under `debug_assertions` every acquisition checks a thread-local held
 //! set and panics, naming both classes, on an out-of-rank or repeated
-//! class; [`crate::OrderedBarrier::wait`] panics while any guard is held
-//! (a peer that needs the lock to reach the barrier would hang the
-//! group); and a thread marked with [`mark_comm_lane`] panics on a second
-//! guard (a lane that waits on a lock re-exposes the communication the
-//! overlap hides). The checks run before the lock blocks, so a violation
-//! is reported instead of deadlocking. Release builds compile them out.
+//! class; and [`crate::OrderedCondvar::wait_while`] panics while any
+//! guard besides the one it waits with is held (a peer that needs the
+//! lock to arrive would hang the group). The checks run before the lock
+//! blocks, so a violation is reported instead of deadlocking. Release
+//! builds compile them out.
 
 use std::cell::Cell;
 
@@ -25,8 +24,7 @@ use std::cell::Cell;
 pub enum LockClass {
     /// `neo-dataio`'s shared-feed state.
     FeedState,
-    /// The collectives rendezvous slots. The main and comm-lane groups
-    /// share the class: no thread holds both.
+    /// The collectives ring of one process group.
     CollectiveSlots,
     /// `neo-telemetry`'s metric and span store.
     TelemetryStore,
@@ -52,21 +50,11 @@ thread_local! {
     /// Classes this thread holds, one bit each. Held classes strictly
     /// increase, so the set is the whole held stack.
     static HELD: Cell<u8> = const { Cell::new(0) };
-    /// Whether this thread is a comm lane (see [`mark_comm_lane`]).
-    static COMM_LANE: Cell<bool> = const { Cell::new(false) };
 }
 
 /// The innermost (highest-ranked) class in the held set `held`.
 fn innermost(held: u8) -> Option<LockClass> {
     CLASSES.into_iter().filter(|c| held & c.bit() != 0).max()
-}
-
-/// Marks the calling thread as a comm lane, which may hold one guard at
-/// a time. The collectives crate calls this when it spawns a lane.
-pub fn mark_comm_lane() {
-    if cfg!(debug_assertions) {
-        COMM_LANE.with(|lane| lane.set(true));
-    }
 }
 
 /// One held class, released on drop; every guard owns one.
@@ -83,11 +71,6 @@ impl Held {
                         top < class,
                         "lock order: acquiring {class:?} while holding {top:?}; a thread \
                          may only acquire a LockClass ranked above every class it holds"
-                    );
-                    assert!(
-                        !COMM_LANE.with(Cell::get),
-                        "comm lane acquires {class:?} while holding {top:?}; a lane may \
-                         hold one guard at a time"
                     );
                 }
                 cell.set(cell.get() | class.bit());
@@ -109,14 +92,15 @@ impl Drop for Held {
     }
 }
 
-/// Checks that the calling thread holds no guard before a barrier wait.
-pub(crate) fn check_rendezvous() {
+/// Checks that the calling thread holds no guard but the one of class
+/// `waiting` before a condition wait.
+pub(crate) fn check_wait(waiting: LockClass) {
     if cfg!(debug_assertions) {
         assert_eq!(
-            innermost(HELD.with(Cell::get)),
+            innermost(HELD.with(Cell::get) & !waiting.bit()),
             None,
-            "barrier wait while holding a guard; a peer that needs the lock to \
-             reach the barrier would hang the group"
+            "condition wait on {waiting:?} while holding another guard; a peer that \
+             needs the lock to arrive would hang the group"
         );
     }
 }

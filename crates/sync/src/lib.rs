@@ -4,24 +4,23 @@
 //!
 //! # Ordered locks
 //!
-//! [`OrderedMutex`] and [`OrderedRwLock`] wrap their `std::sync`
-//! counterparts with a [`LockClass`], whose declaration order is the
-//! workspace lock order. Under `debug_assertions` every acquisition
-//! checks the classes the calling thread already holds and panics,
-//! naming both classes, on an out-of-rank or repeated class, before it
-//! blocks. [`OrderedBarrier::wait`] panics while the caller holds any
-//! guard, and a thread marked with [`mark_comm_lane`] panics on a second
-//! guard. Release builds compile the checks out, so the wrappers are
-//! pass-throughs there. See [`LockClass`] for the rank.
+//! [`OrderedMutex`] wraps `std::sync::Mutex` with a [`LockClass`], whose
+//! declaration order is the workspace lock order. Under
+//! `debug_assertions` every acquisition checks the classes the calling
+//! thread already holds and panics, naming both classes, on an
+//! out-of-rank or repeated class, before it blocks. [`OrderedCondvar::wait_while`] — the collectives ring's wait
+//! for its peers' arrival — panics while the caller holds any guard
+//! besides the one it waits with. Release builds compile the checks out,
+//! so the wrappers are pass-throughs there. See [`LockClass`] for the
+//! rank.
 //!
 //! # Poison policy
 //!
 //! All wrappers recover from poisoning via [`recover`] instead of
-//! propagating panics into unrelated threads: worker panics are already
-//! surfaced as typed errors at their ends of the channels (e.g.
-//! `CollectiveError::LaneFailed`), so a poisoned guard only means "a
-//! panic was reported elsewhere" and the protected state — plain data,
-//! never mid-invariant — stays usable.
+//! propagating panics into unrelated threads: a worker panic is already
+//! surfaced where that worker is joined, so a poisoned guard only means
+//! "a panic was reported elsewhere" and the protected state — plain
+//! data, never mid-invariant — stays usable.
 //!
 //! # Schedule chaos
 //!
@@ -40,11 +39,10 @@
 pub mod chaos;
 mod class;
 
-pub use class::{mark_comm_lane, LockClass};
+pub use class::LockClass;
 
 use std::fmt;
-use std::sync::{Barrier, BarrierWaitResult, Mutex, MutexGuard, PoisonError};
-use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use class::Held;
 
@@ -80,8 +78,7 @@ impl<T> OrderedMutex<T> {
     /// # Panics
     ///
     /// Under `debug_assertions`, when the calling thread already holds a
-    /// class ranked at or above this one, or holds any guard on a comm
-    /// lane.
+    /// class ranked at or above this one.
     pub fn lock(&self) -> OrderedMutexGuard<'_, T> {
         let held = Held::acquire(self.class);
         OrderedMutexGuard {
@@ -126,118 +123,42 @@ impl<T> fmt::Debug for OrderedMutexGuard<'_, T> {
     }
 }
 
-/// A [`std::sync::RwLock`] of a [`LockClass`], rank-checked under
-/// `debug_assertions`. Readers and writers hold the same class.
-pub struct OrderedRwLock<T> {
-    class: LockClass,
-    inner: RwLock<T>,
+/// A [`std::sync::Condvar`] waited on with an [`OrderedMutexGuard`]: the
+/// collectives ring parks here until every rank has arrived. Under
+/// `debug_assertions` a wait panics while the caller holds any guard
+/// besides the one it waits with: a peer that needs that lock to arrive
+/// would hang the group.
+#[derive(Debug, Default)]
+pub struct OrderedCondvar {
+    inner: Condvar,
 }
 
-impl<T> OrderedRwLock<T> {
-    /// Wraps `value` in a lock of `class`.
-    pub const fn new(class: LockClass, value: T) -> Self {
+impl OrderedCondvar {
+    /// A condition variable with no waiters.
+    pub const fn new() -> Self {
         Self {
-            class,
-            inner: RwLock::new(value),
+            inner: Condvar::new(),
         }
     }
 
-    /// Shared acquisition, checked like [`OrderedMutex::lock`].
-    pub fn read(&self) -> OrderedReadGuard<'_, T> {
-        let held = Held::acquire(self.class);
-        OrderedReadGuard {
-            inner: recover(self.inner.read()),
+    /// Blocks while `cond` holds, releasing `guard`'s lock while parked
+    /// and re-acquiring it before each check, recovering from poison.
+    pub fn wait_while<'a, T>(
+        &self,
+        guard: OrderedMutexGuard<'a, T>,
+        cond: impl FnMut(&mut T) -> bool,
+    ) -> OrderedMutexGuard<'a, T> {
+        class::check_wait(guard.held.class());
+        let OrderedMutexGuard { inner, held } = guard;
+        OrderedMutexGuard {
+            inner: recover(self.inner.wait_while(inner, cond)),
             held,
         }
     }
 
-    /// Exclusive acquisition, checked like [`OrderedMutex::lock`].
-    pub fn write(&self) -> OrderedWriteGuard<'_, T> {
-        let held = Held::acquire(self.class);
-        OrderedWriteGuard {
-            inner: recover(self.inner.write()),
-            held,
-        }
-    }
-}
-
-impl<T> fmt::Debug for OrderedRwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("OrderedRwLock")
-            .field("class", &self.class)
-            .finish()
-    }
-}
-
-/// Shared-access RAII guard for [`OrderedRwLock`].
-pub struct OrderedReadGuard<'a, T> {
-    inner: RwLockReadGuard<'a, T>,
-    held: Held,
-}
-
-impl<T> std::ops::Deref for OrderedReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T> fmt::Debug for OrderedReadGuard<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("OrderedReadGuard")
-            .field("class", &self.held.class())
-            .finish()
-    }
-}
-
-/// Exclusive-access RAII guard for [`OrderedRwLock`].
-pub struct OrderedWriteGuard<'a, T> {
-    inner: RwLockWriteGuard<'a, T>,
-    held: Held,
-}
-
-impl<T> std::ops::Deref for OrderedWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T> std::ops::DerefMut for OrderedWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
-impl<T> fmt::Debug for OrderedWriteGuard<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("OrderedWriteGuard")
-            .field("class", &self.held.class())
-            .finish()
-    }
-}
-
-/// A [`std::sync::Barrier`] whose wait, under `debug_assertions`, panics
-/// while the caller holds any ordered guard: a peer that needs the held
-/// lock to reach the barrier would deadlock the rendezvous.
-#[derive(Debug)]
-pub struct OrderedBarrier {
-    inner: Barrier,
-}
-
-impl OrderedBarrier {
-    /// A barrier for `n` threads.
-    pub fn new(n: usize) -> Self {
-        Self {
-            inner: Barrier::new(n),
-        }
-    }
-
-    /// Blocks until all `n` threads arrive; exactly one caller observes
-    /// `is_leader()`.
-    pub fn wait(&self) -> BarrierWaitResult {
-        class::check_rendezvous();
-        self.inner.wait()
+    /// Wakes every waiter.
+    pub fn notify_all(&self) {
+        self.inner.notify_all();
     }
 }
 
@@ -272,49 +193,51 @@ mod tests {
     }
 
     #[test]
-    fn mutex_and_rwlock_pass_values_through() {
+    fn mutex_passes_values_through() {
         let m = OrderedMutex::new(LockClass::FeedState, 1u32);
         *m.lock() += 41;
         assert_eq!(*m.lock(), 42);
-
-        let rw = OrderedRwLock::new(LockClass::TelemetryStore, vec![1, 2]);
-        rw.write().push(3);
-        assert_eq!(rw.read().as_slice(), &[1, 2, 3]);
     }
 
     #[test]
-    fn barrier_elects_one_leader() {
-        let b = Arc::new(OrderedBarrier::new(3));
-        let leaders: usize = std::thread::scope(|s| {
-            (0..3)
-                .map(|_| {
-                    let b = Arc::clone(&b);
-                    s.spawn(move || usize::from(b.wait().is_leader()))
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().expect("barrier thread"))
-                .sum()
-        });
-        assert_eq!(leaders, 1);
+    fn condvar_wakes_a_waiter_once_its_condition_clears() {
+        let slot = Arc::new((
+            OrderedMutex::new(LockClass::CollectiveSlots, 0u32),
+            OrderedCondvar::new(),
+        ));
+        let waiter = {
+            let slot = Arc::clone(&slot);
+            std::thread::spawn(move || {
+                let (m, cv) = &*slot;
+                *cv.wait_while(m.lock(), |arrived| *arrived < 2)
+            })
+        };
+        for _ in 0..2 {
+            let (m, cv) = &*slot;
+            *m.lock() += 1;
+            cv.notify_all();
+        }
+        assert_eq!(waiter.join().expect("waiter thread"), 2);
     }
 
     #[test]
     fn rank_order_nesting_is_silent() {
         let feed = OrderedMutex::new(LockClass::FeedState, ());
         let slots = OrderedMutex::new(LockClass::CollectiveSlots, ());
-        let store = OrderedRwLock::new(LockClass::TelemetryStore, ());
+        let store = OrderedMutex::new(LockClass::TelemetryStore, ());
         let beats = OrderedMutex::new(LockClass::TelemetryHeartbeats, ());
         for _ in 0..3 {
             let _f = feed.lock();
             let _s = slots.lock();
-            let _r = store.read();
+            let _r = store.lock();
             let _b = beats.lock();
         }
         // released classes may be taken again, in any order
         drop(beats.lock());
         drop(feed.lock());
-        OrderedBarrier::new(1).wait();
+        // waiting with the only guard held is silent
+        let cv = OrderedCondvar::new();
+        drop(cv.wait_while(slots.lock(), |_| false));
     }
 
     #[test]
@@ -332,33 +255,22 @@ mod tests {
         assert_checked(
             &["acquiring CollectiveSlots", "holding CollectiveSlots"],
             || {
-                // two locks of one class: the main and lane slots
+                // two locks of one class
                 let main = OrderedMutex::new(LockClass::CollectiveSlots, ());
-                let lane = OrderedRwLock::new(LockClass::CollectiveSlots, ());
+                let other = OrderedMutex::new(LockClass::CollectiveSlots, ());
                 let _m = main.lock();
-                let _l = lane.write();
+                let _o = other.lock();
             },
         );
     }
 
     #[test]
-    fn barrier_wait_while_holding_a_guard_panics() {
-        assert_checked(&["barrier wait", "TelemetryHeartbeats"], || {
-            let beats = OrderedMutex::new(LockClass::TelemetryHeartbeats, ());
-            let _b = beats.lock();
-            OrderedBarrier::new(1).wait();
-        });
-    }
-
-    #[test]
-    fn second_guard_on_a_comm_lane_panics() {
-        assert_checked(&["comm lane", "TelemetryStore", "CollectiveSlots"], || {
-            mark_comm_lane();
+    fn condition_wait_while_holding_another_guard_panics() {
+        assert_checked(&["condition wait", "FeedState"], || {
+            let feed = OrderedMutex::new(LockClass::FeedState, ());
             let slots = OrderedMutex::new(LockClass::CollectiveSlots, ());
-            let store = OrderedMutex::new(LockClass::TelemetryStore, ());
-            drop(store.lock()); // one guard at a time is fine
-            let _s = slots.lock();
-            let _t = store.lock();
+            let _f = feed.lock();
+            drop(OrderedCondvar::new().wait_while(slots.lock(), |_| false));
         });
     }
 }

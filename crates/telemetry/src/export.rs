@@ -269,10 +269,14 @@ mod tests {
             drop(rec.span(Phase::TopMlp));
             it.end();
         }
-        let lane = sink.rank_lane(1, 1);
-        let it = lane.begin_iteration(0);
-        drop(lane.span(Phase::AlltoallFwd));
-        it.end();
+        sink.push_span(SpanRecord {
+            rank: 1,
+            lane: 1,
+            iter: 0,
+            phase: Phase::AlltoallFwd,
+            start_ns: 0,
+            end_ns: 1,
+        });
 
         let text = sink.export_chrome_trace().unwrap_or_default();
         let doc = json::parse(&text).unwrap_or(Json::Null);

@@ -141,9 +141,20 @@ impl Heartbeat {
         self.beat(pack(KIND_ITERATING, 0), now_ns);
     }
 
-    /// Beat: arrived at a collective rendezvous, about to block on peers.
-    pub(crate) fn publish_exchange(&self, now_ns: u64) {
-        self.beat(pack(KIND_EXCHANGE, 0), now_ns);
+    /// Beat: about to block on peers at a collective rendezvous. Only a
+    /// mid-work slot publishes; returns the state word it interrupted,
+    /// for [`Heartbeat::publish_resume`].
+    pub(crate) fn publish_exchange(&self, now_ns: u64) -> Option<u64> {
+        let word = self.state.load(Ordering::Relaxed);
+        (word & 0xff != KIND_IDLE).then(|| {
+            self.beat(pack(KIND_EXCHANGE, 0), now_ns);
+            word
+        })
+    }
+
+    /// Beat: the rendezvous completed; back to the interrupted `word`.
+    pub(crate) fn publish_resume(&self, word: u64, now_ns: u64) {
+        self.beat(word, now_ns);
     }
 
     /// Point-in-time copy of the slot (per-field atomic reads; see the
@@ -245,8 +256,11 @@ mod tests {
         assert!(s2.mid_work());
         assert_eq!(s2.quiet_ns(700), 500);
 
-        hb.publish_exchange(300);
+        let word = hb.publish_exchange(300).expect("a mid-work slot publishes");
         assert_eq!(hb.sample().state, HeartbeatState::Exchange);
+        hb.publish_resume(word, 310);
+        let s3 = hb.sample();
+        assert_eq!((s3.state, s3.phase), (HeartbeatState::InSpan, s2.phase));
 
         hb.publish_span_close(400);
         assert_eq!(hb.sample().state, HeartbeatState::Iterating);
@@ -255,6 +269,8 @@ mod tests {
         let s5 = hb.sample();
         assert_eq!(s5.state, HeartbeatState::Idle);
         assert_eq!(s5.last_iter_ns, 350);
-        assert_eq!(s5.beats, 5);
+        assert_eq!(s5.beats, 6);
+        assert_eq!(hb.publish_exchange(500), None, "an idle slot stays idle");
+        assert_eq!(hb.sample().beats, 6);
     }
 }

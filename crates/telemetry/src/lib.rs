@@ -60,8 +60,9 @@ pub struct SpanRecord {
     /// Rank that recorded the span.
     pub rank: u32,
     /// Execution lane within the rank: `0` is the main compute thread;
-    /// higher lanes are auxiliary threads (e.g. the nonblocking-collective
-    /// comm lane), whose spans may legally overlap lane-0 spans in time.
+    /// higher lanes are auxiliary tracks (e.g. lane 1, posted collectives
+    /// in flight from post to wait), whose spans may legally overlap
+    /// lane-0 spans in time.
     pub lane: u32,
     /// Training iteration the span belongs to.
     pub iter: u64,
@@ -84,7 +85,7 @@ impl SpanRecord {
 struct Inner {
     epoch: Instant,
     store: OrderedMutex<Store>,
-    /// Heartbeat slot registry, one slot per `(rank, lane)` ever handed
+    /// Heartbeat slot registry, one lane-0 slot per rank ever handed
     /// out. The lock guards only find-or-insert at recorder creation;
     /// publication and sampling go through the slot's atomics.
     heartbeats: OrderedMutex<Vec<Arc<Heartbeat>>>,
@@ -101,12 +102,12 @@ impl Inner {
         self.store.lock()
     }
 
-    fn heartbeat(&self, rank: u32, lane: u32) -> Arc<Heartbeat> {
+    fn heartbeat(&self, rank: u32) -> Arc<Heartbeat> {
         let mut slots = self.heartbeats.lock();
-        if let Some(h) = slots.iter().find(|h| h.rank() == rank && h.lane() == lane) {
+        if let Some(h) = slots.iter().find(|h| h.rank() == rank) {
             return Arc::clone(h);
         }
-        let h = Arc::new(Heartbeat::new(rank, lane));
+        let h = Arc::new(Heartbeat::new(rank, 0));
         slots.push(Arc::clone(&h));
         h
     }
@@ -212,21 +213,13 @@ impl TelemetrySink {
         self.inner.as_ref().map(|i| i.now_ns())
     }
 
-    /// Create the per-rank span recorder for `rank` (main lane 0).
+    /// Create a span recorder for `rank`'s compute thread, lane 0. Every
+    /// recorder of one rank shares its heartbeat slot. Spans of other
+    /// lanes have no recorder: see [`TelemetrySink::push_span`].
     pub fn rank(&self, rank: u32) -> RankRecorder {
-        self.rank_lane(rank, 0)
-    }
-
-    /// Create a span recorder for an auxiliary execution lane of `rank`.
-    ///
-    /// Lane 0 is the main compute thread ([`TelemetrySink::rank`]); higher
-    /// lanes belong to helper threads of the same rank — e.g. the
-    /// nonblocking-collective comm lane — whose spans may legally overlap
-    /// lane-0 spans on the merged timeline.
-    pub fn rank_lane(&self, rank: u32, lane: u32) -> RankRecorder {
         let live = self.inner.as_ref().map(|inner| {
             Arc::new(Live {
-                hb: inner.heartbeat(rank, lane),
+                hb: inner.heartbeat(rank),
                 inner: Arc::clone(inner),
                 iter: AtomicU64::new(0),
                 active: AtomicBool::new(false),
@@ -235,8 +228,16 @@ impl TelemetrySink {
         RankRecorder {
             sink: self.clone(),
             rank,
-            lane,
             live,
+        }
+    }
+
+    /// Record a span the caller timed itself with [`TelemetrySink::now_ns`]
+    /// — a track with no heartbeat slot, such as a posted collective's
+    /// in-flight interval. No-op when disabled.
+    pub fn push_span(&self, span: SpanRecord) {
+        if let Some(inner) = &self.inner {
+            inner.store().push_span(span);
         }
     }
 
@@ -293,7 +294,7 @@ impl TelemetrySink {
 #[derive(Debug)]
 struct Live {
     inner: Arc<Inner>,
-    /// Heartbeat slot for the recorder's `(rank, lane)`.
+    /// Heartbeat slot of the recorder's rank.
     hb: Arc<Heartbeat>,
     /// Iteration stamped onto spans.
     iter: AtomicU64,
@@ -308,7 +309,6 @@ struct Live {
 pub struct RankRecorder {
     sink: TelemetrySink,
     rank: u32,
-    lane: u32,
     /// `None` on a disabled sink, which keeps the disabled path free of
     /// clock reads, allocations and atomic stores.
     live: Option<Arc<Live>>,
@@ -323,11 +323,6 @@ impl RankRecorder {
     /// Rank this recorder stamps onto its spans.
     pub fn rank(&self) -> u32 {
         self.rank
-    }
-
-    /// Execution lane this recorder stamps onto its spans (0 = main).
-    pub fn lane(&self) -> u32 {
-        self.lane
     }
 
     /// The sink this recorder feeds.
@@ -349,7 +344,7 @@ impl RankRecorder {
 
     /// Start training iteration `iter`: spans opened until the returned
     /// guard ends are recorded and stamped with `iter`. On an armed sink
-    /// this also beats the `(rank, lane)` heartbeat slot.
+    /// this also beats the rank's heartbeat slot.
     ///
     /// The guard is fully owned, like [`SpanGuard`], so the iteration can
     /// stay open across `&mut self` calls on the structure that owns the
@@ -368,16 +363,23 @@ impl RankRecorder {
         }
     }
 
-    /// Publish an *exchange* heartbeat: this thread has arrived at a
-    /// collective rendezvous and is about to block on its peers. A slot
-    /// that goes quiet in this state is waiting on someone else, so the
-    /// stall watchdog blames the peer that never arrived instead of the
-    /// threads parked here. No-op when the sink is disabled or no
-    /// iteration is open.
-    pub fn mark_exchange(&self) {
-        if let Some(live) = self.open() {
-            live.hb.publish_exchange(live.inner.now_ns());
-        }
+    /// Publish an *exchange* heartbeat until the returned guard drops:
+    /// this thread is about to block at a collective rendezvous on peers
+    /// that have not arrived. A slot that goes quiet in this state is
+    /// waiting on someone else, so the stall watchdog blames the peer that
+    /// never arrived instead of the threads parked here. The guard beats
+    /// the interrupted state back when the wait ends.
+    ///
+    /// Keyed on the rank's slot, not on this recorder's iteration: a
+    /// communicator's recorder shares its worker's slot and publishes
+    /// while that slot is mid-work, so evaluation and probe passes stay
+    /// silent. No-op when the sink is disabled.
+    pub fn mark_exchange(&self) -> ExchangeGuard {
+        let live = self.live.as_ref().and_then(|live| {
+            let word = live.hb.publish_exchange(live.inner.now_ns())?;
+            Some((Arc::clone(live), word))
+        });
+        ExchangeGuard { live }
     }
 
     /// Open a span of `phase`. The returned guard records the interval
@@ -424,7 +426,6 @@ impl RankRecorder {
             live: Some(SpanLive {
                 state: Arc::clone(live),
                 rank: self.rank,
-                lane: self.lane,
                 iter: live.iter.load(Ordering::Relaxed),
                 phase,
                 start_ns,
@@ -469,10 +470,27 @@ impl Drop for IterationGuard {
     }
 }
 
+/// RAII guard from [`RankRecorder::mark_exchange`]; on drop the slot
+/// beats back to the state the exchange interrupted.
+#[must_use = "the exchange heartbeat lasts until the guard drops"]
+#[derive(Debug)]
+pub struct ExchangeGuard {
+    /// The slot's recording state and interrupted state word; `None` when
+    /// nothing was published.
+    live: Option<(Arc<Live>, u64)>,
+}
+
+impl Drop for ExchangeGuard {
+    fn drop(&mut self) {
+        if let Some((live, word)) = self.live.take() {
+            live.hb.publish_resume(word, live.inner.now_ns());
+        }
+    }
+}
+
 struct SpanLive {
     state: Arc<Live>,
     rank: u32,
-    lane: u32,
     iter: u64,
     phase: Phase,
     start_ns: u64,
@@ -504,7 +522,7 @@ impl SpanGuard {
         live.state.hb.publish_span_close(end_ns);
         let rec = SpanRecord {
             rank: live.rank,
-            lane: live.lane,
+            lane: 0,
             iter: live.iter,
             phase: live.phase,
             start_ns: live.start_ns,
@@ -606,31 +624,36 @@ mod tests {
     }
 
     #[test]
-    fn lane_recorder_stamps_lane_and_rank() {
+    fn pushed_span_keeps_its_lane_and_takes_no_heartbeat_slot() {
         let sink = TelemetrySink::armed();
-        let rec = sink.rank_lane(1, 2);
-        assert_eq!((rec.rank(), rec.lane()), (1, 2));
+        let rec = sink.rank(1);
         let it = rec.begin_iteration(5);
-        let sp = rec.span(Phase::AlltoallFwd);
-        drop(sp);
+        drop(rec.span(Phase::TopMlp));
         it.end();
+        sink.push_span(SpanRecord {
+            rank: 1,
+            lane: 2,
+            iter: 5,
+            phase: Phase::AlltoallFwd,
+            start_ns: 3,
+            end_ns: 9,
+        });
         let spans = sink.snapshot().map(|s| s.spans).unwrap_or_default();
-        assert_eq!(spans.len(), 1);
-        assert_eq!((spans[0].rank, spans[0].lane, spans[0].iter), (1, 2, 5));
-        // the plain rank() recorder is lane 0
-        assert_eq!(sink.rank(3).lane(), 0);
+        let lanes: Vec<_> = spans.iter().map(|s| (s.rank, s.lane, s.iter)).collect();
+        assert_eq!(lanes, [(1, 0, 5), (1, 2, 5)], "recorders stamp lane 0");
+        assert_eq!(sink.heartbeats().len(), 1, "only the recorder's slot");
     }
 
     #[test]
     fn heartbeats_publish_at_iteration_and_span_boundaries() {
         let sink = TelemetrySink::armed();
         assert!(sink.heartbeats().is_empty(), "no recorders yet, no slots");
-        let rec = sink.rank_lane(1, 0);
-        let lane = sink.rank_lane(1, 1);
+        let rec = sink.rank(1);
+        let other = sink.rank(2);
         let slots = sink.heartbeats();
         assert_eq!(slots.len(), 2);
         assert_eq!((slots[0].rank, slots[0].lane), (1, 0));
-        assert_eq!((slots[1].rank, slots[1].lane), (1, 1));
+        assert_eq!((slots[1].rank, slots[1].lane), (2, 0));
         assert_eq!(slots[0].beats, 0);
 
         let it = rec.begin_iteration(4);
@@ -641,21 +664,32 @@ mod tests {
         assert_eq!(hb.phase, Some(Phase::EmbLookup));
         assert_eq!(hb.beats, 2, "iter begin + span open");
         drop(sp);
-        rec.mark_exchange();
+        // a second recorder of the slot (a communicator's) marks the
+        // exchange, and its guard beats the interrupted state back
+        let comm = sink.rank(1);
+        let parked = comm.mark_exchange();
         assert_eq!(sink.heartbeats()[0].state, HeartbeatState::Exchange);
+        drop(parked);
+        assert_eq!(sink.heartbeats()[0].state, HeartbeatState::Iterating);
         it.end();
         let done = &sink.heartbeats()[0];
         assert_eq!(done.state, HeartbeatState::Idle);
-        assert_eq!(done.beats, 5);
-        // untouched lane slot never beat
+        assert_eq!(done.beats, 6);
+        drop(comm.mark_exchange());
+        assert_eq!(
+            sink.heartbeats()[0].beats,
+            6,
+            "an idle slot publishes no exchange"
+        );
+        // the untouched rank's slot never beat
         assert_eq!(sink.heartbeats()[1].beats, 0);
-        drop(lane);
+        drop(other);
 
-        // re-requesting the same (rank, lane) reuses the slot
-        let again = sink.rank_lane(1, 0);
+        // re-requesting the same rank reuses the slot
+        let again = sink.rank(1);
         again.begin_iteration(5).end();
         assert_eq!(sink.heartbeats().len(), 2);
-        assert_eq!(sink.heartbeats()[0].beats, 7);
+        assert_eq!(sink.heartbeats()[0].beats, 8);
     }
 
     #[test]
@@ -667,7 +701,6 @@ mod tests {
         drop(sp);
         drop(it); // e.g. the step returned `Err` before ending the iteration
         assert!(!rec.span(Phase::TopMlp).is_recording());
-        rec.mark_exchange();
         let hb = &sink.heartbeats()[0];
         assert_eq!(
             hb.state,
@@ -686,9 +719,18 @@ mod tests {
         let sink = TelemetrySink::disabled();
         let rec = sink.rank(0);
         let it = rec.begin_iteration(0);
-        rec.mark_exchange();
+        drop(rec.mark_exchange());
         it.end();
+        sink.push_span(SpanRecord {
+            rank: 0,
+            lane: 1,
+            iter: 0,
+            phase: Phase::InputA2a,
+            start_ns: 0,
+            end_ns: 1,
+        });
         assert!(sink.heartbeats().is_empty());
+        assert!(sink.snapshot().is_none());
         assert!(sink.sample().is_none());
     }
 

@@ -36,11 +36,12 @@ pub enum Metric {
     CommBytes(&'static str),
     /// Counter: invocations of collective `op`, `comm.<op>.calls`.
     CommCalls(&'static str),
-    /// Histogram: in-collective latency of `op`, `comm.<op>.ns`.
+    /// Histogram: latency of `op` from post to completed wait,
+    /// `comm.<op>.ns`.
     CommNs(&'static str),
     /// Histogram: how long the caller blocked in `CommHandle::wait` for a
     /// posted `op`, `comm.<op>.wait_ns` — the exposed part of the op, as
-    /// opposed to [`Metric::CommNs`] measured on the comm lane.
+    /// opposed to its whole [`Metric::CommNs`].
     CommWaitNs(&'static str),
     /// Counter: cache hits under a prefix, `<prefix>.cache_hit`.
     CacheHit(&'static str),

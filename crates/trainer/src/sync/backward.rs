@@ -15,8 +15,7 @@ use neo_tensor::Tensor2;
 use super::config::{err, SyncError};
 use super::shard::{rides_a2a, Worker};
 
-/// Posts one MLP's flat gradients to the comm lane as its own AllReduce
-/// bucket.
+/// Posts one MLP's flat gradients as its own AllReduce bucket.
 fn post_grad_bucket(
     comm: &mut Communicator,
     mlp: &Mlp,
@@ -31,8 +30,8 @@ impl Worker {
     /// the *global* batch size).
     ///
     /// The MLP-gradient AllReduce is bucketed by schedule. Overlap posts
-    /// one bucket per MLP to the comm lane the moment its backward
-    /// finishes, so both run behind the blocking sparse paths. Serial
+    /// one bucket per MLP the moment its backward finishes, so both ride
+    /// behind the blocking sparse paths until their waits. Serial
     /// reduces a single `[bottom|top]` bucket afterwards. Rank-order
     /// accumulation is element-wise, so the buckets are bitwise-equal to
     /// the combined buffer's `[..nb]` / `[nb..]`.

@@ -138,8 +138,8 @@ pub struct SyncConfig {
     /// comm counters, and loss/lr/throughput gauges.
     pub telemetry: TelemetrySink,
     /// Run the overlapped (Fig. 9) schedule: the index/pooled AlltoAlls
-    /// and a split MLP AllReduce are posted to the communicator's comm
-    /// lane so they run behind compute, and batches are double-buffered
+    /// and a split MLP AllReduce are posted and waited on only after the
+    /// compute that can hide them, and batches are double-buffered
     /// so batch `i+1`'s index exchange is in flight during batch `i`'s
     /// interaction and top MLP. Bitwise-identical to the serial schedule.
     pub overlap: bool,

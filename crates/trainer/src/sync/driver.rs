@@ -272,9 +272,12 @@ impl SyncTrainer {
                     })
                 })
                 .collect();
-            handles
+            // join every worker before looking at any result: a scope
+            // left holding a panicked thread would panic itself
+            let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+            joined
                 .into_iter()
-                .map(|h| h.join().map_err(|_| err("worker thread panicked"))?)
+                .map(|r| r.map_err(|_| err("worker thread panicked"))?)
                 .collect::<Result<Vec<_>, _>>()
         });
         let health_events = match monitor.map(Monitor::stop) {

@@ -24,9 +24,9 @@ struct IndexMsg {
     indices: Vec<u64>,
 }
 
-/// A started collective: already finished on this thread (serial
-/// schedule, eval and probe forwards) or in flight on the comm lane
-/// (overlapped schedule). The schedule redeems both the same way.
+/// A started collective: already finished (serial schedule, eval and
+/// probe forwards) or posted and still in flight (overlapped schedule).
+/// The schedule redeems both the same way.
 enum Pending<R> {
     Done(R),
     InFlight(CommHandle<R>),
@@ -225,19 +225,19 @@ impl Worker {
     }
 
     /// Splits off the local sub-batch and starts its index AlltoAll
-    /// (zero-copy: pointers on the wire) — on the comm lane when `lane`,
-    /// else to completion on this thread.
+    /// (zero-copy: pointers on the wire) — posted when `posted`, else to
+    /// completion.
     fn start_input_a2a(
         &mut self,
         global: &CombinedBatch,
-        lane: bool,
+        posted: bool,
     ) -> Result<PendingInput, SyncError> {
         let sub = global
             .split(self.world)
             .map_err(|e| err(e.to_string()))?
             .swap_remove(self.rank);
         let sends = self.build_index_sends(&sub)?;
-        let recv = if lane {
+        let recv = if posted {
             Pending::InFlight(self.comm.post_all_to_all_shared(
                 sends,
                 Phase::InputA2a.as_str(),
@@ -266,13 +266,13 @@ impl Worker {
         next: Option<&CombinedBatch>,
         train: bool,
     ) -> Result<(Tensor2, CombinedBatch), SyncError> {
-        // started collectives ride the comm lane behind compute; eval and
-        // probe forwards must not disturb the lane's in-flight prefetch
-        let lane = self.cfg.overlap && train;
+        // started collectives are posted and waited behind compute; eval
+        // and probe forwards complete theirs at once
+        let posted = self.cfg.overlap && train;
         let prefetched = self.pending_input.take_if(|_| train);
         let PendingInput { sub, recv } = match prefetched {
             Some(p) => p,
-            None => self.start_input_a2a(global, lane)?,
+            None => self.start_input_a2a(global, posted)?,
         };
         let b_loc = sub.batch_size();
         let recv = recv.wait()?;
@@ -290,7 +290,7 @@ impl Worker {
 
         // pooled AlltoAll for table-/column-wise shards (manifest order)
         let payloads = self.build_pooled_payloads(&owned_pooled, b_loc);
-        let pooled = if lane {
+        let pooled = if posted {
             Pending::InFlight(self.comm.post_all_to_all_shared_quant(
                 payloads,
                 self.cfg.quant_fwd,
@@ -325,7 +325,7 @@ impl Worker {
         // double buffer: batch i+1's index exchange rides behind batch
         // i's interaction, top MLP, and the whole backward
         if let Some(nb) = next {
-            self.pending_input = Some(self.start_input_a2a(nb, lane)?);
+            self.pending_input = Some(self.start_input_a2a(nb, posted)?);
         }
 
         let logits = self.interact_and_top(z0, pooled_features, train)?;

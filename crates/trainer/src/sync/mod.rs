@@ -34,14 +34,13 @@
 //! 7. MLP gradients AllReduce, then the dense optimizer on every replica.
 //!
 //! Each started collective is a private `Pending`: either already
-//! finished on this thread or in flight on the communicator's comm lane,
-//! redeemed with `.wait()`. The serial schedule is the same code with
-//! every start completing inline. [`SyncConfig::overlap`] is read in
-//! exactly three places:
+//! finished or posted and still in flight, redeemed with `.wait()`. The
+//! serial schedule is the same code with every start completing at once.
+//! [`SyncConfig::overlap`] is read in exactly three places:
 //!
-//! * **where a started collective runs** — on the lane iff `overlap` and
-//!   the forward is a training one (eval and probe forwards stay on the
-//!   caller thread, silent in telemetry);
+//! * **whether a started collective is posted** — iff `overlap` and the
+//!   forward is a training one (eval and probe forwards complete theirs
+//!   at once, silent in telemetry);
 //! * **gradient bucketing** — overlap posts one AllReduce bucket per MLP
 //!   the moment its backward finishes (`allreduce_top`, `allreduce_bot`),
 //!   so both ride behind the sparse paths; serial reduces one
@@ -49,11 +48,10 @@
 //! * **the driver's `make(i + 1)` prefetch**, which is what gives step 5
 //!   a next batch to start.
 //!
-//! The serial starts do not hop through the lane thread, and serial keeps
-//! its single AllReduce: on the 2-rank quickstart a lane round trip costs
-//! ~88 µs against ~50 µs for the rendezvous itself, so routing the five
-//! serial collectives through it would add ~0.19 ms to a 0.96 ms step,
-//! and a second rendezvous another ~5%.
+//! A posted collective and a blocking one are the same post and wait on
+//! the communicator's ring, on this thread; overlap only moves the wait.
+//! Serial keeps its single AllReduce because a second rendezvous per step
+//! is pure cost when nothing sits between post and wait.
 //!
 //! Every reordered pairing is between operations with no data dependency
 //! and reductions keep their rank-order, element-wise accumulation, so
@@ -585,7 +583,7 @@ mod tests {
     }
 
     #[test]
-    fn overlapped_telemetry_splits_allreduce_onto_comm_lane() {
+    fn overlapped_telemetry_tracks_posted_collectives_in_flight() {
         let mut cfg = SyncConfig::exact(2, model_cfg(), mixed_plan(2), 16);
         cfg.overlap = true;
         let sink = neo_telemetry::TelemetrySink::armed();
@@ -605,8 +603,8 @@ mod tests {
         ] {
             assert!(names.contains(&want), "missing phase {want} in {names:?}");
         }
-        // posted collectives record their spans on the comm lane; the
-        // loss AllReduce stays on the main lane
+        // posted collectives record their in-flight spans, post to wait,
+        // on the comm lane; the loss AllReduce stays on the main lane
         for posted in [Phase::AllreduceTop, Phase::AllreduceBot, Phase::InputA2a] {
             assert!(
                 snap.spans
@@ -621,6 +619,16 @@ mod tests {
             .iter()
             .filter(|s| s.phase == Phase::Allreduce)
             .all(|s| s.lane == 0));
+        // waits are LIFO, so one rank's in-flight spans nest or are
+        // disjoint, never cross
+        let in_flight: Vec<_> = snap.spans.iter().filter(|s| s.lane > 0).collect();
+        for a in &in_flight {
+            for b in in_flight.iter().filter(|b| b.rank == a.rank) {
+                let crosses =
+                    a.start_ns < b.start_ns && b.start_ns < a.end_ns && a.end_ns < b.end_ns;
+                assert!(!crosses, "in-flight spans cross: {a:?} / {b:?}");
+            }
+        }
         // every wait on a posted op records posted-to-wait latency
         assert!(
             snap.histograms

@@ -172,7 +172,8 @@ pub(super) struct Worker {
     /// sides of the pooled and gradient AlltoAlls derive their layout from
     /// these.
     pub(super) manifests: Vec<Vec<Shard>>,
-    /// The training iteration in progress (labels comm-lane spans).
+    /// The training iteration in progress (labels posted collectives'
+    /// in-flight spans).
     pub(super) iter: u64,
     pub(super) scratch_grads: Vec<f32>,
     /// Features cached between `forward(train=true)` and `backward_update`.

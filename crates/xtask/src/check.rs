@@ -13,8 +13,9 @@
 //!   `neo_monitor::prom::check_exposition`.
 //! - `neo-telemetry/1`: every span name is a [`Phase`], at least
 //!   [`MIN_PHASES`] distinct ones appear, and spans on one `(rank, lane)`
-//!   only nest. Posted collectives interleave with compute legally because
-//!   they run on their own comm lane.
+//!   only nest. Posted collectives' in-flight spans interleave with
+//!   compute legally because they are recorded on their own lane, where
+//!   the LIFO waits keep them nested.
 //! - `neo-workload/1`: pooling mass, bags, shard lookups (replicated for
 //!   column slices) and the sketch total are conserved against each
 //!   table's lookups; top-K rows lie inside the sketch support and the
@@ -125,8 +126,8 @@ fn telemetry_summary(doc: &Json) -> Verdict {
     if tangled > 0 {
         bad.push(format!(
             "{tangled} span pair(s) partially overlap on the same (rank, lane); spans \
-             may only nest within a lane (overlapped collectives belong on their own \
-             comm lane)"
+             may only nest within a lane (posted collectives' in-flight spans belong \
+             on their own lane)"
         ));
     }
     let (phases, spans) = (names.len(), spans.len());

@@ -2,15 +2,16 @@
 //! overlapped (Fig. 9) trainer.
 //!
 //! The overlapped schedule's correctness claim is *schedule independence*:
-//! posted collectives run on a separate comm lane, and no matter how the
-//! OS interleaves that lane with compute, training must neither deadlock
-//! nor change a single bit of the result. This harness drives the claim:
-//! for each seed it arms [`neo_sync::chaos`], which perturbs thread
-//! timing at the comm-lane boundaries (`post`, lane entry/exit, `wait`)
-//! with seed-deterministic yields and micro-sleeps, runs the w ∈ {2, 4}
-//! overlapped trainer under a watchdog, and asserts the losses, probe
-//! logits, and every trained embedding row are bitwise identical to a
-//! serial (unperturbed, non-overlapped) reference run.
+//! posted collectives complete whenever their waits come, and no matter
+//! how the OS interleaves the ranks' posts, arrivals and waits with
+//! compute, training must neither deadlock nor change a single bit of the
+//! result. This harness drives the claim: for each seed it arms
+//! [`neo_sync::chaos`], which perturbs thread timing at the split-phase
+//! boundaries (`post`, arrival, `wait`) with seed-deterministic yields
+//! and micro-sleeps, runs the w ∈ {2, 4} overlapped trainer under a
+//! watchdog, and asserts the losses, probe logits, and every trained
+//! embedding row are bitwise identical to a serial (unperturbed,
+//! non-overlapped) reference run.
 //!
 //! Every perturbed run also carries an in-memory `neo-monitor` session:
 //! chaos's micro-sleeps sit far below the watchdog's stall deadline, so
@@ -29,9 +30,9 @@
 //! hanging CI: each run executes on a watchdog thread with a generous
 //! timeout. In a debug build (ci.sh runs the harness on the dev profile)
 //! neo-sync's lock-class check is live on every perturbed schedule: an
-//! out-of-rank acquisition, a barrier wait under a guard, or a second
-//! guard on a comm lane panics its thread, and the trainer reports the
-//! panic as the seed's training error.
+//! out-of-rank acquisition or a condition wait under a second guard
+//! panics its thread, and the trainer reports the panic as the seed's
+//! training error.
 
 use std::sync::mpsc;
 use std::thread;

@@ -6,26 +6,22 @@
 //! the paper's §4.1.2 reproducibility claim. The engine is a three-layer
 //! pipeline — lossless token stream, cross-crate symbol index, and a
 //! whole-workspace call graph with transitive reachability — feeding
-//! six rules (the full table lives in DESIGN.md and `neo_lint`'s
+//! five rules (the full table lives in DESIGN.md and `neo_lint`'s
 //! crate docs):
 //!
 //! 1. **crate_header** — `#![forbid(unsafe_code)]` and `#![deny(warnings)]`
 //!    in every crate root (`src/lib.rs`, `src/main.rs`, `src/bin/*.rs`).
 //! 2. **props_cover** — every `pub fn` in `crates/collectives/src/group.rs`
 //!    is named by a property test in `crates/collectives/tests/props.rs`.
-//! 3. **comm_lane_blocking** — nothing blocking (channel `recv`, `sleep`,
-//!    barrier and condvar waits) anywhere in the call-graph reachable set
-//!    of the comm-lane worker in `collectives/nonblocking.rs`, whatever
-//!    crate it lives in; the lane exists to hide collective latency.
-//! 4. **hot_path_alloc** — no heap allocation (`clone`/`collect`/
+//! 3. **hot_path_alloc** — no heap allocation (`clone`/`collect`/
 //!    `to_vec`/`vec!`/`Box::new`/`format!`) in any fn reachable from the
 //!    per-iteration kernel roots (the GEMM/MLP kernels, pooled embedding
 //!    kernels, sparse optimizer, quantization); setup-time sites carry
 //!    `// lint: allow(hot_path_alloc) — <reason>` waivers.
-//! 5. **panic_path** — no panicking token in a non-`Result` fn that a
+//! 4. **panic_path** — no panicking token in a non-`Result` fn that a
 //!    `Result`-returning fn transitively reaches: a signature that
 //!    promises `Err` must not abort through a helper instead.
-//! 6. **stale_waiver** — every `// lint: allow(<rule>) — <reason>`
+//! 5. **stale_waiver** — every `// lint: allow(<rule>) — <reason>`
 //!    annotation must name a known rule and actually suppress a finding;
 //!    waivers that no longer fire are flagged so they cannot rot in place.
 //!

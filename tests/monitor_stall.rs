@@ -1,8 +1,10 @@
 //! Chaos-provoked stall detection, end to end: the seeded one-shot stall
-//! injector ([`neo_dlrm::sync::chaos`]) parks exactly one comm lane for
-//! longer than the watchdog deadline, and the live monitor must indict
-//! that lane — correct rank, lane, and phase — both on
-//! `TrainOutput::health_events` and in the streamed JSONL event log.
+//! injector ([`neo_dlrm::sync::chaos`]) parks exactly one worker between
+//! posting its first collective and arriving at it, for longer than the
+//! watchdog deadline, and the live monitor must indict that worker —
+//! correct rank, lane 0 and iteration, with its peers blocked in the
+//! exchange left unblamed — both on `TrainOutput::health_events` and in
+//! the streamed JSONL event log.
 //!
 //! This lives in its own test binary: the stall injector is process-wide
 //! state, and sibling tests training concurrently would race on it.
@@ -16,8 +18,8 @@ use neo_dlrm::sharding::{CostModel, Planner, PlannerConfig, TableSpec};
 use neo_dlrm::sync::chaos;
 use neo_dlrm::trainer::{SyncConfig, SyncTrainer};
 
-/// Lane sleep injected by chaos — comfortably past the watchdog deadline
-/// so several sampler frames observe the quiet lane.
+/// Post-to-arrival sleep injected by chaos — comfortably past the
+/// watchdog deadline so several sampler frames observe the quiet slot.
 const INJECTED_STALL_MS: u64 = 1200;
 /// Watchdog silence deadline for the run.
 const DEADLINE_MS: u64 = 250;
@@ -51,7 +53,7 @@ fn injected_lane_stall_is_detected_and_logged() {
     cfg.seed = 42;
     cfg.quant_fwd = QuantMode::Fp16;
     cfg.quant_bwd = QuantMode::Bf16;
-    cfg.overlap = true; // collectives run on per-rank comm lanes
+    cfg.overlap = true; // posted collectives, waited on later
     let log = std::env::temp_dir().join(format!("neo_monitor_stall_{}.jsonl", std::process::id()));
     cfg.monitor = Some(MonitorConfig {
         interval_ms: 10,
@@ -66,52 +68,35 @@ fn injected_lane_stall_is_detected_and_logged() {
     chaos::arm_stall(seed, world as u64, INJECTED_STALL_MS);
     let out = SyncTrainer::new(cfg).train(&batches, &[], 0, None).unwrap();
 
-    // Exactly one comm-lane alert, and it indicts the parked lane — never
-    // a rendezvous-blocked peer. Main-thread (lane 0) collateral is
-    // tolerated: on a loaded single-core host a 1.2 s frozen collective
-    // can legitimately leave a worker quiet past the deadline before the
-    // comm victim becomes visible to the sampler.
-    let (lane1, collateral): (Vec<_>, Vec<_>) = out.health_events.iter().partition(|e| {
-        matches!(
-            e,
-            HealthEvent::Stall { lane: 1, .. } | HealthEvent::Hang { lane: 1, .. }
-        )
-    });
-    match lane1.as_slice() {
+    // Exactly one alert, and it indicts the parked worker in the first
+    // iteration — never a peer blocked in the exchange waiting on it.
+    match out.health_events.as_slice() {
         [HealthEvent::Stall {
             rank,
             lane,
+            iter,
             phase,
             quiet_ms,
-            ..
         }] => {
             assert_eq!(*rank, victim, "watchdog blamed the wrong rank");
-            assert_eq!(*lane, 1, "stall must be pinned to the comm lane");
+            assert_eq!(*lane, 0, "stall must be pinned to the worker slot");
+            assert_eq!(*iter, 0, "the first post of the run is parked");
             assert!(phase.is_some(), "victim was parked inside a span");
             assert!(
                 *quiet_ms >= DEADLINE_MS,
                 "quiet {quiet_ms}ms below the {DEADLINE_MS}ms deadline"
             );
         }
-        other => panic!("expected exactly one comm-lane stall on rank {victim}, got {other:?}"),
-    }
-    for e in &collateral {
-        assert!(
-            matches!(
-                e,
-                HealthEvent::Stall { lane: 0, .. } | HealthEvent::Hang { lane: 0, .. }
-            ),
-            "unexpected non-main collateral event: {e:?}"
-        );
+        other => panic!("expected exactly one stall on rank {victim}, got {other:?}"),
     }
 
     // the same alert must appear in the streamed JSONL event log
     let text = std::fs::read_to_string(&log).unwrap();
-    let needle = format!("\"event\":\"stall\",\"rank\":{victim},\"lane\":1,");
+    let needle = format!("\"event\":\"stall\",\"rank\":{victim},\"lane\":0,\"iter\":0,");
     assert!(
         text.lines()
             .any(|l| l.contains("\"kind\":\"event\"") && l.contains(&needle)),
-        "no stall event line for rank {victim} lane 1 in {}",
+        "no stall event line for rank {victim} lane 0 iter 0 in {}",
         log.display()
     );
     // and the stall window must span several sampler frames
