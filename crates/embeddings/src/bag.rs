@@ -14,7 +14,7 @@
 
 use neo_tensor::Tensor2;
 
-use crate::optim::accumulate_runs;
+use crate::optim::SweepScratch;
 use crate::store::{RowStore, StoreError};
 
 /// Accumulator lane width shared by the pooled kernels (see
@@ -99,7 +99,7 @@ impl SparseGrad {
 }
 
 /// The combined format's one invariant: `lengths` sum to the index count.
-fn check_lengths(lengths: &[u32], nnz: usize) -> Result<(), StoreError> {
+pub(crate) fn check_lengths(lengths: &[u32], nnz: usize) -> Result<(), StoreError> {
     let expected: usize = lengths.iter().map(|&l| l as usize).sum();
     if expected != nnz {
         // lint: allow(hot_path_alloc) — error-path message, built only when validation fails
@@ -110,28 +110,16 @@ fn check_lengths(lengths: &[u32], nnz: usize) -> Result<(), StoreError> {
     Ok(())
 }
 
-/// Validates a combined-format batch against the gradient of its pooled
-/// output (one `grad_out` row per bag) and returns the occurrence → bag
-/// map both backward forms read `grad_out` through.
-fn bag_of_occurrences(
-    lengths: &[u32],
-    nnz: usize,
-    grad_out: &Tensor2,
-) -> Result<Vec<u32>, StoreError> {
-    check_lengths(lengths, nnz)?;
-    if grad_out.rows() != lengths.len() {
+/// The gradient of a batch's pooled output has one row per bag: `rows` of
+/// the `bags` bags have theirs.
+pub(crate) fn check_bag_rows(rows: usize, bags: usize) -> Result<(), StoreError> {
+    if rows != bags {
         // lint: allow(hot_path_alloc) — error-path message, built only on a bag-count mismatch
         return Err(StoreError::new(format!(
-            "grad_out has {} rows for {} bags",
-            grad_out.rows(),
-            lengths.len()
+            "gradient rows for {rows} of {bags} bags"
         )));
     }
-    let mut bag_of = Vec::with_capacity(nnz); // lint: allow(hot_path_alloc) — occurrence-to-bag map sized once per batch
-    for (bag, &len) in lengths.iter().enumerate() {
-        bag_of.extend(std::iter::repeat_n(bag as u32, len as usize));
-    }
-    Ok(bag_of)
+    Ok(())
 }
 
 /// Sum-pools one table's bags into `out`, reading rows either straight
@@ -181,11 +169,7 @@ pub fn pooled_forward(
 ) -> Result<Tensor2, StoreError> {
     check_lengths(lengths, indices.len())?;
     if let Some(&bad) = indices.iter().find(|&&i| i >= store.num_rows()) {
-        // lint: allow(hot_path_alloc) — error-path message, built only when validation fails
-        return Err(StoreError::new(format!(
-            "index {bad} out of range for table with {} rows",
-            store.num_rows()
-        )));
+        return Err(StoreError::out_of_range(bad, store.num_rows()));
     }
     let mut out = Tensor2::zeros(lengths.len(), store.dim());
     pool_into(store, lengths, indices, &mut out);
@@ -210,8 +194,14 @@ pub fn pooled_backward(
     indices: &[u64],
     grad_out: &Tensor2,
 ) -> Result<SparseGrad, StoreError> {
+    check_lengths(lengths, indices.len())?;
+    check_bag_rows(grad_out.rows(), lengths.len())?;
+    let mut src = Vec::with_capacity(indices.len()); // lint: allow(hot_path_alloc) — result buffer: the returned SparseGrad owns its occurrence-to-bag map
+    for (bag, &len) in lengths.iter().enumerate() {
+        src.extend(std::iter::repeat_n(bag as u32, len as usize));
+    }
     Ok(SparseGrad {
-        src: bag_of_occurrences(lengths, indices.len(), grad_out)?,
+        src,
         indices: indices.to_vec(), // lint: allow(hot_path_alloc) — result buffer: the returned SparseGrad owns its indices
         grads: grad_out.clone(), // lint: allow(hot_path_alloc) — result buffer: the returned SparseGrad owns its gradient rows
     })
@@ -223,11 +213,13 @@ pub fn pooled_backward(
 /// gradient of [`pooled_backward`] is never materialized; each unique row
 /// gets one accumulator row fed straight from `grad_out`.
 ///
-/// It is the sort-and-accumulate kernel of [`crate::optim::merge_grads`]
-/// reading occurrence `k` from `grad_out` instead of a [`SparseGrad`], so
-/// the result equals `merge_grads(&pooled_backward(...))` bit-for-bit (same
+/// It is the sort and sweep of [`crate::optim::merge_grads`] over
+/// `(row id, bag)` pairs, reading each bag's row from `grad_out`, so the
+/// result equals `merge_grads(&pooled_backward(...))` bit-for-bit (same
 /// sorted order, same accumulation order) and can be passed to
-/// [`crate::optim::SparseOptimizer::apply_merged`] unchanged.
+/// [`crate::optim::SparseOptimizer::apply_merged`] unchanged. The trainer
+/// skips the merged gradient altogether with
+/// [`crate::optim::fused_update`], the same sweep feeding the optimizer.
 ///
 /// # Errors
 ///
@@ -237,10 +229,11 @@ pub fn fused_backward_grads(
     indices: &[u64],
     grad_out: &Tensor2,
 ) -> Result<SparseGrad, StoreError> {
-    let bag_of = bag_of_occurrences(lengths, indices.len(), grad_out)?;
-    Ok(accumulate_runs(indices, grad_out.cols(), |k| {
-        grad_out.row(bag_of[k] as usize)
-    }))
+    check_lengths(lengths, indices.len())?;
+    check_bag_rows(grad_out.rows(), lengths.len())?;
+    let mut scratch = SweepScratch::default();
+    scratch.load_bags(lengths, indices);
+    Ok(scratch.merge_runs(grad_out.cols(), |b| grad_out.row(b as usize)))
 }
 
 /// One table's slice of a fused multi-table batch.

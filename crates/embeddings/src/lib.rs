@@ -12,7 +12,9 @@
 //! * [`optim`] — *exact* sparse optimizers (§4.1.2): gradients for
 //!   duplicate rows are sorted and merged before a single deterministic
 //!   update, supporting SGD, AdaGrad, **row-wise AdaGrad** (the
-//!   50%-state-saving variant of §4.1.4) and Adam.
+//!   50%-state-saving variant of §4.1.4) and Adam. [`optim::fused_update`]
+//!   goes from the pooled gradient to the updated rows in one sorted
+//!   sweep.
 //! * [`ttrec`] — Tensor-Train compressed tables (TT-Rec, §4.1.4), a
 //!   factorized storage format with full gradient support.
 //!
@@ -37,12 +39,15 @@
 
 pub mod bag;
 pub mod optim;
-pub mod radix;
+mod radix;
 pub mod store;
 pub mod tiered;
 pub mod ttrec;
 
 pub use bag::SparseGrad;
-pub use optim::{RowWiseAdagrad, SparseAdagrad, SparseAdam, SparseOptimizer, SparseSgd};
+pub use optim::{
+    fused_update, RowWiseAdagrad, SparseAdagrad, SparseAdam, SparseOptimizer, SparseSgd,
+    SweepScratch,
+};
 pub use store::{DenseStore, HalfStore, RowStore, TierInfo};
 pub use tiered::TieredStore;

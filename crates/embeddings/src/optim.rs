@@ -9,46 +9,115 @@
 //! deterministic update per touched row. This is what gives the paper
 //! bit-wise reproducibility across runs and worker counts.
 //!
-//! Both halves are written once. `accumulate_runs` is the sort-and-merge
-//! kernel behind [`merge_grads`] and
-//! [`fused_backward_grads`](crate::bag::fused_backward_grads); one row
-//! driver behind [`SparseOptimizer::apply_merged`] reads each touched row,
-//! hands it to the optimizer's [`update_row`](SparseOptimizer::update_row)
-//! rule and writes it back.
+//! Both halves are written once. One sort and one sweep
+//! ([`SweepScratch`]) fold each run of equal row ids into one gradient
+//! row, and one row driver hands every row to an optimizer's
+//! [`update_row`](SparseOptimizer::update_row) rule on the store row — in
+//! place on a flat FP32 store ([`RowStore::as_flat_mut`]), through
+//! `read_row`/`write_row` otherwise. [`fused_update`] runs the sweep
+//! straight into the driver: the backward and the exact update of §4.1.2
+//! in one pass, with no merged gradient in between. [`merge_grads`] and
+//! [`fused_backward_grads`](crate::bag::fused_backward_grads) run the same
+//! sweep collecting into a [`SparseGrad`] instead.
 
 use neo_tensor::Tensor2;
 
-use crate::bag::{add_assign_row, SparseGrad};
-use crate::radix::radix_argsort;
-use crate::store::RowStore;
+use crate::bag::{add_assign_row, check_bag_rows, check_lengths, SparseGrad};
+use crate::radix::SortedPairs;
+use crate::store::{RowStore, StoreError};
 
-/// Sort-and-accumulate: a stable argsort of `indices`, then one sweep that
-/// folds each run of equal ids into a single row. `row_of(k)` is the
-/// `dim`-wide gradient of occurrence `k`; equal ids accumulate in arrival
-/// order, one element-wise add per occurrence, which fixes the bits.
-pub(crate) fn accumulate_runs<'a>(
-    indices: &[u64],
-    dim: usize,
-    row_of: impl Fn(usize) -> &'a [f32],
-) -> SparseGrad {
-    let mut ids: Vec<u64> = Vec::new(); // lint: allow(hot_path_alloc) — merge accumulators the exact-update path returns; grow per unique row, not per occurrence
-    let mut rows: Vec<f32> = Vec::new(); // lint: allow(hot_path_alloc) — merge accumulators the exact-update path returns; grow per unique row, not per occurrence
-    for &k in &radix_argsort(indices) {
-        let (idx, g) = (indices[k as usize], row_of(k as usize));
-        if ids.last() == Some(&idx) {
-            let base = rows.len() - dim;
-            add_assign_row(&mut rows[base..], g);
-        } else {
-            ids.push(idx);
-            rows.extend_from_slice(g);
+/// The reusable buffers of the sort and sweep: the `(row id, payload)`
+/// pairs and the accumulator row. Keep one per worker and pass it to every
+/// [`fused_update`]; it is sized on first use and then only grows with the
+/// largest batch it has seen.
+#[derive(Debug, Default, Clone)]
+pub struct SweepScratch {
+    pairs: SortedPairs,
+    acc: Vec<f32>,
+}
+
+impl SweepScratch {
+    /// Loads the pairs `(indices[k], k)`: one payload per occurrence.
+    pub(crate) fn load_occurrences(&mut self, indices: &[u64]) {
+        self.pairs.keys.clear();
+        self.pairs.keys.extend_from_slice(indices);
+        self.pairs.vals.clear();
+        self.pairs.vals.extend(0..indices.len() as u32);
+    }
+
+    /// Loads the pairs `(indices[k], bag of k)` of a combined-format batch
+    /// whose `lengths` sum to `indices.len()`.
+    pub(crate) fn load_bags(&mut self, lengths: &[u32], indices: &[u64]) {
+        self.pairs.keys.clear();
+        self.pairs.keys.extend_from_slice(indices);
+        self.pairs.vals.clear();
+        for (bag, &len) in lengths.iter().enumerate() {
+            self.pairs
+                .vals
+                .extend(std::iter::repeat_n(bag as u32, len as usize));
         }
     }
-    let n = ids.len();
-    debug_assert_eq!(rows.len(), n * dim, "one `dim`-wide row per id");
-    // the shape holds by construction: the fallback is never taken, and
-    // spelling it keeps `Result`-returning callers free of a panic path
-    let grads = Tensor2::from_vec(n, dim, rows).unwrap_or_else(|_| Tensor2::zeros(n, dim));
-    SparseGrad::dense(ids, grads)
+
+    /// Sorts the loaded pairs by row id and returns the largest one.
+    fn sort_pairs(&mut self) -> Option<u64> {
+        self.pairs.radix_sort();
+        self.pairs.keys.last().copied()
+    }
+
+    /// The sweep over sorted pairs: folds each run of equal row ids into
+    /// one `width`-wide row — the first payload's gradient `row_of(p)`, then
+    /// one element-wise add per further payload in arrival order, which
+    /// fixes the bits — and hands `(row id, row)` to `on_row`, rows
+    /// ascending. A run of one passes its gradient through uncopied.
+    fn sweep<'g>(
+        &mut self,
+        width: usize,
+        row_of: impl Fn(u32) -> &'g [f32],
+        mut on_row: impl FnMut(u64, &[f32]),
+    ) {
+        self.acc.resize(width, 0.0);
+        let (keys, vals) = (&self.pairs.keys, &self.pairs.vals);
+        let mut start = 0;
+        for run in keys.chunk_by(|a, b| a == b) {
+            let payloads = &vals[start..start + run.len()];
+            start += run.len();
+            let g = match payloads {
+                [only] => row_of(*only),
+                [first, rest @ ..] => {
+                    self.acc.copy_from_slice(row_of(*first));
+                    for &p in rest {
+                        add_assign_row(&mut self.acc, row_of(p));
+                    }
+                    self.acc.as_slice()
+                }
+                [] => continue,
+            };
+            on_row(run[0], g);
+        }
+    }
+
+    /// Sorts the loaded pairs and collects the sweep into a merged
+    /// gradient: one row per unique id, ascending.
+    pub(crate) fn merge_runs<'g>(
+        &mut self,
+        width: usize,
+        row_of: impl Fn(u32) -> &'g [f32],
+    ) -> SparseGrad {
+        self.sort_pairs();
+        let unique = self.pairs.keys.chunk_by(|a, b| a == b).count();
+        let mut ids = Vec::with_capacity(unique); // lint: allow(hot_path_alloc) — the merged gradient this collecting form returns, sized once to its unique rows
+        let mut rows = Vec::with_capacity(unique * width); // lint: allow(hot_path_alloc) — the merged gradient this collecting form returns, sized once to its unique rows
+        self.sweep(width, row_of, |idx, g| {
+            ids.push(idx);
+            rows.extend_from_slice(g);
+        });
+        let n = ids.len();
+        debug_assert_eq!(rows.len(), n * width, "one `width`-wide row per id");
+        // the shape holds by construction: the fallback is never taken, and
+        // spelling it keeps `Result`-returning callers free of a panic path
+        let grads = Tensor2::from_vec(n, width, rows).unwrap_or_else(|_| Tensor2::zeros(n, width));
+        SparseGrad::dense(ids, grads)
+    }
 }
 
 /// Sorts `grad` by row id (stable, so equal rows accumulate in arrival
@@ -74,28 +143,166 @@ pub(crate) fn accumulate_runs<'a>(
 /// ```
 #[must_use]
 pub fn merge_grads(grad: &SparseGrad) -> SparseGrad {
-    accumulate_runs(&grad.indices, grad.grads.cols(), |k| grad.occ_row(k))
+    let mut scratch = SweepScratch::default();
+    scratch.load_occurrences(&grad.indices);
+    scratch.merge_runs(grad.grads.cols(), |k| grad.occ_row(k as usize))
 }
 
-/// The one `read_row → rule → write_row` loop: every occurrence of `grad`,
-/// in order, updates its row through `opt`'s rule. Owns the sanitizer
-/// checks and the scratch row for all four optimizers.
-fn update_rows<O: SparseOptimizer + ?Sized>(
+/// Where the row driver's updates land.
+enum Target<'s> {
+    /// A flat FP32 table, each row updated in place.
+    Flat(&'s mut [f32]),
+    /// Any other store: each row read into `row`, updated and written back.
+    Copy {
+        store: &'s mut dyn RowStore,
+        row: Vec<f32>,
+    },
+}
+
+/// The one row driver: hands `(row id, gradient)` pairs, one at a time, to
+/// an optimizer's rule on the store row, after the sanitizer's finite
+/// check on the gradient. Rows are updated in the order given, so a
+/// cache-backed store sees the same accesses whichever caller feeds it.
+struct RowDriver<'s, O: ?Sized> {
+    opt: &'s mut O,
+    name: &'static str,
+    dim: usize,
+    target: Target<'s>,
+}
+
+impl<O: SparseOptimizer + ?Sized> RowDriver<'_, O> {
+    /// Updates row `idx` from its gradient `g`.
+    #[inline]
+    fn drive_row(&mut self, idx: u64, g: &[f32]) {
+        neo_tensor::sanitize::check_finite(self.name, g);
+        match &mut self.target {
+            Target::Flat(flat) => {
+                let base = idx as usize * self.dim;
+                self.opt
+                    .update_row(idx, &mut flat[base..base + self.dim], g);
+            }
+            Target::Copy { store, row } => {
+                store.read_row(idx, row);
+                self.opt.update_row(idx, row, g);
+                store.write_row(idx, row);
+            }
+        }
+    }
+}
+
+/// Runs `visit` with the row driver of `opt` over `store`: in place when
+/// the store is flat FP32 ([`RowStore::as_flat_mut`]), else through
+/// `read_row`/`write_row` — the same bits either way.
+fn drive_rows<O: SparseOptimizer + ?Sized>(
+    opt: &mut O,
+    store: &mut dyn RowStore,
+    visit: impl FnOnce(&mut RowDriver<'_, O>),
+) {
+    let (name, dim) = (opt.name(), store.dim());
+    if let Some(flat) = store.as_flat_mut() {
+        let target = Target::Flat(flat);
+        return visit(&mut RowDriver {
+            opt,
+            name,
+            dim,
+            target,
+        });
+    }
+    let row = vec![0.0f32; dim]; // lint: allow(hot_path_alloc) — one dim-sized row buffer per update call, amortized across all touched rows
+    let target = Target::Copy { store, row };
+    visit(&mut RowDriver {
+        opt,
+        name,
+        dim,
+        target,
+    });
+}
+
+/// Every occurrence of `grad`, in order, through the row driver, after the
+/// sanitizer's checks that its width is the store's and its row ids are in
+/// range.
+fn update_occurrences<O: SparseOptimizer + ?Sized>(
     opt: &mut O,
     store: &mut dyn RowStore,
     grad: &SparseGrad,
 ) {
-    let (name, dim) = (opt.name(), store.dim());
-    let stored = grad.grads.rows();
-    neo_tensor::sanitize::check_shape(name, (stored, grad.grads.cols()), (stored, dim));
+    let (name, stored) = (opt.name(), grad.grads.rows());
+    neo_tensor::sanitize::check_shape(name, (stored, grad.grads.cols()), (stored, store.dim()));
     neo_tensor::sanitize::check_indices(name, &grad.indices, store.num_rows());
-    neo_tensor::sanitize::check_finite(name, grad.grads.as_slice());
-    let mut row = vec![0.0f32; dim]; // lint: allow(hot_path_alloc) — one dim-sized row buffer per optimizer step, amortized across all touched rows
-    for (k, &idx) in grad.indices.iter().enumerate() {
-        store.read_row(idx, &mut row);
-        opt.update_row(idx, &mut row, grad.occ_row(k));
-        store.write_row(idx, &row);
+    drive_rows(opt, store, |rows| {
+        for (k, &idx) in grad.indices.iter().enumerate() {
+            rows.drive_row(idx, grad.occ_row(k));
+        }
+    });
+}
+
+/// The fused backward + exact update of one table (§4.1.2): sorts the
+/// batch's `(row id, bag)` pairs by row, folds each run of equal rows into
+/// one scratch row in arrival order and hands it straight to `opt`'s rule
+/// on the store row. No merged gradient is materialised, and rows are
+/// updated in ascending order, so the result is bitwise
+/// `opt.apply_merged(store, &fused_backward_grads(lengths, indices, grad_out))`
+/// where `grad_of_bag(b)` is `grad_out.row(b)`.
+///
+/// `lengths`/`indices` are the combined-format batch the pooled forward
+/// read, and `grad_of_bag(b)` is the gradient of bag `b`'s pooled output:
+/// `Some` of a `store.dim()`-wide row for every `b < lengths.len()`. It is
+/// read where it lies — the caller's buffers are never copied into a
+/// tensor. `scratch` holds the sort and accumulator buffers between calls.
+/// Returns the number of rows updated (the batch's unique row ids).
+///
+/// # Errors
+///
+/// Returns [`StoreError`], before any row is written, if `lengths` does not
+/// sum to `indices.len()`, a bag has no gradient row or one of the wrong
+/// width, or an index is out of range for `store`.
+///
+/// # Example
+///
+/// ```
+/// use neo_embeddings::optim::{fused_update, SparseOptimizer, SparseSgd, SweepScratch};
+/// use neo_embeddings::store::{DenseStore, RowStore};
+/// use neo_tensor::Tensor2;
+///
+/// let mut store = DenseStore::zeros(4, 2);
+/// let grad_out = Tensor2::from_fn(2, 2, |b, _| (b + 1) as f32);
+/// let mut scratch = SweepScratch::default();
+/// // bags {3, 1} and {3}: row 3 gets 1 + 2, row 1 gets 1
+/// let rows = fused_update(&mut SparseSgd::new(0.5), &mut store, &[2, 1], &[3, 1, 3],
+///     |b| (b < grad_out.rows()).then(|| grad_out.row(b)), &mut scratch).unwrap();
+/// assert_eq!(rows, 2);
+/// assert_eq!(store.to_dense().row(3), &[-1.5, -1.5]);
+/// assert_eq!(store.to_dense().row(1), &[-0.5, -0.5]);
+/// ```
+pub fn fused_update<'g, O: SparseOptimizer + ?Sized>(
+    opt: &mut O,
+    store: &mut dyn RowStore,
+    lengths: &[u32],
+    indices: &[u64],
+    grad_of_bag: impl Fn(usize) -> Option<&'g [f32]>,
+    scratch: &mut SweepScratch,
+) -> Result<usize, StoreError> {
+    check_lengths(lengths, indices.len())?;
+    let dim = store.dim();
+    let bags = lengths.len();
+    let rows = (0..bags)
+        .take_while(|&b| grad_of_bag(b).is_some_and(|g| g.len() == dim))
+        .count();
+    check_bag_rows(rows, bags)?;
+    scratch.load_bags(lengths, indices);
+    if let Some(bad) = scratch.sort_pairs().filter(|&max| max >= store.num_rows()) {
+        return Err(StoreError::out_of_range(bad, store.num_rows()));
     }
+    // every bag was checked above, so the fallback is never taken
+    let row_of = |b: u32| grad_of_bag(b as usize).unwrap_or_default();
+    let mut updated = 0;
+    drive_rows(opt, store, |rows| {
+        scratch.sweep(dim, row_of, |idx, g| {
+            updated += 1;
+            rows.drive_row(idx, g);
+        });
+    });
+    Ok(updated)
 }
 
 /// A sparse optimizer operating on a [`RowStore`]: a per-row rule plus the
@@ -115,7 +322,7 @@ pub trait SparseOptimizer: Send {
 
     /// Applies an already-merged gradient (one row per unique index).
     fn apply_merged(&mut self, store: &mut dyn RowStore, merged: &SparseGrad) {
-        update_rows(self, store, merged);
+        update_occurrences(self, store, merged);
     }
 
     /// The naive scatter baseline: applies gradients one-by-one in arrival
@@ -123,7 +330,7 @@ pub trait SparseOptimizer: Send {
     /// for AdaGrad/Adam it does not — the ablation the paper's determinism
     /// argument rests on.
     fn step_unmerged(&mut self, store: &mut dyn RowStore, grad: &SparseGrad) {
-        update_rows(self, store, grad);
+        update_occurrences(self, store, grad);
     }
 
     /// Bytes of optimizer state held for the table.
@@ -573,8 +780,8 @@ mod prop_tests {
             seed in 0u64..10_000,
         ) {
             let nnz: usize = bag_lens.iter().map(|&l| l as usize).sum();
-            // few rows, so most ids repeat within and across bags; one id
-            // past 2^16 so the radix sort takes a third pass
+            // few rows, so most ids repeat within and across bags; ids
+            // past 2^16 so the radix sort takes a second digit pass
             let indices: Vec<u64> = (0..nnz)
                 .map(|k| {
                     let r = seed.wrapping_mul(31).wrapping_add(k as u64 * 17) % table_rows;
@@ -599,5 +806,157 @@ mod prop_tests {
             );
             prop_assert_eq!(bits(&merge_grads(&dense)), bits(&merge_oracle(&dense)));
         }
+    }
+
+    proptest! {
+        // each case trains twelve optimizer × store pairs three ways
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The fused update is bitwise the two-sweep path it replaces —
+        /// `apply_merged(&fused_backward_grads(..))` — and the oracle's
+        /// merge applied the same way: for every optimizer over every store
+        /// kind (a tiered store's cache counters included), over two
+        /// batches that share one scratch, so optimizer state and reused
+        /// buffers carry over.
+        #[test]
+        fn fused_update_is_bitwise_the_two_sweep_path(
+            dim in 1usize..21,
+            bags in proptest::collection::vec(proptest::collection::vec(0u32..7, 0..7), 2),
+            table_rows in 1u64..40,
+            seed in 0u64..10_000,
+        ) {
+            // one row past 2^11 so the sort takes a second digit pass
+            let rows = FAR_ROW + 1;
+            let batches: Vec<(Vec<u32>, Vec<u64>, Tensor2)> = bags
+                .iter()
+                .enumerate()
+                .map(|(step, lengths)| {
+                    let nnz: usize = lengths.iter().map(|&l| l as usize).sum();
+                    let indices = (0..nnz as u64)
+                        .map(|k| match seed.wrapping_add(k * 13 + step as u64 * 7) % (table_rows + 1) {
+                            0 => FAR_ROW,
+                            r => r - 1,
+                        })
+                        .collect();
+                    let grad_out =
+                        Tensor2::from_fn(lengths.len(), dim, |i, j| awkward(seed + step as u64, i, j));
+                    (lengths.clone(), indices, grad_out)
+                })
+                .collect();
+            for (opt_kind, store_kind) in (0..4).flat_map(|o| (0..3).map(move |s| (o, s))) {
+                let mut fused = (make_opt(opt_kind, rows, dim), make_store(store_kind, rows, dim, seed));
+                let mut two_sweep = (make_opt(opt_kind, rows, dim), make_store(store_kind, rows, dim, seed));
+                let mut oracle = (make_opt(opt_kind, rows, dim), make_store(store_kind, rows, dim, seed));
+                let mut scratch = SweepScratch::default();
+                for (lengths, indices, grad_out) in &batches {
+                    let grad_of_bag = |b: usize| (b < grad_out.rows()).then(|| grad_out.row(b));
+                    let updated = fused_update(
+                        fused.0.as_mut(), fused.1.as_mut(), lengths, indices, grad_of_bag, &mut scratch,
+                    ).unwrap();
+                    let merged = fused_backward_grads(lengths, indices, grad_out).unwrap();
+                    prop_assert_eq!(updated, merged.len(), "one update per unique row");
+                    two_sweep.0.apply_merged(two_sweep.1.as_mut(), &merged);
+                    let shared = pooled_backward(lengths, indices, grad_out).unwrap();
+                    oracle.0.apply_merged(oracle.1.as_mut(), &merge_oracle(&shared));
+                }
+                let name = fused.0.name();
+                prop_assert_eq!(fused.1.tier_info(), two_sweep.1.tier_info(), "{} {}", name, store_kind);
+                prop_assert_eq!(fused.1.tier_info(), oracle.1.tier_info(), "{} {}", name, store_kind);
+                let table = table_bits(fused.1.as_mut());
+                prop_assert_eq!(&table, &table_bits(two_sweep.1.as_mut()), "{} {}", name, store_kind);
+                prop_assert_eq!(&table, &table_bits(oracle.1.as_mut()), "{} {}", name, store_kind);
+            }
+        }
+    }
+
+    /// The row past the first radix digit that the fused-update property
+    /// touches.
+    const FAR_ROW: u64 = 2100;
+
+    fn make_opt(kind: usize, rows: u64, dim: usize) -> Box<dyn SparseOptimizer> {
+        match kind {
+            0 => Box::new(SparseSgd::new(0.05)),
+            1 => Box::new(SparseAdagrad::new(0.05, 1e-8, rows, dim)),
+            2 => Box::new(RowWiseAdagrad::new(0.05, 1e-8, rows)),
+            _ => Box::new(SparseAdam::new(0.05, 1e-8, rows, dim)),
+        }
+    }
+
+    /// A dense, a stochastically rounded FP16, or a tiered store (one
+    /// 32-row cache set, so rows are evicted and written back), all holding
+    /// the same seeded values.
+    fn make_store(kind: usize, rows: u64, dim: usize, seed: u64) -> Box<dyn RowStore> {
+        use crate::store::{DenseStore, HalfStore};
+        let fill = |first: u64, block: &mut [f32]| {
+            for (k, v) in block.iter_mut().enumerate() {
+                *v = awkward(seed ^ 0x5eed, first as usize + k / dim, k % dim);
+            }
+        };
+        match kind {
+            0 => Box::new(DenseStore::from_rows(rows, dim, fill)),
+            1 => Box::new(HalfStore::from_rows(rows, dim, fill).with_stochastic_rounding(seed)),
+            _ => Box::new(crate::TieredStore::new(
+                Box::new(DenseStore::from_rows(rows, dim, fill)),
+                32,
+                neo_memory::Policy::Lru,
+            )),
+        }
+    }
+
+    fn table_bits(store: &mut dyn RowStore) -> Vec<u32> {
+        store
+            .to_dense()
+            .as_slice()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn fused_update_rejects_a_malformed_batch_before_writing() {
+        use crate::store::DenseStore;
+        let grad_out = Tensor2::full(2, 3, 1.0);
+        let rows = |b: usize| (b < grad_out.rows()).then(|| grad_out.row(b));
+        let mut store = DenseStore::zeros(8, 3);
+        let mut opt = SparseAdam::new(0.1, 1e-8, 8, 3);
+        let mut scratch = SweepScratch::default();
+        let mut run =
+            |lengths: &[u32],
+             indices: &[u64],
+             grad_of_bag: &dyn Fn(usize) -> Option<&'static [f32]>| {
+                fused_update(
+                    &mut opt,
+                    &mut store,
+                    lengths,
+                    indices,
+                    grad_of_bag,
+                    &mut scratch,
+                )
+            };
+        let narrow: &'static [f32] = &[1.0, 1.0];
+        let wide: &'static [f32] = &[1.0; 3];
+        // lengths sum to 3 for 2 indices
+        assert!(run(&[2, 1], &[1, 2], &|_| Some(wide)).is_err());
+        // three bags, two gradient rows
+        let two_rows = |b: usize| (b < 2).then_some(wide);
+        assert!(run(&[1, 1, 0], &[1, 2], &two_rows).is_err());
+        // a gradient row narrower than the store
+        assert!(run(&[1, 1], &[1, 2], &|_| Some(narrow)).is_err());
+        // row 8 of an 8-row table
+        assert!(run(&[1, 1], &[1, 8], &|_| Some(wide)).is_err());
+        assert!(
+            store.to_dense().as_slice().iter().all(|&v| v == 0.0),
+            "no row written"
+        );
+        // the same scratch then serves a well-formed batch, and an empty one
+        assert_eq!(
+            fused_update(&mut opt, &mut store, &[1, 1], &[2, 2], rows, &mut scratch),
+            Ok(1)
+        );
+        assert_eq!(
+            fused_update(&mut opt, &mut store, &[0, 0], &[], rows, &mut scratch),
+            Ok(0)
+        );
+        assert!(store.to_dense().row(2).iter().all(|&v| v < 0.0));
     }
 }

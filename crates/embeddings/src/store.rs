@@ -15,6 +15,14 @@ impl StoreError {
     pub(crate) fn new(msg: impl Into<String>) -> Self {
         Self { msg: msg.into() }
     }
+
+    /// Row `index` is past the end of a `rows`-row table.
+    pub(crate) fn out_of_range(index: u64, rows: u64) -> Self {
+        // lint: allow(hot_path_alloc) — error-path message, built only when validation fails
+        Self::new(format!(
+            "index {index} out of range for table with {rows} rows"
+        ))
+    }
 }
 
 impl fmt::Display for StoreError {
@@ -104,6 +112,14 @@ pub trait RowStore: Send {
     /// their lane accumulators, skipping a virtual call and a row copy per
     /// lookup; both paths produce bitwise-identical pooled outputs.
     fn as_flat(&self) -> Option<&[f32]> {
+        None
+    }
+
+    /// The mutable twin of [`RowStore::as_flat`], `None` by default. The
+    /// sparse optimizers' row driver updates rows in place through it
+    /// instead of copying each one out with `read_row` and back with
+    /// `write_row`; both paths write bitwise-identical rows.
+    fn as_flat_mut(&mut self) -> Option<&mut [f32]> {
         None
     }
 
@@ -199,6 +215,10 @@ impl RowStore for DenseStore {
 
     fn as_flat(&self) -> Option<&[f32]> {
         Some(self.data.as_slice())
+    }
+
+    fn as_flat_mut(&mut self) -> Option<&mut [f32]> {
+        Some(self.data.as_mut_slice())
     }
 }
 

@@ -1,6 +1,6 @@
-//! Sanitizer behavior tests (ISSUE acceptance criterion): an out-of-range
-//! embedding index, or a gradient whose width is not the store's, reaching
-//! a sparse optimizer is caught with `--features sanitize` and ignored
+//! Sanitizer behavior tests: an out-of-range embedding index, a gradient
+//! whose width is not the store's, or a non-finite gradient row reaching a
+//! sparse optimizer is caught with `--features sanitize` and ignored
 //! without it.
 //!
 //! Run both ways:
@@ -16,7 +16,9 @@ use neo_tensor::{sanitize, Tensor2};
 mod armed {
     use super::*;
     use neo_embeddings::bag::SparseGrad;
-    use neo_embeddings::optim::{RowWiseAdagrad, SparseOptimizer, SparseSgd};
+    use neo_embeddings::optim::{
+        fused_update, RowWiseAdagrad, SparseOptimizer, SparseSgd, SweepScratch,
+    };
     use neo_embeddings::store::{DenseStore, RowStore};
 
     fn oob_grad() -> SparseGrad {
@@ -49,6 +51,28 @@ mod armed {
         let mut store = DenseStore::zeros(8, 4);
         let grad = SparseGrad::dense(vec![3, 3], Tensor2::full(2, 2, 0.5));
         SparseSgd::new(0.1).step_unmerged(&mut store, &grad);
+    }
+
+    /// The fused backward + update hands the optimizer rows that never
+    /// pass through a merged gradient; a NaN in one bag's pooled gradient
+    /// still trips the finite check before its row is written.
+    #[test]
+    #[should_panic(expected = "sanitize: non-finite value NaN at position 0 in rowwise_adagrad")]
+    fn nan_gradient_is_caught_on_the_fused_path() {
+        let mut store = DenseStore::zeros(8, 2);
+        let grad_out = Tensor2::from_vec(2, 2, vec![1.0, 1.0, f32::NAN, 1.0]).unwrap();
+        let grad_of_bag = |b: usize| (b < 2).then(|| grad_out.row(b));
+        let mut opt = RowWiseAdagrad::new(0.1, 1e-8, 8);
+        let mut scratch = SweepScratch::default();
+        fused_update(
+            &mut opt,
+            &mut store,
+            &[1, 2],
+            &[3, 5, 3],
+            grad_of_bag,
+            &mut scratch,
+        )
+        .ok();
     }
 
     #[test]

@@ -71,7 +71,8 @@ pub const HOT_PATH_ROOTS: &[(&str, &[&str])] = &[
             "fused_pooled_forward",
             "fused_backward_grads",
             "merge_grads",
-            "radix_argsort",
+            "radix_sort",
+            "fused_update",
             "step",
             "step_unmerged",
             "apply_merged",

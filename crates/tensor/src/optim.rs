@@ -222,7 +222,7 @@ impl DenseOptimizer for DenseLamb {
         let (adam, lr, weight_decay) = (&self.inner, self.lr, self.weight_decay);
         // the Adam direction plus decoupled weight decay, recomputed from
         // the advanced moments where it is needed instead of stored
-        let update = |p: f32, m: f32, v: f32| {
+        let step_of = |p: f32, m: f32, v: f32| {
             let u = adam.direction(m, v, bc);
             if weight_decay != 0.0 {
                 u + weight_decay * p
@@ -241,7 +241,7 @@ impl DenseOptimizer for DenseLamb {
             let p_norm = params.iter().fold(0.0f32, |acc, &p| acc + p * p).sqrt();
             let u_norm = (params.iter().zip(m).zip(v))
                 .fold(0.0f32, |acc, ((&p, &m), &v)| {
-                    let u = update(p, m, v);
+                    let u = step_of(p, m, v);
                     acc + u * u
                 })
                 .sqrt();
@@ -251,7 +251,7 @@ impl DenseOptimizer for DenseLamb {
                 1.0
             };
             for ((p, &m), &v) in params.iter_mut().zip(m).zip(v) {
-                *p -= lr * trust * update(*p, m, v);
+                *p -= lr * trust * step_of(*p, m, v);
             }
             start = end;
         }

@@ -6,9 +6,10 @@ use std::sync::Arc;
 use neo_collectives::{CommHandle, Communicator};
 use neo_dataio::CombinedBatch;
 use neo_dlrm_model::interaction::{dot_interaction_backward, num_pairs};
+use neo_embeddings::bag::fused_backward_grads;
 use neo_embeddings::optim::merge_grads;
 use neo_embeddings::SparseGrad;
-use neo_telemetry::Phase;
+use neo_telemetry::{Metric, Phase};
 use neo_tensor::mlp::Mlp;
 use neo_tensor::Tensor2;
 
@@ -150,28 +151,32 @@ impl Worker {
             .all_to_all_shared_quant(payloads, self.cfg.quant_bwd)?;
         drop(sp);
 
-        // owners apply exact sparse updates on the reassembled global grads
+        // owners apply the exact sparse updates straight from the received
+        // grads. Every shard takes `b_loc × width` values from each source,
+        // so one offset serves all sources: bag `b` of a shard is row
+        // `b % b_loc` of its chunk of `grad_recv[b / b_loc]`. `bag_rows`
+        // lists those rows in bag order, so the sweep indexes rather than
+        // divides per occurrence.
         let sp = self.rec.span(Phase::SparseOptim);
-        // per-source offset cursors
-        let mut cursors = vec![0usize; world];
+        let mut offset = 0usize;
+        let mut bag_rows: Vec<&[f32]> = Vec::with_capacity(world * b_loc);
         for sh in self.shards.iter_mut().filter(|sh| rides_a2a(&sh.geo)) {
-            let width = sh.geo.width;
-            let mut grads = Tensor2::zeros(world * b_loc, width);
-            for (src, data) in grad_recv.iter().enumerate() {
-                let n = b_loc * width;
-                let chunk = &data[cursors[src]..cursors[src] + n];
-                cursors[src] += n;
-                for row in 0..b_loc {
-                    grads
-                        .row_mut(src * b_loc + row)
-                        .copy_from_slice(&chunk[row * width..(row + 1) * width]);
-                }
+            let (width, end) = (sh.geo.width, offset + b_loc * sh.geo.width);
+            bag_rows.clear();
+            for data in &grad_recv {
+                let chunk = data
+                    .get(offset..end)
+                    .ok_or_else(|| err("gradient all-to-all message shorter than its manifest"))?;
+                bag_rows.extend(chunk.chunks_exact(width));
             }
-            sh.apply(&sh.merged_grad(&grads)?, &self.rec);
+            offset = end;
+            let grad_of_bag = |b: usize| bag_rows.get(b).copied();
+            sh.update(world * b_loc, grad_of_bag, &mut self.sweep, &self.rec)?;
         }
         drop(sp);
 
-        // AllGather for row-wise tables (mirror of the ReduceScatter)
+        // AllGather for row-wise tables (mirror of the ReduceScatter); the
+        // gathered rows are the global batch's bag gradients in order
         for &t in &self.row_tables {
             let flat = g_features[t + 1].as_slice().to_vec();
             let sp = self.rec.span(Phase::Allgather);
@@ -179,9 +184,8 @@ impl Worker {
             drop(sp);
             if let Some(sh) = self.shards.iter_mut().find(|sh| sh.geo.table == t) {
                 let sp = self.rec.span(Phase::SparseOptim);
-                let grads = Tensor2::from_vec(world * b_loc, d, global_grads)
-                    .map_err(|e| err(e.to_string()))?;
-                sh.apply(&sh.merged_grad(&grads)?, &self.rec);
+                let grad_of_bag = |b: usize| global_grads.get(b * d..(b + 1) * d);
+                sh.update(world * b_loc, grad_of_bag, &mut self.sweep, &self.rec)?;
                 drop(sp);
             }
         }
@@ -196,7 +200,10 @@ impl Worker {
             // ship per-rank *merged* grads: rank-order concatenation then a
             // final merge reproduces the raw-occurrence accumulation order
             // bit-for-bit while shrinking the exchanged payload
-            let local = Arc::new(vec![sh.merged_grad(&g_features[sh.geo.table + 1])?]);
+            let local =
+                fused_backward_grads(&sh.lengths, &sh.indices, &g_features[sh.geo.table + 1])
+                    .map_err(|e| err(e.to_string()))?;
+            let local = Arc::new(vec![local]);
             let sp = self.rec.span(Phase::AlltoallBwd);
             // one shared payload, `world` refcount bumps
             let gathered = self.comm.all_to_all_shared(vec![local; world])?;
@@ -210,7 +217,11 @@ impl Worker {
             }
             let grads = Tensor2::from_vec(indices.len(), sh.geo.width, rows)
                 .map_err(|e| err(e.to_string()))?;
-            sh.apply(&merge_grads(&SparseGrad::dense(indices, grads)), &self.rec);
+            let merged = merge_grads(&SparseGrad::dense(indices, grads));
+            self.rec
+                .sink()
+                .counter_add(Metric::EmbOptimRows, merged.len() as u64);
+            sh.opt.apply_merged(sh.store.as_mut(), &merged);
             drop(sp);
         }
         Ok(())

@@ -4,9 +4,11 @@
 use std::sync::Arc;
 
 use neo_collectives::Communicator;
-use neo_embeddings::bag::{fused_backward_grads, pooled_forward};
+use neo_embeddings::bag::pooled_forward;
 use neo_embeddings::store::{DenseStore, HalfStore, RowStore};
-use neo_embeddings::{RowWiseAdagrad, SparseAdagrad, SparseGrad, SparseOptimizer, SparseSgd};
+use neo_embeddings::{
+    fused_update, RowWiseAdagrad, SparseAdagrad, SparseOptimizer, SparseSgd, SweepScratch,
+};
 use neo_sharding::cost::ShardDivision;
 use neo_sharding::Shard;
 use neo_telemetry::{Metric, RankRecorder, SpanGuard};
@@ -137,19 +139,36 @@ impl LocalShard {
         Ok(pooled)
     }
 
-    /// Fused backward (§4.1.1) over the inputs held: `grads`, the gradient
-    /// of every pooled output `lookup` produced, merged straight into one
-    /// row per touched id, never materializing the expanded gradient.
-    pub(super) fn merged_grad(&self, grads: &Tensor2) -> Result<SparseGrad, SyncError> {
-        fused_backward_grads(&self.lengths, &self.indices, grads).map_err(|e| err(e.to_string()))
-    }
-
-    /// The exact sparse update from a merged gradient — every scheme's one
-    /// way into the store, counted in unique rows.
-    pub(super) fn apply(&mut self, merged: &SparseGrad, rec: &RankRecorder) {
-        rec.sink()
-            .counter_add(Metric::EmbOptimRows, merged.len() as u64);
-        self.opt.apply_merged(self.store.as_mut(), merged);
+    /// The fused backward + exact update (§4.1.1, §4.1.2) over the inputs
+    /// held — every scheme but the replicas' one way into the store,
+    /// counted in unique rows. `grad_of_bag(b)` is the gradient of pooled
+    /// output `b` of the `bags` that `lookup` produced, read where the
+    /// exchange left it; rows go from it straight to the updated store row.
+    pub(super) fn update<'g>(
+        &mut self,
+        bags: usize,
+        grad_of_bag: impl Fn(usize) -> Option<&'g [f32]>,
+        sweep: &mut SweepScratch,
+        rec: &RankRecorder,
+    ) -> Result<(), SyncError> {
+        if self.lengths.len() != bags {
+            return Err(err(format!(
+                "{bags} bag gradients for {} bags held by table {}",
+                self.lengths.len(),
+                self.geo.table
+            )));
+        }
+        let rows = fused_update(
+            self.opt.as_mut(),
+            self.store.as_mut(),
+            &self.lengths,
+            &self.indices,
+            grad_of_bag,
+            sweep,
+        )
+        .map_err(|e| err(e.to_string()))?;
+        rec.sink().counter_add(Metric::EmbOptimRows, rows as u64);
+        Ok(())
     }
 }
 
@@ -176,6 +195,9 @@ pub(super) struct Worker {
     /// in-flight spans).
     pub(super) iter: u64,
     pub(super) scratch_grads: Vec<f32>,
+    /// The sort and accumulator buffers every shard's sparse update
+    /// reuses, sized on first use.
+    pub(super) sweep: SweepScratch,
     /// Features cached between `forward(train=true)` and `backward_update`.
     pub(super) cached_features: Option<Vec<Tensor2>>,
     /// The next batch's started index AlltoAll, when the driver prefetched
@@ -248,6 +270,7 @@ impl Worker {
             manifests,
             iter: 0,
             scratch_grads: Vec::new(),
+            sweep: SweepScratch::default(),
             cached_features: None,
             pending_input: None,
             bottom_opt,
