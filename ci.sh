@@ -28,9 +28,12 @@
 #                         fails here, then the ignored release-mode
 #                         f16_bf16_encode_exhaustive: all 2^32 f32
 #                         patterns through both 16-bit encoders against
-#                         the scalar oracle, elapsed time printed, and
+#                         the scalar oracle, elapsed time printed,
 #                         neo-sync's tests in release, where the lock-class
-#                         check is compiled out and must stay silent)
+#                         check is compiled out and must stay silent, and
+#                         neo-embeddings' tests in release, so the bitwise
+#                         kernel tests check the optimised code the
+#                         benchmark times)
 #   6. sanitizer tests   (numeric sanitizer armed via --features sanitize
 #                         on every crate that has or forwards the feature)
 #   7. artifacts         (one quickstart --telemetry --monitor --workload
@@ -107,10 +110,11 @@ echo "==> [4/9] tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
-echo "==> [5/9] cargo test -q --workspace (+ the benchmark package, + the exhaustive f16/bf16 encode check, + neo-sync in release)"
+echo "==> [5/9] cargo test -q --workspace (+ the benchmark package, + the exhaustive f16/bf16 encode check, + neo-sync and neo-embeddings in release)"
 cargo test -q --workspace
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 cargo test --release -q -p neo-sync
+cargo test --release -q -p neo-embeddings
 # build first so the printed time is the exhaustive check, not rustc
 cargo test --release -q -p neo-tensor --no-run
 EXHAUSTIVE_T0=$(date +%s%N)

@@ -5,35 +5,85 @@
 //! (pooling sizes, which can differ per bag and per table) plus a flat
 //! `indices` array, instead of per-table offset/index tensor pairs.
 //!
-//! The kernels here are written for the autovectorizer: fixed-width
-//! `LANE`-wide accumulator blocks walked with `chunks_exact`, and a fast
-//! path that streams rows straight out of flat FP32 stores
+//! The kernels here are written for the autovectorizer. The fast path
+//! streams rows straight out of flat FP32 stores
 //! ([`crate::store::RowStore::as_flat`]) instead of bouncing every row
-//! through a per-lookup scratch copy. Both paths pool bag members in the
-//! same order, so their outputs are bitwise identical.
+//! through a per-lookup scratch copy, and sums each bag one column block
+//! at a time in a local accumulator the compiler keeps in registers
+//! (`fold_rows`), storing the block once. Both paths pool bag members in
+//! the same order, so their outputs are bitwise identical.
 
 use neo_tensor::Tensor2;
 
 use crate::optim::SweepScratch;
 use crate::store::{RowStore, StoreError};
 
-/// Accumulator lane width shared by the pooled kernels (see
-/// `neo-tensor`'s GEMM micro-kernels, which use the same layout).
-const LANE: usize = 8;
+/// Column-block widths of [`fold_rows`], widest first. A block's partial
+/// sums are a local `[f32; C]` that stays in registers while the rows
+/// stream past (eight 128-bit registers at 32, as `neo-tensor`'s GEMM
+/// tile); the under-8 columns past the last block are a scalar tail.
+const WIDE: usize = 32;
+const MID: usize = 16;
+const NARROW: usize = 8;
 
-/// `out[j] += row[j]`, lane blocks + scalar tail.
-#[inline]
-pub(crate) fn add_assign_row(out: &mut [f32], row: &[f32]) {
-    let split = out.len() - out.len() % LANE;
-    let (body, tail) = out.split_at_mut(split);
-    for (ol, rl) in body.chunks_exact_mut(LANE).zip(row.chunks_exact(LANE)) {
-        for l in 0..LANE {
-            ol[l] += rl[l];
+/// `out[j] = seed[j] + rows[0][j] + rows[1][j] + …` for every column `j`,
+/// added left to right (`+0.0` in place of an absent seed), one column
+/// block at a time: each block is summed in registers over every row and
+/// stored once. The order per column is the plain scalar fold's, so the
+/// bits are too. Every row and the seed are at least `out.len()` wide;
+/// `rows()` is walked once per block.
+pub(crate) fn fold_rows<'r, I: Iterator<Item = &'r [f32]>>(
+    out: &mut [f32],
+    seed: Option<&[f32]>,
+    rows: impl Fn() -> I,
+) {
+    let mut col = 0;
+    while out.len() - col >= WIDE {
+        fold_block::<WIDE>(out, seed, col, rows());
+        col += WIDE;
+    }
+    if out.len() - col >= MID {
+        fold_block::<MID>(out, seed, col, rows());
+        col += MID;
+    }
+    if out.len() - col >= NARROW {
+        fold_block::<NARROW>(out, seed, col, rows());
+        col += NARROW;
+    }
+    if col == out.len() {
+        return;
+    }
+    let tail = &mut out[col..];
+    match seed {
+        Some(seed) => tail.copy_from_slice(&seed[col..][..tail.len()]),
+        None => tail.fill(0.0),
+    }
+    for row in rows() {
+        for (o, &v) in tail.iter_mut().zip(&row[col..]) {
+            *o += v;
         }
     }
-    for (o, &v) in tail.iter_mut().zip(&row[split..]) {
-        *o += v;
+}
+
+/// [`fold_rows`] over columns `col..col + C`. Every length is `C`, so the
+/// compiler unrolls the adds and keeps the block in registers.
+#[inline(always)]
+fn fold_block<'r, const C: usize>(
+    out: &mut [f32],
+    seed: Option<&[f32]>,
+    col: usize,
+    rows: impl Iterator<Item = &'r [f32]>,
+) {
+    let mut acc = [0.0f32; C];
+    if let Some(seed) = seed {
+        acc.copy_from_slice(&seed[col..][..C]);
     }
+    for row in rows {
+        for (a, &v) in acc.iter_mut().zip(&row[col..][..C]) {
+            *a += v;
+        }
+    }
+    out[col..][..C].copy_from_slice(&acc);
 }
 
 /// The sparse gradient produced by [`pooled_backward`]: one gradient row
@@ -123,19 +173,18 @@ pub(crate) fn check_bag_rows(rows: usize, bags: usize) -> Result<(), StoreError>
 }
 
 /// Sum-pools one table's bags into `out`, reading rows either straight
-/// from a flat store view (fast path: no virtual call, no row copy) or
-/// through `read_row` into a scratch buffer. Accumulation order over bag
-/// members is identical on both paths.
+/// from a flat store view (fast path: no virtual call, no row copy, each
+/// bag folded by [`fold_rows`] from `+0.0`) or through `read_row` into a
+/// scratch buffer added to the zeroed output row. Accumulation order over
+/// bag members is identical on both paths.
 fn pool_into(store: &mut dyn RowStore, lengths: &[u32], indices: &[u64], out: &mut Tensor2) {
     let dim = store.dim();
     if let Some(flat) = store.as_flat() {
         let mut cursor = 0usize;
         for (b, &len) in lengths.iter().enumerate() {
-            let row_out = out.row_mut(b);
-            for &idx in &indices[cursor..cursor + len as usize] {
-                let base = idx as usize * dim;
-                add_assign_row(row_out, &flat[base..base + dim]);
-            }
+            let bag = &indices[cursor..cursor + len as usize];
+            let rows = || bag.iter().map(|&idx| &flat[idx as usize * dim..][..dim]);
+            fold_rows(out.row_mut(b), None, rows);
             cursor += len as usize;
         }
         return;
@@ -146,7 +195,9 @@ fn pool_into(store: &mut dyn RowStore, lengths: &[u32], indices: &[u64], out: &m
         let row_out = out.row_mut(b);
         for &idx in &indices[cursor..cursor + len as usize] {
             store.read_row(idx, &mut buf);
-            add_assign_row(row_out, &buf);
+            for (o, &v) in row_out.iter_mut().zip(&buf) {
+                *o += v;
+            }
         }
         cursor += len as usize;
     }
@@ -286,7 +337,7 @@ mod tests {
 
     /// A `DenseStore` that hides its flat view, forcing the generic
     /// `read_row` path — used to pin fast path ≡ slow path bitwise.
-    struct OpaqueStore(DenseStore);
+    pub(super) struct OpaqueStore(pub(super) DenseStore);
 
     impl RowStore for OpaqueStore {
         fn num_rows(&self) -> u64 {
@@ -496,33 +547,59 @@ mod prop_tests {
     use crate::store::DenseStore;
     use proptest::prelude::*;
 
+    /// Table entry `k`: full mantissas over mixed magnitudes, so another
+    /// accumulation order rounds differently, and one entry in five `-0.0`,
+    /// which `+0.0 + -0.0` and `-0.0 + -0.0` tell apart.
+    fn entry(seed: u64, k: usize) -> f32 {
+        let h = (seed + 1)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(k as u64)
+            .wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        if h.is_multiple_of(5) {
+            return -0.0;
+        }
+        let mantissa = (h >> 40) as f32 / (1u64 << 24) as f32 + 0.5;
+        let v = mantissa * [1e-3f32, 1.0, 37.0, 4096.0][(h >> 8) as usize % 4];
+        if h & 2 == 0 {
+            v
+        } else {
+            -v
+        }
+    }
+
+    fn bits(t: &Tensor2) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// The pooled forward kernel matches a naive per-element reference
-        /// within epsilon, and repeated runs are bitwise identical, for
-        /// arbitrary bag shapes spanning the lane tail.
+        /// The pooled forward is bitwise its definition, a scalar sum per
+        /// column from `+0.0` in bag-member order, on both paths (the flat
+        /// view's column-blocked fold and the `read_row` copy), and repeated
+        /// runs are bitwise identical: over widths covering every block
+        /// width and every tail, `-0.0` table entries and empty bags.
         #[test]
         fn pooled_forward_matches_naive_and_is_deterministic(
-            dim in 1usize..21,
-            bag_lens in proptest::collection::vec(0u32..6, 1..6),
+            dim in 1usize..=70,
+            bag_lens in proptest::collection::vec(0u32..7, 1..7),
             seed in 0u64..1000,
         ) {
             let rows = 16usize;
-            let store_t = Tensor2::from_fn(rows, dim, |i, j| {
-                (((seed * 13 + (i * dim + j) as u64 * 7) % 31) as f32 - 15.0) * 0.25
-            });
+            let store_t = Tensor2::from_fn(rows, dim, |i, j| entry(seed, i * dim + j));
             let nnz: usize = bag_lens.iter().map(|&l| l as usize).sum();
             let indices: Vec<u64> = (0..nnz)
                 .map(|k| (seed.wrapping_mul(31).wrapping_add(k as u64 * 17)) % rows as u64)
                 .collect();
             let mut store = DenseStore::from_tensor(store_t.clone());
+            let mut opaque = super::tests::OpaqueStore(DenseStore::from_tensor(store_t.clone()));
 
             let got = pooled_forward(&mut store, &bag_lens, &indices).unwrap();
             let again = pooled_forward(&mut store, &bag_lens, &indices).unwrap();
-            prop_assert_eq!(got.as_slice(), again.as_slice(), "nondeterministic");
+            prop_assert_eq!(bits(&got), bits(&again), "nondeterministic");
+            let copied = pooled_forward(&mut opaque, &bag_lens, &indices).unwrap();
 
-            // naive reference: scalar accumulation in bag-member order
+            // the definition: scalar accumulation in bag-member order
             let mut want = Tensor2::zeros(bag_lens.len(), dim);
             let mut cursor = 0usize;
             for (b, &len) in bag_lens.iter().enumerate() {
@@ -533,9 +610,8 @@ mod prop_tests {
                 }
                 cursor += len as usize;
             }
-            for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
-                prop_assert!((g - w).abs() <= 1e-4 * w.abs().max(1.0));
-            }
+            prop_assert_eq!(bits(&got), bits(&want), "flat view");
+            prop_assert_eq!(bits(&copied), bits(&want), "read_row path");
         }
 
         /// Backward + merge through the shared-row representation equals a

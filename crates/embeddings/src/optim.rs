@@ -11,23 +11,28 @@
 //!
 //! Both halves are written once. One sort and one sweep
 //! ([`SweepScratch`]) fold each run of equal row ids into one gradient
-//! row, and one row driver hands every row to an optimizer's
-//! [`update_row`](SparseOptimizer::update_row) rule on the store row — in
-//! place on a flat FP32 store ([`RowStore::as_flat_mut`]), through
-//! `read_row`/`write_row` otherwise. [`fused_update`] runs the sweep
-//! straight into the driver: the backward and the exact update of §4.1.2
-//! in one pass, with no merged gradient in between. [`merge_grads`] and
+//! row, and one row driver hands the rows to an optimizer's rule on the
+//! store rows — a batch of up to eight at a time through
+//! [`update_rows`](SparseOptimizer::update_rows), in place, on a flat FP32
+//! store ([`RowStore::as_flat_mut`]); one at a time through
+//! [`update_row`](SparseOptimizer::update_row) and `read_row`/`write_row`
+//! otherwise. [`fused_update`] runs the sweep straight into the driver:
+//! the backward and the exact update of §4.1.2 in one pass, with no merged
+//! gradient in between. [`merge_grads`] and
 //! [`fused_backward_grads`](crate::bag::fused_backward_grads) run the same
 //! sweep collecting into a [`SparseGrad`] instead.
 
 use neo_tensor::Tensor2;
 
-use crate::bag::{add_assign_row, check_bag_rows, check_lengths, SparseGrad};
+use crate::bag::{check_bag_rows, check_lengths, fold_rows, SparseGrad};
 use crate::radix::SortedPairs;
 use crate::store::{RowStore, StoreError};
 
+/// Rows the sweep and the row driver hand an optimizer's rule at once.
+const BATCH: usize = 8;
+
 /// The reusable buffers of the sort and sweep: the `(row id, payload)`
-/// pairs and the accumulator row. Keep one per worker and pass it to every
+/// pairs and the accumulator rows. Keep one per worker and pass it to every
 /// [`fused_update`]; it is sized on first use and then only grows with the
 /// largest batch it has seen.
 #[derive(Debug, Default, Clone)]
@@ -67,32 +72,46 @@ impl SweepScratch {
     /// The sweep over sorted pairs: folds each run of equal row ids into
     /// one `width`-wide row — the first payload's gradient `row_of(p)`, then
     /// one element-wise add per further payload in arrival order, which
-    /// fixes the bits — and hands `(row id, row)` to `on_row`, rows
-    /// ascending. A run of one passes its gradient through uncopied.
+    /// fixes the bits ([`fold_rows`]) — and hands the `(row ids, rows)` of
+    /// up to [`BATCH`] runs at a time to `on_batch`, rows ascending. A run
+    /// of one passes its gradient through uncopied.
     fn sweep<'g>(
         &mut self,
         width: usize,
         row_of: impl Fn(u32) -> &'g [f32],
-        mut on_row: impl FnMut(u64, &[f32]),
+        mut on_batch: impl FnMut(&[u64], &[&[f32]]),
     ) {
-        self.acc.resize(width, 0.0);
-        let (keys, vals) = (&self.pairs.keys, &self.pairs.vals);
+        self.acc.resize(BATCH * width, 0.0);
+        let (keys, vals, acc) = (&self.pairs.keys, &self.pairs.vals, &mut self.acc);
+        let mut ids = [0u64; BATCH];
+        // a run of one's own gradient row; `None` is accumulator slot `n`
+        let mut passed: [Option<&'g [f32]>; BATCH] = [None; BATCH];
+        let mut n = 0;
         let mut start = 0;
         for run in keys.chunk_by(|a, b| a == b) {
             let payloads = &vals[start..start + run.len()];
             start += run.len();
-            let g = match payloads {
-                [only] => row_of(*only),
-                [first, rest @ ..] => {
-                    self.acc.copy_from_slice(row_of(*first));
-                    for &p in rest {
-                        add_assign_row(&mut self.acc, row_of(p));
-                    }
-                    self.acc.as_slice()
-                }
-                [] => continue,
+            let Some((&first, rest)) = payloads.split_first() else {
+                continue;
             };
-            on_row(run[0], g);
+            ids[n] = run[0];
+            passed[n] = if rest.is_empty() {
+                Some(row_of(first))
+            } else {
+                let slot = &mut acc[n * width..(n + 1) * width];
+                fold_rows(slot, Some(row_of(first)), || {
+                    rest.iter().map(|&p| row_of(p))
+                });
+                None
+            };
+            n += 1;
+            if n == BATCH {
+                on_batch(&ids, &batch_rows(&passed, acc, width));
+                n = 0;
+            }
+        }
+        if n > 0 {
+            on_batch(&ids[..n], &batch_rows(&passed, acc, width)[..n]);
         }
     }
 
@@ -107,9 +126,11 @@ impl SweepScratch {
         let unique = self.pairs.keys.chunk_by(|a, b| a == b).count();
         let mut ids = Vec::with_capacity(unique); // lint: allow(hot_path_alloc) — the merged gradient this collecting form returns, sized once to its unique rows
         let mut rows = Vec::with_capacity(unique * width); // lint: allow(hot_path_alloc) — the merged gradient this collecting form returns, sized once to its unique rows
-        self.sweep(width, row_of, |idx, g| {
-            ids.push(idx);
-            rows.extend_from_slice(g);
+        self.sweep(width, row_of, |batch, grads| {
+            ids.extend_from_slice(batch);
+            for g in grads {
+                rows.extend_from_slice(g);
+            }
         });
         let n = ids.len();
         debug_assert_eq!(rows.len(), n * width, "one `width`-wide row per id");
@@ -118,6 +139,16 @@ impl SweepScratch {
         let grads = Tensor2::from_vec(n, width, rows).unwrap_or_else(|_| Tensor2::zeros(n, width));
         SparseGrad::dense(ids, grads)
     }
+}
+
+/// The rows of a sweep batch: slot `k` is the run's own gradient row when
+/// it passed through, else accumulator row `k` of the `width`-wide `acc`.
+fn batch_rows<'a>(
+    passed: &[Option<&'a [f32]>; BATCH],
+    acc: &'a [f32],
+    width: usize,
+) -> [&'a [f32]; BATCH] {
+    std::array::from_fn(|k| passed[k].unwrap_or(&acc[k * width..(k + 1) * width]))
 }
 
 /// Sorts `grad` by row id (stable, so equal rows accumulate in arrival
@@ -159,9 +190,9 @@ enum Target<'s> {
     },
 }
 
-/// The one row driver: hands `(row id, gradient)` pairs, one at a time, to
-/// an optimizer's rule on the store row, after the sanitizer's finite
-/// check on the gradient. Rows are updated in the order given, so a
+/// The one row driver: hands `(row ids, gradients)` batches to an
+/// optimizer's rule on the store rows, after the sanitizer's finite check
+/// on every gradient. Rows are updated in the order given, so a
 /// cache-backed store sees the same accesses whichever caller feeds it.
 struct RowDriver<'s, O: ?Sized> {
     opt: &'s mut O,
@@ -171,20 +202,22 @@ struct RowDriver<'s, O: ?Sized> {
 }
 
 impl<O: SparseOptimizer + ?Sized> RowDriver<'_, O> {
-    /// Updates row `idx` from its gradient `g`.
+    /// Updates row `ids[k]` from its gradient `grads[k]`, for every `k`: the
+    /// whole batch through [`SparseOptimizer::update_rows`] on a flat
+    /// table, else read → [`SparseOptimizer::update_row`] → write per row.
     #[inline]
-    fn drive_row(&mut self, idx: u64, g: &[f32]) {
-        neo_tensor::sanitize::check_finite(self.name, g);
+    fn drive(&mut self, ids: &[u64], grads: &[&[f32]]) {
+        for g in grads {
+            neo_tensor::sanitize::check_finite(self.name, g);
+        }
         match &mut self.target {
-            Target::Flat(flat) => {
-                let base = idx as usize * self.dim;
-                self.opt
-                    .update_row(idx, &mut flat[base..base + self.dim], g);
-            }
+            Target::Flat(flat) => self.opt.update_rows(flat, self.dim, ids, grads),
             Target::Copy { store, row } => {
-                store.read_row(idx, row);
-                self.opt.update_row(idx, row, g);
-                store.write_row(idx, row);
+                for (&idx, g) in ids.iter().zip(grads) {
+                    store.read_row(idx, row);
+                    self.opt.update_row(idx, row, g);
+                    store.write_row(idx, row);
+                }
             }
         }
     }
@@ -218,9 +251,9 @@ fn drive_rows<O: SparseOptimizer + ?Sized>(
     });
 }
 
-/// Every occurrence of `grad`, in order, through the row driver, after the
-/// sanitizer's checks that its width is the store's and its row ids are in
-/// range.
+/// Every occurrence of `grad`, in order and [`BATCH`] at a time, through
+/// the row driver, after the sanitizer's checks that its width is the
+/// store's and its row ids are in range.
 fn update_occurrences<O: SparseOptimizer + ?Sized>(
     opt: &mut O,
     store: &mut dyn RowStore,
@@ -230,16 +263,21 @@ fn update_occurrences<O: SparseOptimizer + ?Sized>(
     neo_tensor::sanitize::check_shape(name, (stored, grad.grads.cols()), (stored, store.dim()));
     neo_tensor::sanitize::check_indices(name, &grad.indices, store.num_rows());
     drive_rows(opt, store, |rows| {
-        for (k, &idx) in grad.indices.iter().enumerate() {
-            rows.drive_row(idx, grad.occ_row(k));
+        for (first, ids) in (0..).step_by(BATCH).zip(grad.indices.chunks(BATCH)) {
+            let mut grads: [&[f32]; BATCH] = [&[]; BATCH];
+            for (g, k) in grads.iter_mut().zip(first..first + ids.len()) {
+                *g = grad.occ_row(k);
+            }
+            rows.drive(ids, &grads[..ids.len()]);
         }
     });
 }
 
 /// The fused backward + exact update of one table (§4.1.2): sorts the
 /// batch's `(row id, bag)` pairs by row, folds each run of equal rows into
-/// one scratch row in arrival order and hands it straight to `opt`'s rule
-/// on the store row. No merged gradient is materialised, and rows are
+/// one scratch row in arrival order and hands the rows, up to eight at a
+/// time, straight to `opt`'s rule on the store rows. No merged gradient is
+/// materialised, and rows are
 /// updated in ascending order, so the result is bitwise
 /// `opt.apply_merged(store, &fused_backward_grads(lengths, indices, grad_out))`
 /// where `grad_of_bag(b)` is `grad_out.row(b)`.
@@ -297,9 +335,9 @@ pub fn fused_update<'g, O: SparseOptimizer + ?Sized>(
     let row_of = |b: u32| grad_of_bag(b as usize).unwrap_or_default();
     let mut updated = 0;
     drive_rows(opt, store, |rows| {
-        scratch.sweep(dim, row_of, |idx, g| {
-            updated += 1;
-            rows.drive_row(idx, g);
+        scratch.sweep(dim, row_of, |ids, grads| {
+            updated += ids.len();
+            rows.drive(ids, grads);
         });
     });
     Ok(updated)
@@ -313,6 +351,18 @@ pub trait SparseOptimizer: Send {
     /// from its gradient `g` (same width), advancing any state held for
     /// that row.
     fn update_row(&mut self, idx: u64, row: &mut [f32], g: &[f32]);
+
+    /// The rule over a batch: updates row `ids[k]` of `table`, a flat
+    /// row-major table `dim` wide, from `grads[k]` (`dim` wide), for every
+    /// `k` in order. Bitwise [`update_row`](Self::update_row) on each row
+    /// in turn, repeated ids included; a rule overrides it only to do the
+    /// same work faster.
+    fn update_rows(&mut self, table: &mut [f32], dim: usize, ids: &[u64], grads: &[&[f32]]) {
+        for (&idx, g) in ids.iter().zip(grads) {
+            let base = idx as usize * dim;
+            self.update_row(idx, &mut table[base..base + dim], g);
+        }
+    }
 
     /// Applies one *exact* update: duplicates are merged first, then every
     /// touched row is read, updated once, and written back.
@@ -442,16 +492,55 @@ impl RowWiseAdagrad {
             moment: vec![0.0; num_rows as usize], // lint: allow(hot_path_alloc) — optimizer-state constructor; runs once at table creation
         }
     }
+
+    /// The rule once the row's sum of squares `sum_sq` is known.
+    #[inline]
+    fn apply(&mut self, idx: u64, row: &mut [f32], g: &[f32], sum_sq: f32) {
+        let m = &mut self.moment[idx as usize];
+        *m += sum_sq / row.len() as f32;
+        let scale = self.lr / (m.sqrt() + self.eps);
+        for (v, &g) in row.iter_mut().zip(g) {
+            *v -= scale * g;
+        }
+    }
+}
+
+/// `sum_j g[j]^2` of each of up to [`BATCH`] `dim`-wide rows. Each chain
+/// adds its squares in column order, as `update_row`'s does, so the bits
+/// are the same; the chains run side by side, column `j` of every row
+/// before column `j + 1`, so their adds overlap instead of waiting on each
+/// other.
+fn square_sums(grads: &[&[f32]], dim: usize) -> [f32; BATCH] {
+    let mut sums = [0.0f32; BATCH];
+    let Some(&first) = grads.first() else {
+        return sums;
+    };
+    // a partial batch is padded with its first row, so there are always
+    // `BATCH` chains and the sums stay in registers
+    let rows: [&[f32]; BATCH] = std::array::from_fn(|k| &grads.get(k).unwrap_or(&first)[..dim]);
+    for j in 0..dim {
+        for (s, row) in sums.iter_mut().zip(rows) {
+            *s += row[j] * row[j];
+        }
+    }
+    sums
 }
 
 impl SparseOptimizer for RowWiseAdagrad {
     fn update_row(&mut self, idx: u64, row: &mut [f32], g: &[f32]) {
-        let mean_sq: f32 = g.iter().map(|g| g * g).sum::<f32>() / row.len() as f32;
-        let m = &mut self.moment[idx as usize];
-        *m += mean_sq;
-        let scale = self.lr / (m.sqrt() + self.eps);
-        for (v, &g) in row.iter_mut().zip(g) {
-            *v -= scale * g;
+        let sum_sq = g.iter().map(|g| g * g).sum::<f32>();
+        self.apply(idx, row, g, sum_sq);
+    }
+
+    /// Eight rows' mean-square chains side by side (`square_sums`),
+    /// then each row's update in order.
+    fn update_rows(&mut self, table: &mut [f32], dim: usize, ids: &[u64], grads: &[&[f32]]) {
+        for (ids, grads) in ids.chunks(BATCH).zip(grads.chunks(BATCH)) {
+            let sums = square_sums(grads, dim);
+            for ((&idx, g), sum_sq) in ids.iter().zip(grads).zip(sums) {
+                let base = idx as usize * dim;
+                self.apply(idx, &mut table[base..base + dim], g, sum_sq);
+            }
         }
     }
 
@@ -867,6 +956,66 @@ mod prop_tests {
                 prop_assert_eq!(&table, &table_bits(oracle.1.as_mut()), "{} {}", name, store_kind);
             }
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `update_rows` is bitwise its definition, `update_row` called row
+        /// by row, for every optimizer: over batches of 0..=9 rows (a full
+        /// batch of eight, partial ones and one past it) with repeated ids,
+        /// as `step_unmerged` feeds them, widths 1..=40, and gradients that
+        /// hold `0.0` and `-0.0` entries and whole zero rows. Two batches in
+        /// a row, so the state the first leaves feeds the second.
+        #[test]
+        fn update_rows_is_bitwise_update_row_row_by_row(
+            dim in 1usize..=40,
+            batches in proptest::collection::vec(proptest::collection::vec(0u64..6, 0..10), 2),
+            seed in 0u64..10_000,
+        ) {
+            let rows = 6u64;
+            for kind in 0..4 {
+                let mut batched = make_opt(kind, rows, dim);
+                let mut oracle = make_opt(kind, rows, dim);
+                let init: Vec<f32> = (0..rows as usize * dim)
+                    .map(|k| awkward(seed ^ 0x7ab1e, k / dim, k % dim))
+                    .collect();
+                let (mut got, mut want) = (init.clone(), init);
+                for (step, ids) in batches.iter().enumerate() {
+                    let grads: Vec<Vec<f32>> = (0..ids.len())
+                        .map(|k| (0..dim).map(|j| zeroish(seed + step as u64, k, j)).collect())
+                        .collect();
+                    let grads: Vec<&[f32]> = grads.iter().map(Vec::as_slice).collect();
+                    batched.update_rows(&mut got, dim, ids, &grads);
+                    for (&idx, g) in ids.iter().zip(&grads) {
+                        let base = idx as usize * dim;
+                        oracle.update_row(idx, &mut want[base..base + dim], g);
+                    }
+                    let name = batched.name();
+                    prop_assert_eq!(slice_bits(&got), slice_bits(&want), "{} step {}", name, step);
+                }
+            }
+        }
+    }
+
+    /// [`awkward`], except that one entry in four is `0.0` or `-0.0` and
+    /// every fourth row is all `0.0` or all `-0.0`.
+    fn zeroish(seed: u64, i: usize, j: usize) -> f32 {
+        let v = awkward(seed, i, j);
+        let zero = if i % 4 == 3 {
+            seed % 2
+        } else {
+            u64::from(v.to_bits() >> 4) % 8
+        };
+        match zero {
+            0 => 0.0,
+            1 => -0.0,
+            _ => v,
+        }
+    }
+
+    fn slice_bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
     }
 
     /// The row past the first radix digit that the fused-update property
