@@ -15,7 +15,7 @@
 #                         unimplemented!. Then both passes on the seeded
 #                         crates/lint/tests/clippy_fixture crate, which
 #                         must report every expected lint code)
-#   3. neo-xtask lint    (5-rule neo-lint engine over the token stream,
+#   3. neo-xtask lint    (2-rule neo-lint engine over the token stream,
 #                         symbol index, and workspace call graph; emits
 #                         results/lint.json + results/callgraph.json
 #                         and diffs waived counts against the committed
@@ -23,9 +23,15 @@
 #                         even when hidden behind waivers; the lint run
 #                         itself must finish in <10s)
 #   4. tier-1 tests      (root-package build + tests, the ROADMAP gate)
-#   5. workspace tests   (all crates, then the standalone benchmark/
-#                         package, so an API removal that breaks it
-#                         fails here, then the ignored release-mode
+#   5. workspace tests   (all crates — among them neo-xtask's
+#                         member_manifests_inherit_workspace_lints, which
+#                         fails on a member manifest without
+#                         `[lints] workspace = true`, so the root
+#                         [workspace.lints] forbid of unsafe code and deny
+#                         of warnings binds every member — then the
+#                         standalone benchmark/ package, so an API
+#                         removal that breaks it fails here, then the
+#                         ignored release-mode
 #                         f16_bf16_encode_exhaustive: all 2^32 f32
 #                         patterns through both 16-bit encoders against
 #                         the scalar oracle, elapsed time printed,

@@ -10,9 +10,6 @@
 //! actually training scaled-down models with the sync and PS trainers.
 //! EXPERIMENTS.md records paper-vs-reproduced for every block printed here.
 
-#![forbid(unsafe_code)]
-#![deny(warnings)]
-
 use neo_bench::{capacity_aware_imbalance, fmt_bytes, USABLE_HBM_PER_GPU};
 use neo_dataio::{SyntheticConfig, SyntheticDataset};
 use neo_dlrm_model::{DlrmConfig, ModelProfile};

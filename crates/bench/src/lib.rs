@@ -2,8 +2,6 @@
 //! profiles into sharding problems and extracting the plan quality
 //! numbers the performance model consumes.
 
-#![forbid(unsafe_code)]
-#![deny(warnings)]
 #![deny(missing_docs)]
 
 use neo_dlrm_model::ModelProfile;

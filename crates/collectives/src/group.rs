@@ -11,6 +11,53 @@ use crate::nonblocking::CommHandle;
 use crate::quant::{QuantError, QuantMode};
 use crate::ring::{Deposit, Ring};
 
+/// The collectives of the paper's §5.3, one variant per kind of
+/// rendezvous on the group's ring. All ranks must issue the same `Op` at
+/// the same epoch; the ring panics on a mismatch, naming both.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Op {
+    /// Personalized exchange, plain or quantized
+    /// ([`Communicator::all_to_all_shared`]).
+    AllToAll,
+    /// Rank-ordered element-wise sum ([`Communicator::all_reduce_shared`]).
+    AllReduce,
+    /// Chunk-wise sum ([`Communicator::reduce_scatter`]).
+    ReduceScatter,
+    /// Rank-ordered concatenation ([`Communicator::all_gather`]).
+    AllGather,
+    /// Payload-free rendezvous ([`Communicator::barrier`]).
+    Barrier,
+}
+
+impl Op {
+    /// Every op, each once.
+    pub const ALL: [Op; 5] = [
+        Op::AllToAll,
+        Op::AllReduce,
+        Op::ReduceScatter,
+        Op::AllGather,
+        Op::Barrier,
+    ];
+
+    /// The op's name in the `comm.<op>.*` telemetry keys and in error and
+    /// mismatch messages.
+    pub const fn name(self) -> &'static str {
+        match self {
+            Op::AllToAll => "all_to_all_v",
+            Op::AllReduce => "all_reduce",
+            Op::ReduceScatter => "reduce_scatter",
+            Op::AllGather => "all_gather",
+            Op::Barrier => "barrier",
+        }
+    }
+}
+
+impl std::fmt::Display for Op {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
 /// Error from a collective operation.
 ///
 /// These are contract violations between ranks (a missing deposit or a
@@ -22,12 +69,12 @@ pub enum CollectiveError {
     /// A rank's deposit was missing when results were read.
     MissingDeposit {
         /// The collective being executed.
-        op: &'static str,
+        op: Op,
     },
     /// A rank deposited a payload of a different type than expected.
     PayloadTypeMismatch {
         /// The collective being executed.
-        op: &'static str,
+        op: Op,
     },
     /// A quantized collective was asked for an impossible wire conversion.
     Quant(QuantError),
@@ -200,7 +247,7 @@ impl Communicator {
 
     /// Blocks until every rank reaches the barrier.
     pub fn barrier(&mut self) {
-        self.post("barrier", 0, (), |_| Ok(())).wait().ok();
+        self.post(Op::Barrier, 0, (), |_| Ok(())).wait().ok();
     }
 
     /// Averages `buf` across ranks: [`Communicator::all_reduce_shared`]'s
@@ -239,13 +286,13 @@ impl Communicator {
         let chunk = input.len() / world;
         let my = self.rank();
         self.post(
-            "reduce_scatter",
+            Op::ReduceScatter,
             input.len() * 4,
             input.to_vec(),
             move |deposits| {
                 let mut acc = vec![0.0f32; chunk];
                 for d in &deposits {
-                    let contrib = payload_ref::<Vec<f32>>(d, "reduce_scatter")?;
+                    let contrib = payload_ref::<Vec<f32>>(d, Op::ReduceScatter)?;
                     assert_eq!(
                         contrib.len(),
                         chunk * world,
@@ -269,10 +316,10 @@ impl Communicator {
     /// Returns [`CollectiveError`] if a rank deposited a payload of the
     /// wrong type.
     pub fn all_gather(&mut self, input: &[f32]) -> Result<Vec<f32>, CollectiveError> {
-        self.post("all_gather", input.len() * 4, input.to_vec(), |deposits| {
+        self.post(Op::AllGather, input.len() * 4, input.to_vec(), |deposits| {
             let mut out = Vec::new();
             for d in &deposits {
-                out.extend_from_slice(payload_ref::<Vec<f32>>(d, "all_gather")?);
+                out.extend_from_slice(payload_ref::<Vec<f32>>(d, Op::AllGather)?);
             }
             Ok(out)
         })
@@ -376,7 +423,7 @@ impl Communicator {
     /// turns every rank's deposit into this rank's result at wait.
     fn post<P: Send + Sync + 'static, R>(
         &mut self,
-        op: &'static str,
+        op: Op,
         bytes: usize,
         payload: P,
         read: impl FnOnce(Vec<Deposit>) -> Result<R, CollectiveError> + Send + 'static,
@@ -386,7 +433,8 @@ impl Communicator {
         self.stats.ops += 1;
         self.stats.bytes_sent += bytes;
         let ep = Arc::clone(&self.ep);
-        ep.telemetry.counter_add(Metric::CommBytes(op), bytes);
+        ep.telemetry
+            .counter_add(Metric::CommBytes(op.name()), bytes);
         let epoch = self.epoch;
         self.epoch += 1;
         let handle = CommHandle {
@@ -423,10 +471,10 @@ impl Communicator {
         );
         let bytes = sends.iter().map(|v| v.len()).sum::<usize>() * elem;
         let my = self.rank();
-        self.post("all_to_all_v", bytes, sends, move |deposits| {
+        self.post(Op::AllToAll, bytes, sends, move |deposits| {
             let mut recv = Vec::with_capacity(deposits.len());
             for d in &deposits {
-                let matrix = payload_ref::<Vec<Arc<Vec<T>>>>(d, "all_to_all_v")?;
+                let matrix = payload_ref::<Vec<Arc<Vec<T>>>>(d, Op::AllToAll)?;
                 recv.push(Arc::clone(&matrix[my]));
             }
             drop(deposits);
@@ -479,10 +527,10 @@ impl Communicator {
     /// Posts [`Communicator::all_reduce_shared`].
     pub(crate) fn start_all_reduce(&mut self, input: Arc<Vec<f32>>) -> CommHandle<Arc<Vec<f32>>> {
         let n = input.len();
-        self.post("all_reduce", n * 4, input, move |deposits| {
+        self.post(Op::AllReduce, n * 4, input, move |deposits| {
             let mut contribs = Vec::with_capacity(deposits.len());
             for d in &deposits {
-                let contrib = payload_ref::<Arc<Vec<f32>>>(d, "all_reduce")?;
+                let contrib = payload_ref::<Arc<Vec<f32>>>(d, Op::AllReduce)?;
                 assert_eq!(contrib.len(), n, "all_reduce length mismatch");
                 contribs.push(Arc::clone(contrib));
             }
@@ -491,7 +539,7 @@ impl Communicator {
             drop(deposits);
             let mut contribs = contribs.into_iter();
             let Some(mut acc_arc) = contribs.next() else {
-                return Err(CollectiveError::MissingDeposit { op: "all_reduce" });
+                return Err(CollectiveError::MissingDeposit { op: Op::AllReduce });
             };
             let acc = Arc::make_mut(&mut acc_arc);
             // `x + 0.0` is bitwise-equal to `0.0 + x` for every f32, so this
@@ -511,7 +559,7 @@ impl Communicator {
     }
 }
 
-fn payload_ref<'a, T: 'static>(d: &'a Deposit, op: &'static str) -> Result<&'a T, CollectiveError> {
+fn payload_ref<T: 'static>(d: &Deposit, op: Op) -> Result<&T, CollectiveError> {
     d.downcast_ref::<T>()
         .ok_or(CollectiveError::PayloadTypeMismatch { op })
 }
@@ -734,6 +782,25 @@ mod tests {
                 .map_or_else(|_| String::new(), |s| *s);
             assert!(msg.contains("collective mismatch"), "{msg}");
         }
+    }
+
+    #[test]
+    fn op_all_lists_each_variant_once_with_distinct_names() {
+        // no wildcard: a new variant fails to compile until it has a slot
+        let slot = |op: Op| match op {
+            Op::AllToAll => 0,
+            Op::AllReduce => 1,
+            Op::ReduceScatter => 2,
+            Op::AllGather => 3,
+            Op::Barrier => 4,
+        };
+        let mut seen = [false; Op::ALL.len()];
+        for op in Op::ALL {
+            assert!(!std::mem::replace(&mut seen[slot(op)], true), "{op} twice");
+        }
+        assert!(seen.iter().all(|&s| s), "Op::ALL misses a variant");
+        let names: std::collections::BTreeSet<&str> = Op::ALL.iter().map(|op| op.name()).collect();
+        assert_eq!(names.len(), Op::ALL.len(), "Op names collide");
     }
 
     #[test]

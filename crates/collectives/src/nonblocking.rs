@@ -14,7 +14,7 @@ use neo_sync::chaos;
 use neo_telemetry::{Metric, Phase, SpanRecord};
 
 use crate::delay;
-use crate::group::{CollectiveError, Communicator, Endpoint};
+use crate::group::{CollectiveError, Communicator, Endpoint, Op};
 use crate::quant::QuantMode;
 use crate::ring::Deposit;
 
@@ -30,7 +30,7 @@ pub(crate) type Read<R> = Box<dyn FnOnce(Vec<Deposit>) -> Result<R, CollectiveEr
 pub struct CommHandle<R> {
     pub(crate) ep: Arc<Endpoint>,
     pub(crate) epoch: u64,
-    pub(crate) op: &'static str,
+    pub(crate) op: Op,
     /// Sink time of the post; `None` when telemetry is off.
     pub(crate) posted_ns: Option<u64>,
     /// When the modelled wire delivers; `None` without a delay.
@@ -75,10 +75,10 @@ impl<R> CommHandle<R> {
             .complete(self.epoch, ep.rank, op, || ep.beat.mark_exchange())
             .and_then(self.read);
         if let (Some(t0), Some(t1)) = (self.posted_ns, tel.now_ns()) {
-            tel.counter_add(Metric::CommCalls(op), 1);
-            tel.histogram_observe(Metric::CommNs(op), t1.saturating_sub(t0));
+            tel.counter_add(Metric::CommCalls(op.name()), 1);
+            tel.histogram_observe(Metric::CommNs(op.name()), t1.saturating_sub(t0));
             if let (Some((name, iter)), Some(tw)) = (self.track, waited_ns) {
-                tel.histogram_observe(Metric::CommWaitNs(op), t1.saturating_sub(tw));
+                tel.histogram_observe(Metric::CommWaitNs(op.name()), t1.saturating_sub(tw));
                 if let Some(phase) = Phase::from_name(name) {
                     tel.push_span(SpanRecord {
                         rank: ep.rank as u32,

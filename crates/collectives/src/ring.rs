@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use neo_sync::{LockClass, OrderedCondvar, OrderedMutex};
 
-use crate::group::CollectiveError;
+use crate::group::{CollectiveError, Op};
 
 /// One rank's contribution to a collective, shared by pointer with every
 /// reader.
@@ -28,7 +28,7 @@ struct Entry {
     /// The collective's epoch; `None` while the entry is free for reuse.
     epoch: Option<u64>,
     /// `(op, payload)` per rank, filled as ranks arrive.
-    deposits: Vec<Option<(&'static str, Deposit)>>,
+    deposits: Vec<Option<(Op, Deposit)>>,
     arrived: usize,
     read: usize,
 }
@@ -57,7 +57,7 @@ impl Ring {
     /// named `op`, and counts the arrival; never waits. Panics when an
     /// earlier arrival named another op — after counting, so the earlier
     /// ranks wake and find the mismatch too.
-    pub(crate) fn arrive(&self, epoch: u64, rank: usize, op: &'static str, payload: Deposit) {
+    pub(crate) fn arrive(&self, epoch: u64, rank: usize, op: Op, payload: Deposit) {
         let mut entries = self.entries.lock();
         let i = match entries.iter().position(|e| e.epoch == Some(epoch)) {
             Some(i) => i,
@@ -95,7 +95,7 @@ impl Ring {
         &self,
         epoch: u64,
         rank: usize,
-        op: &'static str,
+        op: Op,
         park: impl FnOnce() -> P,
     ) -> Result<Vec<Deposit>, CollectiveError> {
         let world = self.world;
@@ -128,7 +128,7 @@ impl Ring {
 }
 
 /// Asserts every deposit present names `op`, the collective `rank` called.
-fn check_ops(deposits: &[Option<(&'static str, Deposit)>], rank: usize, op: &'static str) {
+fn check_ops(deposits: &[Option<(Op, Deposit)>], rank: usize, op: Op) {
     for (r, d) in deposits.iter().enumerate() {
         if let Some((other, _)) = d {
             assert_eq!(

@@ -1,10 +1,12 @@
 //! Property tests for the collective algebra.
 //!
 //! Every `pub fn` of the [`neo_collectives::Communicator`] /
-//! [`ProcessGroup`] surface is exercised here — `neo-xtask lint`
-//! (rule `props_cover`) enforces that this stays true as the API grows.
+//! [`ProcessGroup`] surface is exercised here. The ring-contract property
+//! draws its calls from [`Op::ALL`] and matches on the op with no
+//! wildcard arm, so a new collective does not compile until a property
+//! here covers it.
 
-use neo_collectives::{CommDelay, CommHandle, CommStats, ProcessGroup, QuantMode};
+use neo_collectives::{CommDelay, CommHandle, CommStats, Op, ProcessGroup, QuantMode};
 use neo_telemetry::{Metric, TelemetrySink};
 use neo_tensor::{Bf16, F16};
 use proptest::prelude::*;
@@ -83,11 +85,16 @@ fn round_trip(mode: QuantMode, v: &[f32]) -> Vec<u32> {
         .collect()
 }
 
-/// One call of a ring-contract program: `(kind, posted, len)`. Kinds 0–2
-/// (`all_to_all_shared`, `all_to_all_shared_quant`, `all_reduce_shared`)
-/// may be posted; 3–5 (`reduce_scatter`, `all_gather`, `barrier`) are
-/// always blocking.
-type Call = (u8, bool, usize);
+/// One call of a ring-contract program: `(op, posted, len)`. AlltoAll and
+/// AllReduce may be posted; the other ops always block. An AlltoAll is
+/// plain (`all_to_all_shared`) when `len % 3 == 0` and quantized to FP16
+/// or BF16 (`all_to_all_shared_quant`) otherwise.
+type Call = (Op, bool, usize);
+
+/// Draws an op uniformly from [`Op::ALL`].
+fn op() -> impl Strategy<Value = Op> {
+    (0..Op::ALL.len()).prop_map(|i| Op::ALL[i])
+}
 
 /// A posted call of a program, by call index.
 enum Posted {
@@ -123,38 +130,41 @@ fn run_program(
             Posted::Rows(i, h) => out[i] = row_bits(&h.wait().expect("posted rows")),
             Posted::Sum(i, h) => out[i] = bits(&h.wait().expect("posted sum")),
         };
-        for (i, &(kind, posted, len)) in calls.iter().enumerate() {
+        for (i, &(op, posted, len)) in calls.iter().enumerate() {
             let posted = posted && !all_blocking;
             let buf = input(seed ^ i as u64, rank, world * (len + 1));
             let sends: Vec<Arc<Vec<f32>>> = (0..world)
                 .map(|dest| Arc::new(wire_payload(seed, i, rank, dest, (len + dest) % 5)))
                 .collect();
-            let mode = if len % 2 == 0 {
-                QuantMode::Fp16
-            } else {
-                QuantMode::Bf16
-            };
-            match (kind, posted) {
-                (0, true) => pending.push(Posted::Rows(
+            let mode = [QuantMode::Fp32, QuantMode::Fp16, QuantMode::Bf16][len % 3];
+            let plain = mode == QuantMode::Fp32;
+            match (op, posted) {
+                (Op::AllToAll, true) if plain => pending.push(Posted::Rows(
                     i,
                     comm.post_all_to_all_shared(sends, "input_a2a", i as u64),
                 )),
-                (0, false) => out[i] = row_bits(&comm.all_to_all_shared(sends).expect("a2a")),
-                (1, true) => pending.push(Posted::Rows(
+                (Op::AllToAll, true) => pending.push(Posted::Rows(
                     i,
                     comm.post_all_to_all_shared_quant(sends, mode, "alltoall_fwd", i as u64),
                 )),
-                (1, false) => {
+                (Op::AllToAll, false) if plain => {
+                    out[i] = row_bits(&comm.all_to_all_shared(sends).expect("a2a"))
+                }
+                (Op::AllToAll, false) => {
                     out[i] = row_bits(&comm.all_to_all_shared_quant(sends, mode).expect("quant"))
                 }
-                (2, true) => pending.push(Posted::Sum(
+                (Op::AllReduce, true) => pending.push(Posted::Sum(
                     i,
                     comm.post_all_reduce_shared(Arc::new(buf), "allreduce", i as u64),
                 )),
-                (2, false) => out[i] = bits(&comm.all_reduce_shared(Arc::new(buf)).expect("ar")),
-                (3, _) => out[i] = bits(&comm.reduce_scatter(&buf).expect("reduce_scatter")),
-                (4, _) => out[i] = bits(&comm.all_gather(&buf).expect("all_gather")),
-                _ => comm.barrier(),
+                (Op::AllReduce, false) => {
+                    out[i] = bits(&comm.all_reduce_shared(Arc::new(buf)).expect("ar"))
+                }
+                (Op::ReduceScatter, _) => {
+                    out[i] = bits(&comm.reduce_scatter(&buf).expect("reduce_scatter"))
+                }
+                (Op::AllGather, _) => out[i] = bits(&comm.all_gather(&buf).expect("all_gather")),
+                (Op::Barrier, _) => comm.barrier(),
             }
             let k = next.next().unwrap_or(0);
             if k % 3 != 0 && !pending.is_empty() {
@@ -183,7 +193,7 @@ proptest! {
     #[test]
     fn posted_programs_match_their_all_blocking_run(
         world in 1usize..5,
-        calls in collection::vec((0u8..6, any::<bool>(), 0usize..5), 1..9),
+        calls in collection::vec((op(), any::<bool>(), 0usize..5), 1..9),
         picks in collection::vec(0usize..16, 1..9),
         seed in 0u64..1000,
     ) {
@@ -427,17 +437,17 @@ proptest! {
                 .map(|(_, v)| *v)
                 .unwrap_or(0)
         };
-        let telemetry_bytes =
-            counter(Metric::CommBytes("all_reduce")) + counter(Metric::CommBytes("all_gather"));
+        let ops = [Op::AllReduce, Op::AllGather];
+        let telemetry_bytes: u64 =
+            ops.iter().map(|op| counter(Metric::CommBytes(op.name()))).sum();
         prop_assert_eq!(telemetry_bytes, total_bytes);
-        prop_assert_eq!(counter(Metric::CommCalls("all_reduce")), world as u64);
-        prop_assert_eq!(counter(Metric::CommCalls("all_gather")), world as u64);
-        // Latency histograms recorded one observation per rank per op.
-        for op in ["all_reduce", "all_gather"] {
+        for op in ops {
+            prop_assert_eq!(counter(Metric::CommCalls(op.name())), world as u64);
+            // the latency histogram has one observation per rank
             let hist = snap
                 .histograms
                 .iter()
-                .find(|(k, _)| *k == Metric::CommNs(op).name())
+                .find(|(k, _)| *k == Metric::CommNs(op.name()).name())
                 .map(|(_, h)| h.total());
             prop_assert_eq!(hist, Some(world as u64), "latency histogram for {}", op);
         }

@@ -192,7 +192,7 @@ impl SyntheticDataset {
             reason = "generator builds mutually consistent arrays"
         )]
         CombinedBatch::new(b, t, lengths, indices, dense, labels)
-            .expect("generator produces consistent batches") // lint: allow(panic_path) — generator-internal consistency; the Err surface covers caller-supplied shapes, not generated ones
+            .expect("generator produces consistent batches")
     }
 }
 

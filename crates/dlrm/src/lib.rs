@@ -14,8 +14,6 @@
 //!   with their parameter/FLOP accounting, plus scaled-down functional
 //!   variants for laptop-scale training.
 
-#![forbid(unsafe_code)]
-#![deny(warnings)]
 #![deny(missing_docs)]
 
 pub mod interaction;

@@ -60,13 +60,10 @@ impl DlrmConfig {
         }
     }
 
-    /// Embedding dimension (bottom-MLP output width).
+    /// Embedding dimension (bottom-MLP output width); 0 for an empty
+    /// bottom MLP, which [`DlrmConfig::validate`] rejects.
     pub fn emb_dim(&self) -> usize {
-        #[expect(
-            clippy::expect_used,
-            reason = "configs are built with at least one layer"
-        )]
-        *self.bottom_mlp.last().expect("bottom mlp nonempty") // lint: allow(panic_path) — config invariant: models are constructed with at least one bottom-MLP layer
+        self.bottom_mlp.last().copied().unwrap_or(0)
     }
 
     /// Width of the top-MLP input: `D + F(F-1)/2` with `F = T + 1`.

@@ -33,8 +33,6 @@
 //! assert_eq!(pooled.shape(), (2, 8));
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(warnings)]
 #![deny(missing_docs)]
 
 pub mod bag;

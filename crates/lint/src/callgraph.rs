@@ -4,8 +4,8 @@
 //! (`token`/`source`), layer two the cross-crate [`SymbolIndex`], and
 //! this module resolves per-function call sites against that index into
 //! a workspace-wide directed graph with transitive reachability.
-//! Interprocedural rules (`hot_path_alloc`, `panic_path`) query it
-//! instead of hand-rolling one-level call expansions.
+//! The interprocedural rule, `hot_path_alloc`, queries it instead of
+//! hand-rolling one-level call expansions.
 //!
 //! # Model
 //!
@@ -172,8 +172,6 @@ pub struct FnNode {
     pub defs: Vec<(PathBuf, usize)>,
     /// Any definition site carries a `pub` visibility.
     pub is_pub: bool,
-    /// Any definition site's signature returns a `Result`.
-    pub returns_result: bool,
 }
 
 /// The workspace call graph. Nodes in deterministic intern order
@@ -192,12 +190,11 @@ impl CallGraph {
         let mut g = CallGraph::default();
 
         // Pass 1: nodes, from the symbol index (it already records every
-        // fn with visibility and Result-ness), def sites from a file walk.
+        // fn with its visibility), def sites from a file walk.
         for (krate, _) in crates {
             for f in &symbols.of(krate).fns {
                 let id = g.intern(krate, &f.name);
                 g.nodes[id].is_pub |= f.is_pub;
-                g.nodes[id].returns_result |= f.returns_result;
             }
         }
         for (krate, files) in crates {
@@ -312,7 +309,6 @@ impl CallGraph {
             name: name.to_owned(),
             defs: Vec::new(),
             is_pub: false,
-            returns_result: false,
         });
         self.index.insert((krate.to_owned(), name.to_owned()), id);
         self.edges.push(BTreeSet::new());

@@ -7,10 +7,10 @@
 //! (`"schema": "neo-lint/1"`); the baseline (`neo-lint-baseline/2`) records **waived** finding counts
 //! per rule so that a newly waived finding still fails CI — unwaived
 //! findings fail the lint exit code directly, so only the waived
-//! population can drift silently — plus the interprocedural rules'
-//! reachable-set sizes so resolver regressions surface as drift; the
+//! population can drift silently — plus `hot_path_alloc`'s
+//! reachable-set size so resolver regressions surface as drift; the
 //! call-graph artifact (`neo-callgraph/1`) exposes nodes, edges, and
-//! per-rule root sets for CI and future rules to consume. Parsing
+//! the rule's root set for CI and future rules to consume. Parsing
 //! reuses `neo_telemetry::json`, the same recursive-descent parser the
 //! trace tooling uses.
 
@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 use neo_telemetry::json::Json;
 
 use crate::hotpath;
-use crate::{LintReport, RuleInfo, Workspace, RULE_NAMES};
+use crate::{LintReport, Workspace, RULES, RULE_NAMES};
 
 /// The one baseline schema [`diff_baseline`] accepts.
 const BASELINE_SCHEMA: &str = "neo-lint-baseline/2";
@@ -30,8 +30,8 @@ fn counts(by_rule: &BTreeMap<String, usize>) -> Json {
 }
 
 /// The `lint --json` report.
-pub fn to_json(report: &LintReport, infos: &[RuleInfo]) -> String {
-    let rules = infos
+pub fn to_json(report: &LintReport) -> String {
+    let rules = RULES
         .iter()
         .map(|r| Json::object([("name", r.name.into()), ("summary", r.summary.into())]));
     let findings = report.diags.iter().map(|d| {
@@ -51,8 +51,8 @@ pub fn to_json(report: &LintReport, infos: &[RuleInfo]) -> String {
     format!("{doc:#}\n")
 }
 
-/// The committed baseline: waived finding counts per rule, plus the
-/// interprocedural rules' reachable-set sizes.
+/// The committed baseline: waived finding counts per rule, plus
+/// `hot_path_alloc`'s reachable-set size.
 pub fn baseline_json(report: &LintReport) -> String {
     let doc = Json::object([
         ("schema", BASELINE_SCHEMA.into()),
@@ -63,8 +63,8 @@ pub fn baseline_json(report: &LintReport) -> String {
 }
 
 /// The `--callgraph` artifact: every node with its definition sites and
-/// flags, the adjacency list, the per-rule root sets, and the resulting
-/// reachable-set sizes.
+/// visibility, the adjacency list, the `hot_path_alloc` root set, and the
+/// resulting reachable-set size.
 pub fn callgraph_json(ws: &Workspace) -> String {
     let g = &ws.graph;
     let nodes = g.nodes.iter().enumerate().map(|(id, n)| {
@@ -79,7 +79,6 @@ pub fn callgraph_json(ws: &Workspace) -> String {
             ("crate", n.krate.as_str().into()),
             ("fn", n.name.as_str().into()),
             ("pub", Json::Bool(n.is_pub)),
-            ("returns_result", Json::Bool(n.returns_result)),
             ("defs", Json::Array(defs.collect())),
         ])
     });
@@ -88,22 +87,13 @@ pub fn callgraph_json(ws: &Workspace) -> String {
         .iter()
         .enumerate()
         .flat_map(|(from, tos)| tos.iter().map(move |&to| Json::from(vec![from, to])));
-    let roots = [
-        ("hot_path_alloc", hotpath::hot_path_root_nodes(g)),
-        ("panic_path", hotpath::panic_path_root_nodes(g)),
-    ];
-    let reachable = roots
-        .iter()
-        .map(|(rule, ids)| (*rule, g.reachable_from(ids).len().into()));
+    let roots = hotpath::hot_path_root_nodes(g);
     let doc = Json::object([
         ("schema", "neo-callgraph/1".into()),
         ("nodes", Json::Array(nodes.collect())),
         ("edges", Json::Array(edges.collect())),
-        (
-            "roots",
-            Json::object(roots.iter().map(|(rule, ids)| (*rule, ids.clone().into()))),
-        ),
-        ("reachable", Json::object(reachable)),
+        ("roots", Json::object([("hot_path_alloc", roots.into())])),
+        ("reachable", counts(&hotpath::reachable_set_sizes(ws))),
     ]);
     format!("{doc:#}\n")
 }
@@ -188,51 +178,44 @@ mod tests {
     fn report() -> LintReport {
         LintReport {
             diags: vec![Diagnostic {
-                path: PathBuf::from("crates/demo/src/lib.rs"),
+                path: PathBuf::from("crates/tensor/src/lib.rs"),
                 line: 7,
-                rule: "panic_path",
-                message: "`.unwrap()` with \"quotes\" and a \\ backslash".to_owned(),
+                rule: "hot_path_alloc",
+                message: "`.to_vec` with \"quotes\" and a \\ backslash".to_owned(),
             }],
-            waived: [("props_cover".to_owned(), 2usize)].into_iter().collect(),
-            reachable: [("panic_path".to_owned(), 5usize)].into_iter().collect(),
+            waived: [("hot_path_alloc".to_owned(), 2usize)]
+                .into_iter()
+                .collect(),
+            reachable: [("hot_path_alloc".to_owned(), 5usize)]
+                .into_iter()
+                .collect(),
         }
-    }
-
-    fn infos() -> Vec<RuleInfo> {
-        vec![
-            RuleInfo {
-                name: "panic_path",
-                summary: "no panicking call reachable from Result fns",
-            },
-            RuleInfo {
-                name: "props_cover",
-                summary: "every pub fn of the collectives group API is property-tested",
-            },
-        ]
     }
 
     #[test]
     fn json_report_parses_and_round_trips_fields() {
-        let text = to_json(&report(), &infos());
+        let text = to_json(&report());
         let root = neo_telemetry::json::parse(&text).expect("valid JSON");
         assert_eq!(
             root.get("schema").and_then(|s| s.as_str()),
             Some("neo-lint/1")
         );
+        let rules = root.get("rules").and_then(|r| r.as_array()).unwrap();
+        assert_eq!(rules.len(), RULE_NAMES.len());
         let findings = root.get("findings").and_then(|f| f.as_array()).unwrap();
         assert_eq!(findings.len(), 1);
         assert_eq!(
             findings[0].get("rule").and_then(|r| r.as_str()),
-            Some("panic_path")
+            Some("hot_path_alloc")
         );
         assert_eq!(findings[0].get("line").and_then(|l| l.as_f64()), Some(7.0));
         assert_eq!(
             findings[0].get("message").and_then(|m| m.as_str()),
-            Some("`.unwrap()` with \"quotes\" and a \\ backslash")
+            Some("`.to_vec` with \"quotes\" and a \\ backslash")
         );
         assert_eq!(
             root.get("waived")
-                .and_then(|w| w.get("props_cover"))
+                .and_then(|w| w.get("hot_path_alloc"))
                 .and_then(|n| n.as_f64()),
             Some(2.0)
         );
@@ -240,18 +223,21 @@ mod tests {
 
     #[test]
     fn baseline_diff_flags_growth_and_notes_shrinkage() {
-        let rep = report(); // props_cover: 2 waived
+        let rep = report(); // hot_path_alloc: 2 waived
         let base = "{\n  \"schema\": \"neo-lint-baseline/2\",\n  \
-                    \"waived\": {\"props_cover\": 1, \"hot_path_alloc\": 3, \"ghost_rule\": 1}\n}\n";
+                    \"waived\": {\"hot_path_alloc\": 1, \"ghost_rule\": 1}\n}\n";
         let diff = diff_baseline(&rep, base).expect("parses");
         assert_eq!(diff.problems.len(), 1, "{:?}", diff.problems);
-        assert!(diff.problems[0].contains("props_cover"));
+        assert!(diff.problems[0].contains("hot_path_alloc"));
+        assert!(diff.notes.iter().any(|n| n.contains("ghost_rule")));
+        let shrunk = "{\"schema\": \"neo-lint-baseline/2\", \"waived\": {\"hot_path_alloc\": 3}}";
+        let diff = diff_baseline(&rep, shrunk).expect("parses");
+        assert!(diff.problems.is_empty(), "{:?}", diff.problems);
         assert!(
             diff.notes.iter().any(|n| n.contains("hot_path_alloc")),
             "{:?}",
             diff.notes
         );
-        assert!(diff.notes.iter().any(|n| n.contains("ghost_rule")));
     }
 
     #[test]
@@ -266,15 +252,15 @@ mod tests {
     fn malformed_baseline_is_an_error() {
         assert!(diff_baseline(&report(), "not json").is_err());
         assert!(diff_baseline(&report(), "{\"schema\": \"other/1\"}").is_err());
-        let v1 = "{\"schema\": \"neo-lint-baseline/1\", \"waived\": {\"props_cover\": 2}}";
+        let v1 = "{\"schema\": \"neo-lint-baseline/1\", \"waived\": {\"hot_path_alloc\": 2}}";
         assert!(diff_baseline(&report(), v1).is_err(), "only /2 is accepted");
     }
 
     #[test]
     fn reachable_drift_is_a_note() {
-        let rep = report(); // reachable: panic_path = 5
-        let v2 = "{\"schema\": \"neo-lint-baseline/2\", \"waived\": {\"props_cover\": 2}, \
-                   \"reachable\": {\"panic_path\": 9}}";
+        let rep = report(); // reachable: hot_path_alloc = 5
+        let v2 = "{\"schema\": \"neo-lint-baseline/2\", \"waived\": {\"hot_path_alloc\": 2}, \
+                   \"reachable\": {\"hot_path_alloc\": 9}}";
         let diff = diff_baseline(&rep, v2).expect("v2 accepted");
         assert!(
             diff.problems.is_empty(),
@@ -283,7 +269,7 @@ mod tests {
         assert!(
             diff.notes
                 .iter()
-                .any(|n| n.contains("panic_path") && n.contains("9")),
+                .any(|n| n.contains("hot_path_alloc") && n.contains("9")),
             "{:?}",
             diff.notes
         );
@@ -292,27 +278,16 @@ mod tests {
     #[test]
     fn callgraph_artifact_parses_and_carries_nodes_edges_roots() {
         use crate::source::SourceFile;
-        use crate::symbols::SymbolIndex;
-        use crate::CallGraph;
         use std::path::Path;
 
-        let crates: Vec<(String, Vec<SourceFile>)> = vec![(
-            "demo".to_owned(),
+        let crates = vec![(
+            "tensor".to_owned(),
             vec![SourceFile::parse(
-                Path::new("crates/demo/src/lib.rs"),
-                "pub fn api() -> Result<(), E> { helper(); Ok(()) }\nfn helper() { }\n",
+                Path::new("crates/tensor/src/lib.rs"),
+                "pub fn matmul() { helper(); }\nfn helper() { }\n",
             )],
         )];
-        let symbols = SymbolIndex::build(&crates);
-        let graph = CallGraph::build(&crates, &symbols);
-        let ws = Workspace {
-            root: PathBuf::new(),
-            crates,
-            symbols,
-            graph,
-            props: None,
-        };
-        let text = callgraph_json(&ws);
+        let text = callgraph_json(&Workspace::new(crates));
         let root = neo_telemetry::json::parse(&text).expect("valid JSON");
         assert_eq!(
             root.get("schema").and_then(|s| s.as_str()),
@@ -320,19 +295,22 @@ mod tests {
         );
         let nodes = root.get("nodes").and_then(|n| n.as_array()).unwrap();
         assert_eq!(nodes.len(), 2);
-        assert_eq!(nodes[0].get("fn").and_then(|f| f.as_str()), Some("api"));
+        assert_eq!(nodes[0].get("fn").and_then(|f| f.as_str()), Some("matmul"));
         assert_eq!(
-            nodes[0].get("returns_result"),
+            nodes[0].get("pub"),
             Some(&neo_telemetry::json::Json::Bool(true))
         );
         let edges = root.get("edges").and_then(|e| e.as_array()).unwrap();
-        assert_eq!(edges.len(), 1, "api -> helper");
+        assert_eq!(edges.len(), 1, "matmul -> helper");
         let roots = root.get("roots").unwrap();
-        let pp = roots.get("panic_path").and_then(|r| r.as_array()).unwrap();
-        assert_eq!(pp.len(), 1);
+        let hot = roots
+            .get("hot_path_alloc")
+            .and_then(|r| r.as_array())
+            .unwrap();
+        assert_eq!(hot.len(), 1);
         assert_eq!(
             root.get("reachable")
-                .and_then(|r| r.get("panic_path"))
+                .and_then(|r| r.get("hot_path_alloc"))
                 .and_then(|v| v.as_f64()),
             Some(2.0)
         );

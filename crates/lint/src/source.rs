@@ -22,7 +22,7 @@ pub struct Diagnostic {
     pub path: PathBuf,
     /// 1-based line number.
     pub line: usize,
-    /// Short rule identifier, e.g. `panic_path` or `hot_path_alloc`.
+    /// Short rule identifier, e.g. `hot_path_alloc` or `stale_waiver`.
     pub rule: &'static str,
     /// Human-readable explanation.
     pub message: String,

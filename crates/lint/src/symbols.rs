@@ -2,13 +2,9 @@
 //!
 //! Walks every crate's token streams once and records every function
 //! definition — free fns, inherent methods, and trait-impl fns alike —
-//! with its visibility (`is_pub`) and whether it returns a `Result`,
-//! plus the `pub` structs and enums. Rules consult the index for
-//! cross-crate checks: `discarded_result` knows which public
-//! collectives/trainer/dataio calls return a `Result` that must not be
-//! silently dropped, and the call graph (`callgraph` module) resolves
-//! call sites against the full fn set and `Type::f` paths against the
-//! type names.
+//! with its visibility (`is_pub`), plus the `pub` structs and enums. The
+//! call graph (`callgraph` module) resolves call sites against the full
+//! fn set and `Type::f` paths against the type names.
 
 use std::collections::BTreeMap;
 
@@ -19,9 +15,6 @@ use crate::token::{Tok, TokKind};
 #[derive(Debug, Clone)]
 pub struct FnSym {
     pub name: String,
-    /// Whether the declared return type mentions a `Result` (including
-    /// aliases ending in `Result`).
-    pub returns_result: bool,
     /// Whether the definition carries a `pub` visibility (any scope,
     /// including `pub(crate)`/`pub(super)`). Rules about the public
     /// surface filter on this; the call graph indexes everything.
@@ -91,7 +84,6 @@ fn scan_file(file: &SourceFile, out: &mut CrateSymbols) {
             if let Some(name_tok) = toks.get(i + 1).filter(|t| t.kind == TokKind::Ident) {
                 out.fns.push(FnSym {
                     name: name_tok.text.clone(),
-                    returns_result: return_mentions_result(&toks, i + 2),
                     is_pub: vis_is_pub(&toks, i),
                 });
             }
@@ -124,48 +116,6 @@ fn scan_file(file: &SourceFile, out: &mut CrateSymbols) {
         }
         i = j + 1;
     }
-}
-
-/// Whether the fn signature starting after the name (at token `from`,
-/// normally the opening paren) declares a return type mentioning
-/// `Result` (or an alias ending in `Result`). Scans to the body `{` or
-/// declaration `;`, tracking paren nesting so closure types inside
-/// parameter lists do not confuse the arrow search.
-fn return_mentions_result(toks: &[&Tok], from: usize) -> bool {
-    let mut depth = 0i64;
-    let mut k = from;
-    while k < toks.len() {
-        let t = toks[k].text.as_str();
-        match t {
-            "(" | "[" => depth += 1,
-            ")" | "]" => depth -= 1,
-            "{" if depth == 0 => return false,
-            ";" if depth == 0 => return false,
-            "-" if depth == 0 && toks.get(k + 1).is_some_and(|n| n.text == ">") => {
-                k += 2;
-                // return type runs to the body brace / `;` / `where`
-                while k < toks.len() {
-                    let r = toks[k].text.as_str();
-                    if (r == "{" || r == ";" || r == "where") && depth == 0 {
-                        return false;
-                    }
-                    match r {
-                        "(" | "[" => depth += 1,
-                        ")" | "]" => depth -= 1,
-                        _ => {}
-                    }
-                    if toks[k].kind == TokKind::Ident && r.ends_with("Result") {
-                        return true;
-                    }
-                    k += 1;
-                }
-                return false;
-            }
-            _ => {}
-        }
-        k += 1;
-    }
-    false
 }
 
 /// Whether the `fn` token at `fn_idx` carries a `pub` visibility
@@ -207,48 +157,6 @@ mod tests {
     }
 
     #[test]
-    fn fns_record_result_returns() {
-        let syms = index_of(
-            "collectives",
-            "group",
-            "pub fn all_reduce(&mut self, buf: &mut [f32]) -> Result<(), CollectiveError> { Ok(()) }\n\
-             pub fn barrier(&mut self) { }\n\
-             pub fn quantize(&self) -> QuantResult<Vec<u16>> { todo() }\n\
-             pub(crate) fn helper() -> Result<u32, E> { Ok(1) }\n\
-             fn private() -> Result<u32, E> { Ok(1) }\n\
-             pub fn takes_closure(f: impl Fn(u32) -> Result<u32, E>) { }\n",
-        );
-        let result_fns: Vec<&str> = syms
-            .fns
-            .iter()
-            .filter(|f| f.returns_result)
-            .map(|f| f.name.as_str())
-            .collect();
-        assert_eq!(
-            result_fns,
-            vec!["all_reduce", "quantize", "helper", "private"]
-        );
-        assert_eq!(syms.fns.len(), 6, "{:?}", syms.fns);
-        let pub_fns: Vec<&str> = syms
-            .fns
-            .iter()
-            .filter(|f| f.is_pub)
-            .map(|f| f.name.as_str())
-            .collect();
-        assert_eq!(
-            pub_fns,
-            vec![
-                "all_reduce",
-                "barrier",
-                "quantize",
-                "helper",
-                "takes_closure"
-            ],
-            "private fns are indexed but not marked pub"
-        );
-    }
-
-    #[test]
     fn methods_and_qualified_fns_are_indexed() {
         let syms = index_of(
             "tensor",
@@ -256,6 +164,7 @@ mod tests {
             "impl Plan {\n\
                  pub const fn lanes() -> usize { 8 }\n\
                  fn kernel(&self) { }\n\
+                 pub(crate) fn scoped(&self) { }\n\
              }\n\
              impl Step for Plan {\n\
                  fn advance(&mut self) -> StepResult { StepResult::Done }\n\
@@ -269,10 +178,15 @@ mod tests {
             .collect();
         assert_eq!(
             names,
-            vec![("lanes", true), ("kernel", false), ("advance", false)],
-            "methods and trait-impl fns are indexed; fn-pointer types are not"
+            vec![
+                ("lanes", true),
+                ("kernel", false),
+                ("scoped", true),
+                ("advance", false)
+            ],
+            "methods and trait-impl fns are indexed and a scoped `pub` counts; \
+             fn-pointer types are not"
         );
-        assert!(syms.fns[2].returns_result);
     }
 
     #[test]

@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-#![deny(warnings)]
 //! Fixture crate: the same kernel shape, but the staging buffer is
 //! caller-provided — nothing on the hot path allocates.
 

@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-#![deny(warnings)]
 //! Fixture crate: per-iteration kernel reaching an allocation two
 //! call hops down.
 

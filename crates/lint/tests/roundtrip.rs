@@ -10,9 +10,6 @@
 //! and by mapping raw byte vectors onto a printable palette to cover
 //! sequences no grammar would produce.
 
-#![forbid(unsafe_code)]
-#![deny(warnings)]
-
 use neo_lint::token::tokenize;
 use proptest::prelude::*;
 

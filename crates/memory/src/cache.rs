@@ -271,21 +271,18 @@ impl SetAssocCache {
 
         let mut victim = None;
         if lines.len() == ways {
+            // the set is full and `ways > 0`; the first least-used line goes
             let idx = match policy {
-                #[expect(clippy::expect_used, reason = "guard ensures lines.len() == ways > 0")]
                 Policy::Lru => lines
                     .iter()
                     .enumerate()
                     .min_by_key(|(_, l)| l.last_used)
-                    .map(|(i, _)| i)
-                    .expect("nonempty set"), // lint: allow(panic_path) — eviction only runs when the set is full, so the set is nonempty
-                #[expect(clippy::expect_used, reason = "guard ensures lines.len() == ways > 0")]
+                    .map_or(0, |(i, _)| i),
                 Policy::Lfu => lines
                     .iter()
                     .enumerate()
                     .min_by_key(|(_, l)| (l.freq, l.last_used))
-                    .map(|(i, _)| i)
-                    .expect("nonempty set"), // lint: allow(panic_path) — eviction only runs when the set is full, so the set is nonempty
+                    .map_or(0, |(i, _)| i),
             };
             let line = lines.swap_remove(idx);
             self.stats.evictions += 1;

@@ -11,8 +11,6 @@
 //! [`collective`] prices AlltoAll(v), AllReduce, ReduceScatter and
 //! AllGather on a given topology, reproducing those curves.
 
-#![forbid(unsafe_code)]
-#![deny(warnings)]
 #![deny(missing_docs)]
 
 pub mod collective;

@@ -23,8 +23,6 @@
 //! * [`planner::Planner`] — end-to-end: pick a scheme per table, expand to
 //!   shards, price them, and balance across the cluster.
 
-#![forbid(unsafe_code)]
-#![deny(warnings)]
 #![deny(missing_docs)]
 
 pub mod cost;

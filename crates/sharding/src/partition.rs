@@ -39,13 +39,12 @@ pub fn greedy(costs: &[f64], bins: usize) -> Vec<usize> {
     let mut sums = vec![0.0f64; bins];
     let mut assignment = vec![0usize; costs.len()];
     for &i in &order {
-        #[expect(clippy::expect_used, reason = "bins > 0 is asserted at function entry")]
+        // `sums` is nonempty (bins > 0 above); the first lightest bin wins
         let bin = sums
             .iter()
             .enumerate()
             .min_by(|(_, a), (_, b)| a.total_cmp(b))
-            .map(|(k, _)| k)
-            .expect("bins > 0"); // lint: allow(panic_path) — bins > 0 is asserted at function entry
+            .map_or(0, |(k, _)| k);
         assignment[i] = bin;
         sums[bin] += costs[i];
     }
@@ -142,11 +141,15 @@ pub fn karmarkar_karp(costs: &[f64], bins: usize) -> Vec<usize> {
         })
         .collect();
 
-    while heap.len() > 1 {
+    // merge until one tuple is left: the solution
+    let solution = loop {
         // pop the two largest spreads (linear scan keeps this simple and
         // deterministic; shard counts are small)
         heap.sort_by(|a, b| b.spread().total_cmp(&a.spread()));
         let a = heap.remove(0);
+        if heap.is_empty() {
+            break a;
+        }
         let b = heap.remove(0);
         // pair a's heaviest with b's lightest
         let mut merged: Vec<(f64, Vec<usize>)> = a
@@ -160,13 +163,7 @@ pub fn karmarkar_karp(costs: &[f64], bins: usize) -> Vec<usize> {
             .collect();
         merged.sort_by(|x, y| y.0.total_cmp(&x.0));
         heap.push(Tuple { bins: merged });
-    }
-
-    #[expect(
-        clippy::expect_used,
-        reason = "non-empty costs seed the heap and merging keeps one tuple"
-    )]
-    let solution = heap.pop().expect("nonempty heap"); // lint: allow(panic_path) — the heap is seeded from nonempty costs and merging always leaves one tuple
+    };
     let mut assignment = vec![0usize; costs.len()];
     for (bin, (_, items)) in solution.bins.iter().enumerate() {
         for &i in items {

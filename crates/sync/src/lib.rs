@@ -28,8 +28,6 @@
 //! `neo-xtask interleave` harness; see its docs for the determinism
 //! contract.
 
-#![forbid(unsafe_code)]
-#![deny(warnings)]
 #![deny(missing_docs)]
 #![expect(
     clippy::disallowed_types,

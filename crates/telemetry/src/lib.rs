@@ -23,8 +23,6 @@
 //! A disabled sink (the default) is a true no-op: no timing syscalls, no
 //! allocation, no locking on any hot path.
 
-#![forbid(unsafe_code)]
-#![deny(warnings)]
 #![deny(missing_docs)]
 
 pub mod export;

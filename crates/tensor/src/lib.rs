@@ -23,8 +23,6 @@
 //! assert_eq!(y.shape(), (32, 4));
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(warnings)]
 #![deny(missing_docs)]
 
 pub mod gemm;

@@ -108,7 +108,7 @@ impl Linear {
             clippy::expect_used,
             reason = "shape contract documented under # Panics"
         )]
-        stored.expect("linear forward shape"); // lint: allow(panic_path) — shape contract documented under # Panics; Result callers fix dims at build time
+        stored.expect("linear forward shape");
         crate::sanitize::check_finite("mlp activation output", y.as_slice());
     }
 }

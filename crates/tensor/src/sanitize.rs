@@ -23,7 +23,7 @@ pub fn check_finite(context: &str, values: &[f32]) {
     #[cfg(feature = "sanitize")]
     #[expect(clippy::panic, reason = "sanitizer is an opt-in debug facility")]
     if let Some((i, v)) = values.iter().enumerate().find(|(_, v)| !v.is_finite()) {
-        panic!("sanitize: non-finite value {v} at position {i} in {context}"); // lint: allow(panic_path) — aborting on corrupted data is the sanitizer's contract; opt-in via the sanitize feature
+        panic!("sanitize: non-finite value {v} at position {i} in {context}");
     }
     #[cfg(not(feature = "sanitize"))]
     let _ = (context, values);
@@ -40,7 +40,7 @@ pub fn check_shape(context: &str, got: (usize, usize), want: (usize, usize)) {
     #[cfg(feature = "sanitize")]
     #[expect(clippy::panic, reason = "sanitizer is an opt-in debug facility")]
     if got != want {
-        panic!("sanitize: shape {got:?} where {want:?} expected in {context}"); // lint: allow(panic_path) — aborting on corrupted data is the sanitizer's contract; opt-in via the sanitize feature
+        panic!("sanitize: shape {got:?} where {want:?} expected in {context}");
     }
     #[cfg(not(feature = "sanitize"))]
     let _ = (context, got, want);

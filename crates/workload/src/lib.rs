@@ -42,8 +42,6 @@
 //! assert_eq!(sample.bags, 2);
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(warnings)]
 #![deny(missing_docs)]
 
 pub mod report;

@@ -205,7 +205,7 @@ pub fn run_interleave(args: &[String]) -> Result<usize, String> {
 
 fn dataset() -> SyntheticDataset {
     #[expect(clippy::unwrap_used, reason = "fixed valid config, cannot fail")]
-    SyntheticDataset::new(SyntheticConfig::uniform(3, 128, 3, 4)).unwrap() // lint: allow(panic_path) — fixed valid config, cannot fail
+    SyntheticDataset::new(SyntheticConfig::uniform(3, 128, 3, 4)).unwrap()
 }
 
 /// The planned trainer config for `combo` (mirrors tests/determinism.rs).

@@ -2,44 +2,40 @@
 //!
 //! `cargo run -p neo-xtask -- lint` runs the `neo-lint` analysis engine
 //! over every library source file in the workspace (crates/*/src plus
-//! the root facade src/) and enforces the correctness contract behind
-//! the paper's §4.1.2 reproducibility claim. The engine is a three-layer
-//! pipeline — lossless token stream, cross-crate symbol index, and a
-//! whole-workspace call graph with transitive reachability — feeding
-//! five rules (the full table lives in DESIGN.md and `neo_lint`'s
-//! crate docs):
+//! the root facade src/). The engine is a three-layer pipeline — lossless
+//! token stream, cross-crate symbol index, and a whole-workspace call
+//! graph with transitive reachability — feeding two rules (the full
+//! table lives in DESIGN.md and `neo_lint`'s crate docs):
 //!
-//! 1. **crate_header** — `#![forbid(unsafe_code)]` and `#![deny(warnings)]`
-//!    in every crate root (`src/lib.rs`, `src/main.rs`, `src/bin/*.rs`).
-//! 2. **props_cover** — every `pub fn` in `crates/collectives/src/group.rs`
-//!    is named by a property test in `crates/collectives/tests/props.rs`.
-//! 3. **hot_path_alloc** — no heap allocation (`clone`/`collect`/
+//! 1. **hot_path_alloc** — no heap allocation (`clone`/`collect`/
 //!    `to_vec`/`vec!`/`Box::new`/`format!`) in any fn reachable from the
 //!    per-iteration kernel roots (the GEMM/MLP kernels, pooled embedding
 //!    kernels, sparse optimizer, quantization); setup-time sites carry
 //!    `// lint: allow(hot_path_alloc) — <reason>` waivers.
-//! 4. **panic_path** — no panicking token in a non-`Result` fn that a
-//!    `Result`-returning fn transitively reaches: a signature that
-//!    promises `Err` must not abort through a helper instead.
-//! 5. **stale_waiver** — every `// lint: allow(<rule>) — <reason>`
+//! 2. **stale_waiver** — every `// lint: allow(<rule>) — <reason>`
 //!    annotation must name a known rule and actually suppress a finding;
 //!    waivers that no longer fire are flagged so they cannot rot in place.
 //!
-//! What clippy checks on resolved types needs no rule here: ci.sh gate 2
-//! runs it with the root `clippy.toml` for panicking calls in library
-//! and bin code, hash containers, `std::sync` locks, clock and
+//! What cargo, rustc and clippy check needs no rule here. The root
+//! manifest's `[workspace.lints]` forbids `unsafe` and denies warnings,
+//! and this crate's `member_manifests_inherit_workspace_lints` test
+//! fails on a member manifest without `[lints] workspace = true`. ci.sh
+//! gate 2 runs clippy with the root `clippy.toml` for panicking calls in
+//! library and bin code, hash containers, `std::sync` locks, clock and
 //! thread-identity reads, and dropped `#[must_use]` values; those sites
-//! carry `#[expect(.., reason = ..)]`. Nor does the telemetry
-//! vocabulary: spans and metrics are named by the `Phase` and `Metric`
-//! enums, and the span and iteration guards are `#[must_use]`, so the
-//! compiler rejects a misspelt name, an inline string and a guard
-//! dropped where it is made. Nor does lock order: every `neo-sync` lock
-//! carries a ranked `LockClass`, and debug builds check each acquisition
-//! against the classes its thread holds.
+//! carry `#[expect(.., reason = ..)]`. The collective ops are
+//! `neo_collectives::Op`, matched with no wildcard arm by the collectives
+//! property suite, so a new collective does not compile untested. Spans
+//! and metrics are named by the `Phase` and `Metric` enums, and the span
+//! and iteration guards are `#[must_use]`, so the compiler rejects a
+//! misspelt name, an inline string and a guard dropped where it is made.
+//! Lock order: every `neo-sync` lock carries a ranked `LockClass`, and
+//! debug builds check each acquisition against the classes its thread
+//! holds.
 //!
 //! Flags: `--json FILE` writes the machine-readable `neo-lint/1` report,
 //! `--callgraph FILE` dumps the `neo-callgraph/1` artifact (nodes, edges,
-//! per-rule root sets and reachable-set sizes) for offline analysis,
+//! the rule's root set and reachable-set size) for offline analysis,
 //! `--baseline FILE` diffs waived-finding counts against the committed
 //! `neo-lint-baseline/2` baseline (growth fails the gate even though the
 //! findings are waived; reachable-set drift is reported as a note), and
@@ -70,9 +66,6 @@
 //!
 //! Exit status: 0 when clean, 1 with diagnostics on violations, 2 on usage
 //! or I/O errors.
-
-#![forbid(unsafe_code)]
-#![deny(warnings)]
 
 mod check;
 mod interleave;
@@ -148,7 +141,6 @@ fn run_lint(args: &[String]) -> Result<usize, String> {
 
     let ws = neo_lint::Workspace::load(&root)?;
     let report = neo_lint::lint(&ws);
-    let infos = neo_lint::rule_infos();
     for d in &report.diags {
         println!("{d}");
     }
@@ -162,7 +154,7 @@ fn run_lint(args: &[String]) -> Result<usize, String> {
         Ok(())
     };
     if let Some(path) = &json_out {
-        write(path, neo_lint::output::to_json(&report, &infos), "report")?;
+        write(path, neo_lint::output::to_json(&report), "report")?;
     }
     if let Some(path) = &callgraph_out {
         write(path, neo_lint::output::callgraph_json(&ws), "call graph")?;
@@ -189,7 +181,7 @@ fn run_lint(args: &[String]) -> Result<usize, String> {
     if report.diags.is_empty() && baseline_problems == 0 {
         println!(
             "neo-xtask lint: ok ({} rules, {waived} waived finding(s))",
-            infos.len()
+            neo_lint::RULES.len()
         );
     } else {
         println!(
@@ -212,20 +204,21 @@ mod tests {
     #[test]
     fn seeded_violation_yields_diagnostics_and_clean_tree_passes() {
         let base = std::env::temp_dir().join(format!("neo-xtask-lint-{}", std::process::id()));
-        let src = base.join("crates/demo/src");
+        let src = base.join("crates/tensor/src");
         fs::create_dir_all(&src).unwrap();
         fs::write(base.join("Cargo.toml"), "[workspace]\n").unwrap();
         fs::write(
             src.parent().unwrap().join("Cargo.toml"),
-            "[package]\nname=\"demo\"\n",
+            "[package]\nname=\"tensor\"\n",
         )
         .unwrap();
         let arg = |p: &Path| p.to_string_lossy().into_owned();
         let root_args = ["--root".to_owned(), arg(&base)];
 
-        let dirty = "#![forbid(unsafe_code)]\n#![deny(warnings)]\n\
-                     pub fn f(x: Option<u32>) -> Result<u32, String> {\n    Ok(g(x))\n}\n\
-                     fn g(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n";
+        // the kernel root `matmul` reaches an allocation in `g`
+        let dirty = "pub fn matmul(out: &mut [f32], a: &[f32]) {\n    g(out, a);\n}\n\
+                     fn g(out: &mut [f32], a: &[f32]) {\n    let s = a.to_vec();\n    \
+                     out.copy_from_slice(&s);\n}\n";
         fs::write(src.join("lib.rs"), dirty).unwrap();
         let json_path = base.join("out/lint.json");
         let graph_path = base.join("out/callgraph.json");
@@ -238,14 +231,14 @@ mod tests {
             arg(&graph_path),
         ])
         .unwrap();
-        assert_eq!(n, 1, "exactly the seeded panic_path finding");
+        assert_eq!(n, 1, "exactly the seeded hot_path_alloc finding");
         let report = neo_telemetry::json::parse(&fs::read_to_string(&json_path).unwrap())
             .expect("JSON report parses");
         let findings = report.get("findings").and_then(|f| f.as_array()).unwrap();
         assert_eq!(findings.len(), 1);
         assert_eq!(
             findings[0].get("rule").and_then(|r| r.as_str()),
-            Some("panic_path")
+            Some("hot_path_alloc")
         );
         let graph = neo_telemetry::json::parse(&fs::read_to_string(&graph_path).unwrap())
             .expect("call-graph artifact parses");
@@ -254,12 +247,11 @@ mod tests {
             Some("neo-callgraph/1")
         );
         let nodes = graph.get("nodes").and_then(|n| n.as_array()).unwrap();
-        assert_eq!(nodes.len(), 2, "the fixture fns `f` and `g`");
+        assert_eq!(nodes.len(), 2, "the fixture fns `matmul` and `g`");
         assert!(graph.get("roots").and_then(|r| r.as_object()).is_some());
 
-        let clean = "#![forbid(unsafe_code)]\n#![deny(warnings)]\n\
-                     pub fn f(x: Option<u32>) -> Result<u32, String> {\n    Ok(g(x))\n}\n\
-                     fn g(x: Option<u32>) -> u32 {\n    x.unwrap_or(0)\n}\n";
+        let clean = "pub fn matmul(out: &mut [f32], a: &[f32]) {\n    g(out, a);\n}\n\
+                     fn g(out: &mut [f32], a: &[f32]) {\n    out.copy_from_slice(a);\n}\n";
         fs::write(src.join("lib.rs"), clean).unwrap();
         let baseline_path = base.join("out/lint_baseline.json");
         let wrote = run_lint(&[
@@ -282,11 +274,10 @@ mod tests {
 
         // a waiver the baseline does not allow fails the gate even though
         // the finding itself is suppressed
-        let waived = "#![forbid(unsafe_code)]\n#![deny(warnings)]\n\
-                      pub fn f(x: Option<u32>) -> Result<u32, String> {\n    Ok(g(x))\n}\n\
-                      fn g(x: Option<u32>) -> u32 {\n    \
-                      // lint: allow(panic_path) — demo waiver for the baseline gate\n    \
-                      x.unwrap()\n}\n";
+        let waived = "pub fn matmul(out: &mut [f32], a: &[f32]) {\n    g(out, a);\n}\n\
+                      fn g(out: &mut [f32], a: &[f32]) {\n    \
+                      // lint: allow(hot_path_alloc) — demo waiver for the baseline gate\n    \
+                      let s = a.to_vec();\n    out.copy_from_slice(&s);\n}\n";
         fs::write(src.join("lib.rs"), waived).unwrap();
         let regressed = run_lint(&[
             root_args[0].clone(),
@@ -297,6 +288,89 @@ mod tests {
         .unwrap();
         assert_eq!(regressed, 1, "waived-count growth is a baseline regression");
 
+        fs::remove_dir_all(&base).unwrap();
+    }
+
+    /// Member manifests of the workspace at `root` — the root package and
+    /// every `<dir>/*/Cargo.toml` its `members = ["<dir>/*", ..]` globs
+    /// name — and those of them without `[lints] workspace = true`.
+    fn members_without_workspace_lints(root: &Path) -> (Vec<PathBuf>, Vec<PathBuf>) {
+        let text = fs::read_to_string(root.join("Cargo.toml")).unwrap();
+        let members = text
+            .lines()
+            .find_map(|l| l.trim().strip_prefix("members = "))
+            .expect("the root manifest lists its members on one line");
+        let mut manifests = vec![root.join("Cargo.toml")];
+        for glob in members.trim_matches(['[', ']']).split(',') {
+            let dir = glob.trim().trim_matches('"');
+            let dir = dir.strip_suffix("/*").expect("members are `<dir>/*` globs");
+            for entry in fs::read_dir(root.join(dir)).unwrap() {
+                let manifest = entry.unwrap().path().join("Cargo.toml");
+                if manifest.is_file() {
+                    manifests.push(manifest);
+                }
+            }
+        }
+        manifests.sort();
+        let inherits = |m: &PathBuf| {
+            let mut in_lints = false;
+            fs::read_to_string(m).unwrap().lines().any(|l| {
+                let l = l.trim();
+                if l.starts_with('[') {
+                    in_lints = l == "[lints]";
+                }
+                in_lints && l.replace(' ', "") == "workspace=true"
+            })
+        };
+        let missing = manifests.iter().filter(|m| !inherits(m)).cloned().collect();
+        (manifests, missing)
+    }
+
+    /// The root manifest's `[workspace.lints]` (no `unsafe`, no warnings)
+    /// binds only the members that opt in: every one must.
+    #[test]
+    fn member_manifests_inherit_workspace_lints() {
+        let here = Path::new(env!("CARGO_MANIFEST_DIR"));
+        let root = here.ancestors().nth(2).unwrap();
+        let (manifests, missing) = members_without_workspace_lints(root);
+        assert!(
+            manifests.contains(&here.join("Cargo.toml")),
+            "{manifests:?}"
+        );
+        assert!(manifests.iter().any(|m| m.starts_with(root.join("shims"))));
+        assert!(
+            missing.is_empty(),
+            "no `[lints] workspace = true` in {missing:?}"
+        );
+    }
+
+    /// The seeded failing case: of three members, the one without a
+    /// `[lints]` table and the one with `workspace = false` are named.
+    #[test]
+    fn a_member_without_workspace_lints_is_named() {
+        let base = std::env::temp_dir().join(format!("neo-xtask-lints-{}", std::process::id()));
+        let member = |name: &str, tail: &str| {
+            let dir = base.join("crates").join(name);
+            fs::create_dir_all(&dir).unwrap();
+            let text = format!("[package]\nname = \"{name}\"\n{tail}");
+            fs::write(dir.join("Cargo.toml"), text).unwrap();
+        };
+        fs::create_dir_all(&base).unwrap();
+        let root = "[workspace]\nmembers = [\"crates/*\"]\n\n[lints]\nworkspace = true\n";
+        fs::write(base.join("Cargo.toml"), root).unwrap();
+        member("good", "\n[lints]\nworkspace = true\n");
+        member("bare", "workspace = true\n");
+        member("opted_out", "\n[lints]\nworkspace = false\n");
+        let (manifests, missing) = members_without_workspace_lints(&base);
+        assert_eq!(manifests.len(), 4);
+        let crates = base.join("crates");
+        assert_eq!(
+            missing,
+            vec![
+                crates.join("bare/Cargo.toml"),
+                crates.join("opted_out/Cargo.toml")
+            ]
+        );
         fs::remove_dir_all(&base).unwrap();
     }
 }

@@ -5,7 +5,6 @@
 //! disconnect-on-drop semantics on both endpoints — over
 //! `std::sync::{Mutex, Condvar}`.
 
-#![forbid(unsafe_code)]
 #![expect(
     clippy::disallowed_types,
     reason = "the channel is built on std::sync::{Mutex, Condvar}"

@@ -11,8 +11,6 @@
 //! shrunk — the panic message reports the case index so a failure is
 //! reproducible by construction.
 
-#![forbid(unsafe_code)]
-
 use std::marker::PhantomData;
 use std::ops::{Range, RangeInclusive};
 

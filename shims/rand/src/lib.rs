@@ -11,8 +11,6 @@
 //! ⇒ same stream), never on specific values, so the substitution is
 //! behavior-preserving for the test suite.
 
-#![forbid(unsafe_code)]
-
 use std::ops::{Range, RangeInclusive};
 
 /// Random number generators.

@@ -5,8 +5,6 @@
 //! Derflinger's rejection-inversion method — the same algorithm upstream
 //! `rand_distr` uses — so sampling is O(1) per draw with no tables.
 
-#![forbid(unsafe_code)]
-
 pub use rand::Distribution;
 use rand::Rng;
 

@@ -7,8 +7,6 @@
 //! workspace's on-disk formats (checkpoints, results JSON) are
 //! hand-rolled.
 
-#![forbid(unsafe_code)]
-
 pub use serde_derive::{Deserialize, Serialize};
 
 /// Marker standing in for `serde::Serialize`.
