@@ -1,5 +1,5 @@
-//! Pooled embedding lookup — the `nn.EmbeddingBag` equivalent — with the
-//! fused multi-table path of §4.1.1.
+//! Pooled embedding lookup — the `nn.EmbeddingBag` equivalent — and the
+//! fused backward of §4.1.1.
 //!
 //! Inputs use the paper's *combined format* (§4.4): per-bag `lengths`
 //! (pooling sizes, which can differ per bag and per table) plus a flat
@@ -124,7 +124,7 @@ impl SparseGrad {
         Self {
             indices,
             grads,
-            src: Vec::new(), // lint: allow(hot_path_alloc) — Vec::new is capacity 0: the dense representation never pushes to src
+            src: Vec::new(),
         }
     }
 
@@ -152,7 +152,6 @@ impl SparseGrad {
 pub(crate) fn check_lengths(lengths: &[u32], nnz: usize) -> Result<(), StoreError> {
     let expected: usize = lengths.iter().map(|&l| l as usize).sum();
     if expected != nnz {
-        // lint: allow(hot_path_alloc) — error-path message, built only when validation fails
         return Err(StoreError::new(format!(
             "lengths sum to {expected} but {nnz} indices were provided"
         )));
@@ -164,7 +163,6 @@ pub(crate) fn check_lengths(lengths: &[u32], nnz: usize) -> Result<(), StoreErro
 /// the `bags` bags have theirs.
 pub(crate) fn check_bag_rows(rows: usize, bags: usize) -> Result<(), StoreError> {
     if rows != bags {
-        // lint: allow(hot_path_alloc) — error-path message, built only on a bag-count mismatch
         return Err(StoreError::new(format!(
             "gradient rows for {rows} of {bags} bags"
         )));
@@ -189,7 +187,7 @@ fn pool_into(store: &mut dyn RowStore, lengths: &[u32], indices: &[u64], out: &m
         }
         return;
     }
-    let mut buf = vec![0.0f32; dim]; // lint: allow(hot_path_alloc) — one dim-sized scratch row per forward call, amortized across the whole batch
+    let mut buf = vec![0.0f32; dim];
     let mut cursor = 0usize;
     for (b, &len) in lengths.iter().enumerate() {
         let row_out = out.row_mut(b);
@@ -247,14 +245,14 @@ pub fn pooled_backward(
 ) -> Result<SparseGrad, StoreError> {
     check_lengths(lengths, indices.len())?;
     check_bag_rows(grad_out.rows(), lengths.len())?;
-    let mut src = Vec::with_capacity(indices.len()); // lint: allow(hot_path_alloc) — result buffer: the returned SparseGrad owns its occurrence-to-bag map
+    let mut src = Vec::with_capacity(indices.len());
     for (bag, &len) in lengths.iter().enumerate() {
         src.extend(std::iter::repeat_n(bag as u32, len as usize));
     }
     Ok(SparseGrad {
         src,
-        indices: indices.to_vec(), // lint: allow(hot_path_alloc) — result buffer: the returned SparseGrad owns its indices
-        grads: grad_out.clone(), // lint: allow(hot_path_alloc) — result buffer: the returned SparseGrad owns its gradient rows
+        indices: indices.to_vec(),
+        grads: grad_out.clone(),
     })
 }
 
@@ -285,43 +283,6 @@ pub fn fused_backward_grads(
     let mut scratch = SweepScratch::default();
     scratch.load_bags(lengths, indices);
     Ok(scratch.merge_runs(grad_out.cols(), |b| grad_out.row(b as usize)))
-}
-
-/// One table's slice of a fused multi-table batch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TableBatch<'a> {
-    /// Per-bag pooling sizes for this table.
-    pub lengths: &'a [u32],
-    /// Concatenated row ids for this table.
-    pub indices: &'a [u64],
-}
-
-/// Fused forward across many tables (§4.1.1), the analogue of batching
-/// ~1000 table lookups into one CUDA kernel: one call pools every table,
-/// [`pooled_forward`] per table in table order. Returns one pooled
-/// `B x D_t` tensor per table.
-///
-/// # Errors
-///
-/// Returns [`StoreError`] if `tables.len() != batches.len()` or any
-/// per-table batch is malformed.
-pub fn fused_pooled_forward(
-    tables: &mut [Box<dyn RowStore>],
-    batches: &[TableBatch<'_>],
-) -> Result<Vec<Tensor2>, StoreError> {
-    if tables.len() != batches.len() {
-        // lint: allow(hot_path_alloc) — error-path message, built only on a table-count mismatch
-        return Err(StoreError::new(format!(
-            "{} tables but {} input batches",
-            tables.len(),
-            batches.len()
-        )));
-    }
-    tables
-        .iter_mut()
-        .zip(batches)
-        .map(|(table, batch)| pooled_forward(table.as_mut(), batch.lengths, batch.indices))
-        .collect() // lint: allow(hot_path_alloc) — per-table output list built once per fused call
 }
 
 #[cfg(test)]
@@ -459,34 +420,6 @@ mod tests {
             .map(|(_, k)| sg.occ_row(k)[0])
             .sum();
         assert_eq!(total, 3.0);
-    }
-
-    #[test]
-    fn fused_matches_per_table() {
-        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(11);
-        let mut tables: Vec<Box<dyn RowStore>> = vec![
-            Box::new(DenseStore::random(50, 4, &mut rng)),
-            Box::new(DenseStore::random(30, 8, &mut rng)),
-        ];
-        let b0 = TableBatch {
-            lengths: &[2, 3],
-            indices: &[1, 2, 10, 11, 12],
-        };
-        let b1 = TableBatch {
-            lengths: &[1, 0],
-            indices: &[29],
-        };
-        let fused = fused_pooled_forward(&mut tables, &[b0.clone(), b1.clone()]).unwrap();
-        let sep0 = pooled_forward(tables[0].as_mut(), b0.lengths, b0.indices).unwrap();
-        let sep1 = pooled_forward(tables[1].as_mut(), b1.lengths, b1.indices).unwrap();
-        assert_eq!(fused[0], sep0);
-        assert_eq!(fused[1], sep1);
-    }
-
-    #[test]
-    fn fused_checks_table_count() {
-        let mut tables: Vec<Box<dyn RowStore>> = vec![Box::new(DenseStore::zeros(4, 2))];
-        assert!(fused_pooled_forward(&mut tables, &[]).is_err());
     }
 
     #[test]

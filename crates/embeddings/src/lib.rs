@@ -7,8 +7,8 @@
 //!   cache-backed multi-tier store ([`tiered::TieredStore`]) that lets
 //!   tables larger than "HBM" train out of "DDR/SSD" (§4.1.3).
 //! * [`bag`] — pooled (sum) embedding lookup, forward and backward, plus
-//!   the fused multi-table path of §4.1.1 (up to 7× over per-table calls at
-//!   the operator level in the paper).
+//!   the fused backward of §4.1.1, which never expands the `nnz × D`
+//!   gradient. A rank pools each table shard it owns with one call.
 //! * [`optim`] — *exact* sparse optimizers (§4.1.2): gradients for
 //!   duplicate rows are sorted and merged before a single deterministic
 //!   update, supporting SGD, AdaGrad, **row-wise AdaGrad** (the

@@ -124,8 +124,8 @@ impl SweepScratch {
     ) -> SparseGrad {
         self.sort_pairs();
         let unique = self.pairs.keys.chunk_by(|a, b| a == b).count();
-        let mut ids = Vec::with_capacity(unique); // lint: allow(hot_path_alloc) — the merged gradient this collecting form returns, sized once to its unique rows
-        let mut rows = Vec::with_capacity(unique * width); // lint: allow(hot_path_alloc) — the merged gradient this collecting form returns, sized once to its unique rows
+        let mut ids = Vec::with_capacity(unique);
+        let mut rows = Vec::with_capacity(unique * width);
         self.sweep(width, row_of, |batch, grads| {
             ids.extend_from_slice(batch);
             for g in grads {
@@ -241,7 +241,7 @@ fn drive_rows<O: SparseOptimizer + ?Sized>(
             target,
         });
     }
-    let row = vec![0.0f32; dim]; // lint: allow(hot_path_alloc) — one dim-sized row buffer per update call, amortized across all touched rows
+    let row = vec![0.0f32; dim];
     let target = Target::Copy { store, row };
     visit(&mut RowDriver {
         opt,
@@ -443,7 +443,7 @@ impl SparseAdagrad {
             lr,
             eps,
             dim,
-            moment: vec![0.0; num_rows as usize * dim], // lint: allow(hot_path_alloc) — optimizer-state constructor; runs once at table creation
+            moment: vec![0.0; num_rows as usize * dim],
         }
     }
 }
@@ -489,7 +489,7 @@ impl RowWiseAdagrad {
         Self {
             lr,
             eps,
-            moment: vec![0.0; num_rows as usize], // lint: allow(hot_path_alloc) — optimizer-state constructor; runs once at table creation
+            moment: vec![0.0; num_rows as usize],
         }
     }
 
@@ -582,9 +582,9 @@ impl SparseAdam {
             beta2: 0.999,
             eps,
             dim,
-            m: vec![0.0; num_rows as usize * dim], // lint: allow(hot_path_alloc) — optimizer-state constructor; runs once at table creation
-            v: vec![0.0; num_rows as usize * dim], // lint: allow(hot_path_alloc) — optimizer-state constructor; runs once at table creation
-            steps: vec![0; num_rows as usize], // lint: allow(hot_path_alloc) — optimizer-state constructor; runs once at table creation
+            m: vec![0.0; num_rows as usize * dim],
+            v: vec![0.0; num_rows as usize * dim],
+            steps: vec![0; num_rows as usize],
         }
     }
 }

@@ -18,7 +18,6 @@ impl StoreError {
 
     /// Row `index` is past the end of a `rows`-row table.
     pub(crate) fn out_of_range(index: u64, rows: u64) -> Self {
-        // lint: allow(hot_path_alloc) — error-path message, built only when validation fails
         Self::new(format!(
             "index {index} out of range for table with {rows} rows"
         ))

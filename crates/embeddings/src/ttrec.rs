@@ -164,8 +164,8 @@ impl TtRecTable {
         let TtShape { d1, d2, rank, .. } = self.shape;
         let (i1, i2) = self.split_row(row);
         // snapshot the cores so both gradients use pre-update values
-        let c1: Vec<f32> = self.core1_row(i1).to_vec(); // lint: allow(hot_path_alloc) — core snapshot so both TT gradients see pre-update values; row-sized, not table-sized
-        let c2: Vec<f32> = self.core2_row(i2).to_vec(); // lint: allow(hot_path_alloc) — core snapshot so both TT gradients see pre-update values; row-sized, not table-sized
+        let c1: Vec<f32> = self.core1_row(i1).to_vec();
+        let c2: Vec<f32> = self.core2_row(i2).to_vec();
 
         // dL/dG1[a][r] = sum_b grad[a*d2+b] * G2[r][b]
         {
@@ -230,9 +230,9 @@ impl RowStore for TtRecTable {
     /// `data` but is generally not exactly equal — TT tables trade
     /// exactness for compression.
     fn write_row(&mut self, row: u64, data: &[f32]) {
-        let mut current = vec![0.0f32; self.dim()]; // lint: allow(hot_path_alloc) — one dim-sized readback buffer per rank-constrained write
+        let mut current = vec![0.0f32; self.dim()];
         self.read_row(row, &mut current);
-        let delta: Vec<f32> = current.iter().zip(data).map(|(c, d)| c - d).collect(); // lint: allow(hot_path_alloc) — delta row the gradient step consumes; dim-sized per write
+        let delta: Vec<f32> = current.iter().zip(data).map(|(c, d)| c - d).collect();
         self.apply_row_grad(row, &delta, self.write_lr);
     }
 

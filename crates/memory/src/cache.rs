@@ -126,7 +126,7 @@ impl SetAssocCache {
             "cache dimensions must be nonzero"
         );
         Self {
-            sets: (0..num_sets).map(|_| Vec::with_capacity(ways)).collect(), // lint: allow(hot_path_alloc) — set-index table built once at cache construction
+            sets: (0..num_sets).map(|_| Vec::with_capacity(ways)).collect(),
             ways,
             row_width,
             policy,
@@ -297,7 +297,7 @@ impl SetAssocCache {
         }
         lines.push(Line {
             key,
-            data: data.to_vec(), // lint: allow(hot_path_alloc) — the cache stores an owned copy of every inserted line by design
+            data: data.to_vec(),
             dirty,
             last_used: clock,
             freq: 1,

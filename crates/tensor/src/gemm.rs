@@ -128,7 +128,6 @@ pub(crate) fn gemm(
         Form::Nt => ("matmul_a_bt", (a_rows, a_cols), (b_cols, b_rows)),
     };
     if k != kb {
-        // lint: allow(hot_path_alloc) — error-path message, built only on a shape mismatch
         return Err(ShapeError::new(format!(
             "{name} {a_rows}x{a_cols} , {b_rows}x{b_cols}"
         )));

@@ -140,7 +140,7 @@ impl MlpConfig {
     pub fn new(input_dim: usize, layer_sizes: &[usize], act: Activation) -> Self {
         Self {
             input_dim,
-            layer_sizes: layer_sizes.to_vec(), // lint: allow(hot_path_alloc) — config constructor; runs once at model build (reached only via the same-name merge with ShapeError::new)
+            layer_sizes: layer_sizes.to_vec(),
             hidden_activation: act,
             final_activation: act,
         }

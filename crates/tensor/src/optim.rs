@@ -96,7 +96,7 @@ impl DenseAdagrad {
         Self {
             lr,
             eps,
-            moment: vec![0.0; num_params], // lint: allow(hot_path_alloc) — optimizer-state constructor; runs once at setup (reached only via the same-name merge with ShapeError::new)
+            moment: vec![0.0; num_params],
         }
     }
 }
@@ -145,8 +145,8 @@ impl DenseAdam {
             beta1: 0.9,
             beta2: 0.999,
             eps,
-            m: vec![0.0; num_params], // lint: allow(hot_path_alloc) — optimizer-state constructor; runs once at setup (reached only via the same-name merge with ShapeError::new)
-            v: vec![0.0; num_params], // lint: allow(hot_path_alloc) — optimizer-state constructor; runs once at setup (reached only via the same-name merge with ShapeError::new)
+            m: vec![0.0; num_params],
+            v: vec![0.0; num_params],
             t: 0,
         }
     }

@@ -55,7 +55,7 @@ impl Tensor2 {
         Self {
             rows,
             cols,
-            data: vec![0.0; rows * cols], // lint: allow(hot_path_alloc) — zeros() is an allocation API by contract; steady-state paths allocate once and reuse
+            data: vec![0.0; rows * cols],
         }
     }
 
@@ -105,7 +105,6 @@ impl Tensor2 {
     /// Returns [`ShapeError`] if `data.len() != rows * cols`.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> crate::Result<Self> {
         if data.len() != rows * cols {
-            // lint: allow(hot_path_alloc) — error-path message, built only on a shape mismatch
             return Err(ShapeError::new(format!(
                 "buffer of len {} cannot be viewed as {rows}x{cols}",
                 data.len()

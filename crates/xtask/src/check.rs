@@ -1,5 +1,5 @@
 //! `neo-xtask check <files...>`: the one validator for every artifact the
-//! workspace writes (ci.sh gates 3 and 7). It takes no flags and
+//! workspace writes (ci.sh gate 6). It takes no flags and
 //! dispatches per file. A `.jsonl` file is a `neo-monitor` event log; any
 //! other file must parse as JSON and is dispatched on its root `schema`
 //! tag, or on `traceEvents` for the Chrome trace, the one third-party
@@ -24,8 +24,6 @@
 //! - Chrome trace: every event has a name and phase, every "X" event a
 //!   [`Phase`] name, a `ts` and a `dur`, and `process_name` / `thread_name`
 //!   metadata events label the process and every span's thread.
-//! - `neo-lint/1`, `neo-lint-baseline/2`, `neo-callgraph/1`: parsing is
-//!   the check.
 
 use std::fs;
 use std::path::Path;
@@ -80,7 +78,6 @@ fn check_file(path: &Path) -> Verdict {
     match string(&doc, "schema") {
         Some("neo-telemetry/1") => telemetry_summary(&doc),
         Some("neo-workload/1") => workload(&text),
-        Some(tag @ ("neo-lint/1" | "neo-lint-baseline/2" | "neo-callgraph/1")) => Ok(tag.into()),
         Some(tag) => Err(vec![format!("unknown schema `{tag}`")]),
         None => match doc.get("traceEvents").and_then(Json::as_array) {
             Some(events) => chrome_trace(events),
@@ -434,10 +431,6 @@ mod tests {
             "unknown schema `neo-other/9`",
         );
         assert_flags(check(&[("a.json", r#"{"spans": []}"#)]), "no root `schema`");
-        for tag in ["neo-lint/1", "neo-lint-baseline/2", "neo-callgraph/1"] {
-            let doc = Json::object([("schema", Json::from(tag))]).to_string();
-            assert_ok(check(&[("lint.json", &doc)]));
-        }
         assert!(run_check(&[]).is_err(), "usage error without a file");
         assert!(
             run_check(&["--expect-clean".into()]).is_err(),

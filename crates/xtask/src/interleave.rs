@@ -326,7 +326,7 @@ mod tests {
     use super::*;
 
     /// Two seeds through the full pipeline: arm, perturb, compare. This is
-    /// the same path ci.sh gate 9 drives with more seeds.
+    /// the same path ci.sh gate 8 drives with more seeds.
     #[test]
     fn perturbed_runs_stay_bitwise_identical() {
         let n = run_interleave(&[

@@ -1,5 +1,5 @@
 //! `neo-xtask overhead` — the live-monitor and workload-profiler overhead
-//! budgets (ci.sh gate 8).
+//! budgets (ci.sh gate 7).
 //!
 //! Each arm trains the quickstart case as interleaved off/on pairs (ABAB)
 //! so machine-load drift cancels out of the per-pair ratio, and fails

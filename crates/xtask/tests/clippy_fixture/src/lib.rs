@@ -1,7 +1,7 @@
-//! Seeded clippy fixture: each item transcribes the seeded fixture of a
-//! neo-lint token rule that clippy now checks on resolved types, with
-//! the lint code that must catch it. Every item is a deliberate
-//! violation; nothing here is meant to pass.
+//! Seeded clippy fixture: each item is a deliberate violation of a check
+//! clippy makes on resolved types under the root `clippy.toml`, named by
+//! the retired token rule it replaced and the lint code that must catch
+//! it. Nothing here is meant to pass.
 
 #![forbid(unsafe_code)]
 

@@ -8,8 +8,9 @@
 //!
 //! Differences from upstream: case generation is a fixed deterministic
 //! sweep (one seeded RNG per case index) and failing inputs are *not*
-//! shrunk — the panic message reports the case index so a failure is
-//! reproducible by construction.
+//! shrunk. No `*.proptest-regressions` file is read or written: a failure
+//! prints its case index, and since every run draws the same cases in the
+//! same order, re-running the test replays it.
 
 use std::marker::PhantomData;
 use std::ops::{Range, RangeInclusive};
