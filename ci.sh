@@ -2,7 +2,9 @@
 # Tier-1 CI gate for the neo-dlrm workspace.
 #
 # Eight gates, every one mandatory; the script stops at the first failure:
-#   1. formatting        (cargo fmt --check)
+#   1. formatting, docs  (cargo fmt --check; cargo doc on every member,
+#                         where the workspace's `warnings = "deny"` makes a
+#                         dangling or private intra-doc link an error)
 #   2. clippy            (root clippy.toml, two passes. All targets and
 #                         all features, so sanitize-gated tests are
 #                         linted too: warnings are errors, and so are a
@@ -15,7 +17,10 @@
 #                         unimplemented!. Then both passes on the seeded
 #                         crates/xtask/tests/clippy_fixture crate, which
 #                         must report every expected lint code)
-#   3. tier-1 tests      (root-package build + tests, the ROADMAP gate;
+#   3. tier-1 tests      (root-package build + tests, the ROADMAP gate,
+#                         `--locked` here and in gate 4, so a manifest edit
+#                         that would rewrite Cargo.lock or benchmark/Cargo.lock
+#                         fails instead;
 #                         among them tests/zero_alloc.rs, the per-step
 #                         allocation budget of each trainer configuration,
 #                         which fails a row above its committed budget or
@@ -58,8 +63,9 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-echo "==> [1/8] cargo fmt --check"
+echo "==> [1/8] cargo fmt --check, cargo doc"
 cargo fmt --all -- --check
+cargo doc --workspace --no-deps --offline
 
 echo "==> [2/8] cargo clippy: all targets, then panics in library + bin code, then the seeded fixture"
 CLIPPY_ALL_TARGETS=(--all-targets --all-features -- -D warnings
@@ -92,19 +98,19 @@ for want in '"code":"clippy::unwrap_used"' '"code":"clippy::disallowed_methods"'
 done
 rm -f "$FIXTURE_OUT"
 
-echo "==> [3/8] tier-1: cargo build --release && cargo test -q"
-cargo build --release
-cargo test -q
+echo "==> [3/8] tier-1: cargo build --release && cargo test -q (--locked)"
+cargo build --locked --release
+cargo test --locked -q
 
 echo "==> [4/8] cargo test -q --workspace (+ the benchmark package, + the exhaustive f16/bf16 encode check, + neo-sync and neo-embeddings in release)"
-cargo test -q --workspace
-cargo test -q --offline --manifest-path benchmark/Cargo.toml
-cargo test --release -q -p neo-sync
-cargo test --release -q -p neo-embeddings
+cargo test --locked -q --workspace
+cargo test --locked -q --offline --manifest-path benchmark/Cargo.toml
+cargo test --locked --release -q -p neo-sync
+cargo test --locked --release -q -p neo-embeddings
 # build first so the printed time is the exhaustive check, not rustc
-cargo test --release -q -p neo-tensor --no-run
+cargo test --locked --release -q -p neo-tensor --no-run
 EXHAUSTIVE_T0=$(date +%s%N)
-cargo test --release -q -p neo-tensor -- --ignored f16_bf16_encode_exhaustive
+cargo test --locked --release -q -p neo-tensor -- --ignored f16_bf16_encode_exhaustive
 echo "    f16_bf16_encode_exhaustive: $(( ($(date +%s%N) - EXHAUSTIVE_T0) / 1000000 )) ms"
 
 echo "==> [5/8] sanitize: numeric sanitizer armed"

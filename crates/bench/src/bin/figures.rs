@@ -294,7 +294,6 @@ fn fig10() {
         staleness: 8,
         lr: 0.03,
         seed: 7,
-        dense_sync: Default::default(),
     })
     .unwrap();
     #[expect(

@@ -12,16 +12,13 @@
 //!   categorical indices, Gaussian dense features, and labels drawn from a
 //!   ground-truth teacher so learning curves (normalized entropy, Fig. 10)
 //!   are meaningful.
-//! * [`ops`] — the custom permute / bucketize / replicate kernels that
-//!   redistribute embedding inputs for table-wise, row-wise and column-wise
-//!   sharding.
+//! * [`ops`] — the bucketize kernel that routes a row-wise sharded
+//!   table's indices to its row blocks as shard-local ids.
 //! * [`reader`] — a double-buffered background prefetcher standing in for
 //!   the data-ingestion service, so compute never waits on input;
 //! * [`feed`] — a multi-consumer by-index view over the prefetcher, so
 //!   every simulated-GPU worker thread of the trainer can claim the same
-//!   global batch sequence;
-//! * [`shard`] — checksummed on-disk batch shards, the local stand-in for
-//!   the Tectonic network store the readers stream from.
+//!   global batch sequence.
 
 #![deny(missing_docs)]
 
@@ -29,7 +26,6 @@ pub mod batch;
 pub mod feed;
 pub mod ops;
 pub mod reader;
-pub mod shard;
 pub mod synthetic;
 
 pub use batch::CombinedBatch;

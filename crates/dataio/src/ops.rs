@@ -1,12 +1,9 @@
-//! Input-redistribution kernels (§4.4): permute, bucketize, replicate.
+//! Row-wise input redistribution (§4.4): [`bucketize_rows`].
 //!
-//! After the input AlltoAll, each worker holds every source worker's
-//! sub-batch for its *local* tables, laid out `(W, T, B)`; the fused
-//! embedding kernel wants `(T, W, B)` — [`permute_wtb_to_twb`]. Row-wise
-//! sharded tables additionally need their indices *bucketized* by row range
-//! and rewritten to shard-local ids — [`bucketize_rows`]. Column-wise
-//! sharded tables simply *replicate* the indices to every column shard —
-//! [`replicate_inputs`].
+//! Before the index AlltoAll, a row-wise sharded table's indices are
+//! *bucketized* by row range and rewritten to shard-local ids. Column-wise
+//! shards need no kernel: the trainer sends each one the table's indices
+//! unchanged (§4.2.3's "duplication of the input indices").
 
 use std::fmt;
 
@@ -26,63 +23,6 @@ impl std::error::Error for OpsError {}
 
 fn err(msg: impl Into<String>) -> OpsError {
     OpsError { msg: msg.into() }
-}
-
-/// Permutes a combined sparse buffer from `(W, T, B)` blocks to
-/// `(T, W, B)` blocks.
-///
-/// `lengths` holds `w * t * b` pooling sizes with source-worker-major
-/// layout (`lengths[(wi * t + ti) * b + bi]`); `indices` is the matching
-/// concatenation. The output is table-major: all of table 0 across all
-/// source workers, then table 1, etc. — consumable by one fused kernel pass
-/// per table over the *global* batch.
-///
-/// # Errors
-///
-/// Returns [`OpsError`] if buffer sizes are inconsistent.
-pub fn permute_wtb_to_twb(
-    w: usize,
-    t: usize,
-    b: usize,
-    lengths: &[u32],
-    indices: &[u64],
-) -> Result<(Vec<u32>, Vec<u64>), OpsError> {
-    if lengths.len() != w * t * b {
-        return Err(err(format!(
-            "lengths len {} != W*T*B {}",
-            lengths.len(),
-            w * t * b
-        )));
-    }
-    let total: usize = lengths.iter().map(|&l| l as usize).sum();
-    if total != indices.len() {
-        return Err(err(format!(
-            "lengths sum {total} != indices len {}",
-            indices.len()
-        )));
-    }
-    // offset of each (w, t) block inside `indices`
-    let mut block_offsets = vec![0usize; w * t + 1];
-    for wi in 0..w {
-        for ti in 0..t {
-            let k = wi * t + ti;
-            let block: usize = lengths[k * b..(k + 1) * b]
-                .iter()
-                .map(|&l| l as usize)
-                .sum();
-            block_offsets[k + 1] = block_offsets[k] + block;
-        }
-    }
-    let mut out_lengths = Vec::with_capacity(lengths.len());
-    let mut out_indices = Vec::with_capacity(indices.len());
-    for ti in 0..t {
-        for wi in 0..w {
-            let k = wi * t + ti;
-            out_lengths.extend_from_slice(&lengths[k * b..(k + 1) * b]);
-            out_indices.extend_from_slice(&indices[block_offsets[k]..block_offsets[k + 1]]);
-        }
-    }
-    Ok((out_lengths, out_indices))
 }
 
 /// The result of bucketizing one table's inputs for row-wise sharding.
@@ -175,56 +115,9 @@ pub fn bucketize_rows(
     })
 }
 
-/// Replicates one table's inputs to every column shard (§4.2.3: column-wise
-/// sharding "requires duplication of the input indices").
-#[must_use]
-pub fn replicate_inputs(
-    shards: usize,
-    lengths: &[u32],
-    indices: &[u64],
-) -> Vec<(Vec<u32>, Vec<u64>)> {
-    (0..shards)
-        .map(|_| (lengths.to_vec(), indices.to_vec()))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn permute_roundtrip_shape() {
-        // W=2, T=2, B=1
-        // (w0,t0): len 1 idx [10]; (w0,t1): len 2 idx [20,21]
-        // (w1,t0): len 0;          (w1,t1): len 1 idx [30]
-        let lengths = vec![1, 2, 0, 1];
-        let indices = vec![10, 20, 21, 30];
-        let (pl, pi) = permute_wtb_to_twb(2, 2, 1, &lengths, &indices).unwrap();
-        // (t0,w0), (t0,w1), (t1,w0), (t1,w1)
-        assert_eq!(pl, vec![1, 0, 2, 1]);
-        assert_eq!(pi, vec![10, 20, 21, 30]);
-    }
-
-    #[test]
-    fn permute_preserves_multiset() {
-        let w = 3;
-        let t = 2;
-        let b = 4;
-        let lengths: Vec<u32> = (0..w * t * b).map(|k| (k % 3) as u32).collect();
-        let total: usize = lengths.iter().map(|&l| l as usize).sum();
-        let indices: Vec<u64> = (0..total as u64).collect();
-        let (pl, pi) = permute_wtb_to_twb(w, t, b, &lengths, &indices).unwrap();
-        assert_eq!(pl.iter().map(|&l| l as usize).sum::<usize>(), total);
-        let mut sorted = pi.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, indices);
-    }
-
-    #[test]
-    fn permute_validates() {
-        assert!(permute_wtb_to_twb(2, 2, 2, &[1; 4], &[0; 4]).is_err());
-        assert!(permute_wtb_to_twb(1, 1, 1, &[2], &[0]).is_err());
-    }
 
     #[test]
     fn bucketize_routes_by_block() {
@@ -265,15 +158,5 @@ mod tests {
         assert_eq!(row_block_size(10, 3), 4);
         assert_eq!(row_block_size(8, 4), 2);
         assert_eq!(row_block_size(1, 4), 1);
-    }
-
-    #[test]
-    fn replicate_clones_for_each_shard() {
-        let reps = replicate_inputs(3, &[1, 2], &[5, 6, 7]);
-        assert_eq!(reps.len(), 3);
-        for (l, i) in reps {
-            assert_eq!(l, vec![1, 2]);
-            assert_eq!(i, vec![5, 6, 7]);
-        }
     }
 }

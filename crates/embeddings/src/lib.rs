@@ -15,8 +15,6 @@
 //!   50%-state-saving variant of §4.1.4) and Adam. [`optim::fused_update`]
 //!   goes from the pooled gradient to the updated rows in one sorted
 //!   sweep.
-//! * [`ttrec`] — Tensor-Train compressed tables (TT-Rec, §4.1.4), a
-//!   factorized storage format with full gradient support.
 //!
 //! # Example
 //!
@@ -40,7 +38,6 @@ pub mod optim;
 mod radix;
 pub mod store;
 pub mod tiered;
-pub mod ttrec;
 
 pub use bag::SparseGrad;
 pub use optim::{

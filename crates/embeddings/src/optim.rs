@@ -389,7 +389,7 @@ pub trait SparseOptimizer: Send {
     /// Human-readable optimizer name.
     fn name(&self) -> &'static str;
 
-    /// Updates the learning rate (for warmup/decay schedules).
+    /// Updates the learning rate (no trainer path varies it).
     fn set_lr(&mut self, lr: f32);
 }
 

@@ -319,7 +319,7 @@ impl SetAssocCache {
     }
 
     /// Drains every dirty line (clearing its dirty bit) so the caller can
-    /// flush them to the backing store — used at checkpoint boundaries.
+    /// flush them to the backing store (a tiered table's `flush`).
     pub fn drain_dirty(&mut self) -> Vec<Evicted> {
         let mut out = Vec::new();
         for lines in &mut self.sets {

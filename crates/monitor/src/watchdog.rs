@@ -17,7 +17,12 @@
 //!   it would name the wrong rank.
 //! - **Hang** — every quiet slot is exchanging, so no victim is in sight:
 //!   the missing party never posted at all, or its slot stopped
-//!   publishing. The slot that fell silent first is blamed, once.
+//!   publishing. The slot that fell silent first is blamed, once. A
+//!   waiter is excused while a peer may still be its victim: one that
+//!   went quiet outside an exchange within a deadline of the waiter's
+//!   last beat (it turns stale a deadline later at most, or beats), or
+//!   one whose Stall episode closed less than a deadline ago, after the
+//!   waiter's last beat (the waiter is still waking from the exchange).
 //! - **Straggler** — one rank's p95 iteration time is more than
 //!   `straggler_skew` times the mean p95 of the *other* ranks (exact
 //!   order statistics via [`neo_telemetry::stats`], the same kernel
@@ -53,6 +58,8 @@ pub struct Watchdog {
     /// Open alert episodes: `(kind, rank, lane, beats-at-alert)`. Cleared
     /// when the slot beats again.
     episodes: Vec<(&'static str, u32, u32, u64)>,
+    /// When the latest Stall episode closed (sink-relative ns).
+    stall_closed_ns: Option<u64>,
     /// Ranks already flagged as stragglers (once per run).
     straggler_fired: Vec<u32>,
     /// Last seen 1-based iteration count per lane-0 rank.
@@ -67,6 +74,7 @@ impl Watchdog {
         Self {
             cfg,
             episodes: Vec::new(),
+            stall_closed_ns: None,
             straggler_fired: Vec::new(),
             iter_seen: Vec::new(),
             iter_durs: Vec::new(),
@@ -108,12 +116,31 @@ impl Watchdog {
         let stale =
             |s: &HeartbeatSample| s.beats > 0 && s.mid_work() && s.quiet_ns(now_ns) > deadline_ns;
         // Close episodes whose slot beat again (or is no longer listed).
-        self.episodes.retain(|(_, rank, lane, beats)| {
-            samples
+        let mut stall_closed = false;
+        self.episodes.retain(|(kind, rank, lane, beats)| {
+            let open = samples
                 .iter()
                 .find(|s| s.rank == *rank && s.lane == *lane)
-                .is_some_and(|s| s.beats == *beats && stale(s))
+                .is_some_and(|s| s.beats == *beats && stale(s));
+            stall_closed |= !open && *kind == "stall";
+            open
         });
+        if stall_closed {
+            self.stall_closed_ns = Some(now_ns);
+        }
+        // a waiter is excused while a peer may still be its victim
+        let closed = self.stall_closed_ns;
+        let excused = |w: &HeartbeatSample| {
+            let parking = samples.iter().any(|v| {
+                v.beats > 0
+                    && v.mid_work()
+                    && v.state != HeartbeatState::Exchange
+                    && v.last_beat_ns < w.last_beat_ns.saturating_add(deadline_ns)
+            });
+            let waking = closed
+                .is_some_and(|c| w.last_beat_ns < c && now_ns.saturating_sub(c) <= deadline_ns);
+            parking || waking
+        };
 
         let (waiting, stuck): (Vec<&HeartbeatSample>, Vec<&HeartbeatSample>) = samples
             .iter()
@@ -124,7 +151,10 @@ impl Watchdog {
             self.raise(&mut out, "stall", s, now_ns);
         }
         // no victim in sight: blame the slot that fell silent first
-        let oldest = waiting.iter().min_by_key(|s| (s.last_beat_ns, s.rank));
+        let oldest = waiting
+            .iter()
+            .filter(|s| !excused(s))
+            .min_by_key(|s| (s.last_beat_ns, s.rank));
         if let Some(oldest) = oldest.filter(|_| stuck.is_empty()) {
             self.raise(&mut out, "hang", oldest, now_ns);
         }
@@ -351,6 +381,52 @@ mod tests {
                 [HealthEvent::Hang {
                     rank: 0,
                     lane: 0,
+                    ..
+                }]
+            ),
+            "{events:?}"
+        );
+    }
+
+    #[test]
+    fn waiter_on_a_parked_peer_is_not_a_hang_until_a_deadline_passes() {
+        let mut wd = Watchdog::new(cfg());
+        // rank 0 arrives at the exchange at 150 ms; rank 1 posts at 159 ms
+        // and parks short of it
+        let parked = vec![
+            slot(0, 0, HeartbeatState::Exchange, 5, 150 * MS),
+            slot(1, 0, HeartbeatState::InSpan, 5, 159 * MS),
+        ];
+        // rank 0 crosses the deadline first, but rank 1 may be its victim
+        let events = wd.observe(&parked, 251 * MS);
+        assert!(events.is_empty(), "{events:?}");
+        // rank 1 crosses it too: only rank 1 is blamed
+        let events = wd.observe(&parked, 260 * MS);
+        assert!(
+            matches!(events.as_slice(), [HealthEvent::Stall { rank: 1, .. }]),
+            "{events:?}"
+        );
+        // rank 1 resumed and beats; rank 0, quiet for 1,203 ms, is still
+        // waking from the exchange: no event
+        let released = vec![
+            slot(0, 0, HeartbeatState::Exchange, 5, 150 * MS),
+            slot(1, 0, HeartbeatState::Iterating, 9, 1350 * MS),
+        ];
+        let events = wd.observe(&released, 1353 * MS);
+        assert!(events.is_empty(), "{events:?}");
+        // one deadline after the close rank 0 is still quiet: a hang
+        let still = vec![
+            slot(0, 0, HeartbeatState::Exchange, 5, 150 * MS),
+            slot(1, 0, HeartbeatState::Iterating, 12, 1450 * MS),
+        ];
+        let events = wd.observe(&still, 1454 * MS);
+        assert!(
+            matches!(
+                events.as_slice(),
+                [HealthEvent::Hang {
+                    rank: 0,
+                    lane: 0,
+                    quiet_ms: 1304,
                     ..
                 }]
             ),

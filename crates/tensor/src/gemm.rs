@@ -2,13 +2,13 @@
 //! back-propagation: one register-tiled microkernel over packed panels.
 //!
 //! The original system delegates these to cuBLAS (`GemmEx`). Here all three
-//! products — `A·B`, `Aᵀ·B`, `A·Bᵀ` — run through [`micro`], the only
+//! products — `A·B`, `Aᵀ·B`, `A·Bᵀ` — run through `micro`, the only
 //! function that multiplies and accumulates: it keeps an `MR x NR` output
 //! tile in registers for the whole reduction and adds one product per
 //! reduction step. **Every output element is therefore the left-to-right
 //! `f32` sum over the reduction index — bitwise the naive triple loop**,
 //! which is the definition the tests compare against with `==`. The
-//! variants differ only in how [`pack_rows`]/[`pack_cols`] lay the operands
+//! variants differ only in how `pack_rows`/`pack_cols` lay the operands
 //! out as `k x MR` and `k x NR` panels (zero-padded at the edges; padded
 //! lanes are computed and dropped, so padding can neither leak a NaN into
 //! nor hide one from a real output).

@@ -159,7 +159,7 @@ impl MlpConfig {
     }
 
     /// Forward flops per sample (2·in·out per layer, matching
-    /// [`gemm::gemm_flops`] with batch 1).
+    /// [`crate::gemm::gemm_flops`] with batch 1).
     pub fn flops_per_sample(&self) -> u64 {
         let mut flops = 0u64;
         let mut prev = self.input_dim as u64;
@@ -379,8 +379,8 @@ impl Mlp {
         &self.params
     }
 
-    /// Every parameter, for writing (checkpoint load, the parameter-server
-    /// baseline's stale snapshots).
+    /// Every parameter, for writing (the parameter-server baseline's stale
+    /// snapshots).
     pub fn params_mut(&mut self) -> &mut [f32] {
         &mut self.params
     }

@@ -29,7 +29,7 @@ pub trait DenseOptimizer: Send {
     /// Optimizer name for reports.
     fn name(&self) -> &'static str;
 
-    /// Updates the learning rate (for warmup/decay schedules).
+    /// Updates the learning rate (no trainer path varies it).
     fn set_lr(&mut self, lr: f32);
 }
 

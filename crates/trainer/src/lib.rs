@@ -13,15 +13,12 @@
 //! * [`init`] — position-deterministic parameter initialization, so a
 //!   sharded table holds bit-identical values to the single-device
 //!   reference regardless of how it is partitioned.
-//! * [`checkpoint`] — model serialization (the Check-N-Run-style service of
-//!   §4.4 reduced to its core mechanism).
 
 #![deny(missing_docs)]
 
-pub mod checkpoint;
 pub mod init;
 pub mod ps;
 pub mod sync;
 
-pub use ps::{DenseSync, PsConfig, PsTrainer};
+pub use ps::{PsConfig, PsTrainer};
 pub use sync::{DenseOpt, SparseOpt, SyncConfig, SyncTrainer, TrainOutput};

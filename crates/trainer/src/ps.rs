@@ -2,7 +2,8 @@
 //!
 //! The pre-ZionEX production system trained DLRMs on CPU with a
 //! disaggregated PS: dense parameters synchronized loosely (elastic
-//! averaging), embedding rows updated Hogwild-style without coordination,
+//! averaging in production, Downpour-style gradient pushes here),
+//! embedding rows updated Hogwild-style without coordination,
 //! and many trainers consuming *small* batches concurrently. Its defining
 //! statistical property is **staleness**: a trainer computes gradients
 //! against parameters that are several updates old.
@@ -23,22 +24,6 @@ use neo_tensor::Tensor2;
 use crate::init::reference_model;
 use crate::sync::SyncError;
 
-/// How trainers synchronize dense parameters with the PS.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum DenseSync {
-    /// Downpour-style: trainers push gradients computed against stale
-    /// snapshots straight into the PS parameters.
-    #[default]
-    Downpour,
-    /// Elastic Averaging SGD ([Zhang et al. 2015], the method §2 names):
-    /// each trainer descends its *own* replica and periodically exchanges
-    /// an elastic pull of strength `alpha` with the PS center.
-    Easgd {
-        /// Elastic moving rate per exchange (typically 0.2–0.5).
-        alpha: f32,
-    },
-}
-
 /// Parameter-server baseline configuration.
 #[derive(Debug, Clone)]
 pub struct PsConfig {
@@ -57,8 +42,6 @@ pub struct PsConfig {
     pub lr: f32,
     /// Parameter-init seed (matches the sync trainer's for comparisons).
     pub seed: u64,
-    /// Dense synchronization protocol.
-    pub dense_sync: DenseSync,
 }
 
 /// The async PS trainer.
@@ -77,7 +60,6 @@ pub struct PsConfig {
 ///     staleness: 4,
 ///     lr: 0.05,
 ///     seed: 1,
-///     dense_sync: Default::default(),
 /// };
 /// let ds = SyntheticDataset::new(SyntheticConfig::uniform(2, 64, 3, 4)).unwrap();
 /// let mut t = PsTrainer::new(cfg).unwrap();
@@ -179,7 +161,7 @@ impl PsTrainer {
         // restored around the gradient computation, so the *gradient* is
         // computed against the trainer's own (stale) weights exactly as in
         // the real system
-        let mut center = dense_params(&self.ps);
+        let center = dense_params(&self.ps);
         set_dense(&mut self.ps, &self.snapshots[trainer].0);
 
         let logits = self
@@ -193,35 +175,13 @@ impl PsTrainer {
             .backward(&grad)
             .map_err(|e| SyncError::msg(e.to_string()))?;
 
-        match self.cfg.dense_sync {
-            DenseSync::Downpour => {
-                // push the gradient into the PS center
-                set_dense(&mut self.ps, &center);
-                self.ps.dense_sgd_step(self.cfg.lr);
-                self.snapshots[trainer].1 += 1;
-                if self.snapshots[trainer].1 >= self.cfg.staleness.max(1) {
-                    self.snapshots[trainer] = (dense_params(&self.ps), 0);
-                }
-            }
-            DenseSync::Easgd { alpha } => {
-                // local descent on the trainer's own replica
-                self.ps.dense_sgd_step(self.cfg.lr);
-                let mut local = dense_params(&self.ps);
-                self.snapshots[trainer].1 += 1;
-                if self.snapshots[trainer].1 >= self.cfg.staleness.max(1) {
-                    // elastic exchange: the replica and the center pull
-                    // toward each other with strength alpha
-                    for (x, c) in local.iter_mut().zip(center.iter_mut()) {
-                        let diff = *x - *c;
-                        *x -= alpha * diff;
-                        *c += alpha * diff;
-                    }
-                    self.snapshots[trainer].1 = 0;
-                }
-                self.snapshots[trainer].0 = local;
-                // restore the (possibly elastically moved) center to the PS
-                set_dense(&mut self.ps, &center);
-            }
+        // Downpour: the gradient, computed against the stale snapshot, is
+        // pushed straight into the PS center
+        set_dense(&mut self.ps, &center);
+        self.ps.dense_sgd_step(self.cfg.lr);
+        self.snapshots[trainer].1 += 1;
+        if self.snapshots[trainer].1 >= self.cfg.staleness.max(1) {
+            self.snapshots[trainer] = (dense_params(&self.ps), 0);
         }
 
         // sparse: Hogwild — apply immediately to the shared tables
@@ -291,7 +251,6 @@ mod tests {
             staleness,
             lr: 0.05,
             seed: 11,
-            dense_sync: Default::default(),
         };
         let ds = SyntheticDataset::new(SyntheticConfig::uniform(3, 100, 3, 4)).unwrap();
         (PsTrainer::new(cfg).unwrap(), ds)
@@ -360,82 +319,7 @@ mod tests {
             staleness: 1,
             lr: 0.1,
             seed: 0,
-            dense_sync: Default::default(),
         };
         assert!(PsTrainer::new(cfg).is_err());
-    }
-}
-
-#[cfg(test)]
-mod easgd_tests {
-    use super::*;
-    use neo_dataio::SyntheticConfig;
-
-    fn setup(sync: DenseSync) -> (PsTrainer, SyntheticDataset) {
-        let cfg = PsConfig {
-            model: DlrmConfig::tiny(3, 100, 8),
-            num_trainers: 4,
-            batch_size: 16,
-            staleness: 4,
-            lr: 0.05,
-            seed: 11,
-            dense_sync: sync,
-        };
-        let ds = SyntheticDataset::new(SyntheticConfig::uniform(3, 100, 3, 4)).unwrap();
-        (PsTrainer::new(cfg).unwrap(), ds)
-    }
-
-    #[test]
-    fn easgd_learns() {
-        let (mut t, ds) = setup(DenseSync::Easgd { alpha: 0.3 });
-        let eval: Vec<_> = (1000..1004).map(|k| ds.batch(16, k)).collect();
-        let before = t.evaluate(&eval).unwrap();
-        t.train(&ds, 600, &[]).unwrap();
-        let after = t.evaluate(&eval).unwrap();
-        assert!(after < before - 0.005, "EASGD NE {before:.4} -> {after:.4}");
-    }
-
-    #[test]
-    fn easgd_center_tracks_replicas() {
-        // after training, the center must sit close to every replica
-        // (the elastic force keeps them from diverging)
-        let (mut t, ds) = setup(DenseSync::Easgd { alpha: 0.4 });
-        t.train(&ds, 200, &[]).unwrap();
-        let center = dense_params(&t.ps);
-        for (replica, _) in &t.snapshots {
-            let max_diff = replica
-                .iter()
-                .zip(&center)
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0f32, f32::max);
-            assert!(max_diff < 0.5, "replica within elastic reach: {max_diff}");
-        }
-    }
-
-    #[test]
-    fn easgd_deterministic() {
-        let run = || {
-            let (mut t, ds) = setup(DenseSync::Easgd { alpha: 0.3 });
-            t.train(&ds, 80, &[]).unwrap();
-            t.probe(&ds.batch(16, 4242)).unwrap()
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn modes_actually_differ() {
-        let probe = {
-            let (_, ds) = setup(DenseSync::Downpour);
-            ds.batch(16, 31)
-        };
-        let run = |sync| {
-            let (mut t, ds) = setup(sync);
-            t.train(&ds, 60, &[]).unwrap();
-            t.probe(&probe).unwrap()
-        };
-        assert_ne!(
-            run(DenseSync::Downpour),
-            run(DenseSync::Easgd { alpha: 0.3 })
-        );
     }
 }

@@ -68,38 +68,6 @@ pub enum DenseOpt {
     Lamb,
 }
 
-/// Per-iteration learning-rate schedule: linear warmup to the base LR,
-/// then optional exponential decay — the standard production DLRM recipe
-/// behind §5.3.2's "appropriately tuned optimizer/hyper-parameters".
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LrSchedule {
-    /// Iterations of linear warmup from ~0 to the base LR (0 = none).
-    pub warmup_iters: u64,
-    /// Multiplicative decay applied each post-warmup iteration (1.0 = none).
-    pub decay_per_iter: f32,
-}
-
-impl Default for LrSchedule {
-    fn default() -> Self {
-        Self {
-            warmup_iters: 0,
-            decay_per_iter: 1.0,
-        }
-    }
-}
-
-impl LrSchedule {
-    /// The LR for iteration `iter` (0-based) given a base rate.
-    #[must_use]
-    pub fn lr_at(&self, base: f32, iter: u64) -> f32 {
-        if iter < self.warmup_iters {
-            base * (iter + 1) as f32 / self.warmup_iters as f32
-        } else {
-            base * self.decay_per_iter.powi((iter - self.warmup_iters) as i32)
-        }
-    }
-}
-
 /// Trainer configuration.
 #[derive(Debug, Clone)]
 pub struct SyncConfig {
@@ -129,8 +97,6 @@ pub struct SyncConfig {
     /// Gather the trained model to a single [`neo_dlrm_model::DlrmModel`]
     /// after training (the publish-for-inference path).
     pub gather_final_model: bool,
-    /// Learning-rate schedule applied on top of [`SyncConfig::lr`].
-    pub lr_schedule: LrSchedule,
     /// Telemetry sink threaded through every rank's worker and
     /// communicator. The default ([`TelemetrySink::disabled`]) records
     /// nothing and adds no timing syscalls to the hot path; arm it with
@@ -183,7 +149,6 @@ impl SyncConfig {
             dense_optimizer: DenseOpt::Sgd,
             fp16_embeddings: false,
             gather_final_model: false,
-            lr_schedule: LrSchedule::default(),
             telemetry: TelemetrySink::disabled(),
             overlap: false,
             comm_delay: None,

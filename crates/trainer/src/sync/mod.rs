@@ -68,7 +68,7 @@ mod forward;
 mod gather;
 mod shard;
 
-pub use config::{DenseOpt, LrSchedule, SparseOpt, SyncConfig, SyncError, TrainOutput};
+pub use config::{DenseOpt, SparseOpt, SyncConfig, SyncError, TrainOutput};
 pub use driver::SyncTrainer;
 
 #[cfg(test)]

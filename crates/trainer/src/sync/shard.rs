@@ -296,12 +296,4 @@ impl Worker {
         };
         self.shards.iter_mut().filter_map(harvest).collect()
     }
-
-    pub(super) fn set_lr(&mut self, lr: f32) {
-        self.bottom_opt.set_lr(lr);
-        self.top_opt.set_lr(lr);
-        for sh in &mut self.shards {
-            sh.opt.set_lr(lr);
-        }
-    }
 }

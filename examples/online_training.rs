@@ -110,6 +110,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for t in &mut tables {
         t.flush();
     }
-    println!("flushed caches — model ready to checkpoint");
+    println!("flushed caches — every updated row is in the backing store");
     Ok(())
 }

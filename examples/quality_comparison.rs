@@ -24,7 +24,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         staleness: 8,
         lr: 0.03,
         seed: 7,
-        dense_sync: Default::default(),
     })?;
     println!("async parameter server (B=16, staleness 8):");
     for (samples, ne) in ps.train(&ds, 2048, &eval)?.iter().step_by(2) {

@@ -263,7 +263,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::Range;
 
-    /// Element counts accepted by [`vec`]: a fixed `usize` or a range.
+    /// Element counts accepted by [`vec()`]: a fixed `usize` or a range.
     pub trait IntoLen {
         /// Picks the length for one generated collection.
         fn pick(&self, rng: &mut TestRng) -> usize;
@@ -282,7 +282,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S, L> {
         elem: S,

@@ -90,7 +90,6 @@ fn sync_large_batch_quality_on_par_with_async_small_batch() {
         staleness: 8,
         lr: 0.03,
         seed: 5,
-        dense_sync: Default::default(),
     })
     .unwrap();
     ps.train(&ds, budget / 16, &[]).unwrap();
@@ -155,60 +154,5 @@ fn hierarchical_plan_trains_end_to_end() {
     assert!(
         last_epoch < first_epoch,
         "row-wise hierarchical training learns: {first_epoch:.4} -> {last_epoch:.4}"
-    );
-}
-
-#[test]
-fn tt_compressed_tables_train_in_the_model() {
-    // TT-Rec (§4.1.4) as drop-in storage: swap a dense table for a
-    // tensor-train factorized one and keep training
-    use neo_dlrm::dlrm::bce_with_logits;
-    use neo_dlrm::embeddings::ttrec::{TtRecTable, TtShape};
-    use neo_dlrm::embeddings::{SparseOptimizer, SparseSgd};
-    use neo_dlrm::trainer::init::reference_model;
-    use rand::SeedableRng;
-
-    let cfg = DlrmConfig::tiny(3, 256, 8); // 256 = 16*16 rows, 8 = 2*4 dims
-    let mut model = reference_model(&cfg, 3).unwrap();
-    let shape = TtShape {
-        h1: 16,
-        h2: 16,
-        d1: 2,
-        d2: 4,
-        rank: 4,
-    };
-    let mut rng = rand::rngs::StdRng::seed_from_u64(8);
-    let tt = TtRecTable::random(shape, &mut rng)
-        .unwrap()
-        .with_write_lr(0.5);
-    let dense_bytes = 256 * 8 * 4;
-    assert!(
-        tt.shape().compressed_params() * 4 < dense_bytes / 2,
-        "compressed"
-    );
-    model.tables[1] = Box::new(tt);
-
-    let ds = SyntheticDataset::new(SyntheticConfig::uniform(3, 256, 3, 4)).unwrap();
-    let mut opts: Vec<SparseSgd> = (0..3).map(|_| SparseSgd::new(0.05)).collect();
-    let eval = ds.batch(128, 999);
-    let loss_of = |m: &mut neo_dlrm::dlrm::DlrmModel| {
-        let logits = m.forward_inference(&eval).unwrap();
-        bce_with_logits(&logits, &eval.labels).unwrap().0
-    };
-    let before = loss_of(&mut model);
-    for k in 0..40 {
-        let b = ds.batch(64, k);
-        let logits = model.forward(&b).unwrap();
-        let (_, g) = bce_with_logits(&logits, &b.labels).unwrap();
-        let sparse = model.backward(&g).unwrap();
-        model.dense_sgd_step(0.05);
-        for (opt, (table, sg)) in opts.iter_mut().zip(model.tables.iter_mut().zip(&sparse)) {
-            opt.step(table.as_mut(), sg);
-        }
-    }
-    let after = loss_of(&mut model);
-    assert!(
-        after < before,
-        "TT tables keep learning: {before:.4} -> {after:.4}"
     );
 }

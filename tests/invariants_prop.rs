@@ -1,7 +1,7 @@
 //! Property-based cross-crate invariants.
 
 use neo_dlrm::collectives::ProcessGroup;
-use neo_dlrm::dataio::ops::{bucketize_rows, permute_wtb_to_twb, row_block_size};
+use neo_dlrm::dataio::ops::{bucketize_rows, row_block_size};
 use neo_dlrm::dataio::CombinedBatch;
 use neo_dlrm::embeddings::bag::SparseGrad;
 use neo_dlrm::embeddings::optim::merge_grads;
@@ -115,22 +115,6 @@ proptest! {
             let held: Vec<u64> = local.iter().map(|&l| s.row_off + l).collect();
             prop_assert_eq!(held, (s.row_off..s.row_off + s.rows).collect::<Vec<_>>());
         }
-    }
-
-    /// permute preserves the index multiset and total lengths.
-    #[test]
-    fn permute_preserves_content(w in 1usize..4, t in 1usize..4, b in 1usize..4) {
-        let lengths: Vec<u32> = (0..w * t * b).map(|k| (k % 3) as u32).collect();
-        let total: usize = lengths.iter().map(|&l| l as usize).sum();
-        let indices: Vec<u64> = (0..total as u64).collect();
-        let (pl, pi) = permute_wtb_to_twb(w, t, b, &lengths, &indices).unwrap();
-        prop_assert_eq!(
-            pl.iter().map(|&l| l as usize).sum::<usize>(),
-            total
-        );
-        let mut sorted = pi.clone();
-        sorted.sort_unstable();
-        prop_assert_eq!(sorted, indices);
     }
 
     /// merged sparse gradients preserve the per-row gradient sum.
