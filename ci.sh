@@ -46,10 +46,12 @@
 #   5. sanitizer tests   (numeric sanitizer armed via --features sanitize
 #                         on every crate that has or forwards the feature)
 #   6. artifacts         (one quickstart --telemetry --monitor --workload
-#                         run; neo-xtask check validates the summary, the
-#                         Chrome trace, the monitor event log + exposition,
-#                         and the workload profile, dispatching on each
-#                         file's schema tag)
+#                         run, and one --overlap --comm-delay --telemetry
+#                         run whose posted collectives' in-flight spans
+#                         must nest per lane; neo-xtask check validates
+#                         both summaries and Chrome traces, the monitor
+#                         event log + exposition, and the workload
+#                         profile, dispatching on each file's schema tag)
 #   7. overhead gate     (live-monitor and workload-profiler budgets: 12
 #                         interleaved off/on training pairs per arm, every
 #                         pair and min/quartiles/median printed; fails when
@@ -117,12 +119,15 @@ echo "==> [5/8] sanitize: numeric sanitizer armed"
 cargo test -q -p neo-tensor -p neo-embeddings -p neo-collectives -p neo-dataio \
     -p neo-trainer -p neo-dlrm --features sanitize
 
-echo "==> [6/8] artifacts: quickstart --telemetry --monitor --workload + neo-xtask check"
+echo "==> [6/8] artifacts: quickstart serial and overlapped runs + neo-xtask check"
 ARTIFACTS="$(mktemp -d)"
 cargo run -q --release --example quickstart -- --telemetry "$ARTIFACTS/telemetry.json" \
     --monitor "$ARTIFACTS/monitor.jsonl" --workload "$ARTIFACTS/workload.json" >/dev/null
+cargo run -q --release --example quickstart -- --overlap --comm-delay \
+    --telemetry "$ARTIFACTS/overlap.json" >/dev/null
 cargo run -q -p neo-xtask -- check "$ARTIFACTS/telemetry.json" \
-    "$ARTIFACTS/telemetry.trace.json" "$ARTIFACTS/monitor.jsonl" "$ARTIFACTS/workload.json"
+    "$ARTIFACTS/telemetry.trace.json" "$ARTIFACTS/monitor.jsonl" "$ARTIFACTS/workload.json" \
+    "$ARTIFACTS/overlap.json" "$ARTIFACTS/overlap.trace.json"
 rm -rf "$ARTIFACTS"
 
 echo "==> [7/8] overhead: monitor + workload-profiler budgets (min of 12 pairs <= 3%)"

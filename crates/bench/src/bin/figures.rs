@@ -764,7 +764,6 @@ fn timeline_block() {
             Some(Resource::Compute) => "#",
             Some(Resource::Memory) => "=",
             Some(Resource::Network) => "~",
-            Some(Resource::CommLane) => "+",
             None => "?",
         };
         let start = (s.start * scale) as usize;

@@ -1,17 +1,18 @@
 //! Rolling JSONL event log + Prometheus-style text exposition.
 //!
 //! Frame/event schema (one compact JSON object per line, built as a
-//! [`Json`] tree and printed by its one writer; schema version `"v": 1`):
+//! [`Json`] tree and printed by its one writer; schema version `"v": 2`,
+//! [`SCHEMA_VERSION`]):
 //!
 //! ```json
-//! {"v":1,"kind":"frame","frame":0,"t_ns":12345,
-//!  "heartbeats":[{"rank":0,"lane":0,"iter":5,"state":"span",
+//! {"v":2,"kind":"frame","frame":0,"t_ns":12345,
+//!  "heartbeats":[{"rank":0,"iter":5,"state":"span",
 //!                 "phase":"emb_lookup","beats":42,"last_beat_ns":12000,
 //!                 "last_iter_ns":900000}],
 //!  "counters":{"emb.lookup.rows":4096},
 //!  "gauges":{"train.loss":[4,0.69]}}
-//! {"v":1,"kind":"event","t_ns":99999,"event":"stall","rank":2,"lane":0,
-//!  "iter":7,"phase":"allreduce_top","quiet_ms":260}
+//! {"v":2,"kind":"event","t_ns":99999,"event":"stall","rank":2,"iter":7,
+//!  "phase":"allreduce_top","quiet_ms":260}
 //! ```
 //!
 //! When the log grows past the configured byte budget it rolls once:
@@ -22,7 +23,7 @@
 //! The exposition file (`<path with .prom extension>`) is written once at
 //! the final scrape: `neo_`-prefixed names with dots mapped to
 //! underscores, counters and gauges typed, heartbeat progress labeled by
-//! rank/lane.
+//! rank.
 
 use crate::HealthEvent;
 use neo_telemetry::json::Json;
@@ -31,8 +32,9 @@ use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// Schema version stamped on every JSONL line.
-pub const SCHEMA_VERSION: u64 = 1;
+/// Schema version stamped on every JSONL line; `neo-xtask check` rejects
+/// any other. Since version 2 heartbeats and events name a rank only.
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// Serialize one telemetry frame as a JSONL line (no trailing newline).
 pub fn frame_json(
@@ -44,7 +46,6 @@ pub fn frame_json(
     let heartbeats = heartbeats.iter().map(|h| {
         Json::object([
             ("rank", h.rank.into()),
-            ("lane", h.lane.into()),
             ("iter", h.iter.into()),
             ("state", h.state.name().into()),
             ("phase", h.phase.into()),
@@ -81,27 +82,18 @@ pub fn event_json(t_ns: u64, event: &HealthEvent) -> String {
     ];
     members.extend(match *event {
         HealthEvent::Stall {
-            lane,
             iter,
             phase,
             quiet_ms,
             ..
         } => vec![
-            ("lane", lane.into()),
             ("iter", iter.into()),
             ("phase", phase.into()),
             ("quiet_ms", quiet_ms.into()),
         ],
-        HealthEvent::Hang {
-            lane,
-            iter,
-            quiet_ms,
-            ..
-        } => vec![
-            ("lane", lane.into()),
-            ("iter", iter.into()),
-            ("quiet_ms", quiet_ms.into()),
-        ],
+        HealthEvent::Hang { iter, quiet_ms, .. } => {
+            vec![("iter", iter.into()), ("quiet_ms", quiet_ms.into())]
+        }
         HealthEvent::Straggler {
             p95_ms,
             mean_p95_ms,
@@ -163,15 +155,15 @@ pub fn exposition(heartbeats: &[HeartbeatSample], metrics: &MetricsSample) -> St
         out.push_str("# TYPE neo_heartbeat_iterations counter\n");
         for h in heartbeats {
             out.push_str(&format!(
-                "neo_heartbeat_iterations{{rank=\"{}\",lane=\"{}\"}} {}\n",
-                h.rank, h.lane, h.iter
+                "neo_heartbeat_iterations{{rank=\"{}\"}} {}\n",
+                h.rank, h.iter
             ));
         }
         out.push_str("# TYPE neo_heartbeat_beats counter\n");
         for h in heartbeats {
             out.push_str(&format!(
-                "neo_heartbeat_beats{{rank=\"{}\",lane=\"{}\"}} {}\n",
-                h.rank, h.lane, h.beats
+                "neo_heartbeat_beats{{rank=\"{}\"}} {}\n",
+                h.rank, h.beats
             ));
         }
     }
@@ -280,10 +272,9 @@ mod tests {
     use neo_telemetry::json;
     use neo_telemetry::HeartbeatState;
 
-    fn hb(rank: u32, lane: u32) -> HeartbeatSample {
+    fn hb(rank: u32) -> HeartbeatSample {
         HeartbeatSample {
             rank,
-            lane,
             iter: 5,
             state: HeartbeatState::InSpan,
             phase: Some(neo_telemetry::Phase::EmbLookup),
@@ -299,9 +290,12 @@ mod tests {
             counters: vec![("emb.lookup.rows".to_string(), 4096)],
             gauges: vec![("train.loss".to_string(), 4, 0.69)],
         };
-        let line = frame_json(3, 777, &[hb(0, 0), hb(1, 1)], &metrics);
+        let line = frame_json(3, 777, &[hb(0), hb(1)], &metrics);
         let doc = json::parse(&line).unwrap_or(Json::Null);
-        assert_eq!(doc.get("v").and_then(Json::as_f64), Some(1.0));
+        assert_eq!(
+            doc.get("v").and_then(Json::as_f64),
+            Some(SCHEMA_VERSION as f64)
+        );
         assert_eq!(doc.get("kind").and_then(Json::as_str), Some("frame"));
         assert_eq!(doc.get("frame").and_then(Json::as_f64), Some(3.0));
         let hbs = doc.get("heartbeats").and_then(Json::as_array);
@@ -328,7 +322,6 @@ mod tests {
     fn event_json_round_trips_each_variant() {
         let stall = HealthEvent::Stall {
             rank: 2,
-            lane: 1,
             iter: 7,
             phase: Some(neo_telemetry::Phase::AllreduceTop),
             quiet_ms: 260,
@@ -336,14 +329,13 @@ mod tests {
         let doc = json::parse(&event_json(5, &stall)).unwrap_or(Json::Null);
         assert_eq!(doc.get("event").and_then(Json::as_str), Some("stall"));
         assert_eq!(doc.get("rank").and_then(Json::as_f64), Some(2.0));
-        assert_eq!(doc.get("lane").and_then(Json::as_f64), Some(1.0));
+        assert_eq!(doc.get("iter").and_then(Json::as_f64), Some(7.0));
         assert_eq!(
             doc.get("phase").and_then(Json::as_str),
             Some("allreduce_top")
         );
         let hang = HealthEvent::Hang {
             rank: 0,
-            lane: 1,
             iter: 3,
             quiet_ms: 500,
         };
@@ -366,12 +358,12 @@ mod tests {
             counters: vec![("monitor.samples".to_string(), 12)],
             gauges: vec![("train.loss".to_string(), 4, 0.5)],
         };
-        let text = exposition(&[hb(1, 1)], &metrics);
+        let text = exposition(&[hb(1)], &metrics);
         assert!(text.contains("# TYPE neo_monitor_samples counter\n"));
         assert!(text.contains("neo_monitor_samples 12\n"));
         assert!(text.contains("# TYPE neo_train_loss gauge\n"));
         assert!(text.contains("neo_train_loss 0.5\n"));
-        assert!(text.contains("neo_heartbeat_iterations{rank=\"1\",lane=\"1\"} 5\n"));
+        assert!(text.contains("neo_heartbeat_iterations{rank=\"1\"} 5\n"));
         for line in text.lines() {
             assert!(
                 line.starts_with("# ") || line.starts_with("neo_"),
@@ -427,7 +419,7 @@ mod tests {
         let metrics = MetricsSample::default();
         let lines: Vec<String> = (0..FRAMES)
             .map(|frame| {
-                let mut slot = hb(0, 0);
+                let mut slot = hb(0);
                 slot.iter = frame;
                 slot.beats = 3 * frame + 1;
                 frame_json(frame, 1_000 * frame, &[slot], &metrics)

@@ -14,7 +14,7 @@
 //!   a rolling event log plus a Prometheus-style text exposition at the
 //!   final scrape (see [`eventlog`]);
 //! - a **watchdog** ([`watchdog::Watchdog`]) classifying *stalls*, *hangs*
-//!   and *stragglers* from per-`(rank, lane)` heartbeats published at
+//!   and *stragglers* from per-rank heartbeats published at
 //!   iteration/span boundaries by `neo-telemetry`'s lock-free atomic path;
 //! - typed [`HealthEvent`] alerts, streamed to the event log as they fire
 //!   and returned from [`Monitor::stop`] so the trainer can surface them
@@ -100,13 +100,11 @@ impl MonitorConfig {
 /// [`watchdog`] for exact semantics.
 #[derive(Debug, Clone, PartialEq)]
 pub enum HealthEvent {
-    /// A `(rank, lane)` stopped beating mid-work without reaching a
+    /// A rank stopped beating mid-work without reaching a
     /// collective rendezvous: it is stuck inside its own work.
     Stall {
         /// Rank of the quiet slot.
         rank: u32,
-        /// Execution lane of the quiet slot (0 = main compute thread).
-        lane: u32,
         /// Iteration the slot was in when it fell silent.
         iter: u64,
         /// Phase of the span it was last seen inside, if any.
@@ -120,8 +118,6 @@ pub enum HealthEvent {
     Hang {
         /// Rank of the parked slot.
         rank: u32,
-        /// Execution lane of the parked slot (0 = main compute thread).
-        lane: u32,
         /// Iteration the slot was in when it parked.
         iter: u64,
         /// Silence observed when the alert fired, milliseconds.
@@ -166,23 +162,21 @@ impl fmt::Display for HealthEvent {
         match self {
             HealthEvent::Stall {
                 rank,
-                lane,
                 iter,
                 phase,
                 quiet_ms,
             } => write!(
                 f,
-                "stall: rank {rank} lane {lane} quiet {quiet_ms}ms in {} (iter {iter})",
+                "stall: rank {rank} quiet {quiet_ms}ms in {} (iter {iter})",
                 phase.map_or("<between spans>", Phase::as_str)
             ),
             HealthEvent::Hang {
                 rank,
-                lane,
                 iter,
                 quiet_ms,
             } => write!(
                 f,
-                "hang: rank {rank} lane {lane} parked {quiet_ms}ms at rendezvous (iter {iter})"
+                "hang: rank {rank} parked {quiet_ms}ms at rendezvous (iter {iter})"
             ),
             HealthEvent::Straggler {
                 rank,
@@ -248,13 +242,8 @@ impl Monitor {
 
 /// One-line live status for `--monitor` echo mode.
 fn status_line(frame: u64, heartbeats: &[HeartbeatSample], alerts: usize) -> String {
-    let iter = heartbeats
-        .iter()
-        .filter(|h| h.lane == 0)
-        .map(|h| h.iter)
-        .max()
-        .unwrap_or(0);
-    let ranks = heartbeats.iter().filter(|h| h.lane == 0).count();
+    let iter = heartbeats.iter().map(|h| h.iter).max().unwrap_or(0);
+    let ranks = heartbeats.len();
     format!(
         "monitor: frame {frame} | iter {iter} | {ranks} ranks | {alerts} alert{}",
         if alerts == 1 { "" } else { "s" }
@@ -347,8 +336,9 @@ mod tests {
         assert_eq!(report.io_error, None);
         let text = std::fs::read_to_string(&path).unwrap_or_default();
         assert!(text.lines().count() >= 2);
+        let frame = format!("{{\"v\":{},\"kind\":\"frame\"", eventlog::SCHEMA_VERSION);
         for line in text.lines() {
-            assert!(line.starts_with("{\"v\":1,\"kind\":\"frame\""), "{line}");
+            assert!(line.starts_with(&frame), "{line}");
         }
         assert!(dir.join("run.prom").exists(), "final exposition scrape");
         // the monitor's own sampling shows up in the shared registry
@@ -384,18 +374,16 @@ mod tests {
     fn health_event_accessors_and_display() {
         let stall = HealthEvent::Stall {
             rank: 2,
-            lane: 0,
             iter: 7,
             phase: Some(Phase::AllreduceTop),
             quiet_ms: 260,
         };
         assert_eq!((stall.kind(), stall.rank()), ("stall", 2));
         let line = stall.to_string();
-        assert!(line.contains("rank 2 lane 0"), "{line}");
+        assert!(line.contains("rank 2 quiet 260ms"), "{line}");
         assert!(line.contains("allreduce_top"), "{line}");
         let hang = HealthEvent::Hang {
             rank: 0,
-            lane: 0,
             iter: 3,
             quiet_ms: 500,
         };

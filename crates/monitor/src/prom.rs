@@ -252,8 +252,8 @@ mod tests {
                     # TYPE neo_train_loss gauge\n\
                     neo_train_loss 0.5\n\
                     # TYPE neo_heartbeat_iterations counter\n\
-                    neo_heartbeat_iterations{rank=\"0\",lane=\"0\"} 5\n\
-                    neo_heartbeat_iterations{rank=\"1\",lane=\"0\"} 5\n";
+                    neo_heartbeat_iterations{rank=\"0\"} 5\n\
+                    neo_heartbeat_iterations{rank=\"1\"} 5\n";
         assert_eq!(check_exposition(text), Vec::<String>::new());
     }
 

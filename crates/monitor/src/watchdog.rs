@@ -32,7 +32,7 @@
 //!   in-mean variant `neo-prof` reports is capped at the world size, too
 //!   small a range to alert on.
 //!
-//! Episode dedup: a (kind, rank, lane) alert fires once per quiet episode;
+//! Episode dedup: a (kind, rank) alert fires once per quiet episode;
 //! a new beat from the slot closes the episode so a later relapse can
 //! alert again. Stragglers fire at most once per rank per run.
 
@@ -55,14 +55,14 @@ pub struct WatchdogConfig {
 #[derive(Debug)]
 pub struct Watchdog {
     cfg: WatchdogConfig,
-    /// Open alert episodes: `(kind, rank, lane, beats-at-alert)`. Cleared
+    /// Open alert episodes: `(kind, rank, beats-at-alert)`. Cleared
     /// when the slot beats again.
-    episodes: Vec<(&'static str, u32, u32, u64)>,
+    episodes: Vec<(&'static str, u32, u64)>,
     /// When the latest Stall episode closed (sink-relative ns).
     stall_closed_ns: Option<u64>,
     /// Ranks already flagged as stragglers (once per run).
     straggler_fired: Vec<u32>,
-    /// Last seen 1-based iteration count per lane-0 rank.
+    /// Last seen 1-based iteration count per rank.
     iter_seen: Vec<(u32, u64)>,
     /// Observed iteration durations (ns) per rank, sampled at frame rate.
     iter_durs: Vec<(u32, Vec<u64>)>,
@@ -92,7 +92,7 @@ impl Watchdog {
 
     /// Record per-rank iteration durations as ranks complete iterations.
     fn track_iterations(&mut self, samples: &[HeartbeatSample]) {
-        for s in samples.iter().filter(|s| s.lane == 0 && s.iter > 0) {
+        for s in samples.iter().filter(|s| s.iter > 0) {
             let pos = match self.iter_seen.iter().position(|(r, _)| *r == s.rank) {
                 Some(p) => p,
                 None => {
@@ -117,10 +117,10 @@ impl Watchdog {
             |s: &HeartbeatSample| s.beats > 0 && s.mid_work() && s.quiet_ns(now_ns) > deadline_ns;
         // Close episodes whose slot beat again (or is no longer listed).
         let mut stall_closed = false;
-        self.episodes.retain(|(kind, rank, lane, beats)| {
+        self.episodes.retain(|(kind, rank, beats)| {
             let open = samples
                 .iter()
-                .find(|s| s.rank == *rank && s.lane == *lane)
+                .find(|s| s.rank == *rank)
                 .is_some_and(|s| s.beats == *beats && stale(s));
             stall_closed |= !open && *kind == "stall";
             open
@@ -219,24 +219,22 @@ impl Watchdog {
         if self
             .episodes
             .iter()
-            .any(|(k, r, l, _)| *k == kind && *r == s.rank && *l == s.lane)
+            .any(|(k, r, _)| *k == kind && *r == s.rank)
         {
             return;
         }
-        self.episodes.push((kind, s.rank, s.lane, s.beats));
+        self.episodes.push((kind, s.rank, s.beats));
         let iter = s.iter.saturating_sub(1);
         let quiet_ms = s.quiet_ns(now_ns) / 1_000_000;
         out.push(match kind {
             "stall" => HealthEvent::Stall {
                 rank: s.rank,
-                lane: s.lane,
                 iter,
                 phase: s.phase,
                 quiet_ms,
             },
             _ => HealthEvent::Hang {
                 rank: s.rank,
-                lane: s.lane,
                 iter,
                 quiet_ms,
             },
@@ -256,16 +254,9 @@ mod tests {
         }
     }
 
-    fn slot(
-        rank: u32,
-        lane: u32,
-        state: HeartbeatState,
-        beats: u64,
-        last_beat_ns: u64,
-    ) -> HeartbeatSample {
+    fn slot(rank: u32, state: HeartbeatState, beats: u64, last_beat_ns: u64) -> HeartbeatSample {
         HeartbeatSample {
             rank,
-            lane,
             iter: 6,
             state,
             phase: (state == HeartbeatState::InSpan).then_some(neo_telemetry::Phase::AllreduceTop),
@@ -281,13 +272,13 @@ mod tests {
     fn healthy_world_raises_nothing() {
         let mut wd = Watchdog::new(cfg());
         let samples = vec![
-            slot(0, 0, HeartbeatState::Iterating, 10, 490 * MS),
-            slot(1, 0, HeartbeatState::InSpan, 12, 495 * MS),
-            slot(0, 1, HeartbeatState::Idle, 4, 100 * MS), // idle: never stale
+            slot(0, HeartbeatState::Iterating, 10, 490 * MS),
+            slot(1, HeartbeatState::InSpan, 12, 495 * MS),
+            slot(2, HeartbeatState::Idle, 4, 100 * MS), // idle: never stale
         ];
         assert!(wd.observe(&samples, 500 * MS).is_empty());
         // never-beaten slots are not stale either
-        let fresh = vec![slot(0, 1, HeartbeatState::Iterating, 0, 0)];
+        let fresh = vec![slot(3, HeartbeatState::Iterating, 0, 0)];
         assert!(wd.observe(&fresh, 900 * MS).is_empty());
     }
 
@@ -298,21 +289,20 @@ mod tests {
         // arrived and wait on it (exchange), equally quiet — only rank 2
         // may be blamed.
         let samples = vec![
-            slot(0, 0, HeartbeatState::Exchange, 5, 120 * MS),
-            slot(1, 0, HeartbeatState::Exchange, 5, 90 * MS),
-            slot(2, 0, HeartbeatState::InSpan, 5, 115 * MS),
+            slot(0, HeartbeatState::Exchange, 5, 120 * MS),
+            slot(1, HeartbeatState::Exchange, 5, 90 * MS),
+            slot(2, HeartbeatState::InSpan, 5, 115 * MS),
         ];
         let events = wd.observe(&samples, 400 * MS);
         assert_eq!(events.len(), 1, "{events:?}");
         match &events[0] {
             HealthEvent::Stall {
                 rank,
-                lane,
                 iter,
                 phase,
                 quiet_ms,
             } => {
-                assert_eq!((*rank, *lane, *iter), (2, 0, 5));
+                assert_eq!((*rank, *iter), (2, 5));
                 assert_eq!(*phase, Some(neo_telemetry::Phase::AllreduceTop));
                 assert_eq!(*quiet_ms, 285);
             }
@@ -322,26 +312,19 @@ mod tests {
         assert!(wd.observe(&samples, 500 * MS).is_empty());
         // everyone beats again -> episode closes -> a relapse re-alerts
         let healthy = vec![
-            slot(0, 0, HeartbeatState::Exchange, 6, 593 * MS),
-            slot(1, 0, HeartbeatState::Exchange, 6, 594 * MS),
-            slot(2, 0, HeartbeatState::Iterating, 6, 595 * MS),
+            slot(0, HeartbeatState::Exchange, 6, 593 * MS),
+            slot(1, HeartbeatState::Exchange, 6, 594 * MS),
+            slot(2, HeartbeatState::Iterating, 6, 595 * MS),
         ];
         assert!(wd.observe(&healthy, 600 * MS).is_empty());
         let relapse = vec![
-            slot(0, 0, HeartbeatState::Exchange, 7, 620 * MS),
-            slot(1, 0, HeartbeatState::Exchange, 7, 621 * MS),
-            slot(2, 0, HeartbeatState::InSpan, 8, 622 * MS),
+            slot(0, HeartbeatState::Exchange, 7, 620 * MS),
+            slot(1, HeartbeatState::Exchange, 7, 621 * MS),
+            slot(2, HeartbeatState::InSpan, 8, 622 * MS),
         ];
         let again = wd.observe(&relapse, 1000 * MS);
         assert!(
-            matches!(
-                again.as_slice(),
-                [HealthEvent::Stall {
-                    rank: 2,
-                    lane: 0,
-                    ..
-                }]
-            ),
+            matches!(again.as_slice(), [HealthEvent::Stall { rank: 2, .. }]),
             "{again:?}"
         );
     }
@@ -350,19 +333,12 @@ mod tests {
     fn all_slots_exchanging_is_a_hang_on_the_earliest_arrival() {
         let mut wd = Watchdog::new(cfg());
         let samples = vec![
-            slot(0, 0, HeartbeatState::Exchange, 5, 120 * MS),
-            slot(1, 0, HeartbeatState::Exchange, 5, 90 * MS),
+            slot(0, HeartbeatState::Exchange, 5, 120 * MS),
+            slot(1, HeartbeatState::Exchange, 5, 90 * MS),
         ];
         let events = wd.observe(&samples, 400 * MS);
         assert!(
-            matches!(
-                events.as_slice(),
-                [HealthEvent::Hang {
-                    rank: 1,
-                    lane: 0,
-                    ..
-                }]
-            ),
+            matches!(events.as_slice(), [HealthEvent::Hang { rank: 1, .. }]),
             "{events:?}"
         );
     }
@@ -371,19 +347,12 @@ mod tests {
     fn slot_parked_while_peers_advance_is_a_hang() {
         let mut wd = Watchdog::new(cfg());
         let samples = vec![
-            slot(0, 0, HeartbeatState::Exchange, 5, 90 * MS),
-            slot(1, 0, HeartbeatState::Iterating, 50, 395 * MS), // advancing
+            slot(0, HeartbeatState::Exchange, 5, 90 * MS),
+            slot(1, HeartbeatState::Iterating, 50, 395 * MS), // advancing
         ];
         let events = wd.observe(&samples, 400 * MS);
         assert!(
-            matches!(
-                events.as_slice(),
-                [HealthEvent::Hang {
-                    rank: 0,
-                    lane: 0,
-                    ..
-                }]
-            ),
+            matches!(events.as_slice(), [HealthEvent::Hang { rank: 0, .. }]),
             "{events:?}"
         );
     }
@@ -394,8 +363,8 @@ mod tests {
         // rank 0 arrives at the exchange at 150 ms; rank 1 posts at 159 ms
         // and parks short of it
         let parked = vec![
-            slot(0, 0, HeartbeatState::Exchange, 5, 150 * MS),
-            slot(1, 0, HeartbeatState::InSpan, 5, 159 * MS),
+            slot(0, HeartbeatState::Exchange, 5, 150 * MS),
+            slot(1, HeartbeatState::InSpan, 5, 159 * MS),
         ];
         // rank 0 crosses the deadline first, but rank 1 may be its victim
         let events = wd.observe(&parked, 251 * MS);
@@ -409,15 +378,15 @@ mod tests {
         // rank 1 resumed and beats; rank 0, quiet for 1,203 ms, is still
         // waking from the exchange: no event
         let released = vec![
-            slot(0, 0, HeartbeatState::Exchange, 5, 150 * MS),
-            slot(1, 0, HeartbeatState::Iterating, 9, 1350 * MS),
+            slot(0, HeartbeatState::Exchange, 5, 150 * MS),
+            slot(1, HeartbeatState::Iterating, 9, 1350 * MS),
         ];
         let events = wd.observe(&released, 1353 * MS);
         assert!(events.is_empty(), "{events:?}");
         // one deadline after the close rank 0 is still quiet: a hang
         let still = vec![
-            slot(0, 0, HeartbeatState::Exchange, 5, 150 * MS),
-            slot(1, 0, HeartbeatState::Iterating, 12, 1450 * MS),
+            slot(0, HeartbeatState::Exchange, 5, 150 * MS),
+            slot(1, HeartbeatState::Iterating, 12, 1450 * MS),
         ];
         let events = wd.observe(&still, 1454 * MS);
         assert!(
@@ -425,7 +394,6 @@ mod tests {
                 events.as_slice(),
                 [HealthEvent::Hang {
                     rank: 0,
-                    lane: 0,
                     quiet_ms: 1304,
                     ..
                 }]
@@ -438,15 +406,15 @@ mod tests {
     fn every_quiet_slot_outside_an_exchange_is_indicted() {
         let mut wd = Watchdog::new(cfg());
         let samples = vec![
-            slot(0, 0, HeartbeatState::Iterating, 9, 120 * MS),
-            slot(1, 0, HeartbeatState::InSpan, 9, 80 * MS),
-            slot(2, 0, HeartbeatState::Iterating, 9, 390 * MS), // fresh
+            slot(0, HeartbeatState::Iterating, 9, 120 * MS),
+            slot(1, HeartbeatState::InSpan, 9, 80 * MS),
+            slot(2, HeartbeatState::Iterating, 9, 390 * MS), // fresh
         ];
         let events = wd.observe(&samples, 400 * MS);
         let stalled: Vec<u32> = events
             .iter()
             .map(|e| match e {
-                HealthEvent::Stall { rank, lane: 0, .. } => *rank,
+                HealthEvent::Stall { rank, .. } => *rank,
                 other => panic!("expected stalls, got {other:?}"),
             })
             .collect();
@@ -465,7 +433,6 @@ mod tests {
             let samples = vec![
                 HeartbeatSample {
                     rank: 0,
-                    lane: 0,
                     iter: k,
                     state: HeartbeatState::Idle,
                     phase: None,
@@ -475,7 +442,6 @@ mod tests {
                 },
                 HeartbeatSample {
                     rank: 1,
-                    lane: 0,
                     iter: k,
                     state: HeartbeatState::Idle,
                     phase: None,
@@ -496,7 +462,6 @@ mod tests {
         let samples = vec![
             HeartbeatSample {
                 rank: 0,
-                lane: 0,
                 iter: 6,
                 state: HeartbeatState::Idle,
                 phase: None,
@@ -506,7 +471,6 @@ mod tests {
             },
             HeartbeatSample {
                 rank: 1,
-                lane: 0,
                 iter: 6,
                 state: HeartbeatState::Idle,
                 phase: None,

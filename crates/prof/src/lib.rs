@@ -12,10 +12,8 @@
 //!   phase)` segment (or to idle when no rank has a leaf span open).
 //! * [`skew`] — per-rank p50/p95 per phase, max-over-ranks vs. mean, and
 //!   the top-k skewed phases (the §4.2 load-imbalance lens).
-//! * [`exposed`] — exposed-communication accounting joined against the
-//!   [`neo_perfmodel::timeline`] Fig. 9 operators, joined on [`Phase`].
-//!
-//! [`Phase`]: neo_telemetry::Phase
+//! * [`exposed`] — measured exposed-communication accounting: per rank,
+//!   comm intervals on any lane minus the cover of that rank's compute.
 //! * [`report`] — the human-readable roll-up the quickstart prints.
 
 pub mod critical;

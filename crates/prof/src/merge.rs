@@ -9,13 +9,11 @@
 //! children would double-count it.
 //!
 //! Spans carry a [`SpanRecord::lane`] besides their rank: the overlapped
-//! (Fig. 9) trainer records posted collectives on a per-rank comm lane
-//! (`lane > 0`) that runs concurrently with the rank's lane-0 compute
-//! thread, so spans of one rank may legally interleave in wall-clock.
-//! The merge keeps lane spans attributed to their owning rank — phase
-//! means, iteration leaves and exposure analysis all see them — and
-//! [`MergedTimeline::has_comm_lanes`] tells analyzers which schedule
-//! produced the snapshot.
+//! (Fig. 9) trainer records a posted collective's in-flight interval,
+//! post to wait, on a second track (`lane > 0`) while the rank computes,
+//! so spans of one rank may legally interleave in wall-clock. The merge
+//! keeps those spans attributed to their owning rank — phase means,
+//! iteration leaves and exposure analysis all see them.
 
 use neo_telemetry::{Phase, Snapshot, SpanRecord};
 
@@ -53,13 +51,6 @@ impl MergedTimeline {
         &self.spans
     }
 
-    /// Whether any span ran on a comm lane (`lane > 0`) — true for
-    /// snapshots recorded under the overlapped (Fig. 9) schedule, false
-    /// for serial runs.
-    pub fn has_comm_lanes(&self) -> bool {
-        self.spans.iter().any(|s| s.lane > 0)
-    }
-
     /// Leaf spans of one iteration across every rank (aggregate phases
     /// excluded), in record order.
     pub fn iteration_leaves(&self, iter: u64) -> Vec<&SpanRecord> {
@@ -89,8 +80,7 @@ impl MergedTimeline {
     }
 
     /// Mean duration in seconds of every leaf phase, averaged over ranks
-    /// and iterations — the join key for
-    /// [`neo_perfmodel::timeline::measured_graph`].
+    /// and iterations.
     pub fn mean_phase_secs(&self) -> Vec<(Phase, f64)> {
         let denom = (self.iters.len().max(1) * self.world.max(1) as usize) as f64;
         let mut totals: Vec<(Phase, u128)> = Vec::new();
@@ -127,7 +117,7 @@ mod tests {
     }
 
     #[test]
-    fn comm_lane_spans_are_detected_and_attributed_to_their_rank() {
+    fn comm_lane_spans_are_attributed_to_their_rank() {
         let mut lane = span(1, 0, Phase::InputA2a, 5, 25);
         lane.lane = 1; // neo_collectives::COMM_LANE
         let snap = Snapshot {
@@ -135,16 +125,10 @@ mod tests {
             ..Snapshot::default()
         };
         let m = MergedTimeline::from_snapshot(&snap);
-        assert!(m.has_comm_lanes());
         assert_eq!(m.world, 2, "lane spans still count toward world");
         assert_eq!(m.iteration_leaves(0).len(), 2);
         let means = m.mean_phase_secs();
         assert!(means.iter().any(|(p, _)| *p == Phase::InputA2a));
-        let serial = MergedTimeline::from_snapshot(&Snapshot {
-            spans: vec![span(0, 0, Phase::EmbLookup, 0, 10)],
-            ..Snapshot::default()
-        });
-        assert!(!serial.has_comm_lanes());
     }
 
     #[test]

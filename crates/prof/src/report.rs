@@ -3,12 +3,12 @@
 //! [`analyze`] runs every analyzer over a snapshot; the [`ProfReport`]
 //! `Display` impl renders the text report the quickstart prints — one
 //! line per iteration naming the bounding `(phase, rank)`, the top skewed
-//! phases, and the measured-vs-predicted exposed-comm fractions.
+//! phases, and the measured exposed-comm fraction per collective.
 
 use std::fmt;
 
 use crate::critical::{critical_path, CriticalPath, IDLE};
-use crate::exposed::{exposed_comm, ExposedComm, TOLERANCE};
+use crate::exposed::{exposed_comm, ExposedComm};
 use crate::merge::MergedTimeline;
 use crate::skew::{phase_skew, PhaseSkew};
 use neo_telemetry::{Phase, Snapshot};
@@ -132,18 +132,14 @@ impl fmt::Display for ProfReport {
             )?;
         }
         if let Some(e) = &self.exposed {
-            let sched = if e.overlapped { "overlapped" } else { "serial" };
             writeln!(
                 f,
-                "  exposed comm: measured {:.1}% of {:.3} ms iteration on the \
-                 {sched} schedule (predicted {:.1}%, gap {:.3} <= tolerance \
-                 {TOLERANCE}; serial would expose {:.1}%, overlap {:.1}%)",
+                "  exposed comm: measured {:.1}% of {:.3} ms iteration \
+                 ({:.3} of {:.3} ms comm not covered by compute)",
                 e.measured_fraction * 100.0,
                 e.iter_ms,
-                e.predicted_fraction() * 100.0,
-                e.prediction_gap(),
-                e.predicted_serial_fraction * 100.0,
-                e.predicted_overlap_fraction * 100.0,
+                e.exposed_ms,
+                e.comm_ms,
             )?;
             for (name, ms) in &e.per_collective {
                 writeln!(f, "    {name:<16} {ms:>10.3} ms/iter")?;

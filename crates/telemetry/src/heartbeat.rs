@@ -1,4 +1,4 @@
-//! Lock-free per-`(rank, lane)` heartbeat slots for live health monitoring.
+//! Lock-free per-rank heartbeat slots for live health monitoring.
 //!
 //! Every [`crate::RankRecorder`] created from an *armed* sink owns one
 //! [`Heartbeat`] slot, found-or-inserted in the sink's registry at recorder
@@ -77,7 +77,6 @@ fn unpack(word: u64) -> (HeartbeatState, Option<Phase>) {
 #[derive(Debug)]
 pub struct Heartbeat {
     rank: u32,
-    lane: u32,
     /// Iterations *begun* (1-based; 0 = none yet).
     iter: AtomicU64,
     /// Packed `(state kind, phase discriminant + 1)` word.
@@ -91,10 +90,9 @@ pub struct Heartbeat {
 }
 
 impl Heartbeat {
-    pub(crate) fn new(rank: u32, lane: u32) -> Self {
+    pub(crate) fn new(rank: u32) -> Self {
         Self {
             rank,
-            lane,
             iter: AtomicU64::new(0),
             state: AtomicU64::new(pack(KIND_IDLE, 0)),
             beats: AtomicU64::new(0),
@@ -106,11 +104,6 @@ impl Heartbeat {
     /// Rank this slot belongs to.
     pub fn rank(&self) -> u32 {
         self.rank
-    }
-
-    /// Execution lane this slot belongs to (0 = main compute thread).
-    pub fn lane(&self) -> u32 {
-        self.lane
     }
 
     fn beat(&self, word: u64, now_ns: u64) {
@@ -163,7 +156,6 @@ impl Heartbeat {
         let (state, phase) = unpack(self.state.load(Ordering::Relaxed));
         HeartbeatSample {
             rank: self.rank,
-            lane: self.lane,
             iter: self.iter.load(Ordering::Relaxed),
             state,
             phase,
@@ -179,8 +171,6 @@ impl Heartbeat {
 pub struct HeartbeatSample {
     /// Rank of the publishing recorder.
     pub rank: u32,
-    /// Execution lane of the publishing recorder (0 = main).
-    pub lane: u32,
     /// Iterations begun, 1-based (`0` = the slot never started one; `n`
     /// means iteration `n - 1` is the latest begun).
     pub iter: u64,
@@ -237,9 +227,9 @@ mod tests {
 
     #[test]
     fn beats_are_monotonic_and_sample_reflects_publications() {
-        let hb = Heartbeat::new(3, 1);
+        let hb = Heartbeat::new(3);
         let s0 = hb.sample();
-        assert_eq!((s0.rank, s0.lane, s0.iter, s0.beats), (3, 1, 0, 0));
+        assert_eq!((s0.rank, s0.iter, s0.beats), (3, 0, 0));
         assert_eq!(s0.state, HeartbeatState::Idle);
         assert!(!s0.mid_work());
         assert_eq!(s0.quiet_ns(1_000_000), 0, "never-beaten slot is not quiet");

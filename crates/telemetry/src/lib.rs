@@ -83,7 +83,7 @@ impl SpanRecord {
 struct Inner {
     epoch: Instant,
     store: OrderedMutex<Store>,
-    /// Heartbeat slot registry, one lane-0 slot per rank ever handed
+    /// Heartbeat slot registry, one slot per rank ever handed
     /// out. The lock guards only find-or-insert at recorder creation;
     /// publication and sampling go through the slot's atomics.
     heartbeats: OrderedMutex<Vec<Arc<Heartbeat>>>,
@@ -105,7 +105,7 @@ impl Inner {
         if let Some(h) = slots.iter().find(|h| h.rank() == rank) {
             return Arc::clone(h);
         }
-        let h = Arc::new(Heartbeat::new(rank, 0));
+        let h = Arc::new(Heartbeat::new(rank));
         slots.push(Arc::clone(&h));
         h
     }
@@ -253,7 +253,7 @@ impl TelemetrySink {
         self.inner.as_ref().map(|i| i.store().sample())
     }
 
-    /// Sampled copies of every heartbeat slot, `(rank, lane)`-ascending.
+    /// Sampled copies of every heartbeat slot, rank-ascending.
     /// Empty when the sink is disabled (a disabled sink has no slots).
     pub fn heartbeats(&self) -> Vec<HeartbeatSample> {
         let Some(inner) = &self.inner else {
@@ -261,7 +261,7 @@ impl TelemetrySink {
         };
         let mut out: Vec<HeartbeatSample> =
             inner.heartbeats.lock().iter().map(|h| h.sample()).collect();
-        out.sort_by_key(|s| (s.rank, s.lane));
+        out.sort_by_key(|s| s.rank);
         out
     }
 
@@ -650,8 +650,7 @@ mod tests {
         let other = sink.rank(2);
         let slots = sink.heartbeats();
         assert_eq!(slots.len(), 2);
-        assert_eq!((slots[0].rank, slots[0].lane), (1, 0));
-        assert_eq!((slots[1].rank, slots[1].lane), (2, 0));
+        assert_eq!((slots[0].rank, slots[1].rank), (1, 2));
         assert_eq!(slots[0].beats, 0);
 
         let it = rec.begin_iteration(4);

@@ -12,8 +12,6 @@ use std::borrow::Cow;
 pub enum Metric {
     /// Gauge: globally reduced training loss per iteration (rank 0 only).
     TrainLoss,
-    /// Gauge: learning rate per iteration (rank 0 only).
-    TrainLr,
     /// Gauge: global samples/sec derived from the iteration span (rank 0
     /// only).
     TrainThroughput,
@@ -59,7 +57,6 @@ impl Metric {
     pub fn name(self) -> Cow<'static, str> {
         Cow::Borrowed(match self {
             Metric::TrainLoss => "train.loss",
-            Metric::TrainLr => "train.lr",
             Metric::TrainThroughput => "train.throughput_samples_per_sec",
             Metric::EmbLookupRows => "emb.lookup.rows",
             Metric::EmbOptimRows => "emb.optim.rows",

@@ -101,7 +101,7 @@ pub struct SyncConfig {
     /// communicator. The default ([`TelemetrySink::disabled`]) records
     /// nothing and adds no timing syscalls to the hot path; arm it with
     /// [`TelemetrySink::armed`] to capture per-iteration phase spans,
-    /// comm counters, and loss/lr/throughput gauges.
+    /// comm counters, and loss/throughput gauges.
     pub telemetry: TelemetrySink,
     /// Run the overlapped (Fig. 9) schedule: the index/pooled AlltoAlls
     /// and a split MLP AllReduce are posted and waited on only after the

@@ -45,7 +45,6 @@ impl Worker {
             if self.rank == 0 {
                 let sink = self.rec.sink();
                 sink.gauge_push(Metric::TrainLoss, iter, f64::from(l[0]));
-                sink.gauge_push(Metric::TrainLr, iter, f64::from(self.cfg.lr));
                 let throughput = self.cfg.global_batch as f64 * 1e9 / ns.max(1) as f64;
                 sink.gauge_push(Metric::TrainThroughput, iter, throughput);
             }

@@ -5,9 +5,9 @@
 //! tag, or on `traceEvents` for the Chrome trace, the one third-party
 //! format. An unknown or missing tag is a failure. The rules:
 //!
-//! - event log: every line is a `"v": 1` `frame` or `event`, frames count
-//!   0, 1, 2, …, timestamps never run backwards, each `(rank, lane)`
-//!   heartbeat's `beats`/`iter` never decrease, states and event kinds
+//! - event log: every line is a `frame` or `event` of the writer's
+//!   [`neo_monitor::eventlog::SCHEMA_VERSION`], frames count 0, 1, 2, …,
+//!   timestamps never run backwards, each rank's heartbeat's `beats`/`iter` never decrease, states and event kinds
 //!   are known, at least one frame exists and no health event was raised
 //!   (a clean run). The `.prom` sibling, when present, goes through
 //!   `neo_monitor::prom::check_exposition`.
@@ -28,6 +28,7 @@
 use std::fs;
 use std::path::Path;
 
+use neo_monitor::eventlog::SCHEMA_VERSION;
 use neo_telemetry::json::{self, Json};
 use neo_telemetry::Phase;
 use neo_workload::{ShardKind, TableWorkload, WorkloadReport};
@@ -208,8 +209,8 @@ fn monitor_log(path: &Path, text: &str) -> Verdict {
     let count = |j: &Json, key: &str| num(j, key).map(|v| v as u64);
     let mut bad = Vec::new();
     let (mut frames, mut last_t_ns) = (0u64, 0u64);
-    // per (rank, lane): (beats, iter) at the previous frame
-    let mut slots: Vec<((u64, u64), (u64, u64))> = Vec::new();
+    // per rank: (beats, iter) at the previous frame
+    let mut slots: Vec<(u64, (u64, u64))> = Vec::new();
     for (i, line) in text.lines().enumerate() {
         let at = format!("line {}", i + 1);
         let doc = match json::parse(line) {
@@ -219,8 +220,8 @@ fn monitor_log(path: &Path, text: &str) -> Verdict {
                 continue;
             }
         };
-        if count(&doc, "v") != Some(1) {
-            bad.push(format!("{at}: missing or unsupported schema version"));
+        if count(&doc, "v") != Some(SCHEMA_VERSION) {
+            bad.push(format!("{at}: schema version is not {SCHEMA_VERSION}"));
             continue;
         }
         match count(&doc, "t_ns") {
@@ -239,31 +240,28 @@ fn monitor_log(path: &Path, text: &str) -> Verdict {
                     continue;
                 };
                 for h in hbs {
-                    let (Some(rank), Some(lane), Some(iter), Some(beats)) = (
-                        count(h, "rank"),
-                        count(h, "lane"),
-                        count(h, "iter"),
-                        count(h, "beats"),
-                    ) else {
-                        bad.push(format!("{at}: heartbeat missing rank/lane/iter/beats"));
+                    let (Some(rank), Some(iter), Some(beats)) =
+                        (count(h, "rank"), count(h, "iter"), count(h, "beats"))
+                    else {
+                        bad.push(format!("{at}: heartbeat missing rank/iter/beats"));
                         continue;
                     };
                     let state = string(h, "state").unwrap_or("");
                     if !["idle", "iterating", "span", "exchange"].contains(&state) {
                         bad.push(format!("{at}: unknown heartbeat state `{state}`"));
                     }
-                    match slots.iter_mut().find(|(k, _)| *k == (rank, lane)) {
+                    match slots.iter_mut().find(|(k, _)| *k == rank) {
                         Some((_, prev)) => {
                             if beats < prev.0 || iter < prev.1 {
                                 bad.push(format!(
-                                    "{at}: heartbeat (rank {rank}, lane {lane}) went \
+                                    "{at}: heartbeat of rank {rank} went \
                                      backwards: beats {} -> {beats}, iter {} -> {iter}",
                                     prev.0, prev.1
                                 ));
                             }
                             *prev = (beats, iter);
                         }
-                        None => slots.push(((rank, lane), (beats, iter))),
+                        None => slots.push((rank, (beats, iter))),
                     }
                 }
             }
@@ -547,7 +545,6 @@ mod tests {
     fn frame(n: u64, t_ns: u64, beats: u64, iter: u64) -> String {
         let slot = HeartbeatSample {
             rank: 0,
-            lane: 0,
             iter,
             state: HeartbeatState::Iterating,
             phase: None,
@@ -592,7 +589,6 @@ mod tests {
         assert_flags(check(&[("m.jsonl", "")]), "no frames recorded");
         let stall = HealthEvent::Stall {
             rank: 1,
-            lane: 1,
             iter: 4,
             phase: Some(Phase::AllreduceTop),
             quiet_ms: 300,
@@ -601,6 +597,17 @@ mod tests {
         assert_flags(
             check(&[("m.jsonl", &stalled)]),
             "health event on a clean run",
+        );
+    }
+
+    #[test]
+    fn monitor_log_of_another_schema_version_is_rejected() {
+        let current = frame(0, 10, 3, 1);
+        let v1 = current.replace(&format!("\"v\":{SCHEMA_VERSION}"), "\"v\":1");
+        assert_ne!(v1, current, "the frame carries the writer's version");
+        assert_flags(
+            check(&[("m.jsonl", &log(&[v1]))]),
+            "line 1: schema version is not 2",
         );
     }
 

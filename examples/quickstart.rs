@@ -23,8 +23,8 @@
 //! Chrome trace (load it at `chrome://tracing` or <https://ui.perfetto.dev>)
 //! to `<out.json>` with the extension replaced by `.trace.json`. It also
 //! prints the `neo-prof` cross-rank report: the phase bounding each
-//! iteration's critical path, per-phase rank skew, and the exposed-comm
-//! fraction measured against the perfmodel prediction.
+//! iteration's critical path, per-phase rank skew, and the measured
+//! exposed-comm fraction with each collective's share.
 //!
 //! With `--monitor <out.jsonl>` the run streams live health telemetry
 //! (`neo-monitor`): a sampler thread appends schema-versioned frames —

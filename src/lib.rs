@@ -17,9 +17,9 @@
 //! | [`trainer`] | `neo-trainer` | §3 sync hybrid-parallel trainer + PS baseline |
 //! | [`perfmodel`] | `neo-perfmodel` | §5.1 Eq. 1 roofline, Appendix A |
 //! | [`telemetry`] | `neo-telemetry` | §5.2 per-iteration breakdowns, Fig. 14 |
-//! | [`monitor`] | `neo-monitor` | live health: frames, heartbeats, watchdog |
+//! | [`monitor`] | `neo-monitor` | live health: frames, per-rank heartbeats, watchdog |
 //! | [`workload`] | `neo-workload` | per-table access profiling, hot-row sketches |
-//! | [`prof`] | `neo-prof` | cross-rank critical path, exposed comm, rank skew |
+//! | [`prof`] | `neo-prof` | cross-rank critical path, measured exposed comm, rank skew |
 //! | [`sync`] | `neo-sync` | ordered locks + schedule-chaos injector (infra) |
 //!
 //! # Quickstart
