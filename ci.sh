@@ -50,8 +50,8 @@
 #                         run whose posted collectives' in-flight spans
 #                         must nest per lane; neo-xtask check validates
 #                         both summaries and Chrome traces, the monitor
-#                         event log + exposition, and the workload
-#                         profile, dispatching on each file's schema tag)
+#                         event log, and the workload profile,
+#                         dispatching on each file's schema tag)
 #   7. overhead gate     (live-monitor and workload-profiler budgets: 12
 #                         interleaved off/on training pairs per arm, every
 #                         pair and min/quartiles/median printed; fails when

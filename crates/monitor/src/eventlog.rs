@@ -1,4 +1,4 @@
-//! Rolling JSONL event log + Prometheus-style text exposition.
+//! Rolling JSONL event log.
 //!
 //! Frame/event schema (one compact JSON object per line, built as a
 //! [`Json`] tree and printed by its one writer; schema version `"v": 2`,
@@ -18,12 +18,8 @@
 //! When the log grows past the configured byte budget it rolls once:
 //! the current file is renamed to `<path>.1` (replacing any previous
 //! roll) and a fresh file continues at `<path>`, so a run bounded only
-//! by wall clock cannot fill the disk.
-//!
-//! The exposition file (`<path with .prom extension>`) is written once at
-//! the final scrape: `neo_`-prefixed names with dots mapped to
-//! underscores, counters and gauges typed, heartbeat progress labeled by
-//! rank.
+//! by wall clock cannot fill the disk. The last frame is the final
+//! scrape: the heartbeats and metrics at stop time.
 
 use crate::HealthEvent;
 use neo_telemetry::json::Json;
@@ -108,68 +104,6 @@ pub fn event_json(t_ns: u64, event: &HealthEvent) -> String {
     Json::object(members).to_string()
 }
 
-/// Map a dotted metric name to a Prometheus-legal `neo_*` name.
-fn prom_name(name: &str) -> String {
-    let mut out = String::with_capacity(name.len() + 4);
-    out.push_str("neo_");
-    for c in name.chars() {
-        if c.is_ascii_alphanumeric() {
-            out.push(c);
-        } else {
-            out.push('_');
-        }
-    }
-    out
-}
-
-/// Append `v` in Prometheus sample-value syntax. Unlike JSON, the text
-/// format *has* spellings for non-finite values (`NaN`, `+Inf`, `-Inf`)
-/// — routing these through the JSON writer would emit `null` and corrupt
-/// the exposition.
-fn prom_f64(out: &mut String, v: f64) {
-    if v.is_nan() {
-        out.push_str("NaN");
-    } else if v == f64::INFINITY {
-        out.push_str("+Inf");
-    } else if v == f64::NEG_INFINITY {
-        out.push_str("-Inf");
-    } else {
-        out.push_str(&format!("{v}"));
-    }
-}
-
-/// Prometheus-style text exposition of the final scrape.
-pub fn exposition(heartbeats: &[HeartbeatSample], metrics: &MetricsSample) -> String {
-    let mut out = String::with_capacity(1024);
-    for (name, v) in &metrics.counters {
-        let p = prom_name(name);
-        out.push_str(&format!("# TYPE {p} counter\n{p} {v}\n"));
-    }
-    for (name, _, v) in &metrics.gauges {
-        let p = prom_name(name);
-        out.push_str(&format!("# TYPE {p} gauge\n{p} "));
-        prom_f64(&mut out, *v);
-        out.push('\n');
-    }
-    if !heartbeats.is_empty() {
-        out.push_str("# TYPE neo_heartbeat_iterations counter\n");
-        for h in heartbeats {
-            out.push_str(&format!(
-                "neo_heartbeat_iterations{{rank=\"{}\"}} {}\n",
-                h.rank, h.iter
-            ));
-        }
-        out.push_str("# TYPE neo_heartbeat_beats counter\n");
-        for h in heartbeats {
-            out.push_str(&format!(
-                "neo_heartbeat_beats{{rank=\"{}\"}} {}\n",
-                h.rank, h.beats
-            ));
-        }
-    }
-    out
-}
-
 /// Size-capped rolling JSONL writer. All I/O errors are swallowed into
 /// [`EventLog::io_error`] — a broken disk must degrade monitoring, never
 /// the training run.
@@ -246,17 +180,6 @@ impl EventLog {
                 return;
             }
             self.written += line.len() as u64 + 1;
-        }
-    }
-
-    /// Write the final-scrape exposition next to the log (`.prom`).
-    pub fn write_exposition(&mut self, heartbeats: &[HeartbeatSample], metrics: &MetricsSample) {
-        let Some(path) = self.path.clone() else {
-            return;
-        };
-        let prom = path.with_extension("prom");
-        if let Err(e) = std::fs::write(&prom, exposition(heartbeats, metrics)) {
-            self.record_err(&prom, &e);
         }
     }
 
@@ -353,26 +276,6 @@ mod tests {
     }
 
     #[test]
-    fn exposition_sanitizes_names_and_labels_heartbeats() {
-        let metrics = MetricsSample {
-            counters: vec![("monitor.samples".to_string(), 12)],
-            gauges: vec![("train.loss".to_string(), 4, 0.5)],
-        };
-        let text = exposition(&[hb(1)], &metrics);
-        assert!(text.contains("# TYPE neo_monitor_samples counter\n"));
-        assert!(text.contains("neo_monitor_samples 12\n"));
-        assert!(text.contains("# TYPE neo_train_loss gauge\n"));
-        assert!(text.contains("neo_train_loss 0.5\n"));
-        assert!(text.contains("neo_heartbeat_iterations{rank=\"1\"} 5\n"));
-        for line in text.lines() {
-            assert!(
-                line.starts_with("# ") || line.starts_with("neo_"),
-                "bad exposition line: {line}"
-            );
-        }
-    }
-
-    #[test]
     fn event_log_rolls_at_the_byte_budget() {
         let dir = std::env::temp_dir().join(format!("neo_monitor_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -386,26 +289,7 @@ mod tests {
         let head = std::fs::read_to_string(&path).unwrap_or_default();
         assert_eq!(rolled.len(), 41);
         assert_eq!(head.len(), 41);
-        log.write_exposition(&[], &MetricsSample::default());
-        assert!(dir.join("log.prom").exists());
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn exposition_spells_non_finite_gauges_the_prometheus_way() {
-        let metrics = MetricsSample {
-            counters: vec![],
-            gauges: vec![
-                ("a.nan".to_string(), 0, f64::NAN),
-                ("a.pos".to_string(), 0, f64::INFINITY),
-                ("a.neg".to_string(), 0, f64::NEG_INFINITY),
-            ],
-        };
-        let text = exposition(&[], &metrics);
-        assert!(text.contains("neo_a_nan NaN\n"), "{text}");
-        assert!(text.contains("neo_a_pos +Inf\n"), "{text}");
-        assert!(text.contains("neo_a_neg -Inf\n"), "{text}");
-        assert!(!text.contains("null"), "JSON null must never leak: {text}");
     }
 
     #[test]
@@ -467,7 +351,6 @@ mod tests {
     fn pathless_log_is_inert() {
         let mut log = EventLog::open(None, 1024);
         log.write_line("ignored");
-        log.write_exposition(&[], &MetricsSample::default());
         assert!(log.io_error().is_none());
     }
 }

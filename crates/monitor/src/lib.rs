@@ -11,8 +11,8 @@
 //!   registry every [`MonitorConfig::interval_ms`] without pausing
 //!   training — heartbeat slots are read lock-free, and the metrics
 //!   sample clones no spans — appending schema-versioned JSONL frames to
-//!   a rolling event log plus a Prometheus-style text exposition at the
-//!   final scrape (see [`eventlog`]);
+//!   a rolling event log, the last of them at the final scrape (see
+//!   [`eventlog`]);
 //! - a **watchdog** ([`watchdog::Watchdog`]) classifying *stalls*, *hangs*
 //!   and *stragglers* from per-rank heartbeats published at
 //!   iteration/span boundaries by `neo-telemetry`'s lock-free atomic path;
@@ -27,7 +27,6 @@
 #![deny(missing_docs)]
 
 pub mod eventlog;
-pub mod prom;
 pub mod watchdog;
 
 use eventlog::EventLog;
@@ -290,7 +289,6 @@ fn sampler_loop(sink: &TelemetrySink, cfg: &MonitorConfig, stop: &AtomicBool) ->
         }
         frames += 1;
         if stopping {
-            log.write_exposition(&hbs, &metrics);
             break;
         }
         // Sleep in short slices so stop() never waits a full interval.
@@ -340,7 +338,6 @@ mod tests {
         for line in text.lines() {
             assert!(line.starts_with(&frame), "{line}");
         }
-        assert!(dir.join("run.prom").exists(), "final exposition scrape");
         // the monitor's own sampling shows up in the shared registry
         let counters = sink.sample().map(|s| s.counters).unwrap_or_default();
         assert!(counters

@@ -122,12 +122,13 @@ pub struct SyncConfig {
     /// is set. `None` — the default — spawns nothing and changes nothing.
     pub monitor: Option<MonitorConfig>,
     /// Collect per-shard workload statistics (lookup counts, pooling
-    /// histograms, unique-row bitsets, hot-row sketches) into
+    /// histograms, one exact hit count per row) into
     /// [`TrainOutput::workload`]. Collectors are preallocated per owned
-    /// shard and record with no clock reads, no allocation, and no
-    /// locking, so training is bitwise-identical with this on or off;
-    /// when `false` — the default — the workers hold no collectors and
-    /// the hot path pays one bounds check per shard. Probe and eval
+    /// shard — 4 bytes per row it holds — and record with no clock
+    /// reads, no allocation, and no locking, so training is
+    /// bitwise-identical with this on or off; when `false` — the default
+    /// — the workers hold no collectors and the hot path pays one branch
+    /// per shard. Probe and eval
     /// forwards route through the same lookups and are counted too.
     pub workload: bool,
 }

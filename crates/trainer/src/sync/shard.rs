@@ -14,7 +14,7 @@ use neo_sharding::Shard;
 use neo_telemetry::{Metric, RankRecorder, SpanGuard};
 use neo_tensor::mlp::{Activation, Mlp, MlpConfig};
 use neo_tensor::Tensor2;
-use neo_workload::{ShardCollector, ShardKind, ShardSample, TierSample};
+use neo_workload::{ShardCollector, ShardKind, ShardSample};
 use rand::SeedableRng;
 
 use super::config::{err, DenseOpt, SparseOpt, SyncConfig, SyncError};
@@ -86,9 +86,6 @@ impl LocalShard {
             Some(ShardDivision::Column) => ShardKind::Col,
             None => ShardKind::Dp,
         };
-        // column slices all see the same replicated index stream; only
-        // slice 0 counts rows so the table-level merge sees it once
-        let counting = kind != ShardKind::Col || geo.ordinal == 0;
         let collector = cfg.workload.then(|| {
             ShardCollector::new(
                 geo.worker,
@@ -97,8 +94,7 @@ impl LocalShard {
                 kind,
                 width,
                 geo.row_off,
-                table_rows,
-                counting,
+                geo.rows,
             )
         });
         Self {
@@ -128,8 +124,7 @@ impl LocalShard {
         let pooled = pooled_forward(self.store.as_mut(), &self.lengths, &self.indices)
             .map_err(|e| err(e.to_string()))?;
         if let Some(c) = &mut self.collector {
-            // a row block's local indices; the collector globalizes them
-            // with the shard's base row
+            // a row block's local indices index its own counts
             c.record(&self.lengths, &self.indices);
         }
         if sp.is_recording() {
@@ -284,15 +279,8 @@ impl Worker {
     /// [`SyncConfig::workload`] is off.
     pub(super) fn harvest_workload(&mut self) -> Vec<ShardSample> {
         let harvest = |sh: &mut LocalShard| {
-            let tier = sh.store.tier_info().map(|t| TierSample {
-                capacity_rows: t.capacity_rows,
-                resident_rows: t.resident_rows,
-                cache_bytes: t.cache_bytes,
-                hits: t.hits,
-                misses: t.misses,
-            });
             let collector = sh.collector.take()?;
-            Some(collector.finish(sh.store.param_bytes(), tier))
+            Some(collector.finish(sh.store.param_bytes()))
         };
         self.shards.iter_mut().filter_map(harvest).collect()
     }

@@ -1,23 +1,21 @@
 //! The `workload.json` artifact: merged per-table access statistics,
 //! shard-load attribution, Zipf fit, and rank imbalance.
 //!
-//! Schema `neo-workload/1`, built as a [`Json`] tree and printed by its
+//! Schema `neo-workload/2`, built as a [`Json`] tree and printed by its
 //! one writer:
 //!
 //! ```json
 //! {
-//!   "schema": "neo-workload/1",
+//!   "schema": "neo-workload/2",
 //!   "world": 4, "iters": 120, "global_batch": 256, "comm_bytes": 1234,
 //!   "tables": [{
 //!     "table": 0, "rows": 20000, "dim": 16,
 //!     "lookups": 9600, "bags": 3840, "unique_rows": 512,
 //!     "pooling": {"total": 3840, "sum": 9600, "mean": 2.5,
 //!                 "p50": 2.0, "p95": 4.0, "buckets": [[lo, hi, count]]},
-//!     "top_rows": [[row, estimate]],
-//!     "sketch": {"depth": 4, "width": 1024, "total": 9600},
+//!     "top_rows": [[row, hits]],
 //!     "zipf_exponent": 1.03,
-//!     "param_bytes": 1280000,
-//!     "tier": null
+//!     "param_bytes": 1280000
 //!   }],
 //!   "shards": [{"rank": 0, "table": 0, "shard": 0, "kind": "table",
 //!               "lookups": 9600, "bags": 3840, "bytes": 614400,
@@ -27,18 +25,21 @@
 //! }
 //! ```
 //!
-//! `imbalance` is derived from `shards` and recomputed on parse; the
-//! embedded copy exists so humans and dashboards can read it without
-//! re-deriving.
+//! `top_rows` are exact: the [`TOP_ROWS`] rows with the most hits, hits
+//! descending, row ascending on ties. `imbalance` is derived from
+//! `shards` and recomputed on parse; the embedded copy exists so humans
+//! and dashboards can read it without re-deriving.
 
 use neo_telemetry::json::{self, Json};
 use neo_telemetry::Histogram;
 
-use crate::sketch::{CountMinSketch, TopK, DEFAULT_TOP_K};
-use crate::{ShardKind, ShardSample, TierSample};
+use crate::{ShardKind, ShardSample};
 
 /// The root `schema` tag this build writes and reads.
-const SCHEMA: &str = "neo-workload/1";
+const SCHEMA: &str = "neo-workload/2";
+
+/// How many of a table's hottest rows the artifact lists.
+pub const TOP_ROWS: usize = 32;
 
 /// Model-side metadata for one table, supplied by the trainer at merge
 /// time (samples carry only what the hot path observed).
@@ -82,28 +83,6 @@ impl PoolingSummary {
     }
 }
 
-/// Fast-tier summary for a cache-backed table: raw counters plus the
-/// observed hit rate and, when a Zipf fit exists, the hit rate the
-/// hot-row distribution predicts for a cache of this capacity.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TierReport {
-    /// Rows the fast tier can hold (summed across the table's shards).
-    pub capacity_rows: u64,
-    /// Rows resident after training.
-    pub resident_rows: u64,
-    /// Fast-tier bytes.
-    pub cache_bytes: u64,
-    /// Cache hits over the run.
-    pub hits: u64,
-    /// Cache misses over the run.
-    pub misses: u64,
-    /// `hits / (hits + misses)`, 0.0 before any access.
-    pub observed_hit_rate: f64,
-    /// Hit rate a Zipf(s) access stream predicts for this capacity
-    /// (`None` when no Zipf fit was possible).
-    pub predicted_hit_rate: Option<f64>,
-}
-
 /// Merged workload statistics for one table across all its shards and
 /// ranks.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,27 +97,19 @@ pub struct TableWorkload {
     pub lookups: u64,
     /// Total primary bags.
     pub bags: u64,
-    /// Distinct rows touched (bitset union across shards).
+    /// Distinct rows touched (non-zero merged counts).
     pub unique_rows: u64,
     /// Pooling-factor distribution.
     pub pooling: PoolingSummary,
-    /// Hot rows: `(global row id, estimated lookup count)`, estimate
-    /// descending.
+    /// The [`TOP_ROWS`] hottest rows: `(global row id, hits)`, hits
+    /// descending, row ascending on ties.
     pub top_rows: Vec<(u64, u64)>,
-    /// Merged sketch dimensions and mass.
-    pub sketch_depth: usize,
-    /// Counters per sketch row.
-    pub sketch_width: usize,
-    /// Total observations in the merged sketch.
-    pub sketch_total: u64,
-    /// Zipf exponent fitted to the hot-row estimates (`None` when the
+    /// Zipf exponent fitted to the hot rows' hits (`None` when the
     /// distribution is too flat or too small to fit).
     pub zipf_exponent: Option<f64>,
     /// Parameter bytes resident across all shards/replicas of this
     /// table (DP replicas each count — this is fleet-resident memory).
     pub param_bytes: u64,
-    /// Fast-tier summary when any shard is cache-backed.
-    pub tier: Option<TierReport>,
 }
 
 /// Load attribution for one placed shard.
@@ -194,9 +165,9 @@ pub struct WorkloadReport {
     pub shards: Vec<ShardLoad>,
 }
 
-/// Fits a Zipf exponent to `(row, estimate)` pairs sorted by descending
-/// estimate: least-squares slope of `log(estimate)` against `log(rank)`.
-/// Returns `None` with fewer than 3 points, zero estimates, or a
+/// Fits a Zipf exponent to `(row, hits)` pairs sorted by descending
+/// hits: least-squares slope of `log(hits)` against `log(rank)`.
+/// Returns `None` with fewer than 3 points, zero hits, or a
 /// non-decaying (≤ 0) slope.
 pub fn zipf_fit(top: &[(u64, u64)]) -> Option<f64> {
     if top.len() < 3 || top.iter().any(|&(_, e)| e == 0) {
@@ -225,29 +196,28 @@ pub fn zipf_fit(top: &[(u64, u64)]) -> Option<f64> {
     }
 }
 
-/// Hit rate an LRU-like cache of `capacity_rows` achieves under an
-/// ideal Zipf(`s`) stream over `rows` distinct rows: the probability
-/// mass of the `capacity_rows` hottest rows,
-/// `Σ_{r≤C} r^−s / Σ_{r≤R} r^−s`.
-pub fn zipf_predicted_hit_rate(s: f64, capacity_rows: u64, rows: u64) -> f64 {
-    if rows == 0 {
-        return 0.0;
-    }
-    let c = capacity_rows.min(rows);
-    let mut num = 0.0;
-    let mut den = 0.0;
-    for r in 1..=rows {
-        let p = (r as f64).powf(-s);
-        den += p;
-        if r <= c {
-            num += p;
+/// The `k` rows with the most hits in one pass over `counts` (indexed
+/// by global row): hits descending, row ascending on ties.
+fn hottest(counts: &[u32], k: usize) -> Vec<(u64, u64)> {
+    let mut top: Vec<(u64, u64)> = Vec::with_capacity(k + 1);
+    // a row enters only above `floor`: 0 until `top` is full, then its
+    // last entry's hits. Rows arrive ascending, so a tie never displaces
+    // an earlier row. One predictable branch per row: testing zero and
+    // fullness apart cost 10x as much on Zipf counts.
+    let mut floor = 0;
+    for (row, &hits) in (0u64..).zip(counts) {
+        let hits = u64::from(hits);
+        if hits <= floor {
+            continue;
+        }
+        let at = top.partition_point(|&(_, h)| h >= hits);
+        top.insert(at, (row, hits));
+        top.truncate(k);
+        if top.len() == k {
+            floor = top.last().map_or(0, |&(_, h)| h);
         }
     }
-    if den > 0.0 {
-        num / den
-    } else {
-        0.0
-    }
+    top
 }
 
 fn max_over_mean(per_rank: &[u64]) -> f64 {
@@ -264,10 +234,9 @@ impl WorkloadReport {
     /// Merges harvested shard samples from all ranks into the artifact.
     ///
     /// `tables_meta[t]` supplies rows/dim for table `t`; `samples` may
-    /// arrive in any order. Unique-row counts union bitsets (DP replicas
-    /// of one table overlap, so summing would overcount); sketches add
-    /// element-wise; heavy hitters are re-ranked against the merged
-    /// sketch.
+    /// arrive in any order. Each counting shard's hits are added at its
+    /// `base_row`, so row blocks tile the table and data-parallel
+    /// replicas sum.
     pub fn from_samples(
         world: usize,
         iters: u64,
@@ -278,74 +247,36 @@ impl WorkloadReport {
     ) -> Self {
         let mut tables = Vec::with_capacity(tables_meta.len());
         for (t, meta) in tables_meta.iter().enumerate() {
-            let mine: Vec<&ShardSample> = samples.iter().filter(|s| s.table == t).collect();
             let mut lookups = 0u64;
             let mut bags = 0u64;
             let mut pooling = Histogram::default();
-            let mut bits = vec![0u64; (meta.rows as usize).div_ceil(64)];
-            let mut sketch = CountMinSketch::default();
-            let mut keys: Vec<u64> = Vec::new();
+            let mut counts = vec![0u32; meta.rows as usize];
             let mut param_bytes = 0u64;
-            let mut tier_acc: Option<TierSample> = None;
-            for s in &mine {
+            for s in samples.iter().filter(|s| s.table == t) {
                 param_bytes += s.param_bytes;
-                if let Some(t) = &s.tier {
-                    let acc = tier_acc.get_or_insert_with(TierSample::default);
-                    acc.capacity_rows += t.capacity_rows;
-                    acc.resident_rows += t.resident_rows;
-                    acc.cache_bytes += t.cache_bytes;
-                    acc.hits += t.hits;
-                    acc.misses += t.misses;
-                }
                 let Some(p) = &s.primary else {
                     continue;
                 };
                 lookups += s.lookups;
                 bags += s.bags;
                 pooling.merge(&p.pooling);
-                for (mine, theirs) in bits.iter_mut().zip(&p.bits) {
-                    *mine |= *theirs;
+                let at = counts.iter_mut().skip(p.base_row as usize);
+                for (c, &hits) in at.zip(&p.counts) {
+                    *c = c.saturating_add(hits);
                 }
-                sketch.merge(&p.sketch);
-                keys.extend_from_slice(&p.topk_keys);
             }
-            keys.sort_unstable();
-            keys.dedup();
-            let mut topk = TopK::new(DEFAULT_TOP_K);
-            for &k in &keys {
-                topk.offer(k, sketch.estimate(k));
-            }
-            let top_rows = topk.sorted();
-            let zipf_exponent = zipf_fit(&top_rows);
-            let tier = tier_acc.map(|t| TierReport {
-                capacity_rows: t.capacity_rows,
-                resident_rows: t.resident_rows,
-                cache_bytes: t.cache_bytes,
-                hits: t.hits,
-                misses: t.misses,
-                observed_hit_rate: if t.hits + t.misses == 0 {
-                    0.0
-                } else {
-                    t.hits as f64 / (t.hits + t.misses) as f64
-                },
-                predicted_hit_rate: zipf_exponent
-                    .map(|s| zipf_predicted_hit_rate(s, t.capacity_rows, meta.rows)),
-            });
+            let top_rows = hottest(&counts, TOP_ROWS);
             tables.push(TableWorkload {
                 table: t,
                 rows: meta.rows,
                 dim: meta.dim,
                 lookups,
                 bags,
-                unique_rows: bits.iter().map(|w| w.count_ones() as u64).sum(),
+                unique_rows: counts.iter().filter(|&&c| c > 0).count() as u64,
                 pooling: PoolingSummary::from_histogram(&pooling),
+                zipf_exponent: zipf_fit(&top_rows),
                 top_rows,
-                sketch_depth: sketch.depth(),
-                sketch_width: sketch.width(),
-                sketch_total: sketch.total(),
-                zipf_exponent,
                 param_bytes,
-                tier,
             });
         }
         let mut shards: Vec<ShardLoad> = samples
@@ -403,23 +334,7 @@ impl WorkloadReport {
                 ("p95", p.p95.into()),
                 ("buckets", Json::Array(buckets.collect())),
             ]);
-            let top_rows = t.top_rows.iter().map(|&(row, est)| vec![row, est].into());
-            let sketch = Json::object([
-                ("depth", t.sketch_depth.into()),
-                ("width", t.sketch_width.into()),
-                ("total", t.sketch_total.into()),
-            ]);
-            let tier = t.tier.as_ref().map(|tier| {
-                Json::object([
-                    ("capacity_rows", tier.capacity_rows.into()),
-                    ("resident_rows", tier.resident_rows.into()),
-                    ("cache_bytes", tier.cache_bytes.into()),
-                    ("hits", tier.hits.into()),
-                    ("misses", tier.misses.into()),
-                    ("observed_hit_rate", tier.observed_hit_rate.into()),
-                    ("predicted_hit_rate", tier.predicted_hit_rate.into()),
-                ])
-            });
+            let top_rows = t.top_rows.iter().map(|&(row, hits)| vec![row, hits].into());
             Json::object([
                 ("table", t.table.into()),
                 ("rows", t.rows.into()),
@@ -429,10 +344,8 @@ impl WorkloadReport {
                 ("unique_rows", t.unique_rows.into()),
                 ("pooling", pooling),
                 ("top_rows", Json::Array(top_rows.collect())),
-                ("sketch", sketch),
                 ("zipf_exponent", t.zipf_exponent.into()),
                 ("param_bytes", t.param_bytes.into()),
-                ("tier", tier.into()),
             ])
         });
         let shards = self.shards.iter().map(|s| {
@@ -547,21 +460,7 @@ fn parse_table(t: &Json) -> Result<TableWorkload, String> {
         buckets: buckets.into_iter().map(|[lo, hi, c]| (lo, hi, c)).collect(),
     };
     let top_rows = get_u64_rows(t, "top_rows")?.into_iter();
-    let top_rows = top_rows.map(|[row, est]| (row, est)).collect();
-    let sketch = t.get("sketch").ok_or("missing `sketch`")?;
-    let tier = match t.get("tier") {
-        None => return Err("missing `tier`".to_owned()),
-        Some(Json::Null) => None,
-        Some(tj) => Some(TierReport {
-            capacity_rows: get_u64(tj, "capacity_rows")?,
-            resident_rows: get_u64(tj, "resident_rows")?,
-            cache_bytes: get_u64(tj, "cache_bytes")?,
-            hits: get_u64(tj, "hits")?,
-            misses: get_u64(tj, "misses")?,
-            observed_hit_rate: get_f64(tj, "observed_hit_rate")?,
-            predicted_hit_rate: opt_f64(tj, "predicted_hit_rate")?,
-        }),
-    };
+    let top_rows = top_rows.map(|[row, hits]| (row, hits)).collect();
     Ok(TableWorkload {
         table: get_u64(t, "table")? as usize,
         rows: get_u64(t, "rows")?,
@@ -571,12 +470,8 @@ fn parse_table(t: &Json) -> Result<TableWorkload, String> {
         unique_rows: get_u64(t, "unique_rows")?,
         pooling,
         top_rows,
-        sketch_depth: get_u64(sketch, "depth")? as usize,
-        sketch_width: get_u64(sketch, "width")? as usize,
-        sketch_total: get_u64(sketch, "total")?,
         zipf_exponent: opt_f64(t, "zipf_exponent")?,
         param_bytes: get_u64(t, "param_bytes")?,
-        tier,
     })
 }
 
@@ -607,28 +502,19 @@ mod tests {
     fn sample_report() -> WorkloadReport {
         // table 0 split row-wise across 2 ranks; table 1 data-parallel
         // with overlapping rows on both replicas
-        let mut r0 = ShardCollector::new(0, 0, 0, ShardKind::Row, 8, 0, 100, true);
+        let mut r0 = ShardCollector::new(0, 0, 0, ShardKind::Row, 8, 0, 50);
         r0.record(&[2, 1], &[0, 1, 0]);
-        let mut r1 = ShardCollector::new(1, 0, 1, ShardKind::Row, 8, 50, 100, true);
+        let mut r1 = ShardCollector::new(1, 0, 1, ShardKind::Row, 8, 50, 50);
         r1.record(&[1], &[10]); // global row 60
-        let mut d0 = ShardCollector::new(0, 1, 0, ShardKind::Dp, 4, 0, 64, true);
+        let mut d0 = ShardCollector::new(0, 1, 0, ShardKind::Dp, 4, 0, 64);
         d0.record(&[2], &[7, 9]);
-        let mut d1 = ShardCollector::new(1, 1, 1, ShardKind::Dp, 4, 0, 64, true);
+        let mut d1 = ShardCollector::new(1, 1, 1, ShardKind::Dp, 4, 0, 64);
         d1.record(&[2], &[7, 11]); // row 7 overlaps replica 0
         let samples = vec![
-            r0.finish(50 * 8 * 4, None),
-            r1.finish(50 * 8 * 4, None),
-            d0.finish(
-                64 * 4 * 4,
-                Some(TierSample {
-                    capacity_rows: 16,
-                    resident_rows: 3,
-                    cache_bytes: 16 * 4 * 4,
-                    hits: 3,
-                    misses: 1,
-                }),
-            ),
-            d1.finish(64 * 4 * 4, None),
+            r0.finish(50 * 8 * 4),
+            r1.finish(50 * 8 * 4),
+            d0.finish(64 * 4 * 4),
+            d1.finish(64 * 4 * 4),
         ];
         WorkloadReport::from_samples(
             2,
@@ -651,19 +537,36 @@ mod tests {
         assert_eq!(t0.lookups, 4);
         assert_eq!(t0.bags, 3);
         assert_eq!(t0.unique_rows, 3, "rows 0, 1, 60");
+        assert_eq!(
+            t0.top_rows,
+            vec![(0, 2), (1, 1), (60, 1)],
+            "row blocks merge at their base row"
+        );
         assert_eq!(t0.pooling.sum, t0.lookups, "pooling mass == lookups");
         assert_eq!(t0.pooling.total, t0.bags);
         assert_eq!(t0.param_bytes, 2 * 50 * 8 * 4);
         let t1 = &r.tables[1];
         assert_eq!(t1.lookups, 4);
         assert_eq!(t1.unique_rows, 3, "row 7 overlaps: union, not sum");
-        let hot: Vec<u64> = t1.top_rows.iter().map(|&(row, _)| row).collect();
-        assert_eq!(t1.top_rows[0].0, 7, "row 7 has the largest merged estimate");
-        assert!(hot.contains(&9) && hot.contains(&11));
-        let tier = t1.tier.as_ref().expect("dp replica 0 is tiered");
-        assert_eq!(tier.observed_hit_rate, 0.75);
+        assert_eq!(
+            t1.top_rows,
+            vec![(7, 2), (9, 1), (11, 1)],
+            "replica hits sum"
+        );
         assert_eq!(r.shards.len(), 4);
         assert_eq!(r.shards[0].rank, 0, "shards sorted by (rank, table, shard)");
+    }
+
+    #[test]
+    fn hottest_keeps_the_exact_head_in_order() {
+        let counts = [0, 3, 1, 3, 0, 5, 1, 2];
+        assert_eq!(hottest(&counts, 3), vec![(5, 5), (1, 3), (3, 3)]);
+        assert_eq!(
+            hottest(&counts, 10),
+            vec![(5, 5), (1, 3), (3, 3), (7, 2), (2, 1), (6, 1)],
+            "zero counts are not rows"
+        );
+        assert_eq!(hottest(&counts, 0), vec![]);
     }
 
     #[test]
@@ -691,7 +594,7 @@ mod tests {
         let r = sample_report();
         let bad_schema = r
             .to_json()
-            .replace("\"neo-workload/1\"", "\"neo-workload/99\"");
+            .replace("\"neo-workload/2\"", "\"neo-workload/99\"");
         assert!(WorkloadReport::parse(&bad_schema)
             .expect_err("the schema tag must be checked")
             .contains("neo-workload/99"));
@@ -716,19 +619,5 @@ mod tests {
         let flat: Vec<(u64, u64)> = (1..=20u64).map(|r| (r, 1000)).collect();
         assert_eq!(zipf_fit(&flat), None);
         assert_eq!(zipf_fit(&top[..2]), None, "too few points");
-    }
-
-    #[test]
-    fn predicted_hit_rate_matches_zipf_mass() {
-        // s=1: mass of top-C out of R is H(C)/H(R)
-        let p = zipf_predicted_hit_rate(1.0, 10, 100);
-        let h = |n: u64| (1..=n).map(|r| 1.0 / r as f64).sum::<f64>();
-        assert!((p - h(10) / h(100)).abs() < 1e-12);
-        assert_eq!(
-            zipf_predicted_hit_rate(1.0, 200, 100),
-            1.0,
-            "cache >= table"
-        );
-        assert_eq!(zipf_predicted_hit_rate(1.0, 10, 0), 0.0);
     }
 }

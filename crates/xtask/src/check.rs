@@ -9,18 +9,20 @@
 //!   [`neo_monitor::eventlog::SCHEMA_VERSION`], frames count 0, 1, 2, …,
 //!   timestamps never run backwards, each rank's heartbeat's `beats`/`iter` never decrease, states and event kinds
 //!   are known, at least one frame exists and no health event was raised
-//!   (a clean run). The `.prom` sibling, when present, goes through
-//!   `neo_monitor::prom::check_exposition`.
+//!   (a clean run).
 //! - `neo-telemetry/1`: every span name is a [`Phase`], at least
 //!   [`MIN_PHASES`] distinct ones appear, and spans on one `(rank, lane)`
 //!   only nest. Posted collectives' in-flight spans interleave with
 //!   compute legally because they are recorded on their own lane, where
 //!   the LIFO waits keep them nested.
-//! - `neo-workload/1`: pooling mass, bags, shard lookups (replicated for
-//!   column slices) and the sketch total are conserved against each
-//!   table's lookups; top-K rows lie inside the sketch support and the
-//!   table; unique rows are bounded; model-parallel index traffic fits
-//!   inside the `comm.*` byte counters.
+//! - `neo-workload/2`: pooling mass, bags and shard lookups (replicated
+//!   for column slices) are conserved against each table's lookups;
+//!   unique rows are bounded; a table's top rows are ordered by hits
+//!   descending (row ascending on ties), each hits value lies in
+//!   `1..=lookups` and they sum to at most `lookups`, there are at most
+//!   `min(unique_rows, TOP_ROWS)` of them, and each row lies inside the
+//!   table; model-parallel index traffic fits inside the `comm.*` byte
+//!   counters.
 //! - Chrome trace: every event has a name and phase, every "X" event a
 //!   [`Phase`] name, a `ts` and a `dur`, and `process_name` / `thread_name`
 //!   metadata events label the process and every span's thread.
@@ -31,7 +33,7 @@ use std::path::Path;
 use neo_monitor::eventlog::SCHEMA_VERSION;
 use neo_telemetry::json::{self, Json};
 use neo_telemetry::Phase;
-use neo_workload::{ShardKind, TableWorkload, WorkloadReport};
+use neo_workload::{ShardKind, TableWorkload, WorkloadReport, TOP_ROWS};
 
 use crate::USAGE;
 
@@ -73,12 +75,12 @@ fn verdict(problems: Vec<String>, summary: String) -> Verdict {
 fn check_file(path: &Path) -> Verdict {
     let text = fs::read_to_string(path).map_err(|e| vec![format!("cannot read: {e}")])?;
     if path.extension().is_some_and(|e| e == "jsonl") {
-        return monitor_log(path, &text);
+        return monitor_log(&text);
     }
     let doc = json::parse(&text).map_err(|e| vec![format!("invalid JSON: {e}")])?;
     match string(&doc, "schema") {
         Some("neo-telemetry/1") => telemetry_summary(&doc),
-        Some("neo-workload/1") => workload(&text),
+        Some("neo-workload/2") => workload(&text),
         Some(tag) => Err(vec![format!("unknown schema `{tag}`")]),
         None => match doc.get("traceEvents").and_then(Json::as_array) {
             Some(events) => chrome_trace(events),
@@ -205,7 +207,7 @@ fn chrome_trace(events: &[Json]) -> Verdict {
     verdict(bad, format!("{} trace events", events.len()))
 }
 
-fn monitor_log(path: &Path, text: &str) -> Verdict {
+fn monitor_log(text: &str) -> Verdict {
     let count = |j: &Json, key: &str| num(j, key).map(|v| v as u64);
     let mut bad = Vec::new();
     let (mut frames, mut last_t_ns) = (0u64, 0u64);
@@ -281,13 +283,6 @@ fn monitor_log(path: &Path, text: &str) -> Verdict {
     if frames == 0 {
         bad.push("no frames recorded".into());
     }
-    let prom = path.with_extension("prom");
-    if prom.exists() {
-        let shown = prom.display();
-        let ptext = fs::read_to_string(&prom).map_err(|e| vec![format!("{shown}: {e}")])?;
-        let found = neo_monitor::prom::check_exposition(&ptext).into_iter();
-        bad.extend(found.map(|p| format!("{shown}: {p}")));
-    }
     let summary = format!("{frames} frame(s), {} heartbeat slot(s)", slots.len());
     verdict(bad, summary)
 }
@@ -302,7 +297,6 @@ fn workload(text: &str) -> Verdict {
             lookups,
             bags,
             unique_rows,
-            sketch_total,
             ..
         } = *t;
         let (mass, samples) = (t.pooling.sum, t.pooling.total);
@@ -321,24 +315,7 @@ fn workload(text: &str) -> Verdict {
         if lookups > 0 && unique_rows == 0 {
             bad.push(format!("{tag}: traffic recorded but no unique rows"));
         }
-        if sketch_total != lookups {
-            bad.push(format!(
-                "{tag}: sketch total {sketch_total} != lookups {lookups} (stale top-K support)"
-            ));
-        }
-        for &(row, est) in &t.top_rows {
-            if est == 0 || est > sketch_total {
-                bad.push(format!(
-                    "{tag}: top row {row} estimate {est} outside the sketch support \
-                     (1..={sketch_total})"
-                ));
-            }
-            if row >= rows {
-                bad.push(format!(
-                    "{tag}: top row {row} outside the table (rows {rows})"
-                ));
-            }
-        }
+        bad.extend(top_rows(&tag, t));
         // column slices each see the identical replicated index stream;
         // every other kind partitions it
         let shards: Vec<_> = report.shards.iter().filter(|s| s.table == table).collect();
@@ -377,6 +354,47 @@ fn workload(text: &str) -> Verdict {
     let imbalance = report.imbalance().lookup_max_over_mean;
     let summary = format!("{tables} table(s), {shards} shard(s), lookup imbalance {imbalance:.3}");
     verdict(bad, summary)
+}
+
+/// The problems with one table's exact hottest rows.
+fn top_rows(tag: &str, t: &TableWorkload) -> Vec<String> {
+    let (top, lookups, rows) = (&t.top_rows, t.lookups, t.rows);
+    let mut bad = Vec::new();
+    let most = t.unique_rows.min(TOP_ROWS as u64);
+    if top.len() as u64 > most {
+        bad.push(format!(
+            "{tag}: {} top rows, more than min(unique_rows, {TOP_ROWS}) = {most}",
+            top.len()
+        ));
+    }
+    for w in top.windows(2) {
+        let ((r0, h0), (r1, h1)) = (w[0], w[1]);
+        if h1 > h0 || (h1 == h0 && r1 <= r0) {
+            bad.push(format!(
+                "{tag}: top rows ({r0}, {h0}) then ({r1}, {h1}) are out of order \
+                 (hits descending, row ascending on ties)"
+            ));
+        }
+    }
+    for &(row, hits) in top {
+        if hits == 0 || hits > lookups {
+            bad.push(format!(
+                "{tag}: top row {row} has {hits} hits, outside 1..={lookups}"
+            ));
+        }
+        if row >= rows {
+            bad.push(format!(
+                "{tag}: top row {row} outside the table (rows {rows})"
+            ));
+        }
+    }
+    let sum: u64 = top.iter().map(|&(_, hits)| hits).sum();
+    if sum > lookups {
+        bad.push(format!(
+            "{tag}: top rows' hits sum to {sum}, more than lookups {lookups}"
+        ));
+    }
+    bad
 }
 
 #[cfg(test)]
@@ -562,12 +580,7 @@ mod tests {
     #[test]
     fn monitor_log_must_be_a_clean_monotone_frame_stream() {
         let clean = log(&[frame(0, 10, 3, 1), frame(1, 20, 5, 2)]);
-        let prom = "# TYPE neo_monitor_samples counter\nneo_monitor_samples 2\n";
-        assert_ok(check(&[("m.jsonl", &clean), ("m.prom", prom)]));
-        assert_flags(
-            check(&[("m.jsonl", &clean), ("m.prom", "neo bad name 1\n")]),
-            "m.prom",
-        );
+        assert_ok(check(&[("m.jsonl", &clean)]));
         assert_flags(check(&[("m.jsonl", "{\n")]), "line 1: invalid JSON");
         assert_flags(
             check(&[("m.jsonl", &log(&[frame(7, 10, 1, 1)]))]),
@@ -614,26 +627,48 @@ mod tests {
     #[test]
     fn workload_must_conserve_counts_and_bound_traffic() {
         // one table, two row shards partitioning a 64-row space at row 32
-        let mut lo = ShardCollector::new(0, 0, 0, ShardKind::Row, 8, 0, 64, true);
+        let mut lo = ShardCollector::new(0, 0, 0, ShardKind::Row, 8, 0, 32);
         lo.record(&[2, 1], &[0, 1, 0]);
-        let mut hi = ShardCollector::new(1, 0, 1, ShardKind::Row, 8, 32, 64, true);
+        let mut hi = ShardCollector::new(1, 0, 1, ShardKind::Row, 8, 32, 32);
         hi.record(&[1, 1], &[0, 5]); // global rows 32 and 37
-        let samples = vec![lo.finish(64 * 8 * 4, None), hi.finish(64 * 8 * 4, None)];
+        let samples = vec![lo.finish(32 * 8 * 4), hi.finish(32 * 8 * 4)];
         let meta = [TableMeta { rows: 64, dim: 8 }];
         let report = WorkloadReport::from_samples(2, 1, 4, 4096, &meta, samples);
+        let top = [(0, 2), (1, 1), (32, 1), (37, 1)];
+        assert_eq!(report.tables[0].top_rows, top);
         assert_ok(check(&[("w.json", &report.to_json())]));
+
+        let v1 = report
+            .to_json()
+            .replace("\"neo-workload/2\"", "\"neo-workload/1\"");
+        assert_flags(check(&[("w.json", &v1)]), "unknown schema `neo-workload/1`");
 
         let mut broken = report.clone();
         broken.tables[0].lookups += 1;
         assert_flags(check(&[("w.json", &broken.to_json())]), "pooling mass");
         assert_flags(check(&[("w.json", &broken.to_json())]), "shard lookups sum");
 
-        let mut stale = report.clone();
-        stale.tables[0].top_rows.push((63, 0));
-        assert_flags(
-            check(&[("w.json", &stale.to_json())]),
-            "outside the sketch support",
-        );
+        // each rule of the top rows, broken alone: exactly one problem
+        let mutants: [(&[(u64, u64)], &str); 6] = [
+            (&[(1, 1), (0, 2), (32, 1), (37, 1)], "out of order"),
+            (&[(0, 2), (32, 1), (1, 1), (37, 1)], "out of order"),
+            (&[(0, 2), (1, 1), (32, 1), (37, 0)], "outside 1..=5"),
+            (&[(0, 3), (1, 1), (32, 1), (37, 1)], "sum to 6"),
+            (
+                &[(0, 1), (1, 1), (32, 1), (37, 1), (38, 1)],
+                "more than min",
+            ),
+            (&[(0, 2), (1, 1), (32, 1), (64, 1)], "outside the table"),
+        ];
+        for (rows, needle) in mutants {
+            let mut mutant = report.clone();
+            mutant.tables[0].top_rows = rows.to_vec();
+            let problems = check(&[("w.json", &mutant.to_json())]).expect_err(needle);
+            assert!(
+                problems.len() == 1 && problems[0].contains(needle),
+                "{needle:?}: {problems:?}"
+            );
+        }
 
         let mut starved = report;
         starved.comm_bytes = 8;

@@ -30,14 +30,14 @@
 //! (`neo-monitor`): a sampler thread appends schema-versioned frames —
 //! per-rank heartbeats, counters, gauges — to `<out.jsonl>` while
 //! echoing a one-line status per sample, a watchdog raises
-//! stall/hang/straggler alerts, and the final scrape lands next to the
-//! log as `<out>.prom`. Validate the artifacts with
-//! `neo-xtask check <out.jsonl>`.
+//! stall/hang/straggler alerts, and the last frame is the final scrape.
+//! Validate the log with `neo-xtask check <out.jsonl>`.
 //!
 //! With `--workload <out.json>` the run enables the always-cheap access
 //! profiler (`neo-workload`): per-table lookup/pooling statistics,
-//! unique-row traffic, count-min hot-row sketches, and per-shard load
-//! attribution, written as the schema-versioned `workload.json` artifact.
+//! unique-row traffic, the exact hottest rows from one hit count per row,
+//! and per-shard load attribution, written as the schema-versioned
+//! `workload.json` artifact.
 //! Profiling never perturbs training — losses are bitwise-identical with
 //! the flag on or off. Validate with `neo-xtask check <out.json>`.
 

@@ -18,7 +18,7 @@
 //! | [`perfmodel`] | `neo-perfmodel` | §5.1 Eq. 1 roofline, Appendix A |
 //! | [`telemetry`] | `neo-telemetry` | §5.2 per-iteration breakdowns, Fig. 14 |
 //! | [`monitor`] | `neo-monitor` | live health: frames, per-rank heartbeats, watchdog |
-//! | [`workload`] | `neo-workload` | per-table access profiling, hot-row sketches |
+//! | [`workload`] | `neo-workload` | per-table access profiling, exact per-row hit counts |
 //! | [`prof`] | `neo-prof` | cross-rank critical path, measured exposed comm, rank skew |
 //! | [`sync`] | `neo-sync` | ordered locks + schedule-chaos injector (infra) |
 //!

@@ -107,5 +107,4 @@ fn injected_lane_stall_is_detected_and_logged() {
         "only {frames} frames across a {INJECTED_STALL_MS}ms stall"
     );
     std::fs::remove_file(&log).ok();
-    std::fs::remove_file(log.with_extension("prom")).ok();
 }
