@@ -39,10 +39,13 @@
 #                         patterns through both 16-bit encoders against
 #                         the scalar oracle, elapsed time printed,
 #                         neo-sync's tests in release, where the lock-class
-#                         check is compiled out and must stay silent, and
+#                         check is compiled out and must stay silent,
 #                         neo-embeddings' tests in release, so the bitwise
 #                         kernel tests check the optimised code the
-#                         benchmark times)
+#                         benchmark times, and neo-tensor's tests built for
+#                         baseline x86-64 and for x86-64-v3, so every GEMM
+#                         tile width the target can pick is checked
+#                         against the naive loop)
 #   5. sanitizer tests   (numeric sanitizer armed via --features sanitize
 #                         on every crate that has or forwards the feature)
 #   6. artifacts         (one quickstart --telemetry --monitor --workload
@@ -104,7 +107,7 @@ echo "==> [3/8] tier-1: cargo build --release && cargo test -q (--locked)"
 cargo build --locked --release
 cargo test --locked -q
 
-echo "==> [4/8] cargo test -q --workspace (+ the benchmark package, + the exhaustive f16/bf16 encode check, + neo-sync and neo-embeddings in release)"
+echo "==> [4/8] cargo test -q --workspace (+ the benchmark package, + the exhaustive f16/bf16 encode check, + neo-sync and neo-embeddings in release, + neo-tensor for x86-64 and x86-64-v3)"
 cargo test --locked -q --workspace
 cargo test --locked -q --offline --manifest-path benchmark/Cargo.toml
 cargo test --locked --release -q -p neo-sync
@@ -114,6 +117,13 @@ cargo test --locked --release -q -p neo-tensor --no-run
 EXHAUSTIVE_T0=$(date +%s%N)
 cargo test --locked --release -q -p neo-tensor -- --ignored f16_bf16_encode_exhaustive
 echo "    f16_bf16_encode_exhaustive: $(( ($(date +%s%N) - EXHAUSTIVE_T0) / 1000000 )) ms"
+# the GEMM tile width follows the target's vector ISA: check the SSE2
+# (NR = 8) and AVX2 (NR = 16) tiles against the naive loop too, whatever
+# this host's native tile is
+for cpu in x86-64 x86-64-v3; do
+    RUSTFLAGS="-C target-cpu=$cpu" CARGO_TARGET_DIR="target/isa-$cpu" \
+        cargo test --locked --release -q -p neo-tensor
+done
 
 echo "==> [5/8] sanitize: numeric sanitizer armed"
 cargo test -q -p neo-tensor -p neo-embeddings -p neo-collectives -p neo-dataio \

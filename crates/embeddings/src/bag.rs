@@ -20,8 +20,9 @@ use crate::store::{RowStore, StoreError};
 
 /// Column-block widths of [`fold_rows`], widest first. A block's partial
 /// sums are a local `[f32; C]` that stays in registers while the rows
-/// stream past (eight 128-bit registers at 32, as `neo-tensor`'s GEMM
-/// tile); the under-8 columns past the last block are a scalar tail.
+/// stream past (at 32: two `zmm` registers on AVX-512, four `ymm` on
+/// AVX2, eight `xmm` on baseline x86-64); the under-8 columns past the
+/// last block are a scalar tail.
 const WIDE: usize = 32;
 const MID: usize = 16;
 const NARROW: usize = 8;

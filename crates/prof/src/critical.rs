@@ -12,14 +12,24 @@
 //!    the latest earlier span end to [`IDLE`] (all ranks between phases —
 //!    in a rendezvous-based run this is pure scheduling overhead).
 //!
+//! A posted collective's in-flight span (lane > 0) runs while its rank
+//! computes on lane 0, so the walk sees only its *exposed* part: the time
+//! after the rank's last lane-0 leaf that ended inside it (none, when a
+//! lane-0 leaf is still open at its end). Otherwise the span, having the
+//! later start at every gap between the rank's compute leaves, would
+//! absorb all of them and name the collective the bound of an iteration it
+//! hid behind compute.
+//!
 //! `t` strictly decreases, so the walk terminates, the segments partition
 //! `[earliest start, latest end]` exactly (total == wall-clock), and no
-//! idle segment can overlap any span's own interval — which yields the
-//! invariants the property tests pin down: non-idle critical-path length
-//! is at least the longest single leaf span and at most the wall-clock.
+//! idle segment can overlap a lane-0 leaf or an exposed part — which
+//! yields the invariants the property tests pin down: non-idle
+//! critical-path length is at least the longest of those intervals and at
+//! most the wall-clock, and no lane > 0 segment overlaps a lane-0 leaf of
+//! its rank.
 
 use crate::merge::MergedTimeline;
-use neo_telemetry::Phase;
+use neo_telemetry::{Phase, SpanRecord};
 
 /// Segment phase where no rank had a leaf span open; reports print it as
 /// `idle`.
@@ -35,6 +45,8 @@ fn label(phase: Option<Phase>) -> &'static str {
 pub struct Segment {
     /// Rank charged for the interval (0 for [`IDLE`] segments).
     pub rank: u32,
+    /// Telemetry lane of the charged span (0 for [`IDLE`] segments).
+    pub lane: u32,
     /// The charged phase, or [`IDLE`].
     pub phase: Option<Phase>,
     /// Interval start, ns.
@@ -116,8 +128,9 @@ impl CriticalPath {
 /// an iteration whose leaf spans are all zero-length yields an empty
 /// segment list with `wall_ns == 0`.
 pub fn critical_path(m: &MergedTimeline, iter: u64) -> Option<CriticalPath> {
-    let leaves = m.iteration_leaves(iter);
+    let all = m.iteration_leaves(iter);
     let (lo, hi) = m.iteration_wall_ns(iter)?;
+    let leaves: Vec<SpanRecord> = all.iter().filter_map(|s| exposed_part(s, &all)).collect();
     let mut segments: Vec<Segment> = Vec::new();
     let mut t = hi;
     while t > lo {
@@ -129,6 +142,7 @@ pub fn critical_path(m: &MergedTimeline, iter: u64) -> Option<CriticalPath> {
         if let Some(s) = active {
             segments.push(Segment {
                 rank: s.rank,
+                lane: s.lane,
                 phase: Some(s.phase),
                 start_ns: s.start_ns,
                 end_ns: t,
@@ -145,6 +159,7 @@ pub fn critical_path(m: &MergedTimeline, iter: u64) -> Option<CriticalPath> {
                 .max(lo);
             segments.push(Segment {
                 rank: 0,
+                lane: 0,
                 phase: IDLE,
                 start_ns: prev,
                 end_ns: t,
@@ -160,10 +175,29 @@ pub fn critical_path(m: &MergedTimeline, iter: u64) -> Option<CriticalPath> {
     })
 }
 
+/// The part of leaf `s` the walk may charge: a lane-0 leaf whole, a
+/// lane > 0 span from its rank's last lane-0 activity inside it to its
+/// end, or `None` when a lane-0 leaf of its rank is open at its end.
+fn exposed_part(s: &SpanRecord, leaves: &[&SpanRecord]) -> Option<SpanRecord> {
+    if s.lane == 0 {
+        return Some(s.clone());
+    }
+    let start_ns = leaves
+        .iter()
+        .filter(|c| c.lane == 0 && c.rank == s.rank)
+        .filter(|c| c.start_ns < s.end_ns && c.end_ns > s.start_ns)
+        .map(|c| c.end_ns.min(s.end_ns))
+        .fold(s.start_ns, u64::max);
+    (start_ns < s.end_ns).then(|| SpanRecord {
+        start_ns,
+        ..s.clone()
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use neo_telemetry::{Snapshot, SpanRecord};
+    use neo_telemetry::Snapshot;
 
     fn span(rank: u32, iter: u64, phase: Phase, s: u64, e: u64) -> SpanRecord {
         SpanRecord {
@@ -232,6 +266,30 @@ mod tests {
         assert_eq!(cp.phase_ns(Some(Phase::TopMlpBwd)), 20);
         assert_eq!(cp.phase_ns(Some(Phase::Allreduce)), 10);
         assert_eq!(cp.busy_ns(), 30);
+    }
+
+    #[test]
+    fn in_flight_span_is_charged_only_after_its_ranks_last_compute() {
+        // a collective posted at 5 and waited on until 40, while rank 0
+        // computes [0,10] and [12,30]: the gaps at [10,12] stay idle and
+        // only the wait [30,40] is charged to the collective
+        let mut posted = span(0, 0, Phase::InputA2a, 5, 40);
+        posted.lane = 1;
+        let m = merged(vec![
+            span(0, 0, Phase::FwdBottomMlp, 0, 10),
+            posted.clone(),
+            span(0, 0, Phase::EmbLookup, 12, 30),
+        ]);
+        let cp = critical_path(&m, 0).expect("path");
+        assert_eq!(cp.wall_ns, 40);
+        assert_eq!(cp.phase_ns(Some(Phase::InputA2a)), 10);
+        assert_eq!(cp.phase_ns(IDLE), 2);
+        assert_eq!(cp.bounding(), Some((Phase::EmbLookup, 0, 18)));
+        // a compute leaf still open at the wait hides the whole flight
+        let m = merged(vec![posted, span(0, 0, Phase::EmbLookup, 12, 45)]);
+        let cp = critical_path(&m, 0).expect("path");
+        assert_eq!(cp.phase_ns(Some(Phase::InputA2a)), 0);
+        assert_eq!(cp.phase_ns(IDLE), 7);
     }
 
     #[test]

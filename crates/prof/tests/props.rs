@@ -32,29 +32,47 @@ fn merged(spans: Vec<SpanRecord>) -> MergedTimeline {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// On arbitrary multi-rank timelines: segments partition the wall
-    /// exactly (sum == wall-clock), and the non-idle critical-path length
-    /// is >= the longest single leaf span and <= the wall-clock.
+    /// On arbitrary multi-rank, two-lane timelines: segments partition
+    /// the wall exactly (sum == wall-clock), and the non-idle
+    /// critical-path length is <= the wall-clock and >= the longest
+    /// chargeable interval — a lane-0 leaf, or the exposed part of a
+    /// lane-1 span (after its rank's last lane-0 activity inside it). No
+    /// idle segment overlaps a chargeable interval, and no lane-1 segment
+    /// overlaps a lane-0 leaf of its rank.
     #[test]
     fn critical_path_is_bounded(
         raw in proptest::collection::vec(
-            (0u32..4, 0usize..12, 0u64..1_000, 1u64..200),
+            (0u32..4, 0u32..2, 0usize..12, 0u64..1_000, 1u64..200),
             1..40,
         ),
     ) {
         let spans: Vec<SpanRecord> = raw
             .iter()
-            .map(|&(rank, which, start, len)| SpanRecord {
+            .map(|&(rank, lane, which, start, len)| SpanRecord {
                 rank,
                 iter: 0,
                 phase: LEAVES[which % LEAVES.len()],
-                lane: 0,
+                lane,
                 start_ns: start,
                 end_ns: start + len,
             })
             .collect();
-        let longest = spans.iter().map(|s| s.duration_ns()).max().unwrap_or(0);
-        let m = merged(spans);
+        let compute: Vec<&SpanRecord> = spans.iter().filter(|s| s.lane == 0).collect();
+        // the chargeable interval of every span, by the rule in the doc
+        let exposed: Vec<(u64, u64)> = spans
+            .iter()
+            .map(|s| {
+                let from = compute
+                    .iter()
+                    .filter(|c| s.lane > 0 && c.rank == s.rank)
+                    .filter(|c| c.start_ns < s.end_ns && c.end_ns > s.start_ns)
+                    .map(|c| c.end_ns.min(s.end_ns))
+                    .fold(s.start_ns, u64::max);
+                (from, s.end_ns)
+            })
+            .collect();
+        let longest = exposed.iter().map(|&(s, e)| e - s).max().unwrap_or(0);
+        let m = merged(spans.clone());
         let cp = critical_path(&m, 0).expect("non-empty timeline has a path");
         let total: u64 = cp.segments.iter().map(|s| s.duration_ns()).sum();
         prop_assert_eq!(total, cp.wall_ns, "segments partition the wall");
@@ -62,7 +80,7 @@ proptest! {
         prop_assert!(busy <= cp.wall_ns);
         prop_assert!(
             busy >= longest,
-            "critical path {} shorter than longest span {}",
+            "critical path {} shorter than longest chargeable interval {}",
             busy,
             longest
         );
@@ -70,11 +88,20 @@ proptest! {
         for w in cp.segments.windows(2) {
             prop_assert_eq!(w[0].end_ns, w[1].start_ns);
         }
-        // idle never overlaps any span's own interval
-        for seg in cp.segments.iter().filter(|s| s.phase == IDLE) {
-            for sp in m.spans() {
-                let overlap = seg.end_ns.min(sp.end_ns) > seg.start_ns.max(sp.start_ns);
-                prop_assert!(!overlap, "idle {seg:?} overlaps span {sp:?}");
+        let overlaps = |a: (u64, u64), b: (u64, u64)| a.1.min(b.1) > a.0.max(b.0);
+        for seg in &cp.segments {
+            let iv = (seg.start_ns, seg.end_ns);
+            if seg.phase == IDLE {
+                for &e in &exposed {
+                    prop_assert!(!overlaps(iv, e), "idle {seg:?} overlaps {e:?}");
+                }
+            } else if seg.lane > 0 {
+                for c in compute.iter().filter(|c| c.rank == seg.rank) {
+                    prop_assert!(
+                        !overlaps(iv, (c.start_ns, c.end_ns)),
+                        "in-flight {seg:?} overlaps compute {c:?}"
+                    );
+                }
             }
         }
     }

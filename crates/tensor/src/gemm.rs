@@ -14,18 +14,29 @@
 //! nor hide one from a real output).
 //!
 //! The workspace forbids `unsafe`, so there are no intrinsics and no
-//! `mul_add` (a libm call without an FMA target): the tile is a fixed-size
-//! array the autovectorizer keeps in eight 128-bit registers on baseline
-//! x86-64. The fixed order makes repeated runs bitwise identical, and the
-//! serial and overlapped training schedules (which share this kernel) stay
-//! bitwise-equal by construction.
+//! `mul_add`: the tile is a fixed-size array the autovectorizer keeps in
+//! vector registers. The root `.cargo/config.toml` builds for the host CPU
+//! (`target-cpu=native`), and `NR` is two registers of `f32` lanes for the
+//! widest vector ISA the build targets: 32 with AVX-512, 16 with AVX2, 8 on
+//! SSE2 baseline x86-64 — eight `zmm`, `ymm` or `xmm` accumulators. Rust
+//! never contracts a `mul` and an `add` into an FMA, so the tile shape
+//! changes speed, not bits. The fixed order makes repeated runs bitwise
+//! identical, and the serial and overlapped training schedules (which share
+//! this kernel) stay bitwise-equal by construction.
 
 use crate::{ShapeError, Tensor2};
 
 /// Rows of the register tile (`A` panel width).
 const MR: usize = 4;
-/// Columns of the register tile (`B` panel width).
-const NR: usize = 8;
+/// Columns of the register tile (`B` panel width): two vector registers
+/// of `f32` lanes. A wider tile than that spills (DESIGN §8.1).
+const NR: usize = if cfg!(target_feature = "avx512f") {
+    32
+} else if cfg!(target_feature = "avx2") {
+    16
+} else {
+    8
+};
 
 /// Which product [`gemm`] computes from its row-major operands.
 #[derive(Debug, Clone, Copy)]
@@ -456,12 +467,13 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Every entry point is bitwise the naive scalar reference, for
-        /// arbitrary shapes spanning the tile remainders.
+        /// arbitrary shapes spanning the tile remainders: up to three row
+        /// tiles and a partial third column tile, whatever `NR` is.
         #[test]
         fn kernels_match_naive_reference(
-            m in 0usize..20,
+            m in 0usize..3 * MR + 3,
             k in 0usize..40,
-            n in 0usize..20,
+            n in 0usize..2 * NR + 4,
             seed in 0u64..1000,
         ) {
             let a = Tensor2::from_fn(m, k, |i, j| val(i, j, seed));

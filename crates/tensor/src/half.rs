@@ -17,10 +17,11 @@
 //! of `0xfff + odd` (FP16) or `0x7fff + lsb` (BF16). The per-value methods
 //! call it, and so do the slice kernels [`f16_encode`], [`f16_decode`],
 //! [`bf16_encode`] and [`bf16_decode`], whose loops the autovectorizer
-//! keeps in SIMD lanes. The quantized wire and the FP16 embedding store
-//! convert through these kernels. The branchy scalar conversions they
-//! replaced are kept as a test-only oracle, which the tests check every
-//! kernel against bit for bit.
+//! keeps in SIMD lanes as wide as the build target's (`target-cpu=native`
+//! from the root `.cargo/config.toml`). The quantized wire and the FP16
+//! embedding store convert through these kernels. The branchy scalar
+//! conversions they replaced are kept as a test-only oracle, which the
+//! tests check every kernel against bit for bit.
 
 use std::fmt;
 
@@ -216,9 +217,12 @@ pub fn bf16_decode(src: &[u16], dst: &mut [f32]) {
 }
 
 /// Applies `f` element-wise from `src` to `dst`. With `f` inlined, the
-/// loop vectorizer turns this loop into an `xmm`-lane body plus a scalar
-/// tail. Hand-chunking it with `chunks_exact(8)` measured 17–44% slower:
-/// LLVM then vectorizes across chunks with stride-8 shuffles.
+/// loop vectorizer turns this loop into a body as wide as the target's
+/// vector registers (`zmm` lanes on an AVX-512 host, since the root
+/// `.cargo/config.toml` builds for the host CPU; `xmm` on baseline
+/// x86-64) plus a scalar tail. Hand-chunking it with `chunks_exact(8)`
+/// measured 17–44% slower: LLVM then vectorizes across chunks with
+/// stride-8 shuffles.
 #[inline(always)]
 fn convert<S: Copy, D>(src: &[S], dst: &mut [D], f: impl Fn(S) -> D) {
     assert_eq!(

@@ -178,9 +178,8 @@ impl Worker {
         // AllGather for row-wise tables (mirror of the ReduceScatter); the
         // gathered rows are the global batch's bag gradients in order
         for &t in &self.row_tables {
-            let flat = g_features[t + 1].as_slice().to_vec();
             let sp = self.rec.span(Phase::Allgather);
-            let global_grads = self.comm.all_gather(&flat)?;
+            let global_grads = self.comm.all_gather(g_features[t + 1].as_slice())?;
             drop(sp);
             if let Some(sh) = self.shards.iter_mut().find(|sh| sh.geo.table == t) {
                 let sp = self.rec.span(Phase::SparseOptim);

@@ -158,6 +158,24 @@ mod tests {
         );
     }
 
+    /// The root `.cargo/config.toml` builds every crate for the host CPU:
+    /// `neo_tensor`'s GEMM tile width and every autovectorised kernel
+    /// follow the vector ISA it enables, and cargo reads the file for any
+    /// build started in the repository, the benchmark's included.
+    #[test]
+    fn cargo_config_builds_for_the_host_cpu() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .ancestors()
+            .nth(2)
+            .unwrap();
+        let text = fs::read_to_string(root.join(".cargo/config.toml")).unwrap();
+        let flags = r#"rustflags=["-C","target-cpu=native"]"#;
+        assert!(
+            table_holds(&text, "[build]", &[flags]),
+            "`.cargo/config.toml` has no `[build]` {flags}"
+        );
+    }
+
     /// The seeded failing case: of four members, the one without a
     /// `[lints]` table, the one with `workspace = false` and the exception
     /// whose own table does not deny warnings are named.

@@ -59,6 +59,27 @@ fn analyze_explains_an_overlapped_mixed_plan_run() {
         assert!(cp.wall_ns > 0, "iter {} has no wall-clock", cp.iter);
     }
 
+    // a posted collective is charged only where its rank was not
+    // computing: no in-flight segment overlaps a lane-0 leaf of its rank
+    let mut in_flight = 0;
+    for cp in &report.critical {
+        for seg in cp.segments.iter().filter(|s| s.lane > 0) {
+            in_flight += 1;
+            let overlapped = snap.spans.iter().find(|s| {
+                s.lane == 0
+                    && s.rank == seg.rank
+                    && !s.phase.is_aggregate()
+                    && s.start_ns.max(seg.start_ns) < s.end_ns.min(seg.end_ns)
+            });
+            assert!(
+                overlapped.is_none(),
+                "iter {}: {seg:?} overlaps compute {overlapped:?}",
+                cp.iter
+            );
+        }
+    }
+    assert!(in_flight > 0, "no posted collective was ever exposed");
+
     let e = report.exposed.expect("the run recorded iteration brackets");
     assert!(
         (0.0..=1.0).contains(&e.measured_fraction),
