@@ -7,10 +7,11 @@
 //! realistic wire cost of `latency + bytes / bandwidth` per collective,
 //! priced from a [`ClusterTopology`] link, as a *deadline*: a post stamps
 //! when its payload would be off the wire, and the wait sleeps only for
-//! what is left of it. Compute between post and wait therefore hides the
-//! modelled wire exactly, with no thread sleeping on it. Injected latency
-//! is wall-clock only and never touches the exchanged values, so bitwise
-//! determinism is unaffected.
+//! what is left of it, yielding the last tens of microseconds so the
+//! kernel's timer slack does not overrun it. Compute between post and
+//! wait therefore hides the modelled wire exactly, with no thread
+//! sleeping on it. Injected latency is wall-clock only and never
+//! touches the exchanged values, so bitwise determinism is unaffected.
 
 use std::time::{Duration, Instant};
 
@@ -71,12 +72,45 @@ impl CommDelay {
     }
 }
 
-/// Sleeps out what is left until `deadline`; returns at once once it has
-/// passed.
+/// How far a short `std::thread::sleep` overruns its request on Linux:
+/// the kernel's default 50 µs timer slack plus a few µs of wake-up.
+const SLEEP_OVERRUN: Duration = Duration::from_micros(60);
+
+/// One step of a wait for a deadline.
+#[derive(Debug, PartialEq, Eq)]
+enum Step {
+    /// The deadline has passed.
+    Done,
+    /// Sleep this long; the overrun still lands before the deadline.
+    Sleep(Duration),
+    /// Too little is left for a sleep to land in time: give the core
+    /// away and look again.
+    Yield,
+}
+
+/// What a wait does with `left` until its deadline: it sleeps only while
+/// more than a sleep's overrun is left, and yields the rest. Each sleep
+/// is capped at one overrun, because a longer sleep overruns by more.
+fn step(left: Duration) -> Step {
+    if left.is_zero() {
+        Step::Done
+    } else if left > SLEEP_OVERRUN {
+        Step::Sleep((left - SLEEP_OVERRUN).min(SLEEP_OVERRUN))
+    } else {
+        Step::Yield
+    }
+}
+
+/// Waits out what is left until `deadline`; returns at once once it has
+/// passed. It yields rather than spins near the deadline, so a rank
+/// sharing its core with a peer hands the core over.
 pub(crate) fn sleep_until(deadline: Instant) {
-    let left = deadline.saturating_duration_since(now());
-    if !left.is_zero() {
-        std::thread::sleep(left);
+    loop {
+        match step(deadline.saturating_duration_since(now())) {
+            Step::Done => return,
+            Step::Sleep(d) => std::thread::sleep(d),
+            Step::Yield => std::thread::yield_now(),
+        }
     }
 }
 
@@ -115,6 +149,21 @@ mod tests {
         let want = topo.scale_out.transfer_time(4096.0);
         // Duration quantizes to whole nanoseconds.
         assert!((d.cost(4096).as_secs_f64() - want).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_wait_sleeps_while_more_than_an_overrun_is_left_then_yields() {
+        let us = Duration::from_micros;
+        assert_eq!(step(Duration::ZERO), Step::Done);
+        assert_eq!(step(Duration::from_nanos(1)), Step::Yield);
+        assert_eq!(step(SLEEP_OVERRUN), Step::Yield);
+        assert_eq!(
+            step(SLEEP_OVERRUN + Duration::from_nanos(1)),
+            Step::Sleep(Duration::from_nanos(1))
+        );
+        assert_eq!(step(us(100)), Step::Sleep(us(40)));
+        // a long wait sleeps in overrun-sized pieces
+        assert_eq!(step(us(1_000)), Step::Sleep(SLEEP_OVERRUN));
     }
 
     #[test]

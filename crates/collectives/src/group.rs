@@ -250,21 +250,6 @@ impl Communicator {
         self.post(Op::Barrier, 0, (), |_| Ok(())).wait().ok();
     }
 
-    /// Averages `buf` across ranks: [`Communicator::all_reduce_shared`]'s
-    /// rank-ordered sum, scaled by `1/world`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`CollectiveError`] from the underlying AllReduce.
-    pub fn all_reduce_mean(&mut self, buf: &mut [f32]) -> Result<(), CollectiveError> {
-        let sum = self.all_reduce_shared(Arc::new(buf.to_vec()))?;
-        let inv = 1.0 / self.world() as f32;
-        for (v, s) in buf.iter_mut().zip(sum.iter()) {
-            *v = s * inv;
-        }
-        Ok(())
-    }
-
     /// Splits each rank's `input` (length `world * chunk`) into `world`
     /// chunks, sums chunk `r` across ranks and returns it to rank `r`.
     ///
@@ -607,18 +592,6 @@ mod tests {
         });
         for v in out {
             assert_eq!(*v, vec![6.0, 4.0]);
-        }
-    }
-
-    #[test]
-    fn all_reduce_mean_averages() {
-        let out = run(4, |rank, c| {
-            let mut v = vec![rank as f32];
-            c.all_reduce_mean(&mut v).unwrap();
-            v[0]
-        });
-        for v in out {
-            assert_eq!(v, 1.5);
         }
     }
 

@@ -3,10 +3,10 @@
 //! The original system runs NCCL over RoCE/NVLink through the PyTorch
 //! ProcessGroup API (§4.5). Here each "GPU" is a thread, and a
 //! [`Communicator`] provides the same collectives with real data movement
-//! through shared memory. There is one family of ten entry points:
+//! through shared memory. There is one family of nine entry points:
 //!
-//! * [`Communicator::all_reduce_shared`] / [`Communicator::all_reduce_mean`]
-//!   — gradient sync for data-parallel MLPs, and the loss mean;
+//! * [`Communicator::all_reduce_shared`] — gradient sync for
+//!   data-parallel MLPs, whose bucket also carries the loss;
 //! * [`Communicator::all_to_all_shared`] /
 //!   [`Communicator::all_to_all_shared_quant`] — index and
 //!   pooled-embedding exchange for model-parallel tables, optionally in
@@ -46,8 +46,9 @@
 //! An opt-in [`CommDelay`] derived from a `neo_netsim::ClusterTopology`
 //! link gives the shared-memory collectives a realistic, overlappable
 //! cost: a post stamps when its payload would be off the modelled wire,
-//! and the wait sleeps only for what is left. Off by default and
-//! wall-clock only: values never change.
+//! and the wait sleeps only for what is left, yielding the last stretch
+//! that a sleep would overrun. Off by default and wall-clock only:
+//! values never change.
 //!
 //! # Example
 //!

@@ -262,30 +262,6 @@ proptest! {
         }
     }
 
-    /// AllReduce-mean equals the rank-ordered sum scaled by `1/world`.
-    #[test]
-    fn mean_agrees_with_scalar_math(
-        world in 1usize..5,
-        n in 1usize..5,
-        seed in 0u64..1000,
-    ) {
-        let out = run_group(world, move |rank, comm| {
-            let mut mean = input(seed, rank, n);
-            comm.all_reduce_mean(&mut mean).expect("all_reduce_mean");
-            mean
-        });
-        let inputs: Vec<Vec<f32>> = (0..world).map(|rank| input(seed, rank, n)).collect();
-        // the collective scales by 1/world; mirror that exactly
-        // (f32 `* (1/w)` and `/ w` round differently)
-        let want: Vec<f32> = oracle_sum(&inputs)
-            .iter()
-            .map(|s| s * (1.0 / world as f32))
-            .collect();
-        for mean in out {
-            prop_assert_eq!(mean, want.clone());
-        }
-    }
-
     /// Quantized AlltoAll preserves values representable in the wire format
     /// exactly, for both 16-bit modes.
     #[test]

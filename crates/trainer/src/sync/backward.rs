@@ -16,31 +16,46 @@ use neo_tensor::Tensor2;
 use super::config::{err, SyncError};
 use super::shard::{rides_a2a, Worker};
 
-/// Posts one MLP's flat gradients as its own AllReduce bucket.
+/// Posts one MLP's flat gradients, followed by `tail`, as its own
+/// AllReduce bucket.
 fn post_grad_bucket(
     comm: &mut Communicator,
     mlp: &Mlp,
+    tail: &[f32],
     phase: Phase,
     iter: u64,
 ) -> CommHandle<Arc<Vec<f32>>> {
-    comm.post_all_reduce_shared(Arc::new(mlp.grads().to_vec()), phase.as_str(), iter)
+    let bucket = [mlp.grads(), tail].concat();
+    comm.post_all_reduce_shared(Arc::new(bucket), phase.as_str(), iter)
+}
+
+/// Splits the local loss, the last element of a reduced bucket, off it.
+fn split_loss(bucket: &[f32]) -> Result<(f32, &[f32]), SyncError> {
+    bucket
+        .split_last()
+        .map(|(loss, grads)| (*loss, grads))
+        .ok_or_else(|| err("empty gradient bucket"))
 }
 
 impl Worker {
     /// Backward + update from the local logit gradient (already scaled by
-    /// the *global* batch size).
+    /// the *global* batch size) and the local `loss`; returns the sum of
+    /// every rank's loss.
     ///
-    /// The MLP-gradient AllReduce is bucketed by schedule. Overlap posts
-    /// one bucket per MLP the moment its backward finishes, so both ride
-    /// behind the blocking sparse paths until their waits. Serial
-    /// reduces a single `[bottom|top]` bucket afterwards. Rank-order
-    /// accumulation is element-wise, so the buckets are bitwise-equal to
-    /// the combined buffer's `[..nb]` / `[nb..]`.
+    /// The MLP-gradient AllReduce is bucketed by schedule, and the loss
+    /// rides as the last element of the bucket holding the top MLP's
+    /// gradients. Overlap posts one bucket per MLP the moment its
+    /// backward finishes, so both ride behind the blocking sparse paths
+    /// until their waits. Serial reduces a single `[bottom|top|loss]`
+    /// bucket afterwards. Rank-order accumulation is element-wise, so the
+    /// buckets are bitwise-equal to the combined buffer's slices, and the
+    /// loss to a one-element AllReduce of its own.
     pub(super) fn backward_update(
         &mut self,
         sub: &CombinedBatch,
         grad_logits: &Tensor2,
-    ) -> Result<(), SyncError> {
+        loss: f32,
+    ) -> Result<f32, SyncError> {
         let features = self
             .cached_features
             .take()
@@ -59,8 +74,15 @@ impl Worker {
             .backward(grad_logits)
             .map_err(|e| err(e.to_string()))?;
         drop(sp);
-        let top_bucket = overlap
-            .then(|| post_grad_bucket(&mut self.comm, &self.top, Phase::AllreduceTop, self.iter));
+        let top_bucket = overlap.then(|| {
+            post_grad_bucket(
+                &mut self.comm,
+                &self.top,
+                &[loss],
+                Phase::AllreduceTop,
+                self.iter,
+            )
+        });
         let sp = self.rec.span(Phase::InteractionBwd);
         let splits = g_top_in
             .hsplit(&[d, num_pairs(num_tables + 1)])
@@ -76,16 +98,24 @@ impl Worker {
             .map_err(|e| err(e.to_string()))?;
         drop(sp);
         let bot_bucket = overlap.then(|| {
-            post_grad_bucket(&mut self.comm, &self.bottom, Phase::AllreduceBot, self.iter)
+            post_grad_bucket(
+                &mut self.comm,
+                &self.bottom,
+                &[],
+                Phase::AllreduceBot,
+                self.iter,
+            )
         });
 
         // sparse paths (grad exchanges + exact optimizer updates)
         self.sparse_backward(sub.batch_size(), &g_features)?;
 
-        match bot_bucket.zip(top_bucket) {
+        let loss_sum = match bot_bucket.zip(top_bucket) {
             Some((bot, top)) => {
                 let (bot, top) = (bot.wait()?, top.wait()?);
-                self.dense_step(&bot, &top)?;
+                let (loss_sum, top) = split_loss(&top)?;
+                self.dense_step(&bot, top)?;
+                loss_sum
             }
             None => {
                 // zero-copy: the scratch buffer is handed off by pointer
@@ -95,17 +125,20 @@ impl Worker {
                 self.scratch_grads.clear();
                 self.scratch_grads.extend_from_slice(self.bottom.grads());
                 self.scratch_grads.extend_from_slice(self.top.grads());
+                self.scratch_grads.push(loss);
                 let buf = std::mem::take(&mut self.scratch_grads);
                 let sp = self.rec.span(Phase::Allreduce);
                 let reduced = self.comm.all_reduce_shared(Arc::new(buf))?;
                 drop(sp);
+                let (loss_sum, grads) = split_loss(&reduced)?;
                 let nb = self.bottom.num_params();
-                self.dense_step(&reduced[..nb], &reduced[nb..])?;
+                self.dense_step(&grads[..nb], &grads[nb..])?;
                 self.scratch_grads = Arc::try_unwrap(reduced).unwrap_or_else(|a| (*a).clone());
+                loss_sum
             }
-        }
+        };
         drop(bwd_span);
-        Ok(())
+        Ok(loss_sum)
     }
 
     /// Installs the reduced MLP gradients and steps the dense optimizers.

@@ -34,23 +34,22 @@ impl Worker {
             bce_with_logits(&logits, &sub.labels).map_err(|e| err(e.to_string()))?;
         // bce divides by the local batch; rescale to the global batch
         grad.scale(sub.batch_size() as f32 / self.cfg.global_batch as f32);
-        self.backward_update(&sub, &grad)?;
-        // global mean loss (sub-batches are equal-sized)
-        let mut l = vec![loss];
-        let sp = self.rec.span(Phase::Allreduce);
-        self.comm.all_reduce_mean(&mut l)?;
-        drop(sp);
+        // global mean loss (sub-batches are equal-sized); `* (1/world)`,
+        // not `/ world`: the two round differently in f32, and every
+        // recorded loss trajectory was made with the former
+        let loss_sum = self.backward_update(&sub, &grad, loss)?;
+        let loss = loss_sum * (1.0 / self.world as f32);
         if let Some(ns) = iter_span.end() {
             // rank 0 owns the global gauges (loss is already all-reduced)
             if self.rank == 0 {
                 let sink = self.rec.sink();
-                sink.gauge_push(Metric::TrainLoss, iter, f64::from(l[0]));
+                sink.gauge_push(Metric::TrainLoss, iter, f64::from(loss));
                 let throughput = self.cfg.global_batch as f64 * 1e9 / ns.max(1) as f64;
                 sink.gauge_push(Metric::TrainThroughput, iter, throughput);
             }
         }
         iteration.end();
-        Ok(l[0])
+        Ok(loss)
     }
 
     fn evaluate(&mut self, batches: &[CombinedBatch]) -> Result<NormalizedEntropy, SyncError> {
@@ -408,12 +407,14 @@ mod schedule_and_stream_tests {
     #[test]
     fn overlap_moves_waits_not_traffic() {
         // The two schedules issue the same exchanges; overlap only splits
-        // the MLP AllReduce in two buckets. Per step on a table-wise plan:
-        // index a2a, pooled a2a, grad a2a, loss mean, plus one (serial) or
-        // two (overlap) gradient AllReduces.
+        // the MLP AllReduce in two buckets, and the loss rides in one of
+        // them either way. Per step on a table-wise plan: index a2a,
+        // pooled a2a, grad a2a, plus one (serial) or two (overlap)
+        // gradient AllReduces. A row-wise table adds its ReduceScatter
+        // and AllGather to both.
         let steps = 4u64;
-        let run = |overlap: bool| {
-            let mut cfg = SyncConfig::exact(2, DlrmConfig::tiny(3, 64, 8), plan(2), 32);
+        let run = |plan: &ShardingPlan, overlap: bool| {
+            let mut cfg = SyncConfig::exact(2, DlrmConfig::tiny(3, 64, 8), plan.clone(), 32);
             cfg.overlap = overlap;
             let ds = dataset();
             SyncTrainer::new(cfg)
@@ -421,16 +422,22 @@ mod schedule_and_stream_tests {
                 .unwrap()
                 .comm
         };
-        let (serial, over) = (run(false), run(true));
-        assert_eq!(serial.len(), 2);
-        for (s, o) in serial.iter().zip(&over) {
-            assert!(s.bytes_sent > 0);
-            assert_eq!(
-                s.bytes_sent, o.bytes_sent,
-                "overlap must not change traffic"
-            );
-            assert_eq!(s.ops, 5 * steps);
-            assert_eq!(o.ops, 6 * steps);
+        let mut row_wise = plan(2);
+        row_wise.placements[0].scheme = Scheme::RowWise {
+            workers: vec![0, 1],
+        };
+        for (plan, serial_ops) in [(plan(2), 4), (row_wise, 6)] {
+            let (serial, over) = (run(&plan, false), run(&plan, true));
+            assert_eq!(serial.len(), 2);
+            for (s, o) in serial.iter().zip(&over) {
+                assert!(s.bytes_sent > 0);
+                assert_eq!(
+                    s.bytes_sent, o.bytes_sent,
+                    "overlap must not change traffic"
+                );
+                assert_eq!(s.ops, serial_ops * steps, "{plan:?}");
+                assert_eq!(o.ops, (serial_ops + 1) * steps, "{plan:?}");
+            }
         }
     }
 

@@ -8,10 +8,10 @@
 //! result. This harness drives the claim: for each seed it arms
 //! [`neo_sync::chaos`], which perturbs thread timing at the split-phase
 //! boundaries (`post`, arrival, `wait`) with seed-deterministic yields
-//! and micro-sleeps, runs the w ∈ {2, 4} overlapped trainer under a
-//! watchdog, and asserts the losses, probe logits, and every trained
-//! embedding row are bitwise identical to a serial (unperturbed,
-//! non-overlapped) reference run.
+//! and micro-sleeps, runs the w ∈ {2, 4} overlapped trainer with a
+//! small modelled wire delay under a watchdog, and asserts the losses,
+//! probe logits, and every trained embedding row are bitwise identical
+//! to a serial (unperturbed, non-overlapped) reference run.
 //!
 //! Every perturbed run also carries an in-memory `neo-monitor` session:
 //! chaos's micro-sleeps sit far below the watchdog's stall deadline, so
@@ -38,7 +38,7 @@ use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
 
-use neo_collectives::QuantMode;
+use neo_collectives::{CommDelay, QuantMode};
 use neo_dataio::{CombinedBatch, SyntheticConfig, SyntheticDataset};
 use neo_dlrm_model::DlrmConfig;
 use neo_sharding::{CostModel, Planner, PlannerConfig, TableSpec};
@@ -227,6 +227,9 @@ fn config(combo: Combo, overlap: bool) -> Result<SyncConfig, String> {
     cfg.overlap = overlap;
     cfg.gather_final_model = true;
     if overlap {
+        // a small modelled wire, so every perturbed wait also runs the
+        // deadline's sleep-then-yield loop
+        cfg.comm_delay = Some(CommDelay::new(64e9, 5e-6));
         // in-memory monitor on every perturbed run: a chaos-jittered but
         // healthy schedule must raise zero alerts (false-positive gate)
         cfg.monitor = Some(neo_monitor::MonitorConfig {

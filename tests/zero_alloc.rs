@@ -50,11 +50,11 @@ const STALE: f64 = 2.0;
 /// the middle of what the row measured when it was set, so the row's
 /// run-to-run spread stays inside the `STALE`-wide band below it.
 const BUDGETS: &[(&str, f64)] = &[
-    ("table w1 serial fp32 dense sgd", 98.0),
-    ("row w2 overlap fp16/bf16 dense adagrad", 395.0),
-    ("column w4 serial fp32 fp16-store rowwise", 797.0),
-    ("data-parallel w2 serial fp32 dense sgd", 402.5),
-    ("mixed w4 overlap fp16/bf16 fp16-store rowwise", 879.5),
+    ("table w1 serial fp32 dense sgd", 91.125),
+    ("row w2 overlap fp16/bf16 dense adagrad", 378.875),
+    ("column w4 serial fp32 fp16-store rowwise", 763.0),
+    ("data-parallel w2 serial fp32 dense sgd", 386.25),
+    ("mixed w4 overlap fp16/bf16 fp16-store rowwise", 845.5),
     ("dlrm-model w1 adam", 95.0),
 ];
 
