@@ -89,13 +89,12 @@ enum Step {
 }
 
 /// What a wait does with `left` until its deadline: it sleeps only while
-/// more than a sleep's overrun is left, and yields the rest. Each sleep
-/// is capped at one overrun, because a longer sleep overruns by more.
+/// more than a sleep's overrun is left, and yields the rest.
 fn step(left: Duration) -> Step {
     if left.is_zero() {
         Step::Done
     } else if left > SLEEP_OVERRUN {
-        Step::Sleep((left - SLEEP_OVERRUN).min(SLEEP_OVERRUN))
+        Step::Sleep(left - SLEEP_OVERRUN)
     } else {
         Step::Yield
     }
@@ -103,7 +102,9 @@ fn step(left: Duration) -> Step {
 
 /// Waits out what is left until `deadline`; returns at once once it has
 /// passed. It yields rather than spins near the deadline, so a rank
-/// sharing its core with a peer hands the core over.
+/// sharing its core with a peer hands the core over. It lands on the
+/// deadline only while the threads sharing its core block: a yield to one
+/// that busy-loops gives up a whole scheduler slice.
 pub(crate) fn sleep_until(deadline: Instant) {
     loop {
         match step(deadline.saturating_duration_since(now())) {
@@ -162,8 +163,6 @@ mod tests {
             Step::Sleep(Duration::from_nanos(1))
         );
         assert_eq!(step(us(100)), Step::Sleep(us(40)));
-        // a long wait sleeps in overrun-sized pieces
-        assert_eq!(step(us(1_000)), Step::Sleep(SLEEP_OVERRUN));
     }
 
     #[test]

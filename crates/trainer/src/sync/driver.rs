@@ -397,11 +397,39 @@ mod schedule_and_stream_tests {
             .train(&batches, &[], 0, Some(&probe))
             .unwrap();
         let ds2 = dataset();
-        let b = SyncTrainer::new(SyncConfig::exact(2, model, plan(2), 32))
+        let b = SyncTrainer::new(SyncConfig::exact(2, model.clone(), plan(2), 32))
             .train_stream(5, |k| ds2.batch(32, k), &[], 0, Some(&probe))
             .unwrap();
         assert_eq!(a.losses, b.losses);
         assert_eq!(a.probe_logits, b.probe_logits);
+
+        // The reported loss is the rank-ordered sum of the sub-batches'
+        // losses times `1/world`, bit for bit. World 3, where `/ world`
+        // rounds differently; the probe logits of a run over the first k
+        // batches are each rank's step-k logits, in rank order.
+        let cfg = || SyncConfig::exact(3, model.clone(), plan(3), 48);
+        let wide: Vec<_> = (0..4).map(|k| ds.batch(48, k)).collect();
+        let losses = SyncTrainer::new(cfg())
+            .train(&wide, &[], 0, None)
+            .unwrap()
+            .losses;
+        for (k, b) in wide.iter().enumerate() {
+            let logits = SyncTrainer::new(cfg())
+                .train(&wide[..k], &[], 0, Some(b))
+                .unwrap()
+                .probe_logits
+                .unwrap();
+            let sum = (0..3).fold(0.0f32, |acc, r| {
+                let rows = r * 16..(r + 1) * 16;
+                let sub = Tensor2::from_vec(16, 1, logits.as_slice()[rows.clone()].to_vec());
+                acc + bce_with_logits(&sub.unwrap(), &b.labels[rows]).unwrap().0
+            });
+            assert_eq!(
+                losses[k].to_bits(),
+                (sum * (1.0 / 3.0)).to_bits(),
+                "step {k}"
+            );
+        }
     }
 
     #[test]
