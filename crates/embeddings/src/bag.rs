@@ -268,8 +268,9 @@ pub fn pooled_backward(
 /// result equals `merge_grads(&pooled_backward(...))` bit-for-bit (same
 /// sorted order, same accumulation order) and can be passed to
 /// [`crate::optim::SparseOptimizer::apply_merged`] unchanged. The trainer
-/// skips the merged gradient altogether with
-/// [`crate::optim::fused_update`], the same sweep feeding the optimizer.
+/// skips the merged gradient altogether, on every shard, with
+/// [`crate::optim::fused_update`], the same sweep feeding the optimizer;
+/// this collecting form serves the benchmark ladder and the tests.
 ///
 /// # Errors
 ///

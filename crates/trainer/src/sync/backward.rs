@@ -6,10 +6,8 @@ use std::sync::Arc;
 use neo_collectives::{CommHandle, Communicator};
 use neo_dataio::CombinedBatch;
 use neo_dlrm_model::interaction::{dot_interaction_backward, num_pairs};
-use neo_embeddings::bag::fused_backward_grads;
-use neo_embeddings::optim::merge_grads;
-use neo_embeddings::SparseGrad;
-use neo_telemetry::{Metric, Phase};
+use neo_sharding::Scheme;
+use neo_telemetry::Phase;
 use neo_tensor::mlp::Mlp;
 use neo_tensor::Tensor2;
 
@@ -52,6 +50,7 @@ impl Worker {
     /// loss to a one-element AllReduce of its own.
     pub(super) fn backward_update(
         &mut self,
+        global: &CombinedBatch,
         sub: &CombinedBatch,
         grad_logits: &Tensor2,
         loss: f32,
@@ -108,7 +107,7 @@ impl Worker {
         });
 
         // sparse paths (grad exchanges + exact optimizer updates)
-        self.sparse_backward(sub.batch_size(), &g_features)?;
+        self.sparse_backward(global, sub.batch_size(), &g_features)?;
 
         let loss_sum = match bot_bucket.zip(top_bucket) {
             Some((bot, top)) => {
@@ -163,7 +162,12 @@ impl Worker {
 
     /// Sparse backward (step 6): grad exchanges back to every shard kind
     /// plus the exact optimizer updates. Blocking in both schedules.
-    fn sparse_backward(&mut self, b_loc: usize, g_features: &[Tensor2]) -> Result<(), SyncError> {
+    fn sparse_backward(
+        &mut self,
+        global: &CombinedBatch,
+        b_loc: usize,
+        g_features: &[Tensor2],
+    ) -> Result<(), SyncError> {
         let world = self.world;
         let d = self.cfg.model.emb_dim();
 
@@ -208,53 +212,31 @@ impl Worker {
         }
         drop(sp);
 
-        // AllGather for row-wise tables (mirror of the ReduceScatter); the
-        // gathered rows are the global batch's bag gradients in order
-        for &t in &self.row_tables {
+        // AllGather for row-wise and data-parallel tables, in the plan's
+        // table order on every rank: the gathered rows are the global
+        // batch's bag gradients in order. A replica looked up only the
+        // local sub-batch; it updates over the global batch's inputs, so
+        // every replica applies the one update a table-wise owner would.
+        for p in &self.cfg.plan.placements {
+            if !matches!(p.scheme, Scheme::RowWise { .. } | Scheme::DataParallel) {
+                continue;
+            }
+            let t = p.table;
             let sp = self.rec.span(Phase::Allgather);
             let global_grads = self.comm.all_gather(g_features[t + 1].as_slice())?;
             drop(sp);
             if let Some(sh) = self.shards.iter_mut().find(|sh| sh.geo.table == t) {
                 let sp = self.rec.span(Phase::SparseOptim);
+                if sh.geo.division.is_none() {
+                    let (lengths, indices) = global.table_inputs(t);
+                    sh.lengths.clear();
+                    sh.indices.clear();
+                    sh.push_inputs(lengths, indices);
+                }
                 let grad_of_bag = |b: usize| global_grads.get(b * d..(b + 1) * d);
                 sh.update(world * b_loc, grad_of_bag, &mut self.sweep, &self.rec)?;
                 drop(sp);
             }
-        }
-
-        // data-parallel tables: exchange the sparse grads, apply the
-        // identical merged update on every replica
-        for sh in self
-            .shards
-            .iter_mut()
-            .filter(|sh| sh.geo.division.is_none())
-        {
-            // ship per-rank *merged* grads: rank-order concatenation then a
-            // final merge reproduces the raw-occurrence accumulation order
-            // bit-for-bit while shrinking the exchanged payload
-            let local =
-                fused_backward_grads(&sh.lengths, &sh.indices, &g_features[sh.geo.table + 1])
-                    .map_err(|e| err(e.to_string()))?;
-            let local = Arc::new(vec![local]);
-            let sp = self.rec.span(Phase::AlltoallBwd);
-            // one shared payload, `world` refcount bumps
-            let gathered = self.comm.all_to_all_shared(vec![local; world])?;
-            drop(sp);
-            let sp = self.rec.span(Phase::SparseOptim);
-            let mut indices = Vec::new();
-            let mut rows: Vec<f32> = Vec::new();
-            for from in gathered.iter().flat_map(|msg| msg.iter()) {
-                indices.extend_from_slice(&from.indices);
-                rows.extend_from_slice(from.grads.as_slice());
-            }
-            let grads = Tensor2::from_vec(indices.len(), sh.geo.width, rows)
-                .map_err(|e| err(e.to_string()))?;
-            let merged = merge_grads(&SparseGrad::dense(indices, grads));
-            self.rec
-                .sink()
-                .counter_add(Metric::EmbOptimRows, merged.len() as u64);
-            sh.opt.apply_merged(sh.store.as_mut(), &merged);
-            drop(sp);
         }
         Ok(())
     }

@@ -37,7 +37,7 @@ impl Worker {
         // global mean loss (sub-batches are equal-sized); `* (1/world)`,
         // not `/ world`: the two round differently in f32, and every
         // recorded loss trajectory was made with the former
-        let loss_sum = self.backward_update(&sub, &grad, loss)?;
+        let loss_sum = self.backward_update(global, &sub, &grad, loss)?;
         let loss = loss_sum * (1.0 / self.world as f32);
         if let Some(ns) = iter_span.end() {
             // rank 0 owns the global gauges (loss is already all-reduced)
@@ -439,7 +439,7 @@ mod schedule_and_stream_tests {
         // them either way. Per step on a table-wise plan: index a2a,
         // pooled a2a, grad a2a, plus one (serial) or two (overlap)
         // gradient AllReduces. A row-wise table adds its ReduceScatter
-        // and AllGather to both.
+        // and AllGather to both; a replicated table adds its AllGather.
         let steps = 4u64;
         let run = |plan: &ShardingPlan, overlap: bool| {
             let mut cfg = SyncConfig::exact(2, DlrmConfig::tiny(3, 64, 8), plan.clone(), 32);
@@ -454,7 +454,19 @@ mod schedule_and_stream_tests {
         row_wise.placements[0].scheme = Scheme::RowWise {
             workers: vec![0, 1],
         };
-        for (plan, serial_ops) in [(plan(2), 4), (row_wise, 6)] {
+        let mut all_replica = plan(2);
+        for p in &mut all_replica.placements {
+            p.scheme = Scheme::DataParallel;
+        }
+        // the all-replica plan's a2as carry nothing: a rank sends the
+        // AllReduce bucket (112 bottom + 257 top parameters + the loss)
+        // and each table's `b_loc × D` pooled gradient, in f32
+        let replica_bytes = 4 * (112 + 257 + 1) + 3 * 16 * 8 * 4;
+        for (plan, serial_ops, bytes) in [
+            (plan(2), 4, None),
+            (row_wise, 6, None),
+            (all_replica, 7, Some(replica_bytes)),
+        ] {
             let (serial, over) = (run(&plan, false), run(&plan, true));
             assert_eq!(serial.len(), 2);
             for (s, o) in serial.iter().zip(&over) {
@@ -463,6 +475,9 @@ mod schedule_and_stream_tests {
                     s.bytes_sent, o.bytes_sent,
                     "overlap must not change traffic"
                 );
+                if let Some(bytes) = bytes {
+                    assert_eq!(s.bytes_sent, bytes * steps, "{plan:?}");
+                }
                 assert_eq!(s.ops, serial_ops * steps, "{plan:?}");
                 assert_eq!(o.ops, (serial_ops + 1) * steps, "{plan:?}");
             }

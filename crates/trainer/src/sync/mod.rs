@@ -7,9 +7,9 @@
 //!   of [`ShardingPlan::shards`](neo_sharding::ShardingPlan::shards) whose
 //!   worker it is, whatever scheme cut them (replicas of data-parallel
 //!   tables included). Every shard is looked up by one operation and
-//!   updated by the same two — merge the gradient of the inputs it holds,
-//!   apply a merged gradient; the schemes differ only in the collective
-//!   that moves a shard's outputs and gradients (steps 2, 4 and 6 below),
+//!   updated by one other — the fused sort-and-accumulate update over the
+//!   inputs it holds; the schemes differ only in the collective that
+//!   moves a shard's outputs and gradients (steps 2, 4 and 6 below),
 //! * a [`Communicator`](neo_collectives::Communicator) into the group.
 //!
 //! # One schedule, movable waits (§4.3, Fig. 9)
@@ -29,8 +29,9 @@
 //! 5. **start** the next batch's index AlltoAll (when the driver
 //!    prefetched one), then dot interaction + top MLP + BCE loss;
 //! 6. backward mirrors forward: grad AlltoAll (quantizable) back to
-//!    owners, AllGather for row-wise tables, sparse-grad exchange for
-//!    data-parallel tables; owners apply *exact* sparse updates;
+//!    owners, AllGather for row-wise and data-parallel tables; owners
+//!    and every replica apply *exact* sparse updates over the global
+//!    batch;
 //! 7. MLP gradients AllReduce, then the dense optimizer on every replica.
 //!
 //! Each started collective is a private `Pending`: either already
@@ -315,9 +316,9 @@ mod tests {
 
     #[test]
     fn replicas_count_optimizer_rows_after_the_merge() {
-        // every replica applies the merged global gradient, so each rank
-        // adds the distinct rows of the step's *global* batch — a row
-        // touched on both ranks used to count twice
+        // every replica updates over the step's *global* batch, so each
+        // rank adds its distinct rows — a row touched on both ranks used
+        // to count twice
         let plan = ShardingPlan {
             world: 2,
             placements: vec![TablePlacement {
@@ -354,6 +355,54 @@ mod tests {
             .find(|(k, _)| *k == Metric::EmbOptimRows.name())
             .map(|(_, v)| *v);
         assert_eq!(rows, Some(2 * distinct));
+    }
+
+    #[test]
+    fn replicas_train_to_the_bits_of_a_table_wise_owner() {
+        // a replica updates through the same fused sweep over the same
+        // global batch as a table-wise owner, so placing a table
+        // data-parallel changes no bit, at any world, for every sparse
+        // optimizer and store
+        let ds = SyntheticDataset::new(SyntheticConfig::uniform(4, 96, 3, 4)).unwrap();
+        let train: Vec<CombinedBatch> = (0..6).map(|k| ds.batch(48, k)).collect();
+        let probe = ds.batch(48, 999);
+        let logits = |world: usize, opt: SparseOpt, fp16: bool, replicate: bool| {
+            let placements = (0..4)
+                .map(|table| TablePlacement {
+                    table,
+                    scheme: if replicate && table % 2 == 1 {
+                        Scheme::DataParallel
+                    } else {
+                        Scheme::TableWise {
+                            worker: table % world,
+                        }
+                    },
+                })
+                .collect();
+            let plan = ShardingPlan { world, placements };
+            let mut sc = SyncConfig::exact(world, DlrmConfig::tiny(4, 96, 8), plan, 48);
+            sc.optimizer = opt;
+            sc.fp16_embeddings = fp16;
+            SyncTrainer::new(sc)
+                .train(&train, &[], 0, Some(&probe))
+                .unwrap()
+                .probe_logits
+                .unwrap()
+        };
+        for world in [2, 3, 4] {
+            for opt in [
+                SparseOpt::Sgd,
+                SparseOpt::Adagrad,
+                SparseOpt::RowWiseAdagrad,
+            ] {
+                for fp16 in [false, true] {
+                    assert!(
+                        logits(world, opt, fp16, true) == logits(world, opt, fp16, false),
+                        "world {world}, {opt:?}, fp16 store {fp16}: replicas diverge"
+                    );
+                }
+            }
+        }
     }
 
     /// Single-device reference training with the same math.

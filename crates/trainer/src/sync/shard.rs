@@ -23,7 +23,8 @@ use crate::init::det_fill;
 
 /// Whether a shard's pooled outputs and gradients travel in the pooled /
 /// gradient AlltoAlls (table- and column-wise shards). Row blocks use
-/// ReduceScatter / AllGather and replicas exchange merged sparse grads.
+/// ReduceScatter / AllGather; replicas pool locally and AllGather their
+/// gradients like a row block.
 pub(super) fn rides_a2a(s: &Shard) -> bool {
     matches!(
         s.division,
@@ -39,7 +40,8 @@ pub(super) struct LocalShard {
     pub(super) opt: Box<dyn SparseOptimizer>,
     /// The inputs served in the current iteration: the global batch's
     /// (bucketized to local rows for a row block) as received from the
-    /// index AlltoAll, or the local sub-batch's for a replica.
+    /// index AlltoAll. A replica holds the local sub-batch's for its
+    /// lookup, then the global batch's for its update.
     pub(super) lengths: Vec<u32>,
     pub(super) indices: Vec<u64>,
     /// `None` when [`SyncConfig::workload`] is off, so the lookup pays one
@@ -135,8 +137,8 @@ impl LocalShard {
     }
 
     /// The fused backward + exact update (§4.1.1, §4.1.2) over the inputs
-    /// held — every scheme but the replicas' one way into the store,
-    /// counted in unique rows. `grad_of_bag(b)` is the gradient of pooled
+    /// held — every scheme's one way into the store, counted in unique
+    /// rows. `grad_of_bag(b)` is the gradient of pooled
     /// output `b` of the `bags` that `lookup` produced, read where the
     /// exchange left it; rows go from it straight to the updated store row.
     pub(super) fn update<'g>(
@@ -179,8 +181,8 @@ pub(super) struct Worker {
     /// it is in wire order by construction.
     pub(super) shards: Vec<LocalShard>,
     /// Row-wise table ids in deterministic order (every rank iterates the
-    /// same list so the ReduceScatter/AllGather sequences line up, also
-    /// for a table it holds no block of).
+    /// same list so the ReduceScatter sequences line up, also for a table
+    /// it holds no block of).
     pub(super) row_tables: Vec<usize>,
     /// `manifests[r]`: the table-/column-wise shards owner `r` serves. Both
     /// sides of the pooled and gradient AlltoAlls derive their layout from

@@ -8,10 +8,11 @@
 //! result. This harness drives the claim: for each seed it arms
 //! [`neo_sync::chaos`], which perturbs thread timing at the split-phase
 //! boundaries (`post`, arrival, `wait`) with seed-deterministic yields
-//! and micro-sleeps, runs the w ∈ {2, 4} overlapped trainer with a
-//! small modelled wire delay under a watchdog, and asserts the losses,
-//! probe logits, and every trained embedding row are bitwise identical
-//! to a serial (unperturbed, non-overlapped) reference run.
+//! and micro-sleeps, runs the w ∈ {2, 4} overlapped trainer on a plan
+//! with one table per sharding scheme and a small modelled wire delay
+//! under a watchdog, and asserts the losses, probe logits, and every
+//! trained embedding row are bitwise identical to a serial (unperturbed,
+//! non-overlapped) reference run.
 //!
 //! Every perturbed run also carries an in-memory `neo-monitor` session:
 //! chaos's micro-sleeps sit far below the watchdog's stall deadline, so
@@ -41,7 +42,7 @@ use std::time::Duration;
 use neo_collectives::{CommDelay, QuantMode};
 use neo_dataio::{CombinedBatch, SyntheticConfig, SyntheticDataset};
 use neo_dlrm_model::DlrmConfig;
-use neo_sharding::{CostModel, Planner, PlannerConfig, TableSpec};
+use neo_sharding::{Scheme, ShardingPlan, TablePlacement};
 use neo_sync::chaos;
 use neo_tensor::Tensor2;
 use neo_trainer::{SyncConfig, SyncTrainer, TrainOutput};
@@ -49,6 +50,9 @@ use neo_trainer::{SyncConfig, SyncTrainer, TrainOutput};
 /// Wall-clock budget per perturbed run; on a loaded 1-core host a clean
 /// run takes well under a second, so expiry means a wedged schedule.
 const WATCHDOG: Duration = Duration::from_secs(120);
+
+/// Tables in the perturbed model: one per sharding scheme.
+const TABLES: usize = 4;
 
 /// One (world size, quantization) scenario; seeds rotate through all.
 #[derive(Clone, Copy)]
@@ -205,22 +209,38 @@ pub fn run_interleave(args: &[String]) -> Result<usize, String> {
 
 fn dataset() -> SyntheticDataset {
     #[expect(clippy::unwrap_used, reason = "fixed valid config, cannot fail")]
-    SyntheticDataset::new(SyntheticConfig::uniform(3, 128, 3, 4)).unwrap()
+    SyntheticDataset::new(SyntheticConfig::uniform(TABLES, 128, 3, 4)).unwrap()
 }
 
-/// The planned trainer config for `combo` (mirrors tests/determinism.rs).
-fn config(combo: Combo, overlap: bool) -> Result<SyncConfig, String> {
-    let model = DlrmConfig::tiny(3, 128, 8);
-    let specs: Vec<TableSpec> = model
-        .tables
-        .iter()
-        .enumerate()
-        .map(|(i, t)| TableSpec::new(i, t.num_rows, t.dim, t.avg_pooling as f64))
+/// One table per scheme, so every perturbed run carries traffic in each
+/// exchange: the index, pooled and gradient AlltoAlls, the row-wise
+/// ReduceScatter, and the row-wise and data-parallel AllGathers.
+fn plan(world: usize) -> ShardingPlan {
+    let schemes = [
+        Scheme::TableWise { worker: 1 },
+        Scheme::RowWise {
+            workers: (0..world).collect(),
+        },
+        Scheme::ColumnWise {
+            workers: vec![0, world - 1],
+            split_dims: vec![4, 4],
+        },
+        Scheme::DataParallel,
+    ];
+    let placements = (schemes.into_iter().enumerate())
+        .map(|(table, scheme)| TablePlacement { table, scheme })
         .collect();
-    let plan = Planner::new(CostModel::v100_prototype(32), PlannerConfig::default())
-        .plan(&specs, combo.world)
-        .map_err(|e| format!("planning: {e}"))?;
-    let mut cfg = SyncConfig::exact(combo.world, model, plan, 32);
+    ShardingPlan { world, placements }
+}
+
+/// The trainer config for `combo`.
+fn config(combo: Combo, overlap: bool) -> SyncConfig {
+    let mut cfg = SyncConfig::exact(
+        combo.world,
+        DlrmConfig::tiny(TABLES, 128, 8),
+        plan(combo.world),
+        32,
+    );
     cfg.seed = 42;
     cfg.quant_fwd = combo.quant_fwd;
     cfg.quant_bwd = combo.quant_bwd;
@@ -237,7 +257,7 @@ fn config(combo: Combo, overlap: bool) -> Result<SyncConfig, String> {
             ..neo_monitor::MonitorConfig::in_memory()
         });
     }
-    Ok(cfg)
+    cfg
 }
 
 fn train(
@@ -246,7 +266,7 @@ fn train(
     probe: &CombinedBatch,
     overlap: bool,
 ) -> Result<TrainOutput, String> {
-    SyncTrainer::new(config(combo, overlap)?)
+    SyncTrainer::new(config(combo, overlap))
         .train(batches, &[], 0, Some(probe))
         .map_err(|e| format!("{e}"))
 }

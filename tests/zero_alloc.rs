@@ -53,8 +53,8 @@ const BUDGETS: &[(&str, f64)] = &[
     ("table w1 serial fp32 dense sgd", 91.125),
     ("row w2 overlap fp16/bf16 dense adagrad", 378.875),
     ("column w4 serial fp32 fp16-store rowwise", 763.0),
-    ("data-parallel w2 serial fp32 dense sgd", 386.25),
-    ("mixed w4 overlap fp16/bf16 fp16-store rowwise", 845.5),
+    ("data-parallel w2 serial fp32 dense sgd", 194.25),
+    ("mixed w4 overlap fp16/bf16 fp16-store rowwise", 748.25),
     ("dlrm-model w1 adam", 95.0),
 ];
 
